@@ -23,7 +23,7 @@
 //
 // Absolute milliseconds differ from the paper's ns-3 testbed; the shapes
 // (who wins, by how much, where the tails are) are the reproduction
-// target. See EXPERIMENTS.md.
+// target.
 package main
 
 import (

@@ -43,55 +43,92 @@ func TestEventPoolReuse(t *testing.T) {
 // TestTimerReArmAllocationFree is the retransmit-timer regression: once
 // warm, re-arming a timer (the per-ACK hot path of every transport) must
 // not allocate — no closure per Reset, events recycled through the
-// compaction path.
+// compaction path. A constant delay (the minimum RTO) re-arms through a
+// lane, varying delays through the heap; both must hold the bound.
 func TestTimerReArmAllocationFree(t *testing.T) {
-	e := NewEngine()
-	tm := NewTimer(e, func() {})
-	// Warm up: grow the heap to its steady compaction cycle and prime
-	// the event free list.
-	for i := 0; i < 4*compactFloor; i++ {
-		tm.Reset(Millisecond)
-	}
-	if allocs := testing.AllocsPerRun(500, func() { tm.Reset(Millisecond) }); allocs != 0 {
-		t.Errorf("timer re-arm allocates %.2f per Reset, want 0", allocs)
-	}
-	// The heap must not have grown without bound either: cancelled
-	// entries are compacted away.
-	if len(e.heap) > 2*compactFloor {
-		t.Errorf("heap holds %d entries after re-arm storm, want <= %d", len(e.heap), 2*compactFloor)
+	for _, tc := range []struct {
+		name  string
+		lane  bool // whether the re-arms should go through a lane
+		delay func(i int) Time
+	}{
+		{"constant-delay", true, func(int) Time { return Millisecond }},
+		{"varying-delay", false, func(i int) Time { return Millisecond + Time(i%1000)*Microsecond }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := NewEngine()
+			tm := NewTimer(e, func() {})
+			// Warm up: grow the queue to its steady compaction cycle
+			// and prime the event free list.
+			i := 0
+			for ; i < 4*compactFloor; i++ {
+				tm.Reset(tc.delay(i))
+			}
+			if allocs := testing.AllocsPerRun(500, func() { i++; tm.Reset(tc.delay(i)) }); allocs != 0 {
+				t.Errorf("timer re-arm allocates %.2f per Reset, want 0", allocs)
+			}
+			// The queue must not have grown without bound either:
+			// cancelled entries are compacted away.
+			got := queueStats(e)
+			if got.entries > 2*compactFloor {
+				t.Errorf("queue holds %d entries after re-arm storm, want <= %d", got.entries, 2*compactFloor)
+			}
+			if tc.lane != (got.laneEntries > 0) {
+				t.Errorf("%d of %d entries sit in lanes", got.laneEntries, got.entries)
+			}
+		})
 	}
 }
 
-// TestEngineHeapCapacityTrim checks that the queue's backing array
-// shrinks after a burst drains: Step-driven and RunUntil-driven loops
-// alike must not pin a big run's worst-case footprint forever.
+// TestEngineHeapCapacityTrim checks that the queue's backing arrays
+// shrink after a burst drains, through the heap (distinct delays) and
+// through a lane (one delay, the clock stepping between pushes):
+// Step-driven and RunUntil-driven loops alike must not pin a big run's
+// worst-case footprint forever.
 func TestEngineHeapCapacityTrim(t *testing.T) {
-	e := NewEngine()
-	const n = 1 << 15
 	fn := func() {}
-	for i := 0; i < n; i++ {
-		e.Schedule(Time(i)*Microsecond, fn)
-	}
-	if cap(e.heap) < n {
-		t.Fatalf("setup: heap cap %d < %d events", cap(e.heap), n)
-	}
-	for e.Step() {
-	}
-	if e.Pending() != 0 {
-		t.Fatalf("pending = %d after drain", e.Pending())
-	}
-	if got := cap(e.heap); got > 2*trimFloor {
-		t.Errorf("heap capacity %d after drain, want <= %d (trimmed)", got, 2*trimFloor)
-	}
-	if got := len(e.free); got > 2*trimFloor {
-		t.Errorf("free list holds %d events after drain, want <= %d (trimmed)", got, 2*trimFloor)
-	}
-	// The engine keeps working after trimming.
-	fired := false
-	e.Schedule(Millisecond, func() { fired = true })
-	e.Run()
-	if !fired {
-		t.Error("event scheduled after trim never fired")
+	for _, tc := range []struct {
+		name string
+		lane bool // whether the burst should sit in a lane
+		n    int
+		fill func(e *Engine, i int)
+	}{
+		{"heap", false, 1 << 15, func(e *Engine, i int) { e.Schedule(Time(i)*Microsecond, fn) }},
+		{"lane", true, 100_000, func(e *Engine, i int) {
+			e.AdvanceTo(Time(i))
+			e.Schedule(Second, fn)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := NewEngine()
+			for i := 0; i < tc.n; i++ {
+				tc.fill(e, i)
+			}
+			got := queueStats(e)
+			if got.capacity < tc.n {
+				t.Fatalf("setup: queue capacity %d < %d events", got.capacity, tc.n)
+			}
+			if inLane := got.laneEntries > tc.n/2; inLane != tc.lane {
+				t.Fatalf("setup: %d of %d entries sit in lanes", got.laneEntries, got.entries)
+			}
+			for e.Step() {
+			}
+			if e.Pending() != 0 {
+				t.Fatalf("pending = %d after drain", e.Pending())
+			}
+			if got := queueStats(e).capacity; got > 2*trimFloor {
+				t.Errorf("queue capacity %d after drain, want <= %d (trimmed)", got, 2*trimFloor)
+			}
+			if got := len(e.free); got > 2*trimFloor {
+				t.Errorf("free list holds %d events after drain, want <= %d (trimmed)", got, 2*trimFloor)
+			}
+			// The engine keeps working after trimming.
+			fired := false
+			e.Schedule(Millisecond, func() { fired = true })
+			e.Run()
+			if !fired {
+				t.Error("event scheduled after trim never fired")
+			}
+		})
 	}
 }
 

@@ -58,20 +58,80 @@ func (ev *Event) Pending() bool {
 	return ev != nil && !ev.cancelled && !ev.fired
 }
 
-// compactFloor is the minimum heap size below which cancelled events are
-// simply left to be discarded lazily: compaction of a tiny heap saves
+// compactFloor is the minimum queue size below which cancelled events are
+// simply left to be discarded lazily: compaction of a tiny queue saves
 // nothing and would only add overhead to short runs.
 const compactFloor = 64
 
+// entry is one queue slot. The ordering key sits beside the event pointer
+// so that comparing two entries never dereferences an event.
+type entry struct {
+	at  Time
+	seq uint64
+	ev  *Event
+}
+
+// less orders entries by time, breaking ties by insertion sequence so that
+// simultaneous events fire deterministically in scheduling order. Keyed
+// events (AtArgKeyed) carry an explicit key in the sequence slot and sort
+// among same-time events by that key instead.
+func (a entry) less(b entry) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
+}
+
+// lane is a FIFO of the events scheduled one fixed delay ahead of the
+// clock. The clock never goes back and sequence numbers only grow, so such
+// events arrive already in (at, seq) order: push appends, pop advances
+// head, and no comparison against the rest of the queue is needed.
+type lane struct {
+	delay Time
+	ring  []entry // circular; len is a power of two
+	head  int
+	n     int
+}
+
+const (
+	// maxLanes bounds the lane table; every pop compares that many heads.
+	maxLanes = 8
+	// laneCap is a new lane's ring size and heapCap the heap's initial
+	// capacity, in 24-byte entries.
+	laneCap = 16
+	heapCap = 128
+	// promoteAfter is how often a delay must recur, net of the other
+	// delays sharing its candidate slot, before it is given a lane.
+	promoteAfter = 8
+)
+
+// candidate counts the recurrences of a delay that has no lane yet.
+type candidate struct {
+	delay Time
+	hits  int
+}
+
 // Engine is a single-threaded discrete-event simulator. The zero value is
 // not ready for use; call NewEngine.
+//
+// The pending-event queue is a set of delay lanes over a binary heap. A
+// network simulation schedules nearly all of its events at a handful of
+// recurring delays (propagation, data and ACK serialisation, the minimum
+// RTO); each such delay earns a lane, where push and pop are O(1), and the
+// next event is the least of the lane heads and the heap root. Everything
+// else — one-off delays, keyed events, a recurring delay when all lanes
+// are busy — takes the heap. An event joins a lane only if it does not
+// sort before the lane's tail, so the firing order is (at, seq) whatever
+// the lane table holds.
 type Engine struct {
 	now       Time
-	heap      []*Event
+	heap      []entry
+	lanes     []lane
+	cand      [16]candidate
+	size      int // entries in the heap and all lanes, cancelled included
 	seq       uint64
 	processed uint64
-	cancelled int // cancelled events still sitting in the heap
+	cancelled int // cancelled events still sitting in the queue
 	stopped   bool
+
+	lanePushes uint64 // of the seq pushes so far, how many took a lane
 
 	// free recycles fired and discarded events so steady-state scheduling
 	// does not allocate. Events enter it from the run loop (after firing
@@ -98,7 +158,7 @@ type Engine struct {
 
 // NewEngine returns an engine with the clock at zero and no pending events.
 func NewEngine() *Engine {
-	return &Engine{heap: make([]*Event, 0, 1024)}
+	return &Engine{heap: make([]entry, 0, heapCap)}
 }
 
 // MaxTime is the largest representable virtual time. PeekTime returns it
@@ -110,18 +170,18 @@ func (e *Engine) Now() Time { return e.now }
 
 // PeekTime returns the timestamp of the earliest live event, or MaxTime
 // when no live events are pending. Cancelled events sitting at the head
-// of the heap are discarded on the way — a stale cancelled timer must not
+// of the queue are discarded on the way — a stale cancelled timer must not
 // masquerade as the next event time, or the sharded coordinator's window
 // computation (and AdvanceTo's past-event check) would trip on it.
 func (e *Engine) PeekTime() Time {
-	for len(e.heap) > 0 {
-		ev := e.heap[0]
-		if !ev.cancelled {
-			return ev.at
+	for e.size > 0 {
+		src, en := e.min()
+		if !en.ev.cancelled {
+			return en.at
 		}
-		e.pop()
+		e.pop(src)
 		e.cancelled--
-		e.recycle(ev)
+		e.recycle(en.ev)
 	}
 	return MaxTime
 }
@@ -215,7 +275,7 @@ func (e *Engine) Processed() uint64 { return e.processed }
 
 // Pending returns the number of live events currently scheduled. Cancelled
 // events awaiting discard are not counted.
-func (e *Engine) Pending() int { return len(e.heap) - e.cancelled }
+func (e *Engine) Pending() int { return e.size - e.cancelled }
 
 // SetInterrupt installs a poll function checked every `every` processed
 // events during RunUntil; if it returns true the run stops as if Stop had
@@ -361,20 +421,33 @@ func (e *Engine) Stop() { e.stopped = true }
 
 // Reset returns the engine to its initial state — clock at zero, no
 // pending events, all counters cleared, no interrupt hook — while keeping
-// the allocated capacity (heap backing array and event free list), so a
-// pooled engine's steady-state reuse allocates nothing. Pending events
-// are discarded without firing; their handles read as cancelled. This is
-// the sim half of the run-instance pooling contract: after Reset the
-// engine is observationally identical to NewEngine() output.
+// the allocated capacity (heap backing array, lane rings and event free
+// list), so a pooled engine's steady-state reuse allocates nothing.
+// Pending events are discarded without firing; their handles read as
+// cancelled. This is the sim half of the run-instance pooling contract:
+// after Reset the engine is observationally identical to NewEngine()
+// output.
 func (e *Engine) Reset() {
-	for i, ev := range e.heap {
-		ev.cancelled = true
-		e.recycle(ev)
-		e.heap[i] = nil
+	drop := func(queued []entry) {
+		for _, en := range queued {
+			if en.ev != nil { // lane rings have vacant slots
+				en.ev.cancelled = true
+				e.recycle(en.ev)
+			}
+		}
+		clear(queued)
 	}
+	drop(e.heap)
 	e.heap = e.heap[:0]
+	for i := range e.lanes {
+		l := &e.lanes[i]
+		drop(l.ring)
+		l.head, l.n = 0, 0
+	}
+	e.size = 0
 	e.now = 0
 	e.seq = 0
+	e.lanePushes = 0
 	e.processed = 0
 	e.cancelled = 0
 	e.stopped = false
@@ -396,33 +469,13 @@ func (e *Engine) Run() {
 // being counted as processed.
 func (e *Engine) RunUntil(limit Time) {
 	e.stopped = false
-	for !e.stopped && len(e.heap) > 0 {
-		ev := e.heap[0]
-		if ev.at > limit {
+	for !e.stopped && e.size > 0 {
+		src, en := e.min()
+		if en.at > limit {
 			break
 		}
-		e.pop()
-		if ev.cancelled {
-			e.cancelled--
-			e.recycle(ev)
-			continue
-		}
-		e.now = ev.at
-		ev.fired = true
-		fn, fnArg, arg := ev.fn, ev.fnArg, ev.arg
-		e.processed++
-		if ev.class != 0 {
-			e.classCnt[ev.class]--
-		}
-		e.execClass = ev.class
-		if fnArg != nil {
-			fnArg(arg)
-		} else {
-			fn()
-		}
-		e.execClass = 0
-		e.recycle(ev)
-		if e.interrupt != nil && e.processed%e.interruptEvery == 0 && e.interrupt() {
+		e.pop(src)
+		if e.fire(en.ev) && e.interrupt != nil && e.processed%e.interruptEvery == 0 && e.interrupt() {
 			e.stopped = true
 		}
 	}
@@ -434,148 +487,264 @@ func (e *Engine) RunUntil(limit Time) {
 // Step executes exactly one non-cancelled event, if any, and reports
 // whether one was executed.
 func (e *Engine) Step() bool {
-	for len(e.heap) > 0 {
-		ev := e.heap[0]
-		e.pop()
-		if ev.cancelled {
-			e.cancelled--
-			e.recycle(ev)
-			continue
+	for e.size > 0 {
+		src, en := e.min()
+		e.pop(src)
+		if e.fire(en.ev) {
+			return true
 		}
-		e.now = ev.at
-		ev.fired = true
-		fn, fnArg, arg := ev.fn, ev.fnArg, ev.arg
-		e.processed++
-		if ev.class != 0 {
-			e.classCnt[ev.class]--
-		}
-		e.execClass = ev.class
-		if fnArg != nil {
-			fnArg(arg)
-		} else {
-			fn()
-		}
-		e.execClass = 0
-		e.recycle(ev)
-		return true
 	}
 	return false
 }
 
-// noteCancelled records an in-heap cancellation and compacts the heap once
-// cancelled events outnumber live ones. Without this, a cancelled event
-// occupies its heap slot (pinning its closure) until its timestamp is
-// reached — for long-lived retransmit timers that are armed and re-armed
-// on every ACK, the dead entries dominate the queue of a big run.
+// fire runs a popped event's callback at its timestamp and recycles it.
+// A cancelled event is only recycled; fire reports whether ev ran.
+func (e *Engine) fire(ev *Event) bool {
+	if ev.cancelled {
+		e.cancelled--
+		e.recycle(ev)
+		return false
+	}
+	e.now = ev.at
+	ev.fired = true
+	fn, fnArg, arg := ev.fn, ev.fnArg, ev.arg
+	e.processed++
+	if ev.class != 0 {
+		e.classCnt[ev.class]--
+	}
+	e.execClass = ev.class
+	if fnArg != nil {
+		fnArg(arg)
+	} else {
+		fn()
+	}
+	e.execClass = 0
+	e.recycle(ev)
+	return true
+}
+
+// noteCancelled records a cancellation of a queued event and compacts the
+// queue once cancelled events outnumber live ones. Without this, a
+// cancelled event occupies its slot (pinning its closure) until its
+// timestamp is reached — for long-lived retransmit timers that are armed
+// and re-armed on every ACK, the dead entries dominate the queue of a big
+// run, in the heap and in the minimum-RTO lane alike.
 func (e *Engine) noteCancelled() {
 	e.cancelled++
-	if len(e.heap) >= compactFloor && e.cancelled > len(e.heap)/2 {
+	if e.size >= compactFloor && e.cancelled > e.size/2 {
 		e.compact()
 	}
 }
 
-// compact removes every cancelled event from the heap (returning them to
-// the free list) and restores the heap invariant. O(n), amortised against
-// the >n/2 cancellations that triggered it.
+// compact removes every cancelled event from the heap and the lanes
+// (returning them to the free list) and restores the heap invariant. O(n),
+// amortised against the >n/2 cancellations that triggered it.
 func (e *Engine) compact() {
 	kept := e.heap[:0]
-	for _, ev := range e.heap {
-		if !ev.cancelled {
-			kept = append(kept, ev)
+	for _, en := range e.heap {
+		if !en.ev.cancelled {
+			kept = append(kept, en)
 		} else {
-			e.recycle(ev)
+			e.recycle(en.ev)
 		}
 	}
-	// Clear the tail so dropped slots hold no stale references.
-	for i := len(kept); i < len(e.heap); i++ {
-		e.heap[i] = nil
+	if len(kept) < len(e.heap) {
+		clear(e.heap[len(kept):]) // dropped slots hold no stale references
+		e.heap = kept
+		for i := len(kept)/2 - 1; i >= 0; i-- {
+			e.siftDown(i)
+		}
 	}
-	e.heap = kept
+	e.size = len(kept)
+	for i := range e.lanes {
+		l := &e.lanes[i]
+		mask, live := len(l.ring)-1, 0
+		for j := 0; j < l.n; j++ {
+			en := l.ring[(l.head+j)&mask]
+			l.ring[(l.head+j)&mask] = entry{}
+			if !en.ev.cancelled {
+				l.ring[(l.head+live)&mask] = en
+				live++
+			} else {
+				e.recycle(en.ev)
+			}
+		}
+		l.n = live
+		e.size += live
+	}
 	e.cancelled = 0
-	for i := len(e.heap)/2 - 1; i >= 0; i-- {
-		e.siftDown(i)
-	}
 }
 
-// trimFloor is the smallest heap capacity maybeTrim bothers shrinking:
+// trimFloor is the smallest heap or lane capacity trim bothers shrinking:
 // below this the memory is trivial and trimming would only churn.
 const trimFloor = 4 * compactFloor
 
-// maybeTrim releases excess queue memory after a burst: when the live
-// heap has shrunk below a quarter of its capacity, the backing array is
-// reallocated at half size (geometric, so repeated trims cost amortised
-// O(1) per pop). Without this a Step- or RunUntil-driven loop that once
-// held a million events pins that footprint forever — compact only
-// removes cancelled entries, it never shrinks capacity. The free list is
-// bounded alongside, since pooled events are the same retired burst.
-func (e *Engine) maybeTrim() {
-	c := cap(e.heap)
-	if c < trimFloor || len(e.heap) >= c/4 {
-		return
+// trim reports whether a heap or lane backing array of capacity c should
+// release memory after a burst: when the whole queue has shrunk below a
+// quarter of it, the caller reallocates it at half size (geometric, so
+// repeated trims cost amortised O(1) per pop). Without this a Step- or
+// RunUntil-driven loop that once held a million events pins that footprint
+// forever — compact only removes cancelled entries, it never shrinks
+// capacity. Measuring against the whole queue rather than the array's own
+// share keeps a lane that compaction has just emptied of dead timers from
+// shrinking and regrowing on every cycle. The free list is bounded
+// alongside, since pooled events are the same retired burst.
+func (e *Engine) trim(c int) bool {
+	if c < trimFloor || e.size >= c/4 {
+		return false
 	}
-	heap := make([]*Event, len(e.heap), c/2)
-	copy(heap, e.heap)
-	e.heap = heap
 	if len(e.free) > c/2 {
 		free := make([]*Event, c/2)
 		copy(free, e.free[:c/2])
 		e.free = free
 	}
+	return true
 }
 
-// less orders events by time, breaking ties by insertion sequence so that
-// simultaneous events fire deterministically in scheduling order.
-// Keyed events (AtArgKeyed) carry an explicit key in the sequence slot
-// and sort among same-time events by that key instead.
-func (e *Engine) less(a, b *Event) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
-}
-
+// push queues ev: on the lane of its delay when there is one and ev does
+// not sort before that lane's tail, on the heap otherwise.
 func (e *Engine) push(ev *Event) {
 	if ev.class != 0 {
 		e.classCnt[ev.class]++
 	}
-	e.heap = append(e.heap, ev)
-	i := len(e.heap) - 1
+	e.size++
+	en := entry{ev.at, ev.seq, ev}
+	if l := e.laneFor(ev.at - e.now); l != nil {
+		mask := len(l.ring) - 1
+		if l.n == 0 || !en.less(l.ring[(l.head+l.n-1)&mask]) {
+			if l.n > mask {
+				l.resize(2 * len(l.ring))
+				mask = len(l.ring) - 1
+			}
+			l.ring[(l.head+l.n)&mask] = en
+			l.n++
+			e.lanePushes++
+			return
+		}
+	}
+	h := append(e.heap, en)
+	i := len(h) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !e.less(e.heap[i], e.heap[parent]) {
+		if !en.less(h[parent]) {
 			break
 		}
-		e.heap[i], e.heap[parent] = e.heap[parent], e.heap[i]
+		h[i] = h[parent]
 		i = parent
 	}
+	h[i] = en
+	e.heap = h
 }
 
-func (e *Engine) pop() {
+// laneFor returns the lane for events scheduled delay d ahead, or nil. A
+// delay without a lane is counted in the candidate table — one slot per
+// hash value; a different delay arriving decrements the incumbent before
+// replacing it, so a frequent delay outlasts one-off ones — and after
+// promoteAfter net recurrences takes a new lane or an empty one. With all
+// lanes assigned and busy it stays on the heap.
+func (e *Engine) laneFor(d Time) *lane {
+	for i := range e.lanes {
+		if e.lanes[i].delay == d {
+			return &e.lanes[i]
+		}
+	}
+	// Top four bits of a multiplicative hash: delays are round numbers of
+	// nanoseconds, so their low bits collide.
+	c := &e.cand[uint64(d)*0x9e3779b97f4a7c15>>60]
+	if c.delay != d {
+		if c.hits > 0 {
+			c.hits--
+			return nil
+		}
+		c.delay = d
+	}
+	if c.hits++; c.hits < promoteAfter {
+		return nil
+	}
+	c.hits = 0
+	if len(e.lanes) < maxLanes {
+		if e.lanes == nil {
+			e.lanes = make([]lane, 0, maxLanes)
+		}
+		e.lanes = append(e.lanes, lane{delay: d, ring: make([]entry, laneCap)})
+		return &e.lanes[len(e.lanes)-1]
+	}
+	for i := range e.lanes {
+		if l := &e.lanes[i]; l.n == 0 {
+			l.delay = d
+			return l
+		}
+	}
+	return nil
+}
+
+// resize moves the lane's entries to a fresh ring of c slots.
+func (l *lane) resize(c int) {
+	ring := make([]entry, c)
+	for i := 0; i < l.n; i++ {
+		ring[i] = l.ring[(l.head+i)&(len(l.ring)-1)]
+	}
+	l.ring, l.head = ring, 0
+}
+
+// min returns the earliest queued entry and where it sits: a lane index,
+// or -1 for the heap root. The queue must not be empty.
+func (e *Engine) min() (src int, best entry) {
+	src = -1
+	if len(e.heap) > 0 {
+		best = e.heap[0]
+	}
+	for i := range e.lanes {
+		l := &e.lanes[i]
+		if l.n > 0 && (best.ev == nil || l.ring[l.head].less(best)) {
+			src, best = i, l.ring[l.head]
+		}
+	}
+	return src, best
+}
+
+// pop removes the entry min found at src.
+func (e *Engine) pop(src int) {
+	e.size--
+	if src >= 0 {
+		l := &e.lanes[src]
+		l.ring[l.head] = entry{}
+		l.head = (l.head + 1) & (len(l.ring) - 1)
+		l.n--
+		if c := len(l.ring); e.trim(c) {
+			l.resize(c / 2)
+		}
+		return
+	}
 	n := len(e.heap) - 1
 	e.heap[0] = e.heap[n]
-	e.heap[n] = nil
+	e.heap[n] = entry{}
 	e.heap = e.heap[:n]
 	if n > 0 {
 		e.siftDown(0)
 	}
-	e.maybeTrim()
+	if c := cap(e.heap); e.trim(c) {
+		e.heap = append(make([]entry, 0, c/2), e.heap...)
+	}
 }
 
 func (e *Engine) siftDown(i int) {
-	n := len(e.heap)
+	h := e.heap
+	n := len(h)
+	en := h[i]
 	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && e.less(e.heap[l], e.heap[smallest]) {
-			smallest = l
-		}
-		if r < n && e.less(e.heap[r], e.heap[smallest]) {
-			smallest = r
-		}
-		if smallest == i {
+		c := 2*i + 1
+		if c >= n {
 			break
 		}
-		e.heap[i], e.heap[smallest] = e.heap[smallest], e.heap[i]
-		i = smallest
+		if c+1 < n && h[c+1].less(h[c]) {
+			c++
+		}
+		if !h[c].less(en) {
+			break
+		}
+		h[i] = h[c]
+		i = c
 	}
+	h[i] = en
 }

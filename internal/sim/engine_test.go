@@ -100,11 +100,12 @@ func TestEngineCancelCompaction(t *testing.T) {
 	}
 	// Compaction must have physically shed almost all dead entries: only
 	// a below-floor residue may remain for lazy discard.
-	if got := len(e.heap); got > compactFloor {
-		t.Errorf("heap holds %d events after mass cancel, want <= %d", got, compactFloor)
+	got := queueStats(e)
+	if got.entries > compactFloor {
+		t.Errorf("queue holds %d events after mass cancel, want <= %d", got.entries, compactFloor)
 	}
-	if e.cancelled != len(e.heap)-1 {
-		t.Errorf("cancelled counter = %d with %d in heap, want %d", e.cancelled, len(e.heap), len(e.heap)-1)
+	if got.cancelled != got.entries-1 {
+		t.Errorf("cancelled counter = %d with %d queued, want %d", got.cancelled, got.entries, got.entries-1)
 	}
 	e.Run()
 	if live.Pending() {
@@ -153,8 +154,8 @@ func TestEngineCancelDuringRun(t *testing.T) {
 		ev.Cancel()
 	}
 	e.Run()
-	if e.cancelled != 0 {
-		t.Errorf("cancelled counter = %d after Run, want 0", e.cancelled)
+	if got := queueStats(e); got.cancelled != 0 || got.entries != 0 {
+		t.Errorf("%d cancelled of %d queued after Run, want 0 of 0", got.cancelled, got.entries)
 	}
 	if want := uint64(compactFloor); e.Processed() != want {
 		t.Errorf("processed = %d, want %d", e.Processed(), want)

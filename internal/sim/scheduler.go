@@ -4,7 +4,7 @@ package sim
 // network emulation program against. The sequential *Engine implements it
 // directly; the sharded engine substitutes thin shims (per-shard engine
 // views, cross-shard outboxes) so the same transport and link code runs
-// unchanged whether a node lives on the single sequential heap or on one
+// unchanged whether a node lives on the one sequential engine or on one
 // shard of a partitioned fabric.
 //
 // The contract matches Engine exactly: Schedule/ScheduleArg are relative

@@ -431,7 +431,7 @@ type Config struct {
 // PaperConfig returns the full-scale setup from the paper's Figure 1:
 // 512 servers, 4:1 over-subscription, one third long senders, 70 KB
 // short flows. flows sets how many short flows to run (the paper plots
-// 100,000; that takes a while — see EXPERIMENTS.md).
+// 100,000; that takes hours).
 func PaperConfig(proto Protocol, flows int) Config {
 	return Config{
 		Topology:     TopoFatTree,
