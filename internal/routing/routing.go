@@ -12,16 +12,30 @@
 // destination) entries whose equal-cost sets diverge from the structural
 // fast path.
 //
+// Everything lives on dense arrays indexed by NodeID: builders number
+// hosts 0..H-1, then switches in builder order (Install checks it), so
+// "is a host" and "switch ordinal" are arithmetic. Adjacency is a slice
+// of (link, far-end ID) hops per node; a distance table is a recycled
+// []int32 per node (0 = unreached); the healthy baseline is one interned
+// equal-cost set per (destination, switch); a FIB's override table is a
+// slot per destination host pointing into a short list of live entries,
+// so a lookup is two array reads while counting, forking and recycling
+// cost O(live entries). Tables and distance slices recycle through
+// per-plane free lists and each set is built in scratch and copied only
+// when it diverges from both the baseline and what is installed, so a
+// steady-state recompute allocates only the sets that changed.
+//
 // Recompute is a two-stage pipeline. Stage one computes the target
-// tables incrementally: hop-distance maps are cached per live-attachment
+// tables incrementally: distance tables are cached per live-attachment
 // signature (all hosts sharing the same set of live access switches
 // share one reverse BFS) and stay valid across recomputes; a link
 // transition invalidates only the signatures whose shortest-path DAG the
 // flipped link can belong to (see entryDirty), and destinations whose
 // distances and equal-cost sets are provably untouched are skipped
-// entirely. Stage two distributes the targets. Under ConvergeAtomic
-// (the default) every FIB flips in place at recompute time — one global
-// table swap, the pre-staged behaviour bit for bit. Under
+// entirely (signatures are exact strings, not hashes: a collision would
+// silently install another destination's tables). Stage two distributes
+// the targets. Under ConvergeAtomic (the default) every FIB flips in
+// place at recompute time — one global table swap. Under
 // ConvergeStaggered each FIB's flip is scheduled at its own virtual
 // time: recompute time plus PerHopDelay for every hop the switch sits
 // from the nearest element of the transition batch, the way real
@@ -143,9 +157,9 @@ type Config struct {
 	// Workers bounds the goroutines a recompute may fan its breadth-first
 	// passes across. Values below 2 keep the recompute fully serial (the
 	// default). Parallelism changes nothing observable: missing distance
-	// maps are discovered, counted and inserted in destination order on
-	// the calling thread, and each map is a pure function of its job's
-	// sources — only the map filling itself runs concurrently. The
+	// tables are discovered, counted and inserted in destination order on
+	// the calling thread, and each table is a pure function of its job's
+	// destination — only the table filling itself runs concurrently. The
 	// sharded run harness sets this to its shard count.
 	Workers int
 }
@@ -219,6 +233,36 @@ type Stats struct {
 	Damped int
 }
 
+// table is one switch's override entries in dense form: slot[dst] is one
+// plus the position of dst's entry in live, or 0 when dst has none.
+// Lookup, insert and (swap-)remove are O(1); everything that walks a
+// table walks live, never the slots.
+type table struct {
+	slot []int32
+	live []entry
+}
+
+type entry struct {
+	dst netem.NodeID
+	eq  []*netem.Link
+}
+
+func (t *table) set(dst netem.NodeID, eq []*netem.Link) {
+	if t.slot[dst] == 0 {
+		t.live = append(t.live, entry{dst: dst})
+		t.slot[dst] = int32(len(t.live))
+	}
+	t.live[t.slot[dst]-1].eq = eq
+}
+
+func (t *table) del(dst netem.NodeID) {
+	p, last := t.slot[dst], len(t.live)-1
+	moved := t.live[last]
+	t.live[p-1], t.slot[moved.dst] = moved, p
+	t.live[last], t.slot[dst] = entry{}, 0
+	t.live = t.live[:last]
+}
+
 // FIB is one switch's forwarding-table object: the structural base
 // router, the override entries currently serving lookups, an optional
 // staged table awaiting its scheduled flip, and the epoch counter
@@ -233,8 +277,8 @@ type FIB struct {
 	swID netem.NodeID
 	// override serves lookups; target, when non-nil, is the recomputed
 	// table staged for this switch but not yet flipped in.
-	override map[netem.NodeID][]*netem.Link
-	target   map[netem.NodeID][]*netem.Link
+	override *table
+	target   *table
 	// flipAt is the scheduled flip time of the current target. Each
 	// batch schedules its own flip event; an event is authoritative only
 	// if it fires exactly at flipAt, so a batch that re-stages a switch
@@ -245,11 +289,11 @@ type FIB struct {
 }
 
 // NextLinks implements netem.Router: overrides first, structural fast
-// path otherwise.
+// path otherwise (also for a destination outside the table).
 func (f *FIB) NextLinks(dst netem.NodeID) []*netem.Link {
-	if f.override != nil {
-		if eq, ok := f.override[dst]; ok {
-			return eq
+	if t := f.override; t != nil && uint(dst) < uint(len(t.slot)) {
+		if p := t.slot[dst]; p != 0 {
+			return t.live[p-1].eq
 		}
 	}
 	return f.base.NextLinks(dst)
@@ -297,58 +341,70 @@ func (cp *ControlPlane) ConvergenceOpen() bool {
 
 var _ ConvergenceObserver = (*ControlPlane)(nil)
 
-// stage records dst's computed equal-cost set into the FIB's target
-// table, lazily forking it from the serving table on the first actual
-// divergence (an entry exists exactly when eq differs from the healthy
-// structural baseline, the same invariant the serving table keeps).
-func (f *FIB) stage(dst netem.NodeID, eq, healthy []*netem.Link) {
-	cur := f.override
+// install records dst's computed equal-cost set: in the serving table
+// (atomic), or (staged) in the target table, lazily forked from the
+// serving one on the first actual divergence. An entry exists exactly
+// when eq differs from the healthy structural baseline. eq is the
+// caller's scratch and is copied only when an entry really changes.
+func (f *FIB) install(dst netem.NodeID, eq, healthy []*netem.Link, staged bool) {
+	cp, t := f.cp, f.override
 	if f.target != nil {
-		cur = f.target
+		t = f.target
 	}
-	have, havePresent := cur[dst]
-	wantPresent := !sameLinks(eq, healthy)
-	if wantPresent == havePresent && (!wantPresent || sameLinks(eq, have)) {
+	var p int32
+	if t != nil {
+		p = t.slot[dst]
+	}
+	want := !sameLinks(eq, healthy)
+	if want == (p != 0) && (!want || sameLinks(eq, t.live[p-1].eq)) {
 		return
 	}
-	if f.target == nil {
-		f.target = make(map[netem.NodeID][]*netem.Link, len(f.override)+1)
-		for k, v := range f.override {
-			f.target[k] = v
+	if staged && f.target == nil {
+		t = cp.grabTable()
+		if f.override != nil {
+			t.live = append(t.live, f.override.live...)
+			for i, e := range t.live {
+				t.slot[e.dst] = int32(i + 1)
+			}
 		}
-		f.cp.staleFIBs++
-		if f.cp.staleFIBs == 1 {
-			f.cp.windowOpenedAt = f.cp.eng.Now()
+		f.target = t
+		cp.staleFIBs++
+		if cp.staleFIBs == 1 {
+			cp.windowOpenedAt = cp.eng.Now()
 		}
+	} else if t == nil {
+		t = cp.grabTable()
+		f.override = t
 	}
-	if wantPresent {
-		f.target[dst] = eq
+	if want {
+		t.set(dst, append([]*netem.Link(nil), eq...))
 	} else {
-		delete(f.target, dst)
+		t.del(dst)
 	}
 }
 
 // applyFlip installs the staged table as the serving one and closes the
 // transient window if this was the last stale FIB.
 func (f *FIB) applyFlip() {
-	if len(f.target) == 0 {
-		f.override = nil // restore the documented nil-check fast path
-	} else {
-		f.override = f.target
-	}
-	f.target = nil
-	f.epoch++
 	cp := f.cp
+	cp.dropTable(f.override)
+	f.override, f.target = f.target, nil
+	entries := len(f.override.live)
+	if entries == 0 {
+		cp.dropTable(f.override)
+		f.override = nil // restore the documented nil-check fast path
+	}
+	f.epoch++
 	if cp.rec != nil {
 		cp.rec.Record(cp.eng.Now(), trace.KindFIBFlip, 0, -1, int32(f.swID), -1,
-			int64(f.epoch), int64(len(f.override)))
+			int64(f.epoch), int64(entries))
 	}
 	cp.stats.Flips++
 	cp.staleFIBs--
 	if cp.staleFIBs == 0 {
 		cp.stats.TransientTime += cp.eng.Now() - cp.windowOpenedAt
 		// The window just closed on tables the recompute-time override
-		// count never saw. Flips nil empty maps themselves, so nothing
+		// count never saw. Flips nil empty tables themselves, so nothing
 		// needs fixing on the forwarding path — just mark the stat stale
 		// and let Stats() recount once when somebody actually reads it,
 		// instead of scanning every FIB on every window close.
@@ -363,12 +419,20 @@ type flip struct {
 	dead bool         // true: became route-dead; false: became route-live
 }
 
-// distEntry is one cached reverse-BFS result: hop distances from every
-// reachable switch to the destinations sharing one live-attachment
-// signature. epoch records the recompute that (re)built it.
+// distEntry is one cached reverse-BFS result: hop distances by NodeID from
+// every reachable switch to the destinations sharing one live-attachment
+// signature (0 = unreached, hosts included). epoch records the recompute
+// that (re)built it.
 type distEntry struct {
-	dist  map[netem.NodeID]int32
+	dist  []int32
 	epoch uint64
+}
+
+// hop is one adjacency entry: a link and the NodeID at its far end, so
+// the inner loops never call through the netem.Node interface.
+type hop struct {
+	l  *netem.Link
+	id netem.NodeID
 }
 
 // flapState tracks one link's most recent routing transitions — a ring
@@ -386,27 +450,26 @@ type flapState struct {
 // Invalidate (typically wired to faults.Injector.OnRouteChange).
 type ControlPlane struct {
 	eng *sim.Engine
-	net *topology.Network
 	cfg Config
 
-	// fibs is parallel to net.Switches.
-	fibs []*FIB
+	// fibs is parallel to net.Switches; switch i has NodeID nHosts+i and
+	// every smaller NodeID is a host (Install checks the layout).
+	fibs   []*FIB
+	nHosts int
 
-	// healthy[i][j] is switch i's structural equal-cost set toward host
-	// j on the undamaged network, snapshotted at install (builders hand
-	// over healthy networks; faults only fire once the engine runs).
-	// Reconciliation compares computed sets against these static
-	// baselines — not against the live-filtered base lookup — so whether
-	// a (switch, destination) override exists depends only on the
-	// computed set, which is exactly the property that lets the
+	// healthy[j*len(fibs)+i] is switch i's structural equal-cost set
+	// toward host j on the undamaged network, snapshotted at install
+	// (faults only fire once the engine runs) and interned: consecutive
+	// hosts with the same set share one copy. Reconciliation compares
+	// computed sets against these static baselines — not the live-
+	// filtered base lookup — so whether a (switch, destination) override
+	// exists depends only on the computed set, which is what lets the
 	// incremental pass skip destinations its predicate proves untouched.
-	healthy [][][]*netem.Link
+	healthy [][]*netem.Link
 
-	// Immutable adjacency, computed once at install.
-	out    map[netem.NodeID][]*netem.Link // outgoing links per node
-	in     map[netem.NodeID][]*netem.Link // incoming links per node
-	isHost map[netem.NodeID]bool
-	ordOf  map[netem.NodeID]int // switch NodeID -> ordinal in builder order
+	// Immutable adjacency indexed by NodeID, computed once at install.
+	out [][]hop // outgoing links per node, with their destinations
+	in  [][]hop // incoming links per node, with their sources
 
 	dirty bool
 	// pending accumulates the switch-to-switch link transitions since
@@ -425,7 +488,7 @@ type ControlPlane struct {
 	fullPending bool
 
 	// distCache maps a destination's live-attachment signature to its
-	// cached distance map; entries survive recomputes until a flip
+	// cached distance table; entries survive recomputes until a flip
 	// invalidates them. hostSig remembers each host's signature as of
 	// its last reconciliation, so a host whose attachment changed is
 	// reconciled even when its new signature's entry is cached.
@@ -450,17 +513,20 @@ type ControlPlane struct {
 	deferredPending bool
 	deferredFn      func()
 
-	// Reusable scratch: recycled distance maps, the two BFS frontier
-	// slices, the signature key buffer and the BFS source-link buffer.
-	freeMaps []map[netem.NodeID]int32
-	frontier []netem.NodeID
-	next     []netem.NodeID
-	keyBuf   []byte
-	srcBuf   []*netem.Link
+	// Reusable scratch: recycled distance slices and override tables,
+	// the two BFS frontier slices, the signature key buffer and the
+	// equal-cost set under construction.
+	freeDists  [][]int32
+	freeTables []*table
+	frontier   []netem.NodeID
+	next       []netem.NodeID
+	keyBuf     []byte
+	eqBuf      []*netem.Link
 
 	// missing is the recompute scratch holding the BFS jobs of one pass:
-	// the distance maps absent from distCache, discovered in destination
-	// order and computed serially or across cfg.Workers goroutines.
+	// the distance tables absent from distCache, discovered in
+	// destination order and computed serially or across cfg.Workers
+	// goroutines.
 	missing []bfsJob
 
 	// recomputeFn is the cached engine callback (avoids a method-value
@@ -479,7 +545,7 @@ type ControlPlane struct {
 // returns the plane. Until the first Invalidate the FIBs are pure
 // pass-throughs, so installing on a network that never degrades is
 // behaviour-neutral. cfg tunes convergence and damping; the zero value
-// is the classic atomic plane.
+// is the classic atomic plane. NodeIDs must be hosts 0..H-1, then switches.
 func Install(eng *sim.Engine, net *topology.Network, cfg Config) (*ControlPlane, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -487,39 +553,56 @@ func Install(eng *sim.Engine, net *topology.Network, cfg Config) (*ControlPlane,
 	if cfg.HoldDown > 0 && cfg.FlapThreshold == 0 {
 		cfg.FlapThreshold = 3
 	}
-	cp := &ControlPlane{
-		eng:       eng,
-		net:       net,
-		cfg:       cfg,
-		out:       make(map[netem.NodeID][]*netem.Link),
-		in:        make(map[netem.NodeID][]*netem.Link),
-		isHost:    make(map[netem.NodeID]bool, len(net.Hosts)),
-		ordOf:     make(map[netem.NodeID]int, len(net.Switches)),
-		distCache: make(map[string]*distEntry),
-		hostSig:   make([][]byte, len(net.Hosts)),
-	}
-	for _, l := range net.Links {
-		cp.out[l.Src().ID()] = append(cp.out[l.Src().ID()], l)
-		cp.in[l.Dst().ID()] = append(cp.in[l.Dst().ID()], l)
-	}
-	for _, h := range net.Hosts {
-		cp.isHost[h.ID()] = true
+	nHosts, nSw := len(net.Hosts), len(net.Switches)
+	for j, h := range net.Hosts {
+		if int(h.ID()) != j {
+			return nil, fmt.Errorf("routing: host %d has NodeID %d, want %d", j, h.ID(), j)
+		}
 	}
 	for i, sw := range net.Switches {
-		cp.ordOf[sw.ID()] = i
+		if int(sw.ID()) != nHosts+i {
+			return nil, fmt.Errorf("routing: switch %d has NodeID %d, want %d", i, sw.ID(), nHosts+i)
+		}
 	}
-	cp.fibs = make([]*FIB, 0, len(net.Switches))
+	cp := &ControlPlane{
+		eng:       eng,
+		cfg:       cfg,
+		nHosts:    nHosts,
+		flipDist:  make([]int32, nSw),
+		distCache: make(map[string]*distEntry),
+		hostSig:   make([][]byte, nHosts),
+	}
+	// Count degrees, then carve every node's hops from one backing array.
+	outDeg, inDeg := make([]int, nHosts+nSw), make([]int, nHosts+nSw)
+	for _, l := range net.Links {
+		u, v := l.Src().ID(), l.Dst().ID()
+		if uint(u) >= uint(len(outDeg)) || uint(v) >= uint(len(outDeg)) {
+			return nil, fmt.Errorf("routing: link %d->%d leaves the network's %d nodes", u, v, len(outDeg))
+		}
+		outDeg[u]++
+		inDeg[v]++
+	}
+	cp.out, cp.in = carveHops(outDeg, len(net.Links)), carveHops(inDeg, len(net.Links))
+	for _, l := range net.Links {
+		u, v := l.Src().ID(), l.Dst().ID()
+		cp.out[u] = append(cp.out[u], hop{l, v})
+		cp.in[v] = append(cp.in[v], hop{l, u})
+	}
+	cp.fibs = make([]*FIB, 0, nSw)
 	net.WrapRouters(func(sw *netem.Switch, base netem.Router) netem.Router {
 		f := &FIB{cp: cp, base: base, swID: sw.ID()}
 		cp.fibs = append(cp.fibs, f)
 		return f
 	})
-	cp.healthy = make([][][]*netem.Link, len(cp.fibs))
-	for i, f := range cp.fibs {
-		cp.healthy[i] = make([][]*netem.Link, len(net.Hosts))
-		for j, h := range net.Hosts {
-			eq := f.base.NextLinks(h.ID())
-			cp.healthy[i][j] = append([]*netem.Link(nil), eq...)
+	cp.healthy = make([][]*netem.Link, nHosts*nSw)
+	for j := 0; j < nHosts; j++ {
+		for i, f := range cp.fibs {
+			eq := f.base.NextLinks(netem.NodeID(j))
+			if at := j*nSw + i; j > 0 && sameLinks(eq, cp.healthy[at-nSw]) {
+				cp.healthy[at] = cp.healthy[at-nSw]
+			} else {
+				cp.healthy[at] = append([]*netem.Link(nil), eq...)
+			}
 		}
 	}
 	cp.recomputeFn = cp.Recompute
@@ -540,6 +623,16 @@ func Install(eng *sim.Engine, net *topology.Network, cfg Config) (*ControlPlane,
 	return cp, nil
 }
 
+// carveHops returns one empty hop list per node, of capacity deg[v],
+// carved from a single backing array.
+func carveHops(deg []int, total int) [][]hop {
+	flat, lists := make([]hop, total), make([][]hop, len(deg))
+	for v, d := range deg {
+		lists[v], flat = flat[:0:d], flat[d:]
+	}
+	return lists
+}
+
 // Stats returns the work counters. A still-open transient window (under
 // sustained churn new batches can re-stage tables before the previous
 // flips all land, so the fabric never fully agrees) is included in
@@ -548,7 +641,6 @@ func Install(eng *sim.Engine, net *topology.Network, cfg Config) (*ControlPlane,
 func (cp *ControlPlane) Stats() Stats {
 	if cp.overridesStale {
 		cp.recountOverrides()
-		cp.overridesStale = false
 	}
 	st := cp.stats
 	if cp.staleFIBs > 0 {
@@ -577,22 +669,20 @@ func (cp *ControlPlane) Invalidate(l *netem.Link) {
 		cp.fullPending = true
 	} else {
 		u, v := l.Src().ID(), l.Dst().ID()
-		// Host uplinks never appear in switch tables or distance maps,
+		// Host uplinks never appear in switch tables or distance tables,
 		// and switch->host downlinks only matter through the
 		// destination's attachment signature: neither needs an
 		// invalidation record. Their switch endpoint is still recorded
 		// as a seed — the staggered flip-delay pass starts there, and
 		// the hold-down expiry path must see the transition as
 		// unconsumed even in atomic mode.
-		if !cp.isHost[u] && !cp.isHost[v] {
+		uSw, vSw := int(u) >= cp.nHosts, int(v) >= cp.nHosts
+		if uSw && vSw {
 			cp.pending = append(cp.pending, flip{u: u, v: v, dead: l.RouteDead()})
-		} else {
-			if !cp.isHost[u] {
-				cp.seeds = append(cp.seeds, u)
-			}
-			if !cp.isHost[v] {
-				cp.seeds = append(cp.seeds, v)
-			}
+		} else if uSw {
+			cp.seeds = append(cp.seeds, u)
+		} else if vSw {
+			cp.seeds = append(cp.seeds, v)
 		}
 		damped = cp.noteFlap(l)
 	}
@@ -668,7 +758,7 @@ func (cp *ControlPlane) deferredRecompute() {
 // scheduled by distance from the batch's seeds. It is normally reached
 // through Invalidate; tests may call it directly (a direct call with no
 // recorded transitions re-verifies signatures but reuses every cached
-// distance map).
+// distance table).
 func (cp *ControlPlane) Recompute() {
 	cp.dirty = false
 	cp.stats.Recomputes++
@@ -688,44 +778,35 @@ func (cp *ControlPlane) Recompute() {
 		cp.computeFlipDelays()
 	}
 
-	if ForceFullRecompute || cp.fullPending {
+	if full := ForceFullRecompute || cp.fullPending; full || len(cp.pending) > 0 {
 		for key, e := range cp.distCache {
-			cp.dropEntry(key, e)
-		}
-	} else if len(cp.pending) > 0 {
-		for key, e := range cp.distCache {
-			if cp.entryDirty(e) {
-				cp.dropEntry(key, e)
+			if full || cp.entryDirty(e) {
+				delete(cp.distCache, key)
+				clear(e.dist)
+				cp.freeDists = append(cp.freeDists, e.dist)
 			}
 		}
 	}
-	cp.pending = cp.pending[:0]
-	cp.seeds = cp.seeds[:0]
-	cp.fullPending = false
+	cp.pending, cp.seeds, cp.fullPending = cp.pending[:0], cp.seeds[:0], false
 
-	// Stage the missing distance maps: one BFS job per distinct absent
-	// signature, discovered in destination order. Inserting the entry
-	// (with its recycled map) at discovery time both deduplicates jobs
-	// and keeps the freeMaps pop order — and therefore every byte of the
-	// result — identical to the lazy serial pass this replaces.
+	// Stage the missing distance tables: one BFS job per distinct absent
+	// signature, discovered in destination order. Inserting the entry at
+	// discovery time deduplicates jobs.
 	cp.missing = cp.missing[:0]
-	for _, h := range cp.net.Hosts {
-		cp.signature(h.ID())
+	for dst := netem.NodeID(0); int(dst) < cp.nHosts; dst++ {
+		cp.signature(dst)
 		if _, ok := cp.distCache[string(cp.keyBuf)]; ok {
 			continue
 		}
-		e := &distEntry{dist: cp.grabMap(), epoch: cp.epoch}
+		e := &distEntry{dist: cp.grabDist(), epoch: cp.epoch}
 		cp.distCache[string(cp.keyBuf)] = e
 		cp.stats.BFSRuns++
-		cp.missing = append(cp.missing, bfsJob{
-			entry:   e,
-			sources: append([]*netem.Link(nil), cp.srcBuf...),
-		})
+		cp.missing = append(cp.missing, bfsJob{entry: e, dst: dst})
 	}
 	cp.runBFS()
 
-	for i, h := range cp.net.Hosts {
-		dst := h.ID()
+	for i := range cp.hostSig {
+		dst := netem.NodeID(i)
 		cp.signature(dst)
 		e := cp.distCache[string(cp.keyBuf)]
 		// A destination needs reconciling when its distances were
@@ -734,7 +815,7 @@ func (cp *ControlPlane) Recompute() {
 		// switches' equal-cost sets). Otherwise nothing about its
 		// tables can have moved and the whole destination is skipped.
 		if e.epoch == cp.epoch || !bytes.Equal(cp.keyBuf, cp.hostSig[i]) {
-			cp.reconcile(i, dst, e.dist, staggered)
+			cp.reconcile(dst, e.dist, staggered)
 			cp.hostSig[i] = append(cp.hostSig[i][:0], cp.keyBuf...)
 			cp.stats.DstRecomputed++
 		} else {
@@ -746,7 +827,6 @@ func (cp *ControlPlane) Recompute() {
 		cp.flushFlips()
 	}
 	cp.recountOverrides()
-	cp.overridesStale = false
 	if tracing {
 		cp.rec.Record(cp.eng.Now(), trace.KindRecomputeEnd, 0, -1, -1, -1,
 			int64(cp.stats.DstRecomputed-recBefore), int64(cp.stats.DstSkipped-skipBefore))
@@ -754,31 +834,34 @@ func (cp *ControlPlane) Recompute() {
 }
 
 // recountOverrides refreshes Stats.Overrides against the tables
-// currently serving lookups, dropping empty override maps back to the
-// nil-check fast path.
+// currently serving lookups, dropping empty override tables back to the
+// nil-check fast path. It walks live entries only, never the slots.
 func (cp *ControlPlane) recountOverrides() {
-	live := 0
+	cp.stats.Overrides, cp.overridesStale = 0, false
 	for _, f := range cp.fibs {
-		if len(f.override) == 0 {
-			// Fully healed: drop the empty map so the forwarding path
+		t := f.override
+		if t == nil {
+			continue
+		}
+		if len(t.live) == 0 {
+			// Fully healed: drop the empty table so the forwarding path
 			// returns to the documented nil-check fast path.
+			cp.dropTable(t)
 			f.override = nil
 			continue
 		}
 		// Count only entries that diverge from the live-filtered
-		// structural answer. Reconciliation installs overrides against
-		// the static healthy baseline (so override existence is a pure
-		// function of the computed set — what makes skipping sound),
-		// which also pins entries the live filter would have answered
-		// identically; excluding those here keeps the reported metric
-		// identical to the pre-incremental control plane's.
-		for dst, eq := range f.override {
-			if !sameLinks(eq, f.base.NextLinks(dst)) {
-				live++
+		// structural answer. Reconciling against the static healthy
+		// baseline (so override existence is a pure function of the
+		// computed set — what makes skipping sound) also pins entries
+		// the live filter would have answered identically; excluding
+		// those keeps the metric identical to the pre-incremental plane's.
+		for _, e := range t.live {
+			if !sameLinks(e.eq, f.base.NextLinks(e.dst)) {
+				cp.stats.Overrides++
 			}
 		}
 	}
-	cp.stats.Overrides = live
 }
 
 // computeFlipDelays assigns every switch its hop distance from the
@@ -789,54 +872,39 @@ func (cp *ControlPlane) recountOverrides() {
 // invalidation (no nameable seeds) flips everything at distance zero,
 // i.e. atomically.
 func (cp *ControlPlane) computeFlipDelays() {
-	if cp.flipDist == nil {
-		cp.flipDist = make([]int32, len(cp.net.Switches))
-	}
 	if cp.fullPending || (len(cp.pending) == 0 && len(cp.seeds) == 0) {
-		for i := range cp.flipDist {
-			cp.flipDist[i] = 0
-		}
+		clear(cp.flipDist)
 		cp.seeds = cp.seeds[:0]
 		return
 	}
 	for i := range cp.flipDist {
 		cp.flipDist[i] = -1
 	}
-	frontier := cp.frontier[:0]
-	seed := func(id netem.NodeID) {
-		if ord, ok := cp.ordOf[id]; ok && cp.flipDist[ord] < 0 {
+	// Both endpoints of every pending flip seed the flood as well.
+	for _, f := range cp.pending {
+		cp.seeds = append(cp.seeds, f.u, f.v)
+	}
+	frontier, next := cp.frontier[:0], cp.next[:0]
+	for _, id := range cp.seeds {
+		if ord := int(id) - cp.nHosts; cp.flipDist[ord] < 0 {
 			cp.flipDist[ord] = 0
 			frontier = append(frontier, id)
 		}
 	}
-	for _, f := range cp.pending {
-		seed(f.u)
-		seed(f.v)
-	}
-	for _, id := range cp.seeds {
-		seed(id)
-	}
 	cp.seeds = cp.seeds[:0]
 	maxD := int32(0)
-	next := cp.next[:0]
 	for len(frontier) > 0 {
 		next = next[:0]
 		for _, v := range frontier {
-			d := cp.flipDist[cp.ordOf[v]]
-			for _, l := range cp.out[v] {
-				if l.RouteDead() {
+			d := cp.flipDist[int(v)-cp.nHosts] + 1
+			for _, h := range cp.out[v] {
+				ord := int(h.id) - cp.nHosts
+				if ord < 0 || cp.flipDist[ord] >= 0 || h.l.RouteDead() {
 					continue
 				}
-				u := l.Dst().ID()
-				ord, ok := cp.ordOf[u]
-				if !ok || cp.flipDist[ord] >= 0 {
-					continue
-				}
-				cp.flipDist[ord] = d + 1
-				if d+1 > maxD {
-					maxD = d + 1
-				}
-				next = append(next, u)
+				cp.flipDist[ord] = d
+				maxD = max(maxD, d)
+				next = append(next, h.id)
 			}
 		}
 		frontier, next = next, frontier
@@ -891,13 +959,6 @@ func (cp *ControlPlane) flushFlips() {
 	}
 }
 
-// dropEntry removes a cached distance map, recycling its storage.
-func (cp *ControlPlane) dropEntry(key string, e *distEntry) {
-	delete(cp.distCache, key)
-	clear(e.dist)
-	cp.freeMaps = append(cp.freeMaps, e.dist)
-}
-
 // entryDirty reports whether any pending flip can change the entry's
 // distances or any equal-cost set derived from them. For a flipped link
 // u->v judged against cached distances D (computed before the batch):
@@ -920,61 +981,80 @@ func (cp *ControlPlane) dropEntry(key string, e *distEntry) {
 // node would need an improving edge, contradicting per-edge cleanness).
 func (cp *ControlPlane) entryDirty(e *distEntry) bool {
 	for _, f := range cp.pending {
-		dv, okv := e.dist[f.v]
-		if !okv {
+		du, dv := e.dist[f.u], e.dist[f.v]
+		if dv == 0 {
 			continue
 		}
-		du, oku := e.dist[f.u]
 		if f.dead {
-			if oku && du == dv+1 {
+			if du == dv+1 {
 				return true
 			}
-		} else if !oku || dv+1 <= du {
+		} else if du == 0 || dv+1 <= du {
 			return true
 		}
 	}
 	return false
 }
 
-// signature rebuilds cp.keyBuf and cp.srcBuf for destination dst: the
-// source switches of its live access downlinks in builder order (the
-// live-attachment signature its distance map is keyed by; the map
-// depends on nothing else).
+// signature rebuilds cp.keyBuf for destination dst: the source switches
+// of its live access downlinks in builder order (the live-attachment
+// signature its distance table is keyed by; the table depends on nothing
+// else).
 func (cp *ControlPlane) signature(dst netem.NodeID) {
 	cp.keyBuf = cp.keyBuf[:0]
-	cp.srcBuf = cp.srcBuf[:0]
-	for _, l := range cp.in[dst] {
-		if !l.RouteDead() {
-			cp.srcBuf = append(cp.srcBuf, l)
-			id := l.Src().ID()
-			cp.keyBuf = append(cp.keyBuf, byte(id), byte(id>>8), byte(id>>16), byte(id>>24))
+	for _, h := range cp.in[dst] {
+		if !h.l.RouteDead() {
+			cp.keyBuf = append(cp.keyBuf, byte(h.id), byte(h.id>>8), byte(h.id>>16), byte(h.id>>24))
 		}
 	}
 }
 
-// grabMap recycles (or makes) an empty distance map.
-func (cp *ControlPlane) grabMap() map[netem.NodeID]int32 {
-	if n := len(cp.freeMaps); n > 0 {
-		dist := cp.freeMaps[n-1]
-		cp.freeMaps[n-1] = nil
-		cp.freeMaps = cp.freeMaps[:n-1]
+// grabDist recycles (or makes) an all-zero distance table.
+func (cp *ControlPlane) grabDist() []int32 {
+	if n := len(cp.freeDists); n > 0 {
+		dist := cp.freeDists[n-1]
+		cp.freeDists = cp.freeDists[:n-1]
 		return dist
 	}
-	return make(map[netem.NodeID]int32, len(cp.net.Switches))
+	return make([]int32, len(cp.out))
 }
 
-// bfsJob is one missing distance map awaiting its breadth-first pass:
-// the cache entry whose (empty) map to fill and the destination's live
-// access downlinks to flood from.
+// grabTable recycles (or makes) an empty override table.
+func (cp *ControlPlane) grabTable() *table {
+	if n := len(cp.freeTables); n > 0 {
+		t := cp.freeTables[n-1]
+		cp.freeTables = cp.freeTables[:n-1]
+		return t
+	}
+	return &table{slot: make([]int32, cp.nHosts)}
+}
+
+// dropTable empties a table no FIB references any more (nil is fine) in
+// O(live entries) and keeps it for reuse.
+func (cp *ControlPlane) dropTable(t *table) {
+	if t == nil {
+		return
+	}
+	for _, e := range t.live {
+		t.slot[e.dst] = 0
+	}
+	clear(t.live)
+	t.live = t.live[:0]
+	cp.freeTables = append(cp.freeTables, t)
+}
+
+// bfsJob is one missing distance table awaiting its breadth-first pass:
+// the cache entry whose (all-zero) table to fill and a destination with
+// the entry's signature, whose live access downlinks the flood starts at.
 type bfsJob struct {
-	entry   *distEntry
-	sources []*netem.Link
+	entry *distEntry
+	dst   netem.NodeID
 }
 
-// runBFS fills every staged job's distance map — in order on the calling
+// runBFS fills every staged job's distance table — in order on the calling
 // thread, or fanned across cfg.Workers goroutines when configured. Each
-// job touches only its own map and read-only adjacency, so the filled
-// maps are identical either way.
+// job touches only its own table and read-only adjacency, so the filled
+// tables are identical either way.
 func (cp *ControlPlane) runBFS() {
 	jobs := cp.missing
 	if len(jobs) == 0 {
@@ -986,7 +1066,7 @@ func (cp *ControlPlane) runBFS() {
 	}
 	if workers <= 1 {
 		for _, j := range jobs {
-			cp.frontier, cp.next = cp.bfsInto(j.entry.dist, j.sources, cp.frontier, cp.next)
+			cp.frontier, cp.next = cp.bfsInto(j.entry.dist, j.dst, cp.frontier, cp.next)
 		}
 	} else {
 		var idx atomic.Int64
@@ -1001,49 +1081,41 @@ func (cp *ControlPlane) runBFS() {
 					if i >= len(jobs) {
 						return
 					}
-					frontier, next = cp.bfsInto(jobs[i].entry.dist, jobs[i].sources, frontier, next)
+					frontier, next = cp.bfsInto(jobs[i].entry.dist, jobs[i].dst, frontier, next)
 				}
 			}()
 		}
 		wg.Wait()
 	}
-	for i := range jobs {
-		jobs[i] = bfsJob{}
-	}
+	clear(jobs)
 	cp.missing = jobs[:0]
 }
 
-// bfsInto fills dist with hop distances from every switch to a
-// destination whose live access downlinks are sources (each source's src
-// switch is one hop away). Expansion walks the reversed live graph and
-// never tunnels through hosts. The frontier scratch is threaded through
-// and returned (emptied) so serial callers keep the plane's recycled
-// slices and parallel workers keep their own.
-func (cp *ControlPlane) bfsInto(dist map[netem.NodeID]int32, sources []*netem.Link, frontier, next []netem.NodeID) ([]netem.NodeID, []netem.NodeID) {
+// bfsInto fills dist with hop distances from every switch to host dst
+// (the source switch of each live access downlink is one hop away).
+// Expansion walks the reversed live graph and never tunnels through
+// hosts. The frontier scratch is threaded through and returned (emptied)
+// so serial callers keep the plane's recycled slices and parallel
+// workers keep their own.
+func (cp *ControlPlane) bfsInto(dist []int32, dst netem.NodeID, frontier, next []netem.NodeID) ([]netem.NodeID, []netem.NodeID) {
 	frontier = frontier[:0]
-	for _, l := range sources {
-		id := l.Src().ID()
-		if _, seen := dist[id]; !seen {
-			dist[id] = 1
-			frontier = append(frontier, id)
+	for _, h := range cp.in[dst] {
+		if dist[h.id] == 0 && !h.l.RouteDead() {
+			dist[h.id] = 1
+			frontier = append(frontier, h.id)
 		}
 	}
 	next = next[:0]
 	for len(frontier) > 0 {
 		next = next[:0]
 		for _, v := range frontier {
-			for _, l := range cp.in[v] {
-				if l.RouteDead() {
+			d := dist[v] + 1
+			for _, h := range cp.in[v] {
+				if int(h.id) < cp.nHosts || dist[h.id] != 0 || h.l.RouteDead() {
 					continue
 				}
-				u := l.Src().ID()
-				if cp.isHost[u] {
-					continue
-				}
-				if _, seen := dist[u]; !seen {
-					dist[u] = dist[v] + 1
-					next = append(next, u)
-				}
+				dist[h.id] = d
+				next = append(next, h.id)
 			}
 		}
 		frontier, next = next, frontier
@@ -1052,47 +1124,34 @@ func (cp *ControlPlane) bfsInto(dist map[netem.NodeID]int32, sources []*netem.Li
 }
 
 // reconcile computes the equal-cost set of every switch for destination
-// dst (host index hostIdx), given the live hop distances, and either
-// installs it in place (atomic) or stages it for the switch's scheduled
-// flip (staggered). A switch whose computed set matches its healthy
-// structural baseline carries no override and falls through to the
-// structural fast path.
-func (cp *ControlPlane) reconcile(hostIdx int, dst netem.NodeID, dist map[netem.NodeID]int32, staggered bool) {
-	for i, sw := range cp.net.Switches {
-		f := cp.fibs[i]
-		var eq []*netem.Link
-		if d, ok := dist[sw.ID()]; ok {
-			for _, l := range cp.out[sw.ID()] {
-				if l.RouteDead() {
-					continue
-				}
-				to := l.Dst().ID()
-				if to == dst {
-					if d == 1 {
-						eq = append(eq, l)
+// dst, given the live hop distances, and installs it in place (atomic)
+// or stages it for the switch's scheduled flip (staggered). A switch
+// whose computed set matches its healthy structural baseline carries no
+// override and falls through to the structural fast path.
+func (cp *ControlPlane) reconcile(dst netem.NodeID, dist []int32, staggered bool) {
+	healthy := cp.healthy[int(dst)*len(cp.fibs):]
+	eq := cp.eqBuf
+	for i, f := range cp.fibs {
+		eq = eq[:0]
+		// A next hop must sit one hop nearer than this switch; distance
+		// 0 is dst itself (dist's own zeroes mean unreached).
+		if near := dist[cp.nHosts+i] - 1; near >= 0 {
+			for _, h := range cp.out[cp.nHosts+i] {
+				if h.id == dst {
+					if near != 0 {
+						continue
 					}
+				} else if near == 0 || dist[h.id] != near {
 					continue
 				}
-				if nd, ok := dist[to]; ok && nd == d-1 {
-					eq = append(eq, l)
+				if !h.l.RouteDead() {
+					eq = append(eq, h.l)
 				}
 			}
 		}
-		if staggered {
-			f.stage(dst, eq, cp.healthy[i][hostIdx])
-			continue
-		}
-		if sameLinks(eq, cp.healthy[i][hostIdx]) {
-			if f.override != nil {
-				delete(f.override, dst)
-			}
-			continue
-		}
-		if f.override == nil {
-			f.override = make(map[netem.NodeID][]*netem.Link)
-		}
-		f.override[dst] = eq
+		f.install(dst, eq, healthy[i], staggered)
 	}
+	cp.eqBuf = eq[:0]
 }
 
 // sameLinks reports whether two equal-cost sets are identical, element

@@ -146,10 +146,10 @@ func TestRecomputeCoalescing(t *testing.T) {
 	}
 }
 
-// cpCleared reports whether every table's override map is empty.
+// cpCleared reports whether every FIB is back on the nil-table fast path.
 func cpCleared(cp *ControlPlane) bool {
-	for _, tab := range cp.fibs {
-		if len(tab.override) != 0 {
+	for _, f := range cp.fibs {
+		if f.override != nil {
 			return false
 		}
 	}
@@ -809,6 +809,34 @@ func TestInstallValidation(t *testing.T) {
 			t.Errorf("Install accepted %+v", cfg)
 		}
 	}
+	// The dense tables rely on the builders' NodeID layout — hosts
+	// 0..H-1, then the switches in order, and no link leaving them — so
+	// Install must refuse anything else instead of indexing out of range.
+	ids := func(v ...netem.NodeID) []netem.NodeID { return v }
+	build := func(hostIDs, switchIDs []netem.NodeID, strayEnd netem.Node) *topology.Network {
+		n := &topology.Network{Eng: eng}
+		for _, id := range hostIDs {
+			n.Hosts = append(n.Hosts, netem.NewHost(eng, id))
+		}
+		for _, id := range switchIDs {
+			n.Switches = append(n.Switches, netem.NewSwitch(eng, id, 1))
+		}
+		if strayEnd != nil {
+			n.Links = append(n.Links, netem.NewLink(eng, strayEnd, n.Switches[0], 1e8, sim.Microsecond, 10, netem.LayerEdge))
+		}
+		return n
+	}
+	for name, n := range map[string]*topology.Network{
+		"host IDs not 0..H-1":           build(ids(0, 2), ids(3), nil),
+		"switch IDs not H..H+S-1":       build(ids(0, 1), ids(3), nil),
+		"switches numbered first":       build(ids(1), ids(0), nil),
+		"a link from an unlisted node":  build(ids(0), ids(1), netem.NewSwitch(eng, 7, 1)),
+		"a link from a negative NodeID": build(ids(0), ids(1), netem.NewHost(eng, -1)),
+	} {
+		if _, err := Install(eng, n, Config{}); err == nil {
+			t.Errorf("Install accepted a network with %s", name)
+		}
+	}
 	if _, err := ParseConvergence("staggered"); err != nil {
 		t.Errorf("ParseConvergence rejected staggered: %v", err)
 	}
@@ -834,4 +862,126 @@ func TestRoutingLookupAllocationFree(t *testing.T) {
 		t.Errorf("healthy routing lookup allocates %.1f per call, want 0", allocs)
 	}
 	_ = sink
+}
+
+// paperFabric returns the paper's K=8, 512-host FatTree with a control
+// plane installed, and both directions of its first agg-core cable.
+func paperFabric(t *testing.T) (*topology.Network, *ControlPlane, [2]*netem.Link) {
+	t.Helper()
+	eng := sim.NewEngine()
+	ft := topology.NewFatTree(eng, topology.PaperFatTreeConfig())
+	cp, err := Install(eng, &ft.Network, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cable := ft.LinksAtLayer(netem.LayerAgg)
+	return &ft.Network, cp, [2]*netem.Link{cable[0], cable[1]}
+}
+
+// flipCable sets both directions of a cable route-dead (or live) and
+// recomputes.
+func flipCable(cp *ControlPlane, cable [2]*netem.Link, dead bool) {
+	for _, l := range cable {
+		l.SetRouteDead(dead)
+		cp.Invalidate(l)
+	}
+	cp.Recompute()
+}
+
+// TestRecomputeAllocationBound pins the steady-state cost of the dense
+// layout: once the first fail->repair cycle of an agg-core cable has
+// sized the free lists, a whole further cycle — two fabric-wide
+// recomputes on the paper's K=8 fabric — allocates fewer than 2,000
+// objects (the map-based layout allocated 101,988 per recompute): only
+// the sets that actually changed are copied.
+func TestRecomputeAllocationBound(t *testing.T) {
+	_, cp, cable := paperFabric(t)
+	cycle := func() {
+		flipCable(cp, cable, true)
+		flipCable(cp, cable, false)
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(2, cycle); allocs >= 2000 {
+		t.Errorf("a warm fail->repair cycle allocates %.0f objects over its two recomputes, want < 2000", allocs)
+	}
+	if st := cp.Stats(); st.Overrides != 0 || !cpCleared(cp) {
+		t.Errorf("overrides = %d after the repair, want 0 and every FIB on the nil fast path", st.Overrides)
+	}
+}
+
+// TestOverriddenLookupAllocationFree is the data-plane half: with
+// override entries live, a lookup that hits one and a lookup that falls
+// through to the structural router both allocate nothing.
+func TestOverriddenLookupAllocationFree(t *testing.T) {
+	net, cp, cable := paperFabric(t)
+	flipCable(cp, cable, true)
+	if cp.Stats().Overrides == 0 {
+		t.Fatal("the dead cable installed no overrides; scenario exercises nothing")
+	}
+	// An aggregation switch of another pod carries overrides for pod 0's
+	// hosts (the core behind the dead cable is gone from their sets) and
+	// none for its own pod's.
+	var f *FIB
+	for _, c := range cp.fibs {
+		if c.override != nil && c.override.slot[0] != 0 && c.override.slot[len(net.Hosts)-1] == 0 {
+			f = c
+			break
+		}
+	}
+	if f == nil {
+		t.Fatal("no FIB overrides host 0 but not the last host")
+	}
+	var sink []*netem.Link
+	allocs := testing.AllocsPerRun(200, func() {
+		sink = f.NextLinks(0)
+		sink = f.NextLinks(netem.NodeID(len(net.Hosts) - 1))
+	})
+	if allocs != 0 {
+		t.Errorf("lookups with overrides live allocate %.1f per pair, want 0", allocs)
+	}
+	_ = sink
+}
+
+// TestLookupOutsideTableFallsThrough pins the bounds rule of the dense
+// override table: a destination it has no slot for — a switch's NodeID, a
+// negative one, one past every node — is answered by the structural
+// router, like any destination without an override, and never indexes
+// out of range.
+func TestLookupOutsideTableFallsThrough(t *testing.T) {
+	eng := sim.NewEngine()
+	v := topology.NewVL2(eng, topology.VL2Config{DA: 4, DI: 2, HostsPerToR: 2, Link: topology.DefaultLinkConfig()})
+	base := v.Switches[0].Router()
+	cp, err := Install(eng, &v.Network, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Kill ToR 0's first uplink cable so its FIB holds overrides.
+	up := v.LinksAtLayer(netem.LayerEdge)
+	flipCable(cp, [2]*netem.Link{up[0], up[1]}, true)
+	f := cp.fibs[0]
+	if f.override == nil {
+		t.Fatal("ToR 0 holds no overrides; scenario exercises nothing")
+	}
+	for _, dst := range []netem.NodeID{netem.NodeID(len(v.Hosts)), v.Switches[3].ID(), -1, 1 << 30} {
+		if got, want := f.NextLinks(dst), base.NextLinks(dst); !sameLinks(got, want) {
+			t.Errorf("NextLinks(%d) = %v, structural router says %v", dst, got, want)
+		}
+	}
+}
+
+// TestInstallAllocationBound pins the interned healthy baseline: Install
+// on the paper's K=8 fabric allocated 42,961 objects when every (switch,
+// host) pair owned a copy of its structural set; sharing one copy among
+// consecutive hosts with the same set must stay under a tenth of that.
+func TestInstallAllocationBound(t *testing.T) {
+	net, _, _ := paperFabric(t)
+	allocs := testing.AllocsPerRun(2, func() {
+		net.Reset(1) // unwraps the routers; allocates nothing
+		if _, err := Install(net.Eng, net, Config{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs >= 4296 {
+		t.Errorf("Install allocates %.0f objects, want < 4296", allocs)
+	}
 }
