@@ -60,10 +60,6 @@ type Injector struct {
 	switches    []*netem.Switch
 	switchPorts map[int][]*netem.Link
 
-	// routeDeadLinks counts links currently excluded by routing; the
-	// topology's live path-count oracle polls it through Degraded.
-	routeDeadLinks int
-
 	// rec, when non-nil, receives structured trace events for every
 	// applied fault mutation; nil-guarded at each trace point.
 	rec *trace.Recorder
@@ -72,14 +68,6 @@ type Injector struct {
 // SetRecorder installs (or, with nil, removes) the structured event
 // recorder. The run harness calls this right after Install.
 func (inj *Injector) SetRecorder(r *trace.Recorder) { inj.rec = r }
-
-// Degraded reports whether any link is currently excluded from routing.
-// While true, path counts must be derived from the live routing DAG
-// rather than the static topology formula.
-func (inj *Injector) Degraded() bool { return inj.routeDeadLinks > 0 }
-
-// RouteDeadLinks returns how many links routing currently excludes.
-func (inj *Injector) RouteDeadLinks() int { return inj.routeDeadLinks }
 
 // CrashesBySwitch returns per-switch crash counts keyed by switch
 // ordinal (only switches that crashed at least once appear).
@@ -119,7 +107,6 @@ func (inj *Injector) deadenRoute(l *netem.Link) {
 	inj.routeDown[l]++
 	if inj.routeDown[l] == 1 {
 		l.SetRouteDead(true)
-		inj.routeDeadLinks++
 		if inj.OnRouteChange != nil {
 			inj.OnRouteChange(l)
 		}
@@ -133,7 +120,6 @@ func (inj *Injector) reviveRoute(l *netem.Link) {
 	inj.routeDown[l]--
 	if inj.routeDown[l] == 0 {
 		l.SetRouteDead(false)
-		inj.routeDeadLinks--
 		if inj.OnRouteChange != nil {
 			inj.OnRouteChange(l)
 		}

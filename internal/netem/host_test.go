@@ -134,3 +134,78 @@ func TestHostAttachForeignUplinkPanics(t *testing.T) {
 	}()
 	h.AttachUplink(l)
 }
+
+// TestEndpointTableMatchesMap drives the host's open-addressed demux
+// table and a plain map through the same random register / unregister /
+// re-register sequence — few distinct flows, so probe runs collide, grow
+// and backshift — and after every step checks each key's exact lookup and
+// the exact-then-(flow, -1) fallback Receive performs.
+func TestEndpointTableMatchesMap(t *testing.T) {
+	type key struct {
+		flow uint64
+		sub  int8
+	}
+	rng := sim.NewRNG(7)
+	var table endpointTable
+	ref := make(map[key]Endpoint)
+	keyOf := func() key {
+		// Flows that collide in the low bits and ones that differ only there.
+		return key{uint64(rng.Intn(6)) << (8 * uint(rng.Intn(3))), int8(rng.Intn(5) - 1)}
+	}
+	maxLive := 0
+	for step := 0; step < 20000; step++ {
+		k := keyOf()
+		switch _, bound := ref[k]; {
+		case bound && rng.Intn(3) > 0:
+			table.remove(k.flow, k.sub)
+			delete(ref, k)
+		case !bound:
+			ep := &recorder{}
+			if !table.put(k.flow, k.sub, ep) || table.put(k.flow, k.sub, ep) {
+				t.Fatalf("step %d: put(%d, %d) must bind once and refuse the second time", step, k.flow, k.sub)
+			}
+			ref[k] = ep
+		}
+		table.remove(keyOf().flow, 9) // never bound: must be a no-op
+		maxLive = max(maxLive, len(ref))
+		if table.n != len(ref) {
+			t.Fatalf("step %d: table holds %d bindings, map %d", step, table.n, len(ref))
+		}
+		for flow := uint64(0); flow < 6; flow++ {
+			for shift := uint(0); shift < 24; shift += 8 {
+				for sub := int8(-1); sub < 5; sub++ {
+					k := key{flow << shift, sub}
+					want := ref[k]
+					if got := table.get(k.flow, k.sub); got != want {
+						t.Fatalf("step %d: get(%d, %d) = %v, map has %v", step, k.flow, k.sub, got, want)
+					}
+				}
+			}
+		}
+	}
+	if len(table.slots) >= 4*(maxLive+1) {
+		t.Errorf("table grew to %d slots for at most %d live keys", len(table.slots), maxLive)
+	}
+
+	// The same through the Host: fallback order and the duplicate panic.
+	h := NewHost(sim.NewEngine(), 1)
+	exact, conn := &recorder{}, &recorder{}
+	h.Register(5, -1, conn)
+	h.Register(5, 2, exact)
+	h.Receive(&Packet{FlowID: 5, Subflow: 2}, nil)
+	h.Receive(&Packet{FlowID: 5, Subflow: 3}, nil)
+	h.Unregister(5, 2)
+	h.Receive(&Packet{FlowID: 5, Subflow: 2}, nil)
+	h.Receive(&Packet{FlowID: 6, Subflow: 2}, nil)
+	if len(exact.got) != 1 || len(conn.got) != 2 || h.Unclaimed != 1 {
+		t.Errorf("exact %d, connection-level %d, unclaimed %d; want 1, 2, 1", len(exact.got), len(conn.got), h.Unclaimed)
+	}
+	h.Reset()
+	h.Register(5, -1, conn) // a Reset host accepts the binding again
+	defer func() {
+		if recover() == nil {
+			t.Error("duplicate registration after Reset did not panic")
+		}
+	}()
+	h.Register(5, -1, exact)
+}

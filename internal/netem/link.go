@@ -99,11 +99,21 @@ type Link struct {
 	baseRate int64
 	baseProp sim.Time
 
+	// The queue is a power-of-two ring that starts empty and doubles on
+	// demand (see push): most links never hold more than a few packets, so
+	// capacity follows occupancy. Admission (drop-tail, ECN) is decided on
+	// count against limit, never on the ring's size.
 	limit int // queue capacity in packets (not counting the in-flight one)
 	queue []*Packet
 	head  int // ring-buffer head index
 	count int // packets in queue
 	busy  bool
+
+	// txSize/txTime memoise the serialisation time of the last two packet
+	// sizes at the current rate (data and ACK cover nearly all traffic),
+	// sparing a 64-bit divide per hop. Size 0 takes 0: zero is empty.
+	txSize [2]int
+	txTime [2]sim.Time
 
 	// Fault state. down is the data plane: a down link blackholes
 	// everything (in-flight, queued, and newly enqueued packets).
@@ -125,8 +135,12 @@ type Link struct {
 	// (DCTCP-style marking). Zero disables marking.
 	ECNThreshold int
 
+	// Routes, when non-nil, is the network-wide tally SetRouteDead keeps
+	// in step so routers can skip liveness filtering on a healthy fabric.
+	// Topology builders set it at construction, before any fault.
+	Routes *RouteState
+
 	layer Layer
-	name  string
 
 	// pool recycles packets that terminate on this link (queue drops,
 	// random loss, blackholes); nil disables recycling.
@@ -171,13 +185,20 @@ type Link struct {
 // NewLink creates a link from src to dst. rate is in bits/second, prop is
 // the propagation delay, and limit is the queue capacity in packets.
 func NewLink(eng *sim.Engine, src, dst Node, rate int64, prop sim.Time, limit int, layer Layer) *Link {
+	return new(Link).Init(eng, src, dst, rate, prop, limit, layer)
+}
+
+// Init is NewLink in place, for builders that allocate a fabric's links
+// as one slab. l must be zero and must not move afterwards: its engine
+// callbacks capture its address.
+func (l *Link) Init(eng *sim.Engine, src, dst Node, rate int64, prop sim.Time, limit int, layer Layer) *Link {
 	if rate <= 0 {
 		panic("netem: link rate must be positive")
 	}
 	if limit < 1 {
 		panic("netem: queue limit must be at least 1")
 	}
-	l := &Link{
+	*l = Link{
 		eng:      eng,
 		src:      src,
 		dst:      dst,
@@ -186,11 +207,9 @@ func NewLink(eng *sim.Engine, src, dst Node, rate int64, prop sim.Time, limit in
 		baseRate: rate,
 		baseProp: prop,
 		limit:    limit,
-		queue:    make([]*Packet, limit),
 		layer:    layer,
-		name:     fmt.Sprintf("%d->%d", src.ID(), dst.ID()),
+		rxSched:  eng,
 	}
-	l.rxSched = eng
 	l.txDoneFn = func(a any) { l.txDone(a.(*Packet)) }
 	l.deliverFn = func(a any) { l.deliver(a.(*Packet)) }
 	return l
@@ -278,7 +297,20 @@ func (l *Link) RouteDead() bool { return l.routeDead }
 
 // SetRouteDead marks the link dead (or alive again) for routing. Routers
 // consult this through LiveLinks; the data plane is unaffected.
-func (l *Link) SetRouteDead(dead bool) { l.routeDead = dead }
+func (l *Link) SetRouteDead(dead bool) {
+	if dead == l.routeDead {
+		return
+	}
+	l.routeDead = dead
+	if rs := l.Routes; rs != nil {
+		rs.epoch++
+		if dead {
+			rs.dead++
+		} else {
+			rs.dead--
+		}
+	}
+}
 
 // SetDown fails or restores the link at the data plane. Failing a link
 // blackholes its queued packets immediately (the in-flight one and any
@@ -305,11 +337,7 @@ func (l *Link) SetDown(down bool) {
 		if l.count > 0 {
 			l.accountQueue()
 			for l.count > 0 {
-				p := l.queue[l.head]
-				l.queue[l.head] = nil
-				l.head = (l.head + 1) % l.limit
-				l.count--
-				l.blackhole(p)
+				l.blackhole(l.pop())
 			}
 		}
 		return
@@ -341,6 +369,7 @@ func (l *Link) SetRateFactor(factor float64) {
 		r = 1
 	}
 	l.rate = r
+	l.txSize, l.txTime = [2]int{}, [2]sim.Time{}
 }
 
 // SetExtraDelay adds extra propagation delay on top of the built delay
@@ -376,17 +405,14 @@ func (l *Link) SetLossRate(p float64, rng *sim.RNG) {
 // The built ECN threshold is part of the instance's shape and is kept.
 func (l *Link) Reset() {
 	for l.count > 0 {
-		p := l.queue[l.head]
-		l.queue[l.head] = nil
-		l.head = (l.head + 1) % l.limit
-		l.count--
-		l.pool.Put(p)
+		l.pool.Put(l.pop())
 	}
 	l.head = 0
 	l.busy = false
 	l.down = false
-	l.routeDead = false
+	l.SetRouteDead(false)
 	l.rate = l.baseRate
+	l.txSize, l.txTime = [2]int{}, [2]sim.Time{}
 	l.prop = l.baseProp
 	l.lossRate = 0
 	l.lossRNG = nil
@@ -424,7 +450,9 @@ func (l *Link) blackholeRx(p *Packet) {
 }
 
 // String identifies the link for diagnostics.
-func (l *Link) String() string { return fmt.Sprintf("link[%s %s]", l.layer, l.name) }
+func (l *Link) String() string {
+	return fmt.Sprintf("link[%s %d->%d]", l.layer, l.src.ID(), l.dst.ID())
+}
 
 // Enqueue accepts a packet for transmission. If the transmitter is idle
 // the packet begins serialising immediately; otherwise it joins the FIFO
@@ -478,12 +506,34 @@ func (l *Link) Enqueue(p *Packet) {
 		l.rec.Record(l.eng.Now(), trace.KindEnqueue, p.FlowID, p.Subflow, src, dst, p.Seq, int64(l.count+1))
 	}
 	l.accountQueue()
-	tail := (l.head + l.count) % l.limit
-	l.queue[tail] = p
-	l.count++
+	l.push(p)
 	if l.count > l.Stats.MaxQueue {
 		l.Stats.MaxQueue = l.count
 	}
+}
+
+// push appends p at the ring's tail, doubling the ring (and unwrapping
+// it to start at index 0) when it is full. Grown capacity is kept across
+// drains and Reset, so a pooled link stops allocating once warm.
+func (l *Link) push(p *Packet) {
+	if l.count == len(l.queue) {
+		grown := make([]*Packet, max(8, 2*len(l.queue)))
+		n := copy(grown, l.queue[l.head:])
+		copy(grown[n:], l.queue[:l.head])
+		l.queue, l.head = grown, 0
+	}
+	l.queue[(l.head+l.count)&(len(l.queue)-1)] = p
+	l.count++
+}
+
+// pop removes and returns the packet at the ring's head; count must be
+// positive.
+func (l *Link) pop() *Packet {
+	p := l.queue[l.head]
+	l.queue[l.head] = nil
+	l.head = (l.head + 1) & (len(l.queue) - 1)
+	l.count--
+	return p
 }
 
 // accountQueue folds the elapsed interval at the current queue length
@@ -497,7 +547,14 @@ func (l *Link) accountQueue() {
 
 func (l *Link) transmit(p *Packet) {
 	l.busy = true
-	tx := sim.TransmissionTime(p.Size, l.rate)
+	tx := l.txTime[0]
+	if p.Size != l.txSize[0] {
+		if tx = l.txTime[1]; p.Size != l.txSize[1] {
+			tx = sim.TransmissionTime(p.Size, l.rate)
+			l.txSize[1], l.txTime[1] = l.txSize[0], l.txTime[0]
+			l.txSize[0], l.txTime[0] = p.Size, tx
+		}
+	}
 	l.Stats.BusyTime += tx
 	l.eng.ScheduleArg(tx, l.txDoneFn, p)
 }
@@ -524,11 +581,7 @@ func (l *Link) txDone(p *Packet) {
 	l.rxSched.AtArgClass(l.eng.Now()+l.prop, l.deliverFn, p, l.rxClass)
 	if l.count > 0 {
 		l.accountQueue()
-		next := l.queue[l.head]
-		l.queue[l.head] = nil
-		l.head = (l.head + 1) % l.limit
-		l.count--
-		l.transmit(next)
+		l.transmit(l.pop())
 		return
 	}
 	l.busy = false

@@ -14,27 +14,60 @@ type Router interface {
 	// reachable destination on a healthy network the slice is non-empty;
 	// during a failure window it may be empty if every candidate link
 	// has been excluded by reconverged routing (the switch then drops
-	// the packet). The returned slice must not be modified by the caller.
+	// the packet). The returned slice must not be modified by the caller
+	// and is valid only until the next lookup on the same router.
 	NextLinks(dst NodeID) []*Link
 }
 
-// LiveLinks filters route-dead links (see Link.SetRouteDead) out of an
-// equal-cost set. In the common all-alive case the input slice is
-// returned unchanged, so the healthy forwarding path stays allocation
-// free; during failure windows a fresh filtered slice — possibly empty —
-// is built. Router implementations call this on every lookup, which is
-// what makes them converge onto surviving paths after a failure.
-func LiveLinks(links []*Link) []*Link {
+// RouteState is a network's tally of route-dead links, kept in step by
+// Link.SetRouteDead and Link.Reset for every link whose Routes points at
+// it. It exists so that routers need not inspect links at all while the
+// fabric is healthy, and can tell when a filtered set they cached has
+// gone stale. It is written only by control-plane events (fault
+// injection), which on a sharded fabric run at barriers.
+type RouteState struct {
+	dead  int    // links currently excluded from routing
+	epoch uint64 // bumped on every transition
+}
+
+// Dead returns how many links routing currently excludes.
+func (rs *RouteState) Dead() int { return rs.dead }
+
+// LiveLinks filters route-dead links (see Link.SetRouteDead) out of a
+// router's equal-cost sets; every Router implementation passes its
+// lookups through one, which is what makes them converge onto surviving
+// paths after a failure. While the network has no route-dead link the
+// built set is returned without looking at it. Otherwise a set with a
+// dead member is copied — possibly to nothing — into a buffer the filter
+// owns and reuses, and remembered until the network's route-dead epoch
+// moves, so no lookup allocates in steady state; such a result is valid
+// until the next Filter call.
+type LiveLinks struct {
+	Routes *RouteState
+
+	from  []*Link // the set buf was filtered from
+	epoch uint64  // Routes.epoch at that time
+	buf   []*Link
+}
+
+// Filter returns links without its route-dead members.
+func (f *LiveLinks) Filter(links []*Link) []*Link {
+	if f.Routes.dead == 0 {
+		return links
+	}
+	if f.epoch == f.Routes.epoch && len(links) == len(f.from) && len(links) > 0 && &links[0] == &f.from[0] {
+		return f.buf
+	}
 	for i, l := range links {
 		if l.routeDead {
-			out := make([]*Link, i, len(links))
-			copy(out, links[:i])
+			f.buf = append(f.buf[:0], links[:i]...)
 			for _, m := range links[i+1:] {
 				if !m.routeDead {
-					out = append(out, m)
+					f.buf = append(f.buf, m)
 				}
 			}
-			return out
+			f.from, f.epoch = links, f.Routes.epoch
+			return f.buf
 		}
 	}
 	return links
@@ -135,7 +168,14 @@ type Switch struct {
 // different switches make independent choices for the same flow, as
 // hardware hash functions with per-device keys do.
 func NewSwitch(eng *sim.Engine, id NodeID, seed uint32) *Switch {
-	return &Switch{id: id, eng: eng, seed: seed}
+	return new(Switch).Init(eng, id, seed)
+}
+
+// Init is NewSwitch in place, for builders that allocate a fabric's
+// switches as one slab.
+func (s *Switch) Init(eng *sim.Engine, id NodeID, seed uint32) *Switch {
+	*s = Switch{id: id, eng: eng, seed: seed}
+	return s
 }
 
 // ID returns the switch's node identifier.

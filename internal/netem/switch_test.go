@@ -248,28 +248,52 @@ func TestLiveLinksFiltering(t *testing.T) {
 	eng := sim.NewEngine()
 	sw := NewSwitch(eng, 100, 7)
 	links := make([]*Link, 4)
+	var routes RouteState
 	for i := range links {
 		links[i] = NewLink(eng, sw, newSink(eng, NodeID(i)), 1_000_000_000, 0, 10, LayerAgg)
+		links[i].Routes = &routes
 	}
+	live := LiveLinks{Routes: &routes}
 	// All alive: the exact input slice comes back (no allocation).
-	if got := LiveLinks(links); &got[0] != &links[0] || len(got) != 4 {
+	if got := live.Filter(links); &got[0] != &links[0] || len(got) != 4 {
 		t.Error("all-alive fast path must return the input slice")
 	}
 	links[1].SetRouteDead(true)
 	links[3].SetRouteDead(true)
-	got := LiveLinks(links)
+	links[3].SetRouteDead(true) // repeating a state is not a transition
+	if routes.Dead() != 2 {
+		t.Errorf("route-dead tally = %d, want 2", routes.Dead())
+	}
+	got := live.Filter(links)
 	if len(got) != 2 || got[0] != links[0] || got[1] != links[2] {
 		t.Errorf("filtered set = %v, want links 0 and 2", got)
+	}
+	// A set with a dead member is answered from the filter's own buffer,
+	// again and again, and so is a different set after it.
+	other := []*Link{links[3], links[2]}
+	if n := testing.AllocsPerRun(100, func() {
+		if len(live.Filter(links)) != 2 || len(live.Filter(other)) != 1 {
+			t.Fatal("wrong live set")
+		}
+	}); n != 0 {
+		t.Errorf("filtering a degraded set allocates %v objects, want 0", n)
 	}
 	// Everything dead: empty, not nil-panicking.
 	links[0].SetRouteDead(true)
 	links[2].SetRouteDead(true)
-	if got := LiveLinks(links); len(got) != 0 {
+	if got := live.Filter(links); len(got) != 0 {
 		t.Errorf("all-dead set has %d links", len(got))
 	}
 	links[1].SetRouteDead(false)
-	if got := LiveLinks(links); len(got) != 1 || got[0] != links[1] {
+	if got := live.Filter(links); len(got) != 1 || got[0] != links[1] {
 		t.Error("revived link missing from live set")
+	}
+	// Reset revives for routing too, and the tally follows.
+	for _, l := range links {
+		l.Reset()
+	}
+	if got := live.Filter(links); routes.Dead() != 0 || &got[0] != &links[0] || len(got) != 4 {
+		t.Errorf("after Reset: tally %d, live set %v", routes.Dead(), got)
 	}
 }
 
@@ -310,7 +334,11 @@ func TestSwitchExcludesRouteDeadLink(t *testing.T) {
 		links[i] = NewLink(eng, sw, sinks[i], 10_000_000_000, 0, 100000, LayerAgg)
 	}
 	// Route through LiveLinks, as every topology router does.
-	sw.SetRouter(&liveRouter{links})
+	var routes RouteState
+	for _, l := range links {
+		l.Routes = &routes
+	}
+	sw.SetRouter(&liveRouter{links, LiveLinks{Routes: &routes}})
 	rng := sim.NewRNG(1)
 	deadIdx := 2
 	links[deadIdx].SetRouteDead(true)
@@ -337,9 +365,12 @@ func TestSwitchExcludesRouteDeadLink(t *testing.T) {
 
 // liveRouter is staticRouter with the liveness filtering every real
 // Router implementation applies.
-type liveRouter struct{ links []*Link }
+type liveRouter struct {
+	links []*Link
+	live  LiveLinks
+}
 
-func (r *liveRouter) NextLinks(dst NodeID) []*Link { return LiveLinks(r.links) }
+func (r *liveRouter) NextLinks(dst NodeID) []*Link { return r.live.Filter(r.links) }
 
 func TestSwitchCrashState(t *testing.T) {
 	eng := sim.NewEngine()

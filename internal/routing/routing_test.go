@@ -30,7 +30,6 @@ func install(t *testing.T, eng *sim.Engine, net *topology.Network, cp *ControlPl
 		t.Fatal(err)
 	}
 	inj.OnRouteChange = cp.Invalidate
-	net.SetDegraded(inj.Degraded)
 	return inj
 }
 

@@ -53,22 +53,14 @@ func NewDumbbell(eng *sim.Engine, cfg DumbbellConfig) *Dumbbell {
 	}
 
 	d := &Dumbbell{Cfg: cfg}
-	d.Eng = eng
 	d.Kind = fmt.Sprintf("dumbbell(n=%d)", cfg.HostsPerSide)
 
 	n := cfg.HostsPerSide
-	id := netem.NodeID(0)
-	for i := 0; i < 2*n; i++ {
-		d.Hosts = append(d.Hosts, netem.NewHost(eng, id))
-		id++
-	}
-	left := netem.NewSwitch(eng, id, 1)
-	id++
-	right := netem.NewSwitch(eng, id, 2)
-	d.Switches = append(d.Switches, left, right)
+	d.alloc(eng, 2*n, 2, 2*(2*n+1))
 	// Both switches sit at the core tier: their inter-switch cable is
 	// the LayerCore bottleneck.
-	d.SwitchLayers = append(d.SwitchLayers, netem.LayerCore, netem.LayerCore)
+	left := d.addSwitch(netem.LayerCore, 1)
+	right := d.addSwitch(netem.LayerCore, 2)
 
 	for i := 0; i < n; i++ {
 		up, _ := d.connectHost(d.Hosts[i], left, cfg.Link, netem.LayerHost)

@@ -83,7 +83,6 @@ func NewFatTree(eng *sim.Engine, cfg FatTreeConfig) *FatTree {
 		aggPerPod:    half,
 		hostsPerPod:  half * cfg.HostsPerEdge,
 	}
-	f.Eng = eng
 	f.Kind = fmt.Sprintf("fattree(k=%d,hosts/edge=%d)", k, cfg.HostsPerEdge)
 	f.numHosts = k * f.hostsPerPod
 
@@ -91,39 +90,28 @@ func NewFatTree(eng *sim.Engine, cfg FatTreeConfig) *FatTree {
 	numAgg := k * half
 	numCore := half * half
 
-	// Node IDs: hosts first, then edge, agg, core switches.
-	nextID := netem.NodeID(0)
-	for i := 0; i < f.numHosts; i++ {
-		f.Hosts = append(f.Hosts, netem.NewHost(eng, nextID))
-		nextID++
-	}
+	// Node IDs: hosts first, then edge, agg, core switches. Each cable
+	// tier (host-edge, edge-agg, agg-core) is two links per cable.
+	f.alloc(eng, f.numHosts, numEdge+numAgg+numCore, 2*(f.numHosts+numEdge*half+numAgg*half))
 	f.setHashSalt(0x5eed_fa77_ee00_0001)
 	seedRNG := sim.NewRNG(cfg.Seed ^ f.hashSalt)
-	mkSwitch := func(tier netem.Layer) *netem.Switch {
-		sw := netem.NewSwitch(eng, nextID, seedRNG.Uint32())
-		nextID++
-		f.Switches = append(f.Switches, sw)
-		f.SwitchLayers = append(f.SwitchLayers, tier)
-		return sw
+	for i := 0; i < numEdge; i++ {
+		f.addSwitch(netem.LayerEdge, seedRNG.Uint32())
 	}
-	edges := make([]*netem.Switch, numEdge)
-	for i := range edges {
-		edges[i] = mkSwitch(netem.LayerEdge)
+	for i := 0; i < numAgg; i++ {
+		f.addSwitch(netem.LayerAgg, seedRNG.Uint32())
 	}
-	aggs := make([]*netem.Switch, numAgg)
-	for i := range aggs {
-		aggs[i] = mkSwitch(netem.LayerAgg)
+	for i := 0; i < numCore; i++ {
+		f.addSwitch(netem.LayerCore, seedRNG.Uint32())
 	}
-	cores := make([]*netem.Switch, numCore)
-	for i := range cores {
-		cores[i] = mkSwitch(netem.LayerCore)
-	}
+	edges, aggs, cores := f.Switches[:numEdge], f.Switches[numEdge:numEdge+numAgg], f.Switches[numEdge+numAgg:]
 
 	// Routers, populated while wiring.
 	edgeRouters := make([]*fatTreeEdgeRouter, numEdge)
 	for i := range edgeRouters {
 		edgeRouters[i] = &fatTreeEdgeRouter{
 			f:         f,
+			live:      f.liveLinks(),
 			edge:      i,
 			hostLinks: make([][]*netem.Link, cfg.HostsPerEdge),
 		}
@@ -132,22 +120,23 @@ func NewFatTree(eng *sim.Engine, cfg FatTreeConfig) *FatTree {
 	for i := range aggRouters {
 		aggRouters[i] = &fatTreeAggRouter{
 			f:         f,
+			live:      f.liveLinks(),
 			pod:       i / half,
 			edgeLinks: make([][]*netem.Link, half),
 		}
 	}
 	coreRouters := make([]*fatTreeCoreRouter, numCore)
 	for i := range coreRouters {
-		coreRouters[i] = &fatTreeCoreRouter{f: f, podLinks: make([][]*netem.Link, k)}
+		coreRouters[i] = &fatTreeCoreRouter{f: f, live: f.liveLinks(), podLinks: make([][]*netem.Link, k)}
 	}
 
 	// Host <-> edge links.
 	for e := 0; e < numEdge; e++ {
 		for i := 0; i < cfg.HostsPerEdge; i++ {
 			h := f.Hosts[e*cfg.HostsPerEdge+i]
-			up, down := f.connectHost(h, edges[e], cfg.Link, netem.LayerHost)
+			up, _ := f.connectHost(h, edges[e], cfg.Link, netem.LayerHost)
 			h.AttachUplink(up)
-			edgeRouters[e].hostLinks[i] = []*netem.Link{down}
+			edgeRouters[e].hostLinks[i] = f.lastLinkSet()
 		}
 	}
 	// Edge <-> agg links (full bipartite within each pod).
@@ -156,9 +145,9 @@ func NewFatTree(eng *sim.Engine, cfg FatTreeConfig) *FatTree {
 			for a := 0; a < half; a++ {
 				eg := p*half + e
 				ag := p*half + a
-				up, down := f.connect(edges[eg], aggs[ag], cfg.Link, netem.LayerEdge)
+				up, _ := f.connect(edges[eg], aggs[ag], cfg.Link, netem.LayerEdge)
 				edgeRouters[eg].upLinks = append(edgeRouters[eg].upLinks, up)
-				aggRouters[ag].edgeLinks[e] = []*netem.Link{down}
+				aggRouters[ag].edgeLinks[e] = f.lastLinkSet()
 			}
 		}
 	}
@@ -169,9 +158,9 @@ func NewFatTree(eng *sim.Engine, cfg FatTreeConfig) *FatTree {
 			ag := p*half + a
 			for j := 0; j < half; j++ {
 				c := a*half + j
-				up, down := f.connect(aggs[ag], cores[c], cfg.Link, netem.LayerAgg)
+				up, _ := f.connect(aggs[ag], cores[c], cfg.Link, netem.LayerAgg)
 				aggRouters[ag].upLinks = append(aggRouters[ag].upLinks, up)
-				coreRouters[c].podLinks[p] = []*netem.Link{down}
+				coreRouters[c].podLinks[p] = f.lastLinkSet()
 			}
 		}
 	}
@@ -273,6 +262,7 @@ func NewFatTree(eng *sim.Engine, cfg FatTreeConfig) *FatTree {
 // aggregation switch in the pod.
 type fatTreeEdgeRouter struct {
 	f         *FatTree
+	live      netem.LiveLinks
 	edge      int             // global edge ordinal
 	hostLinks [][]*netem.Link // single-element sets, indexed by local host
 	upLinks   []*netem.Link   // all agg uplinks (equal cost)
@@ -280,15 +270,16 @@ type fatTreeEdgeRouter struct {
 
 func (r *fatTreeEdgeRouter) NextLinks(dst netem.NodeID) []*netem.Link {
 	if r.f.edgeOf(dst) == r.edge {
-		return netem.LiveLinks(r.hostLinks[int(dst)%r.f.hostsPerEdge])
+		return r.live.Filter(r.hostLinks[int(dst)%r.f.hostsPerEdge])
 	}
-	return netem.LiveLinks(r.upLinks)
+	return r.live.Filter(r.upLinks)
 }
 
 // fatTreeAggRouter forwards down to the destination's edge switch when
 // the destination is in this pod, otherwise up to any attached core.
 type fatTreeAggRouter struct {
 	f         *FatTree
+	live      netem.LiveLinks
 	pod       int
 	edgeLinks [][]*netem.Link // single-element sets, indexed by pod-local edge
 	upLinks   []*netem.Link   // core uplinks (equal cost)
@@ -296,18 +287,19 @@ type fatTreeAggRouter struct {
 
 func (r *fatTreeAggRouter) NextLinks(dst netem.NodeID) []*netem.Link {
 	if r.f.PodOf(dst) == r.pod {
-		return netem.LiveLinks(r.edgeLinks[r.f.EdgeIndexOf(dst)])
+		return r.live.Filter(r.edgeLinks[r.f.EdgeIndexOf(dst)])
 	}
-	return netem.LiveLinks(r.upLinks)
+	return r.live.Filter(r.upLinks)
 }
 
 // fatTreeCoreRouter forwards down to the aggregation switch of the
 // destination's pod (each core connects to exactly one agg per pod).
 type fatTreeCoreRouter struct {
 	f        *FatTree
+	live     netem.LiveLinks
 	podLinks [][]*netem.Link // single-element sets, indexed by pod
 }
 
 func (r *fatTreeCoreRouter) NextLinks(dst netem.NodeID) []*netem.Link {
-	return netem.LiveLinks(r.podLinks[r.f.PodOf(dst)])
+	return r.live.Filter(r.podLinks[r.f.PodOf(dst)])
 }

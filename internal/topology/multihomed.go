@@ -56,37 +56,25 @@ func NewMultiHomed(eng *sim.Engine, cfg MultiHomedConfig) *MultiHomed {
 		edgePerPod:   half,
 		hostsPerPod:  half * cfg.HostsPerEdge,
 	}
-	m.Eng = eng
 	m.Kind = fmt.Sprintf("multihomed-fattree(k=%d,hosts/edge=%d)", k, cfg.HostsPerEdge)
 	m.numHosts = k * m.hostsPerPod
 
-	nextID := netem.NodeID(0)
-	for i := 0; i < m.numHosts; i++ {
-		m.Hosts = append(m.Hosts, netem.NewHost(eng, nextID))
-		nextID++
-	}
+	// Two access cables per host, then the plain FatTree's fabric; two
+	// links per cable.
+	numEdge := k * half
+	m.alloc(eng, m.numHosts, 2*numEdge+half*half, 2*(2*m.numHosts+2*numEdge*half))
 	m.setHashSalt(0x5eed_fa77_ee00_0002)
 	seedRNG := sim.NewRNG(cfg.Seed ^ m.hashSalt)
-	mkSwitch := func(tier netem.Layer) *netem.Switch {
-		sw := netem.NewSwitch(eng, nextID, seedRNG.Uint32())
-		nextID++
-		m.Switches = append(m.Switches, sw)
-		m.SwitchLayers = append(m.SwitchLayers, tier)
-		return sw
+	for i := 0; i < numEdge; i++ {
+		m.addSwitch(netem.LayerEdge, seedRNG.Uint32())
 	}
-	numEdge := k * half
-	edges := make([]*netem.Switch, numEdge)
-	for i := range edges {
-		edges[i] = mkSwitch(netem.LayerEdge)
+	for i := 0; i < numEdge; i++ {
+		m.addSwitch(netem.LayerAgg, seedRNG.Uint32())
 	}
-	aggs := make([]*netem.Switch, k*half)
-	for i := range aggs {
-		aggs[i] = mkSwitch(netem.LayerAgg)
+	for i := 0; i < half*half; i++ {
+		m.addSwitch(netem.LayerCore, seedRNG.Uint32())
 	}
-	cores := make([]*netem.Switch, half*half)
-	for i := range cores {
-		cores[i] = mkSwitch(netem.LayerCore)
-	}
+	edges, aggs, cores := m.Switches[:numEdge], m.Switches[numEdge:2*numEdge], m.Switches[2*numEdge:]
 
 	// Host links: primary to edge e, secondary to edge (e+1) mod half
 	// within the pod.

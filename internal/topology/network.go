@@ -59,14 +59,6 @@ func (c *LinkConfig) applyDefaults() {
 	}
 }
 
-// hostEgress returns a copy of the config with the queue limit set for
-// the host->switch direction of an access link.
-func (c LinkConfig) hostEgress() LinkConfig {
-	out := c
-	out.QueueLimit = c.HostEgressQueue
-	return out
-}
-
 // Network is a built topology: hosts, switches, every unidirectional
 // link (for statistics), and a path-count oracle.
 type Network struct {
@@ -108,11 +100,16 @@ type Network struct {
 	// two hosts on the healthy network; see PathCount.
 	pathCount func(src, dst netem.NodeID) int
 
-	// degraded, when set, reports whether any link is currently excluded
-	// from routing; while true PathCount follows the live routing DAG
-	// instead of the static oracle. The run harness wires it to the
-	// fault injector.
-	degraded func() bool
+	// routes tallies the links currently excluded from routing (every
+	// link is enrolled at build). Routers filter against it, and while it
+	// is non-zero PathCount follows the live routing DAG instead of the
+	// static oracle.
+	routes netem.RouteState
+
+	// switchSlab and linkSlab hold the fabric's switches and links by
+	// value (see alloc); Switches and Links point into them.
+	switchSlab []netem.Switch
+	linkSlab   []netem.Link
 
 	// partitionHint, when set by a builder, maps a shard count to a
 	// per-switch shard assignment exploiting the topology's structure
@@ -126,6 +123,37 @@ type Network struct {
 	// falls back to the generic weighted contiguous split.
 	weightedHint func(shards int, weights []float64) []int
 }
+
+// alloc allocates the fabric's hosts, switches and links as one slab per
+// kind, sizes the pointer slices to match, and creates the hosts: every
+// builder numbers them 0..hosts-1 and its switches from there, in
+// creation order. addSwitch, connect and connectHost hand out the rest; a
+// builder that miscounted panics on the slab's bounds.
+func (n *Network) alloc(eng *sim.Engine, hosts, switches, links int) {
+	n.Eng = eng
+	slab := make([]netem.Host, hosts)
+	n.Hosts = make([]*netem.Host, hosts)
+	for i := range slab {
+		n.Hosts[i] = slab[i].Init(eng, netem.NodeID(i))
+	}
+	n.switchSlab = make([]netem.Switch, switches)
+	n.Switches = make([]*netem.Switch, 0, switches)
+	n.SwitchLayers = make([]netem.Layer, 0, switches)
+	n.linkSlab = make([]netem.Link, links)
+	n.Links = make([]*netem.Link, 0, links)
+}
+
+// addSwitch creates the next switch at the given tier.
+func (n *Network) addSwitch(tier netem.Layer, seed uint32) *netem.Switch {
+	i := len(n.Switches)
+	sw := n.switchSlab[i].Init(n.Eng, netem.NodeID(len(n.Hosts)+i), seed)
+	n.Switches = append(n.Switches, sw)
+	n.SwitchLayers = append(n.SwitchLayers, tier)
+	return sw
+}
+
+// liveLinks returns a route-dead filter for one router of this network.
+func (n *Network) liveLinks() netem.LiveLinks { return netem.LiveLinks{Routes: &n.routes} }
 
 // setRouter installs a router on a switch and records it for path
 // counting.
@@ -142,24 +170,19 @@ func (n *Network) setRouter(sw *netem.Switch, r netem.Router) {
 // threshold. It returns 1 when src == dst or when the oracle is missing.
 //
 // On a healthy network the static oracle answers (for the FatTree, the
-// paper's addressing formula — allocation-free). While the network is
-// degraded (see SetDegraded) the count instead follows the live ECMP
-// DAG through the installed routers, so dead paths no longer inflate
-// the duplicate-ACK threshold of flows dialed during a failure.
+// paper's addressing formula — allocation-free). While any link is
+// excluded from routing the count instead follows the live ECMP DAG
+// through the installed routers, so dead paths no longer inflate the
+// duplicate-ACK threshold of flows dialed during a failure.
 func (n *Network) PathCount(src, dst netem.NodeID) int {
 	if src == dst || n.pathCount == nil {
 		return 1
 	}
-	if n.degraded != nil && n.degraded() {
+	if n.routes.Dead() > 0 {
 		return countShortestPaths(n, src, dst)
 	}
 	return n.pathCount(src, dst)
 }
-
-// SetDegraded installs the oracle telling PathCount whether any link is
-// currently excluded from routing. The run harness points it at the
-// fault injector; nil (the default) means permanently healthy.
-func (n *Network) SetDegraded(f func() bool) { n.degraded = f }
 
 // WrapRouters replaces every switch's router with wrap(switch, current),
 // in builder order, updating both the forwarding plane and the router
@@ -186,15 +209,19 @@ func (n *Network) LinksAtLayer(layer netem.Layer) []*netem.Link {
 	return out
 }
 
+// link creates the next unidirectional link and records it in n.Links.
+func (n *Network) link(a, b netem.Node, cfg LinkConfig, limit int, layer netem.Layer) *netem.Link {
+	l := n.linkSlab[len(n.Links)].Init(n.Eng, a, b, cfg.RateBps, cfg.Delay, limit, layer)
+	l.ECNThreshold = cfg.ECNThreshold
+	l.Routes = &n.routes
+	n.Links = append(n.Links, l)
+	return l
+}
+
 // connect wires a full-duplex cable between a and b as two unidirectional
-// links with identical parameters and records them in n.Links.
+// links with identical parameters.
 func (n *Network) connect(a, b netem.Node, cfg LinkConfig, layer netem.Layer) (ab, ba *netem.Link) {
-	ab = netem.NewLink(n.Eng, a, b, cfg.RateBps, cfg.Delay, cfg.QueueLimit, layer)
-	ba = netem.NewLink(n.Eng, b, a, cfg.RateBps, cfg.Delay, cfg.QueueLimit, layer)
-	ab.ECNThreshold = cfg.ECNThreshold
-	ba.ECNThreshold = cfg.ECNThreshold
-	n.Links = append(n.Links, ab, ba)
-	return ab, ba
+	return n.link(a, b, cfg, cfg.QueueLimit, layer), n.link(b, a, cfg, cfg.QueueLimit, layer)
 }
 
 // connectHost wires a host's access cable: the host->switch direction
@@ -202,25 +229,29 @@ func (n *Network) connect(a, b netem.Node, cfg LinkConfig, layer netem.Layer) (a
 // dropping its own packets), the switch->host direction a normal switch
 // port queue.
 func (n *Network) connectHost(h, sw netem.Node, cfg LinkConfig, layer netem.Layer) (up, down *netem.Link) {
-	up = netem.NewLink(n.Eng, h, sw, cfg.RateBps, cfg.Delay, cfg.HostEgressQueue, layer)
-	down = netem.NewLink(n.Eng, sw, h, cfg.RateBps, cfg.Delay, cfg.QueueLimit, layer)
-	up.ECNThreshold = cfg.ECNThreshold
-	down.ECNThreshold = cfg.ECNThreshold
-	n.Links = append(n.Links, up, down)
-	return up, down
+	return n.link(h, sw, cfg, cfg.HostEgressQueue, layer), n.link(sw, h, cfg, cfg.QueueLimit, layer)
+}
+
+// lastLinkSet returns the most recently created link as a single-element
+// equal-cost set carved from n.Links (sized by alloc, so never moved)
+// rather than allocated: a structured router holds one per down port.
+func (n *Network) lastLinkSet() []*netem.Link {
+	i := len(n.Links) - 1
+	return n.Links[i : i+1 : i+1]
 }
 
 // TableRouter is a routing table mapping destination host to an
 // equal-cost set of output links. It implements netem.Router.
 type TableRouter struct {
 	table map[netem.NodeID][]*netem.Link
+	live  netem.LiveLinks
 }
 
 // NextLinks implements netem.Router. Links excluded by failure
 // reconvergence are filtered out; the set may be empty while every
 // candidate is dead.
 func (r *TableRouter) NextLinks(dst netem.NodeID) []*netem.Link {
-	return netem.LiveLinks(r.table[dst])
+	return r.live.Filter(r.table[dst])
 }
 
 // buildECMPTables computes, for every switch, the full equal-cost
@@ -241,7 +272,7 @@ func buildECMPTables(n *Network) {
 
 	routers := make(map[netem.NodeID]*TableRouter, len(n.Switches))
 	for _, sw := range n.Switches {
-		r := &TableRouter{table: make(map[netem.NodeID][]*netem.Link)}
+		r := &TableRouter{table: make(map[netem.NodeID][]*netem.Link), live: n.liveLinks()}
 		routers[sw.ID()] = r
 		n.setRouter(sw, r)
 	}
@@ -393,10 +424,10 @@ func (n *Network) setHashSalt(salt uint64) {
 // another run sharing the same shape (run-instance pooling): every
 // switch's counters, crash state and as-built router; every link's
 // queue, fault/degradation state and statistics; every host's endpoint
-// table and counters; and the path-count degradation oracle. When the
-// builder derived per-switch ECMP hash seeds from the experiment seed,
-// they are re-derived for the new seed, so a recycled network is
-// observationally identical to one freshly built with it. The shared
+// table and counters. When the builder derived per-switch ECMP hash seeds
+// from the experiment seed, they are re-derived for the new seed, so a
+// recycled network is observationally identical to one freshly built with
+// it (links keep whatever queue capacity they grew). The shared
 // packet pool keeps its free list — that reuse is the point — and the
 // steady-state Reset path allocates nothing.
 //
@@ -414,7 +445,6 @@ func (n *Network) Reset(seed uint64) {
 	for _, h := range n.Hosts {
 		h.Reset()
 	}
-	n.degraded = nil
 	if n.hashSeeded {
 		var rng sim.RNG
 		rng.Reseed(seed^n.hashSalt, 0)

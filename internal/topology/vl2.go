@@ -67,36 +67,24 @@ func NewVL2(eng *sim.Engine, cfg VL2Config) *VL2 {
 	// DA ToR pairs).
 	numToR := cfg.DA * 2
 	v := &VL2{Cfg: cfg}
-	v.Eng = eng
 	v.Kind = fmt.Sprintf("vl2(da=%d,di=%d,hosts/tor=%d)", cfg.DA, cfg.DI, cfg.HostsPerToR)
 	v.numHosts = numToR * cfg.HostsPerToR
 
-	nextID := netem.NodeID(0)
-	for i := 0; i < v.numHosts; i++ {
-		v.Hosts = append(v.Hosts, netem.NewHost(eng, nextID))
-		nextID++
-	}
+	// One access cable per server, two uplink cables per ToR, the full
+	// agg-intermediate mesh; two links per cable.
+	v.alloc(eng, v.numHosts, numToR+cfg.DA+cfg.DI, 2*(v.numHosts+2*numToR+cfg.DA*cfg.DI))
 	v.setHashSalt(0x5eed_fa77_ee00_0003)
 	seedRNG := sim.NewRNG(cfg.Seed ^ v.hashSalt)
-	mkSwitch := func(tier netem.Layer) *netem.Switch {
-		sw := netem.NewSwitch(eng, nextID, seedRNG.Uint32())
-		nextID++
-		v.Switches = append(v.Switches, sw)
-		v.SwitchLayers = append(v.SwitchLayers, tier)
-		return sw
+	for i := 0; i < numToR; i++ {
+		v.addSwitch(netem.LayerEdge, seedRNG.Uint32())
 	}
-	tors := make([]*netem.Switch, numToR)
-	for i := range tors {
-		tors[i] = mkSwitch(netem.LayerEdge)
+	for i := 0; i < cfg.DA; i++ {
+		v.addSwitch(netem.LayerAgg, seedRNG.Uint32())
 	}
-	aggs := make([]*netem.Switch, cfg.DA)
-	for i := range aggs {
-		aggs[i] = mkSwitch(netem.LayerAgg)
+	for i := 0; i < cfg.DI; i++ {
+		v.addSwitch(netem.LayerCore, seedRNG.Uint32())
 	}
-	ints := make([]*netem.Switch, cfg.DI)
-	for i := range ints {
-		ints[i] = mkSwitch(netem.LayerCore)
-	}
+	tors, aggs, ints := v.Switches[:numToR], v.Switches[numToR:numToR+cfg.DA], v.Switches[numToR+cfg.DA:]
 
 	// Server links.
 	for t := 0; t < numToR; t++ {

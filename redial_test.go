@@ -25,7 +25,7 @@ func deadPathFCT(t *testing.T, transport TransportConfig) (sim.Time, int, int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inj, err := faults.Install(eng, faults.Target{
+	_, err = faults.Install(eng, faults.Target{
 		Links: net.Links, Switches: net.Switches, SwitchLayers: net.SwitchLayers,
 	}, faults.Config{
 		Events:          faults.FailCables(netem.LayerAgg, 1, 30*sim.Millisecond, 5*sim.Second),
@@ -34,7 +34,6 @@ func deadPathFCT(t *testing.T, transport TransportConfig) (sim.Time, int, int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net.SetDegraded(inj.Degraded)
 
 	conn, err := Dial(eng, net, cfg, DialConfig{
 		FlowID: 1,

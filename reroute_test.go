@@ -182,7 +182,7 @@ func TestLivePathCountUnderFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inj, err := faults.Install(eng, faults.Target{
+	_, err = faults.Install(eng, faults.Target{
 		Links: net.Links, Switches: net.Switches, SwitchLayers: net.SwitchLayers,
 	}, faults.Config{
 		Events: faults.FailCables(netem.LayerAgg, 1, 10*sim.Millisecond, 50*sim.Millisecond),
@@ -190,7 +190,6 @@ func TestLivePathCountUnderFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net.SetDegraded(inj.Degraded)
 
 	// Hosts 0 and 8: different pods on the K=4, 8-hosts-per-edge tree.
 	src, dst := 0, net.Hosts[len(net.Hosts)-1].ID()

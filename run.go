@@ -346,10 +346,6 @@ func runWith(ctx context.Context, cfg Config, inst *RunInstance) (*Results, erro
 			return nil, err
 		}
 		faultPlan.SetRecorder(rec)
-		// Failure-aware path counting: while any link is excluded from
-		// routing, MMPTCP's duplicate-ACK threshold derives from the
-		// live ECMP DAG instead of the static topology formula.
-		net.SetDegraded(faultPlan.Degraded)
 		if cfg.Routing.Mode == RoutingGlobal {
 			// Global repair: wrap every router with a per-switch FIB and
 			// rebuild the override tables (coalesced) on each
