@@ -1,6 +1,7 @@
 package mmptcp
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -79,7 +80,7 @@ func coreOf(r *Results) flowCore {
 // TestAdaptiveMatchesConservative is the adaptive engine's correctness
 // contract: over the PR-3 fault suite (FatTree and VL2, cable cuts with
 // global repair, degraded cables, a core-switch crash, streaming and
-// snapshot metrics), fresh and pooled, at 2 and 4 shards, the adaptive
+// snapshot metrics), fresh and recycled, at 2 and 4 shards, the adaptive
 // lookahead produces the same flow-level Results as the conservative
 // engine — same spawns, same fault schedule, same completion times, same
 // FCT distribution, same snapshots — while actually widening windows.
@@ -89,21 +90,11 @@ func TestAdaptiveMatchesConservative(t *testing.T) {
 		if err != nil {
 			t.Fatalf("shards=%d conservative: %v", n, err)
 		}
-		adpt, err := RunSweep(adaptive(shardedSuite(n)), SweepOptions{Workers: 1})
-		if err != nil {
-			t.Fatalf("shards=%d adaptive: %v", n, err)
-		}
-		pooled, err := RunSweep(adaptive(shardedSuite(n)), SweepOptions{Workers: 4, Pool: true})
-		if err != nil {
-			t.Fatalf("shards=%d adaptive pooled: %v", n, err)
-		}
+		adpt := sweptLikeFresh(t, fmt.Sprintf("shards=%d adaptive", n), adaptive(shardedSuite(n)), 4)
 		widened := uint64(0)
 		for i := range cons {
 			if a, b := coreOf(cons[i]), coreOf(adpt[i]); !reflect.DeepEqual(a, b) {
 				t.Errorf("config %d shards=%d: adaptive flow results diverged from conservative\nconservative: %+v\nadaptive:     %+v", i, n, a, b)
-			}
-			if !reflect.DeepEqual(adpt[i], pooled[i]) {
-				t.Errorf("config %d shards=%d: pooled adaptive run diverged from fresh", i, n)
 			}
 			if got, want := adpt[i].Shard.Mode, string(LookaheadAdaptive); got != want {
 				t.Errorf("config %d shards=%d: Shard.Mode = %q, want %q", i, n, got, want)
@@ -124,40 +115,14 @@ func TestAdaptiveMatchesConservative(t *testing.T) {
 }
 
 // TestAdaptiveDeterminism pins the determinism contract for adaptive
-// mode under every execution regime: repeat serial runs, pooled runs and
-// 4-way parallel sweep workers agree byte-for-byte — including the
+// mode under every execution regime: Run on fresh instances, a serial
+// sweep and 4-way parallel sweep workers (both recycling their
+// instances) agree byte-for-byte — including the
 // overrun-sensitive cumulative counters and the Shard block, which are
 // deterministic per (Seed, Shards) even though they differ across modes.
 // CI runs this under -race alongside the conservative suite.
 func TestAdaptiveDeterminism(t *testing.T) {
-	suite := adaptive(shardedSuite(2))
-	serial, err := RunSweep(suite, SweepOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	repeat, err := RunSweep(suite, SweepOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := RunSweep(suite, SweepOptions{Workers: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pooled, err := RunSweep(suite, SweepOptions{Workers: 4, Pool: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range serial {
-		if !reflect.DeepEqual(serial[i], repeat[i]) {
-			t.Errorf("config %d: repeat adaptive run diverged (nondeterministic)", i)
-		}
-		if !reflect.DeepEqual(serial[i], par[i]) {
-			t.Errorf("config %d: parallel-worker adaptive sweep diverged from serial", i)
-		}
-		if !reflect.DeepEqual(serial[i], pooled[i]) {
-			t.Errorf("config %d: pooled adaptive sweep diverged from serial", i)
-		}
-	}
+	sweptLikeFresh(t, "adaptive", adaptive(shardedSuite(2)), 1, 4)
 }
 
 // TestAdaptiveFaultAtBarrier: a fault injection is control-plane work —

@@ -272,8 +272,8 @@ func redialChurn(quick bool, add addFunc) {
 //   - run-exact / run-streaming: one full run in each metrics mode, with
 //     per_flow_bytes = allocated bytes / short flows, tracking the
 //     per-flow memory the streaming mode exists to shed.
-//   - sweep-unpooled / sweep-pooled: the end-to-end replicate sweep
-//     through mmptcp.RunSweep with SweepOptions.Pool off and on.
+//   - sweep: the end-to-end replicate sweep through mmptcp.RunSweep,
+//     which recycles one instance per worker.
 func sweepScale(quick bool, add addFunc) {
 	cfg := mmptcp.SweepScaleBenchConfig(quick)
 
@@ -346,21 +346,15 @@ func sweepScale(quick bool, add addFunc) {
 		configs[i] = cfg
 		configs[i].Seed = uint64(i + 1)
 	}
-	for _, pooled := range []bool{false, true} {
-		name := "sweep-scale/sweep-unpooled"
-		if pooled {
-			name = "sweep-scale/sweep-pooled"
-		}
-		br := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := mmptcp.RunSweep(configs, mmptcp.SweepOptions{Pool: pooled}); err != nil {
-					b.Fatal(err)
-				}
+	br := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := mmptcp.RunSweep(configs, mmptcp.SweepOptions{}); err != nil {
+				b.Fatal(err)
 			}
-		})
-		add(name, br, map[string]float64{"replicates": float64(reps)})
-	}
+		}
+	})
+	add("sweep-scale/sweep", br, map[string]float64{"replicates": float64(reps)})
 }
 
 // runShardBench benchmarks one config through mmptcp.Run and returns

@@ -6,7 +6,7 @@
 //
 //	figures -fig 1a|1b|1c|stats|switch|load|hotspot|multihomed|coexist|failure|repair|transient|timeline|anatomy|all
 //	        [-scale tiny|small|medium|paper] [-flows N] [-seed S] [-csv]
-//	        [-workers N] [-pool]
+//	        [-workers N]
 //
 // Scales:
 //
@@ -17,9 +17,11 @@
 //
 // Every multi-config scan runs through mmptcp.RunSweep, so independent
 // experiments fan out across all CPUs (-workers caps them; -workers 1
-// reproduces the old serial behaviour). Each run is seeded from its own
-// Config, so the tables are byte-identical for a given -seed at any
-// worker count — parallelism changes only the wall time.
+// reproduces the old serial behaviour) and each worker recycles its
+// engine and fabric across the same-shape configs of a scan. Each run is
+// seeded from its own Config, so the tables are byte-identical for a
+// given -seed at any worker count — parallelism and recycling change
+// only the wall time.
 //
 // Absolute milliseconds differ from the paper's ns-3 testbed; the shapes
 // (who wins, by how much, where the tails are) are the reproduction
@@ -50,7 +52,6 @@ var (
 	workersFlag = flag.Int("workers", 0, "max concurrent experiments (0 = all CPUs, 1 = serial); sharded experiments each occupy -shards worker slots")
 	shardsFlag  = flag.Int("shards", 0, "partition each experiment's fabric across this many parallel event engines (0/1 = sequential)")
 	lookaheadFl = flag.String("lookahead", "", "sharded window policy: conservative (default) or adaptive (identical tables, fewer barriers)")
-	poolFlag    = flag.Bool("pool", false, "recycle run instances across same-shape configs in every scan (tables are byte-identical either way)")
 	cpuProfFlag = flag.String("cpuprofile", "", "write a CPU profile of the regeneration to this file")
 	memProfFlag = flag.String("memprofile", "", "write a heap profile to this file at exit")
 )
@@ -184,7 +185,6 @@ func run(cfg mmptcp.Config) *mmptcp.Results {
 func sweep(configs []mmptcp.Config) []*mmptcp.Results {
 	results, err := mmptcp.RunSweep(configs, mmptcp.SweepOptions{
 		Workers: *workersFlag,
-		Pool:    *poolFlag,
 		OnResult: func(done, total, index int) {
 			fmt.Fprintf(os.Stderr, "sweep: %d/%d experiments done\n", done, total)
 		},

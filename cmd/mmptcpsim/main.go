@@ -103,7 +103,6 @@ func main() {
 		metricsM = flag.String("metrics", "exact", "measurement accumulation: exact (per-flow records) or streaming (O(1)-memory histograms)")
 		histPrec = flag.Int("hist-precision", 0, "streaming histogram sub-bucket bits, percentile error <= 2^-bits (0 = default 10)")
 		snapMs   = flag.Float64("snapshot-ms", 0, "record a cumulative snapshot every this many milliseconds of virtual time (0 = off)")
-		poolInst = flag.Bool("pool", false, "recycle run instances across replicates sharing a shape (requires -seeds > 1)")
 		traceM   = flag.String("trace", "", "record a structured event trace: ring (bounded flight recorder) or full (everything)")
 		traceOut = flag.String("trace-out", "trace.json", "trace output path; a .jsonl suffix writes JSON lines, anything else Chrome trace-event JSON (open in Perfetto)")
 		traceFl  = flag.String("trace-flows", "", "comma-separated flow IDs to restrict flow-scoped trace events to (default: all flows)")
@@ -203,10 +202,6 @@ func main() {
 	}
 	if *perflow && mmptcp.MetricsMode(*metricsM) == mmptcp.MetricsStreaming {
 		fmt.Fprintln(os.Stderr, "-perflow needs -metrics exact: streaming mode keeps no per-flow records")
-		os.Exit(2)
-	}
-	if *poolInst && *seeds <= 1 {
-		fmt.Fprintln(os.Stderr, "-pool recycles instances across a replicate sweep; add -seeds N > 1")
 		os.Exit(2)
 	}
 	if *traceM != "" {
@@ -313,7 +308,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "-perflow is a single-run report; drop -seeds or -perflow")
 			os.Exit(2)
 		}
-		replicate(cfg, *seeds, *workers, *seed, *poolInst)
+		replicate(cfg, *seeds, *workers, *seed)
 		stopProf()
 		if err := prof.WriteHeap(*memProf); err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -368,7 +363,7 @@ func main() {
 // replicate runs n copies of cfg under seeds derived from base via
 // independent RNG streams, in parallel, and reports each replicate plus
 // across-replicate aggregates.
-func replicate(cfg mmptcp.Config, n, workers int, base uint64, pool bool) {
+func replicate(cfg mmptcp.Config, n, workers int, base uint64) {
 	configs := make([]mmptcp.Config, n)
 	for i := range configs {
 		configs[i] = cfg
@@ -377,10 +372,7 @@ func replicate(cfg mmptcp.Config, n, workers int, base uint64, pool bool) {
 		configs[i].Seed = mmptcp.NewRNGStream(base, uint64(i)).Uint64()
 	}
 	start := time.Now()
-	results, err := mmptcp.RunSweep(configs, mmptcp.SweepOptions{
-		Workers: workers,
-		Pool:    pool,
-	})
+	results, err := mmptcp.RunSweep(configs, mmptcp.SweepOptions{Workers: workers})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

@@ -2,7 +2,10 @@
 // jobs — in this repository, whole simulation experiments — across OS
 // threads. It is deliberately generic: a job is an index plus a closure,
 // results land in a slice at their job's index, and nothing about the
-// pool depends on what a job computes.
+// pool depends on what a job computes. Each worker also lends its jobs
+// one slot of caller-chosen state (see Run) — how RunSweep recycles an
+// engine+network pair from one replicate to the next without a shared,
+// locked free list.
 //
 // Design constraints, in order:
 //
@@ -46,15 +49,20 @@ type Options struct {
 	OnDone func(done, total, index int)
 }
 
-// Run executes job(ctx, i) for every i in [0, n) on a pool of
+// Run executes job(ctx, slot, i) for every i in [0, n) on a pool of
 // Options.Workers goroutines and returns the n results in index order.
+//
+// slot points at the calling worker's own S: zero when the worker
+// starts, seen by that worker's jobs only, one after the other, and
+// dropped when the worker exits — so whatever jobs park there is
+// bounded by the worker count and needs no locking.
 //
 // The context passed to jobs is derived from ctx and cancelled as soon as
 // any job fails, so long-running jobs can abort early by observing it.
 // Run itself returns the lowest-indexed error it observed, wrapped with
 // the job index; if ctx is cancelled from outside, Run drains in-flight
 // jobs and returns ctx's error.
-func Run[T any](ctx context.Context, n int, opts Options, job func(ctx context.Context, i int) (T, error)) ([]T, error) {
+func Run[S, T any](ctx context.Context, n int, opts Options, job func(ctx context.Context, slot *S, i int) (T, error)) ([]T, error) {
 	if n <= 0 {
 		return nil, nil
 	}
@@ -92,12 +100,13 @@ func Run[T any](ctx context.Context, n int, opts Options, job func(ctx context.C
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var slot S
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= n || ctx.Err() != nil {
 					return
 				}
-				res, err := job(ctx, i)
+				res, err := job(ctx, &slot, i)
 				if err != nil {
 					// Cancellation fallout (a sibling failed first, or
 					// the caller cancelled) is not this job's fault:

@@ -11,7 +11,7 @@ import (
 func TestRunReturnsResultsInIndexOrder(t *testing.T) {
 	for _, workers := range []int{1, 2, 7, 100} {
 		got, err := Run(context.Background(), 50, Options{Workers: workers},
-			func(_ context.Context, i int) (int, error) { return i * i, nil })
+			func(_ context.Context, _ *struct{}, i int) (int, error) { return i * i, nil })
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -28,7 +28,7 @@ func TestRunReturnsResultsInIndexOrder(t *testing.T) {
 
 func TestRunZeroJobs(t *testing.T) {
 	got, err := Run(context.Background(), 0, Options{},
-		func(_ context.Context, i int) (int, error) { return 0, nil })
+		func(_ context.Context, _ *struct{}, i int) (int, error) { return 0, nil })
 	if err != nil || got != nil {
 		t.Fatalf("Run(0 jobs) = %v, %v; want nil, nil", got, err)
 	}
@@ -38,7 +38,7 @@ func TestRunConcurrencyBound(t *testing.T) {
 	const workers = 3
 	var inflight, peak atomic.Int64
 	_, err := Run(context.Background(), 40, Options{Workers: workers},
-		func(_ context.Context, i int) (struct{}, error) {
+		func(_ context.Context, _ *struct{}, i int) (struct{}, error) {
 			n := inflight.Add(1)
 			for {
 				p := peak.Load()
@@ -62,7 +62,7 @@ func TestRunFirstErrorCancels(t *testing.T) {
 	boom := errors.New("boom")
 	var ran atomic.Int64
 	_, err := Run(context.Background(), 1000, Options{Workers: 4},
-		func(ctx context.Context, i int) (int, error) {
+		func(ctx context.Context, _ *struct{}, i int) (int, error) {
 			ran.Add(1)
 			if i == 5 {
 				return 0, boom
@@ -81,7 +81,7 @@ func TestRunExternalCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var ran atomic.Int64
 	_, err := Run(ctx, 1000, Options{Workers: 2},
-		func(ctx context.Context, i int) (int, error) {
+		func(ctx context.Context, _ *struct{}, i int) (int, error) {
 			if ran.Add(1) == 10 {
 				cancel()
 			}
@@ -109,7 +109,7 @@ func TestRunOnDoneSerialisedAndComplete(t *testing.T) {
 			lastDone = done
 			seen = append(seen, index)
 		},
-	}, func(_ context.Context, i int) (int, error) { return i, nil })
+	}, func(_ context.Context, _ *struct{}, i int) (int, error) { return i, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,5 +122,47 @@ func TestRunOnDoneSerialisedAndComplete(t *testing.T) {
 			t.Fatalf("OnDone fired twice for index %d", i)
 		}
 		marks[i] = true
+	}
+}
+
+// TestRunSlotIsWorkerLocal: a slot starts at zero, is handed to one
+// worker's jobs only, one after the other, and there are no more slots
+// than workers — the bound RunSweep's instance retention rests on. The
+// unsynchronised counter in the slot is the point: run under -race.
+func TestRunSlotIsWorkerLocal(t *testing.T) {
+	for _, workers := range []int{1, 3, 8} {
+		var slots atomic.Int64
+		// Each job returns how many jobs its slot had seen, itself included.
+		got, err := Run(context.Background(), 200, Options{Workers: workers},
+			func(_ context.Context, jobs *int, i int) (int, error) {
+				if *jobs == 0 {
+					slots.Add(1)
+				}
+				*jobs++
+				time.Sleep(10 * time.Microsecond)
+				return *jobs, nil
+			})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := slots.Load(); n < 1 || n > int64(workers) {
+			t.Errorf("workers=%d: %d slots handed out", workers, n)
+		}
+		// kth[k] jobs were the k-th on their slot. A slot that is never
+		// reset or shared gives every k up to its total exactly once, so
+		// the counts start at the slot count and never rise.
+		kth := make(map[int]int)
+		for _, k := range got {
+			kth[k]++
+		}
+		if kth[1] != int(slots.Load()) {
+			t.Errorf("workers=%d: %d first jobs on %d slots", workers, kth[1], slots.Load())
+		}
+		for k := 2; kth[k] > 0; k++ {
+			if kth[k] > kth[k-1] {
+				t.Errorf("workers=%d: %d jobs were a slot's %d-th but only %d its %d-th",
+					workers, kth[k], k, kth[k-1], k-1)
+			}
+		}
 	}
 }

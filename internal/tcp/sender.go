@@ -89,7 +89,12 @@ type Sender struct {
 	highSent int64 // highest sequence ever sent (Retx detection)
 	limit    int64 // bytes granted by the source so far
 	finished bool  // the source is exhausted; limit is final
-	maps     []mapping
+	// maps holds the granted segments in subflow-sequence order. Entries
+	// before mapHead lie fully below snd.una: pruneMappings steps over
+	// them and slides the live rest down in place, so the array is as
+	// long as the window got, not as the flow.
+	maps    []mapping
+	mapHead int
 
 	dupAcks    int
 	inRecovery bool
@@ -587,24 +592,31 @@ func (s *Sender) transmit(m mapping, retx bool) {
 
 // segmentAt finds the mapping entry containing seq.
 func (s *Sender) segmentAt(seq int64) (mapping, bool) {
-	i := sort.Search(len(s.maps), func(i int) bool {
-		return s.maps[i].subSeq+int64(s.maps[i].n) > seq
+	live := s.maps[s.mapHead:]
+	i := sort.Search(len(live), func(i int) bool {
+		return live[i].subSeq+int64(live[i].n) > seq
 	})
-	if i == len(s.maps) || s.maps[i].subSeq > seq {
+	if i == len(live) || live[i].subSeq > seq {
 		return mapping{}, false
 	}
-	return s.maps[i], true
+	return live[i], true
 }
 
-// pruneMappings discards mappings fully below snd.una.
+// pruneMappings discards mappings fully below snd.una. Re-slicing them
+// away would give up the array's front, and trySend's append would then
+// regrow it for as long as the flow lives; instead the dead prefix is
+// skipped until it outgrows the live rest, which is then copied down —
+// each mapping moves at most once per halving.
 func (s *Sender) pruneMappings() {
-	i := 0
+	i := s.mapHead
 	for i < len(s.maps) && s.maps[i].subSeq+int64(s.maps[i].n) <= s.sndUna {
 		i++
 	}
-	if i > 0 {
-		s.maps = s.maps[i:]
+	if i > len(s.maps)-i {
+		s.maps = s.maps[:copy(s.maps, s.maps[i:])]
+		i = 0
 	}
+	s.mapHead = i
 }
 
 func (s *Sender) restartTimer() {
@@ -662,11 +674,12 @@ func (s *Sender) checkDone() {
 // its unacknowledged suffix. The redial path hands these back to the
 // connection for re-pull by a replacement subflow.
 func (s *Sender) UnackedData() [][2]int64 {
-	if len(s.maps) == 0 {
+	live := s.maps[s.mapHead:]
+	if len(live) == 0 {
 		return nil
 	}
-	out := make([][2]int64, 0, len(s.maps))
-	for _, m := range s.maps {
+	out := make([][2]int64, 0, len(live))
+	for _, m := range live {
 		start, n := m.dataSeq, int64(m.n)
 		if skip := s.sndUna - m.subSeq; skip > 0 {
 			start += skip
@@ -689,7 +702,7 @@ func (s *Sender) Close() {
 	s.done = true
 	s.timer.Stop()
 	s.host.Unregister(s.flowID, s.subflow)
-	s.maps = nil
+	s.maps, s.mapHead = nil, 0
 	s.sacked = SeqSet{}
 	s.sackRetx = nil
 	s.OnAllAcked = nil

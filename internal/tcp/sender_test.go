@@ -594,3 +594,50 @@ func TestSenderCloseReleasesResources(t *testing.T) {
 		t.Errorf("packet leak: %d allocated from the pool, %d recycled", pool.Gets, pool.Recycled)
 	}
 }
+
+// TestSenderMappingsStayInPlace: the segment mappings of a long transfer
+// live in one array sized by the window. Pruning by re-slicing used to
+// give away the array's front, so the append in trySend moved the live
+// mappings to a new array every window or so for the life of the flow. A
+// periodic loss keeps the window a small fraction of the transfer.
+func TestSenderMappingsStayInPlace(t *testing.T) {
+	tn := newTestNet()
+	cfg := DefaultConfig()
+	const segments = 20000
+	snd, rcv := tn.transfer(cfg, 1, int64(segments*cfg.MSS))
+	var (
+		maxLive, maxCap, arrays int
+		base                    *mapping
+	)
+	tn.w.drop = func(p *netem.Packet) bool {
+		if n := len(snd.maps) - snd.mapHead; n > maxLive {
+			maxLive = n
+		}
+		if c := cap(snd.maps); c > 0 {
+			if c > maxCap {
+				maxCap = c
+			}
+			if b := &snd.maps[:1][0]; b != base {
+				base = b
+				arrays++
+			}
+		}
+		return p.IsData() && !p.Retx && p.Seq%int64(400*cfg.MSS) == int64(200*cfg.MSS)
+	}
+	snd.Start()
+	tn.eng.Run()
+
+	if !rcv.Complete() {
+		t.Fatal("transfer did not complete")
+	}
+	if maxLive == 0 || maxLive*10 > segments {
+		t.Fatalf("window peaked at %d of %d segments; the scenario no longer separates window from flow length", maxLive, segments)
+	}
+	if maxCap > 4*maxLive+8 {
+		t.Errorf("cap(maps) reached %d with at most %d live mappings", maxCap, maxLive)
+	}
+	// Doubling up to the peak window, never again after it.
+	if arrays > 12 {
+		t.Errorf("maps moved to a new array %d times over %d segments (window peak %d)", arrays, segments, maxLive)
+	}
+}

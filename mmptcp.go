@@ -653,7 +653,7 @@ func (c *Config) applyDefaults() error {
 	return nil
 }
 
-// Shape is the comparable structural key run-instance pooling uses: the
+// Shape is the comparable structural key run-instance recycling uses: the
 // Config fields that determine the built engine+network (topology kind
 // and size, link parameters, queueing, ECN). Two Configs with equal
 // Shapes can recycle one instance; everything else — protocol, workload,
@@ -669,18 +669,18 @@ type Shape struct {
 	BottleneckBps int64
 	ECNThreshold  int
 	// Shards is structural: the partition wiring (per-shard engines,
-	// pools, outbox routing) is built with the instance, so a pooled
+	// pools, outbox routing) is built with the instance, so a recycled
 	// instance only serves configs sharing its shard count.
 	Shards int
 	// WeightsKey fingerprints Config.ShardWeights (FNV-1a over the
 	// float bits; 0 when unweighted): weighted partitions rewire the
-	// fabric, so a pooled instance only serves configs with the same
+	// fabric, so a recycled instance only serves configs with the same
 	// weights. The lookahead mode is deliberately absent — it is a
 	// per-run policy on unchanged wiring.
 	WeightsKey uint64
 }
 
-// Shape returns the config's structural pool key, after applying
+// Shape returns the config's structural key, after applying
 // defaults so that configs spelling the same structure differently
 // (explicit vs defaulted fields) share a key. It fails on configs that
 // would not run at all.

@@ -2,21 +2,58 @@ package mmptcp
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"reflect"
 	"sort"
 	"strings"
 	"testing"
-
-	"repro/internal/sweep"
 )
 
-// TestPooledSweepByteIdentical is the pooling contract: a pooled sweep
-// returns byte-identical Results to the unpooled path, serial and
-// parallel, across the PR-3 fault suite on both hash-seeded
-// multi-rooted topologies (FatTree and VL2) with mixed shapes, protos,
-// metrics modes and distinct seeds — so recycled engines, networks,
-// ECMP hash seeds and FIB state provably carry nothing between runs.
+// runFresh is the byte-identity oracle every recycling test compares
+// against: each config through Run, on an instance built for it and
+// thrown away.
+func runFresh(t *testing.T, configs []Config) []*Results {
+	t.Helper()
+	out := make([]*Results, len(configs))
+	for i, cfg := range configs {
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatalf("config %d: %v", i, err)
+		}
+		out[i] = res
+	}
+	return out
+}
+
+// sweptLikeFresh is the recycling check in one call: the configs through
+// runFresh and through RunSweep at each of the worker counts, failing
+// the test for every swept Results that is not byte-identical to the
+// oracle's. It returns the oracle's Results for further assertions.
+func sweptLikeFresh(t *testing.T, what string, configs []Config, workers ...int) []*Results {
+	t.Helper()
+	fresh := runFresh(t, configs)
+	for _, w := range workers {
+		swept, err := RunSweep(configs, SweepOptions{Workers: w})
+		if err != nil {
+			t.Fatalf("%s, %d workers: %v", what, w, err)
+		}
+		for i := range fresh {
+			if !reflect.DeepEqual(fresh[i], swept[i]) {
+				t.Errorf("%s, %d workers, config %d: sweep diverged from Run on a fresh instance", what, w, i)
+			}
+		}
+	}
+	return fresh
+}
+
+// TestPooledSweepByteIdentical is the recycling contract: RunSweep, whose
+// workers reset and reuse one instance each, returns byte-identical
+// Results to per-config Run on throwaway instances, serial and parallel,
+// across the PR-3 fault suite on both hash-seeded multi-rooted
+// topologies (FatTree and VL2) with mixed shapes, protos, metrics modes
+// and distinct seeds — so recycled engines, networks, ECMP hash seeds
+// and FIB state provably carry nothing between runs.
 func TestPooledSweepByteIdentical(t *testing.T) {
 	mkConfigs := func() []Config {
 		var configs []Config
@@ -32,8 +69,9 @@ func TestPooledSweepByteIdentical(t *testing.T) {
 					0.5, 50*Microsecond, 0.02),
 			}
 			configs = append(configs, deg)
-			// Cable failures on a VL2 fabric — a second pool shape whose
-			// per-switch hash seeds use a different derivation salt.
+			// Cable failures on a VL2 fabric — a second shape, so a worker
+			// swaps its instance mid-sweep, and one whose per-switch hash
+			// seeds use a different derivation salt.
 			vl2 := tiny(proto, 40)
 			vl2.Topology = TopoVL2
 			vl2.K = 4
@@ -66,26 +104,7 @@ func TestPooledSweepByteIdentical(t *testing.T) {
 		return configs
 	}
 
-	fresh, err := RunSweep(mkConfigs(), SweepOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pooled1, err := RunSweep(mkConfigs(), SweepOptions{Workers: 1, Pool: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pooled4, err := RunSweep(mkConfigs(), SweepOptions{Workers: 4, Pool: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range fresh {
-		if !reflect.DeepEqual(fresh[i], pooled1[i]) {
-			t.Errorf("config %d: pooled serial sweep diverged from fresh instances", i)
-		}
-		if !reflect.DeepEqual(fresh[i], pooled4[i]) {
-			t.Errorf("config %d: pooled 4-worker sweep diverged from fresh instances", i)
-		}
-	}
+	fresh := sweptLikeFresh(t, "fault suite", mkConfigs(), 1, 4)
 	// The suite actually exercised what it claims to.
 	for i, res := range fresh {
 		if res.FaultEvents == 0 {
@@ -100,44 +119,151 @@ func TestPooledSweepByteIdentical(t *testing.T) {
 	}
 }
 
-// TestPooledSweepWorkerAllocationFree locks in the pooling payoff: once
-// an instance is warm, the worker loop's per-replicate setup —
-// pool.Get, Reset for the next seed, pool.Put — allocates nothing.
-func TestPooledSweepWorkerAllocationFree(t *testing.T) {
-	cfg := tiny(ProtoMMPTCP, 20)
-	inst, err := NewRunInstance(cfg)
+// twoShapes is n cheap K=4 configs alternating between two shapes (A, B,
+// A, B, …: FatTree with 8 and with 4 hosts per edge), each with its own
+// seed — the worst case for a worker that keeps one instance.
+func twoShapes(n int) []Config {
+	configs := make([]Config, n)
+	for i := range configs {
+		configs[i] = tiny(ProtoMMPTCP, 8)
+		configs[i].ArrivalRate = 20
+		configs[i].Warmup = 20 * Millisecond
+		configs[i].MaxSimTime = 250 * Millisecond // cut the RTO tail short
+		if i%2 == 1 {
+			configs[i].HostsPerEdge = 4
+		}
+		configs[i].Seed = uint64(i + 1)
+	}
+	return configs
+}
+
+// TestMixedShapeSweepByteIdentical: a sweep that changes shape at every
+// job still matches per-config Run. With one worker every job replaces
+// the parked instance; with two, each worker may settle on one shape and
+// reuse it — both must be invisible.
+func TestMixedShapeSweepByteIdentical(t *testing.T) {
+	sweptLikeFresh(t, "alternating shapes", twoShapes(8), 1, 2)
+}
+
+// TestSweepAfterFailedJobIsClean: a sweep whose job i cannot run returns
+// that job's error, and sweeping the same configs without job i
+// afterwards matches Run — the failure leaves nothing dirty behind, in a
+// slot or anywhere else.
+func TestSweepAfterFailedJobIsClean(t *testing.T) {
+	const bad = 3
+	configs := twoShapes(6)
+	for i := range configs {
+		configs[i].HostsPerEdge = 8 // one shape: the failing job sits between reuses
+	}
+	configs[bad].ShortFlows = 0 // fails validation after an instance is taken
+	for _, workers := range []int{1, 2} {
+		if _, err := RunSweep(configs, SweepOptions{Workers: workers}); err == nil ||
+			!strings.Contains(err.Error(), fmt.Sprintf("job %d", bad)) {
+			t.Fatalf("%d workers: err = %v, want job %d's validation error", workers, err, bad)
+		}
+	}
+	rest := append(append([]Config(nil), configs[:bad]...), configs[bad+1:]...)
+	sweptLikeFresh(t, "after a failed sweep", rest, 1, 2)
+}
+
+// TestTakeInstanceRecycles pins what a worker's slot holds from job to
+// job: nothing while a job runs, the same instance again for the same
+// shape, a different one after a shape change — never two.
+func TestTakeInstanceRecycles(t *testing.T) {
+	configs := twoShapes(2)
+	var slot *RunInstance
+	a, err := takeInstance(configs[0], &slot)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if slot != nil {
+		t.Fatal("slot still holds an instance while a job owns it")
+	}
+	slot = a
+	if again, err := takeInstance(configs[0], &slot); err != nil || again != a {
+		t.Fatalf("same shape: got %p, %v; want the parked instance %p", again, err, a)
+	}
+	slot = a
+	b, err := takeInstance(configs[1], &slot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b == a || b.Shape() == a.Shape() || slot != nil {
+		t.Fatalf("shape change: got %p (parked %p), slot %p; want a fresh build and an empty slot", b, a, slot)
+	}
+	// A config that cannot run is refused before the slot is touched.
+	slot = b
+	bad := configs[1]
+	bad.Protocol = "bogus"
+	if _, err := takeInstance(bad, &slot); err == nil || slot != b {
+		t.Errorf("invalid config: err = %v, slot %p; want an error and %p still parked", err, slot, b)
+	}
+}
+
+// TestPooledSweepWorkerAllocationFree locks in the recycling payoff: once
+// an instance is warm, what a sweep worker does between two same-shape
+// replicates — take the parked instance from its slot, reset it for the
+// next seed, park it again — allocates nothing.
+func TestPooledSweepWorkerAllocationFree(t *testing.T) {
+	cfg := tiny(ProtoMMPTCP, 20)
+	var slot *RunInstance
 	// Warm the instance: real runs grow the engine's event free list and
 	// the network's internal scratch to steady-state capacity.
 	for s := uint64(1); s <= 2; s++ {
 		cfg.Seed = s
-		if err := inst.Reset(cfg); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := inst.Run(context.Background(), cfg); err != nil {
+		if _, err := runRecycled(context.Background(), cfg, &slot); err != nil {
 			t.Fatal(err)
 		}
 	}
-	pool := sweep.NewInstancePool[Shape, *RunInstance]()
-	shape := inst.Shape()
-	pool.Put(shape, inst)
+	warm := slot
 	seed := uint64(3)
 	allocs := testing.AllocsPerRun(100, func() {
-		got, ok := pool.Get(shape)
-		if !ok {
-			panic("pool lost the instance")
-		}
 		cfg.Seed = seed
 		seed++
-		if err := got.Reset(cfg); err != nil {
+		inst, err := takeInstance(cfg, &slot)
+		if err != nil {
 			panic(err)
 		}
-		pool.Put(shape, got)
+		if inst != warm {
+			panic("worker slot lost its instance")
+		}
+		slot = inst
 	})
 	if allocs != 0 {
-		t.Errorf("pooled worker setup loop allocates %.1f per replicate, want 0", allocs)
+		t.Errorf("worker slot loop allocates %.1f per replicate, want 0", allocs)
+	}
+}
+
+// TestWarmReplicateAllocationBudget pins what one replicate of the
+// benchmark's sweep_tiny shape (K=4, 64 hosts, 8 shorts, no long flows)
+// costs a sweep worker once its instance is warm: transports, workload,
+// Results — no engine, no fabric. Measured 289 objects and 50 KB; 506 and
+// 54 KB while PoissonShortFlows allocated three objects per sender;
+// 1,449 and 221 KB when every replicate built its own instance.
+func TestWarmReplicateAllocationBudget(t *testing.T) {
+	cfg := Config{
+		Topology:     TopoFatTree,
+		K:            4,
+		HostsPerEdge: 8,
+		Protocol:     ProtoMMPTCP,
+		ShortFlows:   8,
+		ArrivalRate:  50,
+		LongFraction: -1,
+	}
+	var slot *RunInstance
+	seed := uint64(1)
+	replicate := func() {
+		cfg.Seed = seed
+		seed++
+		if _, err := runRecycled(context.Background(), cfg, &slot); err != nil {
+			panic(err)
+		}
+	}
+	for i := 0; i < 20; i++ { // grow rings, free lists and packet pool
+		replicate()
+	}
+	if allocs := testing.AllocsPerRun(50, replicate); allocs > 320 {
+		t.Errorf("warm replicate allocates %.0f objects, budget 320", allocs)
 	}
 }
 
@@ -194,11 +320,11 @@ func TestMetricsKnobValidation(t *testing.T) {
 	if err := run(func(c *Config) { c.Metrics.SnapshotInterval = -Millisecond }); err == nil {
 		t.Error("negative snapshot interval accepted")
 	}
-	// Pooled sweeps surface the same validation errors.
+	// Sweeps surface the same validation errors.
 	bad := tiny(ProtoTCP, 1)
 	bad.Metrics.HistPrecision = -1
-	if _, err := RunSweep([]Config{bad}, SweepOptions{Pool: true}); err == nil {
-		t.Error("pooled sweep accepted invalid histogram precision")
+	if _, err := RunSweep([]Config{bad}, SweepOptions{}); err == nil {
+		t.Error("sweep accepted invalid histogram precision")
 	}
 }
 

@@ -123,28 +123,10 @@ func redialSweepConfigs() []Config {
 // TestRedialDeterminism locks in the tentpole's determinism contract:
 // with recovery on, replacement source ports come from each flow's
 // private RNG stream in event order, so a recovering sweep is
-// byte-identical serial vs parallel and fresh vs pooled.
+// byte-identical on fresh instances (Run) and recycled ones (RunSweep),
+// serial and parallel.
 func TestRedialDeterminism(t *testing.T) {
-	serial, err := RunSweep(redialSweepConfigs(), SweepOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := RunSweep(redialSweepConfigs(), SweepOptions{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pooled, err := RunSweep(redialSweepConfigs(), SweepOptions{Workers: 4, Pool: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range serial {
-		if !reflect.DeepEqual(serial[i], parallel[i]) {
-			t.Errorf("config %d: recovering sweep diverged between 1 and 4 workers", i)
-		}
-		if !reflect.DeepEqual(serial[i], pooled[i]) {
-			t.Errorf("config %d: recovering sweep diverged between fresh and pooled instances", i)
-		}
-	}
+	serial := sweptLikeFresh(t, "recovering sweep", redialSweepConfigs(), 1, 4)
 	// The dynamics actually ran: the local-repair configs re-dialed and
 	// the staggered config deferred phase switches.
 	for i, res := range serial[:2] {

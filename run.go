@@ -11,7 +11,6 @@ import (
 	"repro/internal/routing"
 	"repro/internal/shard"
 	"repro/internal/sim"
-	"repro/internal/sweep"
 	"repro/internal/topology"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -122,7 +121,7 @@ type Results struct {
 // faults, the routing control plane) is built per run on top of it, so
 // an instance can be recycled across runs that share a Config Shape:
 // build once with NewRunInstance, then alternate Reset and Run. RunSweep
-// does this automatically under SweepOptions.Pool; the direct API exists
+// does exactly that with one instance per worker; the direct API exists
 // for benchmarks and custom drivers.
 //
 // An instance is single-threaded: one run at a time, no concurrent use.
@@ -137,7 +136,7 @@ type RunInstance struct {
 	// rec is the structured event recorder armed for the next run (nil
 	// when the config's Trace section is off). It is re-armed — reused
 	// when the trace options match, rebuilt otherwise — by Reset, so a
-	// pooled flight recorder costs its storage once per instance.
+	// recycled flight recorder costs its storage once per instance.
 	rec *trace.Recorder
 }
 
@@ -184,7 +183,7 @@ func (ri *RunInstance) Recorder() *trace.Recorder { return ri.rec }
 // nil when tracing is off, the existing recorder reset in place when
 // its options already match, a fresh one otherwise. cfg must have
 // defaults applied. With tracing off this is a single nil store — the
-// pooled Reset path stays allocation-free.
+// recycling Reset path stays allocation-free.
 func (ri *RunInstance) armRecorder(cfg *Config) {
 	if cfg.Trace.Mode == TraceOff {
 		ri.rec = nil
@@ -209,7 +208,7 @@ func (ri *RunInstance) Reset(cfg Config) error {
 		return err
 	}
 	if s := cfg.shape(); s != ri.shape {
-		return fmt.Errorf("mmptcp: pooled instance of shape %+v cannot run config of shape %+v", ri.shape, s)
+		return fmt.Errorf("mmptcp: instance of shape %+v cannot run config of shape %+v", ri.shape, s)
 	}
 	ri.eng.Reset()
 	ri.net.Reset(cfg.Seed)
@@ -220,8 +219,8 @@ func (ri *RunInstance) Reset(cfg Config) error {
 
 // Run executes one experiment on the instance. The instance must be
 // freshly built for cfg or Reset with it; Results are byte-identical to
-// Run(cfg) on a throwaway instance (the pooled-determinism guarantee,
-// locked in by TestPooledSweepByteIdentical).
+// Run(cfg) on a throwaway instance (the recycling guarantee, locked in
+// by TestPooledSweepByteIdentical).
 func (ri *RunInstance) Run(ctx context.Context, cfg Config) (*Results, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -276,36 +275,40 @@ func RunTraced(cfg Config) (*Results, *trace.Recorder, error) {
 	return res, inst.rec, nil
 }
 
-// runPooled is the sweep worker's pooled path: draw an instance for the
-// config's shape — resetting a recycled one — run, and park it again.
-// Instances are only returned to the pool after a clean run; an aborted
-// run's instance is dropped rather than parked dirty.
-func runPooled(ctx context.Context, cfg Config, pool *sweep.InstancePool[Shape, *RunInstance]) (*Results, error) {
-	if err := cfg.applyDefaults(); err != nil {
+// runRecycled is one RunSweep job. parked is the calling worker's slot:
+// the instance its previous job left behind, or nil. The slot is
+// refilled only after a clean run, so an instance whose run failed or
+// was cancelled is dropped rather than parked dirty.
+func runRecycled(ctx context.Context, cfg Config, parked **RunInstance) (*Results, error) {
+	inst, err := takeInstance(cfg, parked)
+	if err != nil {
 		return nil, err
-	}
-	if err := cfg.validateWorkload(); err != nil {
-		return nil, err
-	}
-	shape := cfg.shape()
-	inst, ok := pool.Get(shape)
-	if ok {
-		if err := inst.Reset(cfg); err != nil {
-			return nil, err
-		}
-	} else {
-		var err error
-		inst, err = NewRunInstance(cfg)
-		if err != nil {
-			return nil, err
-		}
 	}
 	res, err := inst.Run(ctx, cfg)
 	if err != nil {
 		return nil, err
 	}
-	pool.Put(shape, inst)
+	*parked = inst
 	return res, nil
+}
+
+// takeInstance empties the slot and returns an instance ready to run
+// cfg: the parked one, reset, when it has cfg's shape; a fresh build
+// otherwise (first job, shape change), with the parked one let go first
+// so a worker never holds two. The reuse path allocates nothing.
+func takeInstance(cfg Config, parked **RunInstance) (*RunInstance, error) {
+	if err := cfg.applyDefaults(); err != nil {
+		return nil, err
+	}
+	inst := *parked
+	*parked = nil
+	if inst == nil || inst.shape != cfg.shape() {
+		return NewRunInstance(cfg)
+	}
+	if err := inst.Reset(cfg); err != nil {
+		return nil, err
+	}
+	return inst, nil
 }
 
 // runWith is the body shared by every entry point. cfg has defaults

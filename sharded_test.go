@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -75,26 +76,22 @@ func shardNorm(r *Results) *Results {
 // contract against the sequential oracle:
 //
 //   - 1-shard runs are byte-identical to sequential runs (modulo the
-//     Config.Shards field itself), fresh and pooled — the fabric in
-//     direct mode is provably the same engine.
-//   - N-shard runs (N = 2, 4) are deterministic: repeat runs, pooled
-//     runs and parallel-worker runs all agree byte-for-byte for a fixed
-//     (Seed, Shards). Shard count does change event interleaving — the
-//     windowed barrier realises cross-shard deliveries in (time, source
-//     shard, send order) and the final Stop lands on a window edge — so
-//     N-shard Results are compared to the oracle on the config-driven
-//     invariants (spawn and fault-event counts), not byte-for-byte; the
-//     shard package documents the divergence.
+//     Config.Shards field itself), on fresh instances and on a sweep
+//     worker's recycled one — the fabric in direct mode is provably the
+//     same engine.
+//   - N-shard runs (N = 2, 4) are deterministic: Run on fresh instances,
+//     a serial sweep and a parallel sweep (both recycling) all agree
+//     byte-for-byte for a fixed (Seed, Shards). Shard count does change
+//     event interleaving — the windowed barrier realises cross-shard
+//     deliveries in (time, source shard, send order) and the final Stop
+//     lands on a window edge — so N-shard Results are compared to the
+//     oracle on the config-driven invariants (spawn and fault-event
+//     counts), not byte-for-byte; the shard package documents the
+//     divergence.
 func TestShardedRunByteIdentical(t *testing.T) {
-	seq, err := RunSweep(shardedSuite(0), SweepOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	one, err := RunSweep(shardedSuite(1), SweepOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	onePooled, err := RunSweep(shardedSuite(1), SweepOptions{Workers: 1, Pool: true})
+	seq := runFresh(t, shardedSuite(0))
+	one := runFresh(t, shardedSuite(1))
+	oneSwept, err := RunSweep(shardedSuite(1), SweepOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,30 +99,13 @@ func TestShardedRunByteIdentical(t *testing.T) {
 		if !reflect.DeepEqual(seq[i], shardNorm(one[i])) {
 			t.Errorf("config %d: 1-shard run diverged from sequential oracle", i)
 		}
-		if !reflect.DeepEqual(seq[i], shardNorm(onePooled[i])) {
-			t.Errorf("config %d: pooled 1-shard run diverged from sequential oracle", i)
+		if !reflect.DeepEqual(seq[i], shardNorm(oneSwept[i])) {
+			t.Errorf("config %d: recycled 1-shard run diverged from sequential oracle", i)
 		}
 	}
 	for _, n := range []int{2, 4} {
-		a, err := RunSweep(shardedSuite(n), SweepOptions{Workers: 1})
-		if err != nil {
-			t.Fatalf("shards=%d: %v", n, err)
-		}
-		b, err := RunSweep(shardedSuite(n), SweepOptions{Workers: 1})
-		if err != nil {
-			t.Fatalf("shards=%d repeat: %v", n, err)
-		}
-		p, err := RunSweep(shardedSuite(n), SweepOptions{Workers: 4, Pool: true})
-		if err != nil {
-			t.Fatalf("shards=%d pooled: %v", n, err)
-		}
+		a := sweptLikeFresh(t, fmt.Sprintf("shards=%d", n), shardedSuite(n), 1, 4)
 		for i := range a {
-			if !reflect.DeepEqual(a[i], b[i]) {
-				t.Errorf("config %d: shards=%d repeat run diverged (nondeterministic)", i, n)
-			}
-			if !reflect.DeepEqual(a[i], p[i]) {
-				t.Errorf("config %d: shards=%d pooled parallel run diverged", i, n)
-			}
 			if a[i].Spawned != seq[i].Spawned {
 				t.Errorf("config %d: shards=%d spawned %d flows, oracle %d",
 					i, n, a[i].Spawned, seq[i].Spawned)

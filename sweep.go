@@ -5,17 +5,21 @@ package mmptcp
 // The paper's evaluation is not one simulation but dozens: Figure 1(a)
 // alone is nine runs (subflow counts 1..9), the §2/§3 ablations sweep
 // switching thresholds, arrival rates and topologies, and every scan is
-// embarrassingly parallel — runs share no state, each builds its own
-// engine, network and RNG streams from its Config. RunSweep exploits
-// that: it fans a slice of Configs across a bounded worker pool (one
-// sim.Engine per run, never shared) and returns Results in config order.
+// embarrassingly parallel — runs share no state, each has an engine,
+// network and RNG streams of its own, set up from its Config. RunSweep
+// exploits that: it fans a slice of Configs across a bounded worker pool
+// (one sim.Engine per worker, never shared) and returns Results in
+// config order. Most scans are many seeds over few shapes, so a worker
+// keeps the engine+network pair of its last run and resets it for the
+// next config of the same Shape instead of building another.
 //
 // Determinism guarantee: a Config fully determines its Results — the
 // engine is single-threaded, all randomness flows from Config.Seed
-// through sim.RNG streams, and no state leaks between runs — so RunSweep
-// returns identical Results for the same configs regardless of
-// SweepOptions.Workers, including Workers == 1. TestRunSweepDeterminism
-// locks this in.
+// through sim.RNG streams, and a reset instance is indistinguishable
+// from a new one — so RunSweep returns, for every config, byte for byte
+// what Run returns for it, regardless of SweepOptions.Workers and of
+// which configs a worker happened to run before. TestRunSweepDeterminism
+// and TestPooledSweepByteIdentical lock this in.
 //
 // Quick start (after `go build ./...` at the repo root — the module is
 // plain `repro`, no vendoring, no dependencies):
@@ -45,8 +49,9 @@ import (
 type SweepOptions struct {
 	// Workers caps how many experiments run concurrently. Zero or
 	// negative means runtime.GOMAXPROCS(0). Each worker owns at most one
-	// live simulation, so peak memory scales with Workers, not with
-	// len(configs).
+	// run instance — live or parked between two configs — so peak memory
+	// scales with Workers, not with len(configs) or the number of
+	// distinct shapes.
 	Workers int
 
 	// Context cancels the sweep: in-flight simulations poll it (see
@@ -59,15 +64,6 @@ type SweepOptions struct {
 	// sets are reproducible and statistically independent across i.
 	// Configs with explicit seeds are left untouched.
 	Seed uint64
-
-	// Pool recycles run instances (engine + built network) across
-	// configs that share a structural Shape instead of rebuilding them
-	// for every run: replicate sweeps — many seeds over few shapes — cut
-	// their per-run setup allocations by orders of magnitude (see
-	// cmd/bench's sweep-scale rows). Results are byte-identical to the
-	// unpooled path at any worker count (TestPooledSweepByteIdentical);
-	// peak live instances stay bounded by Workers per distinct shape.
-	Pool bool
 
 	// OnResult, if non-nil, is called after each run completes with the
 	// number of runs finished so far, the total, and the finished run's
@@ -103,22 +99,12 @@ func RunSweep(configs []Config, opts SweepOptions) ([]*Results, error) {
 			slots = cfg.Shards
 		}
 	}
-	if opts.Pool {
-		pool := sweep.NewInstancePool[Shape, *RunInstance]()
-		return sweep.Run(ctx, len(configs), sweep.Options{
-			Workers:      opts.Workers,
-			SlotsPerTask: slots,
-			OnDone:       opts.OnResult,
-		}, func(ctx context.Context, i int) (*Results, error) {
-			return runPooled(ctx, configs[i], pool)
-		})
-	}
 	return sweep.Run(ctx, len(configs), sweep.Options{
 		Workers:      opts.Workers,
 		SlotsPerTask: slots,
 		OnDone:       opts.OnResult,
-	}, func(ctx context.Context, i int) (*Results, error) {
-		return RunContext(ctx, configs[i])
+	}, func(ctx context.Context, parked **RunInstance, i int) (*Results, error) {
+		return runRecycled(ctx, configs[i], parked)
 	})
 }
 

@@ -37,8 +37,9 @@ func traceFaultSuite() []Config {
 
 // TestTracedRunByteIdentical is the tracing contract: a traced run's
 // Results are byte-identical to the untraced run's — ring or full mode,
-// serial or parallel, fresh or pooled instances — because trace points
-// only observe (no engine events, no RNG draws, no pool traffic). Only
+// serial or parallel, on fresh instances (Run) or a sweep worker's
+// recycled one — because trace points only observe (no engine events, no
+// RNG draws, no pool traffic). Only
 // the Config echo's Trace section differs, by construction; it is
 // normalised before comparison.
 func TestTracedRunByteIdentical(t *testing.T) {
@@ -53,24 +54,25 @@ func TestTracedRunByteIdentical(t *testing.T) {
 		}
 		return configs
 	}
-	baseline, err := RunSweep(mk(TraceOff), SweepOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	baseline := runFresh(t, mk(TraceOff))
 	for _, tc := range []struct {
 		name    string
 		mode    TraceMode
-		workers int
-		pool    bool
+		workers int // 0: Run on fresh instances, no sweep
 	}{
-		{"ring serial", TraceRing, 1, false},
-		{"ring 4 workers", TraceRing, 4, false},
-		{"ring pooled", TraceRing, 1, true},
-		{"full serial", TraceFull, 1, false},
+		{"ring fresh", TraceRing, 0},
+		{"ring serial sweep", TraceRing, 1},
+		{"ring 4 workers", TraceRing, 4},
+		{"full serial sweep", TraceFull, 1},
 	} {
-		got, err := RunSweep(mk(tc.mode), SweepOptions{Workers: tc.workers, Pool: tc.pool})
-		if err != nil {
-			t.Fatal(err)
+		var got []*Results
+		if tc.workers == 0 {
+			got = runFresh(t, mk(tc.mode))
+		} else {
+			var err error
+			if got, err = RunSweep(mk(tc.mode), SweepOptions{Workers: tc.workers}); err != nil {
+				t.Fatal(err)
+			}
 		}
 		for i := range got {
 			g, b := *got[i], *baseline[i]
