@@ -51,7 +51,6 @@ var (
 	csvFlag     = flag.Bool("csv", false, "emit per-flow CSV instead of tables where applicable")
 	workersFlag = flag.Int("workers", 0, "max concurrent experiments (0 = all CPUs, 1 = serial); sharded experiments each occupy -shards worker slots")
 	shardsFlag  = flag.Int("shards", 0, "partition each experiment's fabric across this many parallel event engines (0/1 = sequential)")
-	lookaheadFl = flag.String("lookahead", "", "sharded window policy: conservative (default) or adaptive (identical tables, fewer barriers)")
 	cpuProfFlag = flag.String("cpuprofile", "", "write a CPU profile of the regeneration to this file")
 	memProfFlag = flag.String("memprofile", "", "write a heap profile to this file at exit")
 )
@@ -164,7 +163,6 @@ func baseConfig(proto mmptcp.Protocol) mmptcp.Config {
 	}
 	cfg.Seed = *seedFlag
 	cfg.Shards = *shardsFlag
-	cfg.Lookahead = mmptcp.LookaheadMode(*lookaheadFl)
 	return cfg
 }
 

@@ -95,7 +95,6 @@ func main() {
 		seed     = flag.Uint64("seed", 1, "random seed (with -seeds: base for derived replicate seeds)")
 		seeds    = flag.Int("seeds", 1, "replicate the experiment under this many derived seeds")
 		shards   = flag.Int("shards", 0, "partition the fabric across this many parallel event engines (0/1 = sequential; runs are deterministic for a fixed -seed and -shards)")
-		lookahd  = flag.String("lookahead", "", "sharded synchronization window policy: conservative (static min boundary delay, the default) or adaptive (widen windows from shard EOT promises, elide idle shards; identical results, fewer barriers)")
 		workers  = flag.Int("workers", 0, "max concurrent replicates (0 = all CPUs); sharded replicates each occupy -shards worker slots")
 		maxSimS  = flag.Float64("max-sim-seconds", 300, "virtual-time safety cap")
 		perflow  = flag.Bool("perflow", false, "emit per-flow CSV to stdout")
@@ -129,7 +128,6 @@ func main() {
 		HotspotHost:     *hotHost,
 		Seed:            *seed,
 		Shards:          *shards,
-		Lookahead:       mmptcp.LookaheadMode(*lookahd),
 		MaxSimTime:      sim.FromSeconds(*maxSimS),
 		Metrics: mmptcp.MetricsConfig{
 			Mode:             mmptcp.MetricsMode(*metricsM),
@@ -425,15 +423,15 @@ func report(res *mmptcp.Results, wall time.Duration) {
 	fmt.Printf("protocol=%s topology=%s(k=%d,hosts/edge=%d) queue=%d seed=%d",
 		cfg.Protocol, cfg.Topology, cfg.K, cfg.HostsPerEdge, cfg.QueueLimit, cfg.Seed)
 	if cfg.Shards > 1 {
-		fmt.Printf(" shards=%d lookahead=%s", cfg.Shards, res.Shard.Mode)
+		fmt.Printf(" shards=%d", cfg.Shards)
 	}
 	fmt.Println()
 	fmt.Printf("simulated %v in %v wall (%d events, %.1fM events/s)\n",
 		res.Elapsed, wall.Round(time.Millisecond), res.Events,
 		float64(res.Events)/wall.Seconds()/1e6)
 	if s := res.Shard; s.Shards > 1 {
-		fmt.Printf("sync: %d barriers, %d windows (%d widened), %d elided wakeups, mean window %.1fus\n",
-			s.Barriers, s.Windows, s.WidenedWindows, s.ElidedWakeups, s.MeanWindowNs/1e3)
+		fmt.Printf("sync: %d barriers, %d windows, %d elided wakeups, mean window %.1fus\n",
+			s.Barriers, s.Windows, s.ElidedWakeups, s.MeanWindowNs/1e3)
 	}
 	fmt.Printf("\nshort flows (%d spawned):\n  %v\n", res.Spawned, res.ShortSummary)
 	fmt.Printf("  deadline (%v) miss rate: %.1f%%\n", res.Config.Deadline, res.DeadlineMissRate*100)

@@ -245,12 +245,12 @@ type RoutingStats struct {
 // Results "Shard" block. On a sequential (direct) run only Shards is
 // set (to 1) and Mode is empty; on a partitioned run the counters
 // describe the coordinator's barrier work and are deterministic per
-// (Seed, Shards, lookahead mode).
+// (Seed, Shards).
 type ShardStats struct {
 	// Shards is the engine count the run executed on (1 = sequential).
 	Shards int
-	// Mode is the lookahead policy ("conservative" or "adaptive");
-	// empty on a sequential run, which has no synchronization window.
+	// Mode is the lookahead policy: "conservative" on a partitioned run,
+	// empty on a sequential one, which has no synchronization window.
 	Mode string
 	// LookaheadNs is the conservative window bound: the minimum
 	// propagation delay across shard-boundary links, in nanoseconds.
@@ -264,8 +264,9 @@ type ShardStats struct {
 	// ElidedWakeups counts shard-window slots skipped without a channel
 	// round-trip (the shard had nothing below its window edge).
 	ElidedWakeups uint64
-	// WidenedWindows counts windows whose edge exceeded the conservative
-	// bound — nonzero only in adaptive mode.
+	// WidenedWindows is always zero: no window exceeds the conservative
+	// bound. The field stays until the benchmark's Results fingerprints
+	// are next re-recorded.
 	WidenedWindows uint64
 	// MeanWindowNs is the mean parallel-window width in nanoseconds.
 	MeanWindowNs float64

@@ -85,6 +85,14 @@ func (s *LinkStats) AvgQueue(elapsed sim.Time) float64 {
 	return float64(s.QueueIntegral) / float64(elapsed)
 }
 
+// rxScheduler is what a link needs of whatever realises its deliveries:
+// the destination's *sim.Engine, or a cross-shard outbox buffering them
+// for the destination shard (which may return a nil *sim.Event).
+type rxScheduler interface {
+	Now() sim.Time
+	AtArg(t sim.Time, fn func(any), arg any) *sim.Event
+}
+
 // Link is a unidirectional point-to-point link with a drop-tail FIFO
 // output queue and store-and-forward transmission: a packet occupies the
 // transmitter for size/bandwidth, then arrives at the destination after
@@ -159,18 +167,11 @@ type Link struct {
 	// then the cross-shard outbox, and the rx-side blackhole accounting
 	// goes into rxBlackholed/rxBlackholedBytes so the two threads never
 	// write the same counters. FoldRx merges them at a barrier.
-	rxSched           sim.EventScheduler
+	rxSched           rxScheduler
 	rxPool            *PacketPool
 	rxRec             *trace.Recorder
 	rxBlackholed      int64
 	rxBlackholedBytes int64
-
-	// rxClass is the destination node's horizon class (see
-	// sim.Engine.SetHorizonClasses), stamped on every delivery this link
-	// schedules: crossing the link moves the packet to dst, so its
-	// remaining influence distance is dst's, not the sender's. Zero (the
-	// default, and always in sequential runs) is the sound "unknown".
-	rxClass uint8
 
 	// txDoneFn and deliverFn are the long-lived engine callbacks for the
 	// two per-packet events of a transmission, created once so the hot
@@ -238,17 +239,12 @@ func (l *Link) SetRecorders(tx, rx *trace.Recorder) { l.rec, l.rxRec = tx, rx }
 // destination shard's engine, or a cross-shard outbox) and recycles
 // into rxPool. Passing the same engine and pool on both sides restores
 // sequential behaviour.
-func (l *Link) Rebind(txEng *sim.Engine, rxSched sim.EventScheduler, txPool, rxPool *PacketPool) {
+func (l *Link) Rebind(txEng *sim.Engine, rxSched rxScheduler, txPool, rxPool *PacketPool) {
 	l.eng = txEng
 	l.rxSched = rxSched
 	l.pool = txPool
 	l.rxPool = rxPool
 }
-
-// SetRxHorizonClass installs the destination node's horizon class,
-// stamped on every delivery scheduled through rxSched. The sharded
-// partitioner computes it per node; 0 restores the untagged default.
-func (l *Link) SetRxHorizonClass(c uint8) { l.rxClass = c }
 
 // FoldRx merges the receive-side blackhole counters into Stats. The
 // coordinator calls it at a barrier (both shard threads paused) before
@@ -575,10 +571,8 @@ func (l *Link) txDone(p *Packet) {
 	// this is exactly ScheduleArg(prop, ...); on a shard boundary it
 	// routes the delivery into the destination shard's heap (via the
 	// outbox), which is what makes the link the cut point of the fabric
-	// partition. The delivery carries the destination node's horizon
-	// class — the hop that re-tags influence distance as packets move
-	// through the fabric.
-	l.rxSched.AtArgClass(l.eng.Now()+l.prop, l.deliverFn, p, l.rxClass)
+	// partition.
+	l.rxSched.AtArg(l.eng.Now()+l.prop, l.deliverFn, p)
 	if l.count > 0 {
 		l.accountQueue()
 		l.transmit(l.pop())

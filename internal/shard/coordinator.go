@@ -11,16 +11,9 @@ type RunOptions struct {
 	Until sim.Time
 	// Interrupt, when non-nil, is polled at every barrier; returning
 	// true abandons the run, as the sequential engine's SetInterrupt
-	// hook does. Barriers recur at least every maxWindowFactor
-	// lookaheads of virtual time (every single lookahead in
-	// conservative mode), so polling latency is bounded.
+	// hook does. While events are pending, barriers recur at least once
+	// per lookahead of virtual time, so polling latency is bounded.
 	Interrupt func() bool
-	// Adaptive selects traffic-adaptive lookahead: window edges widen
-	// to the minimum earliest-output-time promise of the other shards
-	// instead of the static conservative bound, and shards with nothing
-	// to do below their edge are elided from the barrier. Off (the
-	// default) is the conservative engine, byte-identical to PR 8.
-	Adaptive bool
 }
 
 // worker is one shard's persistent execution thread: it parks on start,
@@ -58,8 +51,7 @@ func (f *Fabric) stopWorkers() {
 // control-plane callbacks running at the barrier observe the barrier
 // instant on whichever shard engine they consult, and events they
 // schedule relative to a shard's now land in that shard's future.
-// Clocks already past t (a shard that ran a wide adaptive window) stay
-// put — AdvanceTo is monotone.
+// AdvanceTo is monotone: a clock already at t stays put.
 func (f *Fabric) advanceShards(t sim.Time) {
 	for _, e := range f.engines {
 		e.AdvanceTo(t)
@@ -76,14 +68,13 @@ func (f *Fabric) advanceShards(t sim.Time) {
 // Stop granularity: a Stop issued by a deferred completion takes effect
 // at the barrier that replays the completion. The window that produced
 // it has already run to its edge, so shard engines may process events
-// up to one window (at most maxWindowFactor lookaheads plus the
-// distance to the next control event; one lookahead in conservative
-// mode) past the stop time — events the sequential simulator never
-// reaches. The overrun is deterministic (windows depend only on heap
-// state, never on thread timing), and the returned stop time is exact;
-// only cumulative counters (per-link stats, processed-event totals)
-// include the overrun. This is the documented N-shard divergence from
-// the sequential oracle — see the package comment.
+// up to one window (one lookahead) past the stop time — events the
+// sequential simulator never reaches. The overrun is deterministic
+// (windows depend only on heap state, never on thread timing), and the
+// returned stop time is exact; only cumulative counters (per-link stats,
+// processed-event totals) include the overrun. This is the documented
+// N-shard divergence from the sequential oracle — see the package
+// comment.
 func (f *Fabric) Run(opt RunOptions) (stopped bool, elapsed sim.Time) {
 	if f.direct {
 		f.control.RunUntil(opt.Until)
@@ -132,186 +123,32 @@ func (f *Fabric) Run(opt RunOptions) (stopped bool, elapsed sim.Time) {
 			f.control.RunUntil(c)
 			continue
 		}
-		// Parallel window: shard i executes events strictly below its
-		// edge. The conservative edge s + lookahead is always safe (a
+		// Parallel window: every shard executes events strictly below
+		// the edge. The conservative edge s + lookahead is always safe (a
 		// cross-shard send at t >= s arrives at t + prop >= s +
 		// lookahead; degradations only add delay on top of the as-built
 		// propagation the lookahead was computed from, so the bound
-		// survives faults); adaptive mode widens per shard where the
-		// other shards' EOT promises allow it.
-		cons := s + f.lookahead
-		if cons > c {
-			cons = c
+		// survives faults).
+		edge := s + f.lookahead
+		if edge > c {
+			edge = c
 		}
-		if cons > until+1 {
-			cons = until + 1
+		if edge > until+1 {
+			edge = until + 1
 		}
-		if opt.Adaptive {
-			f.adaptiveEdges(s, cons, c, until)
-		} else {
-			for i := range f.edges {
-				f.edges[i] = cons
-			}
-		}
-		f.runWindow(s, cons)
+		f.runWindow(s, edge)
 	}
 }
 
-// adaptiveEdges fills f.edges with per-shard window edges from the
-// other shards' earliest-output-time promises.
-//
-// Shard j's promise is the earliest instant anything it does — now or
-// ever — can take effect on another shard. One hop of it is its next
-// pending event time plus a distance term: at least the minimum
-// propagation delay of j's outgoing boundary links, and wider when
-// every pending event's horizon class says it sits deeper inside the
-// shard — a rack-local packet at a host is several hops of propagation
-// from the nearest boundary, and sim.Engine.HorizonBonus surfaces the
-// minimum such distance over the live heap (outbox heads are folded in
-// defensively, though flushOutboxes has always drained them by the
-// time this runs). But the one-hop bound alone is unsound across
-// barriers: shard j's heap head can move *backward* when a later flush
-// commits an arrival below it, and a window edge granted on the
-// strength of the old head would then sit above traffic j emits in
-// response. The promise must therefore be the fixed point of
-//
-//	EOT_j = min(PeekTime_j + bonus_j, (min_{k != j} EOT_k) + outDelay_j)
-//
-// — own output no earlier than the heap's class-aware horizon, and any
-// relay of another shard's output through j paying at least j's
-// minimum boundary delay on the way back out.
-//
-// — the classical conservative earliest-input/earliest-output
-// computation: whatever chain of cross-shard arrivals could reach j,
-// each hop pays at least the source's minimum boundary delay, so the
-// fixed point lower-bounds everything j can emit in any future window,
-// not just the next one. Positive boundary delays (validated at build
-// time) make the relaxation converge in at most shards-1 passes.
-//
-// Control-plane work (fault injections, routing callbacks, spawner
-// dialing, snapshots) executes only at control turns, which every edge
-// is capped at (the c term), so promises never need to model it.
-// Whenever a promise cannot widen the window — dense boundary traffic
-// (the EWMA gate), control work pending at c, ties at the conservative
-// edge — the edge falls back to the conservative bound, so adaptive
-// mode inherits the conservative engine's no-deadlock guarantee: edges
-// never narrow below cons, and cons always admits the earliest pending
-// event.
-//
-// Determinism: promises derive from heap state and as-built delays, the
-// EWMA from committed delivery counts — never from thread timing — so
-// the window sequence is a pure function of (seed, shards).
-func (f *Fabric) adaptiveEdges(s, cons, c, until sim.Time) {
-	// EWMA gate: when boundaries are busy the promises collapse to
-	// (roughly) the conservative bound anyway; skip the promise pass
-	// until traffic quietens.
-	if len(f.ewma) > 0 {
-		sum := 0.0
-		for _, v := range f.ewma {
-			sum += v
-		}
-		if sum >= busyBoundaryEWMA*float64(len(f.ewma)) {
-			for i := range f.edges {
-				f.edges[i] = cons
-			}
-			return
-		}
-	}
-	for i, e := range f.engines {
-		f.promises[i] = satAdd(e.PeekTime(), e.HorizonBonus(f.outDelay[i]))
-	}
-	for k, ob := range f.outboxes {
-		// A buffered delivery is output already in flight: it lands at
-		// d.at, so the source's promise can be no later.
-		for _, d := range ob.pending {
-			if d.at < f.promises[f.obSrc[k]] {
-				f.promises[f.obSrc[k]] = d.at
-			}
-		}
-	}
-	// Relax to the fixed point: an arrival chain entering shard j before
-	// its own head lowers what j can promise, by the chain's earliest
-	// arrival plus j's minimum outgoing delay. Each pass propagates
-	// chains one hop further; positive delays bound useful chains at
-	// shards-1 hops, so the loop exits early once nothing moves.
-	m1, m2, arg := sim.MaxTime, sim.MaxTime, -1
-	for pass := 0; pass < f.shards; pass++ {
-		m1, m2, arg = sim.MaxTime, sim.MaxTime, -1
-		for j, p := range f.promises {
-			if p < m1 {
-				m1, m2, arg = p, m1, j
-			} else if p < m2 {
-				m2 = p
-			}
-		}
-		changed := false
-		for j := range f.promises {
-			in := m1
-			if j == arg {
-				in = m2
-			}
-			if p := satAdd(in, f.outDelay[j]); p < f.promises[j] {
-				f.promises[j] = p
-				changed = true
-			}
-		}
-		if !changed {
-			break
-		}
-	}
-	// Shard i's edge is the minimum settled promise over the *other*
-	// shards — computed for all i in one pass via the two smallest.
-	capEdge := satAdd(s, f.maxWindow)
-	for i := range f.edges {
-		w := m1
-		if i == arg {
-			w = m2
-		}
-		// Promises are never below s + lookahead (every shard's next
-		// event is >= s, every outgoing delay >= lookahead), so w >=
-		// cons holds mathematically; the max is a guard, not a policy.
-		if w < cons {
-			w = cons
-		}
-		if w > capEdge {
-			w = capEdge
-		}
-		if w > c {
-			w = c
-		}
-		if w > until+1 {
-			w = until + 1
-		}
-		f.edges[i] = w
-	}
-}
-
-// satAdd is a+b saturating at MaxTime, so "never" (MaxTime) stays never
-// instead of wrapping negative.
-func satAdd(a, b sim.Time) sim.Time {
-	if a >= sim.MaxTime-b {
-		return sim.MaxTime
-	}
-	return a + b
-}
-
-// runWindow dispatches every shard with work strictly below its edge
-// (f.edges) and waits for all of them — the barrier. Shards whose next
-// event is at or past their edge are elided: no channel round-trip, no
-// clock raise; their clocks catch up at the next control barrier or
-// window they participate in. s is the window start (the earliest
-// pending shard event) and cons the conservative edge, both for stats.
-func (f *Fabric) runWindow(s, cons sim.Time) {
-	if f.dispatched == nil {
-		f.dispatched = make([]bool, f.shards)
-	}
-	maxEdge := s
+// runWindow dispatches every shard with work strictly below edge and
+// waits for all of them — the barrier. Shards whose next event is at or
+// past the edge are elided: no channel round-trip, no clock raise; their
+// clocks catch up at the next control barrier or window they participate
+// in. s is the window start (the earliest pending shard event), for
+// stats.
+func (f *Fabric) runWindow(s, edge sim.Time) {
 	n := 0
 	for i, e := range f.engines {
-		edge := f.edges[i]
-		if edge > maxEdge {
-			maxEdge = edge
-		}
 		f.dispatched[i] = e.PeekTime() < edge
 		if f.dispatched[i] {
 			n++
@@ -326,12 +163,9 @@ func (f *Fabric) runWindow(s, cons sim.Time) {
 	elided := uint64(f.shards - n)
 	f.stats.Windows++
 	f.stats.ElidedWakeups += elided
-	f.stats.WindowNsSum += maxEdge - s
-	if maxEdge > cons {
-		f.stats.WidenedWindows++
-	}
+	f.stats.WindowNsSum += edge - s
 	if f.winRec != nil {
 		f.winRec.Record(s, trace.KindWindowEdge, 0, -1, int32(n), -1,
-			int64(maxEdge-s), int64(elided))
+			int64(edge-s), int64(elided))
 	}
 }

@@ -15,24 +15,20 @@
 // at the barrier. A barrier is the degenerate form of a null-message
 // broadcast — every shard learns every neighbour's horizon at once —
 // which trades a little parallel slack for a deadlock-free protocol with
-// no per-channel timestamp traffic. Adaptive lookahead (RunOptions.
-// Adaptive) replaces the static L with per-shard edges derived from the
-// fixed point of the shards' earliest-output-time promises and elides
-// idle shards from the barrier; see coordinator.go.
+// no per-channel timestamp traffic. A shard with nothing to execute
+// below the edge is elided from the window: no wake-up, no wait; see
+// coordinator.go.
 //
-// Determinism contract: runs are deterministic for a fixed (seed, shard
-// count) — and invariant across lookahead modes. Cross-shard deliveries
-// are totally ordered by (timestamp, source shard, send order) on the
-// destination heap, with the order key assigned when the source emits
-// the delivery, not when a barrier commits it: same-nanosecond event
-// order therefore never depends on where the synchronisation policy
-// happened to place a barrier, which is what lets the adaptive and
-// conservative engines produce identical Results from identical
-// configs. With 1 shard (or 0, the default) the fabric runs in direct
-// mode on the caller's engine and is byte-identical to the sequential
-// simulator by construction. With N≥2 shards the event interleaving
-// differs from the sequential order in bounded, documented ways —
-// identical-nanosecond ties resolve control-first at barriers,
+// Determinism contract: runs are deterministic for a fixed (Seed,
+// Shards). Cross-shard deliveries are totally ordered by (timestamp,
+// source shard, send order) on the destination heap, with the order key
+// assigned when the source emits the delivery, not when a barrier
+// commits it: same-nanosecond event order therefore never depends on
+// where a barrier happened to fall. With 1 shard (or 0, the default) the
+// fabric runs in direct mode on the caller's engine and is byte-identical
+// to the sequential simulator by construction. With N≥2 shards the event
+// interleaving differs from the sequential order in bounded, documented
+// ways — identical-nanosecond ties resolve control-first at barriers,
 // same-instant cross-shard arrivals order after local events and by
 // source shard, and a Stop lands on a window edge so shard engines
 // overrun it by at most one window — so N-shard Results are
@@ -43,7 +39,6 @@ package shard
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/netem"
 	"repro/internal/sim"
@@ -55,24 +50,20 @@ import (
 // delivery callback with its absolute arrival time and its intrinsic
 // ordering key (assigned at send time, not commit time).
 type delivery struct {
-	at    sim.Time
-	key   uint64
-	class uint8 // destination node's horizon class on the receiving engine
-	fn    func(any)
-	arg   any
+	at  sim.Time
+	key uint64
+	fn  func(any)
+	arg any
 }
 
 // Delivery ordering keys. Committed deliveries must sort, among events
 // at the same nanosecond on the destination engine, (a) after every
 // locally scheduled event and (b) among themselves by (source shard,
 // send order). Both properties are intrinsic to the simulation — they
-// never depend on which barrier happened to commit the delivery — which
-// is what makes same-nanosecond queue dynamics, and therefore Results,
-// identical across synchronization policies (conservative vs adaptive
-// windows commit the same deliveries at different barriers). The lane
-// bit puts delivery keys above any insertion sequence the engine can
-// reach; the source shard occupies the next bits; the low bits are the
-// per-outbox send counter.
+// never depend on which barrier happened to commit the delivery. The
+// lane bit puts delivery keys above any insertion sequence the engine
+// can reach; the source shard occupies the next bits; the low bits are
+// the per-outbox send counter.
 const (
 	deliveryLane   = uint64(1) << 63
 	deliverySrcSh  = 40
@@ -80,13 +71,13 @@ const (
 )
 
 // outbox is the cross-shard half of a boundary link's receive side. It
-// implements sim.EventScheduler so netem.Link can schedule deliveries
-// through it without knowing about shards: AtArg buffers the event (the
-// transmit shard's thread appends, nobody else touches pending until the
-// barrier), and the coordinator commits the buffered deliveries to the
-// destination engine in deterministic order at each barrier. Now() is
-// only called from the destination shard's thread, while a delivery
-// executes there.
+// has the two methods netem.Link calls on its receive scheduler, so a
+// link schedules deliveries through it without knowing about shards:
+// AtArg buffers the event (the transmit shard's thread appends, nobody
+// else touches pending until the barrier), and the coordinator commits
+// the buffered deliveries to the destination engine in deterministic
+// order at each barrier. Now() is only called from the destination
+// shard's thread, while a delivery executes there.
 type outbox struct {
 	dst     *sim.Engine
 	src     int    // source shard, baked into delivery keys
@@ -97,55 +88,14 @@ type outbox struct {
 func (o *outbox) Now() sim.Time { return o.dst.Now() }
 
 func (o *outbox) AtArg(t sim.Time, fn func(any), arg any) *sim.Event {
-	return o.AtArgClass(t, fn, arg, 0)
-}
-
-func (o *outbox) AtArgClass(t sim.Time, fn func(any), arg any, class uint8) *sim.Event {
 	if o.sent >= deliveryKeyMax {
 		panic("shard: outbox send counter exhausted its key bits")
 	}
 	key := deliveryLane | uint64(o.src)<<deliverySrcSh | o.sent
 	o.sent++
-	o.pending = append(o.pending, delivery{at: t, key: key, class: class, fn: fn, arg: arg})
+	o.pending = append(o.pending, delivery{at: t, key: key, fn: fn, arg: arg})
 	return nil
 }
-
-func (o *outbox) At(t sim.Time, fn func()) *sim.Event { panic("shard: outbox.At unused") }
-func (o *outbox) Schedule(d sim.Time, fn func()) *sim.Event {
-	panic("shard: outbox.Schedule unused")
-}
-func (o *outbox) ScheduleArg(d sim.Time, fn func(any), arg any) *sim.Event {
-	panic("shard: outbox.ScheduleArg unused")
-}
-
-const (
-	// maxWindowFactor caps an adaptive window at this many conservative
-	// lookaheads past the earliest pending event. It bounds how far
-	// shard engines can overrun a Stop, how stale the interrupt poll can
-	// get, and how long a barrier-starved fabric runs between memory
-	// publication points; beyond ~64 the extra widening stops paying
-	// because control-plane events cap the edge first.
-	maxWindowFactor = 64
-
-	// ewmaAlpha is the per-boundary deliveries-per-barrier EWMA gain
-	// (1/8: responsive within a handful of barriers, yet smooth over
-	// one-barrier bursts).
-	ewmaAlpha = 1.0 / 8
-
-	// maxHorizonClasses caps the per-shard horizon-class table
-	// (including class 0): fabric partitions produce only a handful of
-	// distinct node-to-boundary distances, and excess values quantise
-	// down to the nearest kept one, which is always sound.
-	maxHorizonClasses = 8
-
-	// busyBoundaryEWMA gates the adaptive promise pass: when the mean
-	// boundary EWMA is at or above this many committed deliveries per
-	// barrier, traffic is dense enough that promises collapse to the
-	// conservative bound anyway, so the coordinator skips the promise
-	// computation and keeps the conservative edge until boundaries
-	// quieten.
-	busyBoundaryEWMA = 4.0
-)
 
 // deferredCall is a completion callback captured on a shard thread and
 // replayed at the next barrier with the virtual time it fired at.
@@ -174,23 +124,9 @@ type Fabric struct {
 	swShard   []int
 	hostShard []int
 	lookahead sim.Time
-	maxWindow sim.Time // adaptive-edge cap: maxWindowFactor * lookahead, saturated
-
-	// outDelay[i] is the minimum as-built propagation delay over shard
-	// i's outgoing boundary links — the "plus the boundary link delay"
-	// term of shard i's earliest-output-time promise. MaxTime for a
-	// shard with no outgoing boundary (it can never influence another).
-	outDelay []sim.Time
 
 	outboxes []*outbox // in (src shard, dst shard) order: the merge order
-	obSrc    []int     // source shard per outbox, parallel to outboxes
 	deferred [][]deferredCall
-
-	// ewma[k] is outbox k's committed-deliveries-per-barrier EWMA
-	// (alpha 1/8) — the per-boundary traffic signal feeding the window
-	// policy (dense boundaries fall back to the conservative bound) and
-	// exported through Stats for load-aware re-partitioning.
-	ewma []float64
 
 	stopped  bool
 	stopTime sim.Time
@@ -200,22 +136,15 @@ type Fabric struct {
 
 	shardRecs []*trace.Recorder
 
-	// classDists[i] is shard i's horizon-class distance table (see
-	// buildHorizonClasses), kept so Reset can re-install it after the
-	// engines wipe their state.
-	classDists [][]sim.Time
-
 	workers    []worker
-	deferIdx   []int      // flushDeferred scratch, kept to avoid per-barrier allocation
-	dispatched []bool     // runWindow scratch
-	promises   []sim.Time // adaptive-edge scratch: per-shard EOT promise
-	edges      []sim.Time // adaptive-edge scratch: per-shard window edge
+	deferIdx   []int  // flushDeferred scratch, kept to avoid per-barrier allocation
+	dispatched []bool // runWindow scratch
 }
 
 // Stats is the coordinator's per-run synchronization accounting,
 // surfaced as the Results "Shard" block. All counters are deterministic
-// for a fixed (seed, shard count, lookahead mode): they derive from
-// heap states at barriers, never from thread timing.
+// for a fixed (Seed, Shards): they derive from heap states at barriers,
+// never from thread timing.
 type Stats struct {
 	// Barriers counts coordinator barriers: every iteration of the run
 	// loop — outbox flush, deferred replay, window computation.
@@ -226,14 +155,11 @@ type Stats struct {
 	// Windows counts dispatched parallel windows.
 	Windows uint64
 	// ElidedWakeups counts shard-window slots skipped: shards whose
-	// next event and EOT promise both lay beyond their window edge, so
-	// no channel round-trip woke them.
+	// next event lay at or beyond the window edge, so no channel
+	// round-trip woke them.
 	ElidedWakeups uint64
-	// WidenedWindows counts windows whose edge exceeded the
-	// conservative bound — adaptive lookahead at work.
-	WidenedWindows uint64
-	// WindowNsSum accumulates window widths (max shard edge minus the
-	// window start) for MeanWindowNs.
+	// WindowNsSum accumulates window widths (edge minus window start)
+	// for MeanWindowNs.
 	WindowNsSum sim.Time
 }
 
@@ -249,12 +175,6 @@ func (s Stats) MeanWindowNs() float64 {
 // run. Zero for a direct fabric, which has no coordinator.
 func (f *Fabric) Stats() Stats { return f.stats }
 
-// BoundaryEWMA returns the per-boundary committed-deliveries-per-barrier
-// EWMA, in the coordinator's (src shard, dst shard) outbox order — the
-// measured traffic signal behind the adaptive window policy. Nil for a
-// direct fabric.
-func (f *Fabric) BoundaryEWMA() []float64 { return f.ewma }
-
 // Build partitions net across `shards` engines and rebinds every host,
 // switch and link to its owner. shards <= 1 builds a direct fabric that
 // leaves the network untouched on the control engine. The partition
@@ -262,29 +182,21 @@ func (f *Fabric) BoundaryEWMA() []float64 { return f.ewma }
 // otherwise); hosts follow their access switch, so a host-switch cable
 // is never a boundary.
 func Build(control *sim.Engine, net *topology.Network, shards int) (*Fabric, error) {
-	return BuildWeighted(control, net, shards, nil)
-}
-
-// BuildWeighted is Build with per-switch partition weights (see
-// topology.PartitionWeighted): group boundaries balance summed weight —
-// typically measured forwarded-packet loads from a profiling run —
-// instead of switch count. Nil weights are exactly Build.
-func BuildWeighted(control *sim.Engine, net *topology.Network, shards int, weights []float64) (*Fabric, error) {
 	if shards <= 1 {
 		return &Fabric{control: control, net: net, shards: 1, direct: true}, nil
 	}
-	assign, err := topology.PartitionWeighted(net, shards, weights)
+	assign, err := topology.Partition(net, shards)
 	if err != nil {
 		return nil, err
 	}
 	f := &Fabric{
-		control:  control,
-		net:      net,
-		shards:   shards,
-		swShard:  assign,
-		deferred: make([][]deferredCall, shards),
-		deferIdx: make([]int, shards),
-		outDelay: make([]sim.Time, shards),
+		control:    control,
+		net:        net,
+		shards:     shards,
+		swShard:    assign,
+		deferred:   make([][]deferredCall, shards),
+		deferIdx:   make([]int, shards),
+		dispatched: make([]bool, shards),
 	}
 	f.engines = make([]*sim.Engine, shards)
 	f.pools = make([]*netem.PacketPool, shards)
@@ -308,9 +220,6 @@ func BuildWeighted(control *sim.Engine, net *topology.Network, shards int, weigh
 
 	obIndex := make([]*outbox, shards*shards)
 	f.lookahead = sim.MaxTime
-	for i := range f.outDelay {
-		f.outDelay[i] = sim.MaxTime
-	}
 	for _, l := range net.Links {
 		tx := nodeShard[l.Src().ID()]
 		rx := nodeShard[l.Dst().ID()]
@@ -326,9 +235,6 @@ func BuildWeighted(control *sim.Engine, net *topology.Network, shards int, weigh
 		l.Rebind(f.engines[tx], ob, f.pools[tx], f.pools[rx])
 		if l.PropDelay() < f.lookahead {
 			f.lookahead = l.PropDelay()
-		}
-		if l.PropDelay() < f.outDelay[tx] {
-			f.outDelay[tx] = l.PropDelay()
 		}
 	}
 	if f.lookahead == sim.MaxTime {
@@ -346,103 +252,10 @@ func BuildWeighted(control *sim.Engine, net *topology.Network, shards int, weigh
 		for rx := 0; rx < shards; rx++ {
 			if ob := obIndex[tx*shards+rx]; ob != nil {
 				f.outboxes = append(f.outboxes, ob)
-				f.obSrc = append(f.obSrc, tx)
 			}
 		}
 	}
-	f.ewma = make([]float64, len(f.outboxes))
-	// Adaptive windows are capped at maxWindowFactor lookaheads so Stop
-	// overrun, interrupt polling latency and snapshot staleness stay
-	// bounded even on a fully idle fabric.
-	if f.lookahead > sim.MaxTime/maxWindowFactor {
-		f.maxWindow = sim.MaxTime
-	} else {
-		f.maxWindow = f.lookahead * maxWindowFactor
-	}
-	f.promises = make([]sim.Time, shards)
-	f.edges = make([]sim.Time, shards)
-	f.buildHorizonClasses(assign)
 	return f, nil
-}
-
-// buildHorizonClasses computes, for every node, the minimum virtual
-// time an event there needs before its consequences can reach another
-// shard — the node's shortest influence path to (and across) a
-// boundary link, each hop paying its as-built propagation delay
-// (degradations only ever add delay, so the as-built figure is a sound
-// floor, exactly as for the lookahead). The distances are quantised
-// into at most maxHorizonClasses per-shard classes, installed on the
-// shard engines (sim.SetHorizonClasses) and stamped onto each link's
-// deliveries (SetRxHorizonClass), which is what lets an adaptive
-// promise exceed PeekTime + outDelay when every pending event sits
-// deep inside its shard: rack-local traffic at a host is three hops
-// from the nearest boundary, so the shard can promise silence three
-// propagation delays out, not one. Quantisation only ever rounds a
-// node's distance down, so it degrades the promise, never soundness.
-func (f *Fabric) buildHorizonClasses(assign []int) {
-	net := f.net
-	nNodes := len(net.Hosts) + len(net.Switches)
-	shardOf := func(id int) int {
-		if id < len(net.Hosts) {
-			return f.hostShard[id]
-		}
-		return assign[id-len(net.Hosts)]
-	}
-	dist := make([]sim.Time, nNodes)
-	for i := range dist {
-		dist[i] = sim.MaxTime
-	}
-	// Bellman-Ford over the (small, shallow) fabric graph: dist(u) =
-	// min over out-links u->v of prop + (0 if v is foreign else dist(v)).
-	for changed := true; changed; {
-		changed = false
-		for _, l := range net.Links {
-			u, v := int(l.Src().ID()), int(l.Dst().ID())
-			cand := l.PropDelay()
-			if shardOf(u) == shardOf(v) {
-				cand = satAdd(dist[v], l.PropDelay())
-			}
-			if cand < dist[u] {
-				dist[u] = cand
-				changed = true
-			}
-		}
-	}
-	f.classDists = make([][]sim.Time, f.shards)
-	classOf := make([]uint8, nNodes)
-	vals := make([]sim.Time, 0, nNodes)
-	for s := 0; s < f.shards; s++ {
-		vals = vals[:0]
-		for id := 0; id < nNodes; id++ {
-			if shardOf(id) == s && dist[id] > 0 {
-				vals = append(vals, dist[id])
-			}
-		}
-		sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
-		table := make([]sim.Time, 1, maxHorizonClasses)
-		for _, v := range vals {
-			if v != table[len(table)-1] && len(table) < maxHorizonClasses {
-				table = append(table, v)
-			}
-		}
-		f.classDists[s] = table
-		f.engines[s].SetHorizonClasses(table)
-		for id := 0; id < nNodes; id++ {
-			if shardOf(id) != s {
-				continue
-			}
-			// Largest kept class distance not above the node's true
-			// distance (rounding down keeps the promise sound).
-			c := 0
-			for k := 1; k < len(table) && table[k] <= dist[id]; k++ {
-				c = k
-			}
-			classOf[id] = uint8(c)
-		}
-	}
-	for _, l := range net.Links {
-		l.SetRxHorizonClass(classOf[int(l.Dst().ID())])
-	}
 }
 
 // Shards returns the shard count (1 for a direct fabric).
@@ -580,12 +393,8 @@ func (f *Fabric) Reset() {
 	f.shardRecs = nil
 	f.winRec = nil
 	f.stats = Stats{}
-	for i := range f.ewma {
-		f.ewma[i] = 0
-	}
-	for i, e := range f.engines {
+	for _, e := range f.engines {
 		e.Reset()
-		e.SetHorizonClasses(f.classDists[i])
 	}
 	for _, ob := range f.outboxes {
 		ob.pending = ob.pending[:0]
@@ -608,22 +417,15 @@ func (f *Fabric) Reset() {
 // generic sort without allocating; it exists only to keep heap pushes
 // cheap, the keys alone fix the order.
 func (f *Fabric) flushOutboxes() {
-	for k, ob := range f.outboxes {
+	for _, ob := range f.outboxes {
 		p := ob.pending
-		// Per-boundary traffic EWMA: committed deliveries per barrier,
-		// updated on every flush (including empty ones — quiet boundaries
-		// must decay toward zero to re-enable adaptive widening).
-		f.ewma[k] += ewmaAlpha * (float64(len(p)) - f.ewma[k])
-		if len(p) == 0 {
-			continue
-		}
 		for i := 1; i < len(p); i++ {
 			for j := i; j > 0 && p[j].at < p[j-1].at; j-- {
 				p[j], p[j-1] = p[j-1], p[j]
 			}
 		}
 		for _, d := range p {
-			ob.dst.AtArgKeyed(d.at, d.fn, d.arg, d.key, d.class)
+			ob.dst.AtArgKeyed(d.at, d.fn, d.arg, d.key)
 		}
 		for i := range p {
 			p[i] = delivery{}

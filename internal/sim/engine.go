@@ -19,18 +19,6 @@ type Event struct {
 	fnArg func(any)
 	arg   any
 
-	// class is the event's horizon class (see SetHorizonClasses): an
-	// index into the engine's class-distance table, used to tighten the
-	// earliest-output-time promise the sharded coordinator computes.
-	// Class 0 ("could take effect anywhere, immediately") is always
-	// sound. The class never affects event ordering or execution — only
-	// the promise arithmetic — so engines with no classes configured
-	// behave identically. Events inherit the class of the event whose
-	// callback scheduled them (influence stays put or moves away from a
-	// boundary within a node; links re-tag explicitly when a packet hops
-	// nodes), and events scheduled from outside any callback get class 0.
-	class uint8
-
 	cancelled bool
 	fired     bool
 }
@@ -46,9 +34,6 @@ func (ev *Event) Cancel() {
 	ev.fnArg = nil
 	ev.arg = nil
 	if ev.eng != nil {
-		if ev.class != 0 {
-			ev.eng.classCnt[ev.class]--
-		}
 		ev.eng.noteCancelled()
 	}
 }
@@ -143,17 +128,6 @@ type Engine struct {
 	// SetInterrupt).
 	interrupt      func() bool
 	interruptEvery uint64
-
-	// Horizon-class state (see SetHorizonClasses). classDist[c] is the
-	// minimum virtual time an event of class c needs before it can take
-	// effect outside this engine; classCnt[c] counts live pending events
-	// of class c; execClass is the class of the currently executing
-	// event, inherited by everything its callback schedules. All nil /
-	// zero when classes are not configured, at zero hot-path cost beyond
-	// a predictable branch.
-	classDist []Time
-	classCnt  []int32
-	execClass uint8
 }
 
 // NewEngine returns an engine with the clock at zero and no pending events.
@@ -184,74 +158,6 @@ func (e *Engine) PeekTime() Time {
 		e.recycle(en.ev)
 	}
 	return MaxTime
-}
-
-// PeekHorizon returns the earliest time an event this engine executes
-// could take effect `delay` later — PeekTime plus delay, saturating at
-// MaxTime so an empty queue (PeekTime == MaxTime) stays "never" instead
-// of wrapping negative. It is the sharded coordinator's
-// earliest-output-time promise primitive: a shard whose next event is at
-// t cannot deliver anything across a boundary of propagation delay d
-// before t + d.
-func (e *Engine) PeekHorizon(delay Time) Time {
-	t := e.PeekTime()
-	if t >= MaxTime-delay {
-		return MaxTime
-	}
-	return t + delay
-}
-
-// SetHorizonClasses configures the engine's horizon-class table for
-// earliest-output-time promises. dists[c] is the minimum virtual time an
-// event of class c needs before its consequences can leave this engine
-// — in the sharded fabric, a node's shortest influence path to a
-// boundary link (each hop paying its propagation delay), computed by
-// the partitioner. dists[0] must be 0: class 0 is the sound default for
-// events whose location is unknown. Classes never affect event order,
-// only HorizonBonus. Passing nil clears the table.
-func (e *Engine) SetHorizonClasses(dists []Time) {
-	if dists == nil {
-		e.classDist, e.classCnt, e.execClass = nil, nil, 0
-		return
-	}
-	if dists[0] != 0 {
-		panic("sim: horizon class 0 must have distance 0")
-	}
-	if len(dists) > 256 {
-		panic("sim: more than 256 horizon classes")
-	}
-	e.classDist = append([]Time(nil), dists...)
-	e.classCnt = make([]int32, len(dists))
-}
-
-// HorizonBonus returns the distance term of this engine's
-// earliest-output-time promise: the minimum horizon-class distance over
-// live pending events, floored at base (the caller's static bound — the
-// minimum outgoing boundary delay). When any live event is class 0, or
-// no classes are configured, it degrades to base — the conservative
-// promise. The queue being empty returns base too; the caller's
-// PeekTime is MaxTime then and saturates the sum.
-func (e *Engine) HorizonBonus(base Time) Time {
-	if e.classDist == nil {
-		return base
-	}
-	tagged := int32(0)
-	best := MaxTime
-	for c := 1; c < len(e.classDist); c++ {
-		if n := e.classCnt[c]; n > 0 {
-			tagged += n
-			if d := e.classDist[c]; d < best {
-				best = d
-			}
-		}
-	}
-	if best == MaxTime || int(tagged) < e.Pending() {
-		return base
-	}
-	if best < base {
-		return base
-	}
-	return best
 }
 
 // AdvanceTo raises the clock to t without executing anything. It is the
@@ -334,48 +240,21 @@ func (e *Engine) AtArg(t Time, fn func(any), arg any) *Event {
 	return ev
 }
 
-// AtArgClass is AtArg with an explicit horizon class, overriding the
-// inherited one. netem links use it to re-tag a packet's delivery with
-// the receiving node's class when it hops nodes; everything else relies
-// on inheritance. A class for which SetHorizonClasses configured no
-// distance panics; class 0 is always valid (and is plain AtArg).
-func (e *Engine) AtArgClass(t Time, fn func(any), arg any, class uint8) *Event {
-	if fn == nil {
-		panic("sim: nil event callback")
-	}
-	if class != 0 && int(class) >= len(e.classDist) {
-		panic("sim: horizon class out of range")
-	}
-	ev := e.alloc(t)
-	ev.class = class
-	ev.fnArg = fn
-	ev.arg = arg
-	e.push(ev)
-	return ev
-}
-
 // AtArgKeyed is AtArg with an explicit tie-breaking key in place of the
 // insertion sequence. The sharded coordinator uses it to give committed
 // cross-shard deliveries an ordering that is intrinsic to the sending
 // shard's execution (source shard, send order) rather than to the
-// barrier at which the commit happened: barrier placement depends on
-// the synchronization policy, and a policy-dependent tie-break would
-// make same-nanosecond event order — and hence queue dynamics — differ
-// between lookahead modes. Callers must supply keys above any insertion
+// barrier at which the commit happened, so same-nanosecond event order —
+// and hence queue dynamics — never depends on where a barrier fell.
+// Callers must supply keys above any insertion
 // sequence the engine can reach (the coordinator sets the top bit), so
 // keyed events sort after same-time locally scheduled ones.
-// The class parameter is the committed delivery's horizon class on this
-// (destination) engine — the receiving node's, exactly as AtArgClass.
-func (e *Engine) AtArgKeyed(t Time, fn func(any), arg any, key uint64, class uint8) *Event {
+func (e *Engine) AtArgKeyed(t Time, fn func(any), arg any, key uint64) *Event {
 	if fn == nil {
 		panic("sim: nil event callback")
 	}
-	if class != 0 && int(class) >= len(e.classDist) {
-		panic("sim: horizon class out of range")
-	}
 	ev := e.alloc(t)
 	ev.seq = key
-	ev.class = class
 	ev.fnArg = fn
 	ev.arg = arg
 	e.push(ev)
@@ -402,7 +281,6 @@ func (e *Engine) alloc(t Time) *Event {
 	ev.eng = e
 	ev.at = t
 	ev.seq = e.seq
-	ev.class = e.execClass
 	return ev
 }
 
@@ -453,9 +331,6 @@ func (e *Engine) Reset() {
 	e.stopped = false
 	e.interrupt = nil
 	e.interruptEvery = 0
-	e.classDist = nil
-	e.classCnt = nil
-	e.execClass = 0
 }
 
 // Run executes events until the queue is empty or Stop is called.
@@ -509,16 +384,11 @@ func (e *Engine) fire(ev *Event) bool {
 	ev.fired = true
 	fn, fnArg, arg := ev.fn, ev.fnArg, ev.arg
 	e.processed++
-	if ev.class != 0 {
-		e.classCnt[ev.class]--
-	}
-	e.execClass = ev.class
 	if fnArg != nil {
 		fnArg(arg)
 	} else {
 		fn()
 	}
-	e.execClass = 0
 	e.recycle(ev)
 	return true
 }
@@ -604,9 +474,6 @@ func (e *Engine) trim(c int) bool {
 // push queues ev: on the lane of its delay when there is one and ev does
 // not sort before that lane's tail, on the heap otherwise.
 func (e *Engine) push(ev *Event) {
-	if ev.class != 0 {
-		e.classCnt[ev.class]++
-	}
 	e.size++
 	en := entry{ev.at, ev.seq, ev}
 	if l := e.laneFor(ev.at - e.now); l != nil {

@@ -342,3 +342,32 @@ func TestFromSeconds(t *testing.T) {
 		t.Errorf("FromSeconds(1.5) = %v", got)
 	}
 }
+
+// TestAtArgKeyedOrdering pins the keyed tie-break: same-time keyed
+// events fire after all same-time sequence-ordered events and among
+// themselves in key order, regardless of insertion order.
+func TestAtArgKeyedOrdering(t *testing.T) {
+	e := NewEngine()
+	var got []int
+	rec := func(arg any) { got = append(got, arg.(int)) }
+	const at = 3 * Millisecond
+	top := uint64(1) << 63
+	// Insert in an order hostile to the desired firing order: high key
+	// first, locals interleaved.
+	e.AtArgKeyed(at, rec, 12, top|7)
+	e.AtArg(at, rec, 1)
+	e.AtArgKeyed(at, rec, 11, top|2)
+	e.AtArg(at, rec, 2)
+	e.AtArgKeyed(at, rec, 10, top)
+	e.AtArg(at, rec, 3)
+	e.Run()
+	want := []int{1, 2, 3, 10, 11, 12}
+	if len(got) != len(want) {
+		t.Fatalf("fired %d events, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("firing order %v, want %v", got, want)
+		}
+	}
+}

@@ -45,7 +45,7 @@ const (
 	opSchedule = iota
 	opScheduleArg
 	opAt
-	opAtArgClass
+	opAtArg
 	opAtArgKeyed
 	opCancel
 	opTimerReset
@@ -103,10 +103,9 @@ func newQueueModel(t *testing.T) *queueModel {
 	return m
 }
 
-// arm configures what a fresh or Reset engine does not carry: horizon
-// classes and the timers (whose handles a Reset invalidates).
+// arm configures what a fresh or Reset engine does not carry: the timers
+// (whose handles a Reset invalidates).
 func (m *queueModel) arm() {
-	m.e.SetHorizonClasses([]Time{0, 5 * Microsecond, 50 * Microsecond})
 	for i := range m.timers {
 		i := i
 		m.expiry[i] = nil
@@ -186,9 +185,9 @@ func (m *queueModel) step(op, arg byte) {
 	case opAt:
 		r := m.add(d, arg, 0)
 		r.ev = e.At(r.at, func() { m.onFire(r) })
-	case opAtArgClass:
+	case opAtArg:
 		r := m.add(d, arg, int(arg)%3)
-		r.ev = e.AtArgClass(r.at, m.fire, r, arg%3)
+		r.ev = e.AtArg(r.at, m.fire, r)
 	case opAtArgKeyed:
 		// The key is unique (it embeds the sequence number the event
 		// consumed) and is, by the argument, inside the range of
@@ -199,7 +198,7 @@ func (m *queueModel) step(op, arg byte) {
 		if arg >= 128 {
 			r.key |= 1 << 63
 		}
-		r.ev = e.AtArgKeyed(r.at, m.fire, r, r.key, 0)
+		r.ev = e.AtArgKeyed(r.at, m.fire, r, r.key)
 	case opCancel:
 		if len(m.pending) == 0 {
 			return

@@ -199,49 +199,6 @@ func NewFatTree(eng *sim.Engine, cfg FatTreeConfig) *FatTree {
 		return assign
 	}
 
-	// Load-aware variant of the same structure: pods stay whole, but the
-	// pod-group boundaries balance summed switch weight (measured
-	// forwarded packets) instead of pod count, and each core switch goes
-	// to the currently lightest shard rather than round-robin. Cut links
-	// remain agg<->core only, so the conservative lookahead is identical
-	// to the unweighted partition.
-	f.weightedHint = func(shards int, w []float64) []int {
-		if shards > k {
-			return nil
-		}
-		podW := make([]float64, k)
-		for i := 0; i < numEdge; i++ {
-			podW[i/half] += w[i]
-		}
-		for i := 0; i < numAgg; i++ {
-			podW[i/half] += w[numEdge+i]
-		}
-		podShard := splitWeighted(k, shards, func(p int) float64 { return podW[p] })
-		assign := make([]int, len(f.Switches))
-		load := make([]float64, shards)
-		for i := 0; i < numEdge; i++ {
-			s := podShard[i/half]
-			assign[i] = s
-			load[s] += w[i]
-		}
-		for i := 0; i < numAgg; i++ {
-			s := podShard[i/half]
-			assign[numEdge+i] = s
-			load[s] += w[numEdge+i]
-		}
-		for i := 0; i < numCore; i++ {
-			s := 0
-			for j := 1; j < shards; j++ {
-				if load[j] < load[s] {
-					s = j
-				}
-			}
-			assign[numEdge+numAgg+i] = s
-			load[s] += w[numEdge+numAgg+i]
-		}
-		return assign
-	}
-
 	f.pathCount = func(src, dst netem.NodeID) int {
 		switch {
 		case src == dst:

@@ -116,12 +116,6 @@ type Network struct {
 	// (the FatTree keeps pods whole). Nil means Partition's generic
 	// contiguous split. Returning nil from the hint also falls back.
 	partitionHint func(shards int) []int
-
-	// weightedHint is partitionHint's load-aware sibling: given
-	// per-switch weights it balances summed weight across groups while
-	// preserving the same structural constraints. Nil (or a nil return)
-	// falls back to the generic weighted contiguous split.
-	weightedHint func(shards int, weights []float64) []int
 }
 
 // alloc allocates the fabric's hosts, switches and links as one slab per

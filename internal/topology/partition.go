@@ -15,22 +15,6 @@ import "fmt"
 // same partition. That determinism is part of the sharded engine's
 // reproducibility contract.
 func Partition(n *Network, shards int) ([]int, error) {
-	return PartitionWeighted(n, shards, nil)
-}
-
-// PartitionWeighted is Partition with per-switch weights — typically
-// measured forwarded-packet loads from Network.SwitchLoads after a
-// profiling run — so group boundaries balance summed weight instead of
-// switch count. Structure still wins over weight: builder hints keep
-// pods whole and weighting only moves the pod-group boundaries, because
-// a weight-optimal cut through a pod's fat bipartite wiring would
-// multiply boundary links and shrink the conservative lookahead.
-//
-// A nil or empty weights slice degenerates to Partition. Otherwise the
-// slice must be parallel to n.Switches and non-negative, with positive
-// total weight. Determinism: same shape, shard count and weights, same
-// partition.
-func PartitionWeighted(n *Network, shards int, weights []float64) ([]int, error) {
 	ns := len(n.Switches)
 	if shards < 1 {
 		return nil, fmt.Errorf("topology: shard count %d < 1", shards)
@@ -38,38 +22,14 @@ func PartitionWeighted(n *Network, shards int, weights []float64) ([]int, error)
 	if shards > ns {
 		return nil, fmt.Errorf("topology: %d shards exceed the %d switches of %s", shards, ns, n.Kind)
 	}
-	if len(weights) > 0 {
-		if len(weights) != ns {
-			return nil, fmt.Errorf("topology: %d partition weights for %d switches of %s", len(weights), ns, n.Kind)
-		}
-		total := 0.0
-		for i, w := range weights {
-			if w < 0 {
-				return nil, fmt.Errorf("topology: negative partition weight %g for switch %d", w, i)
-			}
-			total += w
-		}
-		if total <= 0 {
-			weights = nil // all-zero: no signal, fall back to counting
-		}
-	} else {
-		weights = nil
-	}
 	var assign []int
-	if weights != nil && n.weightedHint != nil {
-		assign = n.weightedHint(shards, weights)
-	}
-	if assign == nil && weights == nil && n.partitionHint != nil {
+	if n.partitionHint != nil {
 		assign = n.partitionHint(shards)
 	}
 	if assign == nil {
-		if weights != nil {
-			assign = splitWeighted(ns, shards, func(i int) float64 { return weights[i] })
-		} else {
-			assign = make([]int, ns)
-			for i := range assign {
-				assign[i] = i * shards / ns
-			}
+		assign = make([]int, ns)
+		for i := range assign {
+			assign[i] = i * shards / ns
 		}
 	}
 	if len(assign) != ns {
@@ -88,49 +48,4 @@ func PartitionWeighted(n *Network, shards int, weights []float64) ([]int, error)
 		}
 	}
 	return assign, nil
-}
-
-// splitWeighted assigns m ordered items to `shards` contiguous groups,
-// closing each group once its proportional share of the total weight is
-// consumed. Every group receives at least one item (a skewed weight
-// vector degrades the balance, never the validity), and the output is a
-// pure function of (m, shards, weights).
-func splitWeighted(m, shards int, w func(int) float64) []int {
-	out := make([]int, m)
-	total := 0.0
-	for i := 0; i < m; i++ {
-		total += w(i)
-	}
-	if total <= 0 {
-		for i := range out {
-			out[i] = i * shards / m
-		}
-		return out
-	}
-	acc, g := 0.0, 0
-	for i := 0; i < m; i++ {
-		if i > 0 && g < shards-1 {
-			// Advance when this group's share is met — or when the
-			// remaining groups need every remaining item to stay
-			// non-empty. At most one advance per item, so no group is
-			// ever skipped.
-			if shards-1-g >= m-i || acc >= total*float64(g+1)/float64(shards) {
-				g++
-			}
-		}
-		out[i] = g
-		acc += w(i)
-	}
-	return out
-}
-
-// SwitchLoads returns every switch's cumulative forwarded-packet count
-// as a weight vector parallel to Switches — the measured-load input to
-// PartitionWeighted after a profiling run of the same workload.
-func (n *Network) SwitchLoads() []float64 {
-	out := make([]float64, len(n.Switches))
-	for i, sw := range n.Switches {
-		out[i] = float64(sw.Forwarded)
-	}
-	return out
 }

@@ -69,29 +69,6 @@ func (a *Assignment) ApplyHotspot(cfg HotspotConfig) {
 	}
 }
 
-// ApplyLocality rewrites the partners of the last fraction of short
-// senders to a neighbour under the same edge switch (hosts are laid
-// out in contiguous blocks of groupSize per edge), modelling the
-// rack-local share of datacenter traffic. Local flows never touch the
-// aggregation or core layers, so under a partitioned fabric they keep
-// shard boundaries quiet. Taking senders from the tail keeps the knob
-// composable with ApplyHotspot, which rewrites from the front. Groups
-// of one host have no distinct neighbour and keep their partner.
-func (a *Assignment) ApplyLocality(fraction float64, groupSize int) {
-	if groupSize < 2 {
-		return
-	}
-	n := int(float64(len(a.ShortSenders)) * fraction)
-	for i := 0; i < n && i < len(a.ShortSenders); i++ {
-		s := a.ShortSenders[len(a.ShortSenders)-1-i]
-		g := s / groupSize * groupSize
-		p := g + (s-g+1)%groupSize
-		if p < a.Hosts && p != s {
-			a.Partner[s] = p
-		}
-	}
-}
-
 // SpawnFunc launches one flow of size bytes from src to dst at the
 // current simulation time. id is unique per flow.
 type SpawnFunc func(id uint64, src, dst int, size int64)

@@ -270,59 +270,6 @@ func TestApplyHotspotEdgeCases(t *testing.T) {
 	}
 }
 
-func TestApplyLocality(t *testing.T) {
-	rng := sim.NewRNG(11)
-	a := BuildPermutation(rng, 64, 1.0/3)
-	before := append([]int(nil), a.Partner...)
-	a.ApplyLocality(0.5, 4)
-	n := int(float64(len(a.ShortSenders)) * 0.5)
-	// The last n short senders point at a same-group neighbour; the rest
-	// (and all long senders) keep their original partner.
-	for i, s := range a.ShortSenders {
-		if i >= len(a.ShortSenders)-n {
-			if a.Partner[s]/4 != s/4 {
-				t.Errorf("sender %d rewired to %d — crosses its group of 4", s, a.Partner[s])
-			}
-			if a.Partner[s] == s {
-				t.Errorf("sender %d rewired to itself", s)
-			}
-		} else if a.Partner[s] != before[s] {
-			t.Errorf("front sender %d rewritten by tail-end locality", s)
-		}
-	}
-	for _, s := range a.LongSenders {
-		if a.Partner[s] != before[s] {
-			t.Errorf("long sender %d partner rewritten by locality", s)
-		}
-	}
-
-	// Composable with a hotspot: hotspot takes the front, locality the
-	// tail, and with fractions summing to 1 they partition the senders.
-	b := BuildPermutation(sim.NewRNG(12), 64, 0)
-	hot := b.ShortSenders[0]
-	b.ApplyHotspot(HotspotConfig{Fraction: 0.5, Host: hot})
-	b.ApplyLocality(0.5, 4)
-	nb := len(b.ShortSenders) / 2
-	for i, s := range b.ShortSenders {
-		if i < nb && s != hot && b.Partner[s] != hot {
-			t.Errorf("front sender %d lost its hotspot partner to locality", s)
-		}
-		if i >= len(b.ShortSenders)-nb && b.Partner[s]/4 != s/4 {
-			t.Errorf("tail sender %d not rack-local after composition", s)
-		}
-	}
-
-	// groupSize < 2 has no distinct neighbour: a no-op.
-	c := BuildPermutation(sim.NewRNG(13), 16, 0)
-	orig := append([]int(nil), c.Partner...)
-	c.ApplyLocality(1, 1)
-	for i := range orig {
-		if c.Partner[i] != orig[i] {
-			t.Fatalf("groupSize 1 rewrote partner of %d", i)
-		}
-	}
-}
-
 func TestIncastIDsAndValidation(t *testing.T) {
 	eng := sim.NewEngine()
 	var ids []uint64

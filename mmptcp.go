@@ -27,7 +27,6 @@ package mmptcp
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/core"
 	"repro/internal/metrics"
@@ -50,29 +49,6 @@ const (
 	// latency-oriented transports that need switch ECN support).
 	// Selecting it enables ECN marking on every link (ECNThreshold).
 	ProtoDCTCP Protocol = "dctcp"
-)
-
-// LookaheadMode selects the sharded engine's synchronization window
-// policy (Config.Lookahead). Irrelevant — and "adaptive" rejected — for
-// sequential runs (Shards <= 1), which have no synchronization window.
-type LookaheadMode string
-
-// Lookahead policies.
-const (
-	// LookaheadConservative (the default) pins every window to the
-	// minimum boundary-link propagation delay — PR 8's engine,
-	// byte-identical to before the adaptive mode existed.
-	LookaheadConservative LookaheadMode = "conservative"
-	// LookaheadAdaptive widens each shard's window to the other shards'
-	// earliest-output-time promises when boundary traffic is quiet, and
-	// elides barrier wakeups for shards with nothing to do. Runs remain
-	// deterministic per (Seed, Shards); final flow-level results match
-	// conservative runs (pinned by TestAdaptiveMatchesConservative),
-	// while cumulative counters (Results.Events, link totals) differ
-	// within the documented post-Stop window overrun. Prefer it when
-	// barriers dominate (coarse flows, quiet boundaries); prefer
-	// conservative when reproducing PR 8 numbers bit-for-bit.
-	LookaheadAdaptive LookaheadMode = "adaptive"
 )
 
 // TopologyKind selects the simulated network.
@@ -348,13 +324,6 @@ type Config struct {
 	HotspotFraction float64
 	HotspotHost     int
 
-	// LocalFraction rewires that fraction of short senders (taken from
-	// the opposite end of the sender list to HotspotFraction's) to a
-	// partner under the same edge switch — the rack-local share of the
-	// traffic matrix. Local flows never cross the aggregation layer,
-	// so boundaries between fabric shards stay quiet. Zero disables.
-	LocalFraction float64
-
 	// Deadline is the completion deadline against which short flows are
 	// scored (Results.DeadlineMissRate); default 200 ms, a typical
 	// partition/aggregate budget from the literature the paper cites.
@@ -409,23 +378,6 @@ type Config struct {
 	// whole layer and is rejected with Shards > 1; per-cable degradation
 	// (DegradeCables) composes fine.
 	Shards int
-
-	// Lookahead selects the sharded engine's window policy; see
-	// LookaheadMode. Default conservative. Adaptive requires Shards > 1
-	// (a policy knob on the sequential engine would silently do
-	// nothing).
-	Lookahead LookaheadMode
-
-	// ShardWeights, when non-empty, weights the fabric partition by
-	// per-switch load instead of switch count: a slice parallel to the
-	// built topology's switches (typically RunInstance.SwitchLoads from
-	// a profiling run of the same workload), balancing summed weight
-	// across shard groups while preserving the structural constraints
-	// (FatTree pods stay whole). Requires Shards > 1; weights must be
-	// finite and non-negative with a positive total. The partition — and
-	// therefore the run's event interleaving — changes with the weights,
-	// so runs are deterministic per (Seed, Shards, ShardWeights).
-	ShardWeights []float64
 }
 
 // PaperConfig returns the full-scale setup from the paper's Figure 1:
@@ -576,26 +528,6 @@ func (c *Config) applyDefaults() error {
 	if c.Shards < 0 {
 		return fmt.Errorf("mmptcp: negative Shards %d", c.Shards)
 	}
-	switch c.Lookahead {
-	case "":
-		c.Lookahead = LookaheadConservative
-	case LookaheadConservative:
-	case LookaheadAdaptive:
-		if c.Shards <= 1 {
-			return fmt.Errorf("mmptcp: Lookahead %q requires Shards > 1 (the sequential engine has no synchronization window)", c.Lookahead)
-		}
-	default:
-		return fmt.Errorf("mmptcp: unknown lookahead mode %q (want %q or %q)",
-			c.Lookahead, LookaheadConservative, LookaheadAdaptive)
-	}
-	if len(c.ShardWeights) > 0 && c.Shards <= 1 {
-		return fmt.Errorf("mmptcp: ShardWeights set but Shards is %d (no partition to weight)", c.Shards)
-	}
-	for i, w := range c.ShardWeights {
-		if w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
-			return fmt.Errorf("mmptcp: ShardWeights[%d] = %v (weights must be finite and non-negative)", i, w)
-		}
-	}
 	if c.Shards > 1 {
 		for i, ev := range c.Faults.Events {
 			if ev.Kind == FaultDegrade && ev.Index == -1 && ev.LossRate > 0 {
@@ -672,12 +604,6 @@ type Shape struct {
 	// pools, outbox routing) is built with the instance, so a recycled
 	// instance only serves configs sharing its shard count.
 	Shards int
-	// WeightsKey fingerprints Config.ShardWeights (FNV-1a over the
-	// float bits; 0 when unweighted): weighted partitions rewire the
-	// fabric, so a recycled instance only serves configs with the same
-	// weights. The lookahead mode is deliberately absent — it is a
-	// per-run policy on unchanged wiring.
-	WeightsKey uint64
 }
 
 // Shape returns the config's structural key, after applying
@@ -703,34 +629,7 @@ func (c *Config) shape() Shape {
 		BottleneckBps: c.BottleneckBps,
 		ECNThreshold:  c.ECNThreshold,
 		Shards:        c.Shards,
-		WeightsKey:    weightsKey(c.ShardWeights),
 	}
-}
-
-// weightsKey hashes a partition-weight vector into Shape's comparable
-// fingerprint: FNV-1a over the IEEE-754 bits, 0 reserved for "no
-// weights" (a non-empty vector hashing to 0 is nudged to 1).
-func weightsKey(w []float64) uint64 {
-	if len(w) == 0 {
-		return 0
-	}
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	for _, v := range w {
-		b := math.Float64bits(v)
-		for i := 0; i < 8; i++ {
-			h ^= b & 0xff
-			h *= prime
-			b >>= 8
-		}
-	}
-	if h == 0 {
-		h = 1
-	}
-	return h
 }
 
 // routingConfig translates the public routing section into the control
@@ -755,9 +654,6 @@ func (c *Config) validateWorkload() error {
 	}
 	if c.LongFraction >= 1 {
 		return fmt.Errorf("mmptcp: LongFraction %v must be below 1", c.LongFraction)
-	}
-	if c.LocalFraction < 0 || c.LocalFraction > 1 {
-		return fmt.Errorf("mmptcp: LocalFraction %v out of [0,1]", c.LocalFraction)
 	}
 	return nil
 }

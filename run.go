@@ -107,8 +107,7 @@ type Results struct {
 	// and window counts, elided wakeups, mean window width. On a
 	// sequential run only Shards (=1) is set. Like Events and the link
 	// totals, the counters include the documented post-Stop window
-	// overrun, so they vary across lookahead modes even when the
-	// flow-level results match.
+	// overrun.
 	Shard metrics.ShardStats
 
 	Elapsed sim.Time // virtual time when the run ended
@@ -152,7 +151,7 @@ func NewRunInstance(cfg Config) (*RunInstance, error) {
 	if err != nil {
 		return nil, err
 	}
-	fab, err := shard.BuildWeighted(eng, net, cfg.Shards, cfg.ShardWeights)
+	fab, err := shard.Build(eng, net, cfg.Shards)
 	if err != nil {
 		return nil, err
 	}
@@ -163,14 +162,6 @@ func NewRunInstance(cfg Config) (*RunInstance, error) {
 
 // Shape returns the structural key the instance serves.
 func (ri *RunInstance) Shape() Shape { return ri.shape }
-
-// SwitchLoads returns every switch's cumulative forwarded-packet count
-// from the instance's last run, parallel to the built topology's
-// switches — the measured-load input for Config.ShardWeights. Profile a
-// representative run on an unweighted instance, feed the loads back as
-// weights, and the re-built partition balances measured events instead
-// of switch count.
-func (ri *RunInstance) SwitchLoads() []float64 { return ri.net.SwitchLoads() }
 
 // Recorder returns the structured event recorder armed for the
 // instance's current run, or nil when tracing is off. After a run it
@@ -397,9 +388,6 @@ func runWith(ctx context.Context, cfg Config, inst *RunInstance) (*Results, erro
 			Host:     cfg.HotspotHost,
 		})
 	}
-	if cfg.LocalFraction > 0 {
-		assign.ApplyLocality(cfg.LocalFraction, cfg.HostsPerEdge)
-	}
 
 	res := &Results{Config: cfg, Layers: make(map[netem.Layer]metrics.LayerStats)}
 
@@ -565,7 +553,6 @@ func runWith(ctx context.Context, cfg Config, inst *RunInstance) (*Results, erro
 	_, elapsed := fab.Run(shard.RunOptions{
 		Until:     cfg.MaxSimTime,
 		Interrupt: interrupt,
-		Adaptive:  cfg.Lookahead == LookaheadAdaptive,
 	})
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -578,13 +565,12 @@ func runWith(ctx context.Context, cfg Config, inst *RunInstance) (*Results, erro
 	res.Shard = metrics.ShardStats{Shards: fab.Shards()}
 	if fab.Shards() > 1 {
 		st := fab.Stats()
-		res.Shard.Mode = string(cfg.Lookahead)
+		res.Shard.Mode = "conservative"
 		res.Shard.LookaheadNs = int64(fab.Lookahead())
 		res.Shard.Barriers = st.Barriers
 		res.Shard.ControlTurns = st.ControlTurns
 		res.Shard.Windows = st.Windows
 		res.Shard.ElidedWakeups = st.ElidedWakeups
-		res.Shard.WidenedWindows = st.WidenedWindows
 		res.Shard.MeanWindowNs = st.MeanWindowNs()
 	}
 

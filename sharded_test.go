@@ -259,3 +259,31 @@ func TestShardedShapeMismatch(t *testing.T) {
 		t.Error("Reset accepted a config with a different shard count")
 	}
 }
+
+// TestShardedElisionReentry: a hotspot workload with no long flows
+// leaves most shards idle most of the time — their wakeups are elided —
+// yet every elided shard must re-enter the moment a cross-shard delivery
+// lands in its heap (the commit happens at a barrier, so the next window
+// sees the event). All flows completing proves no shard slept through a
+// delivery.
+func TestShardedElisionReentry(t *testing.T) {
+	cfg := tiny(ProtoTCP, 40)
+	cfg.Shards = 4
+	cfg.MaxSimTime = 5 * Second
+	cfg.LongFraction = -1 // no long flows: boundaries go quiet between shorts
+	cfg.HotspotFraction = 0.5
+	cfg.HotspotHost = 0
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Spawned != 40 {
+		t.Fatalf("spawned %d/40", res.Spawned)
+	}
+	if res.ShortSummary.Count != 40 {
+		t.Errorf("only %d/40 short flows completed — an elided shard missed a delivery", res.ShortSummary.Count)
+	}
+	if res.Shard.ElidedWakeups == 0 {
+		t.Error("no elided wakeups on a 4-shard hotspot workload")
+	}
+}
