@@ -55,13 +55,18 @@ var (
 	memProfFlag = flag.String("memprofile", "", "write a heap profile to this file at exit")
 )
 
-func main() {
-	flag.Parse()
-	stopProf, err := prof.Start(*cpuProfFlag)
+// check exits 1 on a failed run or export.
+func check(err error) {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
+}
+
+func main() {
+	flag.Parse()
+	stopProf, err := prof.Start(*cpuProfFlag)
+	check(err)
 	switch *figFlag {
 	case "1a":
 		fig1a()
@@ -123,10 +128,7 @@ func main() {
 		os.Exit(2)
 	}
 	stopProf()
-	if err := prof.WriteHeap(*memProfFlag); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	check(prof.WriteHeap(*memProfFlag))
 }
 
 // baseConfig returns the scale-appropriate configuration.
@@ -168,10 +170,7 @@ func baseConfig(proto mmptcp.Protocol) mmptcp.Config {
 
 func run(cfg mmptcp.Config) *mmptcp.Results {
 	res, err := mmptcp.Run(cfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	check(err)
 	return res
 }
 
@@ -187,10 +186,7 @@ func sweep(configs []mmptcp.Config) []*mmptcp.Results {
 			fmt.Fprintf(os.Stderr, "sweep: %d/%d experiments done\n", done, total)
 		},
 	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	check(err)
 	return results
 }
 
@@ -435,10 +431,7 @@ func incast() {
 		eng := sim.NewEngine()
 		cfg := mmptcp.Config{Protocol: proto, Topology: mmptcp.TopoFatTree, K: 4, HostsPerEdge: 8}
 		net, err := mmptcp.NewNetwork(eng, cfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		check(err)
 		rng := sim.NewRNG(*seedFlag)
 		const senders = 24
 		var fcts []float64
@@ -448,10 +441,7 @@ func incast() {
 			conn, err := mmptcp.Dial(eng, net, cfg, mmptcp.DialConfig{
 				FlowID: uint64(i), Src: i, Dst: 0, Size: 70_000, RNG: rng.Split(),
 			})
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
+			check(err)
 			conns = append(conns, conn)
 			start := 10 * sim.Millisecond
 			conn.Receiver().OnComplete = func() {
@@ -808,10 +798,7 @@ func anatomy() {
 	cfg.Routing.Mode = mmptcp.RoutingGlobal
 	cfg.Trace.Mode = mmptcp.TraceFull
 	res, rec, err := mmptcp.RunTraced(cfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	check(err)
 
 	// The victim: the short flow with the most timeouts, retransmissions
 	// breaking ties — the tail the paper's Figure 1 scatters are about.
@@ -887,10 +874,7 @@ func coexist() {
 		conn, err := mmptcp.Dial(eng, &d.Network, cfg, mmptcp.DialConfig{
 			FlowID: uint64(i + 1), Src: i, Dst: d.Cfg.HostsPerSide + i, Size: -1, RNG: rng.Split(),
 		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		check(err)
 		conns[i] = conn
 		conn.Start()
 	}

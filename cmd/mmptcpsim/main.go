@@ -55,10 +55,25 @@ func writeTrace(rec *mmptcp.Recorder, path string) error {
 	return err
 }
 
+// usageError reports a misuse of the flags themselves and exits 2; what
+// a flag's value may be is Config's to judge (Run returns that error).
+func usageError(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, format+"\n", args...)
+	os.Exit(2)
+}
+
+// check exits 1 on a failed run or export.
+func check(err error) {
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
+
 func main() {
 	var (
-		proto    = flag.String("proto", "mmptcp", "transport: tcp, mptcp, mmptcp")
-		topo     = flag.String("topo", "fattree", "topology: fattree, multihomed, dumbbell")
+		proto    = flag.String("proto", "mmptcp", "transport: tcp, dctcp, mptcp, mmptcp")
+		topo     = flag.String("topo", "fattree", "topology: fattree, multihomed, dumbbell, vl2")
 		k        = flag.Int("k", 4, "FatTree arity")
 		hpe      = flag.Int("hosts-per-edge", 8, "hosts per edge switch (oversubscription = 2*hpe/k)")
 		rateBps  = flag.Int64("link-rate", 100_000_000, "link rate, bits/s")
@@ -135,77 +150,32 @@ func main() {
 			SnapshotInterval: sim.FromSeconds(*snapMs / 1000),
 		},
 	}
-	switch *strategy {
-	case "data-volume":
-		cfg.Strategy = core.SwitchDataVolume
-	case "congestion-event":
-		cfg.Strategy = core.SwitchCongestionEvent
-	default:
-		fmt.Fprintf(os.Stderr, "unknown -switch-strategy %q\n", *strategy)
-		os.Exit(2)
+	var ok bool
+	if cfg.Strategy, ok = map[string]core.Strategy{
+		"data-volume": core.SwitchDataVolume, "congestion-event": core.SwitchCongestionEvent,
+	}[*strategy]; !ok {
+		usageError("unknown -switch-strategy %q", *strategy)
+	}
+	if cfg.PSThreshold, ok = map[string]core.ThresholdMode{
+		"topology": core.ThresholdTopology, "adaptive": core.ThresholdAdaptive, "standard": core.ThresholdStandard,
+	}[*psThresh]; !ok {
+		usageError("unknown -ps-threshold %q", *psThresh)
 	}
 	if (*lossRate > 0 || *capFact > 0) && *failN == 0 {
-		fmt.Fprintln(os.Stderr, "-degrade-loss/-degrade-capacity need -fail-cables to select how many cables to degrade")
-		os.Exit(2)
+		usageError("-degrade-loss/-degrade-capacity need -fail-cables to select how many cables to degrade")
 	}
-	// Timing flags feed virtual-time schedules; a negative value would
-	// silently schedule events at clamped or wrapped times. Reject them
-	// here with a usable message rather than deep in the run.
-	for _, check := range []struct {
-		name  string
-		value float64
-	}{
-		{"-fail-at-ms", *failAtMs},
-		{"-repair-at-ms", *repairMs},
-		{"-reconverge-ms", *reconvMs},
-		{"-perhop-ms", *perhopMs},
-		{"-holddown-ms", *holdMs},
-		{"-max-sim-seconds", *maxSimS},
-		{"-snapshot-ms", *snapMs},
-		{"-redial-backoff-ms", *redialBk},
-		{"-max-defer-ms", *maxDefMs},
-	} {
-		if check.value < 0 {
-			fmt.Fprintf(os.Stderr, "%s must not be negative (got %v)\n", check.name, check.value)
-			os.Exit(2)
-		}
-	}
-	if *flapThr < 0 {
-		fmt.Fprintf(os.Stderr, "-flap-threshold must not be negative (got %d)\n", *flapThr)
-		os.Exit(2)
-	}
-	if *deadRTOs < 0 {
-		fmt.Fprintf(os.Stderr, "-dead-rtos must not be negative (got %d); 0 disables recovery\n", *deadRTOs)
-		os.Exit(2)
-	}
-	if *redialBg < 0 {
-		fmt.Fprintf(os.Stderr, "-redial-budget must not be negative (got %d)\n", *redialBg)
-		os.Exit(2)
-	}
-	if *deadRTOs == 0 && (*redialBk > 0 || *redialBg > 0) {
-		fmt.Fprintln(os.Stderr, "-redial-backoff-ms/-redial-budget need -dead-rtos to arm re-dialing")
-		os.Exit(2)
-	}
-	if !*deferPS && *maxDefMs > 0 {
-		fmt.Fprintln(os.Stderr, "-max-defer-ms needs -defer-phase-switch")
-		os.Exit(2)
-	}
-	if *deferPS && *routing != "global" {
-		fmt.Fprintln(os.Stderr, "-defer-phase-switch needs -routing global (local repair exposes no convergence signal)")
-		os.Exit(2)
-	}
-	if *histPrec < 0 {
-		fmt.Fprintf(os.Stderr, "-hist-precision must not be negative (got %d); 0 selects the default\n", *histPrec)
-		os.Exit(2)
+	// Config judges every value it is handed (Run returns the error); what
+	// is checked here is what only the flags know. -repair-at-ms 0 means
+	// "never", so a negative one would silently mean the same.
+	if *repairMs < 0 {
+		usageError("-repair-at-ms must not be negative (got %v); 0 = never repaired", *repairMs)
 	}
 	if *perflow && mmptcp.MetricsMode(*metricsM) == mmptcp.MetricsStreaming {
-		fmt.Fprintln(os.Stderr, "-perflow needs -metrics exact: streaming mode keeps no per-flow records")
-		os.Exit(2)
+		usageError("-perflow needs -metrics exact: streaming mode keeps no per-flow records")
 	}
 	if *traceM != "" {
 		if *seeds > 1 {
-			fmt.Fprintln(os.Stderr, "-trace records a single run; drop -seeds or -trace")
-			os.Exit(2)
+			usageError("-trace records a single run; drop -seeds or -trace")
 		}
 		cfg.Trace.Mode = mmptcp.TraceMode(*traceM)
 		for _, part := range strings.Split(*traceFl, ",") {
@@ -215,14 +185,12 @@ func main() {
 			}
 			id, err := strconv.ParseUint(part, 10, 64)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "bad -trace-flows flow ID %q\n", part)
-				os.Exit(2)
+				usageError("bad -trace-flows flow ID %q", part)
 			}
 			cfg.Trace.Flows = append(cfg.Trace.Flows, id)
 		}
 	} else if *traceFl != "" {
-		fmt.Fprintln(os.Stderr, "-trace-flows needs -trace ring or -trace full")
-		os.Exit(2)
+		usageError("-trace-flows needs -trace ring or -trace full")
 	}
 	cfg.Routing = mmptcp.RoutingConfig{
 		Mode:          mmptcp.RoutingMode(*routing),
@@ -238,37 +206,26 @@ func main() {
 		DeferPhaseSwitch: *deferPS,
 		MaxDefer:         sim.FromSeconds(*maxDefMs / 1000),
 	}
+	at, repair := sim.FromSeconds(*failAtMs/1000), sim.FromSeconds(*repairMs/1000)
+	cfg.Faults.ReconvergeDelay = sim.FromSeconds(*reconvMs / 1000)
 	if *failSw != "" {
 		var ords []int
 		for _, part := range strings.Split(*failSw, ",") {
 			n, err := strconv.Atoi(strings.TrimSpace(part))
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "bad -fail-switches ordinal %q\n", part)
-				os.Exit(2)
+				usageError("bad -fail-switches ordinal %q", part)
 			}
 			ords = append(ords, n)
 		}
-		cfg.Faults.Events = append(cfg.Faults.Events, mmptcp.FailSwitches(ords,
-			sim.FromSeconds(*failAtMs/1000), sim.FromSeconds(*repairMs/1000))...)
-		cfg.Faults.ReconvergeDelay = sim.FromSeconds(*reconvMs / 1000)
+		cfg.Faults.Events = append(cfg.Faults.Events, mmptcp.FailSwitches(ords, at, repair)...)
 	}
 	if *failN > 0 {
-		var layer mmptcp.Layer
-		switch *failLay {
-		case "host":
-			layer = mmptcp.LayerHost
-		case "edge":
-			layer = mmptcp.LayerEdge
-		case "agg":
-			layer = mmptcp.LayerAgg
-		case "core":
-			layer = mmptcp.LayerCore
-		default:
-			fmt.Fprintf(os.Stderr, "unknown -fail-layer %q\n", *failLay)
-			os.Exit(2)
+		layer, ok := map[string]mmptcp.Layer{
+			"host": mmptcp.LayerHost, "edge": mmptcp.LayerEdge, "agg": mmptcp.LayerAgg, "core": mmptcp.LayerCore,
+		}[*failLay]
+		if !ok {
+			usageError("unknown -fail-layer %q", *failLay)
 		}
-		at := sim.FromSeconds(*failAtMs / 1000)
-		repair := sim.FromSeconds(*repairMs / 1000)
 		if *lossRate > 0 || *capFact > 0 {
 			factor := *capFact
 			if factor == 0 {
@@ -280,38 +237,18 @@ func main() {
 			cfg.Faults.Events = append(cfg.Faults.Events,
 				mmptcp.FailCables(layer, *failN, at, repair)...)
 		}
-		cfg.Faults.ReconvergeDelay = sim.FromSeconds(*reconvMs / 1000)
-	}
-
-	switch *psThresh {
-	case "topology":
-		cfg.PSThreshold = core.ThresholdTopology
-	case "adaptive":
-		cfg.PSThreshold = core.ThresholdAdaptive
-	case "standard":
-		cfg.PSThreshold = core.ThresholdStandard
-	default:
-		fmt.Fprintf(os.Stderr, "unknown -ps-threshold %q\n", *psThresh)
-		os.Exit(2)
 	}
 
 	stopProf, err := prof.Start(*cpuProf)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	check(err)
 
 	if *seeds > 1 {
 		if *perflow {
-			fmt.Fprintln(os.Stderr, "-perflow is a single-run report; drop -seeds or -perflow")
-			os.Exit(2)
+			usageError("-perflow is a single-run report; drop -seeds or -perflow")
 		}
 		replicate(cfg, *seeds, *workers, *seed)
 		stopProf()
-		if err := prof.WriteHeap(*memProf); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		check(prof.WriteHeap(*memProf))
 		return
 	}
 
@@ -323,22 +260,13 @@ func main() {
 	} else {
 		res, err = mmptcp.Run(cfg)
 	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	check(err)
 	wall := time.Since(start)
 	stopProf()
-	if err := prof.WriteHeap(*memProf); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	check(prof.WriteHeap(*memProf))
 
 	if rec != nil {
-		if err := writeTrace(rec, *traceOut); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		check(writeTrace(rec, *traceOut))
 		if !*quiet {
 			fmt.Fprintf(os.Stderr, "trace: kept %d of %d events -> %s\n",
 				rec.Len(), rec.Total(), *traceOut)
@@ -371,10 +299,7 @@ func replicate(cfg mmptcp.Config, n, workers int, base uint64) {
 	}
 	start := time.Now()
 	results, err := mmptcp.RunSweep(configs, mmptcp.SweepOptions{Workers: workers})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	check(err)
 	wall := time.Since(start)
 
 	fmt.Printf("protocol=%s topology=%s(k=%d,hosts/edge=%d) queue=%d base-seed=%d replicates=%d\n",

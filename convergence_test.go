@@ -348,4 +348,29 @@ func TestConvergenceValidation(t *testing.T) {
 	if _, err := Run(conv); err == nil {
 		t.Error("Run accepted an unknown convergence mode")
 	}
+
+	// The rules cmd/mmptcpsim leaves to Config: flap threshold, fault
+	// times, and the transport-recovery knobs that react to convergence.
+	for name, mutate := range map[string]func(*Config){
+		"negative FlapThreshold": func(c *Config) {
+			c.Routing = RoutingConfig{Mode: RoutingGlobal, HoldDown: Second, FlapThreshold: -1}
+		},
+		"negative fault time":               func(c *Config) { c.Faults.Events = FailCables(LayerAgg, 1, -Millisecond, 0) },
+		"negative DeadRTOs":                 func(c *Config) { c.Transport.DeadRTOs = -1 },
+		"negative RedialBackoff":            func(c *Config) { c.Transport = TransportConfig{DeadRTOs: 2, RedialBackoff: -Millisecond} },
+		"negative RedialBudget":             func(c *Config) { c.Transport = TransportConfig{DeadRTOs: 2, RedialBudget: -1} },
+		"RedialBackoff without DeadRTOs":    func(c *Config) { c.Transport.RedialBackoff = Millisecond },
+		"RedialBudget without DeadRTOs":     func(c *Config) { c.Transport.RedialBudget = 2 },
+		"negative MaxDefer":                 func(c *Config) { c.Transport.MaxDefer = -Millisecond },
+		"MaxDefer without DeferPhaseSwitch": func(c *Config) { c.Transport.MaxDefer = Millisecond },
+		"DeferPhaseSwitch under local repair": func(c *Config) {
+			c.Transport.DeferPhaseSwitch = true
+		},
+	} {
+		cfg := base()
+		mutate(&cfg)
+		if _, err := Run(cfg); err == nil {
+			t.Errorf("Run accepted %s", name)
+		}
+	}
 }

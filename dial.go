@@ -1,6 +1,8 @@
 package mmptcp
 
 import (
+	"fmt"
+
 	"repro/internal/core"
 	"repro/internal/dctcp"
 	"repro/internal/mptcp"
@@ -12,8 +14,8 @@ import (
 )
 
 // Conn is the protocol-independent view of one simulated connection that
-// the experiment runner drives. All three protocols (TCP, MPTCP,
-// MMPTCP) are adapted to it.
+// the experiment runner drives. *mptcp.Connection and *core.Conn satisfy
+// it as they are; plain TCP and DCTCP pair a sender with a receiver.
 type Conn interface {
 	// Start begins transmission.
 	Start()
@@ -21,8 +23,6 @@ type Conn interface {
 	Receiver() *tcp.Receiver
 	// Stats aggregates sender-side statistics across subflows/phases.
 	Stats() tcp.SenderStats
-	// SetOnAllAcked registers the sender-side completion callback.
-	SetOnAllAcked(func())
 	// RedialStats reports subflow re-dial attempts and how many
 	// replacement subflows recovered (acknowledged data). Always zero
 	// for single-path transports and with recovery disabled.
@@ -38,6 +38,10 @@ type DialConfig struct {
 	Dst    int
 	Size   int64 // -1 for unbounded
 	RNG    *sim.RNG
+	// OnAllAcked, when non-nil, fires once when the sender side has had
+	// every byte acknowledged (the receiver's completion is
+	// Receiver().OnComplete).
+	OnAllAcked func()
 	// Recorder, when non-nil, receives the flow's structured trace
 	// events (segment sends, ACKs, window changes, subflow lifecycle,
 	// phase switches). Nil — the default — costs nothing.
@@ -54,28 +58,23 @@ type DialConfig struct {
 // own host's engine — the same engine eng sequentially, the owning
 // shards' engines under a sharded fabric.
 func Dial(eng sim.EventScheduler, net *topology.Network, cfg Config, d DialConfig) (Conn, error) {
-	if err := cfg.applyDefaults(); err != nil {
+	if err := cfg.resolve(false); err != nil {
 		return nil, err
 	}
+	if n := len(net.Hosts); d.Src < 0 || d.Src >= n || d.Dst < 0 || d.Dst >= n {
+		return nil, fmt.Errorf("mmptcp: DialConfig.Src %d or Dst %d outside the network's %d hosts", d.Src, d.Dst, n)
+	}
+	if d.RNG == nil {
+		return nil, fmt.Errorf("mmptcp: DialConfig.RNG is nil")
+	}
+	return dial(eng, net, &cfg, d), nil
+}
+
+// dial is Dial on a resolved config and a checked DialConfig — the run
+// harness's path, with nothing left that can fail.
+func dial(eng sim.EventScheduler, net *topology.Network, cfg *Config, d DialConfig) Conn {
 	src, dst := net.Hosts[d.Src], net.Hosts[d.Dst]
 	switch cfg.Protocol {
-	case ProtoTCP, ProtoDCTCP:
-		rcv := tcp.NewReceiver(dst.Engine(), cfg.TCP, dst, d.FlowID, d.Size)
-		opt := tcp.SenderOptions{
-			Host:       src,
-			Dst:        dst.ID(),
-			FlowID:     d.FlowID,
-			SrcPort:    uint16(10000 + d.RNG.Intn(50000)),
-			DstPort:    80,
-			Source:     &tcp.BytesSource{Size: d.Size},
-			EnableSACK: cfg.SACK,
-			Recorder:   d.Recorder,
-		}
-		if cfg.Protocol == ProtoDCTCP {
-			opt.CC = &dctcp.CC{}
-		}
-		snd := tcp.NewSender(src.Engine(), cfg.TCP, opt)
-		return &tcpConn{snd: snd, rcv: rcv}, nil
 	case ProtoMPTCP:
 		conn := mptcp.Dial(eng, mptcp.Config{
 			TCP:           cfg.TCP,
@@ -92,7 +91,8 @@ func Dial(eng sim.EventScheduler, net *topology.Network, cfg Config, d DialConfi
 			RNG:      d.RNG,
 			Recorder: d.Recorder,
 		})
-		return &mptcpConn{conn}, nil
+		conn.OnAllAcked = d.OnAllAcked
+		return conn
 	case ProtoMMPTCP:
 		conn := core.Dial(eng, core.Config{
 			TCP:              cfg.TCP,
@@ -116,50 +116,43 @@ func Dial(eng sim.EventScheduler, net *topology.Network, cfg Config, d DialConfi
 			Recorder:  d.Recorder,
 			Observer:  d.Observer,
 		})
-		return &mmptcpConn{conn}, nil
+		conn.OnAllAcked = d.OnAllAcked
+		return conn
+	default: // ProtoTCP, ProtoDCTCP: resolve admits nothing else
+		rcv := tcp.NewReceiver(dst.Engine(), cfg.TCP, dst, d.FlowID, d.Size)
+		opt := tcp.SenderOptions{
+			Host:       src,
+			Dst:        dst.ID(),
+			FlowID:     d.FlowID,
+			SrcPort:    uint16(10000 + d.RNG.Intn(50000)),
+			DstPort:    80,
+			Source:     &tcp.BytesSource{Size: d.Size},
+			EnableSACK: cfg.SACK,
+			Recorder:   d.Recorder,
+		}
+		if cfg.Protocol == ProtoDCTCP {
+			opt.CC = &dctcp.CC{}
+		}
+		snd := tcp.NewSender(src.Engine(), cfg.TCP, opt)
+		snd.OnAllAcked = d.OnAllAcked
+		return &tcpConn{snd, rcv}
 	}
-	panic("unreachable")
 }
 
+// tcpConn is the one adaptor left: a single-path sender and its receiver.
 type tcpConn struct {
-	snd *tcp.Sender
+	*tcp.Sender
 	rcv *tcp.Receiver
 }
 
-func (c *tcpConn) Start()                  { c.snd.Start() }
 func (c *tcpConn) Receiver() *tcp.Receiver { return c.rcv }
-func (c *tcpConn) Stats() tcp.SenderStats  { return c.snd.Stats }
-func (c *tcpConn) SetOnAllAcked(fn func()) { c.snd.OnAllAcked = fn }
+func (c *tcpConn) Stats() tcp.SenderStats  { return c.Sender.Stats }
 func (c *tcpConn) RedialStats() (int, int) { return 0, 0 }
-func (c *tcpConn) Close() {
-	c.snd.Close()
-	c.rcv.Close()
-}
-
-type mptcpConn struct{ conn *mptcp.Connection }
-
-func (c *mptcpConn) Start()                  { c.conn.Start() }
-func (c *mptcpConn) Receiver() *tcp.Receiver { return c.conn.Receiver() }
-func (c *mptcpConn) Stats() tcp.SenderStats  { return c.conn.Stats() }
-func (c *mptcpConn) SetOnAllAcked(fn func()) { c.conn.OnAllAcked = fn }
-func (c *mptcpConn) RedialStats() (int, int) { return c.conn.RedialStats() }
-func (c *mptcpConn) Close()                  { c.conn.Close() }
-
-type mmptcpConn struct{ conn *core.Conn }
-
-func (c *mmptcpConn) Start()                  { c.conn.Start() }
-func (c *mmptcpConn) Receiver() *tcp.Receiver { return c.conn.Receiver() }
-func (c *mmptcpConn) Stats() tcp.SenderStats  { return c.conn.Stats() }
-func (c *mmptcpConn) SetOnAllAcked(fn func()) { c.conn.OnAllAcked = fn }
-func (c *mmptcpConn) RedialStats() (int, int) { return c.conn.RedialStats() }
-func (c *mmptcpConn) Close()                  { c.conn.Close() }
+func (c *tcpConn) Close()                  { c.Sender.Close(); c.rcv.Close() }
 
 // MMPTCPConn exposes the phase-level API of an MMPTCP connection dialed
 // through Dial (switch time, PS sender), for examples and ablations.
 func MMPTCPConn(c Conn) (*core.Conn, bool) {
-	mc, ok := c.(*mmptcpConn)
-	if !ok {
-		return nil, false
-	}
-	return mc.conn, true
+	mc, ok := c.(*core.Conn)
+	return mc, ok
 }

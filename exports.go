@@ -163,10 +163,10 @@ func NewSampler(eng *Engine, interval SimTime) *Sampler {
 
 // NewNetwork builds the topology described by cfg on the engine.
 func NewNetwork(eng *Engine, cfg Config) (*Network, error) {
-	if err := cfg.applyDefaults(); err != nil {
+	if err := cfg.resolve(false); err != nil {
 		return nil, err
 	}
-	return cfg.buildNetwork(eng)
+	return cfg.buildNetwork(eng), nil
 }
 
 // PathCount returns the number of equal-cost paths between two hosts of

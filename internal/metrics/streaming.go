@@ -147,16 +147,6 @@ func (h *StreamHist) Quantile(q float64) int64 {
 	return 0
 }
 
-// Reset clears all observations, keeping the grown bucket array so a
-// pooled run instance's steady-state reuse allocates nothing.
-func (h *StreamHist) Reset() {
-	for i := range h.counts {
-		h.counts[i] = 0
-	}
-	h.total = 0
-	h.underflow = 0
-}
-
 // Buckets returns the memory footprint in buckets (for tests and the
 // bench suite's O(1)-memory claim).
 func (h *StreamHist) Buckets() int { return len(h.counts) }
@@ -258,20 +248,6 @@ func (s *StreamingSummary) Summary() Summary {
 	out.P95Ms = sim.Time(s.hist.Quantile(0.95)).Milliseconds()
 	out.P99Ms = sim.Time(s.hist.Quantile(0.99)).Milliseconds()
 	return out
-}
-
-// Reset clears the accumulator for run-instance reuse, keeping the
-// histogram's bucket capacity.
-func (s *StreamingSummary) Reset() {
-	s.hist.Reset()
-	s.count = 0
-	s.incomplete = 0
-	s.withRTO = 0
-	s.missed = 0
-	s.sumMs = 0
-	s.sumSqMs = 0
-	s.minNs = math.MaxInt64
-	s.maxNs = 0
 }
 
 // Snapshot is one periodic sample of a run's cumulative state — the

@@ -84,33 +84,6 @@ func TestStreamHistQuantileEdgeCases(t *testing.T) {
 	}
 }
 
-func TestStreamHistResetKeepsCapacity(t *testing.T) {
-	h, err := NewStreamHist(DefaultHistPrecision)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := int64(1); v < 1_000_000; v *= 3 {
-		h.Observe(v)
-	}
-	grown := h.Buckets()
-	h.Reset()
-	if h.Count() != 0 {
-		t.Errorf("count after reset = %d", h.Count())
-	}
-	if h.Buckets() != grown {
-		t.Errorf("reset truncated buckets: %d -> %d", grown, h.Buckets())
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		for v := int64(1); v < 1_000_000; v *= 3 {
-			h.Observe(v)
-		}
-		h.Reset()
-	})
-	if allocs != 0 {
-		t.Errorf("steady-state observe/reset allocates %.1f per cycle", allocs)
-	}
-}
-
 // webSearchMix draws a web-search-like flow-size FCT mix: a large mass
 // of sub-millisecond mice, a body of mid-size flows, and a heavy tail
 // out to tens of seconds — the distribution shape (DCTCP's web-search
@@ -231,14 +204,6 @@ func TestStreamingSummaryMatchesSummarize(t *testing.T) {
 		t.Errorf("miss rate: streaming %v exact %v", s.MissRate(), want)
 	}
 
-	// Reset produces a clean accumulator.
-	s.Reset()
-	if sum := s.Summary(); sum.Count != 0 || sum.Incomplete != 0 || sum.MeanMs != 0 {
-		t.Errorf("summary after reset: %+v", sum)
-	}
-	if s.MissRate() != 0 {
-		t.Errorf("miss rate after reset: %v", s.MissRate())
-	}
 }
 
 func TestStreamingSummaryEmptyAndSingle(t *testing.T) {

@@ -21,6 +21,15 @@ type DumbbellConfig struct {
 	BottleneckQueue int
 }
 
+// Validate reports the first field NewDumbbell cannot build from.
+func (c DumbbellConfig) Validate() error {
+	if c.HostsPerSide < 1 || c.BottleneckBps < 0 || c.BottleneckQueue < 0 {
+		return fmt.Errorf("topology: dumbbell needs HostsPerSide >= 1, BottleneckBps >= 0 and BottleneckQueue >= 0, got %d, %d and %d",
+			c.HostsPerSide, c.BottleneckBps, c.BottleneckQueue)
+	}
+	return c.Link.Validate()
+}
+
 // Dumbbell is a built dumbbell network. Hosts 0..n-1 are on the left,
 // n..2n-1 on the right.
 type Dumbbell struct {
@@ -41,8 +50,8 @@ func (d *Dumbbell) Right(i int) *netem.Host { return d.Hosts[d.Cfg.HostsPerSide+
 // NewDumbbell builds the dumbbell and installs BFS-derived ECMP tables
 // (trivially single-path here).
 func NewDumbbell(eng *sim.Engine, cfg DumbbellConfig) *Dumbbell {
-	if cfg.HostsPerSide < 1 {
-		panic(fmt.Sprintf("topology: dumbbell needs at least 1 host per side, got %d", cfg.HostsPerSide))
+	if err := cfg.Validate(); err != nil {
+		panic(err)
 	}
 	cfg.Link.applyDefaults()
 	if cfg.BottleneckBps == 0 {

@@ -35,6 +35,14 @@ func (c FatTreeConfig) Oversubscription() float64 {
 	return float64(hpe) / float64(c.K/2)
 }
 
+// Validate reports the first field NewFatTree cannot build from.
+func (c FatTreeConfig) Validate() error {
+	if c.K < 2 || c.K%2 != 0 || c.HostsPerEdge < 0 {
+		return fmt.Errorf("topology: FatTree needs even K >= 2 and HostsPerEdge >= 0, got %d and %d", c.K, c.HostsPerEdge)
+	}
+	return c.Link.Validate()
+}
+
 // FatTree is a built k-ary FatTree network.
 type FatTree struct {
 	Network
@@ -66,8 +74,8 @@ func (f *FatTree) edgeOf(h netem.NodeID) int {
 // NewFatTree builds the FatTree, wires every link, installs structured
 // ECMP routers on every switch and sets up the path-count oracle.
 func NewFatTree(eng *sim.Engine, cfg FatTreeConfig) *FatTree {
-	if cfg.K < 2 || cfg.K%2 != 0 {
-		panic(fmt.Sprintf("topology: FatTree K must be even and >= 2, got %d", cfg.K))
+	if err := cfg.Validate(); err != nil {
+		panic(err)
 	}
 	cfg.Link.applyDefaults()
 	if cfg.HostsPerEdge == 0 {

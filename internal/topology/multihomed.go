@@ -22,6 +22,14 @@ type MultiHomedConfig struct {
 	Seed         uint64
 }
 
+// Validate reports the first field NewMultiHomed cannot build from.
+func (c MultiHomedConfig) Validate() error {
+	if c.K < 4 || c.K%2 != 0 || c.HostsPerEdge < 0 {
+		return fmt.Errorf("topology: multi-homed FatTree needs even K >= 4 and HostsPerEdge >= 0, got %d and %d", c.K, c.HostsPerEdge)
+	}
+	return c.Link.Validate()
+}
+
 // MultiHomed is a built dual-homed FatTree.
 type MultiHomed struct {
 	Network
@@ -40,8 +48,8 @@ func (m *MultiHomed) NumHosts() int { return m.numHosts }
 // ECMP tables (structured routing becomes irregular with dual homing, and
 // the generic tables are exact).
 func NewMultiHomed(eng *sim.Engine, cfg MultiHomedConfig) *MultiHomed {
-	if cfg.K < 4 || cfg.K%2 != 0 {
-		panic(fmt.Sprintf("topology: multi-homed FatTree K must be even and >= 4, got %d", cfg.K))
+	if err := cfg.Validate(); err != nil {
+		panic(err)
 	}
 	cfg.Link.applyDefaults()
 	if cfg.HostsPerEdge == 0 {

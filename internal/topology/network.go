@@ -43,6 +43,23 @@ func DefaultLinkConfig() LinkConfig {
 	}
 }
 
+// Validate reports the first field no link can be built from. Zero
+// fields are fine: they take defaults.
+func (c LinkConfig) Validate() error {
+	for _, f := range []struct {
+		name string
+		v    int64
+	}{
+		{"RateBps", c.RateBps}, {"Delay", int64(c.Delay)}, {"QueueLimit", int64(c.QueueLimit)},
+		{"ECNThreshold", int64(c.ECNThreshold)}, {"HostEgressQueue", int64(c.HostEgressQueue)},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("topology: negative link %s %d", f.name, f.v)
+		}
+	}
+	return nil
+}
+
 func (c *LinkConfig) applyDefaults() {
 	d := DefaultLinkConfig()
 	if c.RateBps == 0 {

@@ -33,6 +33,21 @@ type VL2Config struct {
 	Seed           uint64
 }
 
+// Validate reports the first field NewVL2 cannot build from.
+func (c VL2Config) Validate() error {
+	switch {
+	case c.DA < 2 || c.DA%2 != 0:
+		return fmt.Errorf("topology: VL2 DA must be even and >= 2, got %d", c.DA)
+	case c.DI < 1:
+		return fmt.Errorf("topology: VL2 DI must be >= 1, got %d", c.DI)
+	case c.HostsPerToR < 1:
+		return fmt.Errorf("topology: VL2 needs hosts per ToR >= 1, got %d", c.HostsPerToR)
+	case c.FabricMultiple < 0:
+		return fmt.Errorf("topology: negative VL2 FabricMultiple %d", c.FabricMultiple)
+	}
+	return c.Link.Validate()
+}
+
 // VL2 is a built VL2-style Clos network.
 type VL2 struct {
 	Network
@@ -47,14 +62,8 @@ func (v *VL2) NumHosts() int { return v.numHosts }
 // server rate, installs BFS-derived ECMP tables and a DAG-based
 // path-count oracle.
 func NewVL2(eng *sim.Engine, cfg VL2Config) *VL2 {
-	if cfg.DA < 2 || cfg.DA%2 != 0 {
-		panic(fmt.Sprintf("topology: VL2 DA must be even and >= 2, got %d", cfg.DA))
-	}
-	if cfg.DI < 1 {
-		panic(fmt.Sprintf("topology: VL2 DI must be >= 1, got %d", cfg.DI))
-	}
-	if cfg.HostsPerToR < 1 {
-		panic(fmt.Sprintf("topology: VL2 needs hosts per ToR >= 1, got %d", cfg.HostsPerToR))
+	if err := cfg.Validate(); err != nil {
+		panic(err)
 	}
 	cfg.Link.applyDefaults()
 	if cfg.FabricMultiple == 0 {

@@ -82,27 +82,6 @@ func (s *Sampler) Start() {
 // Stop ends sampling after the current round.
 func (s *Sampler) Stop() { s.stopped = true }
 
-// Reset returns the sampler to its pre-Start state for run-instance
-// pooling: recorded samples are discarded (each Series keeps its
-// identity and capacity), the round counter and stop flag clear, and
-// Start may be called again. Registered probes survive — but note they
-// close over the *previous* run's transport objects, so probes that
-// read per-flow state must be re-registered on a fresh Sampler instead.
-//
-// Call Reset alongside RunInstance.Reset: the engine reset drops the
-// sampler's pending tick event, so without Reset a reused instance
-// silently keeps a dead run's sampler state (started, never ticking)
-// and its stale series.
-func (s *Sampler) Reset() {
-	for _, ser := range s.series {
-		ser.Times = ser.Times[:0]
-		ser.Values = ser.Values[:0]
-	}
-	s.rounds = 0
-	s.stopped = false
-	s.started = false
-}
-
 // Series returns the recorded series in registration order.
 func (s *Sampler) Series() []*Series { return s.series }
 

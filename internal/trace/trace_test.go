@@ -127,33 +127,3 @@ func TestSamplerSeriesAndLast(t *testing.T) {
 		t.Errorf("Last = %v", a.Last())
 	}
 }
-
-// TestSamplerReset: Reset returns a used sampler to its pre-Start state
-// for run-instance pooling — samples discarded, round counter and flags
-// cleared, Start usable again — without losing series identity.
-func TestSamplerReset(t *testing.T) {
-	eng := sim.NewEngine()
-	s := NewSampler(eng, sim.Millisecond)
-	ser := s.Add("x", func() float64 { return 1 })
-	s.Start()
-	eng.At(2500*sim.Microsecond, s.Stop)
-	eng.RunUntil(10 * sim.Millisecond)
-	if len(ser.Values) != 2 {
-		t.Fatalf("pre-Reset samples = %d, want 2", len(ser.Values))
-	}
-	s.Reset()
-	if len(ser.Times) != 0 || len(ser.Values) != 0 {
-		t.Error("Reset left samples in the series")
-	}
-	if s.Series()[0] != ser {
-		t.Error("Reset replaced the series object")
-	}
-	// The engine reset that accompanies pooling dropped the pending
-	// tick; a fresh Start must sample again from a clean state.
-	eng.Reset()
-	s.Start()
-	eng.RunUntil(3500 * sim.Microsecond)
-	if len(ser.Values) != 3 {
-		t.Errorf("post-Reset samples = %d, want 3 (stop flag must clear)", len(ser.Values))
-	}
-}

@@ -27,6 +27,7 @@ package mmptcp
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/core"
 	"repro/internal/metrics"
@@ -261,7 +262,7 @@ type TraceConfig struct {
 }
 
 // recorderOptions translates the public trace section into the
-// recorder's own options. Call only after applyDefaults.
+// recorder's own options. c is resolved.
 func (c *Config) recorderOptions() trace.Options {
 	mode := trace.Ring
 	if c.Trace.Mode == TraceFull {
@@ -278,6 +279,20 @@ func (c *Config) recorderOptions() trace.Options {
 // Config describes one experiment. The zero value is not runnable; use
 // PaperConfig or SmallConfig as starting points, or fill the required
 // fields (Protocol, ShortFlows, ArrivalRate).
+//
+// Resolve-once contract: every exported entry point (Run, RunContext,
+// RunTraced, each RunSweep job, NewRunInstance, RunInstance.Reset and
+// Run, Dial, NewNetwork, Shape) takes a Config by value, fills the zero
+// fields' defaults and checks every rule on its own copy exactly once,
+// and returns an error naming the field for a config it cannot serve —
+// never a panic. Results.Config is that resolved copy. The caller's
+// value is not written to.
+//
+// The structural fields — Topology, K, HostsPerEdge, LinkRateBps,
+// LinkDelay, QueueLimit, BottleneckBps, ECNThreshold and Shards — are
+// the ones a built engine+network depends on (see Shape); everything
+// else — protocol, workload, faults, routing, metrics, seed — is per-run
+// state a recycled RunInstance resets.
 type Config struct {
 	// Topology.
 	Topology     TopologyKind // default TopoFatTree
@@ -408,57 +423,116 @@ func SmallConfig(proto Protocol, flows int) Config {
 	}
 }
 
-func (c *Config) applyDefaults() error {
-	if c.Topology == "" {
-		c.Topology = TopoFatTree
+// resolve is the one place a Config is defaulted and judged: zero fields
+// take their defaults, every value and cross-field rule is checked, and
+// the topology section is put to its builder's own Validate, so a
+// resolved config builds and dials without a panic. Every exported entry
+// point calls it exactly once, on its own copy; nothing below
+// re-resolves. Resolving a resolved config changes nothing. run says the
+// config is about to be executed, which makes the workload fields
+// (ShortFlows, ArrivalRate) required; Dial, NewNetwork, NewRunInstance,
+// Reset and Shape leave them optional.
+//
+// Two rules need the built network and are checked when a run starts
+// instead: fault events must address existing links and switches, and
+// HotspotHost an existing host.
+func (c *Config) resolve(run bool) error {
+	// Written so that a NaN fails each of them.
+	if !(c.LongFraction < 1) || math.IsInf(c.LongFraction, -1) {
+		return fmt.Errorf("mmptcp: LongFraction %v must be a number below 1", c.LongFraction)
 	}
-	if c.K == 0 {
-		c.K = 8
+	if !(c.ArrivalRate >= 0) || math.IsInf(c.ArrivalRate, 1) {
+		return fmt.Errorf("mmptcp: ArrivalRate %v must be a number, not negative", c.ArrivalRate)
 	}
-	if c.HostsPerEdge == 0 {
-		// 2*K hosts per edge switch is the paper's 4:1 edge
-		// over-subscription at any FatTree arity (16 hosts/edge at K=8).
-		c.HostsPerEdge = 2 * c.K
+	if !(c.HotspotFraction >= 0 && c.HotspotFraction <= 1) {
+		return fmt.Errorf("mmptcp: HotspotFraction %v outside [0, 1]", c.HotspotFraction)
 	}
-	if c.LinkRateBps == 0 {
-		c.LinkRateBps = 100_000_000
+	// Nothing below may be negative (times are in nanoseconds). The link
+	// rate, delay, queue and ECN threshold are the topology's to judge
+	// (LinkConfig.Validate, further down).
+	for _, f := range []struct {
+		name string
+		v    int64
+	}{
+		{"K", int64(c.K)},
+		{"HostsPerEdge", int64(c.HostsPerEdge)},
+		{"Subflows", int64(c.Subflows)},
+		{"SwitchBytes", c.SwitchBytes},
+		{"TCP.MSS", int64(c.TCP.MSS)},
+		{"TCP.HeaderBytes", int64(c.TCP.HeaderBytes)},
+		{"TCP.InitialWindow", int64(c.TCP.InitialWindow)},
+		{"TCP.DupAckThreshold", int64(c.TCP.DupAckThreshold)},
+		{"TCP.MinRTO", int64(c.TCP.MinRTO)},
+		{"TCP.MaxRTO", int64(c.TCP.MaxRTO)},
+		{"TCP.InitialRTO", int64(c.TCP.InitialRTO)},
+		{"ShortFlowSize", c.ShortFlowSize},
+		{"ShortFlows", int64(c.ShortFlows)},
+		{"Warmup", int64(c.Warmup)},
+		{"Deadline", int64(c.Deadline)},
+		{"MaxSimTime", int64(c.MaxSimTime)},
+		{"Shards", int64(c.Shards)},
+		{"Faults.ReconvergeDelay", int64(c.Faults.ReconvergeDelay)},
+		{"Transport.DeadRTOs", int64(c.Transport.DeadRTOs)},
+		{"Transport.RedialBackoff", int64(c.Transport.RedialBackoff)},
+		{"Transport.RedialBudget", int64(c.Transport.RedialBudget)},
+		{"Transport.MaxDefer", int64(c.Transport.MaxDefer)},
+		{"Metrics.SnapshotInterval", int64(c.Metrics.SnapshotInterval)},
+		{"Trace.Buffer", int64(c.Trace.Buffer)},
+		{"Trace.MaxEvents", int64(c.Trace.MaxEvents)},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("mmptcp: negative %s: %d", f.name, f.v)
+		}
 	}
-	if c.LinkDelay == 0 {
-		c.LinkDelay = 20 * sim.Microsecond
+	if run && (c.ShortFlows == 0 || c.ArrivalRate == 0) {
+		return fmt.Errorf("mmptcp: a run needs positive ShortFlows and ArrivalRate, got %d and %v", c.ShortFlows, c.ArrivalRate)
 	}
-	if c.QueueLimit == 0 {
-		c.QueueLimit = 30
+	if c.Strategy < core.SwitchDataVolume || c.Strategy > core.SwitchCongestionEvent {
+		return fmt.Errorf("mmptcp: unknown Strategy %v", c.Strategy)
 	}
-	if c.Subflows == 0 {
-		c.Subflows = 8
+	if c.PSThreshold < core.ThresholdTopology || c.PSThreshold > core.ThresholdStandard {
+		return fmt.Errorf("mmptcp: unknown PSThreshold %v", c.PSThreshold)
 	}
-	if c.SwitchBytes == 0 {
-		c.SwitchBytes = 100_000
-	}
-	if c.LongFraction == 0 {
-		c.LongFraction = 1.0 / 3
-	}
-	if c.ShortFlowSize == 0 {
-		c.ShortFlowSize = 70_000
-	}
-	if c.Warmup == 0 {
-		c.Warmup = 100 * sim.Millisecond
-	}
-	if c.Deadline == 0 {
-		c.Deadline = 200 * sim.Millisecond
-	}
-	if c.MaxSimTime == 0 {
-		c.MaxSimTime = 300 * sim.Second
-	}
+
+	orDefault(&c.Topology, TopoFatTree)
+	orDefault(&c.K, 8)
+	// 2*K hosts per edge switch is the paper's 4:1 edge over-subscription
+	// at any FatTree arity (16 hosts/edge at K=8).
+	orDefault(&c.HostsPerEdge, 2*c.K)
+	orDefault(&c.LinkRateBps, 100_000_000)
+	orDefault(&c.LinkDelay, 20*sim.Microsecond)
+	orDefault(&c.QueueLimit, 30)
+	orDefault(&c.Subflows, 8)
+	orDefault(&c.SwitchBytes, 100_000)
+	orDefault(&c.LongFraction, 1.0/3)
+	orDefault(&c.ShortFlowSize, 70_000)
+	orDefault(&c.Warmup, 100*sim.Millisecond)
+	orDefault(&c.Deadline, 200*sim.Millisecond)
+	orDefault(&c.MaxSimTime, 300*sim.Second)
 	switch c.Protocol {
 	case ProtoTCP, ProtoMPTCP, ProtoMMPTCP:
 	case ProtoDCTCP:
-		if c.ECNThreshold == 0 {
-			c.ECNThreshold = 10
-		}
+		orDefault(&c.ECNThreshold, 10)
 	default:
 		return fmt.Errorf("mmptcp: unknown protocol %q", c.Protocol)
 	}
+	var err error
+	switch c.Topology {
+	case TopoFatTree:
+		err = c.fatTree().Validate()
+	case TopoMultiHomed:
+		err = c.multiHomed().Validate()
+	case TopoDumbbell:
+		err = c.dumbbell().Validate()
+	case TopoVL2:
+		err = c.vl2().Validate()
+	default:
+		return fmt.Errorf("mmptcp: unknown topology %q", c.Topology)
+	}
+	if err != nil {
+		return fmt.Errorf("mmptcp: %s with K %d, HostsPerEdge %d: %w", c.Topology, c.K, c.HostsPerEdge, err)
+	}
+
 	mode, err := routing.ParseMode(string(c.Routing.Mode))
 	if err != nil {
 		return fmt.Errorf("mmptcp: %w", err)
@@ -469,10 +543,10 @@ func (c *Config) applyDefaults() error {
 		return fmt.Errorf("mmptcp: %w", err)
 	}
 	c.Routing.Convergence = conv
-	// The value-level rules (negative delays, threshold without window,
-	// per-hop delay under atomic) live in one place: routing.Config.
-	// Checking here — not only at Install — rejects a bad section even
-	// on runs that never install a control plane.
+	// The routing value rules (negative delays, threshold without window,
+	// per-hop delay under atomic) live in routing.Config. Checking here —
+	// not only at Install — rejects a bad section even on runs that never
+	// install a control plane.
 	if err := c.routingConfig().Validate(); err != nil {
 		return fmt.Errorf("mmptcp: %w", err)
 	}
@@ -485,48 +559,22 @@ func (c *Config) applyDefaults() error {
 		if c.Routing.HoldDown > 0 {
 			return fmt.Errorf("mmptcp: Routing.HoldDown requires Routing.Mode %q (local repair has no control plane to damp)", RoutingGlobal)
 		}
+		if c.Transport.DeferPhaseSwitch {
+			return fmt.Errorf("mmptcp: Transport.DeferPhaseSwitch requires Routing.Mode %q (local repair exposes no convergence signal)", RoutingGlobal)
+		}
 	}
-	// Transport recovery: value rules first, then the knobs-while-off
-	// rejections (a backoff or budget on disabled recovery would
-	// silently do nothing), then the cross-field Mode rule, and only
-	// then the defaults for armed mechanisms.
-	if c.Transport.DeadRTOs < 0 {
-		return fmt.Errorf("mmptcp: negative Transport.DeadRTOs %d (0 disables recovery)", c.Transport.DeadRTOs)
-	}
-	if c.Transport.RedialBackoff < 0 {
-		return fmt.Errorf("mmptcp: negative Transport.RedialBackoff %v", c.Transport.RedialBackoff)
-	}
-	if c.Transport.RedialBudget < 0 {
-		return fmt.Errorf("mmptcp: negative Transport.RedialBudget %d", c.Transport.RedialBudget)
-	}
-	if c.Transport.MaxDefer < 0 {
-		return fmt.Errorf("mmptcp: negative Transport.MaxDefer %v", c.Transport.MaxDefer)
-	}
-	if c.Transport.DeadRTOs == 0 && (c.Transport.RedialBackoff != 0 || c.Transport.RedialBudget != 0) {
+	// Transport recovery: a knob set while its mechanism is off would
+	// silently do nothing; an armed mechanism's zero knobs take defaults.
+	if c.Transport.DeadRTOs > 0 {
+		orDefault(&c.Transport.RedialBackoff, 10*sim.Millisecond)
+		orDefault(&c.Transport.RedialBudget, 4)
+	} else if c.Transport.RedialBackoff != 0 || c.Transport.RedialBudget != 0 {
 		return fmt.Errorf("mmptcp: Transport.RedialBackoff/RedialBudget set but Transport.DeadRTOs is 0 (re-dialing off)")
 	}
-	if !c.Transport.DeferPhaseSwitch && c.Transport.MaxDefer != 0 {
+	if c.Transport.DeferPhaseSwitch {
+		orDefault(&c.Transport.MaxDefer, 50*sim.Millisecond)
+	} else if c.Transport.MaxDefer != 0 {
 		return fmt.Errorf("mmptcp: Transport.MaxDefer set but Transport.DeferPhaseSwitch is off")
-	}
-	if c.Transport.DeferPhaseSwitch && mode != RoutingGlobal {
-		return fmt.Errorf("mmptcp: Transport.DeferPhaseSwitch requires Routing.Mode %q (local repair exposes no convergence signal)", RoutingGlobal)
-	}
-	if c.Transport.DeadRTOs > 0 {
-		if c.Transport.RedialBackoff == 0 {
-			c.Transport.RedialBackoff = 10 * sim.Millisecond
-		}
-		if c.Transport.RedialBudget == 0 {
-			c.Transport.RedialBudget = 4
-		}
-	}
-	if c.Transport.DeferPhaseSwitch && c.Transport.MaxDefer == 0 {
-		c.Transport.MaxDefer = 50 * sim.Millisecond
-	}
-	if c.Faults.ReconvergeDelay < 0 {
-		return fmt.Errorf("mmptcp: negative Faults.ReconvergeDelay %v", c.Faults.ReconvergeDelay)
-	}
-	if c.Shards < 0 {
-		return fmt.Errorf("mmptcp: negative Shards %d", c.Shards)
 	}
 	if c.Shards > 1 {
 		for i, ev := range c.Faults.Events {
@@ -536,61 +584,46 @@ func (c *Config) applyDefaults() error {
 			}
 		}
 	}
-	switch c.Metrics.Mode {
-	case "":
-		c.Metrics.Mode = MetricsExact
-	case MetricsExact, MetricsStreaming:
-	default:
-		return fmt.Errorf("mmptcp: unknown metrics mode %q (want %q or %q)",
-			c.Metrics.Mode, MetricsExact, MetricsStreaming)
+	orDefault(&c.Metrics.Mode, MetricsExact)
+	if m := c.Metrics.Mode; m != MetricsExact && m != MetricsStreaming {
+		return fmt.Errorf("mmptcp: unknown metrics mode %q (want %q or %q)", m, MetricsExact, MetricsStreaming)
 	}
-	if c.Metrics.HistPrecision == 0 {
-		c.Metrics.HistPrecision = metrics.DefaultHistPrecision
-	}
+	orDefault(&c.Metrics.HistPrecision, metrics.DefaultHistPrecision)
 	if p := c.Metrics.HistPrecision; p < metrics.MinHistPrecision || p > metrics.MaxHistPrecision {
 		return fmt.Errorf("mmptcp: Metrics.HistPrecision %d outside [%d, %d]",
 			p, metrics.MinHistPrecision, metrics.MaxHistPrecision)
 	}
-	if c.Metrics.SnapshotInterval < 0 {
-		return fmt.Errorf("mmptcp: negative Metrics.SnapshotInterval %v", c.Metrics.SnapshotInterval)
-	}
 	switch c.Trace.Mode {
 	case "off": // spelled-out zero value
 		c.Trace.Mode = TraceOff
-	case TraceOff, TraceRing, TraceFull:
-	default:
-		return fmt.Errorf("mmptcp: unknown trace mode %q (want %q, %q or %q)",
-			c.Trace.Mode, "off", TraceRing, TraceFull)
-	}
-	if c.Trace.Buffer < 0 {
-		return fmt.Errorf("mmptcp: negative Trace.Buffer %d", c.Trace.Buffer)
-	}
-	if c.Trace.MaxEvents < 0 {
-		return fmt.Errorf("mmptcp: negative Trace.MaxEvents %d", c.Trace.MaxEvents)
-	}
-	if c.Trace.Mode == TraceOff {
+		fallthrough
+	case TraceOff:
 		// A sized buffer or a flow filter on a disabled trace is a config
 		// bug (the knobs would silently do nothing); reject it loudly.
 		if c.Trace.Buffer != 0 || c.Trace.MaxEvents != 0 || len(c.Trace.Flows) != 0 {
 			return fmt.Errorf("mmptcp: Trace.Buffer/MaxEvents/Flows set but Trace.Mode is off")
 		}
-	} else {
-		if c.Trace.Buffer == 0 {
-			c.Trace.Buffer = DefaultTraceBuffer
-		}
-		if c.Trace.MaxEvents == 0 {
-			c.Trace.MaxEvents = DefaultTraceMaxEvents
-		}
+	case TraceRing, TraceFull:
+		orDefault(&c.Trace.Buffer, DefaultTraceBuffer)
+		orDefault(&c.Trace.MaxEvents, DefaultTraceMaxEvents)
+	default:
+		return fmt.Errorf("mmptcp: unknown trace mode %q (want %q, %q or %q)",
+			c.Trace.Mode, "off", TraceRing, TraceFull)
 	}
 	return nil
 }
 
-// Shape is the comparable structural key run-instance recycling uses: the
-// Config fields that determine the built engine+network (topology kind
-// and size, link parameters, queueing, ECN). Two Configs with equal
-// Shapes can recycle one instance; everything else — protocol, workload,
-// faults, routing, metrics, seed — is per-run state that RunInstance
-// reset restores.
+// orDefault gives a zero field its default.
+func orDefault[T comparable](field *T, def T) {
+	var zero T
+	if *field == zero {
+		*field = def
+	}
+}
+
+// Shape is the comparable structural key run-instance recycling uses:
+// Config's structural fields. Two Configs with equal Shapes can recycle
+// one instance.
 type Shape struct {
 	Topology      TopologyKind
 	K             int
@@ -606,18 +639,17 @@ type Shape struct {
 	Shards int
 }
 
-// Shape returns the config's structural key, after applying
-// defaults so that configs spelling the same structure differently
-// (explicit vs defaulted fields) share a key. It fails on configs that
-// would not run at all.
+// Shape returns the config's structural key, resolved first so that
+// configs spelling the same structure differently (explicit vs defaulted
+// fields) share a key. It fails on configs that would not build.
 func (c Config) Shape() (Shape, error) {
-	if err := c.applyDefaults(); err != nil { // c is a copy
+	if err := c.resolve(false); err != nil { // c is a copy
 		return Shape{}, err
 	}
 	return c.shape(), nil
 }
 
-// shape assumes defaults have been applied.
+// shape is Shape on a resolved config.
 func (c *Config) shape() Shape {
 	return Shape{
 		Topology:      c.Topology,
@@ -644,56 +676,39 @@ func (c *Config) routingConfig() routing.Config {
 	}
 }
 
-// validateWorkload checks the fields only Run needs.
-func (c *Config) validateWorkload() error {
-	if c.ShortFlows <= 0 {
-		return fmt.Errorf("mmptcp: ShortFlows must be positive, got %d", c.ShortFlows)
-	}
-	if c.ArrivalRate <= 0 {
-		return fmt.Errorf("mmptcp: ArrivalRate must be positive, got %v", c.ArrivalRate)
-	}
-	if c.LongFraction >= 1 {
-		return fmt.Errorf("mmptcp: LongFraction %v must be below 1", c.LongFraction)
-	}
-	return nil
+// link and the four methods after it translate a resolved config's
+// topology section into the builders' own configs, for resolve to
+// Validate and buildNetwork to build.
+func (c *Config) link() topology.LinkConfig {
+	return topology.LinkConfig{RateBps: c.LinkRateBps, Delay: c.LinkDelay, QueueLimit: c.QueueLimit, ECNThreshold: c.ECNThreshold}
 }
 
-// buildNetwork constructs the configured topology.
-func (c *Config) buildNetwork(eng *sim.Engine) (*topology.Network, error) {
-	link := topology.LinkConfig{
-		RateBps:      c.LinkRateBps,
-		Delay:        c.LinkDelay,
-		QueueLimit:   c.QueueLimit,
-		ECNThreshold: c.ECNThreshold,
-	}
+func (c *Config) fatTree() topology.FatTreeConfig {
+	return topology.FatTreeConfig{K: c.K, HostsPerEdge: c.HostsPerEdge, Link: c.link(), Seed: c.Seed}
+}
+
+func (c *Config) multiHomed() topology.MultiHomedConfig {
+	return topology.MultiHomedConfig{K: c.K, HostsPerEdge: c.HostsPerEdge, Link: c.link(), Seed: c.Seed}
+}
+
+func (c *Config) dumbbell() topology.DumbbellConfig {
+	return topology.DumbbellConfig{HostsPerSide: c.K * c.HostsPerEdge / 2, Link: c.link(), BottleneckBps: c.BottleneckBps}
+}
+
+func (c *Config) vl2() topology.VL2Config {
+	return topology.VL2Config{DA: c.K, DI: c.K, HostsPerToR: c.HostsPerEdge, Link: c.link(), Seed: c.Seed}
+}
+
+// buildNetwork constructs the resolved config's topology.
+func (c *Config) buildNetwork(eng *sim.Engine) *topology.Network {
 	switch c.Topology {
 	case TopoFatTree:
-		ft := topology.NewFatTree(eng, topology.FatTreeConfig{
-			K: c.K, HostsPerEdge: c.HostsPerEdge, Link: link, Seed: c.Seed,
-		})
-		return &ft.Network, nil
+		return &topology.NewFatTree(eng, c.fatTree()).Network
 	case TopoMultiHomed:
-		m := topology.NewMultiHomed(eng, topology.MultiHomedConfig{
-			K: c.K, HostsPerEdge: c.HostsPerEdge, Link: link, Seed: c.Seed,
-		})
-		return &m.Network, nil
+		return &topology.NewMultiHomed(eng, c.multiHomed()).Network
 	case TopoDumbbell:
-		d := topology.NewDumbbell(eng, topology.DumbbellConfig{
-			HostsPerSide:  c.K * c.HostsPerEdge / 2,
-			Link:          link,
-			BottleneckBps: c.BottleneckBps,
-		})
-		return &d.Network, nil
-	case TopoVL2:
-		v := topology.NewVL2(eng, topology.VL2Config{
-			DA:          c.K,
-			DI:          c.K,
-			HostsPerToR: c.HostsPerEdge,
-			Link:        link,
-			Seed:        c.Seed,
-		})
-		return &v.Network, nil
-	default:
-		return nil, fmt.Errorf("mmptcp: unknown topology %q", c.Topology)
+		return &topology.NewDumbbell(eng, c.dumbbell()).Network
+	default: // resolve admits nothing else
+		return &topology.NewVL2(eng, c.vl2()).Network
 	}
 }

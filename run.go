@@ -143,20 +143,22 @@ type RunInstance struct {
 // instance is ready to Run cfg (or any config sharing its Shape and
 // Seed); reuse under a different config requires Reset first.
 func NewRunInstance(cfg Config) (*RunInstance, error) {
-	if err := cfg.applyDefaults(); err != nil {
+	if err := cfg.resolve(false); err != nil {
 		return nil, err
 	}
+	return newInstance(&cfg)
+}
+
+// newInstance is NewRunInstance on a resolved config.
+func newInstance(cfg *Config) (*RunInstance, error) {
 	eng := sim.NewEngine()
-	net, err := cfg.buildNetwork(eng)
-	if err != nil {
-		return nil, err
-	}
+	net := cfg.buildNetwork(eng)
 	fab, err := shard.Build(eng, net, cfg.Shards)
 	if err != nil {
 		return nil, err
 	}
 	ri := &RunInstance{shape: cfg.shape(), eng: eng, net: net, fab: fab}
-	ri.armRecorder(&cfg)
+	ri.armRecorder(cfg)
 	return ri, nil
 }
 
@@ -170,11 +172,11 @@ func (ri *RunInstance) Shape() Shape { return ri.shape }
 // between Run and the next Reset.
 func (ri *RunInstance) Recorder() *trace.Recorder { return ri.rec }
 
-// armRecorder points ri.rec at a recorder matching cfg's trace section:
-// nil when tracing is off, the existing recorder reset in place when
-// its options already match, a fresh one otherwise. cfg must have
-// defaults applied. With tracing off this is a single nil store — the
-// recycling Reset path stays allocation-free.
+// armRecorder points ri.rec at a recorder matching the resolved cfg's
+// trace section: nil when tracing is off, the existing recorder reset in
+// place when its options already match, a fresh one otherwise. With
+// tracing off this is a single nil store — the recycling reset path
+// stays allocation-free.
 func (ri *RunInstance) armRecorder(cfg *Config) {
 	if cfg.Trace.Mode == TraceOff {
 		ri.rec = nil
@@ -195,16 +197,21 @@ func (ri *RunInstance) armRecorder(cfg *Config) {
 // — a mismatched reuse would silently run on the wrong network. The
 // steady-state Reset path allocates nothing.
 func (ri *RunInstance) Reset(cfg Config) error {
-	if err := cfg.applyDefaults(); err != nil {
+	if err := cfg.resolve(false); err != nil {
 		return err
 	}
+	return ri.reset(&cfg)
+}
+
+// reset is Reset on a resolved config.
+func (ri *RunInstance) reset(cfg *Config) error {
 	if s := cfg.shape(); s != ri.shape {
 		return fmt.Errorf("mmptcp: instance of shape %+v cannot run config of shape %+v", ri.shape, s)
 	}
 	ri.eng.Reset()
 	ri.net.Reset(cfg.Seed)
 	ri.fab.Reset()
-	ri.armRecorder(&cfg)
+	ri.armRecorder(cfg)
 	return nil
 }
 
@@ -213,16 +220,10 @@ func (ri *RunInstance) Reset(cfg Config) error {
 // Run(cfg) on a throwaway instance (the recycling guarantee, locked in
 // by TestPooledSweepByteIdentical).
 func (ri *RunInstance) Run(ctx context.Context, cfg Config) (*Results, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := cfg.applyDefaults(); err != nil {
+	if err := cfg.resolve(true); err != nil {
 		return nil, err
 	}
-	if err := cfg.validateWorkload(); err != nil {
-		return nil, err
-	}
-	return runWith(ctx, cfg, ri)
+	return ri.run(ctx, &cfg)
 }
 
 // Run executes one experiment and returns its measurements.
@@ -240,11 +241,11 @@ const ctxPollEvents = 8192
 // is what lets RunSweep tear down a whole fleet of in-flight experiments
 // the moment one of them fails.
 func RunContext(ctx context.Context, cfg Config) (*Results, error) {
-	inst, err := NewRunInstance(cfg)
-	if err != nil {
+	if err := cfg.resolve(true); err != nil {
 		return nil, err
 	}
-	return inst.Run(ctx, cfg)
+	res, _, err := runOnce(ctx, &cfg)
+	return res, err
 }
 
 // RunTraced is Run plus the recorder: it executes one experiment with
@@ -255,27 +256,35 @@ func RunContext(ctx context.Context, cfg Config) (*Results, error) {
 // observes, never perturbs); export the events with WriteJSONL or
 // WriteChromeTrace.
 func RunTraced(cfg Config) (*Results, *trace.Recorder, error) {
-	inst, err := NewRunInstance(cfg)
+	if err := cfg.resolve(true); err != nil {
+		return nil, nil, err
+	}
+	return runOnce(context.Background(), &cfg)
+}
+
+// runOnce runs the resolved cfg on a throwaway instance.
+func runOnce(ctx context.Context, cfg *Config) (*Results, *trace.Recorder, error) {
+	inst, err := newInstance(cfg)
 	if err != nil {
 		return nil, nil, err
 	}
-	res, err := inst.Run(context.Background(), cfg)
+	res, err := inst.run(ctx, cfg)
 	if err != nil {
 		return nil, nil, err
 	}
 	return res, inst.rec, nil
 }
 
-// runRecycled is one RunSweep job. parked is the calling worker's slot:
-// the instance its previous job left behind, or nil. The slot is
-// refilled only after a clean run, so an instance whose run failed or
-// was cancelled is dropped rather than parked dirty.
-func runRecycled(ctx context.Context, cfg Config, parked **RunInstance) (*Results, error) {
+// runRecycled is one RunSweep job on a resolved config. parked is the
+// calling worker's slot: the instance its previous job left behind, or
+// nil. The slot is refilled only after a clean run, so an instance whose
+// run failed or was cancelled is dropped rather than parked dirty.
+func runRecycled(ctx context.Context, cfg *Config, parked **RunInstance) (*Results, error) {
 	inst, err := takeInstance(cfg, parked)
 	if err != nil {
 		return nil, err
 	}
-	res, err := inst.Run(ctx, cfg)
+	res, err := inst.run(ctx, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -283,33 +292,90 @@ func runRecycled(ctx context.Context, cfg Config, parked **RunInstance) (*Result
 	return res, nil
 }
 
-// takeInstance empties the slot and returns an instance ready to run
-// cfg: the parked one, reset, when it has cfg's shape; a fresh build
-// otherwise (first job, shape change), with the parked one let go first
-// so a worker never holds two. The reuse path allocates nothing.
-func takeInstance(cfg Config, parked **RunInstance) (*RunInstance, error) {
-	if err := cfg.applyDefaults(); err != nil {
-		return nil, err
-	}
+// takeInstance empties the slot and returns an instance ready to run the
+// resolved cfg: the parked one, reset, when it has cfg's shape; a fresh
+// build otherwise (first job, shape change), with the parked one let go
+// first so a worker never holds two. The reuse path allocates nothing.
+func takeInstance(cfg *Config, parked **RunInstance) (*RunInstance, error) {
 	inst := *parked
 	*parked = nil
 	if inst == nil || inst.shape != cfg.shape() {
-		return NewRunInstance(cfg)
+		return newInstance(cfg)
 	}
-	if err := inst.Reset(cfg); err != nil {
-		return nil, err
-	}
-	return inst, nil
+	return inst, inst.reset(cfg)
 }
 
-// runWith is the body shared by every entry point. cfg has defaults
-// applied and its workload validated; inst is fresh or Reset for cfg.
-func runWith(ctx context.Context, cfg Config, inst *RunInstance) (*Results, error) {
-	eng, net, fab := inst.eng, inst.net, inst.fab
-	if ctx.Done() != nil {
-		eng.SetInterrupt(ctxPollEvents, func() bool { return ctx.Err() != nil })
+// flow pairs one flow's record with its live connection; conn is nil
+// once the flow is closed.
+type flow struct {
+	rec  metrics.FlowRecord
+	conn Conn
+	slot int // index in liveRun.shorts, for streaming mode's removal
+}
+
+// liveRun is one experiment in flight: the resolved config, the instance
+// it runs on, and what the build, spawn, execute and collect steps of
+// RunInstance.run hand each other.
+type liveRun struct {
+	cfg *Config
+	*RunInstance
+	res     *Results
+	rootRNG *sim.RNG
+
+	faultPlan    *faults.Injector
+	controlPlane *routing.ControlPlane
+	// observer is the convergence signal MMPTCP's deferred phase switch
+	// consults: the control plane when one is installed (only under
+	// active faults — a fault-free deferring run sees a forever-closed
+	// window), nil otherwise.
+	observer core.ConvergenceObserver
+
+	// stream is the streaming metrics mode's only aggregate and the
+	// snapshots' percentile source in either mode (exact mode's final
+	// summary still comes from the record slice). Nil when neither is on.
+	stream    *metrics.StreamingSummary
+	streaming bool
+
+	assign  workload.Assignment
+	spawner *workload.PoissonShortFlows
+	longs   []*flow
+	// shorts is the flow table. Exact mode keeps every short flow, in
+	// spawn order (the paper's scatter-plot ordering); streaming mode
+	// only those still in flight, observing each into stream the moment
+	// its sender finishes and forgetting it.
+	shorts    []*flow
+	completed int
+}
+
+// run is the body shared by every entry point: cfg is resolved for a run
+// and the instance is fresh or reset for it.
+func (ri *RunInstance) run(ctx context.Context, cfg *Config) (*Results, error) {
+	if ctx == nil {
+		ctx = context.Background()
 	}
-	rootRNG := sim.NewRNG(cfg.Seed)
+	r, err := ri.build(cfg)
+	if err != nil {
+		return nil, err
+	}
+	r.spawn()
+	if err := r.execute(ctx); err != nil {
+		return nil, err
+	}
+	r.collect()
+	return r.res, nil
+}
+
+// build arms tracing, installs the network dynamics and draws the
+// traffic matrix.
+func (ri *RunInstance) build(cfg *Config) (*liveRun, error) {
+	r := &liveRun{
+		cfg:         cfg,
+		RunInstance: ri,
+		res:         &Results{Config: *cfg},
+		rootRNG:     sim.NewRNG(cfg.Seed),
+		streaming:   cfg.Metrics.Mode == MetricsStreaming,
+	}
+	eng, net, rec := ri.eng, ri.net, ri.rec
 
 	// Arm the data plane's trace points. rec is nil on untraced runs —
 	// the stores below then just re-assert the nil the resets left
@@ -317,21 +383,18 @@ func runWith(ctx context.Context, cfg Config, inst *RunInstance) (*Results, erro
 	// partitioned fabric each shard records into its own recorder
 	// (merged back into rec after the run); flows record into their
 	// source shard's.
-	rec := inst.rec
 	var recOpts trace.Options
 	if rec != nil {
 		recOpts = cfg.recorderOptions()
 	}
-	fab.InstallTracing(rec, recOpts)
+	ri.fab.InstallTracing(rec, recOpts)
 
 	// Network dynamics. The fault plan draws from its own RNG stream —
 	// not rootRNG — so a faulted run and its healthy twin share an
 	// identical workload, and the comparison isolates the failures.
-	var faultPlan *faults.Injector
-	var controlPlane *routing.ControlPlane
 	var err error
 	if cfg.Faults.Active() {
-		faultPlan, err = faults.Install(eng, faults.Target{
+		r.faultPlan, err = faults.Install(eng, faults.Target{
 			Links:        net.Links,
 			Switches:     net.Switches,
 			SwitchLayers: net.SwitchLayers,
@@ -339,194 +402,123 @@ func runWith(ctx context.Context, cfg Config, inst *RunInstance) (*Results, erro
 		if err != nil {
 			return nil, err
 		}
-		faultPlan.SetRecorder(rec)
+		r.faultPlan.SetRecorder(rec)
 		if cfg.Routing.Mode == RoutingGlobal {
 			// Global repair: wrap every router with a per-switch FIB and
 			// rebuild the override tables (coalesced) on each
 			// reconvergence-delayed link state change. Staggered
 			// convergence and flap damping are the control plane's own
 			// knobs.
-			controlPlane, err = routing.Install(eng, net, cfg.routingConfig())
+			r.controlPlane, err = routing.Install(eng, net, cfg.routingConfig())
 			if err != nil {
 				return nil, err
 			}
-			controlPlane.SetRecorder(rec)
-			faultPlan.OnRouteChange = controlPlane.Invalidate
+			r.controlPlane.SetRecorder(rec)
+			r.faultPlan.OnRouteChange = r.controlPlane.Invalidate
+			r.observer = r.controlPlane
 		}
 	}
-	// The convergence signal MMPTCP's deferred phase switch consults.
-	// Assigned only when a control plane exists (validation already
-	// requires Routing.Mode global for DeferPhaseSwitch, but the control
-	// plane is only installed when faults are active — a fault-free
-	// deferring run simply observes a forever-closed window).
-	var observer core.ConvergenceObserver
-	if controlPlane != nil {
-		observer = controlPlane
-	}
 
-	// Streaming accumulation: the streaming metrics mode's only
-	// aggregate, and the snapshot time series' percentile source in
-	// either mode (exact mode's final summary still comes from the full
-	// record slice, so enabling snapshots never perturbs it).
-	streaming := cfg.Metrics.Mode == MetricsStreaming
-	var stream *metrics.StreamingSummary
-	if streaming || cfg.Metrics.SnapshotInterval > 0 {
-		stream, err = metrics.NewStreamingSummary(cfg.Metrics.HistPrecision, cfg.Deadline)
+	if r.streaming || cfg.Metrics.SnapshotInterval > 0 {
+		r.stream, err = metrics.NewStreamingSummary(cfg.Metrics.HistPrecision, cfg.Deadline)
 		if err != nil {
 			return nil, err
 		}
 	}
 
-	longFrac := cfg.LongFraction
-	if longFrac < 0 {
-		longFrac = 0
-	}
-	assign := workload.BuildPermutation(rootRNG.Split(), len(net.Hosts), longFrac)
+	r.assign = workload.BuildPermutation(r.rootRNG.Split(), len(net.Hosts), max(cfg.LongFraction, 0))
 	if cfg.HotspotFraction > 0 {
-		assign.ApplyHotspot(workload.HotspotConfig{
+		if h := cfg.HotspotHost; h < 0 || h >= len(net.Hosts) {
+			return nil, fmt.Errorf("mmptcp: HotspotHost %d outside the network's %d hosts", h, len(net.Hosts))
+		}
+		r.assign.ApplyHotspot(workload.HotspotConfig{
 			Fraction: cfg.HotspotFraction,
 			Host:     cfg.HotspotHost,
 		})
 	}
+	return r, nil
+}
 
-	res := &Results{Config: cfg, Layers: make(map[netem.Layer]metrics.LayerStats)}
+// open dials f's connection — the one place a flow is dialed — records
+// the flow's start and returns the recorder its events go to (nil on an
+// untraced run).
+func (r *liveRun) open(f *flow, onAllAcked func()) *trace.Recorder {
+	src, dst := int(f.rec.Src), int(f.rec.Dst)
+	flowRec := r.fab.FlowRecorder(r.rec, src)
+	f.conn = dial(r.eng, r.net, r.cfg, DialConfig{
+		FlowID:     f.rec.ID,
+		Src:        src,
+		Dst:        dst,
+		Size:       f.rec.Size,
+		RNG:        r.rootRNG.Split(),
+		OnAllAcked: onAllAcked,
+		Recorder:   flowRec,
+		Observer:   r.observer,
+	})
+	if flowRec != nil {
+		flowRec.Record(r.eng.Now(), trace.KindFlowStart, f.rec.ID, -1,
+			int32(src), int32(dst), f.rec.Size, 0)
+	}
+	return flowRec
+}
 
-	// foldRedials accumulates a connection's re-dial and phase-deferral
-	// accounting just before the connection is closed (afterwards the
-	// subflow senders are torn down). With recovery off every call
-	// returns zeros.
-	foldRedials := func(c Conn) {
-		r, rc := c.RedialStats()
-		res.Redials += r
-		res.RedialRecovered += rc
-		if mc, ok := MMPTCPConn(c); ok {
-			res.PhaseDeferrals += mc.Deferrals()
+// close snapshots f's sender statistics into its record, folds its
+// re-dial and phase accounting into the results (all zeros with recovery
+// off) and frees the endpoints — the one place a flow is closed: when its
+// sender finishes, or at the end of the run for a flow still open.
+func (r *liveRun) close(f *flow) {
+	st := f.conn.Stats()
+	f.rec.Timeouts = st.Timeouts
+	f.rec.FastRetransmits = st.FastRetransmits
+	f.rec.Retransmissions = st.Retransmissions
+	f.rec.SegmentsSent = st.SegmentsSent
+	f.rec.Delivered = f.conn.Receiver().Delivered()
+	redials, recovered := f.conn.RedialStats()
+	r.res.Redials += redials
+	r.res.RedialRecovered += recovered
+	if mc, ok := MMPTCPConn(f.conn); ok {
+		r.res.PhaseDeferrals += mc.Deferrals()
+		if f.rec.Class == metrics.LongFlow && mc.Switched() {
+			r.res.PhaseSwitches++
 		}
 	}
+	f.conn.Close()
+	f.conn = nil
+}
 
-	// Long background flows: start at t=0, run for the whole
-	// simulation.
-	type longFlow struct {
-		rec  metrics.FlowRecord
-		conn Conn
-	}
-	var longs []*longFlow
+// spawn starts the long background flows, schedules the short flows'
+// Poisson arrivals and, when asked for, the rolling snapshots.
+func (r *liveRun) spawn() {
+	cfg, eng := r.cfg, r.eng
+	// Long background flows: start at t=0, run for the whole simulation.
 	nextFlowID := uint64(1)
-	for _, src := range assign.LongSenders {
-		lf := &longFlow{rec: metrics.FlowRecord{
+	for _, src := range r.assign.LongSenders {
+		lf := &flow{rec: metrics.FlowRecord{
 			ID:    nextFlowID,
 			Src:   netem.NodeID(src),
-			Dst:   netem.NodeID(assign.Partner[src]),
+			Dst:   netem.NodeID(r.assign.Partner[src]),
 			Class: metrics.LongFlow,
 			Proto: string(cfg.Protocol),
 			Size:  -1,
-			Start: 0,
 		}}
-		flowRec := fab.FlowRecorder(rec, src)
-		conn, err := Dial(eng, net, cfg, DialConfig{
-			FlowID:   nextFlowID,
-			Src:      src,
-			Dst:      assign.Partner[src],
-			Size:     -1,
-			RNG:      rootRNG.Split(),
-			Recorder: flowRec,
-			Observer: observer,
-		})
-		if err != nil {
-			return nil, err
-		}
-		if flowRec != nil {
-			flowRec.Record(eng.Now(), trace.KindFlowStart, nextFlowID, -1,
-				int32(src), int32(assign.Partner[src]), -1, 0)
-		}
-		lf.conn = conn
-		longs = append(longs, lf)
-		conn.Start()
+		r.open(lf, nil)
+		r.longs = append(r.longs, lf)
+		lf.conn.Start()
 		nextFlowID++
 	}
 
-	// Short flows: Poisson arrivals, permutation destinations. Exact
-	// mode keeps every record (spawnOrder preserves the paper's
-	// scatter-plot ordering); streaming mode observes each flow into the
-	// aggregates the moment it finishes and forgets it.
-	shorts := make(map[uint64]*shortFlow, cfg.ShortFlows)
-	var spawnOrder []uint64
-	completed := 0
-	shortBase := nextFlowID
-
-	spawner := &workload.PoissonShortFlows{
+	// Short flows: Poisson arrivals, permutation destinations.
+	r.spawner = &workload.PoissonShortFlows{
 		Eng:    eng,
-		Assign: &assign,
+		Assign: &r.assign,
 		Rate:   cfg.ArrivalRate,
 		Size:   cfg.ShortFlowSize,
 		Total:  cfg.ShortFlows,
 		Warmup: cfg.Warmup,
-		BaseID: shortBase,
+		BaseID: nextFlowID,
+		Spawn:  r.spawnShort,
 	}
-	spawner.Spawn = func(id uint64, src, dst int, size int64) {
-		sf := &shortFlow{rec: metrics.FlowRecord{
-			ID:    id,
-			Src:   netem.NodeID(src),
-			Dst:   netem.NodeID(dst),
-			Class: metrics.ShortFlow,
-			Proto: string(cfg.Protocol),
-			Size:  size,
-			Start: eng.Now(),
-		}}
-		flowRec := fab.FlowRecorder(rec, src)
-		conn, err := Dial(eng, net, cfg, DialConfig{
-			FlowID: id, Src: src, Dst: dst, Size: size, RNG: rootRNG.Split(),
-			Recorder: flowRec,
-			Observer: observer,
-		})
-		if err != nil {
-			panic(err) // config was validated; this cannot happen
-		}
-		if flowRec != nil {
-			flowRec.Record(eng.Now(), trace.KindFlowStart, id, -1,
-				int32(src), int32(dst), size, 0)
-		}
-		sf.conn = conn
-		shorts[id] = sf
-		if !streaming {
-			spawnOrder = append(spawnOrder, id)
-		}
-		// Completion callbacks fire on the owning endpoint's engine (the
-		// receiver's on the destination shard, the sender's on the source
-		// shard); the fabric defers them to the coordinator, which replays
-		// them in (time, shard) order — immediately in sequential mode.
-		conn.Receiver().OnComplete = func() {
-			fab.Defer(fab.HostShard(dst), func(at sim.Time) {
-				sf.rec.Completed = true
-				sf.rec.End = at
-				if flowRec != nil {
-					flowRec.Record(at, trace.KindFlowEnd, id, -1,
-						int32(src), int32(dst), conn.Receiver().Delivered(), 0)
-				}
-				completed++
-				if completed == cfg.ShortFlows && spawner.Spawned() == cfg.ShortFlows {
-					fab.Stop()
-				}
-			})
-		}
-		conn.SetOnAllAcked(func() {
-			fab.Defer(fab.HostShard(src), func(sim.Time) {
-				// Sender finished too: snapshot stats and free endpoints.
-				sf.fill()
-				foldRedials(sf.conn)
-				sf.conn.Close()
-				sf.conn = nil
-				if stream != nil {
-					stream.Observe(sf.rec)
-				}
-				if streaming {
-					delete(shorts, id)
-				}
-			})
-		})
-		conn.Start()
-	}
-	spawner.Start(rootRNG.Split())
+	r.spawner.Start(r.rootRNG.Split())
 
 	// Rolling snapshots: a recurring event samples the cumulative state
 	// every interval. The extra events shift Results.Events (documented
@@ -534,34 +526,88 @@ func runWith(ctx context.Context, cfg Config, inst *RunInstance) (*Results, erro
 	if iv := cfg.Metrics.SnapshotInterval; iv > 0 {
 		var tick func()
 		tick = func() {
-			res.Snapshots = append(res.Snapshots, takeSnapshot(eng, net, spawner, stream, controlPlane))
+			r.res.Snapshots = append(r.res.Snapshots, r.snapshot())
 			eng.Schedule(iv, tick)
 		}
 		eng.Schedule(iv, tick)
 	}
+}
 
-	// Execute. The fabric runs the control engine directly in sequential
-	// mode; with Shards > 1 it interleaves conservative-lookahead windows
-	// with control barriers. A Stop issued by the final completion takes
-	// effect at the barrier replaying it, with the completion's own
-	// firing time as the run's end time (see shard.Fabric.Run for the
-	// bounded window overrun this implies).
+// spawnShort is the spawner's callback: it opens one short flow and
+// wires its two completions. Those fire on the owning endpoint's engine
+// (the receiver's on the destination shard, the sender's on the source
+// shard); the fabric defers them to the coordinator, which replays them
+// in (time, shard) order — immediately in sequential mode.
+func (r *liveRun) spawnShort(id uint64, src, dst int, size int64) {
+	fab := r.fab
+	sf := &flow{slot: len(r.shorts), rec: metrics.FlowRecord{
+		ID:    id,
+		Src:   netem.NodeID(src),
+		Dst:   netem.NodeID(dst),
+		Class: metrics.ShortFlow,
+		Proto: string(r.cfg.Protocol),
+		Size:  size,
+		Start: r.eng.Now(),
+	}}
+	r.shorts = append(r.shorts, sf)
+	flowRec := r.open(sf, func() {
+		fab.Defer(fab.HostShard(src), func(sim.Time) {
+			// Sender finished too: snapshot stats and free endpoints.
+			r.close(sf)
+			if r.stream != nil {
+				r.stream.Observe(sf.rec)
+			}
+			if r.streaming {
+				last := r.shorts[len(r.shorts)-1]
+				last.slot = sf.slot
+				r.shorts[sf.slot] = last
+				r.shorts = r.shorts[:len(r.shorts)-1]
+			}
+		})
+	})
+	rcv := sf.conn.Receiver()
+	rcv.OnComplete = func() {
+		fab.Defer(fab.HostShard(dst), func(at sim.Time) {
+			sf.rec.Completed = true
+			sf.rec.End = at
+			if flowRec != nil {
+				flowRec.Record(at, trace.KindFlowEnd, id, -1,
+					int32(src), int32(dst), rcv.Delivered(), 0)
+			}
+			r.completed++
+			if n := r.cfg.ShortFlows; r.completed == n && r.spawner.Spawned() == n {
+				fab.Stop()
+			}
+		})
+	}
+	sf.conn.Start()
+}
+
+// execute runs the fabric to completion, MaxSimTime or cancellation. The
+// fabric runs the control engine directly in sequential mode; with
+// Shards > 1 it interleaves conservative-lookahead windows with control
+// barriers. A Stop issued by the final completion takes effect at the
+// barrier replaying it, with the completion's own firing time as the
+// run's end time (see shard.Fabric.Run for the bounded window overrun
+// this implies).
+func (r *liveRun) execute(ctx context.Context) error {
 	var interrupt func() bool
 	if ctx.Done() != nil {
 		interrupt = func() bool { return ctx.Err() != nil }
+		r.eng.SetInterrupt(ctxPollEvents, interrupt)
 	}
-	_, elapsed := fab.Run(shard.RunOptions{
-		Until:     cfg.MaxSimTime,
+	fab, res := r.fab, r.res
+	_, res.Elapsed = fab.Run(shard.RunOptions{
+		Until:     r.cfg.MaxSimTime,
 		Interrupt: interrupt,
 	})
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return err
 	}
-	fab.MergeTraces(rec)
+	fab.MergeTraces(r.rec)
 	fab.FoldStats()
-	res.Elapsed = elapsed
 	res.Events = fab.Events()
-	res.Spawned = spawner.Spawned()
+	res.Spawned = r.spawner.Spawned()
 	res.Shard = metrics.ShardStats{Shards: fab.Shards()}
 	if fab.Shards() > 1 {
 		st := fab.Stats()
@@ -573,57 +619,42 @@ func runWith(ctx context.Context, cfg Config, inst *RunInstance) (*Results, erro
 		res.Shard.ElidedWakeups = st.ElidedWakeups
 		res.Shard.MeanWindowNs = st.MeanWindowNs()
 	}
+	return nil
+}
 
-	if streaming {
-		// Whatever is left in the map never finished (or its sender was
-		// still awaiting ACKs): account it, then summarise.
-		for _, sf := range shorts {
-			if sf.conn != nil {
-				sf.fill()
-				foldRedials(sf.conn)
-				sf.conn.Close()
-				sf.conn = nil
+// collect closes what is still open and turns the flow table, the
+// network's counters and the control plane's statistics into Results.
+func (r *liveRun) collect() {
+	cfg, net, res := r.cfg, r.net, r.res
+	for _, sf := range r.shorts {
+		if sf.conn != nil { // never finished, or the sender still awaited ACKs
+			r.close(sf)
+			if r.streaming {
+				r.stream.Observe(sf.rec)
 			}
-			stream.Observe(sf.rec)
 		}
-		res.ShortSummary = stream.Summary()
-		res.DeadlineMissRate = stream.MissRate()
-	} else {
-		// Collect short-flow records in spawn order.
-		for _, id := range spawnOrder {
-			sf := shorts[id]
-			if sf.conn != nil { // still open at sim end
-				sf.fill()
-				foldRedials(sf.conn)
-				sf.conn.Close()
-				sf.conn = nil
-			}
+		if !r.streaming {
 			res.ShortFlows = append(res.ShortFlows, sf.rec)
 		}
+	}
+	if r.streaming {
+		res.ShortSummary = r.stream.Summary()
+		res.DeadlineMissRate = r.stream.MissRate()
+	} else {
 		res.ShortSummary = metrics.Summarize(res.ShortFlows)
 		res.DeadlineMissRate = metrics.DeadlineMissRate(res.ShortFlows, cfg.Deadline)
 	}
 
 	// Long flows: goodput over their lifetime.
 	var tputSum float64
-	for _, lf := range longs {
-		lf.rec.Delivered = lf.conn.Receiver().Delivered()
-		st := lf.conn.Stats()
-		lf.rec.Timeouts = st.Timeouts
-		lf.rec.FastRetransmits = st.FastRetransmits
-		lf.rec.Retransmissions = st.Retransmissions
-		lf.rec.SegmentsSent = st.SegmentsSent
+	for _, lf := range r.longs {
+		r.close(lf)
 		lf.rec.End = res.Elapsed
-		if mc, ok := MMPTCPConn(lf.conn); ok && mc.Switched() {
-			res.PhaseSwitches++
-		}
-		foldRedials(lf.conn)
-		lf.conn.Close()
 		tputSum += lf.rec.ThroughputMbps(res.Elapsed)
 		res.LongFlows = append(res.LongFlows, lf.rec)
 	}
-	if len(longs) > 0 {
-		res.LongThroughputMbps = tputSum / float64(len(longs))
+	if len(r.longs) > 0 {
+		res.LongThroughputMbps = tputSum / float64(len(r.longs))
 	}
 
 	res.Layers = metrics.LayerReport(net.Links, res.Elapsed)
@@ -639,13 +670,13 @@ func runWith(ctx context.Context, cfg Config, inst *RunInstance) (*Results, erro
 		res.Routing.TransientNoRoute += sw.TransientNoRoute
 		res.Routing.StaleLookups += sw.StaleLookups
 	}
-	if faultPlan != nil {
-		res.FaultEvents = len(faultPlan.Events)
+	if r.faultPlan != nil {
+		res.FaultEvents = len(r.faultPlan.Events)
 	}
 	res.Routing.Mode = string(cfg.Routing.Mode)
 	res.Routing.Convergence = string(cfg.Routing.Convergence)
-	if controlPlane != nil {
-		st := controlPlane.Stats()
+	if r.controlPlane != nil {
+		st := r.controlPlane.Stats()
 		res.Routing.Recomputes = st.Recomputes
 		res.Routing.LastConvergence = st.LastConvergence
 		res.Routing.Overrides = st.Overrides
@@ -658,51 +689,30 @@ func runWith(ctx context.Context, cfg Config, inst *RunInstance) (*Results, erro
 		res.Routing.TransientTime = st.TransientTime
 		res.Routing.Damped = st.Damped
 	}
-	return res, nil
 }
 
-// takeSnapshot samples the run's cumulative state: workload progress,
-// the streaming short-flow summary, network-wide damage counters, and
-// the control plane's work so far.
-func takeSnapshot(eng *sim.Engine, net *topology.Network, spawner *workload.PoissonShortFlows, stream *metrics.StreamingSummary, cp *routing.ControlPlane) metrics.Snapshot {
+// snapshot samples the run's cumulative state: workload progress, the
+// streaming short-flow summary, network-wide damage counters, and the
+// control plane's work so far.
+func (r *liveRun) snapshot() metrics.Snapshot {
 	snap := metrics.Snapshot{
-		At:      eng.Now(),
-		Spawned: spawner.Spawned(),
-		Short:   stream.Summary(),
+		At:      r.eng.Now(),
+		Spawned: r.spawner.Spawned(),
+		Short:   r.stream.Summary(),
 	}
-	for _, l := range net.Links {
+	for _, l := range r.net.Links {
 		snap.Blackholed += l.TotalBlackholed()
 	}
-	for _, sw := range net.Switches {
+	for _, sw := range r.net.Switches {
 		snap.NoRouteDrops += sw.NoRoute
 		snap.HopDrops += sw.Dropped
 		snap.LoopDrops += sw.LoopDrops
 		snap.CrashDrops += sw.CrashDrops
 	}
-	if cp != nil {
+	if cp := r.controlPlane; cp != nil {
 		st := cp.Stats()
 		snap.Recomputes = st.Recomputes
 		snap.Overrides = st.Overrides
 	}
 	return snap
-}
-
-// shortFlow pairs one short flow's record with its live connection.
-type shortFlow struct {
-	rec  metrics.FlowRecord
-	conn Conn
-}
-
-// fill snapshots sender statistics into the record (called once, when
-// the sender finishes or the simulation ends).
-func (sf *shortFlow) fill() {
-	if sf.conn == nil {
-		return
-	}
-	st := sf.conn.Stats()
-	sf.rec.Timeouts = st.Timeouts
-	sf.rec.FastRetransmits = st.FastRetransmits
-	sf.rec.Retransmissions = st.Retransmissions
-	sf.rec.SegmentsSent = st.SegmentsSent
-	sf.rec.Delivered = sf.conn.Receiver().Delivered()
 }

@@ -1,6 +1,8 @@
 package mmptcp
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -145,18 +147,73 @@ func TestHeadlineShape(t *testing.T) {
 	}
 }
 
+// TestRunValidation: every config a user can write either runs or comes
+// back as an error naming the offending field — never a panic. The rules
+// are per topology: what a FatTree rejects a dumbbell may accept.
 func TestRunValidation(t *testing.T) {
-	cases := []Config{
-		{}, // no protocol
-		{Protocol: "bogus", ShortFlows: 1, ArrivalRate: 1},
-		{Protocol: ProtoTCP},                // no flows
-		{Protocol: ProtoTCP, ShortFlows: 5}, // no rate
-		{Protocol: ProtoTCP, ShortFlows: 5, ArrivalRate: 1, LongFraction: 1.5},
-		{Protocol: ProtoTCP, ShortFlows: 5, ArrivalRate: 1, Topology: "ring"},
+	with := func(mutate func(*Config)) Config {
+		cfg := tiny(ProtoTCP, 5)
+		mutate(&cfg)
+		return cfg
 	}
-	for i, cfg := range cases {
-		if _, err := Run(cfg); err == nil {
-			t.Errorf("case %d: no error for invalid config", i)
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		cfg  Config
+		want string // substring of the error
+	}{
+		{Config{}, "ShortFlows"},
+		{Config{Protocol: "bogus", ShortFlows: 1, ArrivalRate: 1}, "protocol"},
+		{Config{Protocol: ProtoTCP}, "ShortFlows"},
+		{Config{Protocol: ProtoTCP, ShortFlows: 5}, "ArrivalRate"},
+		{Config{Protocol: ProtoTCP, ShortFlows: 5, ArrivalRate: 1, LongFraction: 1.5}, "LongFraction"},
+		{Config{Protocol: ProtoTCP, ShortFlows: 5, ArrivalRate: 1, Topology: "ring"}, "topology"},
+
+		{with(func(c *Config) { c.K = 3 }), "K"},
+		{with(func(c *Config) { c.K = -2 }), "K"},
+		{with(func(c *Config) { c.HostsPerEdge = -1 }), "HostsPerEdge"},
+		{with(func(c *Config) { c.LinkRateBps = -1 }), "RateBps"},
+		{with(func(c *Config) { c.LinkDelay = -1 }), "Delay"},
+		{with(func(c *Config) { c.QueueLimit = -1 }), "QueueLimit"},
+		{with(func(c *Config) { c.ECNThreshold = -1 }), "ECNThreshold"},
+		{with(func(c *Config) { c.Topology = TopoDumbbell; c.BottleneckBps = -1 }), "BottleneckBps"},
+		{with(func(c *Config) { c.Topology = TopoDumbbell; c.K, c.HostsPerEdge = 1, 1 }), "K 1"},
+		{with(func(c *Config) { c.Topology = TopoMultiHomed; c.K = 2 }), "K 2"},
+		{with(func(c *Config) { c.Topology = TopoVL2; c.K = 3 }), "K 3"},
+		{with(func(c *Config) { c.HotspotFraction, c.HotspotHost = 0.5, 64 }), "HotspotHost"},
+		{with(func(c *Config) { c.HotspotFraction, c.HotspotHost = 0.5, -1 }), "HotspotHost"},
+		{with(func(c *Config) { c.HotspotFraction = -0.1 }), "HotspotFraction"},
+		{with(func(c *Config) { c.HotspotFraction = 1.5 }), "HotspotFraction"},
+		{with(func(c *Config) { c.HotspotFraction = nan }), "HotspotFraction"},
+		{with(func(c *Config) { c.ArrivalRate = nan }), "ArrivalRate"},
+		{with(func(c *Config) { c.ArrivalRate = inf }), "ArrivalRate"},
+		{with(func(c *Config) { c.LongFraction = nan }), "LongFraction"},
+		{with(func(c *Config) { c.LongFraction = -inf }), "LongFraction"},
+		{with(func(c *Config) { c.MaxSimTime = -1 }), "MaxSimTime"},
+		{with(func(c *Config) { c.Warmup = -1 }), "Warmup"},
+		{with(func(c *Config) { c.Deadline = -1 }), "Deadline"},
+		{with(func(c *Config) { c.Subflows = -1 }), "Subflows"},
+		{with(func(c *Config) { c.SwitchBytes = -1 }), "SwitchBytes"},
+		{with(func(c *Config) { c.ShortFlowSize = -1 }), "ShortFlowSize"},
+		{with(func(c *Config) { c.TCP.MSS = -1 }), "TCP.MSS"},
+		{with(func(c *Config) { c.TCP.MinRTO = -1 }), "TCP.MinRTO"},
+		{with(func(c *Config) { c.Strategy = 7 }), "Strategy"},
+		{with(func(c *Config) { c.PSThreshold = -1 }), "PSThreshold"},
+	}
+	for i, tc := range cases {
+		if _, err := Run(tc.cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("case %d: err = %v, want an error mentioning %q", i, err, tc.want)
+		}
+	}
+	// The smallest fabric each topology admits runs.
+	for _, ok := range []Config{
+		with(func(c *Config) { c.K, c.HostsPerEdge = 2, 1 }),
+		with(func(c *Config) { c.Topology = TopoDumbbell; c.K, c.HostsPerEdge = 2, 1 }),
+		with(func(c *Config) { c.Topology = TopoMultiHomed; c.K, c.HostsPerEdge = 4, 1 }),
+		with(func(c *Config) { c.Topology = TopoVL2; c.K, c.HostsPerEdge = 2, 1 }),
+	} {
+		ok.ShortFlows, ok.LongFraction, ok.MaxSimTime = 1, -1, Second
+		if _, err := Run(ok); err != nil {
+			t.Errorf("%s K=%d HostsPerEdge=%d: %v", ok.Topology, ok.K, ok.HostsPerEdge, err)
 		}
 	}
 }
@@ -272,6 +329,35 @@ func TestDialSingleFlow(t *testing.T) {
 	}
 	if _, ok := MMPTCPConn(&tcpConn{}); ok {
 		t.Error("MMPTCPConn succeeded on a TCP connection")
+	}
+}
+
+// TestDialValidation: Dial is exported, so what arrives is checked —
+// endpoints outside the network and a missing RNG are errors, not index
+// or nil-pointer panics.
+func TestDialValidation(t *testing.T) {
+	eng := sim.NewEngine()
+	net, err := NewNetwork(eng, Config{Protocol: ProtoTCP, K: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hosts := len(net.Hosts)
+	for _, tc := range []struct {
+		cfg  Config
+		d    DialConfig
+		want string
+	}{
+		{Config{Protocol: ProtoTCP}, DialConfig{Src: -1, Dst: 1, RNG: sim.NewRNG(1)}, "Src"},
+		{Config{Protocol: ProtoMPTCP}, DialConfig{Src: hosts, Dst: 1, RNG: sim.NewRNG(1)}, "Src"},
+		{Config{Protocol: ProtoMMPTCP}, DialConfig{Src: 0, Dst: hosts, RNG: sim.NewRNG(1)}, "Dst"},
+		{Config{Protocol: ProtoDCTCP}, DialConfig{Src: 0, Dst: -1, RNG: sim.NewRNG(1)}, "Dst"},
+		{Config{Protocol: ProtoMMPTCP}, DialConfig{Src: 0, Dst: 1}, "RNG"},
+		{Config{Protocol: "bogus"}, DialConfig{Src: 0, Dst: 1, RNG: sim.NewRNG(1)}, "protocol"},
+		{Config{Protocol: ProtoTCP, Subflows: -1}, DialConfig{Src: 0, Dst: 1, RNG: sim.NewRNG(1)}, "Subflows"},
+	} {
+		if _, err := Dial(eng, net, tc.cfg, tc.d); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Dial(%s, %+v): err = %v, want an error mentioning %q", tc.cfg.Protocol, tc.d, err, tc.want)
+		}
 	}
 }
 

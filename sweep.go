@@ -104,7 +104,11 @@ func RunSweep(configs []Config, opts SweepOptions) ([]*Results, error) {
 		SlotsPerTask: slots,
 		OnDone:       opts.OnResult,
 	}, func(ctx context.Context, parked **RunInstance, i int) (*Results, error) {
-		return runRecycled(ctx, configs[i], parked)
+		cfg := configs[i]
+		if err := cfg.resolve(true); err != nil {
+			return nil, err
+		}
+		return runRecycled(ctx, &cfg, parked)
 	})
 }
 
