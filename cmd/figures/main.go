@@ -168,6 +168,36 @@ func baseConfig(proto mmptcp.Protocol) mmptcp.Config {
 	return cfg
 }
 
+// faultedConfig is baseConfig for the fault scans: the first cables
+// agg-core cables are cut at failAt and repaired at repairAt, with routing
+// reconverging reconverge after each change (no fault plan at all when
+// cables is 0). The run is capped at 60 s of virtual time, so flows
+// stranded in RTO backoff surface as deadline misses rather than
+// dominating the scan's wall time.
+func faultedConfig(proto mmptcp.Protocol, cables int, failAt, repairAt, reconverge sim.Time) mmptcp.Config {
+	cfg := baseConfig(proto)
+	if cfg.MaxSimTime == 0 || cfg.MaxSimTime > 60*sim.Second {
+		cfg.MaxSimTime = 60 * sim.Second
+	}
+	if cables > 0 {
+		cfg.Faults = mmptcp.FaultsConfig{
+			Events:          mmptcp.FailCables(mmptcp.LayerAgg, cables, failAt, repairAt),
+			ReconvergeDelay: reconverge,
+		}
+	}
+	return cfg
+}
+
+// armRecovery turns on the scans' recovery axis: subflow re-dialing and,
+// for MMPTCP under global routing, the convergence-deferred phase switch.
+func armRecovery(cfg *mmptcp.Config) {
+	cfg.Transport.DeadRTOs = 3
+	cfg.Transport.RedialBudget = 8
+	if cfg.Protocol == mmptcp.ProtoMMPTCP && cfg.Routing.Mode == mmptcp.RoutingGlobal {
+		cfg.Transport.DeferPhaseSwitch = true
+	}
+}
+
 func run(cfg mmptcp.Config) *mmptcp.Results {
 	res, err := mmptcp.Run(cfg)
 	check(err)
@@ -438,7 +468,7 @@ func incast() {
 		var timeouts int64
 		conns := make([]mmptcp.Conn, 0, senders)
 		for i := 1; i <= senders; i++ {
-			conn, err := mmptcp.Dial(eng, net, cfg, mmptcp.DialConfig{
+			conn, err := mmptcp.Dial(net, cfg, mmptcp.DialConfig{
 				FlowID: uint64(i), Src: i, Dst: 0, Size: 70_000, RNG: rng.Split(),
 			})
 			check(err)
@@ -504,21 +534,8 @@ func failure() {
 			return
 		}
 		seen[p] = true
-		cfg := baseConfig(proto)
-		// A blackholed single-path flow can sit in RTO backoff for
-		// hundreds of virtual seconds; cap the run so it surfaces as a
-		// deadline miss instead of dominating the scan's wall time.
-		if cfg.MaxSimTime == 0 || cfg.MaxSimTime > 60*sim.Second {
-			cfg.MaxSimTime = 60 * sim.Second
-		}
-		if cables > 0 {
-			cfg.Faults = mmptcp.FaultsConfig{
-				Events:          mmptcp.FailCables(mmptcp.LayerAgg, cables, failAt, repairAt),
-				ReconvergeDelay: reconverge,
-			}
-		}
 		points = append(points, p)
-		configs = append(configs, cfg)
+		configs = append(configs, faultedConfig(proto, cables, failAt, repairAt, reconverge))
 	}
 	// Scan 1: failed-cable count at a fixed 10ms reconvergence delay.
 	for _, cables := range []int{0, 1, 2, 4} {
@@ -594,25 +611,12 @@ func repair() {
 					recoveries = append(recoveries, true)
 				}
 				for _, recovery := range recoveries {
-					cfg := baseConfig(proto)
-					// Stranded single-path flows surface as deadline misses
-					// rather than dominating the scan's wall time.
-					if cfg.MaxSimTime == 0 || cfg.MaxSimTime > 60*sim.Second {
-						cfg.MaxSimTime = 60 * sim.Second
-					}
+					cfg := faultedConfig(proto, cables, failAt, repairAt, reconverge)
 					if cables > 0 {
-						cfg.Faults = mmptcp.FaultsConfig{
-							Events:          mmptcp.FailCables(mmptcp.LayerAgg, cables, failAt, repairAt),
-							ReconvergeDelay: reconverge,
-						}
 						cfg.Routing.Mode = mode
 					}
 					if recovery {
-						cfg.Transport.DeadRTOs = 3
-						cfg.Transport.RedialBudget = 8
-						if mode == mmptcp.RoutingGlobal {
-							cfg.Transport.DeferPhaseSwitch = true
-						}
+						armRecovery(&cfg)
 					}
 					points = append(points, point{cables, mode, proto, recovery})
 					configs = append(configs, cfg)
@@ -686,27 +690,14 @@ func transient() {
 				recoveries = append(recoveries, true)
 			}
 			for _, recovery := range recoveries {
-				cfg := baseConfig(proto)
-				// Stranded single-path flows surface as deadline misses
-				// rather than dominating the scan's wall time.
-				if cfg.MaxSimTime == 0 || cfg.MaxSimTime > 60*sim.Second {
-					cfg.MaxSimTime = 60 * sim.Second
-				}
-				cfg.Faults = mmptcp.FaultsConfig{
-					Events:          mmptcp.FailCables(mmptcp.LayerAgg, cables, failAt, repairAt),
-					ReconvergeDelay: reconv,
-				}
+				cfg := faultedConfig(proto, cables, failAt, repairAt, reconv)
 				cfg.Routing = mmptcp.RoutingConfig{
 					Mode:        mmptcp.RoutingGlobal,
 					Convergence: mmptcp.ConvergeStaggered,
 					PerHopDelay: perHop,
 				}
 				if recovery {
-					cfg.Transport.DeadRTOs = 3
-					cfg.Transport.RedialBudget = 8
-					if proto == mmptcp.ProtoMMPTCP {
-						cfg.Transport.DeferPhaseSwitch = true
-					}
+					armRecovery(&cfg)
 				}
 				points = append(points, point{perHop, proto, recovery})
 				configs = append(configs, cfg)
@@ -738,15 +729,7 @@ func transient() {
 // steady-state plots would be cut from. The cumulative drop and
 // recompute columns localise the damage to the outage window.
 func timeline() {
-	cfg := baseConfig(mmptcp.ProtoMMPTCP)
-	// Stranded flows surface as deadline misses rather than wall time.
-	if cfg.MaxSimTime == 0 || cfg.MaxSimTime > 60*sim.Second {
-		cfg.MaxSimTime = 60 * sim.Second
-	}
-	cfg.Faults = mmptcp.FaultsConfig{
-		Events:          mmptcp.FailCables(mmptcp.LayerAgg, 2, 200*sim.Millisecond, 900*sim.Millisecond),
-		ReconvergeDelay: 10 * sim.Millisecond,
-	}
+	cfg := faultedConfig(mmptcp.ProtoMMPTCP, 2, 200*sim.Millisecond, 900*sim.Millisecond, 10*sim.Millisecond)
 	cfg.Routing.Mode = mmptcp.RoutingGlobal
 	cfg.Metrics = mmptcp.MetricsConfig{
 		Mode:             mmptcp.MetricsStreaming,
@@ -786,15 +769,7 @@ func timeline() {
 // kinds (sends, ACKs, enqueues, window moves) are elided — the figure
 // is the anatomy of the damage, not a packet dump.
 func anatomy() {
-	cfg := baseConfig(mmptcp.ProtoMMPTCP)
-	// Stranded flows surface as deadline misses rather than wall time.
-	if cfg.MaxSimTime == 0 || cfg.MaxSimTime > 60*sim.Second {
-		cfg.MaxSimTime = 60 * sim.Second
-	}
-	cfg.Faults = mmptcp.FaultsConfig{
-		Events:          mmptcp.FailCables(mmptcp.LayerAgg, 2, 200*sim.Millisecond, 900*sim.Millisecond),
-		ReconvergeDelay: 10 * sim.Millisecond,
-	}
+	cfg := faultedConfig(mmptcp.ProtoMMPTCP, 2, 200*sim.Millisecond, 900*sim.Millisecond, 10*sim.Millisecond)
 	cfg.Routing.Mode = mmptcp.RoutingGlobal
 	cfg.Trace.Mode = mmptcp.TraceFull
 	res, rec, err := mmptcp.RunTraced(cfg)
@@ -871,7 +846,7 @@ func coexist() {
 	conns := make([]mmptcp.Conn, len(protos))
 	for i, proto := range protos {
 		cfg := mmptcp.Config{Protocol: proto, Subflows: 8}
-		conn, err := mmptcp.Dial(eng, &d.Network, cfg, mmptcp.DialConfig{
+		conn, err := mmptcp.Dial(&d.Network, cfg, mmptcp.DialConfig{
 			FlowID: uint64(i + 1), Src: i, Dst: d.Cfg.HostsPerSide + i, Size: -1, RNG: rng.Split(),
 		})
 		check(err)

@@ -54,10 +54,10 @@ type DialConfig struct {
 
 // Dial creates a connection of the configured protocol between two hosts
 // of the network. It is exported so examples and tools can drive single
-// flows without the full experiment harness. Endpoints schedule on their
-// own host's engine — the same engine eng sequentially, the owning
-// shards' engines under a sharded fabric.
-func Dial(eng sim.EventScheduler, net *topology.Network, cfg Config, d DialConfig) (Conn, error) {
+// flows without the full experiment harness. Each endpoint schedules on
+// its own host's engine: the engine the network was built on, or the
+// owning shard's under a sharded fabric.
+func Dial(net *topology.Network, cfg Config, d DialConfig) (Conn, error) {
 	if err := cfg.resolve(false); err != nil {
 		return nil, err
 	}
@@ -67,23 +67,26 @@ func Dial(eng sim.EventScheduler, net *topology.Network, cfg Config, d DialConfi
 	if d.RNG == nil {
 		return nil, fmt.Errorf("mmptcp: DialConfig.RNG is nil")
 	}
-	return dial(eng, net, &cfg, d), nil
+	return dial(net, &cfg, d), nil
 }
 
 // dial is Dial on a resolved config and a checked DialConfig — the run
-// harness's path, with nothing left that can fail.
-func dial(eng sim.EventScheduler, net *topology.Network, cfg *Config, d DialConfig) Conn {
+// harness's path, with nothing left that can fail. Every sender and
+// receiver runs tcp.DefaultConfig(); the multipath protocols share one
+// mptcp.Config, which MMPTCP opens unchanged at its phase switch.
+func dial(net *topology.Network, cfg *Config, d DialConfig) Conn {
 	src, dst := net.Hosts[d.Src], net.Hosts[d.Dst]
+	mp := mptcp.Config{
+		TCP:           tcp.DefaultConfig(),
+		Subflows:      cfg.Subflows,
+		SACK:          cfg.SACK,
+		DeadRTOs:      cfg.Transport.DeadRTOs,
+		RedialBackoff: cfg.Transport.RedialBackoff,
+		RedialBudget:  cfg.Transport.RedialBudget,
+	}
 	switch cfg.Protocol {
 	case ProtoMPTCP:
-		conn := mptcp.Dial(eng, mptcp.Config{
-			TCP:           cfg.TCP,
-			Subflows:      cfg.Subflows,
-			SACK:          cfg.SACK,
-			DeadRTOs:      cfg.Transport.DeadRTOs,
-			RedialBackoff: cfg.Transport.RedialBackoff,
-			RedialBudget:  cfg.Transport.RedialBudget,
-		}, mptcp.Options{
+		conn := mptcp.Dial(mp, mptcp.Options{
 			SrcHost:  src,
 			DstHost:  dst,
 			FlowID:   d.FlowID,
@@ -94,16 +97,11 @@ func dial(eng sim.EventScheduler, net *topology.Network, cfg *Config, d DialConf
 		conn.OnAllAcked = d.OnAllAcked
 		return conn
 	case ProtoMMPTCP:
-		conn := core.Dial(eng, core.Config{
-			TCP:              cfg.TCP,
-			Subflows:         cfg.Subflows,
+		conn := core.Dial(core.Config{
+			MPTCP:            mp,
 			Strategy:         cfg.Strategy,
 			SwitchBytes:      cfg.SwitchBytes,
 			Threshold:        cfg.PSThreshold,
-			SACK:             cfg.SACK,
-			DeadRTOs:         cfg.Transport.DeadRTOs,
-			RedialBackoff:    cfg.Transport.RedialBackoff,
-			RedialBudget:     cfg.Transport.RedialBudget,
 			DeferPhaseSwitch: cfg.Transport.DeferPhaseSwitch,
 			MaxDefer:         cfg.Transport.MaxDefer,
 		}, core.Options{
@@ -119,7 +117,7 @@ func dial(eng sim.EventScheduler, net *topology.Network, cfg *Config, d DialConf
 		conn.OnAllAcked = d.OnAllAcked
 		return conn
 	default: // ProtoTCP, ProtoDCTCP: resolve admits nothing else
-		rcv := tcp.NewReceiver(dst.Engine(), cfg.TCP, dst, d.FlowID, d.Size)
+		rcv := tcp.NewReceiver(mp.TCP, dst, d.FlowID, d.Size)
 		opt := tcp.SenderOptions{
 			Host:       src,
 			Dst:        dst.ID(),
@@ -133,7 +131,7 @@ func dial(eng sim.EventScheduler, net *topology.Network, cfg *Config, d DialConf
 		if cfg.Protocol == ProtoDCTCP {
 			opt.CC = &dctcp.CC{}
 		}
-		snd := tcp.NewSender(src.Engine(), cfg.TCP, opt)
+		snd := tcp.NewSender(mp.TCP, opt)
 		snd.OnAllAcked = d.OnAllAcked
 		return &tcpConn{snd, rcv}
 	}

@@ -32,7 +32,7 @@ func ExampleDial() {
 		fmt.Println(err)
 		return
 	}
-	conn, err := mmptcp.Dial(eng, net, cfg, mmptcp.DialConfig{
+	conn, err := mmptcp.Dial(net, cfg, mmptcp.DialConfig{
 		FlowID: 1, Src: 0, Dst: 63, Size: 70_000, RNG: mmptcp.NewRNG(42),
 	})
 	if err != nil {

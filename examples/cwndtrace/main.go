@@ -31,7 +31,7 @@ func main() {
 
 	// A background long flow congests part of the fabric so the traced
 	// flow shows real dynamics.
-	bg, err := mmptcp.Dial(eng, net, cfg, mmptcp.DialConfig{
+	bg, err := mmptcp.Dial(net, cfg, mmptcp.DialConfig{
 		FlowID: 99, Src: 1, Dst: len(net.Hosts) - 2, Size: -1, RNG: rng.Split(),
 	})
 	if err != nil {
@@ -39,7 +39,7 @@ func main() {
 	}
 	bg.Start()
 
-	conn, err := mmptcp.Dial(eng, net, cfg, mmptcp.DialConfig{
+	conn, err := mmptcp.Dial(net, cfg, mmptcp.DialConfig{
 		FlowID: 1, Src: 0, Dst: len(net.Hosts) - 1, Size: 600_000, RNG: rng.Split(),
 	})
 	if err != nil {

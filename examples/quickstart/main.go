@@ -30,7 +30,7 @@ func main() {
 	}
 
 	// One 300 KB flow between hosts in different pods.
-	conn, err := mmptcp.Dial(eng, net, cfg, mmptcp.DialConfig{
+	conn, err := mmptcp.Dial(net, cfg, mmptcp.DialConfig{
 		FlowID: 1,
 		Src:    0,
 		Dst:    len(net.Hosts) - 1, // a different pod

@@ -87,49 +87,40 @@ func (m ThresholdMode) String() string {
 	return fmt.Sprintf("mode(%d)", int(m))
 }
 
-// Config parametrises MMPTCP connections.
+// Config parametrises MMPTCP connections. Dial takes it as complete: no
+// field is defaulted on the way in (DefaultConfig is the paper's setting).
 type Config struct {
-	TCP      tcp.Config
-	Subflows int // MPTCP-phase subflows; default 8 (the paper's setting)
+	// MPTCP is the connection the phase switch opens, handed to
+	// mptcp.Dial unchanged. Its TCP parameters and SACK also govern the
+	// packet-scatter sender. Re-dialing (DeadRTOs and its knobs) applies
+	// to the MPTCP phase only: the PS phase's per-packet scatter ports
+	// already re-hash every transmission across the ECMP paths.
+	MPTCP mptcp.Config
 
 	Strategy Strategy
-	// SwitchBytes is the data-volume threshold; default 100 KB, chosen
-	// so the paper's 70 KB short flows complete inside the PS phase.
+	// SwitchBytes is the data-volume threshold; the paper's setting is
+	// 100 KB, so its 70 KB short flows complete inside the PS phase.
 	SwitchBytes int64
 
 	// Threshold selects between the topology-derived and the adaptive
 	// (RR-TCP-like) duplicate-ACK threshold for the PS phase.
 	Threshold ThresholdMode
 
-	// DupThreshFor maps the number of equal-cost paths between the
-	// endpoints to the PS-phase duplicate-ACK threshold. The default is
-	// max(3, paths): with paths ways for packets to overtake each
-	// other, fewer than that many duplicate ACKs is not evidence of
-	// loss. The MPTCP phase always uses the standard threshold of 3.
-	DupThreshFor func(paths int) int
-
-	// JoinDelay staggers MPTCP-phase subflow starts (0 = simultaneous).
-	JoinDelay sim.Time
-
-	// SACK enables selective-acknowledgement recovery in both phases.
-	SACK bool
-
-	// DeadRTOs / RedialBackoff / RedialBudget arm subflow re-dialing in
-	// the MPTCP phase (passed through to mptcp.Config; see its docs).
-	// The PS phase never re-dials: its per-packet scatter ports already
-	// re-hash every transmission across the ECMP paths.
-	DeadRTOs      int
-	RedialBackoff sim.Time
-	RedialBudget  int
-
 	// DeferPhaseSwitch holds the packet-scatter→subflow switch open
 	// while the routing control plane reports an unconverged state
 	// (Options.Observer), so fresh subflows are not pinned onto tables
-	// that are mid-flip. The switch is forced after MaxDefer regardless
-	// (default 50ms), bounding how long a flow can stay in PS.
+	// that are mid-flip. The switch is forced after MaxDefer regardless,
+	// bounding how long a flow can stay in PS.
 	DeferPhaseSwitch bool
 	MaxDefer         sim.Time
 }
+
+// topologyDupThresh is the PS-phase duplicate-ACK threshold for paths
+// equal-cost paths between the endpoints: with paths ways for packets to
+// overtake each other, fewer than that many duplicate ACKs is not
+// evidence of loss. It never drops below the standard 3, which the MPTCP
+// phase always uses.
+func topologyDupThresh(paths int) int { return max(3, paths) }
 
 // ConvergenceObserver is the routing-state signal the phase switch
 // consults; *routing.ControlPlane satisfies it. Declared locally so the
@@ -141,30 +132,9 @@ type ConvergenceObserver interface {
 // DefaultConfig returns the paper's MMPTCP configuration.
 func DefaultConfig() Config {
 	return Config{
-		TCP:         tcp.DefaultConfig(),
-		Subflows:    8,
+		MPTCP:       mptcp.DefaultConfig(),
 		Strategy:    SwitchDataVolume,
 		SwitchBytes: 100_000,
-	}
-}
-
-func (c *Config) applyDefaults() {
-	if c.Subflows == 0 {
-		c.Subflows = 8
-	}
-	if c.SwitchBytes == 0 {
-		c.SwitchBytes = 100_000
-	}
-	if c.DupThreshFor == nil {
-		c.DupThreshFor = func(paths int) int {
-			if paths < 3 {
-				return 3
-			}
-			return paths
-		}
-	}
-	if c.DeferPhaseSwitch && c.MaxDefer == 0 {
-		c.MaxDefer = 50 * sim.Millisecond
 	}
 }
 
@@ -177,8 +147,7 @@ type Options struct {
 	// PathCount is the number of equal-cost paths between the hosts,
 	// from the topology's oracle (FatTree addressing in the paper).
 	PathCount int
-	DstPort   uint16   // default 80
-	RNG       *sim.RNG // required: port randomisation
+	RNG       *sim.RNG // required: port randomisation (the destination port is 80)
 	// Recorder, when non-nil, traces both phases (PS sender, MPTCP
 	// subflows) and the phase-switch instant.
 	Recorder *trace.Recorder
@@ -190,7 +159,7 @@ type Options struct {
 // Conn is an MMPTCP connection: a packet-scatter sender, a shared
 // receiver, and an MPTCP connection created at phase switch.
 type Conn struct {
-	eng sim.EventScheduler // the source host's engine: sender-side scheduling
+	eng *sim.Engine // the source host's engine: sender-side scheduling
 	cfg Config
 	opt Options
 
@@ -221,25 +190,16 @@ type Conn struct {
 	OnSwitch func()
 }
 
-// Dial creates the connection (idle until Start). Each endpoint binds to
-// its own host's engine — the receiver to the destination's, the senders
-// to the source's — which is the same engine sequentially and the owning
-// shards' engines under a sharded fabric; eng is accepted for
-// compatibility.
-func Dial(eng sim.EventScheduler, cfg Config, opt Options) *Conn {
-	cfg.applyDefaults()
+// Dial creates the connection (idle until Start). cfg is taken as
+// complete (see Config). Each endpoint schedules on its own host's
+// engine: the receiver on the destination's, the senders on the source's.
+func Dial(cfg Config, opt Options) *Conn {
 	if opt.RNG == nil {
 		panic("core: Options.RNG is required")
 	}
-	if opt.DstPort == 0 {
-		opt.DstPort = 80
-	}
-	if opt.PathCount <= 0 {
-		opt.PathCount = 1
-	}
-	_ = eng
 	c := &Conn{eng: opt.SrcHost.Engine(), cfg: cfg, opt: opt}
-	c.rcv = tcp.NewReceiver(opt.DstHost.Engine(), cfg.TCP, opt.DstHost, opt.FlowID, opt.Size)
+	tcpCfg := cfg.MPTCP.TCP
+	c.rcv = tcp.NewReceiver(tcpCfg, opt.DstHost, opt.FlowID, opt.Size)
 
 	cap := int64(-1)
 	if cfg.Strategy == SwitchDataVolume {
@@ -261,26 +221,26 @@ func Dial(eng sim.EventScheduler, cfg Config, opt Options) *Conn {
 		FlowID:  opt.FlowID,
 		Subflow: 0,
 		SrcPort: uint16(10000 + rng.Intn(50000)),
-		DstPort: opt.DstPort,
+		DstPort: 80,
 		Source:  c.psSrc,
 		// The PS phase runs a single plain-TCP window; only the
 		// duplicate-ACK threshold and per-packet ports differ.
-		DupThresh:    cfg.DupThreshFor(opt.PathCount),
+		DupThresh:    topologyDupThresh(opt.PathCount),
 		ScatterPorts: func() uint16 { return uint16(1024 + rng.Intn(64000)) },
 		IfacePicker:  ifacePicker,
-		EnableSACK:   cfg.SACK,
+		EnableSACK:   cfg.MPTCP.SACK,
 		Recorder:     opt.Recorder,
 	}
 	switch cfg.Threshold {
 	case ThresholdAdaptive:
 		// RR-TCP-like: start at the standard threshold and learn from
 		// spurious-retransmission signals.
-		psOpts.DupThresh = cfg.TCP.DupAckThreshold
+		psOpts.DupThresh = tcpCfg.DupAckThreshold
 		psOpts.AdaptiveDupThresh = true
 	case ThresholdStandard:
-		psOpts.DupThresh = cfg.TCP.DupAckThreshold
+		psOpts.DupThresh = tcpCfg.DupAckThreshold
 	}
-	c.ps = tcp.NewSender(opt.SrcHost.Engine(), cfg.TCP, psOpts)
+	c.ps = tcp.NewSender(tcpCfg, psOpts)
 	c.ps.OnAllAcked = func() {
 		c.psDone = true
 		c.checkDone()
@@ -401,24 +361,15 @@ func (c *Conn) maybeSwitch() {
 	if c.opt.Recorder != nil {
 		c.opt.Recorder.Record(c.switchedAt, trace.KindPhaseSwitch, c.opt.FlowID, 0,
 			int32(c.opt.SrcHost.ID()), int32(c.opt.DstHost.ID()),
-			handover, int64(c.cfg.Subflows))
+			handover, int64(c.cfg.MPTCP.Subflows))
 	}
-	c.mp = mptcp.Dial(c.eng, mptcp.Config{
-		TCP:           c.cfg.TCP,
-		Subflows:      c.cfg.Subflows,
-		JoinDelay:     c.cfg.JoinDelay,
-		SACK:          c.cfg.SACK,
-		DeadRTOs:      c.cfg.DeadRTOs,
-		RedialBackoff: c.cfg.RedialBackoff,
-		RedialBudget:  c.cfg.RedialBudget,
-	}, mptcp.Options{
+	c.mp = mptcp.Dial(c.cfg.MPTCP, mptcp.Options{
 		SrcHost:     c.opt.SrcHost,
 		DstHost:     c.opt.DstHost,
 		FlowID:      c.opt.FlowID,
 		Size:        c.opt.Size,
 		DataStart:   handover,
 		SubflowBase: 1, // subflow 0 is the PS flow
-		DstPort:     c.opt.DstPort,
 		RNG:         c.opt.RNG,
 		Receiver:    c.rcv,
 		Recorder:    c.opt.Recorder,

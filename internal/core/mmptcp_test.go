@@ -13,8 +13,8 @@ func fatTree4(eng *sim.Engine) *topology.FatTree {
 	return topology.NewFatTree(eng, topology.FatTreeConfig{K: 4, Link: topology.DefaultLinkConfig(), Seed: 1})
 }
 
-func dialFT(eng *sim.Engine, ft *topology.FatTree, cfg Config, flowID uint64, src, dst int, size int64, seed uint64) *Conn {
-	return Dial(eng, cfg, Options{
+func dialFT(ft *topology.FatTree, cfg Config, flowID uint64, src, dst int, size int64, seed uint64) *Conn {
+	return Dial(cfg, Options{
 		SrcHost:   ft.Host(src),
 		DstHost:   ft.Host(dst),
 		FlowID:    flowID,
@@ -29,7 +29,7 @@ func TestShortFlowStaysInPacketScatter(t *testing.T) {
 	ft := fatTree4(eng)
 	// 70 KB < 100 KB threshold: the paper expects short flows to finish
 	// entirely inside the PS phase.
-	conn := dialFT(eng, ft, DefaultConfig(), 1, 0, 15, 70_000, 42)
+	conn := dialFT(ft, DefaultConfig(), 1, 0, 15, 70_000, 42)
 	var doneAt sim.Time
 	conn.Receiver().OnComplete = func() { doneAt = eng.Now() }
 	acked := false
@@ -65,7 +65,7 @@ func TestLongFlowSwitchesAtDataVolume(t *testing.T) {
 	eng := sim.NewEngine()
 	ft := fatTree4(eng)
 	const size = 300_000
-	conn := dialFT(eng, ft, DefaultConfig(), 1, 0, 15, size, 7)
+	conn := dialFT(ft, DefaultConfig(), 1, 0, 15, size, 7)
 	switchFired := false
 	conn.OnSwitch = func() { switchFired = true }
 	acked := false
@@ -106,7 +106,7 @@ func TestLongFlowSwitchesAtDataVolume(t *testing.T) {
 func TestFlowExactlyAtThresholdDoesNotSwitch(t *testing.T) {
 	eng := sim.NewEngine()
 	ft := fatTree4(eng)
-	conn := dialFT(eng, ft, DefaultConfig(), 1, 0, 15, 100_000, 3)
+	conn := dialFT(ft, DefaultConfig(), 1, 0, 15, 100_000, 3)
 	conn.Start()
 	eng.Run()
 	if !conn.Receiver().Complete() {
@@ -120,7 +120,7 @@ func TestFlowExactlyAtThresholdDoesNotSwitch(t *testing.T) {
 func TestUnboundedFlowSwitchesAndKeepsDelivering(t *testing.T) {
 	eng := sim.NewEngine()
 	ft := fatTree4(eng)
-	conn := dialFT(eng, ft, DefaultConfig(), 1, 0, 15, -1, 11)
+	conn := dialFT(ft, DefaultConfig(), 1, 0, 15, -1, 11)
 	conn.Start()
 	eng.RunUntil(500 * sim.Millisecond)
 	if !conn.Switched() {
@@ -181,7 +181,7 @@ func TestCongestionEventSwitchWire(t *testing.T) {
 	a, b, w := newWireNet(eng)
 	cfg := DefaultConfig()
 	cfg.Strategy = SwitchCongestionEvent
-	conn := Dial(eng, cfg, Options{
+	conn := Dial(cfg, Options{
 		SrcHost: a, DstHost: b, FlowID: 1, Size: 400_000,
 		PathCount: 1, RNG: sim.NewRNG(21),
 	})
@@ -220,7 +220,7 @@ func TestCongestionEventNoCongestionNeverSwitches(t *testing.T) {
 	a, b, _ := newWireNet(eng)
 	cfg := DefaultConfig()
 	cfg.Strategy = SwitchCongestionEvent
-	conn := Dial(eng, cfg, Options{
+	conn := Dial(cfg, Options{
 		SrcHost: a, DstHost: b, FlowID: 1, Size: 400_000,
 		PathCount: 1, RNG: sim.NewRNG(5),
 	})
@@ -246,7 +246,7 @@ func TestPSReorderingToleranceEndToEnd(t *testing.T) {
 		rng := sim.NewRNG(17)
 		origOut := w.out[b.ID()]
 		cfg := DefaultConfig()
-		conn := Dial(eng, cfg, Options{
+		conn := Dial(cfg, Options{
 			SrcHost: a, DstHost: b, FlowID: 1, Size: 70_000,
 			PathCount: pathCount, RNG: rng,
 		})
@@ -284,7 +284,7 @@ func TestPSReorderingToleranceEndToEnd(t *testing.T) {
 func TestMMPTCPScatterSpreadsOverCoreLinks(t *testing.T) {
 	eng := sim.NewEngine()
 	ft := fatTree4(eng)
-	conn := dialFT(eng, ft, DefaultConfig(), 1, 0, 15, 70_000, 99)
+	conn := dialFT(ft, DefaultConfig(), 1, 0, 15, 70_000, 99)
 	conn.Start()
 	eng.Run()
 	if !conn.Receiver().Complete() {
@@ -316,7 +316,7 @@ func TestStrategyString(t *testing.T) {
 func TestMMPTCPStatsAggregation(t *testing.T) {
 	eng := sim.NewEngine()
 	ft := fatTree4(eng)
-	conn := dialFT(eng, ft, DefaultConfig(), 1, 0, 15, 300_000, 31)
+	conn := dialFT(ft, DefaultConfig(), 1, 0, 15, 300_000, 31)
 	conn.Start()
 	eng.Run()
 	st := conn.Stats()
@@ -333,7 +333,7 @@ func TestMMPTCPStatsAggregation(t *testing.T) {
 func TestMMPTCPClose(t *testing.T) {
 	eng := sim.NewEngine()
 	ft := fatTree4(eng)
-	conn := dialFT(eng, ft, DefaultConfig(), 1, 0, 15, 300_000, 8)
+	conn := dialFT(ft, DefaultConfig(), 1, 0, 15, 300_000, 8)
 	conn.Start()
 	eng.RunUntil(20 * sim.Millisecond)
 	conn.Close()
@@ -348,7 +348,7 @@ var _ tcp.DataSource = (*psSource)(nil)
 func TestPSScattersAcrossInterfacesWhenMultiHomed(t *testing.T) {
 	eng := sim.NewEngine()
 	m := topology.NewMultiHomed(eng, topology.MultiHomedConfig{K: 4, Link: topology.DefaultLinkConfig()})
-	conn := Dial(eng, DefaultConfig(), Options{
+	conn := Dial(DefaultConfig(), Options{
 		SrcHost: m.Hosts[0], DstHost: m.Hosts[15],
 		FlowID: 1, Size: 70_000,
 		PathCount: m.PathCount(0, 15), RNG: sim.NewRNG(3),
@@ -379,7 +379,7 @@ func TestAdaptiveThresholdModeEndToEnd(t *testing.T) {
 	cfg.Threshold = ThresholdAdaptive
 	// A large PS budget so the scattered phase sees enough reordering.
 	cfg.SwitchBytes = 2_000_000
-	conn := dialFT(eng, ft, cfg, 1, 0, 15, 2_000_000, 42)
+	conn := dialFT(ft, cfg, 1, 0, 15, 2_000_000, 42)
 	conn.Start()
 	eng.Run()
 	if !conn.Receiver().Complete() {
@@ -389,7 +389,7 @@ func TestAdaptiveThresholdModeEndToEnd(t *testing.T) {
 	if ps.Stats.SpuriousSignals == 0 {
 		t.Skip("no reordering observed on this seed; nothing to adapt to")
 	}
-	if ps.DupThresh() <= cfg.TCP.DupAckThreshold && ps.DupThresh() <= 3 {
+	if ps.DupThresh() <= cfg.MPTCP.TCP.DupAckThreshold && ps.DupThresh() <= 3 {
 		t.Errorf("adaptive threshold never rose: %d", ps.DupThresh())
 	}
 }

@@ -25,17 +25,13 @@ import (
 	"repro/internal/trace"
 )
 
-// Config parametrises an MPTCP connection.
+// Config parametrises an MPTCP connection. Dial takes it as complete: no
+// field is defaulted on the way in (DefaultConfig is the paper's setting).
+// Every subflow opens at connection establishment, as in the paper's ns-3
+// model, and the subflows are coupled by LIA.
 type Config struct {
 	TCP      tcp.Config
-	Subflows int // number of subflows; default 8 (the paper's headline setting)
-	// JoinDelay staggers the start of subflows after the first; 0 opens
-	// all subflows at connection establishment, as the paper's ns-3
-	// model does.
-	JoinDelay sim.Time
-	// Uncoupled replaces LIA with independent Reno per subflow (an
-	// ablation knob; the paper's MPTCP is coupled).
-	Uncoupled bool
+	Subflows int // number of subflows (the paper's headline setting is 8)
 	// SACK enables selective-acknowledgement recovery on every subflow
 	// (ablation: the paper's era modelled NewReno).
 	SACK bool
@@ -51,31 +47,16 @@ type Config struct {
 	// RedialBackoff is the base delay between repeated re-dials of the
 	// same subflow slot: the first replacement dials immediately, the
 	// k-th waits min(RedialBackoff << (k-2), 16*RedialBackoff).
-	// Default 10ms when recovery is armed.
 	RedialBackoff sim.Time
-	// RedialBudget caps re-dial attempts per connection (default 4 when
-	// recovery is armed). A connection out of budget leaves its stalled
-	// subflows backing off exactly as with recovery disabled.
+	// RedialBudget caps re-dial attempts per connection. A connection out
+	// of budget leaves its stalled subflows backing off exactly as with
+	// recovery disabled.
 	RedialBudget int
 }
 
 // DefaultConfig returns the paper's MPTCP configuration: 8 subflows, LIA.
 func DefaultConfig() Config {
 	return Config{TCP: tcp.DefaultConfig(), Subflows: 8}
-}
-
-func (c *Config) applyDefaults() {
-	if c.Subflows == 0 {
-		c.Subflows = 8
-	}
-	if c.DeadRTOs > 0 {
-		if c.RedialBackoff == 0 {
-			c.RedialBackoff = 10 * sim.Millisecond
-		}
-		if c.RedialBudget == 0 {
-			c.RedialBudget = 4
-		}
-	}
 }
 
 // Options identifies a connection's endpoints and data range.
@@ -93,10 +74,8 @@ type Options struct {
 	// SubflowBase numbers the first subflow. Plain MPTCP uses 0;
 	// MMPTCP reserves subflow 0 for the packet-scatter flow.
 	SubflowBase int8
-	// DstPort is the destination port (default 80); source ports are
-	// drawn from RNG per subflow.
-	DstPort uint16
-	// RNG seeds subflow source-port randomisation. Required.
+	// RNG draws each subflow's source port (the destination port is 80).
+	// Required.
 	RNG *sim.RNG
 	// Receiver, when non-nil, is shared with a pre-existing receive
 	// endpoint (MMPTCP's, which also serves the packet-scatter flow).
@@ -110,7 +89,7 @@ type Options struct {
 // Connection is the sender side of an MPTCP connection plus its
 // (possibly shared) receiver.
 type Connection struct {
-	eng sim.EventScheduler // the source host's engine: sender-side scheduling
+	eng *sim.Engine // the source host's engine: sender-side scheduling
 	cfg Config
 	opt Options // retained for re-dialing (endpoints, RNG, recorder)
 
@@ -148,20 +127,13 @@ type Connection struct {
 
 // Dial creates the connection: a receiver on the destination host
 // (unless shared) and cfg.Subflows senders on the source host. Subflows
-// are idle until Start. Endpoints bind to their own host's engine (the
-// receiver to the destination's, the senders to the source's) — the
-// same engine sequentially, the owning shards' under a sharded fabric —
-// so eng is accepted for compatibility but each endpoint schedules
-// where it lives.
-func Dial(eng sim.EventScheduler, cfg Config, opt Options) *Connection {
-	cfg.applyDefaults()
+// are idle until Start. cfg is taken as complete (see Config). Each
+// endpoint schedules on its own host's engine: the receiver on the
+// destination's, the senders on the source's.
+func Dial(cfg Config, opt Options) *Connection {
 	if opt.RNG == nil {
 		panic("mptcp: Options.RNG is required")
 	}
-	if opt.DstPort == 0 {
-		opt.DstPort = 80
-	}
-	_ = eng
 	c := &Connection{
 		eng:    opt.SrcHost.Engine(),
 		cfg:    cfg,
@@ -178,15 +150,11 @@ func Dial(eng sim.EventScheduler, cfg Config, opt Options) *Connection {
 	}
 	c.rcv = opt.Receiver
 	if c.rcv == nil {
-		c.rcv = tcp.NewReceiver(opt.DstHost.Engine(), cfg.TCP, opt.DstHost, opt.FlowID, opt.Size)
+		c.rcv = tcp.NewReceiver(cfg.TCP, opt.DstHost, opt.FlowID, opt.Size)
 		c.ownRcv = true
 	}
 
-	if cfg.Uncoupled {
-		c.cc = tcp.RenoCC{}
-	} else {
-		c.cc = &liaCC{conn: c}
-	}
+	c.cc = &liaCC{conn: c}
 	// On multi-homed hosts, spread subflows round-robin across the
 	// interfaces (the paper's roadmap: more parallel paths at the
 	// access layer).
@@ -210,14 +178,14 @@ func Dial(eng sim.EventScheduler, cfg Config, opt Options) *Connection {
 // newSender builds the sender for one subflow slot (initial dial and
 // re-dial share it) and wires its completion and death hooks.
 func (c *Connection) newSender(slot int, subflowID int8, srcPort uint16) *tcp.Sender {
-	sub := tcp.NewSender(c.opt.SrcHost.Engine(), c.cfg.TCP, tcp.SenderOptions{
+	sub := tcp.NewSender(c.cfg.TCP, tcp.SenderOptions{
 		Host:       c.opt.SrcHost,
 		Iface:      slot % c.ifaces,
 		Dst:        c.opt.DstHost.ID(),
 		FlowID:     c.opt.FlowID,
 		Subflow:    subflowID,
 		SrcPort:    srcPort,
-		DstPort:    c.opt.DstPort,
+		DstPort:    80,
 		Source:     &subflowSource{conn: c},
 		CC:         c.cc,
 		EnableSACK: c.cfg.SACK,
@@ -231,15 +199,10 @@ func (c *Connection) newSender(slot int, subflowID int8, srcPort uint16) *tcp.Se
 	return sub
 }
 
-// Start opens all subflows (staggered by JoinDelay if configured).
+// Start opens all subflows.
 func (c *Connection) Start() {
-	for i, sub := range c.subflows {
-		if i == 0 || c.cfg.JoinDelay == 0 {
-			sub.Start()
-			continue
-		}
-		sub := sub
-		c.eng.Schedule(sim.Time(i)*c.cfg.JoinDelay, sub.Start)
+	for _, sub := range c.subflows {
+		sub.Start()
 	}
 }
 

@@ -18,7 +18,7 @@ func TestMPTCPTransferCompletes(t *testing.T) {
 	ft := fatTree4(eng)
 	rng := sim.NewRNG(42)
 	const size = 70000
-	conn := Dial(eng, DefaultConfig(), Options{
+	conn := Dial(DefaultConfig(), Options{
 		SrcHost: ft.Host(0), DstHost: ft.Host(15),
 		FlowID: 1, Size: size, RNG: rng,
 	})
@@ -50,7 +50,7 @@ func TestMPTCPSpreadsAcrossSubflows(t *testing.T) {
 	eng := sim.NewEngine()
 	ft := fatTree4(eng)
 	rng := sim.NewRNG(7)
-	conn := Dial(eng, DefaultConfig(), Options{
+	conn := Dial(DefaultConfig(), Options{
 		SrcHost: ft.Host(0), DstHost: ft.Host(15),
 		FlowID: 1, Size: 70000, RNG: rng,
 	})
@@ -78,7 +78,7 @@ func TestMPTCPSubflowCountConfig(t *testing.T) {
 	for _, n := range []int{1, 2, 4, 9} {
 		cfg := DefaultConfig()
 		cfg.Subflows = n
-		conn := Dial(eng, cfg, Options{
+		conn := Dial(cfg, Options{
 			SrcHost: ft.Host(0), DstHost: ft.Host(15),
 			FlowID: uint64(100 + n), Size: 14000, RNG: sim.NewRNG(uint64(n)),
 		})
@@ -96,7 +96,7 @@ func TestMPTCPSubflowCountConfig(t *testing.T) {
 func TestMPTCPUnboundedFlowKeepsDelivering(t *testing.T) {
 	eng := sim.NewEngine()
 	ft := fatTree4(eng)
-	conn := Dial(eng, DefaultConfig(), Options{
+	conn := Dial(DefaultConfig(), Options{
 		SrcHost: ft.Host(0), DstHost: ft.Host(15),
 		FlowID: 1, Size: -1, RNG: sim.NewRNG(3),
 	})
@@ -119,41 +119,13 @@ func TestMPTCPUnboundedFlowKeepsDelivering(t *testing.T) {
 	}
 }
 
-func TestMPTCPJoinDelayStaggersSubflows(t *testing.T) {
-	eng := sim.NewEngine()
-	ft := fatTree4(eng)
-	cfg := DefaultConfig()
-	cfg.Subflows = 4
-	cfg.JoinDelay = 10 * sim.Millisecond
-	conn := Dial(eng, cfg, Options{
-		SrcHost: ft.Host(0), DstHost: ft.Host(15),
-		FlowID: 1, Size: -1, RNG: sim.NewRNG(5),
-	})
-	conn.Start()
-	eng.RunUntil(5 * sim.Millisecond)
-	if conn.Subflows()[0].Stats.SegmentsSent == 0 {
-		t.Error("first subflow idle before join delay")
-	}
-	for i := 1; i < 4; i++ {
-		if conn.Subflows()[i].Stats.SegmentsSent != 0 {
-			t.Errorf("subflow %d sent before its join delay", i)
-		}
-	}
-	eng.RunUntil(50 * sim.Millisecond)
-	for i := 1; i < 4; i++ {
-		if conn.Subflows()[i].Stats.SegmentsSent == 0 {
-			t.Errorf("subflow %d never started", i)
-		}
-	}
-}
-
 func TestMPTCPDataStartAndSubflowBase(t *testing.T) {
 	eng := sim.NewEngine()
 	ft := fatTree4(eng)
 	// Receiver expects 70000 bytes; the connection only carries
 	// [30000, 70000) — the MMPTCP handover pattern.
-	rcv := tcp.NewReceiver(eng, tcp.DefaultConfig(), ft.Host(15), 1, 70000)
-	conn := Dial(eng, DefaultConfig(), Options{
+	rcv := tcp.NewReceiver(tcp.DefaultConfig(), ft.Host(15), 1, 70000)
+	conn := Dial(DefaultConfig(), Options{
 		SrcHost: ft.Host(0), DstHost: ft.Host(15),
 		FlowID: 1, Size: 70000, DataStart: 30000,
 		SubflowBase: 1, RNG: sim.NewRNG(9),
@@ -168,7 +140,7 @@ func TestMPTCPDataStartAndSubflowBase(t *testing.T) {
 		t.Fatalf("delivered = %d, want 40000", got)
 	}
 	// Now deliver the head as subflow 0 (what the PS phase would do).
-	head := tcp.NewSender(eng, tcp.DefaultConfig(), tcp.SenderOptions{
+	head := tcp.NewSender(tcp.DefaultConfig(), tcp.SenderOptions{
 		Host: ft.Host(0), Dst: ft.Host(15).ID(), FlowID: 1, Subflow: 0,
 		SrcPort: 9999, DstPort: 80,
 		Source: &tcp.BytesSource{Size: 30000},
@@ -192,7 +164,7 @@ func TestLIAIncrementCoupling(t *testing.T) {
 	ft := fatTree4(eng)
 	cfg := DefaultConfig()
 	cfg.Subflows = 2
-	conn := Dial(eng, cfg, Options{
+	conn := Dial(cfg, Options{
 		SrcHost: ft.Host(0), DstHost: ft.Host(15),
 		FlowID: 1, Size: 1_400_000, RNG: sim.NewRNG(11),
 	})
@@ -266,12 +238,12 @@ func TestLIASharedBottleneckBounded(t *testing.T) {
 	})
 	cfg := DefaultConfig()
 	cfg.Subflows = 2
-	conn := Dial(eng, cfg, Options{
+	conn := Dial(cfg, Options{
 		SrcHost: d.Left(0), DstHost: d.Right(0),
 		FlowID: 1, Size: -1, RNG: sim.NewRNG(11),
 	})
-	rcv := tcp.NewReceiver(eng, tcp.DefaultConfig(), d.Right(1), 2, -1)
-	tcpSnd := tcp.NewSender(eng, tcp.DefaultConfig(), tcp.SenderOptions{
+	rcv := tcp.NewReceiver(tcp.DefaultConfig(), d.Right(1), 2, -1)
+	tcpSnd := tcp.NewSender(tcp.DefaultConfig(), tcp.SenderOptions{
 		Host: d.Left(1), Dst: d.Right(1).ID(), FlowID: 2,
 		SrcPort: 7777, DstPort: 80,
 		Source: &tcp.BytesSource{Size: -1},
@@ -301,13 +273,13 @@ func TestMPTCPRequiresRNG(t *testing.T) {
 			t.Error("Dial without RNG did not panic")
 		}
 	}()
-	Dial(eng, DefaultConfig(), Options{SrcHost: ft.Host(0), DstHost: ft.Host(1), FlowID: 1, Size: 100})
+	Dial(DefaultConfig(), Options{SrcHost: ft.Host(0), DstHost: ft.Host(1), FlowID: 1, Size: 100})
 }
 
 func TestMPTCPCloseUnregisters(t *testing.T) {
 	eng := sim.NewEngine()
 	ft := fatTree4(eng)
-	conn := Dial(eng, DefaultConfig(), Options{
+	conn := Dial(DefaultConfig(), Options{
 		SrcHost: ft.Host(0), DstHost: ft.Host(15),
 		FlowID: 1, Size: 70000, RNG: sim.NewRNG(1),
 	})
@@ -324,7 +296,7 @@ func TestMPTCPCloseUnregisters(t *testing.T) {
 func TestAggregateSRTT(t *testing.T) {
 	eng := sim.NewEngine()
 	ft := fatTree4(eng)
-	conn := Dial(eng, DefaultConfig(), Options{
+	conn := Dial(DefaultConfig(), Options{
 		SrcHost: ft.Host(0), DstHost: ft.Host(15),
 		FlowID: 1, Size: 140000, RNG: sim.NewRNG(2),
 	})
@@ -342,7 +314,7 @@ func TestAggregateSRTT(t *testing.T) {
 func TestMPTCPSpreadsSubflowsAcrossInterfaces(t *testing.T) {
 	eng := sim.NewEngine()
 	m := topology.NewMultiHomed(eng, topology.MultiHomedConfig{K: 4, Link: topology.DefaultLinkConfig()})
-	conn := Dial(eng, DefaultConfig(), Options{
+	conn := Dial(DefaultConfig(), Options{
 		SrcHost: m.Hosts[0], DstHost: m.Hosts[15],
 		FlowID: 1, Size: 280_000, RNG: sim.NewRNG(5),
 	})

@@ -119,10 +119,10 @@ func (o *oracle) tables() (want map[netem.NodeID]map[netem.NodeID][]*netem.Link,
 
 // runOracleProgram interprets prog on a fresh fabric and checks the
 // control plane against the oracle after every batch. prog[0] picks the
-// fabric (low two bits), the convergence mode (bit 2: staggered with
-// PerHopDelay 0, which must behave exactly like atomic) and whether the
-// breadth-first passes fan out over three workers (bit 3). The rest is a
-// sequence of batches: one byte whose low two bits give the batch size
+// fabric (low two bits) and the convergence mode (bit 2: staggered with
+// PerHopDelay 0, which must behave exactly like atomic); bit 3 is unused,
+// reserved so that committed corpus entries keep their meaning. The rest
+// is a sequence of batches: one byte whose low two bits give the batch size
 // 1-4, then two bytes per flip — a 15-bit link index (modulo the link
 // count, so switch-switch and host access links alike) and a top bit
 // that, when set, flips the reverse direction of the cable too. A flip
@@ -139,9 +139,6 @@ func runOracleProgram(t *testing.T, prog []byte) (recomputes int) {
 	cfg := Config{}
 	if prog[0]&4 != 0 {
 		cfg.Convergence = Staggered
-	}
-	if prog[0]&8 != 0 {
-		cfg.Workers = 3
 	}
 	cp, err := Install(eng, net, cfg)
 	if err != nil {

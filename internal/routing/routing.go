@@ -68,8 +68,6 @@ package routing
 import (
 	"bytes"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/netem"
 	"repro/internal/sim"
@@ -154,14 +152,6 @@ type Config struct {
 	// window a link may make before it is damped; defaults to 3 when
 	// HoldDown is set. Must not be negative.
 	FlapThreshold int
-	// Workers bounds the goroutines a recompute may fan its breadth-first
-	// passes across. Values below 2 keep the recompute fully serial (the
-	// default). Parallelism changes nothing observable: missing distance
-	// tables are discovered, counted and inserted in destination order on
-	// the calling thread, and each table is a pure function of its job's
-	// destination — only the table filling itself runs concurrently. The
-	// sharded run harness sets this to its shard count.
-	Workers int
 }
 
 // Validate checks the config for contradictions. Install runs it, and
@@ -523,12 +513,6 @@ type ControlPlane struct {
 	keyBuf     []byte
 	eqBuf      []*netem.Link
 
-	// missing is the recompute scratch holding the BFS jobs of one pass:
-	// the distance tables absent from distCache, discovered in
-	// destination order and computed serially or across cfg.Workers
-	// goroutines.
-	missing []bfsJob
-
 	// recomputeFn is the cached engine callback (avoids a method-value
 	// allocation per coalesced batch).
 	recomputeFn func()
@@ -789,10 +773,9 @@ func (cp *ControlPlane) Recompute() {
 	}
 	cp.pending, cp.seeds, cp.fullPending = cp.pending[:0], cp.seeds[:0], false
 
-	// Stage the missing distance tables: one BFS job per distinct absent
-	// signature, discovered in destination order. Inserting the entry at
-	// discovery time deduplicates jobs.
-	cp.missing = cp.missing[:0]
+	// Fill the missing distance tables: one BFS per distinct absent
+	// signature, in destination order. Inserting the entry before the
+	// next destination's lookup deduplicates them.
 	for dst := netem.NodeID(0); int(dst) < cp.nHosts; dst++ {
 		cp.signature(dst)
 		if _, ok := cp.distCache[string(cp.keyBuf)]; ok {
@@ -801,9 +784,8 @@ func (cp *ControlPlane) Recompute() {
 		e := &distEntry{dist: cp.grabDist(), epoch: cp.epoch}
 		cp.distCache[string(cp.keyBuf)] = e
 		cp.stats.BFSRuns++
-		cp.missing = append(cp.missing, bfsJob{entry: e, dst: dst})
+		cp.bfs(e.dist, dst)
 	}
-	cp.runBFS()
 
 	for i := range cp.hostSig {
 		dst := netem.NodeID(i)
@@ -1043,69 +1025,19 @@ func (cp *ControlPlane) dropTable(t *table) {
 	cp.freeTables = append(cp.freeTables, t)
 }
 
-// bfsJob is one missing distance table awaiting its breadth-first pass:
-// the cache entry whose (all-zero) table to fill and a destination with
-// the entry's signature, whose live access downlinks the flood starts at.
-type bfsJob struct {
-	entry *distEntry
-	dst   netem.NodeID
-}
-
-// runBFS fills every staged job's distance table — in order on the calling
-// thread, or fanned across cfg.Workers goroutines when configured. Each
-// job touches only its own table and read-only adjacency, so the filled
-// tables are identical either way.
-func (cp *ControlPlane) runBFS() {
-	jobs := cp.missing
-	if len(jobs) == 0 {
-		return
-	}
-	workers := cp.cfg.Workers
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	if workers <= 1 {
-		for _, j := range jobs {
-			cp.frontier, cp.next = cp.bfsInto(j.entry.dist, j.dst, cp.frontier, cp.next)
-		}
-	} else {
-		var idx atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				var frontier, next []netem.NodeID
-				for {
-					i := int(idx.Add(1)) - 1
-					if i >= len(jobs) {
-						return
-					}
-					frontier, next = cp.bfsInto(jobs[i].entry.dist, jobs[i].dst, frontier, next)
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	clear(jobs)
-	cp.missing = jobs[:0]
-}
-
-// bfsInto fills dist with hop distances from every switch to host dst
-// (the source switch of each live access downlink is one hop away).
-// Expansion walks the reversed live graph and never tunnels through
-// hosts. The frontier scratch is threaded through and returned (emptied)
-// so serial callers keep the plane's recycled slices and parallel
-// workers keep their own.
-func (cp *ControlPlane) bfsInto(dist []int32, dst netem.NodeID, frontier, next []netem.NodeID) ([]netem.NodeID, []netem.NodeID) {
-	frontier = frontier[:0]
+// bfs fills dist, an all-zero table, with hop distances from every switch
+// to host dst (the source switch of each live access downlink is one hop
+// away). Expansion walks the reversed live graph and never tunnels
+// through hosts. The frontier slices are the plane's recycled scratch.
+func (cp *ControlPlane) bfs(dist []int32, dst netem.NodeID) {
+	frontier := cp.frontier[:0]
 	for _, h := range cp.in[dst] {
 		if dist[h.id] == 0 && !h.l.RouteDead() {
 			dist[h.id] = 1
 			frontier = append(frontier, h.id)
 		}
 	}
-	next = next[:0]
+	next := cp.next[:0]
 	for len(frontier) > 0 {
 		next = next[:0]
 		for _, v := range frontier {
@@ -1120,7 +1052,7 @@ func (cp *ControlPlane) bfsInto(dist []int32, dst netem.NodeID, frontier, next [
 		}
 		frontier, next = next, frontier
 	}
-	return frontier[:0], next[:0]
+	cp.frontier, cp.next = frontier[:0], next[:0]
 }
 
 // reconcile computes the equal-cost set of every switch for destination

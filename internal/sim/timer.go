@@ -6,7 +6,7 @@ package sim
 // schedule. Re-arming is allocation-free: the expiry callback is built
 // once at construction and the engine recycles the underlying events.
 type Timer struct {
-	eng EventScheduler
+	eng *Engine
 	ev  *Event
 	fn  func()
 }
@@ -18,7 +18,7 @@ type Timer struct {
 func timerFire(a any) { a.(*Timer).fire() }
 
 // NewTimer returns a stopped timer that runs fn on expiry.
-func NewTimer(eng EventScheduler, fn func()) *Timer {
+func NewTimer(eng *Engine, fn func()) *Timer {
 	if fn == nil {
 		panic("sim: nil timer callback")
 	}

@@ -7,6 +7,9 @@ import "repro/internal/sim"
 // 1400-byte segments, an initial window of 2 segments, duplicate-ACK
 // threshold 3, a 200 ms minimum RTO (the mechanism behind the paper's
 // short-flow tail) and a 1 s initial RTO before the first RTT sample.
+//
+// Senders and receivers take a Config as complete: no field is defaulted
+// on the way in, so start from DefaultConfig and change what differs.
 type Config struct {
 	MSS             int      // payload bytes per segment
 	HeaderBytes     int      // on-wire header overhead per packet
@@ -33,29 +36,4 @@ func DefaultConfig() Config {
 // SegmentsFor returns the number of segments needed to carry n bytes.
 func (c Config) SegmentsFor(n int64) int {
 	return int((n + int64(c.MSS) - 1) / int64(c.MSS))
-}
-
-func (c *Config) applyDefaults() {
-	d := DefaultConfig()
-	if c.MSS == 0 {
-		c.MSS = d.MSS
-	}
-	if c.HeaderBytes == 0 {
-		c.HeaderBytes = d.HeaderBytes
-	}
-	if c.InitialWindow == 0 {
-		c.InitialWindow = d.InitialWindow
-	}
-	if c.DupAckThreshold == 0 {
-		c.DupAckThreshold = d.DupAckThreshold
-	}
-	if c.MinRTO == 0 {
-		c.MinRTO = d.MinRTO
-	}
-	if c.MaxRTO == 0 {
-		c.MaxRTO = d.MaxRTO
-	}
-	if c.InitialRTO == 0 {
-		c.InitialRTO = d.InitialRTO
-	}
 }

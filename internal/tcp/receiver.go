@@ -25,7 +25,7 @@ type subState struct {
 // cumulative ACK generation, and one data-level interval set to detect
 // completion of the whole transfer.
 type Receiver struct {
-	eng  sim.EventScheduler
+	eng  *sim.Engine // the host's engine
 	cfg  Config
 	host *netem.Host
 
@@ -52,11 +52,11 @@ type Receiver struct {
 
 // NewReceiver creates a receiver for flowID expecting size data bytes
 // (-1 for an unbounded background flow) and registers it on the host at
-// the connection level, so it serves every subflow.
-func NewReceiver(eng sim.EventScheduler, cfg Config, host *netem.Host, flowID uint64, size int64) *Receiver {
-	cfg.applyDefaults()
+// the connection level, so it serves every subflow. cfg is taken as
+// complete (see Config).
+func NewReceiver(cfg Config, host *netem.Host, flowID uint64, size int64) *Receiver {
 	r := &Receiver{
-		eng:    eng,
+		eng:    host.Engine(),
 		cfg:    cfg,
 		host:   host,
 		flowID: flowID,

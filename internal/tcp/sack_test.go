@@ -17,10 +17,10 @@ func sackTransfer(t *testing.T, enableSACK bool, size int64, drop func(p *netem.
 	// visible in the completion time.
 	tn.w.delay = func(p *netem.Packet) sim.Time { return sim.Millisecond }
 	cfg := DefaultConfig()
-	rcv := NewReceiver(tn.eng, cfg, tn.b, 1, size)
+	rcv := NewReceiver(cfg, tn.b, 1, size)
 	var doneAt sim.Time
 	rcv.OnComplete = func() { doneAt = tn.eng.Now() }
-	snd := NewSender(tn.eng, cfg, SenderOptions{
+	snd := NewSender(cfg, SenderOptions{
 		Host: tn.a, Dst: tn.b.ID(), FlowID: 1,
 		SrcPort: 10000, DstPort: 80,
 		Source:     &BytesSource{Size: size},
@@ -100,7 +100,7 @@ func TestSACKBlocksAdvertised(t *testing.T) {
 	// Verify the receiver attaches correct blocks when a hole exists.
 	tn := newTestNet()
 	cfg := DefaultConfig()
-	NewReceiver(tn.eng, cfg, tn.b, 1, 70_000)
+	NewReceiver(cfg, tn.b, 1, 70_000)
 	var acks []*netem.Packet
 	tn.a.Register(1, 0, endpointFunc(func(p *netem.Packet) { acks = append(acks, p) }))
 	mk := func(seq int64) *netem.Packet {

@@ -37,7 +37,7 @@ type mapping struct {
 // drives one subflow; plain TCP is a single Sender with the identity
 // source. It implements netem.Endpoint to consume ACKs.
 type Sender struct {
-	eng  sim.EventScheduler
+	eng  *sim.Engine // the host's engine
 	cfg  Config
 	host *netem.Host
 
@@ -180,12 +180,10 @@ type SenderOptions struct {
 }
 
 // NewSender creates a sender, registers it on its host for ACK delivery
-// and leaves it idle until Start. Senders schedule against the host's
-// engine — the same engine for every node sequentially, the owning
-// shard's under the sharded fabric — so eng is accepted as the
-// scheduling interface and callers pass the host's engine.
-func NewSender(eng sim.EventScheduler, cfg Config, opt SenderOptions) *Sender {
-	cfg.applyDefaults()
+// and leaves it idle until Start. cfg is taken as complete (see Config).
+// The sender schedules on its host's engine — the one engine of a
+// sequential run, the owning shard's under the sharded fabric.
+func NewSender(cfg Config, opt SenderOptions) *Sender {
 	if opt.Source == nil {
 		panic("tcp: sender needs a data source")
 	}
@@ -202,7 +200,7 @@ func NewSender(eng sim.EventScheduler, cfg Config, opt SenderOptions) *Sender {
 		adaptiveMax = 64
 	}
 	s := &Sender{
-		eng:         eng,
+		eng:         opt.Host.Engine(),
 		cfg:         cfg,
 		host:        opt.Host,
 		iface:       opt.Iface,
@@ -225,7 +223,7 @@ func NewSender(eng sim.EventScheduler, cfg Config, opt SenderOptions) *Sender {
 		Ssthresh:    1 << 30,
 		rto:         cfg.InitialRTO,
 	}
-	s.timer = sim.NewTimer(eng, s.onTimeout)
+	s.timer = sim.NewTimer(s.eng, s.onTimeout)
 	s.host.Register(s.flowID, s.subflow, s)
 	return s
 }

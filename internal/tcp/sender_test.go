@@ -189,8 +189,8 @@ func TestHighDupThreshToleratesReordering(t *testing.T) {
 			}
 			return 0
 		}
-		rcv := NewReceiver(tn.eng, cfg, tn.b, 1, 140000)
-		snd := NewSender(tn.eng, cfg, SenderOptions{
+		rcv := NewReceiver(cfg, tn.b, 1, 140000)
+		snd := NewSender(cfg, SenderOptions{
 			Host: tn.a, Dst: tn.b.ID(), FlowID: 1,
 			SrcPort: 10000, DstPort: 80,
 			Source:    &BytesSource{Size: 140000},
@@ -231,8 +231,8 @@ func TestScatterPortsVaryPerPacket(t *testing.T) {
 		return false
 	}
 	_ = origOut
-	rcv := NewReceiver(tn.eng, cfg, tn.b, 1, 70000)
-	snd := NewSender(tn.eng, cfg, SenderOptions{
+	rcv := NewReceiver(cfg, tn.b, 1, 70000)
+	snd := NewSender(cfg, SenderOptions{
 		Host: tn.a, Dst: tn.b.ID(), FlowID: 1,
 		SrcPort: 10000, DstPort: 80,
 		Source:       &BytesSource{Size: 70000},
@@ -377,8 +377,8 @@ func TestAdaptiveDupThreshLearnsFromSpuriousRetx(t *testing.T) {
 		}
 		return 0
 	}
-	rcv := NewReceiver(tn.eng, cfg, tn.b, 1, 700_000)
-	snd := NewSender(tn.eng, cfg, SenderOptions{
+	rcv := NewReceiver(cfg, tn.b, 1, 700_000)
+	snd := NewSender(cfg, SenderOptions{
 		Host: tn.a, Dst: tn.b.ID(), FlowID: 1,
 		SrcPort: 10000, DstPort: 80,
 		Source:            &BytesSource{Size: 700_000},
@@ -406,8 +406,8 @@ func TestAdaptiveDupThreshLearnsFromSpuriousRetx(t *testing.T) {
 			}
 			return 0
 		}
-		rcv2 := NewReceiver(tn2.eng, cfg, tn2.b, 1, 700_000)
-		s2 := NewSender(tn2.eng, cfg, SenderOptions{
+		rcv2 := NewReceiver(cfg, tn2.b, 1, 700_000)
+		s2 := NewSender(cfg, SenderOptions{
 			Host: tn2.a, Dst: tn2.b.ID(), FlowID: 1,
 			SrcPort: 10000, DstPort: 80,
 			Source: &BytesSource{Size: 700_000},
@@ -430,7 +430,7 @@ func TestAdaptiveDupThreshCapped(t *testing.T) {
 	cfg := DefaultConfig()
 	snd, rcv := tn.transfer(cfg, 1, 70_000)
 	_ = rcv
-	snd2 := NewSender(tn.eng, cfg, SenderOptions{
+	snd2 := NewSender(cfg, SenderOptions{
 		Host: tn.a, Dst: tn.b.ID(), FlowID: 2,
 		SrcPort: 10001, DstPort: 80,
 		Source:            &BytesSource{Size: 1},
@@ -453,7 +453,7 @@ func TestAdaptiveDupThreshCapped(t *testing.T) {
 func TestReceiverEchoDupSignal(t *testing.T) {
 	tn := newTestNet()
 	cfg := DefaultConfig()
-	rcv := NewReceiver(tn.eng, cfg, tn.b, 1, 70_000)
+	rcv := NewReceiver(cfg, tn.b, 1, 70_000)
 	_ = rcv
 	// Capture ACKs arriving back at host a.
 	var acks []*netem.Packet
@@ -528,8 +528,8 @@ func TestSenderCloseReleasesResources(t *testing.T) {
 
 	cfg := DefaultConfig()
 	const size = 1 << 20
-	rcv := NewReceiver(tn.eng, cfg, tn.b, 1, size)
-	snd := NewSender(tn.eng, cfg, SenderOptions{
+	rcv := NewReceiver(cfg, tn.b, 1, size)
+	snd := NewSender(cfg, SenderOptions{
 		Host:       tn.a,
 		Dst:        tn.b.ID(),
 		FlowID:     1,

@@ -212,20 +212,3 @@ func TestConfigSegmentsFor(t *testing.T) {
 		}
 	}
 }
-
-func TestConfigApplyDefaultsFillsAllFields(t *testing.T) {
-	var c Config
-	c.applyDefaults()
-	d := DefaultConfig()
-	if c != d {
-		t.Errorf("zero config after defaults = %+v, want %+v", c, d)
-	}
-	// Explicit values survive.
-	custom := Config{MSS: 9000, HeaderBytes: 40, InitialWindow: 10, DupAckThreshold: 5,
-		MinRTO: 1, MaxRTO: 2, InitialRTO: 3}
-	withDefaults := custom
-	withDefaults.applyDefaults()
-	if withDefaults != custom {
-		t.Errorf("explicit config mutated: %+v", withDefaults)
-	}
-}

@@ -33,7 +33,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/routing"
 	"repro/internal/sim"
-	"repro/internal/tcp"
 	"repro/internal/topology"
 	"repro/internal/trace"
 )
@@ -151,11 +150,6 @@ type TransportConfig struct {
 	// to 50ms when DeferPhaseSwitch is set; setting it without
 	// DeferPhaseSwitch is rejected.
 	MaxDefer SimTime
-}
-
-// Active reports whether any recovery mechanism is armed.
-func (t TransportConfig) Active() bool {
-	return t.DeadRTOs > 0 || t.DeferPhaseSwitch
 }
 
 // MetricsMode selects how Run accumulates per-flow measurements.
@@ -323,9 +317,10 @@ type Config struct {
 	// policy: topology-derived (default) or RR-TCP-like adaptive.
 	PSThreshold core.ThresholdMode
 	// SACK enables selective-acknowledgement recovery on every sender
-	// (ablation: the paper's ns-3 models were NewReno-style).
+	// (ablation: the paper's ns-3 models were NewReno-style). Every sender
+	// otherwise runs tcp.DefaultConfig(): 1400-byte segments, a 200 ms
+	// minimum RTO.
 	SACK bool
-	TCP  tcp.Config // segment sizes, RTO bounds; zero fields take defaults
 
 	// Workload: the paper's Figure 1 setup.
 	LongFraction  float64  // fraction of hosts running long flows; default 1/3; negative = none
@@ -458,13 +453,6 @@ func (c *Config) resolve(run bool) error {
 		{"HostsPerEdge", int64(c.HostsPerEdge)},
 		{"Subflows", int64(c.Subflows)},
 		{"SwitchBytes", c.SwitchBytes},
-		{"TCP.MSS", int64(c.TCP.MSS)},
-		{"TCP.HeaderBytes", int64(c.TCP.HeaderBytes)},
-		{"TCP.InitialWindow", int64(c.TCP.InitialWindow)},
-		{"TCP.DupAckThreshold", int64(c.TCP.DupAckThreshold)},
-		{"TCP.MinRTO", int64(c.TCP.MinRTO)},
-		{"TCP.MaxRTO", int64(c.TCP.MaxRTO)},
-		{"TCP.InitialRTO", int64(c.TCP.InitialRTO)},
 		{"ShortFlowSize", c.ShortFlowSize},
 		{"ShortFlows", int64(c.ShortFlows)},
 		{"Warmup", int64(c.Warmup)},
@@ -672,7 +660,6 @@ func (c *Config) routingConfig() routing.Config {
 		PerHopDelay:   c.Routing.PerHopDelay,
 		HoldDown:      c.Routing.HoldDown,
 		FlapThreshold: c.Routing.FlapThreshold,
-		Workers:       c.Shards,
 	}
 }
 

@@ -35,7 +35,7 @@ func deadPathFCT(t *testing.T, transport TransportConfig) (sim.Time, int, int) {
 		t.Fatal(err)
 	}
 
-	conn, err := Dial(eng, net, cfg, DialConfig{
+	conn, err := Dial(net, cfg, DialConfig{
 		FlowID: 1,
 		Src:    len(net.Hosts) - 1,
 		Dst:    0,
@@ -197,7 +197,7 @@ func TestDeferPhaseSwitchBounded(t *testing.T) {
 		if observer != nil {
 			obs.Observer = alwaysOpen{}
 		}
-		conn, err := Dial(eng, net, cfg, obs)
+		conn, err := Dial(net, cfg, obs)
 		if err != nil {
 			t.Fatal(err)
 		}

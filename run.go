@@ -445,7 +445,7 @@ func (ri *RunInstance) build(cfg *Config) (*liveRun, error) {
 func (r *liveRun) open(f *flow, onAllAcked func()) *trace.Recorder {
 	src, dst := int(f.rec.Src), int(f.rec.Dst)
 	flowRec := r.fab.FlowRecorder(r.rec, src)
-	f.conn = dial(r.eng, r.net, r.cfg, DialConfig{
+	f.conn = dial(r.net, r.cfg, DialConfig{
 		FlowID:     f.rec.ID,
 		Src:        src,
 		Dst:        dst,

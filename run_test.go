@@ -7,8 +7,10 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/metrics"
+	"repro/internal/mptcp"
 	"repro/internal/netem"
 	"repro/internal/sim"
+	"repro/internal/tcp"
 	"repro/internal/topology"
 )
 
@@ -194,8 +196,6 @@ func TestRunValidation(t *testing.T) {
 		{with(func(c *Config) { c.Subflows = -1 }), "Subflows"},
 		{with(func(c *Config) { c.SwitchBytes = -1 }), "SwitchBytes"},
 		{with(func(c *Config) { c.ShortFlowSize = -1 }), "ShortFlowSize"},
-		{with(func(c *Config) { c.TCP.MSS = -1 }), "TCP.MSS"},
-		{with(func(c *Config) { c.TCP.MinRTO = -1 }), "TCP.MinRTO"},
 		{with(func(c *Config) { c.Strategy = 7 }), "Strategy"},
 		{with(func(c *Config) { c.PSThreshold = -1 }), "PSThreshold"},
 	}
@@ -309,7 +309,7 @@ func TestDialSingleFlow(t *testing.T) {
 	eng := sim.NewEngine()
 	ft := topology.NewFatTree(eng, topology.FatTreeConfig{K: 4, Link: topology.DefaultLinkConfig()})
 	cfg := Config{Protocol: ProtoMMPTCP}
-	conn, err := Dial(eng, &ft.Network, cfg, DialConfig{
+	conn, err := Dial(&ft.Network, cfg, DialConfig{
 		FlowID: 1, Src: 0, Dst: 15, Size: 70_000, RNG: sim.NewRNG(1),
 	})
 	if err != nil {
@@ -355,9 +355,55 @@ func TestDialValidation(t *testing.T) {
 		{Config{Protocol: "bogus"}, DialConfig{Src: 0, Dst: 1, RNG: sim.NewRNG(1)}, "protocol"},
 		{Config{Protocol: ProtoTCP, Subflows: -1}, DialConfig{Src: 0, Dst: 1, RNG: sim.NewRNG(1)}, "Subflows"},
 	} {
-		if _, err := Dial(eng, net, tc.cfg, tc.d); err == nil || !strings.Contains(err.Error(), tc.want) {
+		if _, err := Dial(net, tc.cfg, tc.d); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("Dial(%s, %+v): err = %v, want an error mentioning %q", tc.cfg.Protocol, tc.d, err, tc.want)
 		}
+	}
+}
+
+// TestDialSendersRunDefaultTCP: the transports default nothing, so the
+// TCP parameters every sender runs are exactly what dial hands down —
+// tcp.DefaultConfig() for single-path senders, every MPTCP subflow, the
+// MMPTCP packet-scatter sender and its subflows after the phase switch.
+func TestDialSendersRunDefaultTCP(t *testing.T) {
+	want := tcp.DefaultConfig()
+	for _, tc := range []struct {
+		proto   Protocol
+		senders int
+	}{{ProtoTCP, 1}, {ProtoDCTCP, 1}, {ProtoMPTCP, 8}, {ProtoMMPTCP, 1 + 8}} {
+		proto := tc.proto
+		cfg := Config{Protocol: proto, K: 4}
+		// A 1-byte switch threshold caps the scatter phase at its first
+		// grant, so Start switches phases before any event runs.
+		cfg.SwitchBytes = 1
+		if err := cfg.resolve(false); err != nil {
+			t.Fatal(err)
+		}
+		net := cfg.buildNetwork(sim.NewEngine())
+		conn := dial(net, &cfg, DialConfig{FlowID: 1, Src: 0, Dst: 15, Size: -1, RNG: sim.NewRNG(1)})
+		conn.Start()
+		var senders []*tcp.Sender
+		switch c := conn.(type) {
+		case *tcpConn:
+			senders = append(senders, c.Sender)
+		case *mptcp.Connection:
+			senders = append(senders, c.Subflows()...)
+		case *core.Conn:
+			if !c.Switched() {
+				t.Fatalf("%s: no phase switch at a 1-byte threshold", proto)
+			}
+			senders = append(senders, c.PacketScatter())
+			senders = append(senders, c.MPTCP().Subflows()...)
+		}
+		if len(senders) != tc.senders {
+			t.Fatalf("%s: %d senders, want %d", proto, len(senders), tc.senders)
+		}
+		for i, s := range senders {
+			if got := s.Config(); got != want {
+				t.Errorf("%s sender %d runs %+v, want tcp.DefaultConfig() %+v", proto, i, got, want)
+			}
+		}
+		conn.Close()
 	}
 }
 

@@ -92,7 +92,7 @@ func TestTortureAllProtocolsDeliverExactly(t *testing.T) {
 				t.Run(name, func(t *testing.T) {
 					lw := newLossyWire(seed, sc.drop, sc.jitter)
 					cfg := Config{Protocol: proto, Subflows: 4}
-					conn, err := Dial(lw.eng, lw.network(), cfg, DialConfig{
+					conn, err := Dial(lw.network(), cfg, DialConfig{
 						FlowID: 1, Src: 0, Dst: 1, Size: size, RNG: sim.NewRNG(seed * 7),
 					})
 					if err != nil {
@@ -126,7 +126,7 @@ func TestTortureBlackholeThenHeal(t *testing.T) {
 		t.Run(string(proto), func(t *testing.T) {
 			lw := newLossyWire(1, 0, 0)
 			cfg := Config{Protocol: proto, Subflows: 4}
-			conn, err := Dial(lw.eng, lw.network(), cfg, DialConfig{
+			conn, err := Dial(lw.network(), cfg, DialConfig{
 				FlowID: 1, Src: 0, Dst: 1, Size: 700_000, RNG: sim.NewRNG(3),
 			})
 			if err != nil {
@@ -157,7 +157,7 @@ func TestTortureManyParallelFlowsOneReceiver(t *testing.T) {
 	conns := make([]Conn, n)
 	rng := sim.NewRNG(5)
 	for i := 0; i < n; i++ {
-		conn, err := Dial(lw.eng, net, cfg, DialConfig{
+		conn, err := Dial(net, cfg, DialConfig{
 			FlowID: uint64(i + 1), Src: 0, Dst: 1, Size: size, RNG: rng.Split(),
 		})
 		if err != nil {
