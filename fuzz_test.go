@@ -55,6 +55,7 @@ var (
 	fzTraceModes   = []TraceMode{"", "off", TraceRing, TraceFull, "bogus"}
 	fzRates        = []int64{0, 1, 1_000_000, 100_000_000, 10_000_000_000}
 	fzSizes        = []int64{0, 1, 1400, 70_000, 200_000}
+	fzSubflowNs    = []int64{0, 1, 2, 3, 8, 9, 127, 128, 300, 1 << 40}
 	fzFractions    = []float64{0, 0.25, 0.5, 0.99, 1, 1.5, math.NaN(), math.Inf(1)}
 	fzArrivals     = []float64{0, 1, 1000, 100_000, math.NaN(), math.Inf(1)}
 )
@@ -104,7 +105,7 @@ func fuzzConfig(prog []byte) Config {
 		QueueLimit:      int(mag(fzQueueLimit, 1, 128)),
 		BottleneckBps:   pick(fzBottleneck, fzRates),
 		ECNThreshold:    signed(fzECN, 40),
-		Subflows:        signed(fzSubflows, 10),
+		Subflows:        int(pick(fzSubflows, fzSubflowNs)),
 		Strategy:        core.Strategy(signed(fzStrategy, 4)),
 		PSThreshold:     core.ThresholdMode(signed(fzPSThreshold, 5)),
 		SwitchBytes:     pick(fzSwitchBytes, fzSizes),
@@ -153,7 +154,9 @@ func fuzzSeed(base []byte, pairs ...byte) []byte {
 }
 
 // fuzzSeeds is the corpus tier-1 runs: one valid 16-host config per
-// protocol and topology, and the ten configs that used to panic.
+// protocol and topology, then the configs resolve must reject — eleven
+// that used to panic, and Subflows 128, whose last subflow ID would wrap
+// negative.
 func fuzzSeeds() [][]byte {
 	const neg = 0x80
 	valid := func(topo, proto, k, hpe byte) []byte {
@@ -180,6 +183,8 @@ func fuzzSeeds() [][]byte {
 		with(fzTopology, 2, fzK, 2),
 		with(fzHotspotFraction, 2, fzHotspotHost, 100),
 		with(fzArrivalRate, 4), // NaN
+		with(fzSubflows, 8),    // 300: a duplicate endpoint registration
+		with(fzSubflows, 7),    // 128
 	)
 }
 
@@ -207,12 +212,12 @@ func FuzzConfig(f *testing.F) {
 }
 
 // TestFuzzSeedsCoverBothOutcomes keeps the corpus honest: the valid seeds
-// run and move data, the ten historical panics come back as errors.
+// run and move data, the twelve rejects come back as errors.
 func TestFuzzSeedsCoverBothOutcomes(t *testing.T) {
 	seeds := fuzzSeeds()
 	for i, prog := range seeds {
 		res, err := Run(fuzzConfig(prog))
-		if bad := i >= len(seeds)-10; bad != (err != nil) {
+		if bad := i >= len(seeds)-12; bad != (err != nil) {
 			t.Errorf("seed %d: err = %v, want an error: %v", i, err, bad)
 		} else if !bad && res.ShortSummary.Count == 0 {
 			t.Errorf("seed %d: no short flow completed: %+v", i, res.ShortSummary)

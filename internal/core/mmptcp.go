@@ -165,7 +165,7 @@ type Conn struct {
 
 	rcv   *tcp.Receiver
 	ps    *tcp.Sender
-	psSrc *psSource
+	psSrc psSource
 	mp    *mptcp.Connection // nil until the phase switch
 
 	switched   bool
@@ -205,7 +205,7 @@ func Dial(cfg Config, opt Options) *Conn {
 	if cfg.Strategy == SwitchDataVolume {
 		cap = cfg.SwitchBytes
 	}
-	c.psSrc = &psSource{size: opt.Size, cap: cap}
+	c.psSrc = psSource{size: opt.Size, cap: cap}
 
 	rng := opt.RNG
 	// On multi-homed hosts the scatter phase sprays across every NIC
@@ -222,7 +222,7 @@ func Dial(cfg Config, opt Options) *Conn {
 		Subflow: 0,
 		SrcPort: uint16(10000 + rng.Intn(50000)),
 		DstPort: 80,
-		Source:  c.psSrc,
+		Source:  &c.psSrc,
 		// The PS phase runs a single plain-TCP window; only the
 		// duplicate-ACK threshold and per-packet ports differ.
 		DupThresh:    topologyDupThresh(opt.PathCount),

@@ -231,7 +231,9 @@ func (c *Connection) Stats() tcp.SenderStats {
 // allocate grants up to maxBytes from the connection pool. Reclaimed
 // intervals (migrated back from dead subflows) are served first, in
 // death order, so re-pulled data reaches the receiver before fresh
-// sequence space extends the tail.
+// sequence space extends the tail. A reclaimed interval is a dead
+// sender's unacked run, re-granted at most maxBytes at a time from its
+// start, so the re-pulled chunks are the segments the dead sender carried.
 func (c *Connection) allocate(maxBytes int) (int64, int, bool) {
 	if len(c.reclaim) > 0 {
 		iv := &c.reclaim[0]

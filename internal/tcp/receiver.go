@@ -13,12 +13,6 @@ type ReceiverStats struct {
 	MaxReorder  int // worst observed reorder-buffer fragmentation
 }
 
-// subState is the per-subflow receive state: a reorder buffer over the
-// subflow's sequence space.
-type subState struct {
-	buf SeqSet
-}
-
 // Receiver is the receive side of a connection. A single Receiver serves
 // every subflow of an MPTCP/MMPTCP connection (it registers at the
 // connection level): it keeps one reorder buffer per subflow for
@@ -32,7 +26,9 @@ type Receiver struct {
 	flowID uint64
 	size   int64 // expected data bytes; -1 for unbounded flows
 
-	subs map[int8]*subState
+	// subs holds each subflow's reorder buffer over its own sequence
+	// space, indexed by subflow ID (0..127) and grown on first packet.
+	subs []SeqSet
 	data SeqSet
 
 	delivered int64
@@ -61,7 +57,6 @@ func NewReceiver(cfg Config, host *netem.Host, flowID uint64, size int64) *Recei
 		host:   host,
 		flowID: flowID,
 		size:   size,
-		subs:   make(map[int8]*subState),
 	}
 	host.Register(flowID, -1, r)
 	return r
@@ -84,16 +79,15 @@ func (r *Receiver) HandlePacket(p *netem.Packet) {
 	if r.FirstDataAt == 0 {
 		r.FirstDataAt = r.eng.Now()
 	}
-	sub, ok := r.subs[p.Subflow]
-	if !ok {
-		sub = &subState{}
-		r.subs[p.Subflow] = sub
+	if id := int(p.Subflow); id >= len(r.subs) {
+		r.subs = append(r.subs, make([]SeqSet, id+1-len(r.subs))...)
 	}
-	newSub := sub.buf.Add(p.Seq, p.Seq+int64(p.PayloadLen))
+	buf := &r.subs[p.Subflow]
+	newSub := buf.Add(p.Seq, p.Seq+int64(p.PayloadLen))
 	if newSub < int64(p.PayloadLen) {
 		r.Stats.DupBytes += int64(p.PayloadLen) - newSub
 	}
-	if f := sub.buf.Fragments(); f > r.Stats.MaxReorder {
+	if f := buf.Fragments(); f > r.Stats.MaxReorder {
 		r.Stats.MaxReorder = f
 	}
 
@@ -103,7 +97,7 @@ func (r *Receiver) HandlePacket(p *netem.Packet) {
 	// The ACK comes from the network's packet pool and its SACK ranges
 	// are written in place, so per-packet acknowledgement allocates
 	// nothing.
-	cum := sub.buf.ContiguousFrom(0)
+	cum := buf.ContiguousFrom(0)
 	ack := r.host.NewPacket()
 	ack.Src = r.host.ID()
 	ack.Dst = p.Src
@@ -117,7 +111,7 @@ func (r *Receiver) HandlePacket(p *netem.Packet) {
 	ack.EchoTS = p.SentTS
 	ack.EchoDup = newSub == 0 && p.PayloadLen > 0
 	ack.EchoCE = p.CE
-	ack.SackN = uint8(sub.buf.BlocksInto(cum, &ack.Sack))
+	ack.SackN = uint8(buf.BlocksInto(cum, &ack.Sack))
 	r.Stats.AcksSent++
 	r.host.Send(ack)
 

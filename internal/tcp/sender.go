@@ -25,13 +25,20 @@ type SenderStats struct {
 	SpuriousSignals int64
 }
 
-// mapping records which data-level chunk occupies a subflow-level
-// segment, so retransmissions carry the same data sequence.
+// mapping records which data-level chunk occupies a stretch of
+// subflow-level sequence space, so retransmissions carry the same data
+// sequence. An entry is a run of consecutive grants that continue each
+// other in data sequence; every grant but its last is a whole MSS, so
+// the run cuts back into exactly the granted segments (segmentAt).
 type mapping struct {
 	subSeq  int64
 	dataSeq int64
-	n       int
+	n       int64
 }
+
+// maxAdaptiveDupThresh caps the RR-TCP-style adaptive duplicate-ACK
+// threshold (SenderOptions.AdaptiveDupThresh).
+const maxAdaptiveDupThresh = 64
 
 // Sender is a TCP NewReno sender over the simulated network. One Sender
 // drives one subflow; plain TCP is a single Sender with the identity
@@ -69,9 +76,8 @@ type Sender struct {
 
 	// adaptive, when true, raises dupThresh by one for every
 	// DSACK-style spurious-retransmission signal (RR-TCP, the paper's
-	// §2 approach (2)), capped at adaptiveMax.
-	adaptive    bool
-	adaptiveMax int
+	// §2 approach (2)), capped at maxAdaptiveDupThresh.
+	adaptive bool
 
 	// SACK state (enabled via SenderOptions.EnableSACK): a scoreboard
 	// of receiver-advertised ranges, and the holes already
@@ -89,10 +95,11 @@ type Sender struct {
 	highSent int64 // highest sequence ever sent (Retx detection)
 	limit    int64 // bytes granted by the source so far
 	finished bool  // the source is exhausted; limit is final
-	// maps holds the granted segments in subflow-sequence order. Entries
-	// before mapHead lie fully below snd.una: pruneMappings steps over
-	// them and slides the live rest down in place, so the array is as
-	// long as the window got, not as the flow.
+	// maps holds the granted runs in subflow-sequence order: one live
+	// run for an identity source, about one per trySend burst for an
+	// MPTCP subflow. Entries before mapHead lie fully below snd.una:
+	// pruneMappings steps over them and slides the live rest down in
+	// place, so the array is as long as the window's runs, not the flow.
 	maps    []mapping
 	mapHead int
 
@@ -159,9 +166,8 @@ type SenderOptions struct {
 	IfacePicker func() int
 	// AdaptiveDupThresh enables RR-TCP-style learning: every spurious
 	// retransmission signalled by the receiver raises the duplicate-ACK
-	// threshold by one, up to AdaptiveMax (default 64).
+	// threshold by one, up to 64.
 	AdaptiveDupThresh bool
-	AdaptiveMax       int
 	// EnableSACK turns on selective-acknowledgement recovery: during
 	// fast recovery the sender retransmits the next un-SACKed hole per
 	// ACK instead of one segment per RTT, repairing multi-loss windows
@@ -195,10 +201,6 @@ func NewSender(cfg Config, opt SenderOptions) *Sender {
 	if dup <= 0 {
 		dup = cfg.DupAckThreshold
 	}
-	adaptiveMax := opt.AdaptiveMax
-	if adaptiveMax <= 0 {
-		adaptiveMax = 64
-	}
 	s := &Sender{
 		eng:         opt.Host.Engine(),
 		cfg:         cfg,
@@ -215,7 +217,6 @@ func NewSender(cfg Config, opt SenderOptions) *Sender {
 		cc:          cc,
 		dupThresh:   dup,
 		adaptive:    opt.AdaptiveDupThresh,
-		adaptiveMax: adaptiveMax,
 		sackEnabled: opt.EnableSACK,
 		deadRTOs:    opt.DeadRTOs,
 		rec:         opt.Recorder,
@@ -287,7 +288,7 @@ func (s *Sender) HandlePacket(p *netem.Packet) {
 	}
 	if p.EchoDup {
 		s.Stats.SpuriousSignals++
-		if s.adaptive && s.dupThresh < s.adaptiveMax {
+		if s.adaptive && s.dupThresh < maxAdaptiveDupThresh {
 			s.dupThresh++
 		}
 	}
@@ -479,7 +480,14 @@ func (s *Sender) trySend() {
 			if n == 0 {
 				break
 			}
-			s.maps = append(s.maps, mapping{s.limit, dataSeq, n})
+			// Extend the last live run when the grant continues it and
+			// the run is whole segments; otherwise open a new run.
+			if last := len(s.maps) - 1; last >= s.mapHead && s.maps[last].dataSeq+s.maps[last].n == dataSeq &&
+				s.maps[last].n%int64(s.cfg.MSS) == 0 {
+				s.maps[last].n += int64(n)
+			} else {
+				s.maps = append(s.maps, mapping{s.limit, dataSeq, int64(n)})
+			}
 			s.limit += int64(n)
 		}
 		m, ok := s.segmentAt(s.sndNxt)
@@ -488,7 +496,7 @@ func (s *Sender) trySend() {
 		}
 		retx := m.subSeq < s.highSent
 		s.transmit(m, retx)
-		s.sndNxt = m.subSeq + int64(m.n)
+		s.sndNxt = m.subSeq + m.n
 		if s.sndNxt > s.highSent {
 			s.highSent = s.sndNxt
 		}
@@ -534,7 +542,7 @@ func (s *Sender) retransmitNextHole() bool {
 		if !ok {
 			return false
 		}
-		end := m.subSeq + int64(m.n)
+		end := m.subSeq + m.n
 		if !s.sackRetx[m.subSeq] && !s.sacked.Contains(m.subSeq, end) {
 			s.sackRetx[m.subSeq] = true
 			s.transmit(m, true)
@@ -556,17 +564,17 @@ func (s *Sender) transmit(m mapping, retx bool) {
 	p.Dst = s.dst
 	p.SrcPort = sport
 	p.DstPort = s.dstPort
-	p.Size = s.cfg.HeaderBytes + m.n
+	p.Size = s.cfg.HeaderBytes + int(m.n)
 	p.FlowID = s.flowID
 	p.Subflow = s.subflow
 	p.Flags = netem.FlagData
 	p.Seq = m.subSeq
-	p.PayloadLen = m.n
+	p.PayloadLen = int(m.n)
 	p.DataSeq = m.dataSeq
 	p.SentTS = s.eng.Now()
 	p.Retx = retx
 	s.Stats.SegmentsSent++
-	s.Stats.BytesSent += int64(m.n)
+	s.Stats.BytesSent += m.n
 	if retx {
 		s.Stats.Retransmissions++
 	}
@@ -576,7 +584,7 @@ func (s *Sender) transmit(m mapping, retx bool) {
 			kind = trace.KindSegmentRetx
 		}
 		s.rec.Record(s.eng.Now(), kind, s.flowID, s.subflow,
-			int32(s.host.ID()), int32(s.dst), m.subSeq, int64(m.n))
+			int32(s.host.ID()), int32(s.dst), m.subSeq, m.n)
 	}
 	iface := s.iface
 	if s.ifacePicker != nil {
@@ -588,16 +596,19 @@ func (s *Sender) transmit(m mapping, retx bool) {
 	}
 }
 
-// segmentAt finds the mapping entry containing seq.
+// segmentAt returns the segment containing seq: the MSS-aligned piece
+// of the run holding it, which is the grant that put seq on the wire.
 func (s *Sender) segmentAt(seq int64) (mapping, bool) {
 	live := s.maps[s.mapHead:]
 	i := sort.Search(len(live), func(i int) bool {
-		return live[i].subSeq+int64(live[i].n) > seq
+		return live[i].subSeq+live[i].n > seq
 	})
 	if i == len(live) || live[i].subSeq > seq {
 		return mapping{}, false
 	}
-	return live[i], true
+	m, mss := live[i], int64(s.cfg.MSS)
+	off := (seq - m.subSeq) / mss * mss
+	return mapping{m.subSeq + off, m.dataSeq + off, min(mss, m.n-off)}, true
 }
 
 // pruneMappings discards mappings fully below snd.una. Re-slicing them
@@ -607,7 +618,7 @@ func (s *Sender) segmentAt(seq int64) (mapping, bool) {
 // each mapping moves at most once per halving.
 func (s *Sender) pruneMappings() {
 	i := s.mapHead
-	for i < len(s.maps) && s.maps[i].subSeq+int64(s.maps[i].n) <= s.sndUna {
+	for i < len(s.maps) && s.maps[i].subSeq+s.maps[i].n <= s.sndUna {
 		i++
 	}
 	if i > len(s.maps)-i {
@@ -668,9 +679,9 @@ func (s *Sender) checkDone() {
 
 // UnackedData returns the data-level intervals this sender was granted
 // but has not yet cumulatively acknowledged, as {dataSeq, n} pairs in
-// subflow-sequence order. A mapping straddling snd.una is clipped to
-// its unacknowledged suffix. The redial path hands these back to the
-// connection for re-pull by a replacement subflow.
+// subflow-sequence order: one per run, the run straddling snd.una
+// clipped to its unacknowledged suffix. The redial path hands these back
+// to the connection for re-pull by a replacement subflow.
 func (s *Sender) UnackedData() [][2]int64 {
 	live := s.maps[s.mapHead:]
 	if len(live) == 0 {
@@ -678,7 +689,7 @@ func (s *Sender) UnackedData() [][2]int64 {
 	}
 	out := make([][2]int64, 0, len(live))
 	for _, m := range live {
-		start, n := m.dataSeq, int64(m.n)
+		start, n := m.dataSeq, m.n
 		if skip := s.sndUna - m.subSeq; skip > 0 {
 			start += skip
 			n -= skip

@@ -427,27 +427,23 @@ func TestAdaptiveDupThreshLearnsFromSpuriousRetx(t *testing.T) {
 
 func TestAdaptiveDupThreshCapped(t *testing.T) {
 	tn := newTestNet()
-	cfg := DefaultConfig()
-	snd, rcv := tn.transfer(cfg, 1, 70_000)
-	_ = rcv
-	snd2 := NewSender(cfg, SenderOptions{
+	snd := NewSender(DefaultConfig(), SenderOptions{
 		Host: tn.a, Dst: tn.b.ID(), FlowID: 2,
 		SrcPort: 10001, DstPort: 80,
 		Source:            &BytesSource{Size: 1},
 		AdaptiveDupThresh: true,
-		AdaptiveMax:       5,
 	})
-	// Feed synthetic spurious signals directly.
-	for i := 0; i < 50; i++ {
-		snd2.HandlePacket(&netem.Packet{Flags: netem.FlagAck, EchoDup: true, FlowID: 2})
+	// Feed synthetic spurious signals directly, well past the cap.
+	const signals = 2 * maxAdaptiveDupThresh
+	for i := 0; i < signals; i++ {
+		snd.HandlePacket(&netem.Packet{Flags: netem.FlagAck, EchoDup: true, FlowID: 2})
 	}
-	if snd2.DupThresh() != 5 {
-		t.Errorf("threshold = %d, want capped at 5", snd2.DupThresh())
+	if snd.DupThresh() != 64 {
+		t.Errorf("threshold = %d, want capped at 64", snd.DupThresh())
 	}
-	if snd2.Stats.SpuriousSignals != 50 {
-		t.Errorf("signals = %d, want 50", snd2.Stats.SpuriousSignals)
+	if snd.Stats.SpuriousSignals != signals {
+		t.Errorf("signals = %d, want %d", snd.Stats.SpuriousSignals, signals)
 	}
-	_ = snd
 }
 
 func TestReceiverEchoDupSignal(t *testing.T) {
@@ -595,16 +591,33 @@ func TestSenderCloseReleasesResources(t *testing.T) {
 	}
 }
 
-// TestSenderMappingsStayInPlace: the segment mappings of a long transfer
+// sourceFunc adapts a function to DataSource.
+type sourceFunc func(maxBytes int) (int64, int, bool)
+
+func (f sourceFunc) Next(maxBytes int) (int64, int, bool) { return f(maxBytes) }
+
+// TestSenderMappingsStayInPlace: the sequence mappings of a long transfer
 // live in one array sized by the window. Pruning by re-slicing used to
 // give away the array's front, so the append in trySend moved the live
 // mappings to a new array every window or so for the life of the flow. A
-// periodic loss keeps the window a small fraction of the transfer.
+// periodic loss keeps the window a small fraction of the transfer. The
+// source skips every other chunk, as an MPTCP connection does to one of
+// its subflows, so no grant extends a run and every one is a mapping.
 func TestSenderMappingsStayInPlace(t *testing.T) {
 	tn := newTestNet()
 	cfg := DefaultConfig()
 	const segments = 20000
-	snd, rcv := tn.transfer(cfg, 1, int64(segments*cfg.MSS))
+	size := int64(segments * cfg.MSS)
+	var next int64
+	rcv := NewReceiver(cfg, tn.b, 1, size)
+	snd := NewSender(cfg, SenderOptions{
+		Host: tn.a, Dst: tn.b.ID(), FlowID: 1, SrcPort: 10000, DstPort: 80,
+		Source: sourceFunc(func(maxBytes int) (int64, int, bool) {
+			seq := next
+			next += 2 * int64(maxBytes)
+			return seq, maxBytes, next >= 2*size
+		}),
+	})
 	var (
 		maxLive, maxCap, arrays int
 		base                    *mapping
@@ -639,5 +652,32 @@ func TestSenderMappingsStayInPlace(t *testing.T) {
 	// Doubling up to the peak window, never again after it.
 	if arrays > 12 {
 		t.Errorf("maps moved to a new array %d times over %d segments (window peak %d)", arrays, segments, maxLive)
+	}
+}
+
+// TestIdentityTransferHoldsOneRun: an identity source grants contiguous
+// data, so the whole window of a 20,000-segment transfer — losses,
+// fast retransmits and all — is one live run.
+func TestIdentityTransferHoldsOneRun(t *testing.T) {
+	tn := newTestNet()
+	cfg := DefaultConfig()
+	const segments = 20000
+	snd, rcv := tn.transfer(cfg, 1, int64(segments*cfg.MSS))
+	maxLive := 0
+	tn.w.drop = func(p *netem.Packet) bool {
+		maxLive = max(maxLive, len(snd.maps)-snd.mapHead)
+		return p.IsData() && !p.Retx && p.Seq%int64(400*cfg.MSS) == int64(200*cfg.MSS)
+	}
+	snd.Start()
+	tn.eng.Run()
+
+	if !rcv.Complete() {
+		t.Fatal("transfer did not complete")
+	}
+	if maxLive != 1 {
+		t.Errorf("identity transfer held up to %d live runs, want 1", maxLive)
+	}
+	if snd.Stats.FastRetransmits == 0 {
+		t.Error("no loss recovery: the scenario no longer exercises retransmission")
 	}
 }

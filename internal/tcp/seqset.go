@@ -68,7 +68,11 @@ func (s *SeqSet) Add(start, end int64) int64 {
 	// hottest receive path.
 	switch {
 	case hi == lo:
-		// Pure insertion: open a slot at lo.
+		// Pure insertion: open a slot at lo. A set's first interval sizes
+		// it for a few holes at once rather than growing 1, 2, 4.
+		if cap(s.ivs) == 0 {
+			s.ivs = make([]interval, 0, 4)
+		}
 		s.ivs = append(s.ivs, interval{})
 		copy(s.ivs[lo+1:], s.ivs[lo:])
 		s.ivs[lo] = merged

@@ -310,7 +310,7 @@ type Config struct {
 
 	// Protocol.
 	Protocol    Protocol
-	Subflows    int           // MPTCP/MMPTCP subflows; default 8
+	Subflows    int           // MPTCP/MMPTCP subflows; default 8, at most 127 (IDs are int8)
 	Strategy    core.Strategy // MMPTCP switching strategy
 	SwitchBytes int64         // MMPTCP data-volume threshold; default 100 KB
 	// PSThreshold selects the packet-scatter duplicate-ACK threshold
@@ -471,6 +471,9 @@ func (c *Config) resolve(run bool) error {
 		if f.v < 0 {
 			return fmt.Errorf("mmptcp: negative %s: %d", f.name, f.v)
 		}
+	}
+	if c.Subflows > math.MaxInt8 {
+		return fmt.Errorf("mmptcp: Subflows %d above %d: subflow IDs are int8", c.Subflows, math.MaxInt8)
 	}
 	if run && (c.ShortFlows == 0 || c.ArrivalRate == 0) {
 		return fmt.Errorf("mmptcp: a run needs positive ShortFlows and ArrivalRate, got %d and %v", c.ShortFlows, c.ArrivalRate)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -247,10 +248,13 @@ func TestPooledSweepWorkerAllocationFree(t *testing.T) {
 // TestWarmReplicateAllocationBudget pins what one replicate of the
 // benchmark's sweep_tiny shape (K=4, 64 hosts, 8 shorts, no long flows)
 // costs a sweep worker once its instance is warm: transports, workload,
-// Results — no engine, no fabric. Measured 274 objects (289 while every
-// flow carried a Conn adaptor and a flow-map entry) and 50 KB; 506 and
-// 54 KB while PoissonShortFlows allocated three objects per sender;
-// 1,449 and 221 KB when every replicate built its own instance.
+// Results — no engine, no fabric. Measured 185 objects and 23.7 KB with
+// transport state sized to the flow's data runs; 274 and 47 KB while
+// senders kept one mapping per segment and receivers a map of boxed
+// reorder buffers (289 while every flow carried a Conn adaptor and a
+// flow-map entry); 506 and 54 KB while PoissonShortFlows allocated three
+// objects per sender; 1,449 and 221 KB when every replicate built its
+// own instance.
 func TestWarmReplicateAllocationBudget(t *testing.T) {
 	cfg := Config{
 		Topology:     TopoFatTree,
@@ -277,8 +281,18 @@ func TestWarmReplicateAllocationBudget(t *testing.T) {
 	for i := 0; i < 20; i++ { // grow rings, free lists and packet pool
 		replicate()
 	}
-	if allocs := testing.AllocsPerRun(50, replicate); allocs > 300 {
-		t.Errorf("warm replicate allocates %.0f objects, budget 300", allocs)
+	if allocs := testing.AllocsPerRun(50, replicate); allocs > 210 {
+		t.Errorf("warm replicate allocates %.0f objects, budget 210", allocs)
+	}
+	const reps = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < reps; i++ {
+		replicate()
+	}
+	runtime.ReadMemStats(&after)
+	if kb := float64(after.TotalAlloc-before.TotalAlloc) / reps / 1024; kb > 28 {
+		t.Errorf("warm replicate allocates %.1f KB, budget 28 KB", kb)
 	}
 }
 

@@ -194,6 +194,8 @@ func TestRunValidation(t *testing.T) {
 		{with(func(c *Config) { c.Warmup = -1 }), "Warmup"},
 		{with(func(c *Config) { c.Deadline = -1 }), "Deadline"},
 		{with(func(c *Config) { c.Subflows = -1 }), "Subflows"},
+		{with(func(c *Config) { c.Subflows = 300 }), "Subflows"},     // used to panic: duplicate endpoint
+		{with(func(c *Config) { c.Subflows = 1 << 40 }), "Subflows"}, // used to allocate without bound
 		{with(func(c *Config) { c.SwitchBytes = -1 }), "SwitchBytes"},
 		{with(func(c *Config) { c.ShortFlowSize = -1 }), "ShortFlowSize"},
 		{with(func(c *Config) { c.Strategy = 7 }), "Strategy"},
@@ -204,16 +206,23 @@ func TestRunValidation(t *testing.T) {
 			t.Errorf("case %d: err = %v, want an error mentioning %q", i, err, tc.want)
 		}
 	}
-	// The smallest fabric each topology admits runs.
+	// The smallest fabric each topology admits runs, and so does the
+	// widest subflow fan-out: a 1-byte switch threshold opens all 127
+	// MPTCP-phase subflows, the last on subflow ID 127.
 	for _, ok := range []Config{
 		with(func(c *Config) { c.K, c.HostsPerEdge = 2, 1 }),
 		with(func(c *Config) { c.Topology = TopoDumbbell; c.K, c.HostsPerEdge = 2, 1 }),
 		with(func(c *Config) { c.Topology = TopoMultiHomed; c.K, c.HostsPerEdge = 4, 1 }),
 		with(func(c *Config) { c.Topology = TopoVL2; c.K, c.HostsPerEdge = 2, 1 }),
+		with(func(c *Config) { c.Protocol, c.Subflows, c.SwitchBytes = ProtoMMPTCP, 127, 1 }),
 	} {
 		ok.ShortFlows, ok.LongFraction, ok.MaxSimTime = 1, -1, Second
-		if _, err := Run(ok); err != nil {
-			t.Errorf("%s K=%d HostsPerEdge=%d: %v", ok.Topology, ok.K, ok.HostsPerEdge, err)
+		res, err := Run(ok)
+		if err != nil {
+			t.Errorf("%s K=%d HostsPerEdge=%d Subflows=%d: %v", ok.Topology, ok.K, ok.HostsPerEdge, ok.Subflows, err)
+		} else if res.ShortSummary.Count != 1 {
+			t.Errorf("%s K=%d HostsPerEdge=%d Subflows=%d: completed %d of 1 flows",
+				ok.Topology, ok.K, ok.HostsPerEdge, ok.Subflows, res.ShortSummary.Count)
 		}
 	}
 }
