@@ -359,7 +359,7 @@ func report(res *mmptcp.Results, wall time.Duration) {
 			s.Barriers, s.Windows, s.ElidedWakeups, s.MeanWindowNs/1e3)
 	}
 	fmt.Printf("\nshort flows (%d spawned):\n  %v\n", res.Spawned, res.ShortSummary)
-	fmt.Printf("  deadline (%v) miss rate: %.1f%%\n", res.Config.Deadline, res.DeadlineMissRate*100)
+	fmt.Printf("  deadline (%v) miss rate: %.1f%%\n", mmptcp.ShortFlowDeadline, res.DeadlineMissRate*100)
 
 	// FCT distribution sketch.
 	var fcts []float64

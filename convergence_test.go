@@ -14,10 +14,9 @@ func vl2tiny(proto Protocol, flows int) Config {
 }
 
 // convergenceFaultSuite is the staggered-vs-atomic equivalence matrix:
-// the PR-3 fault classes (cable cuts with repair, whole-switch
-// crash/restart, sampled correlated groups plus a core switch-crash
-// model) on both the FatTree and the VL2 Clos, all under global
-// routing.
+// the fault classes (cable cuts with repair, whole-switch crash/restart,
+// sampled per-cable agg failures) on both the FatTree and the VL2 Clos,
+// all under global routing.
 func convergenceFaultSuite() []Config {
 	configs := incrementalFaultSuite()
 
@@ -44,9 +43,8 @@ func convergenceFaultSuite() []Config {
 	model.MaxSimTime = 15 * Second
 	model.Faults = FaultsConfig{
 		Model: FaultModel{
-			Groups:   []FaultGroupModel{{Layer: LayerAgg, Size: 2, MTBF: 2 * Second, MTTR: 100 * Millisecond}},
-			Switches: []FaultSwitchModel{{Layer: LayerCore, MTBF: 3 * Second, MTTR: 100 * Millisecond}},
-			Horizon:  4 * Second,
+			Layers:  []FaultLayerModel{{Layer: LayerAgg, MTBF: 4 * Second, MTTR: 100 * Millisecond}},
+			Horizon: 4 * Second,
 		},
 		ReconvergeDelay: 10 * Millisecond,
 	}

@@ -79,7 +79,6 @@ func dial(net *topology.Network, cfg *Config, d DialConfig) Conn {
 	mp := mptcp.Config{
 		TCP:           tcp.DefaultConfig(),
 		Subflows:      cfg.Subflows,
-		SACK:          cfg.SACK,
 		DeadRTOs:      cfg.Transport.DeadRTOs,
 		RedialBackoff: cfg.Transport.RedialBackoff,
 		RedialBudget:  cfg.Transport.RedialBudget,
@@ -119,14 +118,13 @@ func dial(net *topology.Network, cfg *Config, d DialConfig) Conn {
 	default: // ProtoTCP, ProtoDCTCP: resolve admits nothing else
 		rcv := tcp.NewReceiver(mp.TCP, dst, d.FlowID, d.Size)
 		opt := tcp.SenderOptions{
-			Host:       src,
-			Dst:        dst.ID(),
-			FlowID:     d.FlowID,
-			SrcPort:    uint16(10000 + d.RNG.Intn(50000)),
-			DstPort:    80,
-			Source:     &tcp.BytesSource{Size: d.Size},
-			EnableSACK: cfg.SACK,
-			Recorder:   d.Recorder,
+			Host:     src,
+			Dst:      dst.ID(),
+			FlowID:   d.FlowID,
+			SrcPort:  uint16(10000 + d.RNG.Intn(50000)),
+			DstPort:  80,
+			Source:   &tcp.BytesSource{Size: d.Size},
+			Recorder: d.Recorder,
 		}
 		if cfg.Protocol == ProtoDCTCP {
 			opt.CC = &dctcp.CC{}

@@ -1,15 +1,14 @@
 // Anatomy demonstrates the flight-recorder workflow: a ring-mode trace
-// stays armed across a pooled sweep at O(1) memory, and only when a run
-// trips an anomaly predicate does the recorder's bounded tail get
-// exported for post-mortem. This is how you debug the one seed in fifty
-// that misbehaves without paying full-trace cost on the forty-nine that
+// stays armed on every run at O(1) memory, and only when a run trips an
+// anomaly predicate does the recorder's bounded tail get exported for
+// post-mortem. This is how you debug the one seed in fifty that
+// misbehaves without paying full-trace cost on the forty-nine that
 // don't.
 //
-// The sweep replays a faulted scenario — two agg-core cables dead for
-// half a second while short TCP flows arrive — across seeds, reusing a
-// single RunInstance (engine, topology, pools and the recorder itself
-// are recycled by Reset). The anomaly predicate here is "some flow
-// stalled into RTO"; the first offending seed's trace is written as
+// The loop replays a faulted scenario — two agg-core cables dead for
+// half a second while short TCP flows arrive — across seeds through
+// RunTraced. The anomaly predicate here is "some flow stalled into
+// RTO"; the first offending seed's trace is written as
 // Chrome trace-event JSON, loadable at https://ui.perfetto.dev, where
 // flows appear as async spans and fault/routing events as instants.
 //
@@ -20,7 +19,6 @@
 package main
 
 import (
-	"context"
 	"fmt"
 	"log"
 	"os"
@@ -46,24 +44,16 @@ func main() {
 		ReconvergeDelay: 20 * mmptcp.Millisecond,
 	}
 	// Ring mode: the recorder keeps only the most recent 64k events, so
-	// arming it across the whole sweep costs a fixed buffer — no
-	// per-run growth, no allocation once warm.
+	// arming it on every run costs a fixed buffer, however long the run.
 	cfg.Trace = mmptcp.TraceConfig{Mode: mmptcp.TraceRing}
 
-	inst, err := mmptcp.NewRunInstance(cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
 	fmt.Printf("replaying the faulted scenario over %d seeds, flight recorder armed\n\n", seeds)
 	fmt.Println("seed  short_mean  short_max  rto_flows  blackholed  verdict")
 	dumped := false
 	for seed := 1; seed <= seeds; seed++ {
 		run := cfg
 		run.Seed = uint64(seed)
-		if err := inst.Reset(run); err != nil {
-			log.Fatal(err)
-		}
-		res, err := inst.Run(context.Background(), run)
+		res, rec, err := mmptcp.RunTraced(run)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -72,7 +62,6 @@ func main() {
 		if s.WithRTO > 0 {
 			verdict = "ANOMALY: flows stalled into RTO"
 			if !dumped {
-				rec := inst.Recorder()
 				path := fmt.Sprintf("anatomy-seed%d.json", seed)
 				f, err := os.Create(path)
 				if err != nil {

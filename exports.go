@@ -39,7 +39,7 @@ type (
 	// running simulation.
 	Sampler = trace.Sampler
 	// Recorder is the structured event recorder (flight recorder)
-	// enabled by Config.Trace; see RunTraced and RunInstance.Recorder.
+	// enabled by Config.Trace; see RunTraced.
 	Recorder = trace.Recorder
 	// TraceEvent is one recorded structured event.
 	TraceEvent = trace.Event
@@ -53,18 +53,11 @@ type (
 	// FaultEvent is one timed network mutation (link down/up,
 	// degradation, restore) addressed by layer and link index.
 	FaultEvent = faults.Event
-	// FaultModel samples failures from per-layer MTBF/MTTR statistics,
-	// correlated cable groups and per-tier switch crashes.
+	// FaultModel samples cable failures from per-layer MTBF/MTTR
+	// statistics.
 	FaultModel = faults.Model
 	// FaultLayerModel is one layer's MTBF/MTTR failure statistics.
 	FaultLayerModel = faults.LayerModel
-	// FaultGroupModel samples correlated failures: consecutive groups of
-	// same-layer cables (a line card, a power domain) fail and recover
-	// as a unit.
-	FaultGroupModel = faults.GroupModel
-	// FaultSwitchModel samples whole-switch crash/restart pairs for one
-	// switch tier.
-	FaultSwitchModel = faults.SwitchModel
 	// Layer classifies where in the topology a link sits.
 	Layer = netem.Layer
 

@@ -18,13 +18,11 @@ const (
 	fzLinkRate
 	fzLinkDelay
 	fzQueueLimit
-	fzBottleneck
-	fzECN
 	fzSubflows
 	fzStrategy
 	fzPSThreshold
 	fzSwitchBytes
-	fzFlags // bit 0 SACK, bit 1 DeferPhaseSwitch, bit 2 one agg cable cut and repaired
+	fzFlags // bit 0 DeferPhaseSwitch, bit 1 one agg cable cut and repaired
 	fzLongFraction
 	fzShortFlowSize
 	fzShortFlows
@@ -32,7 +30,6 @@ const (
 	fzWarmup
 	fzHotspotFraction
 	fzHotspotHost
-	fzDeadline
 	fzMaxSimTime
 	fzRoutingMode
 	fzConvergence
@@ -103,13 +100,10 @@ func fuzzConfig(prog []byte) Config {
 		LinkRateBps:     pick(fzLinkRate, fzRates),
 		LinkDelay:       SimTime(mag(fzLinkDelay, int64(10*Microsecond), 100)),
 		QueueLimit:      int(mag(fzQueueLimit, 1, 128)),
-		BottleneckBps:   pick(fzBottleneck, fzRates),
-		ECNThreshold:    signed(fzECN, 40),
 		Subflows:        int(pick(fzSubflows, fzSubflowNs)),
 		Strategy:        core.Strategy(signed(fzStrategy, 4)),
 		PSThreshold:     core.ThresholdMode(signed(fzPSThreshold, 5)),
 		SwitchBytes:     pick(fzSwitchBytes, fzSizes),
-		SACK:            at(fzFlags)&1 != 0,
 		LongFraction:    frac(fzLongFraction, fzFractions),
 		ShortFlowSize:   pick(fzShortFlowSize, fzSizes),
 		ShortFlows:      int(at(fzShortFlows)%8) - 1, // -1..6
@@ -117,7 +111,6 @@ func fuzzConfig(prog []byte) Config {
 		Warmup:          SimTime(mag(fzWarmup, int64(Millisecond), 20)),
 		HotspotFraction: frac(fzHotspotFraction, fzFractions),
 		HotspotHost:     signed(fzHotspotHost, 128),
-		Deadline:        SimTime(mag(fzDeadline, int64(Millisecond), 100)),
 		Seed:            uint64(at(fzSeed)),
 		Shards:          signed(fzShards, 4),
 	}
@@ -134,8 +127,8 @@ func fuzzConfig(prog []byte) Config {
 	cfg.Metrics.SnapshotInterval = SimTime(mag(fzSnapshot, int64(Millisecond), 20))
 	cfg.Trace.Mode = fzTraceModes[int(at(fzTraceMode))%len(fzTraceModes)]
 	cfg.Transport.DeadRTOs = signed(fzDeadRTOs, 4)
-	cfg.Transport.DeferPhaseSwitch = at(fzFlags)&2 != 0
-	if at(fzFlags)&4 != 0 {
+	cfg.Transport.DeferPhaseSwitch = at(fzFlags)&1 != 0
+	if at(fzFlags)&2 != 0 {
 		cfg.Faults.Events = FailCables(LayerAgg, 1, 5*Millisecond, 20*Millisecond)
 		cfg.Faults.ReconvergeDelay = Millisecond
 	}
@@ -154,9 +147,9 @@ func fuzzSeed(base []byte, pairs ...byte) []byte {
 }
 
 // fuzzSeeds is the corpus tier-1 runs: one valid 16-host config per
-// protocol and topology, then the configs resolve must reject — eleven
-// that used to panic, and Subflows 128, whose last subflow ID would wrap
-// negative.
+// protocol and topology, then the configs resolve must reject — ten that
+// used to panic, a negative ShortFlowSize, and Subflows 128, whose last
+// subflow ID would wrap negative.
 func fuzzSeeds() [][]byte {
 	const neg = 0x80
 	valid := func(topo, proto, k, hpe byte) []byte {
@@ -179,7 +172,7 @@ func fuzzSeeds() [][]byte {
 		with(fzLinkRate, neg|1),
 		with(fzLinkDelay, neg|1),
 		with(fzQueueLimit, neg|1),
-		with(fzTopology, 3, fzBottleneck, neg|1),
+		with(fzShortFlowSize, neg|1),
 		with(fzTopology, 2, fzK, 2),
 		with(fzHotspotFraction, 2, fzHotspotHost, 100),
 		with(fzArrivalRate, 4), // NaN

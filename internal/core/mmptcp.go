@@ -91,7 +91,7 @@ func (m ThresholdMode) String() string {
 // field is defaulted on the way in (DefaultConfig is the paper's setting).
 type Config struct {
 	// MPTCP is the connection the phase switch opens, handed to
-	// mptcp.Dial unchanged. Its TCP parameters and SACK also govern the
+	// mptcp.Dial unchanged. Its TCP parameters also govern the
 	// packet-scatter sender. Re-dialing (DeadRTOs and its knobs) applies
 	// to the MPTCP phase only: the PS phase's per-packet scatter ports
 	// already re-hash every transmission across the ECMP paths.
@@ -228,7 +228,6 @@ func Dial(cfg Config, opt Options) *Conn {
 		DupThresh:    topologyDupThresh(opt.PathCount),
 		ScatterPorts: func() uint16 { return uint16(1024 + rng.Intn(64000)) },
 		IfacePicker:  ifacePicker,
-		EnableSACK:   cfg.MPTCP.SACK,
 		Recorder:     opt.Recorder,
 	}
 	switch cfg.Threshold {

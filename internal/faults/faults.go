@@ -3,9 +3,8 @@
 // link down/up, whole-switch crash/restart, capacity reduction, added
 // propagation delay, random-loss injection — built either explicitly
 // (FailCables, FailSwitches and friends) or sampled from a seeded
-// MTBF/MTTR failure model (independent cables, correlated cable groups,
-// or whole switch tiers), and an Injector replays them against the
-// network on the simulation clock.
+// per-cable MTBF/MTTR failure model, and an Injector replays them
+// against the network on the simulation clock.
 //
 // The piece that makes failures interesting for the paper's transports
 // is the reconvergence delay: when a link dies, its switch keeps
@@ -113,59 +112,25 @@ type LayerModel struct {
 	MTTR  sim.Time // mean time to repair; must be positive
 }
 
-// GroupModel samples correlated failures: the layer's cables are
-// partitioned into consecutive groups of Size (a line card, a power
-// domain, a maintenance unit), and each group alternates exponentially
-// distributed up intervals (mean MTBF) and down intervals (mean MTTR)
-// as a unit — every cable in the group fails and recovers at the same
-// instants. This is the correlation structure independent per-cable
-// sampling (LayerModel) cannot express.
-type GroupModel struct {
-	Layer netem.Layer
-	Size  int      // cables per group; must be positive. The last group may be smaller.
-	MTBF  sim.Time // mean time between failures per group; must be positive
-	MTTR  sim.Time // mean time to repair; must be positive
-}
-
-// SwitchModel gives one switch tier's failure statistics: each switch at
-// the tier alternates exponential up intervals (mean MTBF) and crash
-// intervals (mean MTTR). A switch's tier is the layer of its uplinks
-// (edge switches are LayerEdge, aggregation LayerAgg, core/intermediate
-// LayerCore) as registered by the topology builder.
-type SwitchModel struct {
-	Layer netem.Layer
-	MTBF  sim.Time // mean time between crashes per switch; must be positive
-	MTTR  sim.Time // mean time to restart; must be positive
-}
-
 // Model samples a failure schedule instead of (or in addition to) an
 // explicit event list. The zero value samples nothing.
 type Model struct {
 	// Layers samples each cable independently.
 	Layers []LayerModel
-	// Groups samples correlated cable groups (all cables of a group fail
-	// and recover together).
-	Groups []GroupModel
-	// Switches samples whole-switch crash/restart pairs per tier.
-	Switches []SwitchModel
 	// Horizon bounds sampling; 0 means the run's MaxSimTime.
 	Horizon sim.Time
 }
 
 // active reports whether the model samples anything.
 func (m Model) active() bool {
-	return len(m.Layers) > 0 || len(m.Groups) > 0 || len(m.Switches) > 0
+	return len(m.Layers) > 0
 }
 
 // Sample draws the model's down/up events over [0, horizon) using rng.
 // cablesAt reports how many cables (full-duplex link pairs) exist at a
-// layer; switchesAt returns the ordinals of the switches at a tier, in
-// builder order. Each cable, group and switch gets its own RNG stream
-// split off rng in a fixed order (layers first, then groups, then
-// switches), so the draw is independent of everything else in the run —
-// and a model without groups or switches consumes exactly the streams it
-// did before those fault classes existed.
-func (m Model) Sample(rng *sim.RNG, cablesAt func(netem.Layer) int, switchesAt func(netem.Layer) []int, horizon sim.Time) ([]Event, error) {
+// layer. Each cable gets its own RNG stream split off rng in a fixed
+// order, so the draw is independent of everything else in the run.
+func (m Model) Sample(rng *sim.RNG, cablesAt func(netem.Layer) int, horizon sim.Time) ([]Event, error) {
 	if m.Horizon > 0 {
 		horizon = m.Horizon
 	}
@@ -185,57 +150,12 @@ func (m Model) Sample(rng *sim.RNG, cablesAt func(netem.Layer) int, switchesAt f
 			})
 		}
 	}
-	for _, gm := range m.Groups {
-		if gm.Size <= 0 {
-			return nil, fmt.Errorf("faults: group model at layer %v needs positive group size", gm.Layer)
-		}
-		if gm.MTBF <= 0 || gm.MTTR <= 0 {
-			return nil, fmt.Errorf("faults: group model at layer %v needs positive MTBF and MTTR", gm.Layer)
-		}
-		cables := cablesAt(gm.Layer)
-		if cables == 0 {
-			return nil, fmt.Errorf("faults: no links at layer %v to sample group failures on", gm.Layer)
-		}
-		for start := 0; start < cables; start += gm.Size {
-			end := start + gm.Size
-			if end > cables {
-				end = cables
-			}
-			r := rng.Split()
-			start := start
-			alternate(r, gm.MTBF, gm.MTTR, horizon, func(kind Kind, t sim.Time) {
-				for c := start; c < end; c++ {
-					out = append(out, cableEvents(kind, t, gm.Layer, c)...)
-				}
-			})
-		}
-	}
-	for _, sm := range m.Switches {
-		if sm.MTBF <= 0 || sm.MTTR <= 0 {
-			return nil, fmt.Errorf("faults: switch model at tier %v needs positive MTBF and MTTR", sm.Layer)
-		}
-		ords := switchesAt(sm.Layer)
-		if len(ords) == 0 {
-			return nil, fmt.Errorf("faults: no switches at tier %v to sample crashes on", sm.Layer)
-		}
-		for _, s := range ords {
-			r := rng.Split()
-			s := s
-			alternate(r, sm.MTBF, sm.MTTR, horizon, func(kind Kind, t sim.Time) {
-				ev := Event{At: t, Kind: SwitchDown, Index: s}
-				if kind == LinkUp {
-					ev.Kind = SwitchUp
-				}
-				out = append(out, ev)
-			})
-		}
-	}
 	return out, nil
 }
 
 // alternate walks one exponential up/down renewal process over
 // [0, horizon), emitting LinkDown at each failure and LinkUp at each
-// repair (callers translate the kind for non-link targets).
+// repair.
 func alternate(r *sim.RNG, mtbf, mttr, horizon sim.Time, emit func(kind Kind, t sim.Time)) {
 	t := sim.Time(0)
 	for {

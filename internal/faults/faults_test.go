@@ -17,7 +17,7 @@ func buildNet(eng *sim.Engine) *topology.Network {
 
 // target adapts a built network to the injector's view.
 func target(net *topology.Network) Target {
-	return Target{Links: net.Links, Switches: net.Switches, SwitchLayers: net.SwitchLayers}
+	return Target{Links: net.Links, Switches: net.Switches}
 }
 
 func TestFailCablesShape(t *testing.T) {
@@ -245,12 +245,11 @@ func TestModelSampleDeterministicAndBounded(t *testing.T) {
 		{Layer: netem.LayerAgg, MTBF: 100 * sim.Millisecond, MTTR: 20 * sim.Millisecond},
 	}}
 	cables := func(netem.Layer) int { return 8 }
-	noSwitches := func(netem.Layer) []int { return nil }
-	a, err := m.Sample(sim.NewRNG(7), cables, noSwitches, sim.Second)
+	a, err := m.Sample(sim.NewRNG(7), cables, sim.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := m.Sample(sim.NewRNG(7), cables, noSwitches, sim.Second)
+	b, err := m.Sample(sim.NewRNG(7), cables, sim.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +267,7 @@ func TestModelSampleDeterministicAndBounded(t *testing.T) {
 			t.Errorf("event index %d out of cable-pair range", ev.Index)
 		}
 	}
-	c, err := m.Sample(sim.NewRNG(8), cables, noSwitches, sim.Second)
+	c, err := m.Sample(sim.NewRNG(8), cables, sim.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +276,7 @@ func TestModelSampleDeterministicAndBounded(t *testing.T) {
 	}
 	// Horizon field overrides the argument.
 	m.Horizon = 10 * sim.Millisecond
-	d, err := m.Sample(sim.NewRNG(7), cables, noSwitches, sim.Second)
+	d, err := m.Sample(sim.NewRNG(7), cables, sim.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,79 +415,6 @@ func TestSwitchCrashOverlapsWithLinkOutage(t *testing.T) {
 	eng.Run()
 	if cable.Down() {
 		t.Error("cable still down after both outages ended")
-	}
-}
-
-func TestSwitchModelSampling(t *testing.T) {
-	m := Model{Switches: []SwitchModel{
-		{Layer: netem.LayerCore, MTBF: 100 * sim.Millisecond, MTTR: 20 * sim.Millisecond},
-	}}
-	cables := func(netem.Layer) int { return 8 }
-	coreOrds := []int{16, 17, 18, 19}
-	switchesAt := func(l netem.Layer) []int {
-		if l == netem.LayerCore {
-			return coreOrds
-		}
-		return nil
-	}
-	evs, err := m.Sample(sim.NewRNG(7), cables, switchesAt, sim.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(evs) == 0 {
-		t.Fatal("MTBF << horizon sampled no crashes")
-	}
-	for _, ev := range evs {
-		if ev.Kind != SwitchDown && ev.Kind != SwitchUp {
-			t.Fatalf("unexpected kind %v in switch model sample", ev.Kind)
-		}
-		if ev.Index < 16 || ev.Index > 19 {
-			t.Errorf("sampled ordinal %d outside the core tier", ev.Index)
-		}
-	}
-	// No switches at the tier is an error.
-	m2 := Model{Switches: []SwitchModel{{Layer: netem.LayerHost, MTBF: 1, MTTR: 1}}}
-	if _, err := m2.Sample(sim.NewRNG(7), cables, switchesAt, sim.Second); err == nil {
-		t.Error("sampled crashes on an empty switch tier")
-	}
-}
-
-func TestGroupModelSamplesCorrelatedFailures(t *testing.T) {
-	m := Model{Groups: []GroupModel{
-		{Layer: netem.LayerAgg, Size: 4, MTBF: 50 * sim.Millisecond, MTTR: 10 * sim.Millisecond},
-	}}
-	cables := func(netem.Layer) int { return 8 } // two groups of 4
-	evs, err := m.Sample(sim.NewRNG(7), cables, func(netem.Layer) []int { return nil }, sim.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(evs) == 0 {
-		t.Fatal("group model sampled nothing")
-	}
-	// Correlation: at every firing instant, all four cables (8 link
-	// indices) of exactly one group change state together.
-	byTime := make(map[sim.Time][]Event)
-	for _, ev := range evs {
-		byTime[ev.At] = append(byTime[ev.At], ev)
-	}
-	for at, group := range byTime {
-		if len(group) != 8 {
-			t.Fatalf("t=%v: %d link events, want 8 (a whole group)", at, len(group))
-		}
-		lo := group[0].Index / 8 * 8
-		for _, ev := range group {
-			if ev.Kind != group[0].Kind {
-				t.Fatalf("t=%v: mixed kinds within one group instant", at)
-			}
-			if ev.Index < lo || ev.Index >= lo+8 {
-				t.Fatalf("t=%v: link %d outside group [%d,%d)", at, ev.Index, lo, lo+8)
-			}
-		}
-	}
-	// Group size must divide sensibly: zero size is an error.
-	bad := Model{Groups: []GroupModel{{Layer: netem.LayerAgg, MTBF: 1, MTTR: 1}}}
-	if _, err := bad.Sample(sim.NewRNG(1), cables, func(netem.Layer) []int { return nil }, sim.Second); err == nil {
-		t.Error("zero group size accepted")
 	}
 }
 

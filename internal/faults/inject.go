@@ -9,16 +9,12 @@ import (
 )
 
 // Target is the injectable view of a built network: every unidirectional
-// link, every switch, and each switch's tier (the layer of its uplinks),
-// all in builder order. topology.Network exposes exactly these slices;
-// keeping the coupling to three fields lets the injector drive hand-built
-// networks in tests too.
+// link and every switch, in builder order. topology.Network exposes
+// exactly these slices; keeping the coupling to two fields lets the
+// injector drive hand-built networks in tests too.
 type Target struct {
 	Links    []*netem.Link
 	Switches []*netem.Switch
-	// SwitchLayers tiers Switches (parallel slices) for the sampled
-	// switch-failure model. May be nil when no SwitchModel is used.
-	SwitchLayers []netem.Layer
 }
 
 // Injector owns a resolved, scheduled fault plan for one run. Install
@@ -197,14 +193,6 @@ func Install(eng *sim.Engine, target Target, cfg Config, rng *sim.RNG, horizon s
 	if cfg.Model.active() {
 		sampled, err := cfg.Model.Sample(rng.Split(), func(layer netem.Layer) int {
 			return len(byLayer[layer]) / 2
-		}, func(layer netem.Layer) []int {
-			var ords []int
-			for i, tier := range target.SwitchLayers {
-				if tier == layer {
-					ords = append(ords, i)
-				}
-			}
-			return ords
 		}, horizon)
 		if err != nil {
 			return nil, err

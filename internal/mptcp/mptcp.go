@@ -32,9 +32,6 @@ import (
 type Config struct {
 	TCP      tcp.Config
 	Subflows int // number of subflows (the paper's headline setting is 8)
-	// SACK enables selective-acknowledgement recovery on every subflow
-	// (ablation: the paper's era modelled NewReno).
-	SACK bool
 
 	// DeadRTOs, when > 0, arms subflow re-dialing: a subflow that fires
 	// this many consecutive RTOs without a new ACK is declared dead,
@@ -179,18 +176,17 @@ func Dial(cfg Config, opt Options) *Connection {
 // re-dial share it) and wires its completion and death hooks.
 func (c *Connection) newSender(slot int, subflowID int8, srcPort uint16) *tcp.Sender {
 	sub := tcp.NewSender(c.cfg.TCP, tcp.SenderOptions{
-		Host:       c.opt.SrcHost,
-		Iface:      slot % c.ifaces,
-		Dst:        c.opt.DstHost.ID(),
-		FlowID:     c.opt.FlowID,
-		Subflow:    subflowID,
-		SrcPort:    srcPort,
-		DstPort:    80,
-		Source:     &subflowSource{conn: c},
-		CC:         c.cc,
-		EnableSACK: c.cfg.SACK,
-		DeadRTOs:   c.cfg.DeadRTOs,
-		Recorder:   c.opt.Recorder,
+		Host:     c.opt.SrcHost,
+		Iface:    slot % c.ifaces,
+		Dst:      c.opt.DstHost.ID(),
+		FlowID:   c.opt.FlowID,
+		Subflow:  subflowID,
+		SrcPort:  srcPort,
+		DstPort:  80,
+		Source:   &subflowSource{conn: c},
+		CC:       c.cc,
+		DeadRTOs: c.cfg.DeadRTOs,
+		Recorder: c.opt.Recorder,
 	})
 	sub.OnAllAcked = c.subflowDone
 	if c.cfg.DeadRTOs > 0 {

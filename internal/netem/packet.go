@@ -20,10 +20,6 @@ import (
 // NodeID identifies a node (host or switch) in the simulated network.
 type NodeID int32
 
-// MaxSackBlocks is the number of SACK ranges a packet can carry (the
-// RFC 2018 practical limit with timestamps in play).
-const MaxSackBlocks = 3
-
 // Flag bits carried by a Packet.
 const (
 	FlagData uint8 = 1 << iota // carries payload bytes
@@ -74,16 +70,6 @@ type Packet struct {
 	// (RR-TCP, the paper's §2 alternative) that a retransmission was
 	// spurious, used by adaptive duplicate-ACK thresholds.
 	EchoDup bool
-
-	// Sack carries up to MaxSackBlocks received-but-not-cumulative byte
-	// ranges (RFC 2018 SACK blocks), attached by receivers whenever the
-	// reorder buffer has holes; SackN is how many entries are valid.
-	// Senders without SACK enabled ignore both. A fixed array rather
-	// than a slice keeps ACK generation allocation-free — the bound
-	// matches the three blocks that fit a real SACK option alongside
-	// timestamps.
-	Sack  [MaxSackBlocks][2]int64
-	SackN uint8
 
 	// Retx marks retransmitted data segments (used by stats only; RTT
 	// sampling uses timestamps and is immune to retransmission

@@ -13,8 +13,6 @@ func TestPacketPoolRecycles(t *testing.T) {
 	p.Src, p.Dst = 3, 4
 	p.Flags = FlagData | FlagAck
 	p.Seq, p.AckSeq, p.DataSeq = 100, 200, 300
-	p.Sack[0] = [2]int64{1, 2}
-	p.SackN = 1
 	p.Hops = 7
 	p.CE, p.EchoDup, p.Retx = true, true, true
 	pp.Put(p)

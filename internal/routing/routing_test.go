@@ -24,7 +24,7 @@ func buildFatTree(eng *sim.Engine) (*topology.Network, *ControlPlane) {
 func install(t *testing.T, eng *sim.Engine, net *topology.Network, cp *ControlPlane, cfg faults.Config) *faults.Injector {
 	t.Helper()
 	inj, err := faults.Install(eng, faults.Target{
-		Links: net.Links, Switches: net.Switches, SwitchLayers: net.SwitchLayers,
+		Links: net.Links, Switches: net.Switches,
 	}, cfg, sim.NewRNG(1), sim.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -192,10 +192,7 @@ func TestGlobalLivenessAfterFaults(t *testing.T) {
 				return &ft.Network
 			},
 			// Both uplink cables of agg(0,0) die together (a line card).
-			cfg: faults.Config{Model: faults.Model{
-				Groups:  []faults.GroupModel{{Layer: netem.LayerAgg, Size: 2, MTBF: 2 * sim.Millisecond, MTTR: 10 * sim.Second}},
-				Horizon: 4 * sim.Millisecond,
-			}},
+			cfg: faults.Config{Events: faults.FailCables(netem.LayerAgg, 2, sim.Millisecond, 0)},
 			src: 4, dst: 0,
 		},
 		{

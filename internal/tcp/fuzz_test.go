@@ -61,8 +61,8 @@ func (s *interleavedSource) Next(maxBytes int) (int64, int, bool) {
 
 // FuzzSenderSegments checks the sender's sequence mappings against a
 // per-segment model of what its source granted, under random loss of
-// data and ACKs (fast retransmits, partial ACKs, RTO go-back-N), with
-// SACK on or off: every data packet on the wire is the model segment
+// data alone or of data and ACKs (fast retransmits, partial ACKs, RTO
+// go-back-N): every data packet on the wire is the model segment
 // starting at its Seq, byte for byte; UnackedData, cut back into MSS
 // pieces, is the model's unacknowledged segments in order; an identity
 // source never holds more than one live run; and the transfer delivers
@@ -71,7 +71,8 @@ func (s *interleavedSource) Next(maxBytes int) (int64, int, bool) {
 // source picks the data source: identity over 200 segments; interleaved
 // (skipped data ranges and short grants, as an MPTCP subflow sees); or
 // identity capped at the paper's 100,000-byte SwitchBytes, which ends on
-// a partial segment (68·1460 + 720). loss%21 is the drop percentage.
+// a partial segment (68·1460 + 720). loss%21 is the drop percentage,
+// applied to data packets only when dataOnly is set.
 func FuzzSenderSegments(f *testing.F) {
 	for _, source := range []uint8{0, 1, 2} {
 		for _, loss := range []uint8{0, 3, 20} {
@@ -79,7 +80,7 @@ func FuzzSenderSegments(f *testing.F) {
 			f.Add(uint64(source)+1, source, loss, true)
 		}
 	}
-	f.Fuzz(func(t *testing.T, seed uint64, source, loss uint8, sack bool) {
+	f.Fuzz(func(t *testing.T, seed uint64, source, loss uint8, dataOnly bool) {
 		rng := sim.NewRNG(seed)
 		cfg := DefaultConfig()
 		cfg.MSS = 1460
@@ -99,7 +100,7 @@ func FuzzSenderSegments(f *testing.F) {
 		rcv := NewReceiver(cfg, tn.b, 1, -1)
 		snd := NewSender(cfg, SenderOptions{
 			Host: tn.a, Dst: tn.b.ID(), FlowID: 1, SrcPort: 10000, DstPort: 80,
-			Source: rec, EnableSACK: sack,
+			Source: rec,
 		})
 
 		checkUnacked := func() {
@@ -133,7 +134,7 @@ func FuzzSenderSegments(f *testing.F) {
 			if rng.Intn(8) == 0 {
 				checkUnacked()
 			}
-			return rng.Intn(100) < dropPct
+			return (p.IsData() || !dataOnly) && rng.Intn(100) < dropPct
 		}
 		snd.Start()
 		tn.eng.RunUntil(3600 * sim.Second)

@@ -92,12 +92,9 @@ func (r *Receiver) HandlePacket(p *netem.Packet) {
 	}
 
 	// Cumulative ACK for this subflow, echoing the sender timestamp.
-	// A fully-duplicate segment raises the DSACK-style EchoDup signal;
-	// out-of-order holdings are advertised as SACK blocks (RFC 2018).
-	// The ACK comes from the network's packet pool and its SACK ranges
-	// are written in place, so per-packet acknowledgement allocates
-	// nothing.
-	cum := buf.ContiguousFrom(0)
+	// A fully-duplicate segment raises the DSACK-style EchoDup signal.
+	// The ACK comes from the network's packet pool, so per-packet
+	// acknowledgement allocates nothing.
 	ack := r.host.NewPacket()
 	ack.Src = r.host.ID()
 	ack.Dst = p.Src
@@ -107,11 +104,10 @@ func (r *Receiver) HandlePacket(p *netem.Packet) {
 	ack.FlowID = p.FlowID
 	ack.Subflow = p.Subflow
 	ack.Flags = netem.FlagAck
-	ack.AckSeq = cum
+	ack.AckSeq = buf.ContiguousFrom(0)
 	ack.EchoTS = p.SentTS
 	ack.EchoDup = newSub == 0 && p.PayloadLen > 0
 	ack.EchoCE = p.CE
-	ack.SackN = uint8(buf.BlocksInto(cum, &ack.Sack))
 	r.Stats.AcksSent++
 	r.host.Send(ack)
 

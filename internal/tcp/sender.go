@@ -79,13 +79,6 @@ type Sender struct {
 	// §2 approach (2)), capped at maxAdaptiveDupThresh.
 	adaptive bool
 
-	// SACK state (enabled via SenderOptions.EnableSACK): a scoreboard
-	// of receiver-advertised ranges, and the holes already
-	// retransmitted during the current recovery episode.
-	sackEnabled bool
-	sacked      SeqSet
-	sackRetx    map[int64]bool
-
 	// Congestion state, exported for congestion-control plug-ins.
 	Cwnd     float64 // congestion window, bytes
 	Ssthresh float64 // slow-start threshold, bytes
@@ -168,11 +161,6 @@ type SenderOptions struct {
 	// retransmission signalled by the receiver raises the duplicate-ACK
 	// threshold by one, up to 64.
 	AdaptiveDupThresh bool
-	// EnableSACK turns on selective-acknowledgement recovery: during
-	// fast recovery the sender retransmits the next un-SACKed hole per
-	// ACK instead of one segment per RTT, repairing multi-loss windows
-	// in roughly one round trip (RFC 2018/6675, simplified).
-	EnableSACK bool
 	// DeadRTOs, when > 0, arms persistent-RTO detection: after this
 	// many consecutive timeouts without a new ACK the OnPersistentRTO
 	// hook fires (once per streak). Zero leaves stalled senders backing
@@ -217,7 +205,6 @@ func NewSender(cfg Config, opt SenderOptions) *Sender {
 		cc:          cc,
 		dupThresh:   dup,
 		adaptive:    opt.AdaptiveDupThresh,
-		sackEnabled: opt.EnableSACK,
 		deadRTOs:    opt.DeadRTOs,
 		rec:         opt.Recorder,
 		Cwnd:        float64(cfg.InitialWindow * cfg.MSS),
@@ -292,11 +279,6 @@ func (s *Sender) HandlePacket(p *netem.Packet) {
 			s.dupThresh++
 		}
 	}
-	if s.sackEnabled {
-		for i := 0; i < int(p.SackN); i++ {
-			s.sacked.Add(p.Sack[i][0], p.Sack[i][1])
-		}
-	}
 	switch {
 	case p.AckSeq > s.sndUna:
 		if ecn, ok := s.cc.(ECNCapable); ok {
@@ -358,13 +340,7 @@ func (s *Sender) onNewAck(ack int64) {
 				s.Cwnd = float64(s.cfg.MSS)
 			}
 			s.dupAcks = 0
-			if s.sackEnabled {
-				// The scoreboard knows which holes were already
-				// repaired this episode; fill the next one.
-				s.retransmitNextHole()
-			} else {
-				s.retransmitFirstUnacked()
-			}
+			s.retransmitFirstUnacked()
 		}
 	} else {
 		s.dupAcks = 0
@@ -379,11 +355,6 @@ func (s *Sender) onDupAck() {
 	case s.inRecovery:
 		// Window inflation: each dup ACK signals a departed segment.
 		s.Cwnd += float64(s.cfg.MSS)
-		if s.sackEnabled {
-			// SACK recovery: each returning ACK clocks out the next
-			// un-SACKed hole, repairing multi-loss windows in ~1 RTT.
-			s.retransmitNextHole()
-		}
 	case s.dupAcks == s.dupThresh:
 		s.enterRecovery()
 	}
@@ -398,7 +369,6 @@ func (s *Sender) enterRecovery() {
 			int32(s.host.ID()), int32(s.dst), s.recover, int64(s.Ssthresh))
 	}
 	s.inRecovery = true
-	s.sackRetx = nil
 	s.retransmitFirstUnacked()
 	s.Cwnd = s.Ssthresh + float64(s.dupThresh*s.cfg.MSS)
 	if s.OnCongestionEvent != nil {
@@ -430,7 +400,6 @@ func (s *Sender) onTimeout() {
 	s.Cwnd = float64(s.cfg.MSS)
 	s.inRecovery = false
 	s.dupAcks = 0
-	s.sackRetx = nil
 	// Go-back-N: resume from the first unacknowledged byte.
 	s.sndNxt = s.sndUna
 	if s.rec != nil {
@@ -513,45 +482,8 @@ func (s *Sender) retransmitFirstUnacked() {
 	if !ok {
 		return
 	}
-	if s.sackEnabled {
-		if s.sackRetx == nil {
-			s.sackRetx = make(map[int64]bool)
-		}
-		s.sackRetx[m.subSeq] = true
-	}
 	s.transmit(m, true)
 	s.restartTimer()
-}
-
-// retransmitNextHole resends the lowest segment below the recovery
-// point that the receiver has neither cumulatively ACKed nor SACKed and
-// that has not been retransmitted during this recovery episode. It
-// reports whether a retransmission happened.
-func (s *Sender) retransmitNextHole() bool {
-	if s.sackRetx == nil {
-		s.sackRetx = make(map[int64]bool)
-	}
-	// Only bytes below the highest SACKed position can be presumed
-	// lost; everything above may simply still be in flight.
-	limit := s.sacked.MaxEnd()
-	if limit > s.recover {
-		limit = s.recover
-	}
-	for seq := s.sndUna; seq < limit; {
-		m, ok := s.segmentAt(seq)
-		if !ok {
-			return false
-		}
-		end := m.subSeq + m.n
-		if !s.sackRetx[m.subSeq] && !s.sacked.Contains(m.subSeq, end) {
-			s.sackRetx[m.subSeq] = true
-			s.transmit(m, true)
-			s.restartTimer()
-			return true
-		}
-		seq = end
-	}
-	return false
 }
 
 func (s *Sender) transmit(m mapping, retx bool) {
@@ -704,7 +636,7 @@ func (s *Sender) UnackedData() [][2]int64 {
 // Close tears the sender down mid-flow: stops its timer (cancelling and
 // recycling the pending timeout event), removes its host registration,
 // and releases the per-flow state a stalled sender can pin — the
-// sequence mappings and SACK scoreboard of everything still in flight.
+// sequence mappings of everything still in flight.
 // Late ACKs are then counted as unclaimed by the host, which recycles
 // their packets to the pool as it does for every delivered packet.
 func (s *Sender) Close() {
@@ -712,8 +644,6 @@ func (s *Sender) Close() {
 	s.timer.Stop()
 	s.host.Unregister(s.flowID, s.subflow)
 	s.maps, s.mapHead = nil, 0
-	s.sacked = SeqSet{}
-	s.sackRetx = nil
 	s.OnAllAcked = nil
 	s.OnCongestionEvent = nil
 	s.OnPersistentRTO = nil

@@ -511,7 +511,7 @@ func TestSenderAccessors(t *testing.T) {
 }
 
 // TestSenderCloseReleasesResources closes a sender mid-recovery — RTO
-// timer armed, a dropped segment under SACK repair, segments still in
+// timer armed, a dropped segment under repair, segments still in
 // flight — and verifies the teardown contract subflow re-dialing relies
 // on: the timer is cancelled, retransmission state is released for the
 // garbage collector, the sender never transmits again, and every pooled
@@ -526,20 +526,19 @@ func TestSenderCloseReleasesResources(t *testing.T) {
 	const size = 1 << 20
 	rcv := NewReceiver(cfg, tn.b, 1, size)
 	snd := NewSender(cfg, SenderOptions{
-		Host:       tn.a,
-		Dst:        tn.b.ID(),
-		FlowID:     1,
-		SrcPort:    10000,
-		DstPort:    80,
-		Source:     &BytesSource{Size: size},
-		EnableSACK: true,
+		Host:    tn.a,
+		Dst:     tn.b.ID(),
+		FlowID:  1,
+		SrcPort: 10000,
+		DstPort: 80,
+		Source:  &BytesSource{Size: size},
 	})
 	snd.OnAllAcked = func() {}
 	snd.OnCongestionEvent = func() {}
 	snd.OnPersistentRTO = func() {}
 
-	// Drop one mid-window data segment so the sender is holding SACK
-	// scoreboard state when it is torn down.
+	// Drop one mid-window data segment so the sender is in recovery,
+	// holding mappings for a hole, when it is torn down.
 	dropped := false
 	tn.w.drop = func(p *netem.Packet) bool {
 		if p.IsData() && !dropped && p.Seq > 20000 {
@@ -564,11 +563,8 @@ func TestSenderCloseReleasesResources(t *testing.T) {
 	if !snd.Done() {
 		t.Error("Close must mark the sender done")
 	}
-	if snd.maps != nil || snd.sackRetx != nil {
-		t.Error("Close must release mapping and SACK-retransmit state")
-	}
-	if len(snd.sacked.ivs) != 0 {
-		t.Error("Close must clear the SACK scoreboard")
+	if snd.maps != nil {
+		t.Error("Close must release the sequence mappings")
 	}
 	if snd.OnAllAcked != nil || snd.OnCongestionEvent != nil || snd.OnPersistentRTO != nil {
 		t.Error("Close must drop callbacks (they pin the owning connection)")

@@ -11,8 +11,6 @@
 // topology-derived duplicate-ACK threshold).
 package tcp
 
-import "repro/internal/netem"
-
 // SeqSet tracks a set of byte intervals over a sequence space, used by
 // receivers for reorder buffers (subflow level) and delivery tracking
 // (data level). Intervals are half-open [start, end) and kept sorted and
@@ -85,19 +83,6 @@ func (s *SeqSet) Add(start, end int64) int64 {
 	return (end - start) - existing
 }
 
-// Contains reports whether every byte of [start, end) is present.
-func (s *SeqSet) Contains(start, end int64) bool {
-	if start >= end {
-		return true
-	}
-	for _, iv := range s.ivs {
-		if iv.start <= start && end <= iv.end {
-			return true
-		}
-	}
-	return false
-}
-
 // ContiguousFrom returns the end of the contiguous range starting at
 // base, or base itself if base is not covered. For a receiver this is
 // rcv.nxt when called with the initial sequence number.
@@ -122,54 +107,3 @@ func (s *SeqSet) Covered() int64 {
 // Fragments returns the number of disjoint intervals (a measure of how
 // fragmented the receive buffer is; useful in tests and traces).
 func (s *SeqSet) Fragments() int { return len(s.ivs) }
-
-// MaxEnd returns the highest covered byte position (0 for an empty set).
-func (s *SeqSet) MaxEnd() int64 {
-	if len(s.ivs) == 0 {
-		return 0
-	}
-	return s.ivs[len(s.ivs)-1].end
-}
-
-// Blocks returns up to max intervals whose end lies strictly above
-// `after`, clipped to start no earlier than after — the SACK blocks a
-// receiver advertises for everything beyond its cumulative ACK.
-func (s *SeqSet) Blocks(after int64, max int) [][2]int64 {
-	var out [][2]int64
-	for _, iv := range s.ivs {
-		if iv.end <= after {
-			continue
-		}
-		start := iv.start
-		if start < after {
-			start = after
-		}
-		out = append(out, [2]int64{start, iv.end})
-		if len(out) == max {
-			break
-		}
-	}
-	return out
-}
-
-// BlocksInto is Blocks for the per-ACK hot path: it fills dst with the
-// clipped intervals above `after` and returns how many were written,
-// allocating nothing.
-func (s *SeqSet) BlocksInto(after int64, dst *[netem.MaxSackBlocks][2]int64) int {
-	n := 0
-	for _, iv := range s.ivs {
-		if iv.end <= after {
-			continue
-		}
-		start := iv.start
-		if start < after {
-			start = after
-		}
-		dst[n] = [2]int64{start, iv.end}
-		n++
-		if n == len(dst) {
-			break
-		}
-	}
-	return n
-}

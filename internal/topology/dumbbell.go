@@ -68,8 +68,8 @@ func NewDumbbell(eng *sim.Engine, cfg DumbbellConfig) *Dumbbell {
 	d.alloc(eng, 2*n, 2, 2*(2*n+1))
 	// Both switches sit at the core tier: their inter-switch cable is
 	// the LayerCore bottleneck.
-	left := d.addSwitch(netem.LayerCore, 1)
-	right := d.addSwitch(netem.LayerCore, 2)
+	left := d.addSwitch(1)
+	right := d.addSwitch(2)
 
 	for i := 0; i < n; i++ {
 		up, _ := d.connectHost(d.Hosts[i], left, cfg.Link, netem.LayerHost)

@@ -104,13 +104,13 @@ func NewFatTree(eng *sim.Engine, cfg FatTreeConfig) *FatTree {
 	f.setHashSalt(0x5eed_fa77_ee00_0001)
 	seedRNG := sim.NewRNG(cfg.Seed ^ f.hashSalt)
 	for i := 0; i < numEdge; i++ {
-		f.addSwitch(netem.LayerEdge, seedRNG.Uint32())
+		f.addSwitch(seedRNG.Uint32())
 	}
 	for i := 0; i < numAgg; i++ {
-		f.addSwitch(netem.LayerAgg, seedRNG.Uint32())
+		f.addSwitch(seedRNG.Uint32())
 	}
 	for i := 0; i < numCore; i++ {
-		f.addSwitch(netem.LayerCore, seedRNG.Uint32())
+		f.addSwitch(seedRNG.Uint32())
 	}
 	edges, aggs, cores := f.Switches[:numEdge], f.Switches[numEdge:numEdge+numAgg], f.Switches[numEdge+numAgg:]
 

@@ -74,13 +74,13 @@ func NewMultiHomed(eng *sim.Engine, cfg MultiHomedConfig) *MultiHomed {
 	m.setHashSalt(0x5eed_fa77_ee00_0002)
 	seedRNG := sim.NewRNG(cfg.Seed ^ m.hashSalt)
 	for i := 0; i < numEdge; i++ {
-		m.addSwitch(netem.LayerEdge, seedRNG.Uint32())
+		m.addSwitch(seedRNG.Uint32())
 	}
 	for i := 0; i < numEdge; i++ {
-		m.addSwitch(netem.LayerAgg, seedRNG.Uint32())
+		m.addSwitch(seedRNG.Uint32())
 	}
 	for i := 0; i < half*half; i++ {
-		m.addSwitch(netem.LayerCore, seedRNG.Uint32())
+		m.addSwitch(seedRNG.Uint32())
 	}
 	edges, aggs, cores := m.Switches[:numEdge], m.Switches[numEdge:2*numEdge], m.Switches[2*numEdge:]
 

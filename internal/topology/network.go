@@ -82,14 +82,8 @@ type Network struct {
 	Eng      *sim.Engine
 	Hosts    []*netem.Host
 	Switches []*netem.Switch
-	// SwitchLayers tiers Switches (parallel slices): a switch's tier is
-	// the layer of its uplinks (edge LayerEdge, aggregation LayerAgg,
-	// core/intermediate LayerCore). Builders register every switch here
-	// so the faults subsystem can address whole tiers (switch-crash
-	// models) and the routing control plane can report per-tier work.
-	SwitchLayers []netem.Layer
-	Links        []*netem.Link
-	Kind         string
+	Links    []*netem.Link
+	Kind     string
 
 	// Pool is the packet free list shared by every node and link of the
 	// network (see installPool); exposed for benchmarks that assert the
@@ -149,17 +143,15 @@ func (n *Network) alloc(eng *sim.Engine, hosts, switches, links int) {
 	}
 	n.switchSlab = make([]netem.Switch, switches)
 	n.Switches = make([]*netem.Switch, 0, switches)
-	n.SwitchLayers = make([]netem.Layer, 0, switches)
 	n.linkSlab = make([]netem.Link, links)
 	n.Links = make([]*netem.Link, 0, links)
 }
 
-// addSwitch creates the next switch at the given tier.
-func (n *Network) addSwitch(tier netem.Layer, seed uint32) *netem.Switch {
+// addSwitch creates the next switch.
+func (n *Network) addSwitch(seed uint32) *netem.Switch {
 	i := len(n.Switches)
 	sw := n.switchSlab[i].Init(n.Eng, netem.NodeID(len(n.Hosts)+i), seed)
 	n.Switches = append(n.Switches, sw)
-	n.SwitchLayers = append(n.SwitchLayers, tier)
 	return sw
 }
 

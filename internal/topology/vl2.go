@@ -85,13 +85,13 @@ func NewVL2(eng *sim.Engine, cfg VL2Config) *VL2 {
 	v.setHashSalt(0x5eed_fa77_ee00_0003)
 	seedRNG := sim.NewRNG(cfg.Seed ^ v.hashSalt)
 	for i := 0; i < numToR; i++ {
-		v.addSwitch(netem.LayerEdge, seedRNG.Uint32())
+		v.addSwitch(seedRNG.Uint32())
 	}
 	for i := 0; i < cfg.DA; i++ {
-		v.addSwitch(netem.LayerAgg, seedRNG.Uint32())
+		v.addSwitch(seedRNG.Uint32())
 	}
 	for i := 0; i < cfg.DI; i++ {
-		v.addSwitch(netem.LayerCore, seedRNG.Uint32())
+		v.addSwitch(seedRNG.Uint32())
 	}
 	tors, aggs, ints := v.Switches[:numToR], v.Switches[numToR:numToR+cfg.DA], v.Switches[numToR+cfg.DA:]
 

@@ -136,7 +136,7 @@ type Options struct {
 //
 // A Recorder is owned by one run (one engine) at a time; it is not
 // safe for concurrent use. Pooled sweeps give each in-flight run its
-// own recorder via RunInstance.
+// own recorder: each sweep worker's recycled instance holds one.
 type Recorder struct {
 	opts   Options
 	filter map[uint64]struct{} // nil = no filtering
@@ -176,8 +176,8 @@ func NewRecorder(o Options) *Recorder {
 }
 
 // Matches reports whether the recorder was built with equivalent
-// options, so RunInstance.Reset can keep an armed recorder across
-// replicates instead of rebuilding its storage.
+// options, so a recycled sweep instance can keep an armed recorder
+// across replicates instead of rebuilding its storage.
 func (r *Recorder) Matches(o Options) bool {
 	if r == nil {
 		return false
@@ -197,8 +197,9 @@ func (r *Recorder) Matches(o Options) bool {
 }
 
 // Reset discards recorded events but keeps the storage and flow filter,
-// returning the recorder to its armed, empty state. RunInstance.Reset
-// calls this so a pooled replicate starts with a clean flight recorder.
+// returning the recorder to its armed, empty state. A recycled sweep
+// instance calls this so a pooled replicate starts with a clean flight
+// recorder.
 func (r *Recorder) Reset() {
 	if r == nil {
 		return

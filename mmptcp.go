@@ -47,7 +47,8 @@ const (
 	ProtoMMPTCP Protocol = "mmptcp" // the paper's hybrid (PS then MPTCP)
 	// ProtoDCTCP is the single-path DCTCP baseline (the §1 class of
 	// latency-oriented transports that need switch ECN support).
-	// Selecting it enables ECN marking on every link (ECNThreshold).
+	// Selecting it enables ECN marking on every link at a queue of 10
+	// packets.
 	ProtoDCTCP Protocol = "dctcp"
 )
 
@@ -206,22 +207,21 @@ const (
 	// points stay compiled in but cost one nil check each; the hot path
 	// is allocation-identical to a build without tracing.
 	TraceOff TraceMode = ""
-	// TraceRing keeps the newest Trace.Buffer events in a preallocated
-	// ring — a flight recorder: O(1) memory however long the run, the
-	// tail of history available when something goes wrong.
+	// TraceRing keeps the newest 65,536 events in a preallocated ring —
+	// a flight recorder: O(1) memory however long the run, the tail of
+	// history available when something goes wrong.
 	TraceRing TraceMode = "ring"
-	// TraceFull retains every recorded event (up to Trace.MaxEvents) for
-	// complete timelines of small runs.
+	// TraceFull retains every recorded event, up to 2^20, for complete
+	// timelines of small runs.
 	TraceFull TraceMode = "full"
 )
 
-// Default trace storage sizes (see TraceConfig).
+// Trace storage sizes. One event is 48 bytes, so the ring holds ~3 MB
+// regardless of run length; full mode grows on demand up to its cap and
+// counts what it drops beyond it (Recorder.Lost).
 const (
-	// DefaultTraceBuffer is the ring capacity when Trace.Buffer is zero.
-	DefaultTraceBuffer = 65536
-	// DefaultTraceMaxEvents caps full-mode retention when
-	// Trace.MaxEvents is zero.
-	DefaultTraceMaxEvents = 1 << 20
+	traceRingEvents = 65536
+	traceFullEvents = 1 << 20
 )
 
 // TraceConfig is the observability section of Config: whether a run
@@ -238,21 +238,11 @@ type TraceConfig struct {
 	// "off" is accepted as a spelled-out zero value.
 	Mode TraceMode
 
-	// Buffer is the ring capacity in events (TraceRing only); zero
-	// means DefaultTraceBuffer. One event is 48 bytes, so the default
-	// ring holds ~3 MB regardless of run length.
-	Buffer int
-
 	// Flows, when non-empty, restricts flow-scoped events to the listed
 	// flow IDs (flow IDs start at 1, in spawn order: long flows first).
 	// Fabric and control-plane events (drops attributable to no flow,
 	// link state, FIB flips, recomputes, faults) are always recorded.
 	Flows []uint64
-
-	// MaxEvents bounds full-mode retention; zero means
-	// DefaultTraceMaxEvents. Events beyond the cap are counted
-	// (Recorder.Lost) but not stored.
-	MaxEvents int
 }
 
 // recorderOptions translates the public trace section into the
@@ -264,8 +254,8 @@ func (c *Config) recorderOptions() trace.Options {
 	}
 	return trace.Options{
 		Mode:      mode,
-		Buffer:    c.Trace.Buffer,
-		MaxEvents: c.Trace.MaxEvents,
+		Buffer:    traceRingEvents,
+		MaxEvents: traceFullEvents,
 		Flows:     c.Trace.Flows,
 	}
 }
@@ -275,18 +265,17 @@ func (c *Config) recorderOptions() trace.Options {
 // fields (Protocol, ShortFlows, ArrivalRate).
 //
 // Resolve-once contract: every exported entry point (Run, RunContext,
-// RunTraced, each RunSweep job, NewRunInstance, RunInstance.Reset and
-// Run, Dial, NewNetwork, Shape) takes a Config by value, fills the zero
-// fields' defaults and checks every rule on its own copy exactly once,
-// and returns an error naming the field for a config it cannot serve —
-// never a panic. Results.Config is that resolved copy. The caller's
-// value is not written to.
+// RunTraced, each RunSweep job, Dial, NewNetwork) takes a Config by
+// value, fills the zero fields' defaults and checks every rule on its
+// own copy exactly once, and returns an error naming the field for a
+// config it cannot serve — never a panic. Results.Config is that
+// resolved copy. The caller's value is not written to.
 //
 // The structural fields — Topology, K, HostsPerEdge, LinkRateBps,
-// LinkDelay, QueueLimit, BottleneckBps, ECNThreshold and Shards — are
-// the ones a built engine+network depends on (see Shape); everything
-// else — protocol, workload, faults, routing, metrics, seed — is per-run
-// state a recycled RunInstance resets.
+// LinkDelay, QueueLimit and Shards, plus whether Protocol turns on ECN
+// marking — are the ones a built engine+network depends on (see
+// shapeKey); everything else — protocol, workload, faults, routing,
+// metrics, seed — is per-run state a recycled sweep instance resets.
 type Config struct {
 	// Topology.
 	Topology     TopologyKind // default TopoFatTree
@@ -301,12 +290,6 @@ type Config struct {
 	// MPTCP's small subflow windows, reordering-tolerant scatter for
 	// MMPTCP) play out.
 	QueueLimit int
-	// BottleneckBps overrides the inter-switch link rate on the
-	// dumbbell topology (0 = same as LinkRateBps). Ignored elsewhere.
-	BottleneckBps int64
-	// ECNThreshold enables DCTCP-style marking on every queue when
-	// positive (packets). Defaults to 10 when Protocol is dctcp.
-	ECNThreshold int
 
 	// Protocol.
 	Protocol    Protocol
@@ -314,13 +297,10 @@ type Config struct {
 	Strategy    core.Strategy // MMPTCP switching strategy
 	SwitchBytes int64         // MMPTCP data-volume threshold; default 100 KB
 	// PSThreshold selects the packet-scatter duplicate-ACK threshold
-	// policy: topology-derived (default) or RR-TCP-like adaptive.
+	// policy: topology-derived (default) or RR-TCP-like adaptive. Every
+	// sender runs NewReno with tcp.DefaultConfig(): 1400-byte segments,
+	// a 200 ms minimum RTO.
 	PSThreshold core.ThresholdMode
-	// SACK enables selective-acknowledgement recovery on every sender
-	// (ablation: the paper's ns-3 models were NewReno-style). Every sender
-	// otherwise runs tcp.DefaultConfig(): 1400-byte segments, a 200 ms
-	// minimum RTO.
-	SACK bool
 
 	// Workload: the paper's Figure 1 setup.
 	LongFraction  float64  // fraction of hosts running long flows; default 1/3; negative = none
@@ -333,11 +313,6 @@ type Config struct {
 	// redirected to HotspotHost. Zero disables.
 	HotspotFraction float64
 	HotspotHost     int
-
-	// Deadline is the completion deadline against which short flows are
-	// scored (Results.DeadlineMissRate); default 200 ms, a typical
-	// partition/aggregate budget from the literature the paper cites.
-	Deadline sim.Time
 
 	// Faults schedules network dynamics — link failures, repairs,
 	// switch crashes, capacity/delay degradation and random loss —
@@ -425,8 +400,8 @@ func SmallConfig(proto Protocol, flows int) Config {
 // point calls it exactly once, on its own copy; nothing below
 // re-resolves. Resolving a resolved config changes nothing. run says the
 // config is about to be executed, which makes the workload fields
-// (ShortFlows, ArrivalRate) required; Dial, NewNetwork, NewRunInstance,
-// Reset and Shape leave them optional.
+// (ShortFlows, ArrivalRate) required; Dial and NewNetwork leave them
+// optional.
 //
 // Two rules need the built network and are checked when a run starts
 // instead: fault events must address existing links and switches, and
@@ -456,7 +431,6 @@ func (c *Config) resolve(run bool) error {
 		{"ShortFlowSize", c.ShortFlowSize},
 		{"ShortFlows", int64(c.ShortFlows)},
 		{"Warmup", int64(c.Warmup)},
-		{"Deadline", int64(c.Deadline)},
 		{"MaxSimTime", int64(c.MaxSimTime)},
 		{"Shards", int64(c.Shards)},
 		{"Faults.ReconvergeDelay", int64(c.Faults.ReconvergeDelay)},
@@ -465,8 +439,6 @@ func (c *Config) resolve(run bool) error {
 		{"Transport.RedialBudget", int64(c.Transport.RedialBudget)},
 		{"Transport.MaxDefer", int64(c.Transport.MaxDefer)},
 		{"Metrics.SnapshotInterval", int64(c.Metrics.SnapshotInterval)},
-		{"Trace.Buffer", int64(c.Trace.Buffer)},
-		{"Trace.MaxEvents", int64(c.Trace.MaxEvents)},
 	} {
 		if f.v < 0 {
 			return fmt.Errorf("mmptcp: negative %s: %d", f.name, f.v)
@@ -498,12 +470,9 @@ func (c *Config) resolve(run bool) error {
 	orDefault(&c.LongFraction, 1.0/3)
 	orDefault(&c.ShortFlowSize, 70_000)
 	orDefault(&c.Warmup, 100*sim.Millisecond)
-	orDefault(&c.Deadline, 200*sim.Millisecond)
 	orDefault(&c.MaxSimTime, 300*sim.Second)
 	switch c.Protocol {
-	case ProtoTCP, ProtoMPTCP, ProtoMMPTCP:
-	case ProtoDCTCP:
-		orDefault(&c.ECNThreshold, 10)
+	case ProtoTCP, ProtoMPTCP, ProtoMMPTCP, ProtoDCTCP:
 	default:
 		return fmt.Errorf("mmptcp: unknown protocol %q", c.Protocol)
 	}
@@ -589,14 +558,12 @@ func (c *Config) resolve(run bool) error {
 		c.Trace.Mode = TraceOff
 		fallthrough
 	case TraceOff:
-		// A sized buffer or a flow filter on a disabled trace is a config
-		// bug (the knobs would silently do nothing); reject it loudly.
-		if c.Trace.Buffer != 0 || c.Trace.MaxEvents != 0 || len(c.Trace.Flows) != 0 {
-			return fmt.Errorf("mmptcp: Trace.Buffer/MaxEvents/Flows set but Trace.Mode is off")
+		// A flow filter on a disabled trace is a config bug (it would
+		// silently do nothing); reject it loudly.
+		if len(c.Trace.Flows) != 0 {
+			return fmt.Errorf("mmptcp: Trace.Flows set but Trace.Mode is off")
 		}
 	case TraceRing, TraceFull:
-		orDefault(&c.Trace.Buffer, DefaultTraceBuffer)
-		orDefault(&c.Trace.MaxEvents, DefaultTraceMaxEvents)
 	default:
 		return fmt.Errorf("mmptcp: unknown trace mode %q (want %q, %q or %q)",
 			c.Trace.Mode, "off", TraceRing, TraceFull)
@@ -612,47 +579,48 @@ func orDefault[T comparable](field *T, def T) {
 	}
 }
 
-// Shape is the comparable structural key run-instance recycling uses:
-// Config's structural fields. Two Configs with equal Shapes can recycle
-// one instance.
-type Shape struct {
-	Topology      TopologyKind
-	K             int
-	HostsPerEdge  int
-	LinkRateBps   int64
-	LinkDelay     sim.Time
-	QueueLimit    int
-	BottleneckBps int64
-	ECNThreshold  int
+// shapeKey is the comparable structural key sweep-instance recycling
+// uses: Config's structural fields. Two Configs with equal keys can
+// recycle one instance.
+type shapeKey struct {
+	Topology     TopologyKind
+	K            int
+	HostsPerEdge int
+	LinkRateBps  int64
+	LinkDelay    sim.Time
+	QueueLimit   int
+	ECNThreshold int
 	// Shards is structural: the partition wiring (per-shard engines,
 	// pools, outbox routing) is built with the instance, so a recycled
 	// instance only serves configs sharing its shard count.
 	Shards int
 }
 
-// Shape returns the config's structural key, resolved first so that
-// configs spelling the same structure differently (explicit vs defaulted
-// fields) share a key. It fails on configs that would not build.
-func (c Config) Shape() (Shape, error) {
-	if err := c.resolve(false); err != nil { // c is a copy
-		return Shape{}, err
+// shape is the resolved config's structural key.
+func (c *Config) shape() shapeKey {
+	return shapeKey{
+		Topology:     c.Topology,
+		K:            c.K,
+		HostsPerEdge: c.HostsPerEdge,
+		LinkRateBps:  c.LinkRateBps,
+		LinkDelay:    c.LinkDelay,
+		QueueLimit:   c.QueueLimit,
+		ECNThreshold: c.ecnThreshold(),
+		Shards:       c.Shards,
 	}
-	return c.shape(), nil
 }
 
-// shape is Shape on a resolved config.
-func (c *Config) shape() Shape {
-	return Shape{
-		Topology:      c.Topology,
-		K:             c.K,
-		HostsPerEdge:  c.HostsPerEdge,
-		LinkRateBps:   c.LinkRateBps,
-		LinkDelay:     c.LinkDelay,
-		QueueLimit:    c.QueueLimit,
-		BottleneckBps: c.BottleneckBps,
-		ECNThreshold:  c.ECNThreshold,
-		Shards:        c.Shards,
+// dctcpECNThreshold is the queue depth, in packets, at which every link
+// marks ECN when Protocol is dctcp.
+const dctcpECNThreshold = 10
+
+// ecnThreshold is the links' ECN marking threshold: 0 (off) unless the
+// protocol is DCTCP. It is structural: the links are built with it.
+func (c *Config) ecnThreshold() int {
+	if c.Protocol == ProtoDCTCP {
+		return dctcpECNThreshold
 	}
+	return 0
 }
 
 // routingConfig translates the public routing section into the control
@@ -670,7 +638,7 @@ func (c *Config) routingConfig() routing.Config {
 // topology section into the builders' own configs, for resolve to
 // Validate and buildNetwork to build.
 func (c *Config) link() topology.LinkConfig {
-	return topology.LinkConfig{RateBps: c.LinkRateBps, Delay: c.LinkDelay, QueueLimit: c.QueueLimit, ECNThreshold: c.ECNThreshold}
+	return topology.LinkConfig{RateBps: c.LinkRateBps, Delay: c.LinkDelay, QueueLimit: c.QueueLimit, ECNThreshold: c.ecnThreshold()}
 }
 
 func (c *Config) fatTree() topology.FatTreeConfig {
@@ -682,7 +650,7 @@ func (c *Config) multiHomed() topology.MultiHomedConfig {
 }
 
 func (c *Config) dumbbell() topology.DumbbellConfig {
-	return topology.DumbbellConfig{HostsPerSide: c.K * c.HostsPerEdge / 2, Link: c.link(), BottleneckBps: c.BottleneckBps}
+	return topology.DumbbellConfig{HostsPerSide: c.K * c.HostsPerEdge / 2, Link: c.link()}
 }
 
 func (c *Config) vl2() topology.VL2Config {

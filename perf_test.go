@@ -7,10 +7,9 @@ import (
 	"repro/internal/routing"
 )
 
-// incrementalFaultSuite is the PR-3 fault matrix (cable cuts with
-// repair, whole-switch crash/restart, sampled correlated groups plus a
-// core switch-crash model) under global routing — every fault class that
-// drives the control plane.
+// incrementalFaultSuite is the fault matrix (cable cuts with repair,
+// whole-switch crash/restart, sampled per-cable agg failures) under
+// global routing — every fault class that drives the control plane.
 func incrementalFaultSuite() []Config {
 	var configs []Config
 
@@ -36,9 +35,8 @@ func incrementalFaultSuite() []Config {
 	model.MaxSimTime = 15 * Second
 	model.Faults = FaultsConfig{
 		Model: FaultModel{
-			Groups:   []FaultGroupModel{{Layer: LayerAgg, Size: 2, MTBF: 2 * Second, MTTR: 100 * Millisecond}},
-			Switches: []FaultSwitchModel{{Layer: LayerCore, MTBF: 3 * Second, MTTR: 100 * Millisecond}},
-			Horizon:  4 * Second,
+			Layers:  []FaultLayerModel{{Layer: LayerAgg, MTBF: 4 * Second, MTTR: 100 * Millisecond}},
+			Horizon: 4 * Second,
 		},
 		ReconvergeDelay: 10 * Millisecond,
 	}

@@ -182,7 +182,7 @@ func TestSweepAfterFailedJobIsClean(t *testing.T) {
 func TestTakeInstanceRecycles(t *testing.T) {
 	configs := twoShapes(2)
 	first, second := resolved(t, configs[0]), resolved(t, configs[1])
-	var slot *RunInstance
+	var slot *instance
 	a, err := takeInstance(first, &slot)
 	if err != nil {
 		t.Fatal(err)
@@ -199,7 +199,7 @@ func TestTakeInstanceRecycles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b == a || b.Shape() == a.Shape() || slot != nil {
+	if b == a || b.shape == a.shape || slot != nil {
 		t.Fatalf("shape change: got %p (parked %p), slot %p; want a fresh build and an empty slot", b, a, slot)
 	}
 	// A config that cannot run never reaches the slot: the sweep job's
@@ -217,7 +217,7 @@ func TestTakeInstanceRecycles(t *testing.T) {
 // next seed, park it again — allocates nothing.
 func TestPooledSweepWorkerAllocationFree(t *testing.T) {
 	cfg := resolved(t, tiny(ProtoMMPTCP, 20))
-	var slot *RunInstance
+	var slot *instance
 	// Warm the instance: real runs grow the engine's event free list and
 	// the network's internal scratch to steady-state capacity.
 	for s := uint64(1); s <= 2; s++ {
@@ -265,7 +265,7 @@ func TestWarmReplicateAllocationBudget(t *testing.T) {
 		ArrivalRate:  50,
 		LongFraction: -1,
 	}
-	var slot *RunInstance
+	var slot *instance
 	seed := uint64(1)
 	replicate := func() { // what a RunSweep job does
 		job := cfg
@@ -296,35 +296,42 @@ func TestWarmReplicateAllocationBudget(t *testing.T) {
 	}
 }
 
-// TestRunInstanceShapeMismatch: reusing an instance for a config with a
-// different structural Shape must error, not silently run the wrong
-// network.
+// TestRunInstanceShapeMismatch: a parked instance is recycled only for a
+// config of its own structural shape; any other config gets a fresh
+// build, never a run on the wrong network.
 func TestRunInstanceShapeMismatch(t *testing.T) {
-	base := tiny(ProtoTCP, 10)
-	inst, err := NewRunInstance(base)
+	base := resolved(t, tiny(ProtoTCP, 10))
+	parked, err := newInstance(base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	other := base
+	take := func(cfg Config) *instance {
+		t.Helper()
+		slot := parked
+		inst, err := takeInstance(resolved(t, cfg), &slot)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return inst
+	}
+	other := *base
 	other.HostsPerEdge = 4
-	if err := inst.Reset(other); err == nil {
-		t.Error("Reset with mismatched HostsPerEdge succeeded")
-	} else if !strings.Contains(err.Error(), "shape") {
-		t.Errorf("mismatch error does not mention shape: %v", err)
+	if take(other) == parked {
+		t.Error("an instance was recycled for a different HostsPerEdge")
 	}
-	// DCTCP defaults an ECN threshold, so its shape differs from TCP's
-	// even with identical explicit fields.
-	dctcp := base
+	// DCTCP turns on ECN marking in every queue, so its shape differs
+	// from TCP's even with identical explicit fields.
+	dctcp := *base
 	dctcp.Protocol = ProtoDCTCP
-	if err := inst.Reset(dctcp); err == nil {
-		t.Error("Reset with DCTCP config on a TCP-shaped instance succeeded")
+	if take(dctcp) == parked {
+		t.Error("a TCP-shaped instance was recycled for DCTCP")
 	}
-	// Same shape still works, with any seed.
-	same := base
+	// Same shape is recycled, with any seed and workload.
+	same := *base
 	same.Seed = 99
-	same.ShortFlows = 5 // workload is not part of the shape
-	if err := inst.Reset(same); err != nil {
-		t.Errorf("Reset with same-shape config failed: %v", err)
+	same.ShortFlows = 5
+	if take(same) != parked {
+		t.Error("a same-shape config did not recycle the parked instance")
 	}
 }
 

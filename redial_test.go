@@ -26,7 +26,7 @@ func deadPathFCT(t *testing.T, transport TransportConfig) (sim.Time, int, int) {
 		t.Fatal(err)
 	}
 	_, err = faults.Install(eng, faults.Target{
-		Links: net.Links, Switches: net.Switches, SwitchLayers: net.SwitchLayers,
+		Links: net.Links, Switches: net.Switches,
 	}, faults.Config{
 		Events:          faults.FailCables(netem.LayerAgg, 1, 30*sim.Millisecond, 5*sim.Second),
 		ReconvergeDelay: 25 * sim.Millisecond,

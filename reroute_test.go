@@ -79,9 +79,9 @@ func TestGlobalRepairShape(t *testing.T) {
 }
 
 // TestGlobalRoutingSweepDeterminism extends the faulted-sweep
-// determinism guarantee to the control plane and the new fault classes:
-// switch crashes, correlated groups, sampled switch models, all under
-// global routing, byte-identical serial vs parallel.
+// determinism guarantee to the control plane and the fault classes:
+// cable cuts, switch crashes and sampled cable failures, under both
+// repair modes, byte-identical serial vs parallel.
 func TestGlobalRoutingSweepDeterminism(t *testing.T) {
 	mkConfigs := func() []Config {
 		var configs []Config
@@ -108,9 +108,8 @@ func TestGlobalRoutingSweepDeterminism(t *testing.T) {
 			model.MaxSimTime = 15 * Second
 			model.Faults = FaultsConfig{
 				Model: FaultModel{
-					Groups:   []FaultGroupModel{{Layer: LayerAgg, Size: 2, MTBF: 2 * Second, MTTR: 100 * Millisecond}},
-					Switches: []FaultSwitchModel{{Layer: LayerCore, MTBF: 3 * Second, MTTR: 100 * Millisecond}},
-					Horizon:  4 * Second,
+					Layers:  []FaultLayerModel{{Layer: LayerAgg, MTBF: 4 * Second, MTTR: 100 * Millisecond}},
+					Horizon: 4 * Second,
 				},
 				ReconvergeDelay: 10 * Millisecond,
 			}
@@ -183,7 +182,7 @@ func TestLivePathCountUnderFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err = faults.Install(eng, faults.Target{
-		Links: net.Links, Switches: net.Switches, SwitchLayers: net.SwitchLayers,
+		Links: net.Links, Switches: net.Switches,
 	}, faults.Config{
 		Events: faults.FailCables(netem.LayerAgg, 1, 10*sim.Millisecond, 50*sim.Millisecond),
 	}, NewRNG(1), sim.Second)

@@ -21,6 +21,11 @@ import (
 // root stream 0 so fault configuration never perturbs traffic.
 const faultsRNGStream = 0xfa017
 
+// ShortFlowDeadline is the completion deadline against which short flows
+// are scored (Results.DeadlineMissRate): 200 ms, a typical
+// partition/aggregate budget from the literature the paper cites.
+const ShortFlowDeadline = 200 * sim.Millisecond
+
 // Results is everything one experiment run measured.
 type Results struct {
 	Config Config
@@ -37,7 +42,7 @@ type Results struct {
 	// 2^-Config.Metrics.HistPrecision.
 	ShortSummary metrics.Summary
 	// DeadlineMissRate is the fraction of short flows that missed
-	// Config.Deadline — the paper's §1 framing of short-flow damage
+	// ShortFlowDeadline — the paper's §1 framing of short-flow damage
 	// ("even a single RTO may result in flow deadline violation").
 	DeadlineMissRate float64
 
@@ -115,69 +120,45 @@ type Results struct {
 	Spawned int      // short flows actually spawned
 }
 
-// RunInstance is one reusable engine+network pair — the expensive half
-// of a run's setup. Everything else a run needs (transports, workload,
-// faults, the routing control plane) is built per run on top of it, so
-// an instance can be recycled across runs that share a Config Shape:
-// build once with NewRunInstance, then alternate Reset and Run. RunSweep
-// does exactly that with one instance per worker; the direct API exists
-// for benchmarks and custom drivers.
-//
-// An instance is single-threaded: one run at a time, no concurrent use.
-type RunInstance struct {
-	shape Shape
+// instance is one reusable engine+network pair — the expensive half of a
+// run's setup. Everything else a run needs (transports, workload, faults,
+// the routing control plane) is built per run on top of it, so RunSweep
+// recycles one instance per worker across runs that share a shape (see
+// takeInstance). An instance is single-threaded: one run at a time.
+type instance struct {
+	shape shapeKey
 	eng   *sim.Engine
 	net   *topology.Network
 	// fab is the sharded fabric bound over net: per-shard engines and the
 	// lookahead coordinator for Config.Shards > 1, a direct pass-through
-	// to eng otherwise. Its partition wiring survives Reset.
+	// to eng otherwise. Its partition wiring survives reset.
 	fab *shard.Fabric
 	// rec is the structured event recorder armed for the next run (nil
-	// when the config's Trace section is off). It is re-armed — reused
-	// when the trace options match, rebuilt otherwise — by Reset, so a
-	// recycled flight recorder costs its storage once per instance.
+	// when the config's Trace section is off). reset re-arms it — reused
+	// when the trace options match, rebuilt otherwise — so a recycled
+	// flight recorder costs its storage once per instance.
 	rec *trace.Recorder
 }
 
-// NewRunInstance builds the engine and topology for cfg. The returned
-// instance is ready to Run cfg (or any config sharing its Shape and
-// Seed); reuse under a different config requires Reset first.
-func NewRunInstance(cfg Config) (*RunInstance, error) {
-	if err := cfg.resolve(false); err != nil {
-		return nil, err
-	}
-	return newInstance(&cfg)
-}
-
-// newInstance is NewRunInstance on a resolved config.
-func newInstance(cfg *Config) (*RunInstance, error) {
+// newInstance builds the engine and topology for the resolved cfg.
+func newInstance(cfg *Config) (*instance, error) {
 	eng := sim.NewEngine()
 	net := cfg.buildNetwork(eng)
 	fab, err := shard.Build(eng, net, cfg.Shards)
 	if err != nil {
 		return nil, err
 	}
-	ri := &RunInstance{shape: cfg.shape(), eng: eng, net: net, fab: fab}
+	ri := &instance{shape: cfg.shape(), eng: eng, net: net, fab: fab}
 	ri.armRecorder(cfg)
 	return ri, nil
 }
-
-// Shape returns the structural key the instance serves.
-func (ri *RunInstance) Shape() Shape { return ri.shape }
-
-// Recorder returns the structured event recorder armed for the
-// instance's current run, or nil when tracing is off. After a run it
-// holds the run's events; after Reset it is empty (or replaced, if the
-// new config's trace options differ). Flight-recorder drivers read it
-// between Run and the next Reset.
-func (ri *RunInstance) Recorder() *trace.Recorder { return ri.rec }
 
 // armRecorder points ri.rec at a recorder matching the resolved cfg's
 // trace section: nil when tracing is off, the existing recorder reset in
 // place when its options already match, a fresh one otherwise. With
 // tracing off this is a single nil store — the recycling reset path
 // stays allocation-free.
-func (ri *RunInstance) armRecorder(cfg *Config) {
+func (ri *instance) armRecorder(cfg *Config) {
 	if cfg.Trace.Mode == TraceOff {
 		ri.rec = nil
 		return
@@ -190,40 +171,15 @@ func (ri *RunInstance) armRecorder(cfg *Config) {
 	ri.rec = trace.NewRecorder(opts)
 }
 
-// Reset restores the instance to the state a fresh NewRunInstance(cfg)
-// would have: engine clock at zero with no pending events, every switch,
-// link and host pristine, per-switch ECMP hash seeds re-derived from
-// cfg.Seed. A config whose Shape differs from the instance's is rejected
-// — a mismatched reuse would silently run on the wrong network. The
-// steady-state Reset path allocates nothing.
-func (ri *RunInstance) Reset(cfg Config) error {
-	if err := cfg.resolve(false); err != nil {
-		return err
-	}
-	return ri.reset(&cfg)
-}
-
-// reset is Reset on a resolved config.
-func (ri *RunInstance) reset(cfg *Config) error {
-	if s := cfg.shape(); s != ri.shape {
-		return fmt.Errorf("mmptcp: instance of shape %+v cannot run config of shape %+v", ri.shape, s)
-	}
+// reset restores the instance to the state newInstance(cfg) would have
+// built: engine clock at zero with no pending events, every switch, link
+// and host pristine, per-switch ECMP hash seeds re-derived from cfg.Seed.
+// cfg is resolved and has the instance's shape. It allocates nothing.
+func (ri *instance) reset(cfg *Config) {
 	ri.eng.Reset()
 	ri.net.Reset(cfg.Seed)
 	ri.fab.Reset()
 	ri.armRecorder(cfg)
-	return nil
-}
-
-// Run executes one experiment on the instance. The instance must be
-// freshly built for cfg or Reset with it; Results are byte-identical to
-// Run(cfg) on a throwaway instance (the recycling guarantee, locked in
-// by TestPooledSweepByteIdentical).
-func (ri *RunInstance) Run(ctx context.Context, cfg Config) (*Results, error) {
-	if err := cfg.resolve(true); err != nil {
-		return nil, err
-	}
-	return ri.run(ctx, &cfg)
 }
 
 // Run executes one experiment and returns its measurements.
@@ -279,7 +235,7 @@ func runOnce(ctx context.Context, cfg *Config) (*Results, *trace.Recorder, error
 // calling worker's slot: the instance its previous job left behind, or
 // nil. The slot is refilled only after a clean run, so an instance whose
 // run failed or was cancelled is dropped rather than parked dirty.
-func runRecycled(ctx context.Context, cfg *Config, parked **RunInstance) (*Results, error) {
+func runRecycled(ctx context.Context, cfg *Config, parked **instance) (*Results, error) {
 	inst, err := takeInstance(cfg, parked)
 	if err != nil {
 		return nil, err
@@ -296,13 +252,14 @@ func runRecycled(ctx context.Context, cfg *Config, parked **RunInstance) (*Resul
 // resolved cfg: the parked one, reset, when it has cfg's shape; a fresh
 // build otherwise (first job, shape change), with the parked one let go
 // first so a worker never holds two. The reuse path allocates nothing.
-func takeInstance(cfg *Config, parked **RunInstance) (*RunInstance, error) {
+func takeInstance(cfg *Config, parked **instance) (*instance, error) {
 	inst := *parked
 	*parked = nil
 	if inst == nil || inst.shape != cfg.shape() {
 		return newInstance(cfg)
 	}
-	return inst, inst.reset(cfg)
+	inst.reset(cfg)
+	return inst, nil
 }
 
 // flow pairs one flow's record with its live connection; conn is nil
@@ -315,10 +272,10 @@ type flow struct {
 
 // liveRun is one experiment in flight: the resolved config, the instance
 // it runs on, and what the build, spawn, execute and collect steps of
-// RunInstance.run hand each other.
+// instance.run hand each other.
 type liveRun struct {
 	cfg *Config
-	*RunInstance
+	*instance
 	res     *Results
 	rootRNG *sim.RNG
 
@@ -349,7 +306,7 @@ type liveRun struct {
 
 // run is the body shared by every entry point: cfg is resolved for a run
 // and the instance is fresh or reset for it.
-func (ri *RunInstance) run(ctx context.Context, cfg *Config) (*Results, error) {
+func (ri *instance) run(ctx context.Context, cfg *Config) (*Results, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -367,13 +324,13 @@ func (ri *RunInstance) run(ctx context.Context, cfg *Config) (*Results, error) {
 
 // build arms tracing, installs the network dynamics and draws the
 // traffic matrix.
-func (ri *RunInstance) build(cfg *Config) (*liveRun, error) {
+func (ri *instance) build(cfg *Config) (*liveRun, error) {
 	r := &liveRun{
-		cfg:         cfg,
-		RunInstance: ri,
-		res:         &Results{Config: *cfg},
-		rootRNG:     sim.NewRNG(cfg.Seed),
-		streaming:   cfg.Metrics.Mode == MetricsStreaming,
+		cfg:       cfg,
+		instance:  ri,
+		res:       &Results{Config: *cfg},
+		rootRNG:   sim.NewRNG(cfg.Seed),
+		streaming: cfg.Metrics.Mode == MetricsStreaming,
 	}
 	eng, net, rec := ri.eng, ri.net, ri.rec
 
@@ -395,9 +352,8 @@ func (ri *RunInstance) build(cfg *Config) (*liveRun, error) {
 	var err error
 	if cfg.Faults.Active() {
 		r.faultPlan, err = faults.Install(eng, faults.Target{
-			Links:        net.Links,
-			Switches:     net.Switches,
-			SwitchLayers: net.SwitchLayers,
+			Links:    net.Links,
+			Switches: net.Switches,
 		}, cfg.Faults, sim.NewRNGStream(cfg.Seed, faultsRNGStream), cfg.MaxSimTime)
 		if err != nil {
 			return nil, err
@@ -420,7 +376,7 @@ func (ri *RunInstance) build(cfg *Config) (*liveRun, error) {
 	}
 
 	if r.streaming || cfg.Metrics.SnapshotInterval > 0 {
-		r.stream, err = metrics.NewStreamingSummary(cfg.Metrics.HistPrecision, cfg.Deadline)
+		r.stream, err = metrics.NewStreamingSummary(cfg.Metrics.HistPrecision, ShortFlowDeadline)
 		if err != nil {
 			return nil, err
 		}
@@ -642,7 +598,7 @@ func (r *liveRun) collect() {
 		res.DeadlineMissRate = r.stream.MissRate()
 	} else {
 		res.ShortSummary = metrics.Summarize(res.ShortFlows)
-		res.DeadlineMissRate = metrics.DeadlineMissRate(res.ShortFlows, cfg.Deadline)
+		res.DeadlineMissRate = metrics.DeadlineMissRate(res.ShortFlows, ShortFlowDeadline)
 	}
 
 	// Long flows: goodput over their lifetime.

@@ -176,8 +176,6 @@ func TestRunValidation(t *testing.T) {
 		{with(func(c *Config) { c.LinkRateBps = -1 }), "RateBps"},
 		{with(func(c *Config) { c.LinkDelay = -1 }), "Delay"},
 		{with(func(c *Config) { c.QueueLimit = -1 }), "QueueLimit"},
-		{with(func(c *Config) { c.ECNThreshold = -1 }), "ECNThreshold"},
-		{with(func(c *Config) { c.Topology = TopoDumbbell; c.BottleneckBps = -1 }), "BottleneckBps"},
 		{with(func(c *Config) { c.Topology = TopoDumbbell; c.K, c.HostsPerEdge = 1, 1 }), "K 1"},
 		{with(func(c *Config) { c.Topology = TopoMultiHomed; c.K = 2 }), "K 2"},
 		{with(func(c *Config) { c.Topology = TopoVL2; c.K = 3 }), "K 3"},
@@ -192,7 +190,6 @@ func TestRunValidation(t *testing.T) {
 		{with(func(c *Config) { c.LongFraction = -inf }), "LongFraction"},
 		{with(func(c *Config) { c.MaxSimTime = -1 }), "MaxSimTime"},
 		{with(func(c *Config) { c.Warmup = -1 }), "Warmup"},
-		{with(func(c *Config) { c.Deadline = -1 }), "Deadline"},
 		{with(func(c *Config) { c.Subflows = -1 }), "Subflows"},
 		{with(func(c *Config) { c.Subflows = 300 }), "Subflows"},     // used to panic: duplicate endpoint
 		{with(func(c *Config) { c.Subflows = 1 << 40 }), "Subflows"}, // used to allocate without bound
@@ -488,28 +485,5 @@ func TestRunDeadlineMissRate(t *testing.T) {
 	}
 	if clean.DeadlineMissRate != 0 {
 		t.Errorf("unloaded miss rate = %v, want 0", clean.DeadlineMissRate)
-	}
-}
-
-func TestRunWithSACK(t *testing.T) {
-	cfg := tiny(ProtoMPTCP, 150)
-	cfg.SACK = true
-	sack, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain, err := Run(tiny(ProtoMPTCP, 150))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sack.ShortSummary.Count < 145 {
-		t.Fatalf("only %d/150 completed with SACK", sack.ShortSummary.Count)
-	}
-	t.Logf("MPTCP  newreno: %v", plain.ShortSummary)
-	t.Logf("MPTCP  sack   : %v", sack.ShortSummary)
-	// The paper's diagnosis must survive SACK: tiny subflow windows
-	// cannot generate feedback at all, so RTO-bound flows remain.
-	if sack.ShortSummary.WithRTO == 0 {
-		t.Error("SACK eliminated all RTOs; the tiny-window failure mode should persist")
 	}
 }

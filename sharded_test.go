@@ -173,7 +173,7 @@ func TestShardedTracedRun(t *testing.T) {
 	cfg := traceFaultSuite()[0]
 	cfg.MaxSimTime = 2 * Second
 	cfg.Trace.Mode = TraceFull
-	cfg.Trace.MaxEvents = 4 << 20
+	cfg.LongFraction = 0.1 // keeps the full trace under its cap
 	cfg.Shards = 2
 	res, rec, err := RunTraced(cfg)
 	if err != nil {
@@ -245,18 +245,19 @@ func TestShardedTracedRun(t *testing.T) {
 	}
 }
 
-// TestShardedShapeMismatch: the shard count is structural — a pooled
-// instance built for one count must refuse a config with another.
+// TestShardedShapeMismatch: the shard count is structural — a parked
+// instance built for one count is never recycled for another.
 func TestShardedShapeMismatch(t *testing.T) {
 	cfg := tiny(ProtoTCP, 10)
 	cfg.Shards = 2
-	inst, err := NewRunInstance(cfg)
+	parked, err := newInstance(resolved(t, cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Shards = 4
-	if err := inst.Reset(cfg); err == nil {
-		t.Error("Reset accepted a config with a different shard count")
+	slot := parked
+	if inst, err := takeInstance(resolved(t, cfg), &slot); err != nil || inst == parked {
+		t.Errorf("a 2-shard instance was recycled for 4 shards (err %v)", err)
 	}
 }
 

@@ -11,7 +11,7 @@ package mmptcp
 // (one sim.Engine per worker, never shared) and returns Results in
 // config order. Most scans are many seeds over few shapes, so a worker
 // keeps the engine+network pair of its last run and resets it for the
-// next config of the same Shape instead of building another.
+// next config of the same shape instead of building another.
 //
 // Determinism guarantee: a Config fully determines its Results — the
 // engine is single-threaded, all randomness flows from Config.Seed
@@ -103,7 +103,7 @@ func RunSweep(configs []Config, opts SweepOptions) ([]*Results, error) {
 		Workers:      opts.Workers,
 		SlotsPerTask: slots,
 		OnDone:       opts.OnResult,
-	}, func(ctx context.Context, parked **RunInstance, i int) (*Results, error) {
+	}, func(ctx context.Context, parked **instance, i int) (*Results, error) {
 		cfg := configs[i]
 		if err := cfg.resolve(true); err != nil {
 			return nil, err
