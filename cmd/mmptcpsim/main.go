@@ -311,8 +311,10 @@ func replicate(cfg mmptcp.Config, n, workers int, base uint64) {
 	if effective > n {
 		effective = n // the pool never runs more workers than jobs
 	}
-	fmt.Printf("ran %d experiments in %v wall (workers=%d)\n\n",
+	// Wall-clock time goes to stderr: stdout is the deterministic report.
+	fmt.Fprintf(os.Stderr, "ran %d experiments in %v wall (workers=%d)\n",
 		n, wall.Round(time.Millisecond), effective)
+	fmt.Println()
 	fmt.Println("replicate        seed  mean_ms  std_ms  p99_ms  rto_flows  miss_pct  long_tput_mbps")
 	var means, tputs []float64
 	for i, res := range results {
@@ -351,7 +353,8 @@ func report(res *mmptcp.Results, wall time.Duration) {
 		fmt.Printf(" shards=%d", cfg.Shards)
 	}
 	fmt.Println()
-	fmt.Printf("simulated %v in %v wall (%d events, %.1fM events/s)\n",
+	// Wall-clock time goes to stderr: stdout is the deterministic report.
+	fmt.Fprintf(os.Stderr, "simulated %v in %v wall (%d events, %.1fM events/s)\n",
 		res.Elapsed, wall.Round(time.Millisecond), res.Events,
 		float64(res.Events)/wall.Seconds()/1e6)
 	if s := res.Shard; s.Shards > 1 {

@@ -8,7 +8,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/topology"
 	"repro/internal/trace"
-	"repro/internal/workload"
 )
 
 // Aliases re-export the handful of internal types that appear in the
@@ -31,20 +30,12 @@ type (
 	// Snapshot is one periodic sample of a run's cumulative state (see
 	// Results.Snapshots and MetricsConfig.SnapshotInterval).
 	Snapshot = metrics.Snapshot
-	// Assignment is a workload role/partner assignment.
-	Assignment = workload.Assignment
-	// IncastBurst schedules an n-to-1 burst of flows.
-	IncastBurst = workload.Incast
 	// Sampler records time series (cwnd, RTT, queue depth) from a
 	// running simulation.
 	Sampler = trace.Sampler
 	// Recorder is the structured event recorder (flight recorder)
 	// enabled by Config.Trace; see RunTraced.
 	Recorder = trace.Recorder
-	// TraceEvent is one recorded structured event.
-	TraceEvent = trace.Event
-	// TraceKind identifies a trace event's type (trace.Kind* constants).
-	TraceKind = trace.Kind
 
 	// FaultsConfig is the network-dynamics section of Config: timed
 	// failure/degradation events, an optional sampled failure model, and
@@ -167,11 +158,4 @@ func NewNetwork(eng *Engine, cfg Config) (*Network, error) {
 // duplicate-ACK threshold).
 func PathCount(net *Network, src, dst int) int {
 	return net.PathCount(netem.NodeID(src), netem.NodeID(dst))
-}
-
-// BuildPermutation draws the paper's permutation traffic matrix over the
-// network's hosts: a derangement of destinations with longFraction of
-// hosts designated long-flow senders.
-func BuildPermutation(rng *RNG, hosts int, longFraction float64) Assignment {
-	return workload.BuildPermutation(rng, hosts, longFraction)
 }

@@ -285,13 +285,14 @@ func validate(events []Event, linksAt func(netem.Layer) int, switches int) error
 		switch ev.Kind {
 		case LinkDown, LinkUp, Restore:
 		case Degrade:
-			if ev.CapacityFactor != 0 && (ev.CapacityFactor <= 0 || ev.CapacityFactor > 1) {
+			// Written so that a NaN fails each range check.
+			if ev.CapacityFactor != 0 && !(ev.CapacityFactor > 0 && ev.CapacityFactor <= 1) {
 				return fmt.Errorf("faults: event %d capacity factor %v out of (0, 1]", i, ev.CapacityFactor)
 			}
 			if ev.ExtraDelay < 0 {
 				return fmt.Errorf("faults: event %d negative extra delay", i)
 			}
-			if ev.LossRate < 0 || ev.LossRate >= 1 {
+			if !(ev.LossRate >= 0 && ev.LossRate < 1) {
 				return fmt.Errorf("faults: event %d loss rate %v out of [0, 1)", i, ev.LossRate)
 			}
 			if ev.CapacityFactor == 0 && ev.ExtraDelay == 0 && ev.LossRate == 0 {

@@ -34,8 +34,8 @@ type Injector struct {
 	// the reconvergence delay), with the transitioned link — its new
 	// state already applied. The global routing control plane hooks
 	// this to trigger a coalesced, transition-scoped table recompute;
-	// the default local behaviour needs no notification because routers
-	// filter route-dead links on every lookup.
+	// the default local behaviour needs no notification because the
+	// switches' rows filter route-dead links on every lookup.
 	OnRouteChange func(*netem.Link)
 
 	// Overlap counters. A link can be failed by several sources at once

@@ -125,8 +125,8 @@ type Link struct {
 
 	// Fault state. down is the data plane: a down link blackholes
 	// everything (in-flight, queued, and newly enqueued packets).
-	// routeDead is the control plane: once set, routers exclude the link
-	// from ECMP sets. The two are deliberately separate — the window
+	// routeDead is the control plane: once set, forwarding rows exclude
+	// the link from ECMP sets. The two are deliberately separate — the window
 	// between a link going down and routing noticing it (the
 	// reconvergence delay) is where failures hurt, and the faults
 	// subsystem drives them independently.
@@ -144,7 +144,8 @@ type Link struct {
 	ECNThreshold int
 
 	// Routes, when non-nil, is the network-wide tally SetRouteDead keeps
-	// in step so routers can skip liveness filtering on a healthy fabric.
+	// in step so forwarding rows can skip liveness filtering on a healthy
+	// fabric.
 	// Topology builders set it at construction, before any fault.
 	Routes *RouteState
 
@@ -287,12 +288,13 @@ func (l *Link) QueueLen() int { return l.count }
 // Down reports whether the link is failed at the data plane.
 func (l *Link) Down() bool { return l.down }
 
-// RouteDead reports whether routers should exclude the link from ECMP
+// RouteDead reports whether forwarding rows exclude the link from ECMP
 // next-hop sets (set after the reconvergence delay following a failure).
 func (l *Link) RouteDead() bool { return l.routeDead }
 
-// SetRouteDead marks the link dead (or alive again) for routing. Routers
-// consult this through LiveLinks; the data plane is unaffected.
+// SetRouteDead marks the link dead (or alive again) for routing.
+// Forwarding rows filter it out of their as-built sets; the data plane is
+// unaffected.
 func (l *Link) SetRouteDead(dead bool) {
 	if dead == l.routeDead {
 		return
@@ -355,9 +357,10 @@ func (l *Link) TimeDown(now sim.Time) sim.Time {
 // SetRateFactor scales the link bandwidth to factor times its built rate
 // (capacity degradation). factor 1 restores full capacity. The packet
 // currently serialising finishes at the old rate; subsequent packets use
-// the new one. Factors outside (0, 1] panic: a fault cannot add capacity.
+// the new one. Factors outside (0, 1], NaN included, panic: a fault cannot
+// add capacity.
 func (l *Link) SetRateFactor(factor float64) {
-	if factor <= 0 || factor > 1 {
+	if !(factor > 0 && factor <= 1) {
 		panic(fmt.Sprintf("netem: rate factor %v out of (0, 1]", factor))
 	}
 	r := int64(float64(l.baseRate) * factor)
@@ -379,12 +382,11 @@ func (l *Link) SetExtraDelay(extra sim.Time) {
 
 // SetLossRate makes the link drop each enqueued packet with probability p
 // using draws from rng (deterministic under the single-threaded engine).
-// p = 0 disables injected loss; rng may then be nil.
+// p = 0 disables injected loss; rng may then be nil. Rates outside
+// [0, 1), NaN included, panic.
 func (l *Link) SetLossRate(p float64, rng *sim.RNG) {
-	if p < 0 || p >= 1 {
-		if p != 0 {
-			panic(fmt.Sprintf("netem: loss rate %v out of [0, 1)", p))
-		}
+	if !(p >= 0 && p < 1) {
+		panic(fmt.Sprintf("netem: loss rate %v out of [0, 1)", p))
 	}
 	if p > 0 && rng == nil {
 		panic("netem: loss rate needs an RNG")

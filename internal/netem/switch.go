@@ -5,118 +5,22 @@ import (
 	"repro/internal/trace"
 )
 
-// Router computes the set of equal-cost output links a switch may use to
-// reach a packet's destination. Implementations are provided by the
-// topology package (structured FatTree routing, generic shortest-path
-// tables for arbitrary graphs).
-type Router interface {
-	// NextLinks returns the equal-cost output links toward dst. For a
-	// reachable destination on a healthy network the slice is non-empty;
-	// during a failure window it may be empty if every candidate link
-	// has been excluded by reconverged routing (the switch then drops
-	// the packet). The returned slice must not be modified by the caller
-	// and is valid only until the next lookup on the same router.
-	NextLinks(dst NodeID) []*Link
-}
-
-// RouteState is a network's tally of route-dead links, kept in step by
-// Link.SetRouteDead and Link.Reset for every link whose Routes points at
-// it. It exists so that routers need not inspect links at all while the
-// fabric is healthy, and can tell when a filtered set they cached has
-// gone stale. It is written only by control-plane events (fault
-// injection), which on a sharded fabric run at barriers.
-type RouteState struct {
-	dead  int    // links currently excluded from routing
-	epoch uint64 // bumped on every transition
-}
-
-// Dead returns how many links routing currently excludes.
-func (rs *RouteState) Dead() int { return rs.dead }
-
-// LiveLinks filters route-dead links (see Link.SetRouteDead) out of a
-// router's equal-cost sets; every Router implementation passes its
-// lookups through one, which is what makes them converge onto surviving
-// paths after a failure. While the network has no route-dead link the
-// built set is returned without looking at it. Otherwise a set with a
-// dead member is copied — possibly to nothing — into a buffer the filter
-// owns and reuses, and remembered until the network's route-dead epoch
-// moves, so no lookup allocates in steady state; such a result is valid
-// until the next Filter call.
-type LiveLinks struct {
-	Routes *RouteState
-
-	from  []*Link // the set buf was filtered from
-	epoch uint64  // Routes.epoch at that time
-	buf   []*Link
-}
-
-// Filter returns links without its route-dead members.
-func (f *LiveLinks) Filter(links []*Link) []*Link {
-	if f.Routes.dead == 0 {
-		return links
-	}
-	if f.epoch == f.Routes.epoch && len(links) == len(f.from) && len(links) > 0 && &links[0] == &f.from[0] {
-		return f.buf
-	}
-	for i, l := range links {
-		if l.routeDead {
-			f.buf = append(f.buf[:0], links[:i]...)
-			for _, m := range links[i+1:] {
-				if !m.routeDead {
-					f.buf = append(f.buf, m)
-				}
-			}
-			f.from, f.epoch = links, f.Routes.epoch
-			return f.buf
-		}
-	}
-	return links
-}
-
-// VersionedRouter is implemented by routers that version their tables —
-// the routing control plane's per-switch FIBs. The switch consults it on
-// every lookup so damage done while the fabric disagrees with itself
-// (staggered convergence) is attributed to the transient window rather
-// than folded into steady-state noise.
-type VersionedRouter interface {
-	Router
-	// Staging reports whether staged (per-switch) convergence is enabled
-	// for this router at all. A switch consults the epoch on lookup only
-	// when it is: under atomic convergence Stale/Transient can never be
-	// true, and the hot path stays a plain nil check.
-	Staging() bool
-	// Epoch returns the version of the table serving lookups: the number
-	// of staged flips this switch has applied.
-	Epoch() uint64
-	// Stale reports whether a recomputed table is staged at this switch
-	// but has not yet flipped in — lookups are served by the old epoch.
-	Stale() bool
-	// Transient reports whether the network-wide staggered window is
-	// open: some switch has flipped to the new tables while another
-	// still serves the old ones.
-	Transient() bool
-}
-
 // maxHops bounds packet forwarding as a routing-loop backstop. The
 // deepest sane path in any supported topology is well under this.
 const maxHops = 32
 
 // Switch is an output-queued switch that forwards packets using
-// hash-based ECMP: among the equal-cost links returned by its Router, it
-// picks the one selected by a hash of the packet's 5-tuple mixed with a
-// per-switch seed. Equal 5-tuples therefore always follow the same path
-// (no intra-flow reordering from the network itself), while distinct
-// source ports spread uniformly — the property both MPTCP subflows and
-// MMPTCP's packet-scatter phase rely on.
+// hash-based ECMP: among the equal-cost links its forwarding row holds
+// for the destination, it picks the one selected by a hash of the
+// packet's 5-tuple mixed with a per-switch seed. Equal 5-tuples therefore
+// always follow the same path (no intra-flow reordering from the network
+// itself), while distinct source ports spread uniformly — the property
+// both MPTCP subflows and MMPTCP's packet-scatter phase rely on.
 type Switch struct {
-	id     NodeID
-	eng    *sim.Engine
-	router Router
-	// vrouter caches the router's VersionedRouter view (nil for plain
-	// routers), so the per-lookup epoch consultation is a nil check plus
-	// at most one interface call rather than a type assertion.
-	vrouter VersionedRouter
-	seed    uint32
+	id   NodeID
+	eng  *sim.Engine
+	row  Row
+	seed uint32
 
 	// down marks a crashed switch (all ports dead, forwarding plane
 	// gone). The faults subsystem drives it together with the incident
@@ -141,7 +45,7 @@ type Switch struct {
 	// the steady-state hop-limit noise in Dropped. Always zero under
 	// atomic convergence.
 	LoopDrops int64
-	// NoRoute counts packets dropped because the router returned an
+	// NoRoute counts packets dropped because the row answered an
 	// empty equal-cost set — every candidate link toward the destination
 	// was excluded by failures. On a healthy network this stays zero.
 	NoRoute int64
@@ -181,19 +85,16 @@ func (s *Switch) Init(eng *sim.Engine, id NodeID, seed uint32) *Switch {
 // ID returns the switch's node identifier.
 func (s *Switch) ID() NodeID { return s.id }
 
-// SetRouter installs the routing function. Topology builders call this
-// once wiring is complete, and the routing control plane swaps in its
-// per-switch FIB when global reconvergence is enabled.
-func (s *Switch) SetRouter(r Router) {
-	s.router = r
-	s.vrouter = nil
-	if vr, ok := r.(VersionedRouter); ok && vr.Staging() {
-		s.vrouter = vr
-	}
+// SetRow installs the switch's forwarding row as built: idx[dst] picks
+// the set in sets toward every destination host, and routes is the
+// network's route-state tally. Topology builders call this once wiring
+// is complete; the row keeps both slices.
+func (s *Switch) SetRow(sets [][]*Link, idx []int32, routes *RouteState) {
+	s.row = Row{idx: idx, built: idx, sets: sets[:len(sets):len(sets)], nbuilt: len(sets), routes: routes}
 }
 
-// Router returns the currently installed routing function.
-func (s *Switch) Router() Router { return s.router }
+// Router returns the switch's forwarding row.
+func (s *Switch) Router() *Row { return &s.row }
 
 // SetSeed replaces the per-switch ECMP hash seed. Topology builders seed
 // switches at construction; run-instance pooling re-derives the same
@@ -201,11 +102,10 @@ func (s *Switch) Router() Router { return s.router }
 // different experiment seed.
 func (s *Switch) SetSeed(seed uint32) { s.seed = seed }
 
-// Reset clears the switch's crash state and statistics for run-instance
-// reuse. The router is deliberately untouched: restoring the as-built
-// router after a control plane wrapped it is the topology's job (it is
-// the one that recorded the base), via Network.Reset.
+// Reset clears the switch's crash state and statistics and puts its
+// forwarding row back as built, for run-instance reuse.
 func (s *Switch) Reset() {
+	s.row.Reset()
 	s.down = false
 	s.downSince = 0
 	s.Forwarded = 0
@@ -277,8 +177,9 @@ func (s *Switch) Receive(p *Packet, from *Link) {
 		s.pool.Put(p)
 		return
 	}
+	row := &s.row
 	if p.Hops > maxHops {
-		transient := s.vrouter != nil && s.vrouter.Transient()
+		transient := row.routes.staged > 0
 		if transient {
 			s.LoopDrops++
 		} else {
@@ -294,15 +195,15 @@ func (s *Switch) Receive(p *Packet, from *Link) {
 		s.pool.Put(p)
 		return
 	}
-	links := s.router.NextLinks(p.Dst)
-	if s.vrouter != nil && s.vrouter.Stale() {
+	links := row.NextLinks(p.Dst)
+	if row.staged != nil {
 		s.StaleLookups++
 	}
 	n := len(links)
 	if n == 0 {
 		s.NoRoute++
 		transient := int64(0)
-		if s.vrouter != nil && s.vrouter.Transient() {
+		if row.routes.staged > 0 {
 			s.TransientNoRoute++
 			transient = 1
 		}

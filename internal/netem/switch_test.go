@@ -7,10 +7,16 @@ import (
 	"repro/internal/sim"
 )
 
-// staticRouter returns the same equal-cost set for every destination.
-type staticRouter struct{ links []*Link }
-
-func (r *staticRouter) NextLinks(dst NodeID) []*Link { return r.links }
+// oneSet gives sw a row that answers links toward each of the four
+// destination hosts 0..3, on the route-state tally routes (a fresh one
+// when nil), and returns the tally.
+func oneSet(sw *Switch, routes *RouteState, links ...*Link) *RouteState {
+	if routes == nil {
+		routes = new(RouteState)
+	}
+	sw.SetRow([][]*Link{links}, make([]int32, 4), routes)
+	return routes
+}
 
 func TestSwitchECMPDeterministicPerFlow(t *testing.T) {
 	eng := sim.NewEngine()
@@ -21,7 +27,7 @@ func TestSwitchECMPDeterministicPerFlow(t *testing.T) {
 		sinks[i] = newSink(eng, NodeID(i))
 		links[i] = NewLink(eng, sw, sinks[i], 1_000_000_000, 0, 1000, LayerAgg)
 	}
-	sw.SetRouter(&staticRouter{links})
+	oneSet(sw, nil, links...)
 
 	// Same 5-tuple, many packets: all must take the same link.
 	for i := 0; i < 100; i++ {
@@ -51,7 +57,7 @@ func TestSwitchECMPSpreadsRandomPorts(t *testing.T) {
 		sinks[i] = newSink(eng, NodeID(i))
 		links[i] = NewLink(eng, sw, sinks[i], 10_000_000_000, 0, 100000, LayerAgg)
 	}
-	sw.SetRouter(&staticRouter{links})
+	oneSet(sw, nil, links...)
 
 	rng := sim.NewRNG(1)
 	const n = 8000
@@ -74,7 +80,7 @@ func TestSwitchSingleLinkFastPath(t *testing.T) {
 	sw := NewSwitch(eng, 100, 7)
 	dst := newSink(eng, 1)
 	l := NewLink(eng, sw, dst, 1_000_000_000, 0, 10, LayerEdge)
-	sw.SetRouter(&staticRouter{[]*Link{l}})
+	oneSet(sw, nil, l)
 	sw.Receive(dataPacket(1500), nil)
 	eng.Run()
 	if len(dst.packets) != 1 {
@@ -90,7 +96,7 @@ func TestSwitchHopBackstop(t *testing.T) {
 	sw := NewSwitch(eng, 100, 7)
 	dst := newSink(eng, 1)
 	l := NewLink(eng, sw, dst, 1_000_000_000, 0, 10, LayerEdge)
-	sw.SetRouter(&staticRouter{[]*Link{l}})
+	oneSet(sw, nil, l)
 	p := dataPacket(1500)
 	p.Hops = maxHops + 1
 	sw.Receive(p, nil)
@@ -103,33 +109,20 @@ func TestSwitchHopBackstop(t *testing.T) {
 	}
 }
 
-// versionedRouter is a test VersionedRouter with controllable window
-// state, standing in for the control plane's FIBs.
-type versionedRouter struct {
-	staticRouter
-	staging   bool
-	epoch     uint64
-	stale     bool
-	transient bool
-}
-
-func (r *versionedRouter) Staging() bool   { return r.staging }
-func (r *versionedRouter) Epoch() uint64   { return r.epoch }
-func (r *versionedRouter) Stale() bool     { return r.stale }
-func (r *versionedRouter) Transient() bool { return r.transient }
-
 // TestSwitchTransientDropClassification pins the loop-drop accounting:
-// hop-backstop drops inside an open convergence window are LoopDrops,
-// outside they stay hop-limit noise in Dropped; no-route drops inside
-// the window additionally count as TransientNoRoute; and lookups served
-// while the switch's own table is stale are counted.
+// hop-backstop drops inside an open convergence window (some switch of
+// the network holds a staged row) are LoopDrops, outside they stay
+// hop-limit noise in Dropped; no-route drops inside the window
+// additionally count as TransientNoRoute; and lookups served while the
+// switch's own row is stale are counted.
 func TestSwitchTransientDropClassification(t *testing.T) {
 	eng := sim.NewEngine()
-	sw := NewSwitch(eng, 100, 7)
+	sw, other := NewSwitch(eng, 100, 7), NewSwitch(eng, 101, 7)
 	dst := newSink(eng, 1)
 	l := NewLink(eng, sw, dst, 1_000_000_000, 0, 10, LayerEdge)
-	vr := &versionedRouter{staticRouter: staticRouter{[]*Link{l}}, staging: true}
-	sw.SetRouter(vr)
+	m := NewLink(eng, other, dst, 1_000_000_000, 0, 10, LayerEdge)
+	routes := oneSet(sw, nil, l)
+	oneSet(other, routes, m)
 
 	overHops := func() *Packet {
 		p := dataPacket(1500)
@@ -141,48 +134,39 @@ func TestSwitchTransientDropClassification(t *testing.T) {
 	if sw.Dropped != 1 || sw.LoopDrops != 0 {
 		t.Fatalf("outside window: dropped=%d loops=%d, want 1/0", sw.Dropped, sw.LoopDrops)
 	}
-	// Window open: the same drop is a micro-loop casualty.
-	vr.transient = true
-	sw.Receive(overHops(), nil)
-	if sw.Dropped != 1 || sw.LoopDrops != 1 {
-		t.Fatalf("inside window: dropped=%d loops=%d, want 1/1", sw.Dropped, sw.LoopDrops)
+	// Another switch stages a row: the window is open and the same drop
+	// is a micro-loop casualty.
+	if !other.Router().Write(2, nil, true) {
+		t.Fatal("a staged write to a row with no staged row did not fork one")
 	}
-	// Empty set inside the window: NoRoute and TransientNoRoute.
-	vr.links = nil
+	sw.Receive(overHops(), nil)
+	if sw.Dropped != 1 || sw.LoopDrops != 1 || sw.StaleLookups != 0 {
+		t.Fatalf("inside window: dropped=%d loops=%d stale=%d, want 1/1/0", sw.Dropped, sw.LoopDrops, sw.StaleLookups)
+	}
+	// An empty set inside the window: NoRoute and TransientNoRoute.
+	sw.Router().Write(2, nil, false)
 	sw.Receive(dataPacket(1500), nil)
 	if sw.NoRoute != 1 || sw.TransientNoRoute != 1 {
 		t.Fatalf("window blackhole: noroute=%d transient=%d, want 1/1", sw.NoRoute, sw.TransientNoRoute)
 	}
-	vr.transient = false
+	if other.Router().Flip() != 1 {
+		t.Fatal("the flipped row does not hold its one override")
+	}
 	sw.Receive(dataPacket(1500), nil)
 	if sw.NoRoute != 2 || sw.TransientNoRoute != 1 {
 		t.Fatalf("steady blackhole: noroute=%d transient=%d, want 2/1", sw.NoRoute, sw.TransientNoRoute)
 	}
-	// Stale-table lookups are counted whether or not they forward.
-	vr.links = []*Link{l}
-	vr.stale = true
+	// Stale-row lookups are counted whether or not they forward: the
+	// staged row routes again, the serving one still drops.
+	sw.Router().Write(2, []*Link{l}, true)
 	sw.Receive(dataPacket(1500), nil)
-	if sw.StaleLookups != 1 {
-		t.Fatalf("stale lookups = %d, want 1", sw.StaleLookups)
+	if sw.StaleLookups != 1 || sw.NoRoute != 3 {
+		t.Fatalf("stale lookups = %d, noroute = %d, want 1 and 3", sw.StaleLookups, sw.NoRoute)
 	}
-	vr.stale = false
+	sw.Router().Flip()
 	sw.Receive(dataPacket(1500), nil)
-	if sw.StaleLookups != 1 {
-		t.Fatalf("fresh lookup counted as stale: %d", sw.StaleLookups)
-	}
-	eng.Run()
-
-	// A versioned router with staging disabled (atomic convergence) is
-	// never consulted: its windows cannot open, so the switch keeps the
-	// plain nil-check fast path and classifies drops as steady-state.
-	sw2 := NewSwitch(eng, 101, 7)
-	sw2.SetRouter(&versionedRouter{staticRouter: staticRouter{[]*Link{l}}, transient: true, stale: true})
-	p := dataPacket(1500)
-	p.Hops = maxHops + 1
-	sw2.Receive(p, nil)
-	if sw2.LoopDrops != 0 || sw2.Dropped != 1 || sw2.StaleLookups != 0 {
-		t.Errorf("non-staging router consulted: loops=%d dropped=%d stale=%d",
-			sw2.LoopDrops, sw2.Dropped, sw2.StaleLookups)
+	if sw.StaleLookups != 1 || sw.Forwarded != 1 {
+		t.Fatalf("fresh lookup: stale=%d forwarded=%d, want 1 and 1", sw.StaleLookups, sw.Forwarded)
 	}
 	eng.Run()
 }
@@ -244,6 +228,7 @@ func TestPacketString(t *testing.T) {
 	}
 }
 
+// TestLiveLinksFiltering pins a row's live filter on its as-built sets.
 func TestLiveLinksFiltering(t *testing.T) {
 	eng := sim.NewEngine()
 	sw := NewSwitch(eng, 100, 7)
@@ -253,10 +238,12 @@ func TestLiveLinksFiltering(t *testing.T) {
 		links[i] = NewLink(eng, sw, newSink(eng, NodeID(i)), 1_000_000_000, 0, 10, LayerAgg)
 		links[i].Routes = &routes
 	}
-	live := LiveLinks{Routes: &routes}
-	// All alive: the exact input slice comes back (no allocation).
-	if got := live.Filter(links); &got[0] != &links[0] || len(got) != 4 {
-		t.Error("all-alive fast path must return the input slice")
+	// Host 0 is reached over all four links, host 1 over links 3 and 2.
+	sw.SetRow([][]*Link{links, {links[3], links[2]}}, []int32{0, 1}, &routes)
+	row := sw.Router()
+	// All alive: the exact as-built set comes back (no allocation).
+	if got := row.NextLinks(0); &got[0] != &links[0] || len(got) != 4 {
+		t.Error("all-alive fast path must return the as-built set")
 	}
 	links[1].SetRouteDead(true)
 	links[3].SetRouteDead(true)
@@ -264,15 +251,14 @@ func TestLiveLinksFiltering(t *testing.T) {
 	if routes.Dead() != 2 {
 		t.Errorf("route-dead tally = %d, want 2", routes.Dead())
 	}
-	got := live.Filter(links)
+	got := row.NextLinks(0)
 	if len(got) != 2 || got[0] != links[0] || got[1] != links[2] {
 		t.Errorf("filtered set = %v, want links 0 and 2", got)
 	}
-	// A set with a dead member is answered from the filter's own buffer,
+	// A set with a dead member is answered from the row's own buffer,
 	// again and again, and so is a different set after it.
-	other := []*Link{links[3], links[2]}
 	if n := testing.AllocsPerRun(100, func() {
-		if len(live.Filter(links)) != 2 || len(live.Filter(other)) != 1 {
+		if len(row.NextLinks(0)) != 2 || len(row.NextLinks(1)) != 1 {
 			t.Fatal("wrong live set")
 		}
 	}); n != 0 {
@@ -281,19 +267,82 @@ func TestLiveLinksFiltering(t *testing.T) {
 	// Everything dead: empty, not nil-panicking.
 	links[0].SetRouteDead(true)
 	links[2].SetRouteDead(true)
-	if got := live.Filter(links); len(got) != 0 {
+	if got := row.NextLinks(0); len(got) != 0 {
 		t.Errorf("all-dead set has %d links", len(got))
 	}
 	links[1].SetRouteDead(false)
-	if got := live.Filter(links); len(got) != 1 || got[0] != links[1] {
+	if got := row.NextLinks(0); len(got) != 1 || got[0] != links[1] {
 		t.Error("revived link missing from live set")
 	}
 	// Reset revives for routing too, and the tally follows.
 	for _, l := range links {
 		l.Reset()
 	}
-	if got := live.Filter(links); routes.Dead() != 0 || &got[0] != &links[0] || len(got) != 4 {
+	if got := row.NextLinks(0); routes.Dead() != 0 || &got[0] != &links[0] || len(got) != 4 {
 		t.Errorf("after Reset: tally %d, live set %v", routes.Dead(), got)
+	}
+	// A destination outside the row has no links.
+	for _, dst := range []NodeID{2, -1, 1 << 30} {
+		if got := row.NextLinks(dst); len(got) != 0 {
+			t.Errorf("NextLinks(%d) = %v, want none", dst, got)
+		}
+	}
+}
+
+// TestRowOverridesServedAsInstalled pins what routing's writes do to a
+// row: an override is served exactly as installed, route-dead members
+// and all (a stale switch in a staggered window keeps hashing onto a
+// now-dead link), while an as-built entry is live-filtered; Overrides
+// counts only entries that differ from the live-filtered as-built
+// answer; and a row no entry overrides any more is back on its as-built
+// row, its override sets gone.
+func TestRowOverridesServedAsInstalled(t *testing.T) {
+	eng := sim.NewEngine()
+	sw := NewSwitch(eng, 100, 7)
+	a := NewLink(eng, sw, newSink(eng, 0), 1_000_000_000, 0, 10, LayerAgg)
+	b := NewLink(eng, sw, newSink(eng, 1), 1_000_000_000, 0, 10, LayerAgg)
+	routes := oneSet(sw, nil, a, b)
+	a.Routes, b.Routes = routes, routes
+	row := sw.Router()
+
+	row.Write(0, []*Link{a}, false) // overrides host 0 with {a}
+	row.Write(1, []*Link{a}, false) // shares the interned set
+	if len(row.sets) != 2 || row.shared() {
+		t.Fatalf("two equal overrides hold %d sets (shared row %t), want 2 on a private row", len(row.sets), row.shared())
+	}
+	a.SetRouteDead(true)
+	if got := row.NextLinks(0); len(got) != 1 || got[0] != a {
+		t.Errorf("override served %v, want the installed {a}, dead member and all", got)
+	}
+	if got := row.NextLinks(2); len(got) != 1 || got[0] != b {
+		t.Errorf("as-built entry served %v, want it live-filtered to {b}", got)
+	}
+	if n := row.Overrides(); n != 2 {
+		t.Errorf("Overrides = %d, want 2", n)
+	}
+	row.Write(0, []*Link{b}, false) // {b} is what the filter answers anyway
+	if n := row.Overrides(); n != 1 {
+		t.Errorf("Overrides = %d, want 1: an override equal to the live-filtered answer is not counted", n)
+	}
+	row.Write(0, []*Link{a, b}, false)
+	row.Write(1, []*Link{a, b}, false)
+	if !row.shared() || len(row.sets) != 1 || row.Overrides() != 0 {
+		t.Errorf("healed row: shared %t, %d sets, %d overrides; want the as-built row back", row.shared(), len(row.sets), row.Overrides())
+	}
+	// A fresh override reuses the storage of a dropped set, and the row's
+	// private copy: a warm cycle allocates nothing.
+	if n := testing.AllocsPerRun(50, func() {
+		row.Write(3, []*Link{b}, false)
+		row.Write(3, []*Link{a, b}, false)
+	}); n != 0 {
+		t.Errorf("a warm override cycle allocates %v objects, want 0", n)
+	}
+	// Reset drops overrides and a staged row alike.
+	row.Write(3, nil, false)
+	row.Write(2, nil, true)
+	row.Reset()
+	if !row.shared() || row.Stale() || routes.staged != 0 || len(row.sets) != 1 {
+		t.Errorf("after Reset: shared %t stale %t staged tally %d, %d sets", row.shared(), row.Stale(), routes.staged, len(row.sets))
 	}
 }
 
@@ -302,7 +351,7 @@ func TestSwitchNoRouteDropsGracefully(t *testing.T) {
 	sw := NewSwitch(eng, 100, 7)
 	dst := newSink(eng, 1)
 	l := NewLink(eng, sw, dst, 1_000_000_000, 0, 10, LayerEdge)
-	sw.SetRouter(&staticRouter{nil}) // failure window: no surviving route
+	oneSet(sw, nil) // failure window: no surviving route
 	sw.Receive(dataPacket(1500), nil)
 	sw.Receive(dataPacket(1500), nil)
 	eng.Run()
@@ -316,7 +365,7 @@ func TestSwitchNoRouteDropsGracefully(t *testing.T) {
 		t.Errorf("forwarded = %d, want 0", sw.Forwarded)
 	}
 	// Routing heals: forwarding resumes.
-	sw.SetRouter(&staticRouter{[]*Link{l}})
+	oneSet(sw, nil, l)
 	sw.Receive(dataPacket(1500), nil)
 	eng.Run()
 	if len(dst.packets) != 1 {
@@ -329,16 +378,13 @@ func TestSwitchExcludesRouteDeadLink(t *testing.T) {
 	sw := NewSwitch(eng, 100, 7)
 	sinks := make([]*sink, 4)
 	links := make([]*Link, 4)
+	routes := new(RouteState)
 	for i := range links {
 		sinks[i] = newSink(eng, NodeID(i))
 		links[i] = NewLink(eng, sw, sinks[i], 10_000_000_000, 0, 100000, LayerAgg)
+		links[i].Routes = routes
 	}
-	// Route through LiveLinks, as every topology router does.
-	var routes RouteState
-	for _, l := range links {
-		l.Routes = &routes
-	}
-	sw.SetRouter(&liveRouter{links, LiveLinks{Routes: &routes}})
+	oneSet(sw, routes, links...)
 	rng := sim.NewRNG(1)
 	deadIdx := 2
 	links[deadIdx].SetRouteDead(true)
@@ -363,21 +409,12 @@ func TestSwitchExcludesRouteDeadLink(t *testing.T) {
 	}
 }
 
-// liveRouter is staticRouter with the liveness filtering every real
-// Router implementation applies.
-type liveRouter struct {
-	links []*Link
-	live  LiveLinks
-}
-
-func (r *liveRouter) NextLinks(dst NodeID) []*Link { return r.live.Filter(r.links) }
-
 func TestSwitchCrashState(t *testing.T) {
 	eng := sim.NewEngine()
 	sw := NewSwitch(eng, 100, 7)
 	s := newSink(eng, 0)
 	link := NewLink(eng, sw, s, 1_000_000_000, 0, 10, LayerAgg)
-	sw.SetRouter(&staticRouter{[]*Link{link}})
+	oneSet(sw, nil, link)
 
 	eng.At(10*sim.Millisecond, func() { sw.SetDown(true) })
 	eng.At(20*sim.Millisecond, func() {

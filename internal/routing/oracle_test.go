@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/netem"
@@ -10,11 +11,11 @@ import (
 
 // The differential test below drives the control plane with random
 // link-flip programs and, after every recompute, compares every
-// (switch, host) lookup and the override count with a brute-force oracle.
-// The oracle is the layout the dense tables replaced — maps keyed by
-// NodeID, a fresh reverse BFS per destination, no caching, no skipping,
-// nothing incremental — and lives only here: it is what the answers
-// mean, not a second code path.
+// (switch, host) lookup, the override count and sampled path counts with
+// a brute-force oracle. The oracle is the layout the dense tables
+// replaced — maps keyed by NodeID, a fresh reverse BFS per destination,
+// no caching, no skipping, nothing incremental — and lives only here: it
+// is what the answers mean, not a second code path.
 
 // oracleTopologies are the fabrics the programs run on: one per builder.
 var oracleTopologies = []func(eng *sim.Engine) *topology.Network{
@@ -32,36 +33,51 @@ var oracleTopologies = []func(eng *sim.Engine) *topology.Network{
 	},
 }
 
+// tables maps switch, then destination host, to an equal-cost set.
+type tables map[netem.NodeID]map[netem.NodeID][]*netem.Link
+
 // oracle holds what the brute-force model needs from the undamaged
-// network: each switch's structural router and its healthy answers.
+// network: every switch's healthy equal-cost sets, by its own search.
 type oracle struct {
 	net     *topology.Network
-	base    map[netem.NodeID]netem.Router
-	healthy map[netem.NodeID]map[netem.NodeID][]*netem.Link
+	healthy tables
 }
 
-// newOracle snapshots the structural routers; call it before Install
-// wraps them.
+// newOracle computes the healthy sets; call it before any link flips.
 func newOracle(net *topology.Network) *oracle {
-	o := &oracle{
-		net:     net,
-		base:    make(map[netem.NodeID]netem.Router),
-		healthy: make(map[netem.NodeID]map[netem.NodeID][]*netem.Link),
-	}
-	for _, sw := range net.Switches {
-		o.base[sw.ID()] = sw.Router()
-		o.healthy[sw.ID()] = make(map[netem.NodeID][]*netem.Link)
-		for _, h := range net.Hosts {
-			o.healthy[sw.ID()][h.ID()] = append([]*netem.Link(nil), sw.Router().NextLinks(h.ID())...)
-		}
-	}
+	o := &oracle{net: net}
+	o.healthy = o.search()
 	return o
 }
 
 // tables recomputes from scratch, for the current link states, what every
 // (switch, host) lookup must answer and how many overrides Stats must
-// report.
-func (o *oracle) tables() (want map[netem.NodeID]map[netem.NodeID][]*netem.Link, overrides int) {
+// report. Where the search agrees with the healthy set the row holds no
+// override and answers the healthy set live-filtered.
+func (o *oracle) tables() (want tables, overrides int) {
+	want = o.search()
+	for sw, sets := range want {
+		for dst, healthy := range o.healthy[sw] {
+			var structural []*netem.Link
+			for _, l := range healthy {
+				if !l.RouteDead() {
+					structural = append(structural, l)
+				}
+			}
+			if slices.Equal(sets[dst], healthy) {
+				sets[dst] = structural
+			} else if !slices.Equal(sets[dst], structural) {
+				overrides++
+			}
+		}
+	}
+	return want, overrides
+}
+
+// search returns every switch's equal-cost set toward every host over the
+// current route-live links: a reverse BFS per destination, never through
+// another host.
+func (o *oracle) search() tables {
 	out := make(map[netem.NodeID][]*netem.Link)
 	in := make(map[netem.NodeID][]*netem.Link)
 	for _, l := range o.net.Links {
@@ -72,9 +88,9 @@ func (o *oracle) tables() (want map[netem.NodeID]map[netem.NodeID][]*netem.Link,
 	for _, h := range o.net.Hosts {
 		isHost[h.ID()] = true
 	}
-	want = make(map[netem.NodeID]map[netem.NodeID][]*netem.Link)
+	sets := make(tables)
 	for _, sw := range o.net.Switches {
-		want[sw.ID()] = make(map[netem.NodeID][]*netem.Link)
+		sets[sw.ID()] = make(map[netem.NodeID][]*netem.Link)
 	}
 	for _, h := range o.net.Hosts {
 		dst := h.ID()
@@ -104,17 +120,40 @@ func (o *oracle) tables() (want map[netem.NodeID]map[netem.NodeID][]*netem.Link,
 					}
 				}
 			}
-			structural := o.base[sw.ID()].NextLinks(dst)
-			if sameLinks(eq, o.healthy[sw.ID()][dst]) {
-				// No override: the structural router answers, live-filtered.
-				eq = structural
-			} else if !sameLinks(eq, structural) {
-				overrides++
-			}
-			want[sw.ID()][dst] = eq
+			sets[sw.ID()][dst] = eq
 		}
 	}
-	return want, overrides
+	return sets
+}
+
+// pathCount counts every path from host src to host dst that follows t,
+// by exhaustive depth-first search from src's route-live uplinks; a
+// switch met again on the way is a loop, not a path.
+func (o *oracle) pathCount(t tables, src, dst netem.NodeID) int {
+	onPath := make(map[netem.NodeID]bool)
+	var walk func(id netem.NodeID) int
+	walk = func(id netem.NodeID) int {
+		if id == dst {
+			return 1
+		}
+		if onPath[id] {
+			return 0
+		}
+		onPath[id] = true
+		total := 0
+		for _, l := range t[id][dst] {
+			total += walk(l.Dst().ID())
+		}
+		delete(onPath, id)
+		return total
+	}
+	total := 0
+	for _, up := range o.net.Hosts[src].Uplinks() {
+		if !up.RouteDead() {
+			total += walk(up.Dst().ID())
+		}
+	}
+	return total
 }
 
 // runOracleProgram interprets prog on a fresh fabric and checks the
@@ -165,9 +204,21 @@ func runOracleProgram(t *testing.T, prog []byte) (recomputes int) {
 		want, overrides := o.tables()
 		for _, sw := range net.Switches {
 			for _, h := range net.Hosts {
-				if got := sw.Router().NextLinks(h.ID()); !sameLinks(got, want[sw.ID()][h.ID()]) {
+				if got := sw.Router().NextLinks(h.ID()); !slices.Equal(got, want[sw.ID()][h.ID()]) {
 					t.Fatalf("batch %d: switch %d toward host %d answers %v, oracle says %v",
 						batch, sw.ID(), h.ID(), got, want[sw.ID()][h.ID()])
+				}
+			}
+		}
+		// A sample of host pairs that moves with the batch.
+		for src := batch % 3; src < len(net.Hosts); src += 3 {
+			for dst := (batch + 1) % 5; dst < len(net.Hosts); dst += 5 {
+				s, d := net.Hosts[src].ID(), net.Hosts[dst].ID()
+				if s == d {
+					continue
+				}
+				if got, count := net.PathCount(s, d), o.pathCount(want, s, d); got != count {
+					t.Fatalf("batch %d: PathCount(%d, %d) = %d, oracle counts %d", batch, s, d, got, count)
 				}
 			}
 		}
@@ -202,8 +253,8 @@ func oracleSeeds() map[string][]byte {
 	// edge-agg, 96-127 agg-core. Dumbbell: 0-11 host, 12-13 bottleneck.
 	return map[string][]byte{
 		// One agg-core cable dies and heals, twice: overrides appear on a
-		// handful of FIBs, vanish, and the second cycle reuses the
-		// recycled tables.
+		// handful of rows, vanish, and the second cycle reuses the
+		// recycled storage.
 		"fattree-cable-cycles": cat([]byte{0}, batch(cable, 64), batch(cable, 64), batch(cable, 64), batch(cable, 64)),
 		// The same under zero-delay staggering: fork, inline flip, recycle.
 		"fattree-cable-cycles-staggered": cat([]byte{4}, batch(cable, 64), batch(cable, 66), batch(cable, 64), batch(cable, 66)),

@@ -1,29 +1,26 @@
 // Package routing is the global routing control plane. Without it,
-// reconvergence is link-local: each switch filters its own route-dead
-// links out of its equal-cost sets (netem.LiveLinks), but upstream ECMP
-// keeps hashing onto next hops that lost their only way forward — a core
-// switch whose sole downlink to a pod died still receives that pod's
+// reconvergence is link-local: each switch's forwarding row filters its
+// own route-dead links out of its as-built equal-cost sets, but upstream
+// ECMP keeps hashing onto next hops that lost their only way forward — a
+// core switch whose sole downlink to a pod died still receives that pod's
 // traffic and drops it as NoRoute. The control plane closes that gap:
-// every switch owns a FIB (its structural router, its own override
-// table, and an epoch counter versioning applied updates), and whenever
-// the fault injector flips a link's routing state (reconvergence-
-// delayed), the plane recomputes global reachability with a breadth-
-// first pass over the live links and overrides exactly the (switch,
-// destination) entries whose equal-cost sets diverge from the structural
-// fast path.
+// whenever the fault injector flips a link's routing state
+// (reconvergence-delayed), it recomputes global reachability with a
+// breadth-first pass over the live links and writes override entries
+// into exactly the (switch, destination) places of the network's
+// forwarding table (netem.Row) whose equal-cost sets diverge from the
+// row as built.
 //
 // Everything lives on dense arrays indexed by NodeID: builders number
 // hosts 0..H-1, then switches in builder order (Install checks it), so
-// "is a host" and "switch ordinal" are arithmetic. Adjacency is a slice
-// of (link, far-end ID) hops per node; a distance table is a recycled
-// []int32 per node (0 = unreached); the healthy baseline is one interned
-// equal-cost set per (destination, switch); a FIB's override table is a
-// slot per destination host pointing into a short list of live entries,
-// so a lookup is two array reads while counting, forking and recycling
-// cost O(live entries). Tables and distance slices recycle through
-// per-plane free lists and each set is built in scratch and copied only
-// when it diverges from both the baseline and what is installed, so a
-// steady-state recompute allocates only the sets that changed.
+// "is a host" and "switch ordinal" are arithmetic. The adjacency and the
+// breadth-first search are the network's own (topology.Graph, which fills
+// the rows of every topology but the FatTree); a distance table is a
+// recycled []int32 per node (0 = unreached). A row holds a few distinct
+// sets and a set index per host, so a lookup is two array reads and an
+// override is an index to an interned copy of its set; each set is built
+// in scratch and copied only when no set of the row equals it, so a
+// steady-state recompute allocates only the sets that are new.
 //
 // Recompute is a two-stage pipeline. Stage one computes the target
 // tables incrementally: distance tables are cached per live-attachment
@@ -34,17 +31,17 @@
 // distances and equal-cost sets are provably untouched are skipped
 // entirely (signatures are exact strings, not hashes: a collision would
 // silently install another destination's tables). Stage two distributes
-// the targets. Under ConvergeAtomic (the default) every FIB flips in
+// the targets. Under ConvergeAtomic (the default) every row is written in
 // place at recompute time — one global table swap. Under
-// ConvergeStaggered each FIB's flip is scheduled at its own virtual
-// time: recompute time plus PerHopDelay for every hop the switch sits
-// from the nearest element of the transition batch, the way real
-// control planes converge outward from a failure. While flips are
-// outstanding the fabric disagrees with itself — micro-loops and
-// transient blackholes — and the FIBs make that observable: Stale
-// reports a staged-but-unflipped table, Transient reports the open
-// network-wide window, and Stats records the flip spread and cumulative
-// window time.
+// ConvergeStaggered a switch's new entries go to a staged row whose flip
+// is scheduled at its own virtual time: recompute time plus PerHopDelay
+// for every hop the switch sits from the nearest element of the
+// transition batch, the way real control planes converge outward from a
+// failure. While flips are outstanding the fabric disagrees with itself —
+// micro-loops and transient blackholes — and the switches make that
+// observable: a stale row (staged, not yet flipped) and the open
+// network-wide window classify their lookups and drops, and Stats records
+// the flip spread and cumulative window time.
 //
 // The plane also dampens churn: with Config.HoldDown set, a link whose
 // routing state flips more than FlapThreshold times inside the trailing
@@ -52,10 +49,9 @@
 // transitions are folded into one deferred rebuild at window expiry, the
 // way real control planes suppress flapping advertisements.
 //
-// The healthy network never pays for the indirection beyond a nil check:
-// overrides exist only for destinations whose reachability actually
-// changed, every other lookup falls through to the structural router.
-// Recomputes are coalesced — any number of simultaneous link transitions
+// Installing the plane changes no row: overrides exist only for
+// destinations whose reachability actually changed, every other entry
+// stays as built. Recomputes are coalesced — any number of simultaneous link transitions
 // trigger exactly one rebuild — and everything is deterministic: passes
 // iterate hosts and switches in builder order and flips are scheduled in
 // builder order, so identical fault schedules yield byte-identical
@@ -188,11 +184,11 @@ type Stats struct {
 	// LastConvergence is the virtual time of the most recent rebuild.
 	LastConvergence sim.Time
 	// Overrides is the number of (switch, destination) entries whose
-	// equal-cost sets diverge from the structural routers' live-filtered
-	// answers after the last rebuild (entries installed only to pin the
-	// static baseline are not counted). Under staggered convergence the
-	// count is refreshed again when the transient window closes, so it
-	// reflects the tables actually serving lookups.
+	// equal-cost sets diverge from the live-filtered as-built answers
+	// after the last rebuild (override entries that only pin the as-built
+	// set are not counted). Under staggered convergence the count is
+	// refreshed again when the transient window closes, so it reflects
+	// the rows actually serving lookups.
 	Overrides int
 
 	// DstRecomputed counts destinations whose tables were reconciled
@@ -223,91 +219,6 @@ type Stats struct {
 	Damped int
 }
 
-// table is one switch's override entries in dense form: slot[dst] is one
-// plus the position of dst's entry in live, or 0 when dst has none.
-// Lookup, insert and (swap-)remove are O(1); everything that walks a
-// table walks live, never the slots.
-type table struct {
-	slot []int32
-	live []entry
-}
-
-type entry struct {
-	dst netem.NodeID
-	eq  []*netem.Link
-}
-
-func (t *table) set(dst netem.NodeID, eq []*netem.Link) {
-	if t.slot[dst] == 0 {
-		t.live = append(t.live, entry{dst: dst})
-		t.slot[dst] = int32(len(t.live))
-	}
-	t.live[t.slot[dst]-1].eq = eq
-}
-
-func (t *table) del(dst netem.NodeID) {
-	p, last := t.slot[dst], len(t.live)-1
-	moved := t.live[last]
-	t.live[p-1], t.slot[moved.dst] = moved, p
-	t.live[last], t.slot[dst] = entry{}, 0
-	t.live = t.live[:last]
-}
-
-// FIB is one switch's forwarding-table object: the structural base
-// router, the override entries currently serving lookups, an optional
-// staged table awaiting its scheduled flip, and the epoch counter
-// versioning applied flips. On a healthy network override is nil and
-// every lookup is a nil check plus the base call. FIB implements
-// netem.VersionedRouter so the data plane can attribute damage done
-// while the fabric disagrees with itself.
-type FIB struct {
-	cp   *ControlPlane
-	base netem.Router
-	// swID is the owning switch, for trace identity on flip events.
-	swID netem.NodeID
-	// override serves lookups; target, when non-nil, is the recomputed
-	// table staged for this switch but not yet flipped in.
-	override *table
-	target   *table
-	// flipAt is the scheduled flip time of the current target. Each
-	// batch schedules its own flip event; an event is authoritative only
-	// if it fires exactly at flipAt, so a batch that re-stages a switch
-	// with a pending flip moves the flip to its own schedule instead of
-	// letting the stale event install the fresher table early.
-	flipAt sim.Time
-	epoch  uint64
-}
-
-// NextLinks implements netem.Router: overrides first, structural fast
-// path otherwise (also for a destination outside the table).
-func (f *FIB) NextLinks(dst netem.NodeID) []*netem.Link {
-	if t := f.override; t != nil && uint(dst) < uint(len(t.slot)) {
-		if p := t.slot[dst]; p != 0 {
-			return t.live[p-1].eq
-		}
-	}
-	return f.base.NextLinks(dst)
-}
-
-// Staging implements netem.VersionedRouter: whether staged convergence
-// is enabled at all. Under atomic convergence the switch skips the
-// per-lookup epoch consultation entirely.
-func (f *FIB) Staging() bool { return f.cp.staggered() }
-
-// Epoch implements netem.VersionedRouter: the number of table flips this
-// switch has applied. Atomic convergence flips all switches in place and
-// leaves epochs at zero.
-func (f *FIB) Epoch() uint64 { return f.epoch }
-
-// Stale implements netem.VersionedRouter: a recomputed table is staged
-// at this switch but has not yet flipped in.
-func (f *FIB) Stale() bool { return f.target != nil }
-
-// Transient implements netem.VersionedRouter: the network-wide staggered
-// window is open — some switch flipped to the new tables while another
-// still serves the old ones.
-func (f *FIB) Transient() bool { return f.cp.staleFIBs > 0 }
-
 // ConvergenceObserver is the transport-facing view of the control
 // plane's convergence state: whether routing is still settling after a
 // topology change. MMPTCP's phase switch consults it to avoid re-homing
@@ -323,81 +234,43 @@ type ConvergenceObserver interface {
 
 // ConvergenceOpen implements ConvergenceObserver for the global control
 // plane: true while an invalidation awaits its recompute (dirty), a
-// hold-down window defers transitions (deferredPending), or staged
-// tables await their flips (staleFIBs).
+// hold-down window defers transitions (deferredPending), or staged rows
+// await their flips (staleRows).
 func (cp *ControlPlane) ConvergenceOpen() bool {
-	return cp.dirty || cp.deferredPending || cp.staleFIBs > 0
+	return cp.dirty || cp.deferredPending || cp.staleRows > 0
 }
 
 var _ ConvergenceObserver = (*ControlPlane)(nil)
 
-// install records dst's computed equal-cost set: in the serving table
-// (atomic), or (staged) in the target table, lazily forked from the
-// serving one on the first actual divergence. An entry exists exactly
-// when eq differs from the healthy structural baseline. eq is the
-// caller's scratch and is copied only when an entry really changes.
-func (f *FIB) install(dst netem.NodeID, eq, healthy []*netem.Link, staged bool) {
-	cp, t := f.cp, f.override
-	if f.target != nil {
-		t = f.target
-	}
-	var p int32
-	if t != nil {
-		p = t.slot[dst]
-	}
-	want := !sameLinks(eq, healthy)
-	if want == (p != 0) && (!want || sameLinks(eq, t.live[p-1].eq)) {
-		return
-	}
-	if staged && f.target == nil {
-		t = cp.grabTable()
-		if f.override != nil {
-			t.live = append(t.live, f.override.live...)
-			for i, e := range t.live {
-				t.slot[e.dst] = int32(i + 1)
-			}
-		}
-		f.target = t
-		cp.staleFIBs++
-		if cp.staleFIBs == 1 {
+// install writes dst's computed equal-cost set into switch i's row: the
+// serving row (atomic), or its staged row, forked from the serving one on
+// the first actual divergence (staged).
+func (cp *ControlPlane) install(i int, dst netem.NodeID, eq []*netem.Link, staged bool) {
+	if cp.switches[i].Router().Write(dst, eq, staged) {
+		cp.staleRows++
+		if cp.staleRows == 1 {
 			cp.windowOpenedAt = cp.eng.Now()
 		}
-	} else if t == nil {
-		t = cp.grabTable()
-		f.override = t
-	}
-	if want {
-		t.set(dst, append([]*netem.Link(nil), eq...))
-	} else {
-		t.del(dst)
 	}
 }
 
-// applyFlip installs the staged table as the serving one and closes the
-// transient window if this was the last stale FIB.
-func (f *FIB) applyFlip() {
-	cp := f.cp
-	cp.dropTable(f.override)
-	f.override, f.target = f.target, nil
-	entries := len(f.override.live)
-	if entries == 0 {
-		cp.dropTable(f.override)
-		f.override = nil // restore the documented nil-check fast path
-	}
-	f.epoch++
+// applyFlip makes switch i's staged row the serving one and closes the
+// transient window if it was the last stale row.
+func (cp *ControlPlane) applyFlip(i int) {
+	entries := cp.switches[i].Router().Flip()
+	cp.epochs[i]++
 	if cp.rec != nil {
-		cp.rec.Record(cp.eng.Now(), trace.KindFIBFlip, 0, -1, int32(f.swID), -1,
-			int64(f.epoch), int64(entries))
+		cp.rec.Record(cp.eng.Now(), trace.KindFIBFlip, 0, -1, int32(cp.nHosts+i), -1,
+			int64(cp.epochs[i]), int64(entries))
 	}
 	cp.stats.Flips++
-	cp.staleFIBs--
-	if cp.staleFIBs == 0 {
+	cp.staleRows--
+	if cp.staleRows == 0 {
 		cp.stats.TransientTime += cp.eng.Now() - cp.windowOpenedAt
-		// The window just closed on tables the recompute-time override
-		// count never saw. Flips nil empty tables themselves, so nothing
-		// needs fixing on the forwarding path — just mark the stat stale
-		// and let Stats() recount once when somebody actually reads it,
-		// instead of scanning every FIB on every window close.
+		// The window just closed on rows the recompute-time override
+		// count never saw: mark the stat stale and let Stats() recount
+		// once when somebody actually reads it, instead of scanning every
+		// row on every window close.
 		cp.overridesStale = true
 	}
 }
@@ -418,13 +291,6 @@ type distEntry struct {
 	epoch uint64
 }
 
-// hop is one adjacency entry: a link and the NodeID at its far end, so
-// the inner loops never call through the netem.Node interface.
-type hop struct {
-	l  *netem.Link
-	id netem.NodeID
-}
-
 // flapState tracks one link's most recent routing transitions — a ring
 // of at most FlapThreshold+1 timestamps, enough to answer the exact
 // trailing-window question "did more than FlapThreshold transitions
@@ -435,31 +301,32 @@ type flapState struct {
 	idx   int // oldest entry once the ring is full; next overwrite slot
 }
 
-// ControlPlane owns the FIBs of one built network and rebuilds their
-// override entries on demand. Create with Install, trigger with
+// ControlPlane writes the override entries of one built network's
+// forwarding rows on demand. Create with Install, trigger with
 // Invalidate (typically wired to faults.Injector.OnRouteChange).
 type ControlPlane struct {
 	eng *sim.Engine
 	cfg Config
 
-	// fibs is parallel to net.Switches; switch i has NodeID nHosts+i and
-	// every smaller NodeID is a host (Install checks the layout).
-	fibs   []*FIB
-	nHosts int
+	// switches is net.Switches: switch i has NodeID nHosts+i and every
+	// smaller NodeID is a host (Install checks the layout). A row decides
+	// an override against its as-built set, not the live-filtered answer,
+	// so whether a (switch, destination) override exists depends only on
+	// the computed set — what lets the incremental pass skip destinations
+	// its predicate proves untouched.
+	switches []*netem.Switch
+	nHosts   int
+	// epochs counts each switch's applied staged flips. flipAt is the
+	// scheduled flip time of its staged row: each batch schedules its own
+	// flip event, and an event is authoritative only if it fires exactly
+	// at flipAt, so a batch that re-stages a switch with a pending flip
+	// moves the flip to its own schedule instead of letting the stale
+	// event install the fresher row early.
+	epochs []uint64
+	flipAt []sim.Time
 
-	// healthy[j*len(fibs)+i] is switch i's structural equal-cost set
-	// toward host j on the undamaged network, snapshotted at install
-	// (faults only fire once the engine runs) and interned: consecutive
-	// hosts with the same set share one copy. Reconciliation compares
-	// computed sets against these static baselines — not the live-
-	// filtered base lookup — so whether a (switch, destination) override
-	// exists depends only on the computed set, which is what lets the
-	// incremental pass skip destinations its predicate proves untouched.
-	healthy [][]*netem.Link
-
-	// Immutable adjacency indexed by NodeID, computed once at install.
-	out [][]hop // outgoing links per node, with their destinations
-	in  [][]hop // incoming links per node, with their sources
+	// g is the network's adjacency and breadth-first search.
+	g *topology.Graph
 
 	dirty bool
 	// pending accumulates the switch-to-switch link transitions since
@@ -488,12 +355,12 @@ type ControlPlane struct {
 
 	// Staggered-convergence state: flipDist is the per-switch hop
 	// distance from the current batch's seeds (reused across batches),
-	// staleFIBs counts switches whose target table awaits its flip,
-	// windowOpenedAt stamps when staleFIBs last left zero, and
-	// overridesStale marks that flips changed serving tables after the
+	// staleRows counts switches whose staged row awaits its flip,
+	// windowOpenedAt stamps when staleRows last left zero, and
+	// overridesStale marks that flips changed serving rows after the
 	// last override recount (Stats refreshes lazily).
 	flipDist       []int32
-	staleFIBs      int
+	staleRows      int
 	windowOpenedAt sim.Time
 	overridesStale bool
 	flipFn         func(any)
@@ -503,33 +370,32 @@ type ControlPlane struct {
 	deferredPending bool
 	deferredFn      func()
 
-	// Reusable scratch: recycled distance slices and override tables,
-	// the two BFS frontier slices, the signature key buffer and the
-	// equal-cost set under construction.
-	freeDists  [][]int32
-	freeTables []*table
-	frontier   []netem.NodeID
-	next       []netem.NodeID
-	keyBuf     []byte
-	eqBuf      []*netem.Link
+	// Reusable scratch: recycled distance slices, the flip-delay flood's
+	// two frontier slices, the signature key buffer and the equal-cost
+	// set under construction.
+	freeDists [][]int32
+	frontier  []netem.NodeID
+	next      []netem.NodeID
+	keyBuf    []byte
+	eqBuf     []*netem.Link
 
 	// recomputeFn is the cached engine callback (avoids a method-value
 	// allocation per coalesced batch).
 	recomputeFn func()
 
 	// rec, when non-nil, receives structured trace events (recompute
-	// start/end, per-switch FIB flips, damping defer/expiry); every
+	// start/end, per-switch row flips, damping defer/expiry); every
 	// trace point is nil-guarded.
 	rec *trace.Recorder
 
 	stats Stats
 }
 
-// Install wraps every switch's router of the network with a FIB and
-// returns the plane. Until the first Invalidate the FIBs are pure
-// pass-throughs, so installing on a network that never degrades is
-// behaviour-neutral. cfg tunes convergence and damping; the zero value
-// is the classic atomic plane. NodeIDs must be hosts 0..H-1, then switches.
+// Install returns a control plane for the network's forwarding rows. It
+// changes no row until the first Invalidate, so installing on a network
+// that never degrades is behaviour-neutral. cfg tunes convergence and
+// damping; the zero value is the classic atomic plane. NodeIDs must be
+// hosts 0..H-1, then switches.
 func Install(eng *sim.Engine, net *topology.Network, cfg Config) (*ControlPlane, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -548,56 +414,33 @@ func Install(eng *sim.Engine, net *topology.Network, cfg Config) (*ControlPlane,
 			return nil, fmt.Errorf("routing: switch %d has NodeID %d, want %d", i, sw.ID(), nHosts+i)
 		}
 	}
+	for _, l := range net.Links {
+		if u, v := l.Src().ID(), l.Dst().ID(); uint(u) >= uint(nHosts+nSw) || uint(v) >= uint(nHosts+nSw) {
+			return nil, fmt.Errorf("routing: link %d->%d leaves the network's %d nodes", u, v, nHosts+nSw)
+		}
+	}
 	cp := &ControlPlane{
 		eng:       eng,
 		cfg:       cfg,
+		switches:  net.Switches,
 		nHosts:    nHosts,
+		epochs:    make([]uint64, nSw),
+		flipAt:    make([]sim.Time, nSw),
+		g:         net.Graph(),
 		flipDist:  make([]int32, nSw),
 		distCache: make(map[string]*distEntry),
 		hostSig:   make([][]byte, nHosts),
 	}
-	// Count degrees, then carve every node's hops from one backing array.
-	outDeg, inDeg := make([]int, nHosts+nSw), make([]int, nHosts+nSw)
-	for _, l := range net.Links {
-		u, v := l.Src().ID(), l.Dst().ID()
-		if uint(u) >= uint(len(outDeg)) || uint(v) >= uint(len(outDeg)) {
-			return nil, fmt.Errorf("routing: link %d->%d leaves the network's %d nodes", u, v, len(outDeg))
-		}
-		outDeg[u]++
-		inDeg[v]++
-	}
-	cp.out, cp.in = carveHops(outDeg, len(net.Links)), carveHops(inDeg, len(net.Links))
-	for _, l := range net.Links {
-		u, v := l.Src().ID(), l.Dst().ID()
-		cp.out[u] = append(cp.out[u], hop{l, v})
-		cp.in[v] = append(cp.in[v], hop{l, u})
-	}
-	cp.fibs = make([]*FIB, 0, nSw)
-	net.WrapRouters(func(sw *netem.Switch, base netem.Router) netem.Router {
-		f := &FIB{cp: cp, base: base, swID: sw.ID()}
-		cp.fibs = append(cp.fibs, f)
-		return f
-	})
-	cp.healthy = make([][]*netem.Link, nHosts*nSw)
-	for j := 0; j < nHosts; j++ {
-		for i, f := range cp.fibs {
-			eq := f.base.NextLinks(netem.NodeID(j))
-			if at := j*nSw + i; j > 0 && sameLinks(eq, cp.healthy[at-nSw]) {
-				cp.healthy[at] = cp.healthy[at-nSw]
-			} else {
-				cp.healthy[at] = append([]*netem.Link(nil), eq...)
-			}
-		}
-	}
 	cp.recomputeFn = cp.Recompute
 	cp.flipFn = func(a any) {
-		f := a.(*FIB)
+		sw := a.(*netem.Switch)
+		i := int(sw.ID()) - nHosts
 		// Authoritative only when this event IS the current schedule: a
 		// later batch that re-staged the switch moved flipAt to its own
 		// time (and scheduled its own event), and an inline apply left
-		// no target at all.
-		if f.target != nil && eng.Now() == f.flipAt {
-			f.applyFlip()
+		// no staged row at all.
+		if sw.Router().Stale() && eng.Now() == cp.flipAt[i] {
+			cp.applyFlip(i)
 		}
 	}
 	if cfg.HoldDown > 0 {
@@ -605,16 +448,6 @@ func Install(eng *sim.Engine, net *topology.Network, cfg Config) (*ControlPlane,
 		cp.deferredFn = cp.deferredRecompute
 	}
 	return cp, nil
-}
-
-// carveHops returns one empty hop list per node, of capacity deg[v],
-// carved from a single backing array.
-func carveHops(deg []int, total int) [][]hop {
-	flat, lists := make([]hop, total), make([][]hop, len(deg))
-	for v, d := range deg {
-		lists[v], flat = flat[:0:d], flat[d:]
-	}
-	return lists
 }
 
 // Stats returns the work counters. A still-open transient window (under
@@ -627,7 +460,7 @@ func (cp *ControlPlane) Stats() Stats {
 		cp.recountOverrides()
 	}
 	st := cp.stats
-	if cp.staleFIBs > 0 {
+	if cp.staleRows > 0 {
 		st.TransientTime += cp.eng.Now() - cp.windowOpenedAt
 	}
 	return st
@@ -784,7 +617,7 @@ func (cp *ControlPlane) Recompute() {
 		e := &distEntry{dist: cp.grabDist(), epoch: cp.epoch}
 		cp.distCache[string(cp.keyBuf)] = e
 		cp.stats.BFSRuns++
-		cp.bfs(e.dist, dst)
+		cp.g.Distances(e.dist, dst)
 	}
 
 	for i := range cp.hostSig {
@@ -815,34 +648,17 @@ func (cp *ControlPlane) Recompute() {
 	}
 }
 
-// recountOverrides refreshes Stats.Overrides against the tables
-// currently serving lookups, dropping empty override tables back to the
-// nil-check fast path. It walks live entries only, never the slots.
+// recountOverrides refreshes Stats.Overrides against the rows currently
+// serving lookups. It counts only entries that diverge from the
+// live-filtered as-built answer: reconciling against the as-built set (so
+// override existence is a pure function of the computed set — what makes
+// skipping sound) also pins entries the live filter would have answered
+// identically, and excluding those keeps the metric identical to the
+// pre-incremental plane's.
 func (cp *ControlPlane) recountOverrides() {
 	cp.stats.Overrides, cp.overridesStale = 0, false
-	for _, f := range cp.fibs {
-		t := f.override
-		if t == nil {
-			continue
-		}
-		if len(t.live) == 0 {
-			// Fully healed: drop the empty table so the forwarding path
-			// returns to the documented nil-check fast path.
-			cp.dropTable(t)
-			f.override = nil
-			continue
-		}
-		// Count only entries that diverge from the live-filtered
-		// structural answer. Reconciling against the static healthy
-		// baseline (so override existence is a pure function of the
-		// computed set — what makes skipping sound) also pins entries
-		// the live filter would have answered identically; excluding
-		// those keeps the metric identical to the pre-incremental plane's.
-		for _, e := range t.live {
-			if !sameLinks(e.eq, f.base.NextLinks(e.dst)) {
-				cp.stats.Overrides++
-			}
-		}
+	for _, sw := range cp.switches {
+		cp.stats.Overrides += sw.Router().Overrides()
 	}
 }
 
@@ -879,14 +695,14 @@ func (cp *ControlPlane) computeFlipDelays() {
 		next = next[:0]
 		for _, v := range frontier {
 			d := cp.flipDist[int(v)-cp.nHosts] + 1
-			for _, h := range cp.out[v] {
-				ord := int(h.id) - cp.nHosts
-				if ord < 0 || cp.flipDist[ord] >= 0 || h.l.RouteDead() {
+			for _, h := range cp.g.Out[v] {
+				ord := int(h.ID) - cp.nHosts
+				if ord < 0 || cp.flipDist[ord] >= 0 || h.L.RouteDead() {
 					continue
 				}
 				cp.flipDist[ord] = d
 				maxD = max(maxD, d)
-				next = append(next, h.id)
+				next = append(next, h.ID)
 			}
 		}
 		frontier, next = next, frontier
@@ -899,20 +715,19 @@ func (cp *ControlPlane) computeFlipDelays() {
 	}
 }
 
-// flushFlips distributes the staged tables: every FIB with a target
-// flips at recompute time plus PerHopDelay per hop of flip distance —
-// inline when that is now (the seeds themselves, or PerHopDelay zero),
-// as a scheduled event otherwise. A switch re-staged while an earlier
-// flip is still in flight moves to this batch's schedule (flipAt); the
-// superseded event fires off-schedule and is ignored, so a fresher
-// table is never installed earlier than its own flip time. Scheduling
-// walks switches in builder order, so the flip sequence is
-// deterministic.
+// flushFlips distributes the staged rows: every stale switch flips at
+// recompute time plus PerHopDelay per hop of flip distance — inline when
+// that is now (the seeds themselves, or PerHopDelay zero), as a scheduled
+// event otherwise. A switch re-staged while an earlier flip is still in
+// flight moves to this batch's schedule (flipAt); the superseded event
+// fires off-schedule and is ignored, so a fresher row is never installed
+// earlier than its own flip time. Scheduling walks switches in builder
+// order, so the flip sequence is deterministic.
 func (cp *ControlPlane) flushFlips() {
 	now := cp.eng.Now()
 	first, last := sim.Time(-1), sim.Time(-1)
-	for i, f := range cp.fibs {
-		if f.target == nil {
+	for i, sw := range cp.switches {
+		if !sw.Router().Stale() {
 			continue
 		}
 		at := now + sim.Time(cp.flipDist[i])*cp.cfg.PerHopDelay
@@ -923,18 +738,18 @@ func (cp *ControlPlane) flushFlips() {
 			last = at
 		}
 		if at <= now {
-			f.applyFlip()
+			cp.applyFlip(i)
 			continue
 		}
-		if f.flipAt == at {
+		if cp.flipAt[i] == at {
 			// Re-staged onto an identical schedule; the event already in
 			// flight for this exact time stays authoritative (flipAt is
 			// only ever set alongside a scheduled event, and a past
 			// flipAt cannot equal a future `at`).
 			continue
 		}
-		f.flipAt = at
-		cp.eng.ScheduleArg(at-now, cp.flipFn, f)
+		cp.flipAt[i] = at
+		cp.eng.ScheduleArg(at-now, cp.flipFn, sw)
 	}
 	if first >= 0 {
 		cp.stats.FirstFlip, cp.stats.LastFlip = first, last
@@ -984,9 +799,9 @@ func (cp *ControlPlane) entryDirty(e *distEntry) bool {
 // else).
 func (cp *ControlPlane) signature(dst netem.NodeID) {
 	cp.keyBuf = cp.keyBuf[:0]
-	for _, h := range cp.in[dst] {
-		if !h.l.RouteDead() {
-			cp.keyBuf = append(cp.keyBuf, byte(h.id), byte(h.id>>8), byte(h.id>>16), byte(h.id>>24))
+	for _, h := range cp.g.In[dst] {
+		if !h.L.RouteDead() {
+			cp.keyBuf = append(cp.keyBuf, byte(h.ID), byte(h.ID>>8), byte(h.ID>>16), byte(h.ID>>24))
 		}
 	}
 }
@@ -998,106 +813,18 @@ func (cp *ControlPlane) grabDist() []int32 {
 		cp.freeDists = cp.freeDists[:n-1]
 		return dist
 	}
-	return make([]int32, len(cp.out))
-}
-
-// grabTable recycles (or makes) an empty override table.
-func (cp *ControlPlane) grabTable() *table {
-	if n := len(cp.freeTables); n > 0 {
-		t := cp.freeTables[n-1]
-		cp.freeTables = cp.freeTables[:n-1]
-		return t
-	}
-	return &table{slot: make([]int32, cp.nHosts)}
-}
-
-// dropTable empties a table no FIB references any more (nil is fine) in
-// O(live entries) and keeps it for reuse.
-func (cp *ControlPlane) dropTable(t *table) {
-	if t == nil {
-		return
-	}
-	for _, e := range t.live {
-		t.slot[e.dst] = 0
-	}
-	clear(t.live)
-	t.live = t.live[:0]
-	cp.freeTables = append(cp.freeTables, t)
-}
-
-// bfs fills dist, an all-zero table, with hop distances from every switch
-// to host dst (the source switch of each live access downlink is one hop
-// away). Expansion walks the reversed live graph and never tunnels
-// through hosts. The frontier slices are the plane's recycled scratch.
-func (cp *ControlPlane) bfs(dist []int32, dst netem.NodeID) {
-	frontier := cp.frontier[:0]
-	for _, h := range cp.in[dst] {
-		if dist[h.id] == 0 && !h.l.RouteDead() {
-			dist[h.id] = 1
-			frontier = append(frontier, h.id)
-		}
-	}
-	next := cp.next[:0]
-	for len(frontier) > 0 {
-		next = next[:0]
-		for _, v := range frontier {
-			d := dist[v] + 1
-			for _, h := range cp.in[v] {
-				if int(h.id) < cp.nHosts || dist[h.id] != 0 || h.l.RouteDead() {
-					continue
-				}
-				dist[h.id] = d
-				next = append(next, h.id)
-			}
-		}
-		frontier, next = next, frontier
-	}
-	cp.frontier, cp.next = frontier[:0], next[:0]
+	return make([]int32, len(cp.g.Out))
 }
 
 // reconcile computes the equal-cost set of every switch for destination
-// dst, given the live hop distances, and installs it in place (atomic)
-// or stages it for the switch's scheduled flip (staggered). A switch
-// whose computed set matches its healthy structural baseline carries no
-// override and falls through to the structural fast path.
+// dst, given the live hop distances, and writes it in place (atomic) or
+// stages it for the switch's scheduled flip (staggered). A switch whose
+// computed set matches its as-built set carries no override.
 func (cp *ControlPlane) reconcile(dst netem.NodeID, dist []int32, staggered bool) {
-	healthy := cp.healthy[int(dst)*len(cp.fibs):]
 	eq := cp.eqBuf
-	for i, f := range cp.fibs {
-		eq = eq[:0]
-		// A next hop must sit one hop nearer than this switch; distance
-		// 0 is dst itself (dist's own zeroes mean unreached).
-		if near := dist[cp.nHosts+i] - 1; near >= 0 {
-			for _, h := range cp.out[cp.nHosts+i] {
-				if h.id == dst {
-					if near != 0 {
-						continue
-					}
-				} else if near == 0 || dist[h.id] != near {
-					continue
-				}
-				if !h.l.RouteDead() {
-					eq = append(eq, h.l)
-				}
-			}
-		}
-		f.install(dst, eq, healthy[i], staggered)
+	for i := range cp.switches {
+		eq = cp.g.EqualCost(eq[:0], netem.NodeID(cp.nHosts+i), dst, dist)
+		cp.install(i, dst, eq, staggered)
 	}
 	cp.eqBuf = eq[:0]
-}
-
-// sameLinks reports whether two equal-cost sets are identical, element
-// for element. Order matters: ECMP hashes index into the slice, and both
-// sides derive their order from the builder's wiring order, so a healthy
-// prefix compares equal without set arithmetic.
-func sameLinks(a, b []*netem.Link) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

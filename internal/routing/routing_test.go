@@ -1,6 +1,8 @@
 package routing
 
 import (
+	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/faults"
@@ -47,8 +49,8 @@ func TestParseMode(t *testing.T) {
 
 // TestHealthyRecomputeInstallsNoOverrides locks in the fast-path
 // guarantee: on an undamaged network the BFS pass agrees with every
-// structural router exactly, so a recompute leaves zero overrides and
-// forwarding identical to the base.
+// row as built exactly, so a recompute leaves zero overrides and
+// forwarding identical to the build.
 func TestHealthyRecomputeInstallsNoOverrides(t *testing.T) {
 	eng := sim.NewEngine()
 	net, cp := buildFatTree(eng)
@@ -128,6 +130,7 @@ func TestGlobalReconvergenceStopsUpstreamHashing(t *testing.T) {
 func TestRecomputeCoalescing(t *testing.T) {
 	eng := sim.NewEngine()
 	net, cp := buildFatTree(eng)
+	built := builtStorage(net)
 	install(t, eng, net, cp, faults.Config{
 		Events:          faults.FailSwitches([]int{16}, 10*sim.Millisecond, 50*sim.Millisecond),
 		ReconvergeDelay: 5 * sim.Millisecond,
@@ -140,16 +143,42 @@ func TestRecomputeCoalescing(t *testing.T) {
 	if st.Overrides != 0 {
 		t.Errorf("overrides = %d after full restart, want 0", st.Overrides)
 	}
-	if !cpCleared(cp) {
-		t.Error("override maps not empty after the network healed")
+	if !cpCleared(net, built) {
+		t.Error("rows still serve override entries after the network healed")
 	}
 }
 
-// cpCleared reports whether every FIB is back on the nil-table fast path.
-func cpCleared(cp *ControlPlane) bool {
-	for _, f := range cp.fibs {
-		if f.override != nil {
+// builtStorage records, per (switch, host), the first element of the set
+// a healthy row answers with: the as-built set's own storage. Call it
+// before any link flips.
+func builtStorage(net *topology.Network) [][]**netem.Link {
+	out := make([][]**netem.Link, len(net.Switches))
+	for i, sw := range net.Switches {
+		out[i] = make([]**netem.Link, len(net.Hosts))
+		for j, h := range net.Hosts {
+			if eq := sw.Router().NextLinks(h.ID()); len(eq) > 0 {
+				out[i][j] = &eq[0]
+			}
+		}
+	}
+	return out
+}
+
+// cpCleared reports whether every row is back as built: nothing staged,
+// and every lookup answered from the as-built set builtStorage recorded
+// (an override entry answers from a copy). Only meaningful while no link
+// is route-dead, when as-built sets are served unfiltered.
+func cpCleared(net *topology.Network, built [][]**netem.Link) bool {
+	for i, sw := range net.Switches {
+		r := sw.Router()
+		if r.Stale() {
 			return false
+		}
+		for j, h := range net.Hosts {
+			eq := r.NextLinks(h.ID())
+			if (len(eq) == 0) != (built[i][j] == nil) || len(eq) > 0 && &eq[0] != built[i][j] {
+				return false
+			}
 		}
 	}
 	return true
@@ -490,15 +519,13 @@ func TestStaggeredFlipsSpreadByDistance(t *testing.T) {
 		transient           bool
 	}
 	sample := func() probe {
-		avr := agg10.Router().(netem.VersionedRouter)
-		cvr := core0.Router().(netem.VersionedRouter)
 		return probe{
 			aggSet:    len(agg10.Router().NextLinks(dstPod0)),
 			coreSet:   len(core0.Router().NextLinks(dstPod0)),
-			aggStale:  avr.Stale(),
-			coreStale: cvr.Stale(),
-			coreEpoch: cvr.Epoch(),
-			transient: avr.Transient(),
+			aggStale:  agg10.Router().Stale(),
+			coreStale: core0.Router().Stale(),
+			coreEpoch: cp.epochs[int(core0.ID())-len(net.Hosts)],
+			transient: cp.staleRows > 0,
 		}
 	}
 	var during, after probe
@@ -535,8 +562,8 @@ func TestStaggeredFlipsSpreadByDistance(t *testing.T) {
 	if st.Flips == 0 {
 		t.Error("no per-switch flips recorded")
 	}
-	if vr := agg10.Router().(netem.VersionedRouter); vr.Epoch() != 1 {
-		t.Errorf("agg(1,0) epoch = %d, want 1 (one applied flip)", vr.Epoch())
+	if epoch := cp.epochs[int(agg10.ID())-len(net.Hosts)]; epoch != 1 {
+		t.Errorf("agg(1,0) epoch = %d, want 1 (one applied flip)", epoch)
 	}
 	// The staggered tables must land exactly where an atomic plane
 	// lands: a forced full rebuild changes nothing.
@@ -601,6 +628,7 @@ func TestFlapStormDamping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	built := builtStorage(net)
 	// Cable 0 at the agg layer flaps down/up every millisecond,
 	// 25 cycles: 50 routing transitions per direction.
 	var events []faults.Event
@@ -626,8 +654,8 @@ func TestFlapStormDamping(t *testing.T) {
 		t.Errorf("only %d transitions damped, want >= 40", st.Damped)
 	}
 	// The cable ended up: tables must be fully healed.
-	if st.Overrides != 0 || !cpCleared(cp) {
-		t.Errorf("overrides = %d after the flapping cable healed, want 0", st.Overrides)
+	if st.Overrides != 0 || !cpCleared(net, built) {
+		t.Errorf("overrides = %d after the flapping cable healed, want 0 and every row as built", st.Overrides)
 	}
 	got := snapshotTables(net)
 	ForceFullRecompute = true
@@ -757,12 +785,12 @@ func TestRestagedFlipKeepsItsOwnSchedule(t *testing.T) {
 	eng.At(12*sim.Millisecond, func() { kill(agg10, core1) })
 	eng.At(13*sim.Millisecond, func() { kill(agg20, core0) })
 
-	vr := agg10.Router().(netem.VersionedRouter)
+	agg10Ord := int(agg10.ID()) - len(net.Hosts)
 	epochs := make(map[sim.Time]uint64)
 	stale := make(map[sim.Time]bool)
 	for _, at := range []sim.Time{14 * sim.Millisecond, 16 * sim.Millisecond, 19 * sim.Millisecond} {
 		at := at
-		eng.At(at, func() { epochs[at] = vr.Epoch(); stale[at] = vr.Stale() })
+		eng.At(at, func() { epochs[at] = cp.epochs[agg10Ord]; stale[at] = agg10.Router().Stale() })
 	}
 	eng.RunUntil(30 * sim.Millisecond)
 
@@ -843,7 +871,7 @@ func TestInstallValidation(t *testing.T) {
 
 // TestRoutingLookupAllocationFree asserts the healthy fast path: with a
 // control plane installed and no overrides live, a forwarding lookup
-// through the wrapped router allocates nothing.
+// through the switch's row allocates nothing.
 func TestRoutingLookupAllocationFree(t *testing.T) {
 	eng := sim.NewEngine()
 	net, cp := buildFatTree(eng)
@@ -891,7 +919,8 @@ func flipCable(cp *ControlPlane, cable [2]*netem.Link, dead bool) {
 // objects (the map-based layout allocated 101,988 per recompute): only
 // the sets that actually changed are copied.
 func TestRecomputeAllocationBound(t *testing.T) {
-	_, cp, cable := paperFabric(t)
+	net, cp, cable := paperFabric(t)
+	built := builtStorage(net)
 	cycle := func() {
 		flipCable(cp, cable, true)
 		flipCable(cp, cable, false)
@@ -900,14 +929,14 @@ func TestRecomputeAllocationBound(t *testing.T) {
 	if allocs := testing.AllocsPerRun(2, cycle); allocs >= 2000 {
 		t.Errorf("a warm fail->repair cycle allocates %.0f objects over its two recomputes, want < 2000", allocs)
 	}
-	if st := cp.Stats(); st.Overrides != 0 || !cpCleared(cp) {
-		t.Errorf("overrides = %d after the repair, want 0 and every FIB on the nil fast path", st.Overrides)
+	if st := cp.Stats(); st.Overrides != 0 || !cpCleared(net, built) {
+		t.Errorf("overrides = %d after the repair, want 0 and every row as built", st.Overrides)
 	}
 }
 
 // TestOverriddenLookupAllocationFree is the data-plane half: with
-// override entries live, a lookup that hits one and a lookup that falls
-// through to the structural router both allocate nothing.
+// override entries live, a lookup that hits one and a lookup that is
+// answered by the live-filtered as-built set both allocate nothing.
 func TestOverriddenLookupAllocationFree(t *testing.T) {
 	net, cp, cable := paperFabric(t)
 	flipCable(cp, cable, true)
@@ -915,22 +944,25 @@ func TestOverriddenLookupAllocationFree(t *testing.T) {
 		t.Fatal("the dead cable installed no overrides; scenario exercises nothing")
 	}
 	// An aggregation switch of another pod carries overrides for pod 0's
-	// hosts (the core behind the dead cable is gone from their sets) and
-	// none for its own pod's.
-	var f *FIB
-	for _, c := range cp.fibs {
-		if c.override != nil && c.override.slot[0] != 0 && c.override.slot[len(net.Hosts)-1] == 0 {
-			f = c
+	// hosts (the core behind the dead cable is gone from their sets, a
+	// narrower answer than its full uplink set) and none for the last
+	// pod's.
+	last := netem.NodeID(len(net.Hosts) - 1)
+	var r *netem.Row
+	for _, sw := range net.Switches {
+		c := sw.Router()
+		if c.Overrides() > 0 && len(c.NextLinks(0)) > 0 && len(c.NextLinks(0)) < len(c.NextLinks(last)) {
+			r = c
 			break
 		}
 	}
-	if f == nil {
-		t.Fatal("no FIB overrides host 0 but not the last host")
+	if r == nil {
+		t.Fatal("no row overrides host 0 with a narrower set than the last host's")
 	}
 	var sink []*netem.Link
 	allocs := testing.AllocsPerRun(200, func() {
-		sink = f.NextLinks(0)
-		sink = f.NextLinks(netem.NodeID(len(net.Hosts) - 1))
+		sink = r.NextLinks(0)
+		sink = r.NextLinks(last)
 	})
 	if allocs != 0 {
 		t.Errorf("lookups with overrides live allocate %.1f per pair, want 0", allocs)
@@ -939,45 +971,68 @@ func TestOverriddenLookupAllocationFree(t *testing.T) {
 }
 
 // TestLookupOutsideTableFallsThrough pins the bounds rule of the dense
-// override table: a destination it has no slot for — a switch's NodeID, a
-// negative one, one past every node — is answered by the structural
-// router, like any destination without an override, and never indexes
-// out of range.
+// rows: a destination a row has no entry for — a switch's NodeID, a
+// negative one, one past every node — is answered as it was before any
+// override existed, and never indexes out of range.
 func TestLookupOutsideTableFallsThrough(t *testing.T) {
 	eng := sim.NewEngine()
 	v := topology.NewVL2(eng, topology.VL2Config{DA: 4, DI: 2, HostsPerToR: 2, Link: topology.DefaultLinkConfig()})
-	base := v.Switches[0].Router()
+	dsts := []netem.NodeID{netem.NodeID(len(v.Hosts)), v.Switches[3].ID(), -1, 1 << 30}
+	before := make([][][]*netem.Link, len(v.Switches))
+	for i, sw := range v.Switches {
+		for _, dst := range dsts {
+			before[i] = append(before[i], slices.Clone(sw.Router().NextLinks(dst)))
+		}
+	}
 	cp, err := Install(eng, &v.Network, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Kill ToR 0's first uplink cable so its FIB holds overrides.
+	// Kill ToR 0's first uplink cable: the aggregation switch behind it
+	// loses its way down and detours through the intermediates.
 	up := v.LinksAtLayer(netem.LayerEdge)
 	flipCable(cp, [2]*netem.Link{up[0], up[1]}, true)
-	f := cp.fibs[0]
-	if f.override == nil {
-		t.Fatal("ToR 0 holds no overrides; scenario exercises nothing")
-	}
-	for _, dst := range []netem.NodeID{netem.NodeID(len(v.Hosts)), v.Switches[3].ID(), -1, 1 << 30} {
-		if got, want := f.NextLinks(dst), base.NextLinks(dst); !sameLinks(got, want) {
-			t.Errorf("NextLinks(%d) = %v, structural router says %v", dst, got, want)
+	overridden := 0
+	for i, sw := range v.Switches {
+		r := sw.Router()
+		if r.Overrides() == 0 {
+			continue
 		}
+		overridden++
+		for k, dst := range dsts {
+			if got, want := r.NextLinks(dst), before[i][k]; !slices.Equal(got, want) {
+				t.Errorf("switch %d: NextLinks(%d) = %v, before any override %v", sw.ID(), dst, got, want)
+			}
+		}
+	}
+	if overridden == 0 {
+		t.Fatal("no row holds overrides; scenario exercises nothing")
 	}
 }
 
-// TestInstallAllocationBound pins the interned healthy baseline: Install
-// on the paper's K=8 fabric allocated 42,961 objects when every (switch,
-// host) pair owned a copy of its structural set; sharing one copy among
-// consecutive hosts with the same set must stay under a tenth of that.
+// TestInstallAllocationBound pins the cost of installing the plane on the
+// paper's K=8 fabric. The rows are the network's own, so Install copies
+// no table: it allocated 42,961 objects when every (switch, host) pair
+// owned a copy of its structural set, and a few hundred kilobytes of
+// bookkeeping is all it may take now.
 func TestInstallAllocationBound(t *testing.T) {
 	net, _, _ := paperFabric(t)
 	allocs := testing.AllocsPerRun(2, func() {
-		net.Reset(1) // unwraps the routers; allocates nothing
+		net.Reset(1) // allocates nothing
 		if _, err := Install(net.Eng, net, Config{}); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs >= 4296 {
 		t.Errorf("Install allocates %.0f objects, want < 4296", allocs)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := Install(net.Eng, net, Config{}); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if bytes := after.TotalAlloc - before.TotalAlloc; bytes >= 300_000 {
+		t.Errorf("Install allocates %d bytes, want < %d", bytes, 300_000)
 	}
 }

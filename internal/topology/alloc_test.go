@@ -101,8 +101,9 @@ func TestTraceDisabledAllocationFree(t *testing.T) {
 // fabric costs (K=4, 8 hosts per edge, 30-packet ports: 64 hosts, 20
 // switches, 192 links). Hosts, switches and links come from one slab per
 // kind and link rings start empty, so what is left is two engine callbacks
-// per link plus the routers: 480 objects and 111 KB when written, where
-// element-wise construction with eager rings took 1,386 and 667 KB.
+// per link plus the forwarding table: 480 objects and 111 KB when written
+// with a router object per switch, where element-wise construction with
+// eager rings took 1,386 and 667 KB.
 func TestFabricBuildAllocationBudget(t *testing.T) {
 	cfg := FatTreeConfig{K: 4, HostsPerEdge: 8, Link: LinkConfig{QueueLimit: 30}}
 	eng := sim.NewEngine()
@@ -121,9 +122,10 @@ func TestFabricBuildAllocationBudget(t *testing.T) {
 }
 
 // TestDegradedLookupAllocationFree: a lookup whose equal-cost set has a
-// route-dead member is answered from the router's own filtered copy —
-// on the structured routers and on the BFS tables, for a partly dead set
-// and a wholly dead one, lookup after lookup and across different sets.
+// route-dead member is answered from the row's own filtered copy — on
+// rows filled from structure and by breadth-first search, for a partly
+// dead set and a wholly dead one, lookup after lookup and across
+// different sets.
 func TestDegradedLookupAllocationFree(t *testing.T) {
 	eng := sim.NewEngine()
 	ft := NewFatTree(eng, FatTreeConfig{K: 4, Link: DefaultLinkConfig()})

@@ -47,8 +47,8 @@ func (d *Dumbbell) Left(i int) *netem.Host { return d.Hosts[i] }
 // Right returns the i-th right-side host.
 func (d *Dumbbell) Right(i int) *netem.Host { return d.Hosts[d.Cfg.HostsPerSide+i] }
 
-// NewDumbbell builds the dumbbell and installs BFS-derived ECMP tables
-// (trivially single-path here).
+// NewDumbbell builds the dumbbell and fills its rows by breadth-first
+// search (trivially single-path here).
 func NewDumbbell(eng *sim.Engine, cfg DumbbellConfig) *Dumbbell {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
@@ -84,8 +84,7 @@ func NewDumbbell(eng *sim.Engine, cfg DumbbellConfig) *Dumbbell {
 	bcfg.QueueLimit = cfg.BottleneckQueue
 	d.BottleneckLR, d.BottleneckRL = d.connect(left, right, bcfg, netem.LayerCore)
 
-	buildECMPTables(&d.Network)
-	d.pathCount = func(src, dst netem.NodeID) int { return 1 }
+	d.fillRows()
 	d.validate()
 	return d
 }

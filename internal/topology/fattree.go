@@ -71,8 +71,8 @@ func (f *FatTree) edgeOf(h netem.NodeID) int {
 	return int(h) / f.hostsPerEdge
 }
 
-// NewFatTree builds the FatTree, wires every link, installs structured
-// ECMP routers on every switch and sets up the path-count oracle.
+// NewFatTree builds the FatTree, wires every link, fills every switch's
+// forwarding row from the structure and sets up the path-count formula.
 func NewFatTree(eng *sim.Engine, cfg FatTreeConfig) *FatTree {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
@@ -112,39 +112,36 @@ func NewFatTree(eng *sim.Engine, cfg FatTreeConfig) *FatTree {
 	for i := 0; i < numCore; i++ {
 		f.addSwitch(seedRNG.Uint32())
 	}
-	edges, aggs, cores := f.Switches[:numEdge], f.Switches[numEdge:numEdge+numAgg], f.Switches[numEdge+numAgg:]
+	edges := f.Switches[:numEdge]
 
-	// Routers, populated while wiring.
-	edgeRouters := make([]*fatTreeEdgeRouter, numEdge)
-	for i := range edgeRouters {
-		edgeRouters[i] = &fatTreeEdgeRouter{
-			f:         f,
-			live:      f.liveLinks(),
-			edge:      i,
-			hostLinks: make([][]*netem.Link, cfg.HostsPerEdge),
+	// Forwarding rows, filled while wiring. Set 0 of an edge or agg
+	// switch is its uplinks — the answer toward every host outside it, so
+	// a zeroed row is nearly complete — and set 1+i its i-th downlink; a
+	// core's set p is its downlink to pod p.
+	row := f.rows()
+	sets := make([][][]*netem.Link, len(f.Switches))
+	ups := make([]*netem.Link, (numEdge+numAgg)*half)
+	for i := range sets {
+		switch {
+		case i < numEdge:
+			sets[i] = make([][]*netem.Link, 1+cfg.HostsPerEdge)
+		case i < numEdge+numAgg:
+			sets[i] = make([][]*netem.Link, 1+half)
+		default:
+			sets[i] = make([][]*netem.Link, k)
+			continue
 		}
-	}
-	aggRouters := make([]*fatTreeAggRouter, numAgg)
-	for i := range aggRouters {
-		aggRouters[i] = &fatTreeAggRouter{
-			f:         f,
-			live:      f.liveLinks(),
-			pod:       i / half,
-			edgeLinks: make([][]*netem.Link, half),
-		}
-	}
-	coreRouters := make([]*fatTreeCoreRouter, numCore)
-	for i := range coreRouters {
-		coreRouters[i] = &fatTreeCoreRouter{f: f, live: f.liveLinks(), podLinks: make([][]*netem.Link, k)}
+		sets[i][0] = ups[i*half : i*half : (i+1)*half]
 	}
 
 	// Host <-> edge links.
 	for e := 0; e < numEdge; e++ {
 		for i := 0; i < cfg.HostsPerEdge; i++ {
-			h := f.Hosts[e*cfg.HostsPerEdge+i]
-			up, _ := f.connectHost(h, edges[e], cfg.Link, netem.LayerHost)
-			h.AttachUplink(up)
-			edgeRouters[e].hostLinks[i] = f.lastLinkSet()
+			h := e*cfg.HostsPerEdge + i
+			up, _ := f.connectHost(f.Hosts[h], edges[e], cfg.Link, netem.LayerHost)
+			f.Hosts[h].AttachUplink(up)
+			sets[e][1+i] = f.lastLinkSet()
+			row(e)[h] = int32(1 + i)
 		}
 	}
 	// Edge <-> agg links (full bipartite within each pod).
@@ -152,10 +149,13 @@ func NewFatTree(eng *sim.Engine, cfg FatTreeConfig) *FatTree {
 		for e := 0; e < half; e++ {
 			for a := 0; a < half; a++ {
 				eg := p*half + e
-				ag := p*half + a
-				up, _ := f.connect(edges[eg], aggs[ag], cfg.Link, netem.LayerEdge)
-				edgeRouters[eg].upLinks = append(edgeRouters[eg].upLinks, up)
-				aggRouters[ag].edgeLinks[e] = f.lastLinkSet()
+				ag := numEdge + p*half + a
+				up, _ := f.connect(edges[eg], f.Switches[ag], cfg.Link, netem.LayerEdge)
+				sets[eg][0] = append(sets[eg][0], up)
+				sets[ag][1+e] = f.lastLinkSet()
+				for h := eg * cfg.HostsPerEdge; h < (eg+1)*cfg.HostsPerEdge; h++ {
+					row(ag)[h] = int32(1 + e)
+				}
 			}
 		}
 	}
@@ -163,24 +163,22 @@ func NewFatTree(eng *sim.Engine, cfg FatTreeConfig) *FatTree {
 	// the k/2 core switches in group a (cores a*half .. a*half+half-1).
 	for p := 0; p < k; p++ {
 		for a := 0; a < half; a++ {
-			ag := p*half + a
+			ag := numEdge + p*half + a
 			for j := 0; j < half; j++ {
-				c := a*half + j
-				up, _ := f.connect(aggs[ag], cores[c], cfg.Link, netem.LayerAgg)
-				aggRouters[ag].upLinks = append(aggRouters[ag].upLinks, up)
-				coreRouters[c].podLinks[p] = f.lastLinkSet()
+				c := numEdge + numAgg + a*half + j
+				up, _ := f.connect(f.Switches[ag], f.Switches[c], cfg.Link, netem.LayerAgg)
+				sets[ag][0] = append(sets[ag][0], up)
+				sets[c][p] = f.lastLinkSet()
 			}
 		}
 	}
-
-	for i, sw := range edges {
-		f.setRouter(sw, edgeRouters[i])
+	for i := numEdge + numAgg; i < len(f.Switches); i++ {
+		for h := f.hostsPerPod; h < f.numHosts; h++ {
+			row(i)[h] = int32(f.PodOf(netem.NodeID(h)))
+		}
 	}
-	for i, sw := range aggs {
-		f.setRouter(sw, aggRouters[i])
-	}
-	for i, sw := range cores {
-		f.setRouter(sw, coreRouters[i])
+	for i, sw := range f.Switches {
+		sw.SetRow(sets[i], row(i), &f.routes)
 	}
 
 	// Shard partitioning keeps pods whole: the edge and aggregation
@@ -221,50 +219,4 @@ func NewFatTree(eng *sim.Engine, cfg FatTreeConfig) *FatTree {
 	}
 	f.validate()
 	return f
-}
-
-// fatTreeEdgeRouter forwards down to a local host or up to any
-// aggregation switch in the pod.
-type fatTreeEdgeRouter struct {
-	f         *FatTree
-	live      netem.LiveLinks
-	edge      int             // global edge ordinal
-	hostLinks [][]*netem.Link // single-element sets, indexed by local host
-	upLinks   []*netem.Link   // all agg uplinks (equal cost)
-}
-
-func (r *fatTreeEdgeRouter) NextLinks(dst netem.NodeID) []*netem.Link {
-	if r.f.edgeOf(dst) == r.edge {
-		return r.live.Filter(r.hostLinks[int(dst)%r.f.hostsPerEdge])
-	}
-	return r.live.Filter(r.upLinks)
-}
-
-// fatTreeAggRouter forwards down to the destination's edge switch when
-// the destination is in this pod, otherwise up to any attached core.
-type fatTreeAggRouter struct {
-	f         *FatTree
-	live      netem.LiveLinks
-	pod       int
-	edgeLinks [][]*netem.Link // single-element sets, indexed by pod-local edge
-	upLinks   []*netem.Link   // core uplinks (equal cost)
-}
-
-func (r *fatTreeAggRouter) NextLinks(dst netem.NodeID) []*netem.Link {
-	if r.f.PodOf(dst) == r.pod {
-		return r.live.Filter(r.edgeLinks[r.f.EdgeIndexOf(dst)])
-	}
-	return r.live.Filter(r.upLinks)
-}
-
-// fatTreeCoreRouter forwards down to the aggregation switch of the
-// destination's pod (each core connects to exactly one agg per pod).
-type fatTreeCoreRouter struct {
-	f        *FatTree
-	live     netem.LiveLinks
-	podLinks [][]*netem.Link // single-element sets, indexed by pod
-}
-
-func (r *fatTreeCoreRouter) NextLinks(dst netem.NodeID) []*netem.Link {
-	return r.live.Filter(r.podLinks[r.f.PodOf(dst)])
 }

@@ -62,8 +62,8 @@ func TestFatTreeK16PathCounts(t *testing.T) {
 }
 
 // TestFatTreeK16Liveness routes one cross-pod flow out of every pod
-// through the structured routers and checks delivery and hop count —
-// the arity-16 router arithmetic (locators, core striping) exercised
+// through the structurally filled rows and checks delivery and hop
+// count — the arity-16 row arithmetic (locators, core striping) exercised
 // end to end on every pod.
 func TestFatTreeK16Liveness(t *testing.T) {
 	eng := sim.NewEngine()

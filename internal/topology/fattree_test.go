@@ -156,62 +156,25 @@ func TestFatTreePathCountFormula(t *testing.T) {
 }
 
 // TestFatTreePathCountMatchesDAG verifies the closed-form path count
-// against an exhaustive count over the ECMP forwarding DAG.
+// against the walk over the rows that a failure switches PathCount to,
+// and both against an exhaustive count over the reference tables.
 func TestFatTreePathCountMatchesDAG(t *testing.T) {
 	eng := sim.NewEngine()
 	ft := NewFatTree(eng, FatTreeConfig{K: 4, HostsPerEdge: 4, Link: DefaultLinkConfig()})
+	ref := referenceTables(&ft.Network)
+	formula := ft.pathCount
 	for src := 0; src < ft.NumHosts(); src += 3 {
 		for dst := 0; dst < ft.NumHosts(); dst += 5 {
+			s, d := netem.NodeID(src), netem.NodeID(dst)
 			if src == dst {
 				continue
 			}
-			want := countShortestPaths(&ft.Network, netem.NodeID(src), netem.NodeID(dst))
-			got := ft.PathCount(netem.NodeID(src), netem.NodeID(dst))
-			if got != want {
-				t.Fatalf("PathCount(%d,%d) = %d, DAG count = %d", src, dst, got, want)
-			}
-		}
-	}
-}
-
-// TestFatTreeStructuredRoutingMatchesBFS compares the structured routers
-// against the generic BFS-derived equal-cost tables link by link.
-func TestFatTreeStructuredRoutingMatchesBFS(t *testing.T) {
-	eng := sim.NewEngine()
-	ft := NewFatTree(eng, FatTreeConfig{K: 4, HostsPerEdge: 3, Link: DefaultLinkConfig()})
-
-	// Snapshot structured next-hop sets.
-	type key struct {
-		sw  netem.NodeID
-		dst netem.NodeID
-	}
-	structured := make(map[key]map[*netem.Link]bool)
-	for _, sw := range ft.Switches {
-		r := ft.routers[sw.ID()]
-		for h := 0; h < ft.NumHosts(); h++ {
-			set := make(map[*netem.Link]bool)
-			for _, l := range r.NextLinks(netem.NodeID(h)) {
-				set[l] = true
-			}
-			structured[key{sw.ID(), netem.NodeID(h)}] = set
-		}
-	}
-
-	// Rebuild with BFS tables and compare.
-	buildECMPTables(&ft.Network)
-	for _, sw := range ft.Switches {
-		r := ft.routers[sw.ID()]
-		for h := 0; h < ft.NumHosts(); h++ {
-			want := structured[key{sw.ID(), netem.NodeID(h)}]
-			links := r.NextLinks(netem.NodeID(h))
-			if len(links) != len(want) {
-				t.Fatalf("switch %d -> host %d: BFS set size %d, structured %d",
-					sw.ID(), h, len(links), len(want))
-			}
-			for _, l := range links {
-				if !want[l] {
-					t.Fatalf("switch %d -> host %d: BFS chose %v not in structured set", sw.ID(), h, l)
-				}
+			want := referencePathCount(&ft.Network, ref, s, d)
+			ft.pathCount = nil // walk the rows
+			walked := ft.PathCount(s, d)
+			ft.pathCount = formula
+			if got := ft.PathCount(s, d); got != want || walked != want {
+				t.Fatalf("PathCount(%d,%d) = %d by formula, %d by walk, DAG count = %d", src, dst, got, walked, want)
 			}
 		}
 	}
@@ -314,8 +277,9 @@ func TestFatTreeRoutersExcludeRouteDeadLinks(t *testing.T) {
 	f := NewFatTree(eng, FatTreeConfig{K: 4, Link: DefaultLinkConfig()})
 	src, dst := netem.NodeID(0), netem.NodeID(f.NumHosts()-1) // inter-pod pair
 
-	// Walk the routers' view from the source edge switch upward.
-	edge := f.routers[f.Hosts[src].Uplinks()[0].Dst().ID()]
+	row := func(n netem.Node) *netem.Row { return n.(*netem.Switch).Router() }
+	// Walk the rows from the source edge switch upward.
+	edge := row(f.Hosts[src].Uplinks()[0].Dst())
 	up := edge.NextLinks(dst)
 	if len(up) != 2 {
 		t.Fatalf("edge equal-cost set = %d links, want 2 agg uplinks", len(up))
@@ -325,8 +289,8 @@ func TestFatTreeRoutersExcludeRouteDeadLinks(t *testing.T) {
 	if got := edge.NextLinks(dst); len(got) != 1 || got[0] != up[1] {
 		t.Fatalf("route-dead agg uplink still in the set: %v", got)
 	}
-	// Kill both: the edge router reports no route (the switch counts
-	// and drops; see netem).
+	// Kill both: the edge row reports no route (the switch counts and
+	// drops; see netem).
 	up[1].SetRouteDead(true)
 	if got := edge.NextLinks(dst); len(got) != 0 {
 		t.Fatalf("empty failure window returned %d links", len(got))
@@ -335,7 +299,7 @@ func TestFatTreeRoutersExcludeRouteDeadLinks(t *testing.T) {
 	up[1].SetRouteDead(false)
 
 	// Same at the aggregation layer (core uplinks)...
-	agg := f.routers[up[0].Dst().ID()]
+	agg := row(up[0].Dst())
 	coreUp := agg.NextLinks(dst)
 	if len(coreUp) != 2 {
 		t.Fatalf("agg equal-cost set = %d links, want 2 core uplinks", len(coreUp))
@@ -347,7 +311,7 @@ func TestFatTreeRoutersExcludeRouteDeadLinks(t *testing.T) {
 	coreUp[1].SetRouteDead(false)
 
 	// ...and at the core, whose per-pod set is a single link.
-	core := f.routers[coreUp[0].Dst().ID()]
+	core := row(coreUp[0].Dst())
 	down := core.NextLinks(dst)
 	if len(down) != 1 {
 		t.Fatalf("core pod set = %d links, want 1", len(down))
@@ -364,15 +328,15 @@ func TestFatTreeRoutersExcludeRouteDeadLinks(t *testing.T) {
 	}
 }
 
-func TestTableRouterExcludesRouteDeadLinks(t *testing.T) {
+func TestBFSRowsExcludeRouteDeadLinks(t *testing.T) {
 	eng := sim.NewEngine()
-	// VL2 uses BFS-derived TableRouters everywhere.
+	// VL2 fills every row by breadth-first search.
 	v := NewVL2(eng, VL2Config{DA: 4, DI: 4, HostsPerToR: 2, Link: DefaultLinkConfig()})
 	// ToR 0 homes to aggs {0,1}, ToR 2 to aggs {2,3}: no shared agg, so
 	// the shortest path crosses the intermediate mesh and the source ToR
 	// has a genuinely multipath equal-cost set.
 	src, dst := netem.NodeID(0), netem.NodeID(4)
-	tor := v.routers[v.Hosts[src].Uplinks()[0].Dst().ID()]
+	tor := v.Hosts[src].Uplinks()[0].Dst().(*netem.Switch).Router()
 	set := tor.NextLinks(dst)
 	if len(set) < 2 {
 		t.Fatalf("ToR equal-cost set = %d links; VL2 should be multipath", len(set))
@@ -385,7 +349,7 @@ func TestTableRouterExcludesRouteDeadLinks(t *testing.T) {
 	}
 	for _, l := range filtered {
 		if l == dead {
-			t.Fatal("route-dead link survived TableRouter filtering")
+			t.Fatal("route-dead link survived the row's live filter")
 		}
 	}
 	dead.SetRouteDead(false)

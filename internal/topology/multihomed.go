@@ -44,9 +44,9 @@ type MultiHomed struct {
 // NumHosts returns the number of servers.
 func (m *MultiHomed) NumHosts() int { return m.numHosts }
 
-// NewMultiHomed builds the dual-homed FatTree. Routing uses BFS-derived
-// ECMP tables (structured routing becomes irregular with dual homing, and
-// the generic tables are exact).
+// NewMultiHomed builds the dual-homed FatTree. Its rows are filled by
+// breadth-first search (the structure becomes irregular with dual homing,
+// and the search is exact).
 func NewMultiHomed(eng *sim.Engine, cfg MultiHomedConfig) *MultiHomed {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
@@ -115,10 +115,7 @@ func NewMultiHomed(eng *sim.Engine, cfg MultiHomedConfig) *MultiHomed {
 		}
 	}
 
-	buildECMPTables(&m.Network)
-	m.pathCount = func(src, dst netem.NodeID) int {
-		return countShortestPaths(&m.Network, src, dst)
-	}
+	m.fillRows()
 	m.validate()
 	return m
 }

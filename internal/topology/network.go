@@ -1,19 +1,25 @@
 // Package topology builds the simulated data-centre networks the paper's
 // experiments run on: k-ary FatTrees with configurable over-subscription
 // (the paper's setup is a 512-server, 4:1 over-subscribed FatTree), a
-// dual-homed FatTree variant (the paper's future-work topology), and a
-// dumbbell used by unit tests and the coexistence experiments.
+// dual-homed FatTree variant (the paper's future-work topology), a
+// VL2-style Clos, and a dumbbell used by unit tests and the coexistence
+// experiments.
 //
-// Each topology provides hash-based ECMP routing (structured routers for
-// the FatTree, breadth-first-search equal-cost tables for everything
-// else) and a PathCount oracle that MMPTCP's packet-scatter phase uses to
-// derive its dynamic duplicate-ACK threshold — the paper's "FatTree IP
-// addressing scheme can be exploited to calculate the number of available
-// paths" proposal.
+// Every builder fills one dense forwarding table that hash-based ECMP
+// forwards on: per switch a netem.Row, a few distinct equal-cost sets and
+// a set index per destination host. The FatTree fills its rows from its
+// structure; every other topology with one reverse breadth-first search
+// per destination over its Graph, the adjacency the routing control plane
+// recomputes on as well. PathCount, from which MMPTCP's packet-scatter
+// phase derives its dynamic duplicate-ACK threshold, answers a healthy
+// FatTree with the paper's formula — its "FatTree IP addressing scheme
+// can be exploited to calculate the number of available paths" proposal —
+// and anything else by walking the rows.
 package topology
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/netem"
 	"repro/internal/sim"
@@ -76,8 +82,9 @@ func (c *LinkConfig) applyDefaults() {
 	}
 }
 
-// Network is a built topology: hosts, switches, every unidirectional
-// link (for statistics), and a path-count oracle.
+// Network is a built topology: hosts, switches (each with its forwarding
+// row), every unidirectional link (for statistics), and a path-count
+// oracle.
 type Network struct {
 	Eng      *sim.Engine
 	Hosts    []*netem.Host
@@ -90,16 +97,6 @@ type Network struct {
 	// recycle rate.
 	Pool *netem.PacketPool
 
-	// routers keeps each switch's effective router so that path counting
-	// can follow the ECMP DAG (netem.Switch deliberately hides it). The
-	// routing control plane swaps wrapped routers in via WrapRouters.
-	routers map[netem.NodeID]netem.Router
-
-	// baseRouters snapshots each switch's as-built router (parallel to
-	// Switches, captured by validate) so Reset can unwind whatever a
-	// routing control plane wrapped around it.
-	baseRouters []netem.Router
-
 	// hashSalt recreates the builder's per-switch ECMP hash seed stream
 	// when a pooled network is reused under a new experiment seed;
 	// hashSeeded marks builders that derive switch seeds from the seed
@@ -107,15 +104,18 @@ type Network struct {
 	hashSalt   uint64
 	hashSeeded bool
 
-	// pathCount returns the number of distinct equal-cost paths between
-	// two hosts on the healthy network; see PathCount.
+	// pathCount, when set, answers PathCount on the healthy network by
+	// formula instead of a walk.
 	pathCount func(src, dst netem.NodeID) int
 
 	// routes tallies the links currently excluded from routing (every
-	// link is enrolled at build). Routers filter against it, and while it
-	// is non-zero PathCount follows the live routing DAG instead of the
-	// static oracle.
+	// link is enrolled at build) and the switches holding a staged row.
 	routes netem.RouteState
+
+	// graph is the adjacency, built on first use (see Graph); memo is
+	// PathCount's per-switch scratch.
+	graph *Graph
+	memo  []int
 
 	// switchSlab and linkSlab hold the fabric's switches and links by
 	// value (see alloc); Switches and Links point into them.
@@ -155,46 +155,82 @@ func (n *Network) addSwitch(seed uint32) *netem.Switch {
 	return sw
 }
 
-// liveLinks returns a route-dead filter for one router of this network.
-func (n *Network) liveLinks() netem.LiveLinks { return netem.LiveLinks{Routes: &n.routes} }
-
-// setRouter installs a router on a switch and records it for path
-// counting.
-func (n *Network) setRouter(sw *netem.Switch, r netem.Router) {
-	sw.SetRouter(r)
-	if n.routers == nil {
-		n.routers = make(map[netem.NodeID]netem.Router)
-	}
-	n.routers[sw.ID()] = r
+// rows returns the forwarding table's dense index array, one row of a
+// set index per host for each switch, all zero; row carves switch i's.
+func (n *Network) rows() (row func(i int) []int32) {
+	h := len(n.Hosts)
+	idx := make([]int32, len(n.Switches)*h)
+	return func(i int) []int32 { return idx[i*h : (i+1)*h : (i+1)*h] }
 }
 
-// PathCount returns the number of distinct shortest paths between two
-// hosts. MMPTCP uses it to size the packet-scatter duplicate-ACK
-// threshold. It returns 1 when src == dst or when the oracle is missing.
+// PathCount returns the number of distinct paths between two hosts that
+// forwarding can take: 1 when src == dst or the network has no switches
+// (a hand-assembled stub with nothing to walk), 0 when none is left.
+// MMPTCP uses it to size the packet-scatter duplicate-ACK threshold.
 //
-// On a healthy network the static oracle answers (for the FatTree, the
-// paper's addressing formula — allocation-free). While any link is
-// excluded from routing the count instead follows the live ECMP DAG
-// through the installed routers, so dead paths no longer inflate the
-// duplicate-ACK threshold of flows dialed during a failure.
+// A healthy FatTree answers by the paper's addressing formula. Everything
+// else — other topologies, or any network while a link is excluded from
+// routing, so dead paths no longer inflate the duplicate-ACK threshold of
+// flows dialed during a failure — walks exactly the rows Switch.Receive
+// looks up, from each of src's route-live uplinks.
 func (n *Network) PathCount(src, dst netem.NodeID) int {
-	if src == dst || n.pathCount == nil {
+	if src == dst || len(n.Switches) == 0 {
 		return 1
 	}
-	if n.routes.Dead() > 0 {
-		return countShortestPaths(n, src, dst)
+	if n.routes.Dead() == 0 && n.pathCount != nil {
+		return n.pathCount(src, dst)
 	}
-	return n.pathCount(src, dst)
+	if n.memo == nil {
+		n.memo = make([]int, len(n.Switches))
+	}
+	clear(n.memo)
+	total := 0
+	for _, up := range n.Hosts[src].Uplinks() {
+		if !up.RouteDead() {
+			c, _ := n.paths(up.Dst().ID(), dst)
+			total += c
+		}
+	}
+	return total
 }
 
-// WrapRouters replaces every switch's router with wrap(switch, current),
-// in builder order, updating both the forwarding plane and the router
-// view that path counting follows. The routing control plane uses this
-// to interpose its override tables in front of the structural routers.
-func (n *Network) WrapRouters(wrap func(sw *netem.Switch, base netem.Router) netem.Router) {
-	for _, sw := range n.Switches {
-		n.setRouter(sw, wrap(sw, n.routers[sw.ID()]))
+// onStack marks a switch of PathCount's walk on the active stack; memo
+// otherwise holds a finished switch's count plus one, or 0 if unvisited.
+const onStack = -1
+
+// paths counts the forwarding paths from node id to host dst, depth first.
+// The walk must tolerate cycles: under staggered convergence the switches
+// momentarily disagree (each row flips at its own time), and a stale
+// switch can point back at one that already flipped — the forwarding
+// micro-loop the data plane counts as LoopDrops. A switch met again while
+// on the stack contributes zero paths (a loop is not a way to the
+// destination) and taints the counts above it: a tainted count depends on
+// the stack, so it is returned but not memoised.
+func (n *Network) paths(id, dst netem.NodeID) (count int, tainted bool) {
+	if id == dst {
+		return 1, false
 	}
+	i := int(id) - len(n.Hosts)
+	if i < 0 { // another host: hosts never forward
+		return 0, false
+	}
+	switch m := n.memo[i]; {
+	case m == onStack:
+		return 0, true
+	case m > 0:
+		return m - 1, false
+	}
+	n.memo[i] = onStack
+	for _, l := range n.Switches[i].Router().NextLinks(dst) {
+		c, t := n.paths(l.Dst().ID(), dst)
+		count += c
+		tainted = tainted || t
+	}
+	n.memo[i] = count + 1
+	if tainted {
+		n.memo[i] = 0
+	}
+	return count, tainted
 }
 
 // Host returns the host with index i (hosts are numbered 0..len-1 and
@@ -237,170 +273,147 @@ func (n *Network) connectHost(h, sw netem.Node, cfg LinkConfig, layer netem.Laye
 
 // lastLinkSet returns the most recently created link as a single-element
 // equal-cost set carved from n.Links (sized by alloc, so never moved)
-// rather than allocated: a structured router holds one per down port.
+// rather than allocated: a FatTree row holds one per down port.
 func (n *Network) lastLinkSet() []*netem.Link {
 	i := len(n.Links) - 1
 	return n.Links[i : i+1 : i+1]
 }
 
-// TableRouter is a routing table mapping destination host to an
-// equal-cost set of output links. It implements netem.Router.
-type TableRouter struct {
-	table map[netem.NodeID][]*netem.Link
-	live  netem.LiveLinks
+// Graph is a network's adjacency by NodeID — hosts 0..H-1, then the
+// switches in builder order — with the reverse breadth-first search and
+// the equal-cost derivation that fill and recompute forwarding rows.
+type Graph struct {
+	Out, In [][]Hop // each node's outgoing and incoming links
+
+	hosts          int
+	frontier, next []netem.NodeID
 }
 
-// NextLinks implements netem.Router. Links excluded by failure
-// reconvergence are filtered out; the set may be empty while every
-// candidate is dead.
-func (r *TableRouter) NextLinks(dst netem.NodeID) []*netem.Link {
-	return r.live.Filter(r.table[dst])
+// Hop is one adjacency entry: a link and the NodeID at its far end, so
+// the inner loops never call through the netem.Node interface.
+type Hop struct {
+	L  *netem.Link
+	ID netem.NodeID
 }
 
-// buildECMPTables computes, for every switch, the full equal-cost
-// shortest-path next-hop sets toward every host, by breadth-first search
-// from each host over the reversed link graph. It installs a TableRouter
-// on each switch. This is the generic fallback used by non-FatTree
-// topologies, and the reference implementation the FatTree's structured
-// routers are tested against.
-func buildECMPTables(n *Network) {
-	// Adjacency: outgoing links per node.
-	out := make(map[netem.NodeID][]*netem.Link)
-	// Incoming links per node (reversed graph).
-	in := make(map[netem.NodeID][]*netem.Link)
+// Graph returns the network's adjacency, built on first use. Every link
+// must join two of the network's nodes.
+func (n *Network) Graph() *Graph {
+	if n.graph != nil {
+		return n.graph
+	}
+	nodes := len(n.Hosts) + len(n.Switches)
+	outDeg, inDeg := make([]int, nodes), make([]int, nodes)
 	for _, l := range n.Links {
-		out[l.Src().ID()] = append(out[l.Src().ID()], l)
-		in[l.Dst().ID()] = append(in[l.Dst().ID()], l)
+		outDeg[l.Src().ID()]++
+		inDeg[l.Dst().ID()]++
 	}
-
-	routers := make(map[netem.NodeID]*TableRouter, len(n.Switches))
-	for _, sw := range n.Switches {
-		r := &TableRouter{table: make(map[netem.NodeID][]*netem.Link), live: n.liveLinks()}
-		routers[sw.ID()] = r
-		n.setRouter(sw, r)
+	g := &Graph{Out: carveHops(outDeg, len(n.Links)), In: carveHops(inDeg, len(n.Links)), hosts: len(n.Hosts)}
+	for _, l := range n.Links {
+		u, v := l.Src().ID(), l.Dst().ID()
+		g.Out[u] = append(g.Out[u], Hop{l, v})
+		g.In[v] = append(g.In[v], Hop{l, u})
 	}
+	n.graph = g
+	return g
+}
 
-	// Hosts never forward: BFS treats every host other than the
-	// destination as a dead end, so routes cannot tunnel through a
-	// dual-homed server.
-	isHost := make(map[netem.NodeID]bool, len(n.Hosts))
-	for _, h := range n.Hosts {
-		isHost[h.ID()] = true
+// carveHops returns one empty hop list per node, of capacity deg[v],
+// carved from a single backing array.
+func carveHops(deg []int, total int) [][]Hop {
+	flat, lists := make([]Hop, total), make([][]Hop, len(deg))
+	for v, d := range deg {
+		lists[v], flat = flat[:0:d], flat[d:]
 	}
+	return lists
+}
 
-	for _, h := range n.Hosts {
-		dst := h.ID()
-		dist := make(map[netem.NodeID]int32)
-		frontier := []netem.NodeID{dst}
-		dist[dst] = 0
-		for len(frontier) > 0 {
-			var next []netem.NodeID
-			for _, v := range frontier {
-				for _, l := range in[v] {
-					u := l.Src().ID()
-					if isHost[u] && u != dst {
-						continue
-					}
-					if _, seen := dist[u]; !seen {
-						dist[u] = dist[v] + 1
-						next = append(next, u)
-					}
-				}
-			}
-			frontier = next
+// Distances fills dist, an all-zero table indexed by NodeID, with hop
+// counts from every switch to host dst over route-live links: 1 for the
+// source of a live access downlink, 0 for unreached. It never expands
+// through a host.
+func (g *Graph) Distances(dist []int32, dst netem.NodeID) {
+	frontier := g.frontier[:0]
+	for _, h := range g.In[dst] {
+		if dist[h.ID] == 0 && !h.L.RouteDead() {
+			dist[h.ID] = 1
+			frontier = append(frontier, h.ID)
 		}
-		for _, sw := range n.Switches {
-			d, ok := dist[sw.ID()]
-			if !ok {
+	}
+	next := g.next[:0]
+	for len(frontier) > 0 {
+		next = next[:0]
+		for _, v := range frontier {
+			d := dist[v] + 1
+			for _, h := range g.In[v] {
+				if int(h.ID) < g.hosts || dist[h.ID] != 0 || h.L.RouteDead() {
+					continue
+				}
+				dist[h.ID] = d
+				next = append(next, h.ID)
+			}
+		}
+		frontier, next = next, frontier
+	}
+	g.frontier, g.next = frontier[:0], next[:0]
+}
+
+// EqualCost appends to eq switch sw's equal-cost next hops toward host
+// dst under Distances' dist: its route-live links whose far end is one
+// hop nearer, in link order.
+func (g *Graph) EqualCost(eq []*netem.Link, sw, dst netem.NodeID, dist []int32) []*netem.Link {
+	// Distance 0 is dst itself (dist's own zeroes mean unreached).
+	near := dist[sw] - 1
+	if near < 0 {
+		return eq
+	}
+	for _, h := range g.Out[sw] {
+		if h.ID == dst {
+			if near != 0 {
 				continue
 			}
-			var eq []*netem.Link
-			for _, l := range out[sw.ID()] {
-				nd, ok := dist[l.Dst().ID()]
-				if ok && nd == d-1 {
-					eq = append(eq, l)
-				}
-			}
-			if len(eq) > 0 {
-				routers[sw.ID()].table[dst] = eq
-			}
-		}
-	}
-}
-
-// countShortestPaths returns the number of distinct shortest paths from
-// src to dst host following the installed routing tables. It is used as
-// the generic path-count oracle (and as the reference the FatTree formula
-// is tested against). The count follows the ECMP DAG, so it reflects the
-// paths packets can actually take.
-//
-// The walk must tolerate cycles: under staggered convergence the
-// switches momentarily disagree about the tables (each FIB flips at its
-// own time), and a stale switch can point back at one that already
-// flipped — the forwarding micro-loop the data plane counts as
-// LoopDrops. A node revisited while still on the DFS stack contributes
-// zero paths (a loop is not a way to the destination) instead of
-// recursing forever.
-func countShortestPaths(n *Network, src, dst netem.NodeID) int {
-	if src == dst {
-		return 1
-	}
-	// The first hop from a host is its uplink(s); afterwards, follow
-	// each switch's equal-cost set. Memoised DFS; inProgress marks nodes
-	// on the active stack so transient routing cycles terminate. A count
-	// computed beneath a cycle is stack-dependent (it excluded whatever
-	// ancestors happened to be in progress), so it is returned but NOT
-	// memoised — only cycle-free subgraphs cache, which keeps the walk
-	// exact on mixed-epoch tables at the cost of re-visiting the few
-	// nodes that can reach a loop.
-	const inProgress = -1
-	memo := make(map[netem.NodeID]int)
-	var visit func(id netem.NodeID) (int, bool)
-	visit = func(id netem.NodeID) (int, bool) {
-		if id == dst {
-			return 1, false
-		}
-		if v, ok := memo[id]; ok {
-			if v == inProgress {
-				return 0, true
-			}
-			return v, false
-		}
-		r, ok := n.routers[id]
-		if !ok {
-			return 0, false
-		}
-		memo[id] = inProgress
-		total, tainted := 0, false
-		for _, l := range r.NextLinks(dst) {
-			c, t := visit(l.Dst().ID())
-			total += c
-			tainted = tainted || t
-		}
-		if tainted {
-			delete(memo, id)
-		} else {
-			memo[id] = total
-		}
-		return total, tainted
-	}
-	total := 0
-	for _, up := range n.Hosts[src].Uplinks() {
-		// A route-dead access link contributes no paths: the sender's
-		// own NIC link is as much a part of the live DAG as the fabric.
-		if up.RouteDead() {
+		} else if near == 0 || dist[h.ID] != near {
 			continue
 		}
-		c, _ := visit(up.Dst().ID())
-		total += c
+		if !h.L.RouteDead() {
+			eq = append(eq, h.L)
+		}
 	}
-	return total
+	return eq
+}
+
+// fillRows fills every switch's row with one reverse breadth-first search
+// per destination host: the builders' generic path, exact on any graph.
+// A switch's sets are the distinct equal-cost sets it derives, in order
+// of first use.
+func (n *Network) fillRows() {
+	g, row := n.Graph(), n.rows()
+	sets := make([][][]*netem.Link, len(n.Switches))
+	dist := make([]int32, len(n.Hosts)+len(n.Switches))
+	var eq []*netem.Link
+	for dst := range n.Hosts {
+		clear(dist)
+		g.Distances(dist, netem.NodeID(dst))
+		for i, sw := range n.Switches {
+			eq = g.EqualCost(eq[:0], sw.ID(), netem.NodeID(dst), dist)
+			j := 0
+			for j < len(sets[i]) && !slices.Equal(eq, sets[i][j]) {
+				j++
+			}
+			if j == len(sets[i]) {
+				sets[i] = append(sets[i], slices.Clone(eq))
+			}
+			row(i)[dst] = int32(j)
+		}
+	}
+	for i, sw := range n.Switches {
+		sw.SetRow(sets[i], row(i), &n.routes)
+	}
 }
 
 // validate panics if the network is structurally broken; builders call it
 // before returning. It checks that every host has at least one uplink,
-// then finishes construction by wiring the shared packet pool and
-// snapshotting the as-built routers for Reset.
+// then finishes construction by wiring the shared packet pool.
 func (n *Network) validate() {
 	for i, h := range n.Hosts {
 		if len(h.Uplinks()) == 0 {
@@ -408,10 +421,6 @@ func (n *Network) validate() {
 		}
 	}
 	n.installPool()
-	n.baseRouters = make([]netem.Router, len(n.Switches))
-	for i, sw := range n.Switches {
-		n.baseRouters[i] = n.routers[sw.ID()]
-	}
 }
 
 // setHashSalt records the seed-stream salt a builder used to derive
@@ -425,22 +434,21 @@ func (n *Network) setHashSalt(salt uint64) {
 
 // Reset restores a built network to its pristine state for reuse by
 // another run sharing the same shape (run-instance pooling): every
-// switch's counters, crash state and as-built router; every link's
-// queue, fault/degradation state and statistics; every host's endpoint
-// table and counters. When the builder derived per-switch ECMP hash seeds
-// from the experiment seed, they are re-derived for the new seed, so a
-// recycled network is observationally identical to one freshly built with
-// it (links keep whatever queue capacity they grew). The shared
-// packet pool keeps its free list — that reuse is the point — and the
-// steady-state Reset path allocates nothing.
+// switch's counters, crash state and forwarding row as built; every
+// link's queue, fault/degradation state and statistics; every host's
+// endpoint table and counters. When the builder derived per-switch ECMP
+// hash seeds from the experiment seed, they are re-derived for the new
+// seed, so a recycled network is observationally identical to one freshly
+// built with it (links keep whatever queue capacity they grew). The
+// shared packet pool keeps its free list — that reuse is the point — and
+// the steady-state Reset path allocates nothing.
 //
 // The caller owns the engine half of the contract: Reset drops no
 // events, so it must follow (or precede) sim.Engine.Reset, which
 // discards the in-flight deliveries referencing this network.
 func (n *Network) Reset(seed uint64) {
-	for i, sw := range n.Switches {
+	for _, sw := range n.Switches {
 		sw.Reset()
-		n.setRouter(sw, n.baseRouters[i])
 	}
 	for _, l := range n.Links {
 		l.Reset()

@@ -59,8 +59,8 @@ type VL2 struct {
 func (v *VL2) NumHosts() int { return v.numHosts }
 
 // NewVL2 builds the Clos, wires fabric links at FabricMultiple times the
-// server rate, installs BFS-derived ECMP tables and a DAG-based
-// path-count oracle.
+// server rate and fills the forwarding rows by breadth-first search;
+// PathCount walks them.
 func NewVL2(eng *sim.Engine, cfg VL2Config) *VL2 {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
@@ -119,10 +119,7 @@ func NewVL2(eng *sim.Engine, cfg VL2Config) *VL2 {
 		}
 	}
 
-	buildECMPTables(&v.Network)
-	v.pathCount = func(src, dst netem.NodeID) int {
-		return countShortestPaths(&v.Network, src, dst)
-	}
+	v.fillRows()
 	v.validate()
 	return v
 }

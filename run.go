@@ -360,8 +360,8 @@ func (ri *instance) build(cfg *Config) (*liveRun, error) {
 		}
 		r.faultPlan.SetRecorder(rec)
 		if cfg.Routing.Mode == RoutingGlobal {
-			// Global repair: wrap every router with a per-switch FIB and
-			// rebuild the override tables (coalesced) on each
+			// Global repair: rewrite the override entries of the
+			// switches' forwarding rows (coalesced) on each
 			// reconvergence-delayed link state change. Staggered
 			// convergence and flap damping are the control plane's own
 			// knobs.

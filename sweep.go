@@ -45,7 +45,7 @@ import (
 )
 
 // SweepOptions tunes RunSweep. The zero value is ready to use: all CPUs,
-// no cancellation, no progress reporting, seeds taken from the configs.
+// no progress reporting, seeds taken from the configs.
 type SweepOptions struct {
 	// Workers caps how many experiments run concurrently. Zero or
 	// negative means runtime.GOMAXPROCS(0). Each worker owns at most one
@@ -53,10 +53,6 @@ type SweepOptions struct {
 	// scales with Workers, not with len(configs) or the number of
 	// distinct shapes.
 	Workers int
-
-	// Context cancels the sweep: in-flight simulations poll it (see
-	// RunContext) and abort early. Nil means context.Background().
-	Context context.Context
 
 	// Seed, when non-zero, assigns a derived seed to every config whose
 	// own Seed is zero: config i receives sim.NewRNGStream(Seed, i)'s
@@ -76,10 +72,6 @@ type SweepOptions struct {
 // belongs to configs[i]). The first failing run cancels the rest and its
 // error is returned, wrapped with the config index.
 func RunSweep(configs []Config, opts SweepOptions) ([]*Results, error) {
-	ctx := opts.Context
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	if opts.Seed != 0 {
 		derived := make([]Config, len(configs))
 		for i, cfg := range configs {
@@ -99,7 +91,7 @@ func RunSweep(configs []Config, opts SweepOptions) ([]*Results, error) {
 			slots = cfg.Shards
 		}
 	}
-	return sweep.Run(ctx, len(configs), sweep.Options{
+	return sweep.Run(context.Background(), len(configs), sweep.Options{
 		Workers:      opts.Workers,
 		SlotsPerTask: slots,
 		OnDone:       opts.OnResult,
