@@ -2,6 +2,7 @@ package mmptcp
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/core"
 	"repro/internal/dctcp"
@@ -33,7 +34,7 @@ type Conn interface {
 
 // DialConfig identifies one flow for Dial.
 type DialConfig struct {
-	FlowID uint64
+	FlowID uint64 // at most math.MaxUint32: packets carry 32-bit flow IDs
 	Src    int
 	Dst    int
 	Size   int64 // -1 for unbounded
@@ -66,6 +67,9 @@ func Dial(net *topology.Network, cfg Config, d DialConfig) (Conn, error) {
 	}
 	if d.RNG == nil {
 		return nil, fmt.Errorf("mmptcp: DialConfig.RNG is nil")
+	}
+	if d.FlowID > math.MaxUint32 {
+		return nil, fmt.Errorf("mmptcp: DialConfig.FlowID %d above %d: packets carry 32-bit flow IDs", d.FlowID, uint32(math.MaxUint32))
 	}
 	return dial(net, &cfg, d), nil
 }

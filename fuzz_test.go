@@ -57,10 +57,16 @@ var (
 	fzArrivals     = []float64{0, 1, 1000, 100_000, math.NaN(), math.Inf(1)}
 )
 
+// fzHuge in the K or HostsPerEdge byte decodes to an absurd magnitude
+// (K 1000, HostsPerEdge 1<<30), which resolve must reject before it
+// allocates anything.
+const fzHuge = 0x7f
+
 // fuzzConfig decodes a fuzz program: enum bytes index tables that include
 // misses, numeric bytes are sign-and-magnitude (the top bit negates),
 // and the fabric stays around 16 hosts and 50 ms so one run is
-// milliseconds of host time.
+// milliseconds of host time — unless fzHuge asks for a fabric too big to
+// build.
 func fuzzConfig(prog []byte) Config {
 	at := func(i int) byte {
 		if i < len(prog) {
@@ -77,6 +83,12 @@ func fuzzConfig(prog []byte) Config {
 			return -v
 		}
 		return v
+	}
+	huge := func(i, mod, big int) int { // signed, or big for fzHuge
+		if at(i) == fzHuge {
+			return big
+		}
+		return signed(i, mod)
 	}
 	pick := func(i int, table []int64) int64 {
 		v := table[int(at(i)&0x7f)%len(table)]
@@ -95,8 +107,8 @@ func fuzzConfig(prog []byte) Config {
 	cfg := Config{
 		Topology:        fzTopologies[int(at(fzTopology))%len(fzTopologies)],
 		Protocol:        fzProtocols[int(at(fzProtocol))%len(fzProtocols)],
-		K:               signed(fzK, 7),
-		HostsPerEdge:    signed(fzHostsPerEdge, 5),
+		K:               huge(fzK, 7, 1000),
+		HostsPerEdge:    huge(fzHostsPerEdge, 5, 1<<30),
 		LinkRateBps:     pick(fzLinkRate, fzRates),
 		LinkDelay:       SimTime(mag(fzLinkDelay, int64(10*Microsecond), 100)),
 		QueueLimit:      int(mag(fzQueueLimit, 1, 128)),
@@ -148,8 +160,9 @@ func fuzzSeed(base []byte, pairs ...byte) []byte {
 
 // fuzzSeeds is the corpus tier-1 runs: one valid 16-host config per
 // protocol and topology, then the configs resolve must reject — ten that
-// used to panic, a negative ShortFlowSize, and Subflows 128, whose last
-// subflow ID would wrap negative.
+// used to panic, a negative ShortFlowSize, Subflows 128, whose last
+// subflow ID would wrap negative, and K 1000 and HostsPerEdge 1<<30,
+// whose fabrics used to be allocated.
 func fuzzSeeds() [][]byte {
 	const neg = 0x80
 	valid := func(topo, proto, k, hpe byte) []byte {
@@ -178,6 +191,8 @@ func fuzzSeeds() [][]byte {
 		with(fzArrivalRate, 4), // NaN
 		with(fzSubflows, 8),    // 300: a duplicate endpoint registration
 		with(fzSubflows, 7),    // 128
+		with(fzK, fzHuge),
+		with(fzHostsPerEdge, fzHuge),
 	)
 }
 
@@ -205,12 +220,12 @@ func FuzzConfig(f *testing.F) {
 }
 
 // TestFuzzSeedsCoverBothOutcomes keeps the corpus honest: the valid seeds
-// run and move data, the twelve rejects come back as errors.
+// run and move data, the fourteen rejects come back as errors.
 func TestFuzzSeedsCoverBothOutcomes(t *testing.T) {
 	seeds := fuzzSeeds()
 	for i, prog := range seeds {
 		res, err := Run(fuzzConfig(prog))
-		if bad := i >= len(seeds)-12; bad != (err != nil) {
+		if bad := i >= len(seeds)-14; bad != (err != nil) {
 			t.Errorf("seed %d: err = %v, want an error: %v", i, err, bad)
 		} else if !bad && res.ShortSummary.Count == 0 {
 			t.Errorf("seed %d: no short flow completed: %+v", i, res.ShortSummary)

@@ -218,11 +218,11 @@ func (h *Host) SendOn(p *Packet, iface int) {
 func (h *Host) Receive(p *Packet, from *Link) {
 	h.RxPackets++
 	h.RxBytes += int64(p.Size)
-	ep := h.endpoints.get(p.FlowID, p.Subflow)
+	ep := h.endpoints.get(uint64(p.FlowID), p.Subflow)
 	if ep == nil {
 		// Fall back to the connection-level endpoint (subflow -1), used by
 		// receivers that accept every subflow of a connection.
-		ep = h.endpoints.get(p.FlowID, -1)
+		ep = h.endpoints.get(uint64(p.FlowID), -1)
 	}
 	if ep != nil {
 		ep.HandlePacket(p)

@@ -120,7 +120,7 @@ type Link struct {
 	// txSize/txTime memoise the serialisation time of the last two packet
 	// sizes at the current rate (data and ACK cover nearly all traffic),
 	// sparing a 64-bit divide per hop. Size 0 takes 0: zero is empty.
-	txSize [2]int
+	txSize [2]uint16
 	txTime [2]sim.Time
 
 	// Fault state. down is the data plane: a down link blackholes
@@ -368,7 +368,7 @@ func (l *Link) SetRateFactor(factor float64) {
 		r = 1
 	}
 	l.rate = r
-	l.txSize, l.txTime = [2]int{}, [2]sim.Time{}
+	l.txSize, l.txTime = [2]uint16{}, [2]sim.Time{}
 }
 
 // SetExtraDelay adds extra propagation delay on top of the built delay
@@ -410,7 +410,7 @@ func (l *Link) Reset() {
 	l.down = false
 	l.SetRouteDead(false)
 	l.rate = l.baseRate
-	l.txSize, l.txTime = [2]int{}, [2]sim.Time{}
+	l.txSize, l.txTime = [2]uint16{}, [2]sim.Time{}
 	l.prop = l.baseProp
 	l.lossRate = 0
 	l.lossRNG = nil
@@ -429,7 +429,7 @@ func (l *Link) blackhole(p *Packet) {
 	l.Stats.BlackholedBytes += int64(p.Size)
 	if l.rec != nil {
 		src, dst := l.traceIDs()
-		l.rec.Record(l.eng.Now(), trace.KindBlackhole, p.FlowID, p.Subflow, src, dst, p.Seq, 0)
+		l.rec.Record(l.eng.Now(), trace.KindBlackhole, uint64(p.FlowID), p.Subflow, src, dst, p.Seq, 0)
 	}
 	l.pool.Put(p)
 }
@@ -442,7 +442,7 @@ func (l *Link) blackholeRx(p *Packet) {
 	l.rxBlackholedBytes += int64(p.Size)
 	if l.rxRec != nil {
 		src, dst := l.traceIDs()
-		l.rxRec.Record(l.rxSched.Now(), trace.KindBlackhole, p.FlowID, p.Subflow, src, dst, p.Seq, 0)
+		l.rxRec.Record(l.rxSched.Now(), trace.KindBlackhole, uint64(p.FlowID), p.Subflow, src, dst, p.Seq, 0)
 	}
 	l.rxPool.Put(p)
 }
@@ -467,7 +467,7 @@ func (l *Link) Enqueue(p *Packet) {
 		l.Stats.RandomDropBytes += int64(p.Size)
 		if l.rec != nil {
 			src, dst := l.traceIDs()
-			l.rec.Record(l.eng.Now(), trace.KindRandomDrop, p.FlowID, p.Subflow, src, dst, p.Seq, 0)
+			l.rec.Record(l.eng.Now(), trace.KindRandomDrop, uint64(p.FlowID), p.Subflow, src, dst, p.Seq, 0)
 		}
 		l.pool.Put(p)
 		return
@@ -476,7 +476,7 @@ func (l *Link) Enqueue(p *Packet) {
 		l.Stats.Enqueued++
 		if l.rec != nil {
 			src, dst := l.traceIDs()
-			l.rec.Record(l.eng.Now(), trace.KindEnqueue, p.FlowID, p.Subflow, src, dst, p.Seq, 0)
+			l.rec.Record(l.eng.Now(), trace.KindEnqueue, uint64(p.FlowID), p.Subflow, src, dst, p.Seq, 0)
 		}
 		l.transmit(p)
 		return
@@ -486,22 +486,22 @@ func (l *Link) Enqueue(p *Packet) {
 		l.Stats.DropBytes += int64(p.Size)
 		if l.rec != nil {
 			src, dst := l.traceIDs()
-			l.rec.Record(l.eng.Now(), trace.KindQueueDrop, p.FlowID, p.Subflow, src, dst, p.Seq, int64(l.limit))
+			l.rec.Record(l.eng.Now(), trace.KindQueueDrop, uint64(p.FlowID), p.Subflow, src, dst, p.Seq, int64(l.limit))
 		}
 		l.pool.Put(p)
 		return
 	}
 	if l.ECNThreshold > 0 && l.count >= l.ECNThreshold {
-		p.CE = true
+		p.Flags |= FlagCE
 		if l.rec != nil {
 			src, dst := l.traceIDs()
-			l.rec.Record(l.eng.Now(), trace.KindECNMark, p.FlowID, p.Subflow, src, dst, p.Seq, int64(l.count))
+			l.rec.Record(l.eng.Now(), trace.KindECNMark, uint64(p.FlowID), p.Subflow, src, dst, p.Seq, int64(l.count))
 		}
 	}
 	l.Stats.Enqueued++
 	if l.rec != nil {
 		src, dst := l.traceIDs()
-		l.rec.Record(l.eng.Now(), trace.KindEnqueue, p.FlowID, p.Subflow, src, dst, p.Seq, int64(l.count+1))
+		l.rec.Record(l.eng.Now(), trace.KindEnqueue, uint64(p.FlowID), p.Subflow, src, dst, p.Seq, int64(l.count+1))
 	}
 	l.accountQueue()
 	l.push(p)
@@ -548,7 +548,7 @@ func (l *Link) transmit(p *Packet) {
 	tx := l.txTime[0]
 	if p.Size != l.txSize[0] {
 		if tx = l.txTime[1]; p.Size != l.txSize[1] {
-			tx = sim.TransmissionTime(p.Size, l.rate)
+			tx = sim.TransmissionTime(int(p.Size), l.rate)
 			l.txSize[1], l.txTime[1] = l.txSize[0], l.txTime[0]
 			l.txSize[0], l.txTime[0] = p.Size, tx
 		}

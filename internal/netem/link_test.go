@@ -23,7 +23,7 @@ func (s *sink) Receive(p *Packet, from *Link) {
 }
 
 func dataPacket(size int) *Packet {
-	return &Packet{Src: 1, Dst: 2, SrcPort: 1000, DstPort: 80, Size: size, Flags: FlagData, PayloadLen: size - 60}
+	return &Packet{Src: 1, Dst: 2, SrcPort: 1000, DstPort: 80, Size: uint16(size), Flags: FlagData, PayloadLen: uint16(size - 60)}
 }
 
 func TestLinkDeliveryTiming(t *testing.T) {
@@ -163,7 +163,7 @@ func TestLinkECNMarking(t *testing.T) {
 	eng.Run()
 	var marked int
 	for _, p := range dst.packets {
-		if p.CE {
+		if p.Flags&FlagCE != 0 {
 			marked++
 		}
 	}

@@ -20,12 +20,18 @@ import (
 // NodeID identifies a node (host or switch) in the simulated network.
 type NodeID int32
 
-// Flag bits carried by a Packet.
+// Flag bits carried by a Packet. The low four say what the packet is; the
+// high four are the per-packet booleans, packed here so a Packet fits one
+// cache line.
 const (
-	FlagData uint8 = 1 << iota // carries payload bytes
-	FlagAck                    // carries a cumulative acknowledgement
-	FlagSYN                    // subflow establishment
-	FlagFIN                    // sender finished
+	FlagData    uint8 = 1 << iota // carries payload bytes
+	FlagAck                       // carries a cumulative acknowledgement
+	FlagSYN                       // subflow establishment
+	FlagFIN                       // sender finished
+	FlagRetx                      // retransmitted data segment (stats only)
+	FlagCE                        // ECN congestion experienced, set at enqueue
+	FlagEchoCE                    // receiver's echo of FlagCE on the ACK
+	FlagEchoDup                   // ACK for an all-duplicate segment (DSACK-style)
 )
 
 // Packet is a simulated network packet. Packets are allocated per
@@ -33,13 +39,29 @@ const (
 // transport fields used by the TCP/MPTCP/MMPTCP endpoints. A Packet must
 // not be mutated after being handed to a link, except by the eventual
 // receiving endpoint.
+//
+// A Packet is exactly 64 bytes: Go's 64-byte size class and one cache
+// line. Every live packet of a run is one of these, so at paper scale
+// they are the largest share of a run's allocation. The narrow fields
+// are ranged by construction:
+//   - Size and PayloadLen are uint16: the largest packet is one MSS plus
+//     headers (1,460 bytes with tcp.DefaultConfig).
+//   - FlowID is uint32: mmptcp.Dial rejects larger identifiers, and the
+//     run harness numbers flows from 1.
+//   - Hops is uint8: switches drop a packet past maxHops (32).
+//   - Subflow, Flags and Hops share one word with one byte of padding;
+//     Flags holds eight bits (see FlagData through FlagEchoDup).
+//
+// No field overlays another; they are narrowed, not unioned.
 type Packet struct {
 	// Routing fields (the ECMP 5-tuple; protocol is implicitly TCP).
 	Src, Dst         NodeID
 	SrcPort, DstPort uint16
 
-	// Size is the total on-wire size in bytes (headers + payload).
-	Size int
+	// Size is the total on-wire size in bytes (headers + payload), and
+	// PayloadLen the payload bytes carried (0 for pure ACKs).
+	Size       uint16
+	PayloadLen uint16
 
 	// FlowID identifies the connection for endpoint demultiplexing, and
 	// Subflow the subflow within an MPTCP/MMPTCP connection. Using an
@@ -47,15 +69,26 @@ type Packet struct {
 	// flows randomise their source port per packet without breaking
 	// receive-side demultiplexing, mirroring how MPTCP identifies
 	// subflows by token rather than by 4-tuple alone.
-	FlowID  uint64
+	FlowID  uint32
 	Subflow int8
 
+	// Flags holds the FlagData..FlagEchoDup bits. FlagEchoDup is set on
+	// an ACK when the data segment that triggered it carried only
+	// already-received bytes — the DSACK-style signal (RR-TCP, the
+	// paper's §2 alternative) that a retransmission was spurious, used
+	// by adaptive duplicate-ACK thresholds. FlagRetx marks retransmitted
+	// data segments (stats only; RTT sampling uses timestamps and is
+	// immune to retransmission ambiguity). FlagCE is the ECN mark set by
+	// queues whose ECN threshold is exceeded (the DCTCP extension), and
+	// FlagEchoCE its receiver echo on the returning ACK.
 	Flags uint8
 
+	// Hops counts traversed links, as a routing-loop backstop.
+	Hops uint8
+
 	// Subflow-level sequence space (bytes).
-	Seq        int64 // sequence number of first payload byte
-	PayloadLen int   // payload bytes carried (0 for pure ACKs)
-	AckSeq     int64 // cumulative ACK (valid when FlagAck set)
+	Seq    int64 // sequence number of first payload byte
+	AckSeq int64 // cumulative ACK (valid when FlagAck set)
 
 	// Data-level (connection-wide) sequence space for MPTCP/MMPTCP.
 	DataSeq int64 // data sequence of first payload byte
@@ -64,26 +97,6 @@ type Packet struct {
 	// estimation (TCP timestamps, RFC 7323 style).
 	SentTS sim.Time // stamped by the sender on transmission
 	EchoTS sim.Time // echoed by the receiver in ACKs
-
-	// EchoDup is set on an ACK when the data segment that triggered it
-	// carried only already-received bytes — the DSACK-style signal
-	// (RR-TCP, the paper's §2 alternative) that a retransmission was
-	// spurious, used by adaptive duplicate-ACK thresholds.
-	EchoDup bool
-
-	// Retx marks retransmitted data segments (used by stats only; RTT
-	// sampling uses timestamps and is immune to retransmission
-	// ambiguity).
-	Retx bool
-
-	// ECN congestion-experienced mark, set by queues whose ECN
-	// threshold is exceeded (used by the DCTCP extension), and its
-	// receiver echo on the returning ACK.
-	CE     bool
-	EchoCE bool
-
-	// Hops counts traversed links, as a routing-loop backstop.
-	Hops int
 }
 
 // IsData reports whether the packet carries payload bytes.

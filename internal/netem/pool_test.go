@@ -1,8 +1,10 @@
 package netem
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 // TestPacketPoolRecycles checks Get returns a fully zeroed packet even
@@ -11,10 +13,9 @@ func TestPacketPoolRecycles(t *testing.T) {
 	pp := NewPacketPool()
 	p := pp.Get()
 	p.Src, p.Dst = 3, 4
-	p.Flags = FlagData | FlagAck
+	p.Flags = FlagData | FlagAck | FlagRetx | FlagCE | FlagEchoCE | FlagEchoDup
 	p.Seq, p.AckSeq, p.DataSeq = 100, 200, 300
 	p.Hops = 7
-	p.CE, p.EchoDup, p.Retx = true, true, true
 	pp.Put(p)
 	q := pp.Get()
 	if q != p {
@@ -25,6 +26,31 @@ func TestPacketPoolRecycles(t *testing.T) {
 	}
 	if pp.Gets != 2 || pp.Recycled != 1 {
 		t.Errorf("counters = %d gets / %d recycled, want 2/1", pp.Gets, pp.Recycled)
+	}
+}
+
+// TestPacketOneCacheLine pins the packet layout: 64 bytes is Go's
+// 64-byte size class and one cache line, where one more byte would cost
+// an 80-byte object. A cold Get must allocate exactly one such object.
+func TestPacketOneCacheLine(t *testing.T) {
+	if n := unsafe.Sizeof(Packet{}); n != 64 {
+		t.Fatalf("unsafe.Sizeof(Packet{}) = %d, want 64", n)
+	}
+	const gets = 1 << 16
+	pp := NewPacketPool()
+	keep := make([]*Packet, gets)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := range keep {
+		keep[i] = pp.Get()
+	}
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(keep)
+	// Integer division forgives a few stray bytes from the runtime, never
+	// a larger size class.
+	if objs, bytes := after.Mallocs-before.Mallocs, (after.TotalAlloc-before.TotalAlloc)/gets; objs < gets || bytes != 64 {
+		t.Errorf("%d cold Gets made %d objects of %d bytes each, want one of 64 each", gets, objs, bytes)
 	}
 }
 

@@ -137,8 +137,8 @@ func FuzzLinkRing(f *testing.F) {
 			if p.Seq != m.delivered[i] {
 				t.Fatalf("delivery %d is seq %d, model %d", i, p.Seq, m.delivered[i])
 			}
-			if p.CE != m.marked[p.Seq] {
-				t.Errorf("seq %d CE = %v, model %v", p.Seq, p.CE, m.marked[p.Seq])
+			if ce := p.Flags&FlagCE != 0; ce != m.marked[p.Seq] {
+				t.Errorf("seq %d CE = %v, model %v", p.Seq, ce, m.marked[p.Seq])
 			}
 		}
 	})

@@ -172,7 +172,7 @@ func (s *Switch) Receive(p *Packet, from *Link) {
 	if s.down {
 		s.CrashDrops++
 		if s.rec != nil {
-			s.rec.Record(s.eng.Now(), trace.KindCrashDrop, p.FlowID, p.Subflow, int32(s.id), -1, p.Seq, 0)
+			s.rec.Record(s.eng.Now(), trace.KindCrashDrop, uint64(p.FlowID), p.Subflow, int32(s.id), -1, p.Seq, 0)
 		}
 		s.pool.Put(p)
 		return
@@ -190,7 +190,7 @@ func (s *Switch) Receive(p *Packet, from *Link) {
 			if transient {
 				kind = trace.KindLoopDrop
 			}
-			s.rec.Record(s.eng.Now(), kind, p.FlowID, p.Subflow, int32(s.id), -1, int64(p.Hops), 0)
+			s.rec.Record(s.eng.Now(), kind, uint64(p.FlowID), p.Subflow, int32(s.id), -1, int64(p.Hops), 0)
 		}
 		s.pool.Put(p)
 		return
@@ -208,7 +208,7 @@ func (s *Switch) Receive(p *Packet, from *Link) {
 			transient = 1
 		}
 		if s.rec != nil {
-			s.rec.Record(s.eng.Now(), trace.KindNoRouteDrop, p.FlowID, p.Subflow, int32(s.id), -1, transient, 0)
+			s.rec.Record(s.eng.Now(), trace.KindNoRouteDrop, uint64(p.FlowID), p.Subflow, int32(s.id), -1, transient, 0)
 		}
 		s.pool.Put(p)
 		return

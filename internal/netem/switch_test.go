@@ -175,7 +175,7 @@ func TestFlowHashProperties(t *testing.T) {
 	// Property: the hash depends only on the 5-tuple and seed.
 	f := func(src, dst int32, sport, dport uint16, seed uint32) bool {
 		p1 := &Packet{Src: NodeID(src), Dst: NodeID(dst), SrcPort: sport, DstPort: dport, Seq: 1, Size: 100}
-		p2 := &Packet{Src: NodeID(src), Dst: NodeID(dst), SrcPort: sport, DstPort: dport, Seq: 999, Size: 1500, Retx: true}
+		p2 := &Packet{Src: NodeID(src), Dst: NodeID(dst), SrcPort: sport, DstPort: dport, Seq: 999, Size: 1500, Flags: FlagRetx}
 		return p1.FlowHash(seed) == p2.FlowHash(seed)
 	}
 	if err := quick.Check(f, nil); err != nil {

@@ -92,7 +92,7 @@ func (r *Receiver) HandlePacket(p *netem.Packet) {
 	}
 
 	// Cumulative ACK for this subflow, echoing the sender timestamp.
-	// A fully-duplicate segment raises the DSACK-style EchoDup signal.
+	// A fully-duplicate segment raises the DSACK-style FlagEchoDup signal.
 	// The ACK comes from the network's packet pool, so per-packet
 	// acknowledgement allocates nothing.
 	ack := r.host.NewPacket()
@@ -100,14 +100,18 @@ func (r *Receiver) HandlePacket(p *netem.Packet) {
 	ack.Dst = p.Src
 	ack.SrcPort = p.DstPort
 	ack.DstPort = p.SrcPort
-	ack.Size = r.cfg.HeaderBytes
+	ack.Size = uint16(r.cfg.HeaderBytes)
 	ack.FlowID = p.FlowID
 	ack.Subflow = p.Subflow
 	ack.Flags = netem.FlagAck
+	if newSub == 0 && p.PayloadLen > 0 {
+		ack.Flags |= netem.FlagEchoDup
+	}
+	if p.Flags&netem.FlagCE != 0 {
+		ack.Flags |= netem.FlagEchoCE
+	}
 	ack.AckSeq = buf.ContiguousFrom(0)
 	ack.EchoTS = p.SentTS
-	ack.EchoDup = newSub == 0 && p.PayloadLen > 0
-	ack.EchoCE = p.CE
 	r.Stats.AcksSent++
 	r.host.Send(ack)
 

@@ -273,7 +273,7 @@ func (s *Sender) HandlePacket(p *netem.Packet) {
 	if p.EchoTS > 0 {
 		s.sampleRTT(s.eng.Now() - p.EchoTS)
 	}
-	if p.EchoDup {
+	if p.Flags&netem.FlagEchoDup != 0 {
 		s.Stats.SpuriousSignals++
 		if s.adaptive && s.dupThresh < maxAdaptiveDupThresh {
 			s.dupThresh++
@@ -282,7 +282,7 @@ func (s *Sender) HandlePacket(p *netem.Packet) {
 	switch {
 	case p.AckSeq > s.sndUna:
 		if ecn, ok := s.cc.(ECNCapable); ok {
-			ecn.OnECNEcho(s, int(p.AckSeq-s.sndUna), p.EchoCE)
+			ecn.OnECNEcho(s, int(p.AckSeq-s.sndUna), p.Flags&netem.FlagEchoCE != 0)
 		}
 		s.onNewAck(p.AckSeq)
 	case p.AckSeq == s.sndUna && s.Flight() > 0:
@@ -496,15 +496,17 @@ func (s *Sender) transmit(m mapping, retx bool) {
 	p.Dst = s.dst
 	p.SrcPort = sport
 	p.DstPort = s.dstPort
-	p.Size = s.cfg.HeaderBytes + int(m.n)
-	p.FlowID = s.flowID
+	p.Size = uint16(s.cfg.HeaderBytes + int(m.n))
+	p.FlowID = uint32(s.flowID)
 	p.Subflow = s.subflow
 	p.Flags = netem.FlagData
+	if retx {
+		p.Flags |= netem.FlagRetx
+	}
 	p.Seq = m.subSeq
-	p.PayloadLen = int(m.n)
+	p.PayloadLen = uint16(m.n)
 	p.DataSeq = m.dataSeq
 	p.SentTS = s.eng.Now()
-	p.Retx = retx
 	s.Stats.SegmentsSent++
 	s.Stats.BytesSent += m.n
 	if retx {

@@ -1,6 +1,7 @@
 package tcp
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/netem"
@@ -436,7 +437,7 @@ func TestAdaptiveDupThreshCapped(t *testing.T) {
 	// Feed synthetic spurious signals directly, well past the cap.
 	const signals = 2 * maxAdaptiveDupThresh
 	for i := 0; i < signals; i++ {
-		snd.HandlePacket(&netem.Packet{Flags: netem.FlagAck, EchoDup: true, FlowID: 2})
+		snd.HandlePacket(&netem.Packet{Flags: netem.FlagAck | netem.FlagEchoDup, FlowID: 2})
 	}
 	if snd.DupThresh() != 64 {
 		t.Errorf("threshold = %d, want capped at 64", snd.DupThresh())
@@ -468,13 +469,13 @@ func TestReceiverEchoDupSignal(t *testing.T) {
 	if len(acks) != 3 {
 		t.Fatalf("acks = %d", len(acks))
 	}
-	if acks[0].EchoDup {
+	if acks[0].Flags&netem.FlagEchoDup != 0 {
 		t.Error("first delivery flagged as duplicate")
 	}
-	if !acks[1].EchoDup {
+	if acks[1].Flags&netem.FlagEchoDup == 0 {
 		t.Error("duplicate delivery not flagged")
 	}
-	if acks[2].EchoDup {
+	if acks[2].Flags&netem.FlagEchoDup != 0 {
 		t.Error("fresh delivery flagged as duplicate")
 	}
 }
@@ -631,7 +632,7 @@ func TestSenderMappingsStayInPlace(t *testing.T) {
 				arrays++
 			}
 		}
-		return p.IsData() && !p.Retx && p.Seq%int64(400*cfg.MSS) == int64(200*cfg.MSS)
+		return p.IsData() && p.Flags&netem.FlagRetx == 0 && p.Seq%int64(400*cfg.MSS) == int64(200*cfg.MSS)
 	}
 	snd.Start()
 	tn.eng.Run()
@@ -662,7 +663,7 @@ func TestIdentityTransferHoldsOneRun(t *testing.T) {
 	maxLive := 0
 	tn.w.drop = func(p *netem.Packet) bool {
 		maxLive = max(maxLive, len(snd.maps)-snd.mapHead)
-		return p.IsData() && !p.Retx && p.Seq%int64(400*cfg.MSS) == int64(200*cfg.MSS)
+		return p.IsData() && p.Flags&netem.FlagRetx == 0 && p.Seq%int64(400*cfg.MSS) == int64(200*cfg.MSS)
 	}
 	snd.Start()
 	tn.eng.Run()
@@ -675,5 +676,129 @@ func TestIdentityTransferHoldsOneRun(t *testing.T) {
 	}
 	if snd.Stats.FastRetransmits == 0 {
 		t.Error("no loss recovery: the scenario no longer exercises retransmission")
+	}
+}
+
+// TestDefaultPacketFitsSizeField: netem.Packet carries Size and
+// PayloadLen as uint16, so the largest packet a default sender builds —
+// one MSS plus headers — must fit, or a later default change would wrap
+// sizes silently instead of failing here.
+func TestDefaultPacketFitsSizeField(t *testing.T) {
+	cfg := DefaultConfig()
+	if n := cfg.MSS + cfg.HeaderBytes; n > math.MaxUint16 {
+		t.Fatalf("MSS %d + HeaderBytes %d = %d does not fit Packet.Size (uint16)", cfg.MSS, cfg.HeaderBytes, n)
+	}
+}
+
+// ecnSpy is RenoCC that counts the ECN echoes the sender hands it.
+type ecnSpy struct {
+	RenoCC
+	calls, marked int
+}
+
+func (c *ecnSpy) OnECNEcho(_ *Sender, _ int, marked bool) {
+	c.calls++
+	if marked {
+		c.marked++
+	}
+}
+
+// TestFlagBitsRoundTrip: the packed flag bits go where the packet's
+// booleans used to. A queue's CE mark at enqueue comes back as
+// FlagEchoCE on the ACK for that segment and reaches OnECNEcho on every
+// ACK that advances snd.una; FlagRetx is set on exactly the segments
+// sent before; FlagEchoDup on exactly the ACKs for all-duplicate
+// segments. A held-back segment (a spurious fast retransmit, then a
+// duplicate) and a dropped one (a real retransmit) exercise both.
+func TestFlagBitsRoundTrip(t *testing.T) {
+	tn := newTestNet()
+	tn.a.Uplinks()[0].ECNThreshold = 2
+	cfg := DefaultConfig()
+	mss := int64(cfg.MSS)
+	spy := &ecnSpy{}
+	rcv := NewReceiver(cfg, tn.b, 1, 140_000)
+	snd := NewSender(cfg, SenderOptions{
+		Host: tn.a, Dst: tn.b.ID(), FlowID: 1, SrcPort: 10000, DstPort: 80,
+		Source: &BytesSource{Size: 140_000}, CC: spy,
+	})
+
+	// At the wire: data segments in send order, ACKs in arrival order.
+	sent := map[int64]bool{}
+	var retxFlags int
+	var acks []uint8 // FlagEchoCE|FlagEchoDup bits of each ACK
+	var advancing, advancingCE int
+	var maxAck int64
+	tn.w.drop = func(p *netem.Packet) bool {
+		if p.IsData() {
+			if retx := p.Flags&netem.FlagRetx != 0; retx != sent[p.Seq] {
+				t.Errorf("seq %d: FlagRetx %v, sent before %v", p.Seq, retx, sent[p.Seq])
+			} else if retx {
+				retxFlags++
+			}
+			first := !sent[p.Seq]
+			sent[p.Seq] = true
+			return first && p.Seq == 40*mss // a real loss
+		}
+		acks = append(acks, p.Flags&(netem.FlagEchoCE|netem.FlagEchoDup))
+		if p.AckSeq > maxAck {
+			maxAck = p.AckSeq
+			advancing++
+			if p.Flags&netem.FlagEchoCE != 0 {
+				advancingCE++
+			}
+		}
+		return false
+	}
+	held := false
+	tn.w.delay = func(p *netem.Packet) sim.Time {
+		if p.IsData() && p.Seq == 10*mss && !held {
+			held = true
+			return 2 * sim.Millisecond // overtaken: fast retransmit, then a duplicate
+		}
+		return 0
+	}
+
+	// At host b, ahead of the receiver: what each segment's ACK must echo.
+	got := map[int64]bool{}
+	var want []uint8
+	var marks, dups int
+	tn.b.Register(1, 0, endpointFunc(func(p *netem.Packet) {
+		var echo uint8
+		if p.Flags&netem.FlagCE != 0 {
+			echo |= netem.FlagEchoCE
+			marks++
+		}
+		if got[p.Seq] {
+			echo |= netem.FlagEchoDup
+			dups++
+		}
+		got[p.Seq] = true
+		want = append(want, echo)
+		rcv.HandlePacket(p)
+	}))
+
+	snd.Start()
+	tn.eng.Run()
+	if !rcv.Complete() {
+		t.Fatal("transfer incomplete")
+	}
+	retx := int(snd.Stats.Retransmissions)
+	if marks == 0 || advancingCE == 0 || dups == 0 || retx < 2 {
+		t.Fatalf("scenario too mild: %d CE marks (%d on advancing ACKs), %d duplicates, %d retransmissions",
+			marks, advancingCE, dups, retx)
+	}
+	if retxFlags != retx {
+		t.Errorf("%d segments carried FlagRetx, sender retransmitted %d", retxFlags, retx)
+	}
+	if len(acks) != len(want) {
+		t.Fatalf("%d ACKs reached the wire for %d segments", len(acks), len(want))
+	}
+	for i := range acks {
+		if acks[i] != want[i] {
+			t.Errorf("ACK %d echoes flags %#x, its segment wants %#x", i, acks[i], want[i])
+		}
+	}
+	if spy.calls != advancing || spy.marked != advancingCE {
+		t.Errorf("OnECNEcho saw %d ACKs (%d marked), want %d (%d marked)", spy.calls, spy.marked, advancing, advancingCE)
 	}
 }

@@ -27,6 +27,10 @@ func (c DumbbellConfig) Validate() error {
 		return fmt.Errorf("topology: dumbbell needs HostsPerSide >= 1, BottleneckBps >= 0 and BottleneckQueue >= 0, got %d, %d and %d",
 			c.HostsPerSide, c.BottleneckBps, c.BottleneckQueue)
 	}
+	n := float64(c.HostsPerSide)
+	if err := checkSize(2*n, 2, 2*(2*n+1)); err != nil {
+		return err
+	}
 	return c.Link.Validate()
 }
 

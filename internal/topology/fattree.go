@@ -40,6 +40,14 @@ func (c FatTreeConfig) Validate() error {
 	if c.K < 2 || c.K%2 != 0 || c.HostsPerEdge < 0 {
 		return fmt.Errorf("topology: FatTree needs even K >= 2 and HostsPerEdge >= 0, got %d and %d", c.K, c.HostsPerEdge)
 	}
+	k, hpe := float64(c.K), float64(c.HostsPerEdge)
+	if hpe == 0 {
+		hpe = k / 2
+	}
+	hosts := k * k / 2 * hpe
+	if err := checkSize(hosts, 5*k*k/4, 2*(hosts+k*k*k/2)); err != nil {
+		return err
+	}
 	return c.Link.Validate()
 }
 

@@ -19,7 +19,7 @@ func sendPacket(n *Network, src, dst int, sport, dport uint16, flowID uint64, se
 		Src: netem.NodeID(src), Dst: netem.NodeID(dst),
 		SrcPort: sport, DstPort: dport,
 		Size: 1460, Flags: netem.FlagData, PayloadLen: 1400,
-		FlowID: flowID, Seq: seq,
+		FlowID: uint32(flowID), Seq: seq,
 	}
 	n.Hosts[src].Send(p)
 }
@@ -131,7 +131,7 @@ func TestFatTreeHopCounts(t *testing.T) {
 		if len(rec.got) != 1 {
 			t.Fatalf("case %d: delivered %d", i, len(rec.got))
 		}
-		if rec.got[0].Hops != tc.hops {
+		if int(rec.got[0].Hops) != tc.hops {
 			t.Errorf("%d->%d: hops = %d, want %d", tc.src, tc.dst, rec.got[0].Hops, tc.hops)
 		}
 	}

@@ -49,6 +49,31 @@ func DefaultLinkConfig() LinkConfig {
 	}
 }
 
+// Fabric size bounds, checked by every builder's Validate before anything
+// is allocated. The forwarding table holds one int32 set index per
+// (switch, host) pair, so MaxTableEntries caps switches × hosts at 64 Mi
+// entries (256 MB of table); MaxLinks caps the link slab, which the table
+// does not bound on a mesh such as VL2's. The K=16, 3,456-host FatTree
+// needs 1.1 Mi entries and 11 Ki links.
+const (
+	MaxTableEntries = 1 << 26
+	MaxLinks        = 1 << 20
+)
+
+// checkSize rejects a fabric whose forwarding table or link slab would
+// exceed the bounds. Counts are float64 so absurd configs cannot
+// overflow on the way to being rejected.
+func checkSize(hosts, switches, links float64) error {
+	if n := hosts * switches; n > MaxTableEntries {
+		return fmt.Errorf("topology: %.4g hosts × %.4g switches need a %.4g-entry forwarding table, above the %d bound",
+			hosts, switches, n, MaxTableEntries)
+	}
+	if links > MaxLinks {
+		return fmt.Errorf("topology: %.4g links, above the %d bound", links, MaxLinks)
+	}
+	return nil
+}
+
 // Validate reports the first field no link can be built from. Zero
 // fields are fine: they take defaults.
 func (c LinkConfig) Validate() error {

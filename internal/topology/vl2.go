@@ -45,6 +45,11 @@ func (c VL2Config) Validate() error {
 	case c.FabricMultiple < 0:
 		return fmt.Errorf("topology: negative VL2 FabricMultiple %d", c.FabricMultiple)
 	}
+	tors, da, di := 2*float64(c.DA), float64(c.DA), float64(c.DI)
+	hosts := tors * float64(c.HostsPerToR)
+	if err := checkSize(hosts, tors+da+di, 2*(hosts+2*tors+da*di)); err != nil {
+		return err
+	}
 	return c.Link.Validate()
 }
 

@@ -444,6 +444,14 @@ func (c *Config) resolve(run bool) error {
 			return fmt.Errorf("mmptcp: negative %s: %d", f.name, f.v)
 		}
 	}
+	// K and HostsPerEdge each multiply the fabric: past the forwarding
+	// table's bound no topology fits either, and capping them here keeps
+	// the products the topology configs are built from in range. Below
+	// it, each topology's Validate checks its own table and link counts.
+	if c.K > topology.MaxTableEntries || c.HostsPerEdge > topology.MaxTableEntries {
+		return fmt.Errorf("mmptcp: K %d or HostsPerEdge %d above %d: the fabric's forwarding table would exceed its bound",
+			c.K, c.HostsPerEdge, topology.MaxTableEntries)
+	}
 	if c.Subflows > math.MaxInt8 {
 		return fmt.Errorf("mmptcp: Subflows %d above %d: subflow IDs are int8", c.Subflows, math.MaxInt8)
 	}

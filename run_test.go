@@ -193,6 +193,12 @@ func TestRunValidation(t *testing.T) {
 		{with(func(c *Config) { c.Subflows = -1 }), "Subflows"},
 		{with(func(c *Config) { c.Subflows = 300 }), "Subflows"},     // used to panic: duplicate endpoint
 		{with(func(c *Config) { c.Subflows = 1 << 40 }), "Subflows"}, // used to allocate without bound
+		// Fabrics too big to build used to be allocated anyway.
+		{with(func(c *Config) { c.K = 1000 }), "forwarding table"},
+		{with(func(c *Config) { c.HostsPerEdge = 1 << 30 }), "forwarding table"},
+		{with(func(c *Config) { c.Topology = TopoMultiHomed; c.K = 1000 }), "forwarding table"},
+		{with(func(c *Config) { c.Topology = TopoDumbbell; c.K, c.HostsPerEdge = 2, 1<<25 }), "forwarding table"},
+		{with(func(c *Config) { c.Topology = TopoVL2; c.K, c.HostsPerEdge = 1000, 1 }), "links"},
 		{with(func(c *Config) { c.SwitchBytes = -1 }), "SwitchBytes"},
 		{with(func(c *Config) { c.ShortFlowSize = -1 }), "ShortFlowSize"},
 		{with(func(c *Config) { c.Strategy = 7 }), "Strategy"},
@@ -343,8 +349,9 @@ func TestDialSingleFlow(t *testing.T) {
 }
 
 // TestDialValidation: Dial is exported, so what arrives is checked —
-// endpoints outside the network and a missing RNG are errors, not index
-// or nil-pointer panics.
+// endpoints outside the network, a missing RNG and a flow ID wider than a
+// packet's 32 bits are errors, not index or nil-pointer panics or flow
+// IDs that wrap.
 func TestDialValidation(t *testing.T) {
 	eng := sim.NewEngine()
 	net, err := NewNetwork(eng, Config{Protocol: ProtoTCP, K: 4})
@@ -364,6 +371,7 @@ func TestDialValidation(t *testing.T) {
 		{Config{Protocol: ProtoMMPTCP}, DialConfig{Src: 0, Dst: 1}, "RNG"},
 		{Config{Protocol: "bogus"}, DialConfig{Src: 0, Dst: 1, RNG: sim.NewRNG(1)}, "protocol"},
 		{Config{Protocol: ProtoTCP, Subflows: -1}, DialConfig{Src: 0, Dst: 1, RNG: sim.NewRNG(1)}, "Subflows"},
+		{Config{Protocol: ProtoMMPTCP}, DialConfig{FlowID: 1 << 32, Src: 0, Dst: 1, RNG: sim.NewRNG(1)}, "FlowID"},
 	} {
 		if _, err := Dial(net, tc.cfg, tc.d); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("Dial(%s, %+v): err = %v, want an error mentioning %q", tc.cfg.Protocol, tc.d, err, tc.want)
