@@ -6,7 +6,7 @@ import "slices"
 // step by Link.SetRouteDead and Link.Reset for every link whose Routes
 // points at it, and its switches holding a staged row, kept by Row. It
 // exists so that rows need not inspect links at all while the fabric is
-// healthy, and can tell when a filtered set they cached has gone stale.
+// healthy, and can tell when the live sets they filtered have gone stale.
 // It is written only by control-plane events (fault injection, routing),
 // which on a sharded fabric run at barriers.
 type RouteState struct {
@@ -24,12 +24,15 @@ func (rs *RouteState) Dead() int { return rs.dead }
 // because ECMP picks set[hash % len(set)].
 //
 // The first sets are the row as built, and an entry naming one of them
-// is live-filtered: while the network has a route-dead link, a set with
-// a dead member is answered from a copy this row owns, so switches
-// forwarding on different shards never share one. The routing control
-// plane appends override sets and points entries at them (Write); an
-// override is served exactly as installed. Under staggered convergence it
-// writes a staged copy of the row instead, which serves from its Flip.
+// is live-filtered: while the network has a route-dead link, it is
+// answered from the row's one owned copy of every built set minus its
+// route-dead members, refiltered at the first lookup after a route-dead
+// transition. A lookup on a degraded fabric therefore touches no Link,
+// and switches forwarding on different shards never share a copy. The
+// routing control plane appends override sets and points entries at them
+// (Write); an override is served exactly as installed. Under staggered
+// convergence it writes a staged copy of the row instead, which serves
+// from its Flip.
 type Row struct {
 	idx    []int32   // serving: built, or a private copy once overridden
 	sets   [][]*Link // [:nbuilt] as built, then override sets
@@ -42,17 +45,17 @@ type Row struct {
 	stagedOver int       // override entries in staged
 	spare      [][]int32 // private rows to recycle
 
-	// buf is from without its route-dead members, as of routes.epoch ==
-	// epoch: the live filter's one-entry cache.
-	from  []*Link
+	// live[i] is sets[i] without its route-dead members, for every built
+	// set, as of routes.epoch == epoch. It is sized at the row's first
+	// degraded lookup, as one slice header per set over one backing array.
+	live  [][]*Link
 	epoch uint64
-	buf   []*Link
 }
 
 // NextLinks returns the equal-cost links the switch forwards on toward
 // dst — none when every candidate is route-dead, routing found no way, or
 // dst is not a host. The slice must not be modified and is valid until
-// the row is next looked up or written.
+// the next route-dead transition or Write.
 func (r *Row) NextLinks(dst NodeID) []*Link {
 	if uint(dst) >= uint(len(r.idx)) {
 		return nil
@@ -65,23 +68,39 @@ func (r *Row) serve(i int32) []*Link {
 	if int(i) >= r.nbuilt || r.routes.dead == 0 {
 		return r.sets[i]
 	}
-	links := r.sets[i]
-	if r.epoch == r.routes.epoch && len(links) == len(r.from) && len(links) > 0 && &links[0] == &r.from[0] {
-		return r.buf
+	if r.epoch != r.routes.epoch {
+		r.refilter()
 	}
-	for j, l := range links {
-		if l.routeDead {
-			r.buf = append(r.buf[:0], links[:j]...)
-			for _, m := range links[j+1:] {
-				if !m.routeDead {
-					r.buf = append(r.buf, m)
-				}
-			}
-			r.from, r.epoch = links, r.routes.epoch
-			return r.buf
+	return r.live[i]
+}
+
+// refilter rebuilds every live set from its built set, allocating them on
+// first use. A fabric's route-dead count is non-zero only after a
+// transition has moved its epoch off zero, so a fresh row always
+// refilters before its first degraded answer.
+func (r *Row) refilter() {
+	built := r.sets[:r.nbuilt]
+	if r.live == nil {
+		n := 0
+		for _, set := range built {
+			n += len(set)
+		}
+		r.live = make([][]*Link, len(built))
+		buf := make([]*Link, n)
+		for i, set := range built {
+			r.live[i], buf = buf[:0:len(set)], buf[len(set):]
 		}
 	}
-	return links
+	for i, set := range built {
+		live := r.live[i][:0]
+		for _, l := range set {
+			if !l.routeDead {
+				live = append(live, l)
+			}
+		}
+		r.live[i] = live
+	}
+	r.epoch = r.routes.epoch
 }
 
 // Stale reports whether a staged row awaits its flip: lookups are still

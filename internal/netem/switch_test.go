@@ -241,9 +241,13 @@ func TestLiveLinksFiltering(t *testing.T) {
 	// Host 0 is reached over all four links, host 1 over links 3 and 2.
 	sw.SetRow([][]*Link{links, {links[3], links[2]}}, []int32{0, 1}, &routes)
 	row := sw.Router()
-	// All alive: the exact as-built set comes back (no allocation).
+	// All alive: the exact as-built set comes back, and the row sizes no
+	// live sets.
 	if got := row.NextLinks(0); &got[0] != &links[0] || len(got) != 4 {
 		t.Error("all-alive fast path must return the as-built set")
+	}
+	if n := testing.AllocsPerRun(100, func() { row.NextLinks(0); row.NextLinks(1) }); n != 0 || row.live != nil {
+		t.Errorf("healthy lookups allocate %v objects (live sets %v), want none", n, row.live)
 	}
 	links[1].SetRouteDead(true)
 	links[3].SetRouteDead(true)
@@ -255,14 +259,32 @@ func TestLiveLinksFiltering(t *testing.T) {
 	if len(got) != 2 || got[0] != links[0] || got[1] != links[2] {
 		t.Errorf("filtered set = %v, want links 0 and 2", got)
 	}
-	// A set with a dead member is answered from the row's own buffer,
-	// again and again, and so is a different set after it.
+	// Once the first degraded lookup has sized the row's live sets,
+	// lookups of every built set, in any order, allocate nothing.
 	if n := testing.AllocsPerRun(100, func() {
-		if len(row.NextLinks(0)) != 2 || len(row.NextLinks(1)) != 1 {
+		if len(row.NextLinks(1)) != 1 || len(row.NextLinks(0)) != 2 || len(row.NextLinks(1)) != 1 {
 			t.Fatal("wrong live set")
 		}
 	}); n != 0 {
-		t.Errorf("filtering a degraded set allocates %v objects, want 0", n)
+		t.Errorf("degraded lookups allocate %v objects, want 0", n)
+	}
+	// Kill, revive and kill another between two lookups of the same set:
+	// each lookup serves the fabric as it is now, never a stale answer.
+	links[0].SetRouteDead(true)
+	if got := row.NextLinks(0); len(got) != 1 || got[0] != links[2] {
+		t.Errorf("after killing link 0: live set %v, want link 2", got)
+	}
+	links[0].SetRouteDead(false)
+	links[2].SetRouteDead(true)
+	if got := row.NextLinks(0); len(got) != 1 || got[0] != links[0] {
+		t.Errorf("after reviving link 0 and killing link 2: live set %v, want link 0", got)
+	}
+	if got := row.NextLinks(1); len(got) != 0 {
+		t.Errorf("set {3, 2} with both dead serves %v", got)
+	}
+	links[2].SetRouteDead(false)
+	if got := row.NextLinks(1); len(got) != 1 || got[0] != links[2] {
+		t.Errorf("after reviving link 2: set {3, 2} serves %v, want link 2", got)
 	}
 	// Everything dead: empty, not nil-panicking.
 	links[0].SetRouteDead(true)

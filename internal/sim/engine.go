@@ -1,5 +1,7 @@
 package sim
 
+import "slices"
+
 // Event is a scheduled callback. Events are created by Engine.Schedule,
 // Engine.At and their arg-carrying variants, and may be cancelled before
 // they fire. An Event must not be used after it has fired or been
@@ -67,7 +69,8 @@ func (a entry) less(b entry) bool {
 // lane is a FIFO of the events scheduled one fixed delay ahead of the
 // clock. The clock never goes back and sequence numbers only grow, so such
 // events arrive already in (at, seq) order: push appends, pop advances
-// head, and no comparison against the rest of the queue is needed.
+// head, and no comparison against the rest of the queue is needed. Keyed
+// events, whose key stands in for the sequence number, never join a lane.
 type lane struct {
 	delay Time
 	ring  []entry // circular; len is a power of two
@@ -76,7 +79,8 @@ type lane struct {
 }
 
 const (
-	// maxLanes bounds the lane table; every pop compares that many heads.
+	// maxLanes bounds the lane table, and with it the cached lane heads
+	// every pop compares (three cache lines of entries).
 	maxLanes = 8
 	// laneCap is a new lane's ring size and heapCap the heap's initial
 	// capacity, in 24-byte entries.
@@ -93,6 +97,11 @@ type candidate struct {
 	hits  int
 }
 
+// delaySlot is d's index in the candidate and lane lookup tables: the top
+// four bits of a multiplicative hash, since delays are round numbers of
+// nanoseconds and their low bits collide.
+func delaySlot(d Time) uint64 { return uint64(d) * 0x9e3779b97f4a7c15 >> 60 }
+
 // Engine is a single-threaded discrete-event simulator. The zero value is
 // not ready for use; call NewEngine.
 //
@@ -102,13 +111,30 @@ type candidate struct {
 // RTO); each such delay earns a lane, where push and pop are O(1), and the
 // next event is the least of the lane heads and the heap root. Everything
 // else — one-off delays, keyed events, a recurring delay when all lanes
-// are busy — takes the heap. An event joins a lane only if it does not
-// sort before the lane's tail, so the firing order is (at, seq) whatever
-// the lane table holds.
+// are busy — takes the heap. Every event a lane takes sorts after the
+// lane's tail by construction (see lane), so the firing order is (at, seq)
+// whatever the lane table holds.
+//
+// Nothing on the per-event path scans the lane table. Each lane's head
+// entry is mirrored in heads, so finding the next event compares at most
+// maxLanes contiguous entries and the heap root without touching a ring;
+// and push finds a delay's lane through the two ways of its delaySlot —
+// the index that also keys the candidate counts — re-checking the lane's
+// delay.
 type Engine struct {
-	now       Time
-	heap      []entry
-	lanes     []lane
+	now  Time
+	heap []entry
+	// lanes[:nlanes] are the lanes assigned so far, held in the engine
+	// itself, beside the cached heads, rather than behind a pointer.
+	lanes  [maxLanes]lane
+	nlanes int
+	// heads[i] is lanes[i]'s head entry, the zero entry while it is empty.
+	heads [maxLanes]entry
+	// slot[h] holds, for up to two lanes whose delays have delaySlot h,
+	// one more than the lane's index; 0 is a free way. Every lane is named
+	// once, in its delay's slot. A third delay sharing a slot takes over
+	// one of its lanes only while that lane is empty.
+	slot      [16][2]int8
 	cand      [16]candidate
 	size      int // entries in the heap and all lanes, cancelled included
 	seq       uint64
@@ -248,7 +274,8 @@ func (e *Engine) AtArg(t Time, fn func(any), arg any) *Event {
 // and hence queue dynamics — never depends on where a barrier fell.
 // Callers must supply keys above any insertion
 // sequence the engine can reach (the coordinator sets the top bit), so
-// keyed events sort after same-time locally scheduled ones.
+// keyed events sort after same-time locally scheduled ones. A keyed event
+// always waits on the heap.
 func (e *Engine) AtArgKeyed(t Time, fn func(any), arg any, key uint64) *Event {
 	if fn == nil {
 		panic("sim: nil event callback")
@@ -257,7 +284,8 @@ func (e *Engine) AtArgKeyed(t Time, fn func(any), arg any, key uint64) *Event {
 	ev.seq = key
 	ev.fnArg = fn
 	ev.arg = arg
-	e.push(ev)
+	e.size++
+	e.heapPush(entry{t, key, ev})
 	return ev
 }
 
@@ -317,11 +345,12 @@ func (e *Engine) Reset() {
 	}
 	drop(e.heap)
 	e.heap = e.heap[:0]
-	for i := range e.lanes {
+	for i := range e.nlanes {
 		l := &e.lanes[i]
 		drop(l.ring)
 		l.head, l.n = 0, 0
 	}
+	e.heads = [maxLanes]entry{}
 	e.size = 0
 	e.now = 0
 	e.seq = 0
@@ -426,7 +455,7 @@ func (e *Engine) compact() {
 		}
 	}
 	e.size = len(kept)
-	for i := range e.lanes {
+	for i := range e.nlanes {
 		l := &e.lanes[i]
 		mask, live := len(l.ring)-1, 0
 		for j := 0; j < l.n; j++ {
@@ -440,6 +469,7 @@ func (e *Engine) compact() {
 			}
 		}
 		l.n = live
+		e.heads[i] = l.ring[l.head]
 		e.size += live
 	}
 	e.cancelled = 0
@@ -471,24 +501,31 @@ func (e *Engine) trim(c int) bool {
 	return true
 }
 
-// push queues ev: on the lane of its delay when there is one and ev does
-// not sort before that lane's tail, on the heap otherwise.
+// push queues a newly scheduled, unkeyed ev: on the lane of its delay
+// when there is one, on the heap otherwise.
 func (e *Engine) push(ev *Event) {
 	e.size++
 	en := entry{ev.at, ev.seq, ev}
-	if l := e.laneFor(ev.at - e.now); l != nil {
-		mask := len(l.ring) - 1
-		if l.n == 0 || !en.less(l.ring[(l.head+l.n-1)&mask]) {
-			if l.n > mask {
-				l.resize(2 * len(l.ring))
-				mask = len(l.ring) - 1
-			}
-			l.ring[(l.head+l.n)&mask] = en
-			l.n++
-			e.lanePushes++
-			return
+	if i := e.laneFor(ev.at - e.now); i >= 0 {
+		l := &e.lanes[i]
+		if l.n == 0 {
+			e.heads[i] = en
 		}
+		mask := len(l.ring) - 1
+		if l.n > mask {
+			l.resize(2 * len(l.ring))
+			mask = len(l.ring) - 1
+		}
+		l.ring[(l.head+l.n)&mask] = en
+		l.n++
+		e.lanePushes++
+		return
 	}
+	e.heapPush(en)
+}
+
+// heapPush adds en to the heap.
+func (e *Engine) heapPush(en entry) {
 	h := append(e.heap, en)
 	i := len(h) - 1
 	for i > 0 {
@@ -503,46 +540,57 @@ func (e *Engine) push(ev *Event) {
 	e.heap = h
 }
 
-// laneFor returns the lane for events scheduled delay d ahead, or nil. A
-// delay without a lane is counted in the candidate table — one slot per
-// hash value; a different delay arriving decrements the incumbent before
-// replacing it, so a frequent delay outlasts one-off ones — and after
-// promoteAfter net recurrences takes a new lane or an empty one. With all
-// lanes assigned and busy it stays on the heap.
-func (e *Engine) laneFor(d Time) *lane {
-	for i := range e.lanes {
-		if e.lanes[i].delay == d {
-			return &e.lanes[i]
+// laneFor returns the index of the lane for events scheduled delay d
+// ahead, or -1. A delay without a lane is counted in the candidate table
+// — one slot per delaySlot value; a different delay arriving decrements
+// the incumbent before replacing it, so a frequent delay outlasts one-off
+// ones — and after promoteAfter net recurrences takes a free way of its
+// slot with a new lane or an empty one, or with both ways taken, the lane
+// of one that is empty. Otherwise it stays on the heap.
+func (e *Engine) laneFor(d Time) int {
+	h := delaySlot(d)
+	ways := &e.slot[h]
+	for _, w := range ways {
+		if i := int(w) - 1; i >= 0 && e.lanes[i].delay == d {
+			return i
 		}
 	}
-	// Top four bits of a multiplicative hash: delays are round numbers of
-	// nanoseconds, so their low bits collide.
-	c := &e.cand[uint64(d)*0x9e3779b97f4a7c15>>60]
+	c := &e.cand[h]
 	if c.delay != d {
 		if c.hits > 0 {
 			c.hits--
-			return nil
+			return -1
 		}
 		c.delay = d
 	}
 	if c.hits++; c.hits < promoteAfter {
-		return nil
+		return -1
 	}
 	c.hits = 0
-	if len(e.lanes) < maxLanes {
-		if e.lanes == nil {
-			e.lanes = make([]lane, 0, maxLanes)
+	w := slices.Index(ways[:], 0)
+	var i int
+	switch {
+	case w < 0:
+		// Both ways serve other delays: take over one only once it is
+		// empty, so that no delay ever holds two lanes.
+		if w = slices.IndexFunc(ways[:], func(way int8) bool { return e.lanes[way-1].n == 0 }); w < 0 {
+			return -1
 		}
-		e.lanes = append(e.lanes, lane{delay: d, ring: make([]entry, laneCap)})
-		return &e.lanes[len(e.lanes)-1]
-	}
-	for i := range e.lanes {
-		if l := &e.lanes[i]; l.n == 0 {
-			l.delay = d
-			return l
+		i = int(ways[w]) - 1
+	case e.nlanes < maxLanes:
+		i = e.nlanes
+		e.nlanes++
+		e.lanes[i].ring = make([]entry, laneCap)
+	default:
+		if i = slices.IndexFunc(e.lanes[:], func(l lane) bool { return l.n == 0 }); i < 0 {
+			return -1
 		}
+		old := &e.slot[delaySlot(e.lanes[i].delay)]
+		old[slices.Index(old[:], int8(i+1))] = 0
 	}
-	return nil
+	e.lanes[i].delay = d
+	ways[w] = int8(i + 1)
+	return i
 }
 
 // resize moves the lane's entries to a fresh ring of c slots.
@@ -561,16 +609,16 @@ func (e *Engine) min() (src int, best entry) {
 	if len(e.heap) > 0 {
 		best = e.heap[0]
 	}
-	for i := range e.lanes {
-		l := &e.lanes[i]
-		if l.n > 0 && (best.ev == nil || l.ring[l.head].less(best)) {
-			src, best = i, l.ring[l.head]
+	for i, h := range e.heads[:e.nlanes] {
+		if h.ev != nil && (best.ev == nil || h.less(best)) {
+			src, best = i, h
 		}
 	}
 	return src, best
 }
 
-// pop removes the entry min found at src.
+// pop removes the entry min found at src. A lane's vacated slots are
+// zeroed, so its next slot is its new head even when it has none.
 func (e *Engine) pop(src int) {
 	e.size--
 	if src >= 0 {
@@ -578,6 +626,7 @@ func (e *Engine) pop(src int) {
 		l.ring[l.head] = entry{}
 		l.head = (l.head + 1) & (len(l.ring) - 1)
 		l.n--
+		e.heads[src] = l.ring[l.head]
 		if c := len(l.ring); e.trim(c) {
 			l.resize(c / 2)
 		}

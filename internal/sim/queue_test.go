@@ -10,7 +10,11 @@ type queueAccount struct {
 }
 
 // queueStats counts the heap and every lane afresh and checks the
-// engine's running counters against the count.
+// engine's running counters against the count, every lane's FIFO order,
+// and its two lane indexes against the lanes: every cached head is its
+// lane's ring head (the zero entry when the lane is empty), every lookup
+// way is empty or names a lane whose delay hashes to its slot, and every
+// lane is named exactly once.
 func queueStats(e *Engine) queueAccount {
 	a := queueAccount{entries: len(e.heap), capacity: cap(e.heap)}
 	dead := func(en entry) {
@@ -21,17 +25,46 @@ func queueStats(e *Engine) queueAccount {
 	for _, en := range e.heap {
 		dead(en)
 	}
-	for i := range e.lanes {
+	for i := range e.nlanes {
 		l := &e.lanes[i]
 		a.entries += l.n
 		a.laneEntries += l.n
 		a.capacity += len(l.ring)
+		mask := len(l.ring) - 1
 		for j := 0; j < l.n; j++ {
-			dead(l.ring[(l.head+j)&(len(l.ring)-1)])
+			dead(l.ring[(l.head+j)&mask])
+			if j > 0 && !l.ring[(l.head+j-1)&mask].less(l.ring[(l.head+j)&mask]) {
+				panic("sim: a lane is out of (at, seq) order")
+			}
 		}
 	}
 	if a.entries != e.size || a.cancelled != e.cancelled {
 		panic("sim: queue counters disagree with the queue's contents")
+	}
+	for i, got := range e.heads {
+		var head entry
+		if i < e.nlanes && e.lanes[i].n > 0 {
+			head = e.lanes[i].ring[e.lanes[i].head]
+		}
+		if got != head {
+			panic("sim: a cached lane head is not its lane's head")
+		}
+	}
+	var named [maxLanes]int
+	for h, ways := range e.slot {
+		for _, w := range ways {
+			if i := int(w) - 1; i >= 0 {
+				if i >= e.nlanes || delaySlot(e.lanes[i].delay) != uint64(h) {
+					panic("sim: a lookup slot names a lane of another delay")
+				}
+				named[i]++
+			}
+		}
+	}
+	for i := range e.nlanes {
+		if named[i] != 1 {
+			panic("sim: a lane is not named exactly once, in its delay's lookup slot")
+		}
 	}
 	return a
 }
@@ -330,6 +363,20 @@ func queueSeeds() map[string][]byte {
 	seeds["compact-wrapped-lane"] = append(append(append(rep(120, opSchedule, d20, opAdvance, 1),
 		rep(40, opStep, 0, opSchedule, d20)...), rep(90, opCancel, 100, opCancel, 200)...),
 		rep(10, opSchedule, d20, opPeek, 0)...)
+
+	// Compaction that removes a lane's head: cancel the oldest events
+	// (the heap's, then the lane's) until dead entries outnumber live
+	// ones, so the lane's first live entry becomes its head.
+	seeds["compact-dead-lane-head"] = append(append(rep(100, opSchedule, d20, opAdvance, 1),
+		rep(60, opCancel, 0)...), rep(10, opSchedule, d20, opStep, 0)...)
+
+	// Three delays with one lookup slot (1 ns, 4.8 us and the one-off
+	// 18,563 ns): the third waits on the heap while both of the slot's
+	// lanes are busy, then takes one over once it drains, and the first
+	// comes back to take over the other.
+	seeds["three-delays-one-slot"] = append(append(append(append(rep(10, opSchedule, 1),
+		rep(10, opSchedule, 2)...), rep(10, opSchedule, 210)...), opRunUntil, d15),
+		append(rep(10, opSchedule, 210), rep(10, opSchedule, 1)...)...)
 
 	// Reset with lanes populated, then the same delays again.
 	seeds["reset-with-lanes"] = append(append(rep(20, opScheduleArg, d20, opTimerReset, d200ms, opSchedule, d116),
