@@ -724,17 +724,14 @@ func transient() {
 }
 
 // timeline demonstrates the rolling Results snapshots: one MMPTCP run
-// under a mid-run cable cut with global repair, streaming metrics and
-// periodic snapshots, printed as the percentile trajectory the paper's
-// steady-state plots would be cut from. The cumulative drop and
-// recompute columns localise the damage to the outage window.
+// under a mid-run cable cut with global repair and periodic snapshots,
+// printed as the percentile trajectory the paper's steady-state plots
+// would be cut from. The cumulative drop and recompute columns localise
+// the damage to the outage window.
 func timeline() {
 	cfg := faultedConfig(mmptcp.ProtoMMPTCP, 2, 200*sim.Millisecond, 900*sim.Millisecond, 10*sim.Millisecond)
 	cfg.Routing.Mode = mmptcp.RoutingGlobal
-	cfg.Metrics = mmptcp.MetricsConfig{
-		Mode:             mmptcp.MetricsStreaming,
-		SnapshotInterval: 100 * sim.Millisecond,
-	}
+	cfg.Metrics.SnapshotInterval = 100 * sim.Millisecond
 	res := run(cfg)
 	if *csvFlag {
 		fmt.Println("# Roadmap: rolling snapshot timeline (MMPTCP, 2 agg-core cables cut at 200ms)")
@@ -747,7 +744,7 @@ func timeline() {
 		}
 		return
 	}
-	fmt.Println("== Roadmap: rolling snapshot timeline (MMPTCP, 2 agg-core cables cut at 200ms, repaired at 900ms, streaming metrics) ==")
+	fmt.Println("== Roadmap: rolling snapshot timeline (MMPTCP, 2 agg-core cables cut at 200ms, repaired at 900ms) ==")
 	fmt.Println("    t_ms  spawned   done  p50_ms  p95_ms  p99_ms  blackholed  noroute  recomputes")
 	for _, sn := range res.Snapshots {
 		fmt.Printf("%8.0f  %7d  %5d  %6.1f  %6.1f  %6.1f  %10d  %7d  %10d\n",
@@ -755,8 +752,7 @@ func timeline() {
 			sn.Short.P50Ms, sn.Short.P95Ms, sn.Short.P99Ms,
 			sn.Blackholed, sn.NoRouteDrops, sn.Recomputes)
 	}
-	fmt.Printf("final (%d-bit streaming histogram): %v\n\n",
-		res.Config.Metrics.HistPrecision, res.ShortSummary)
+	fmt.Printf("final: %v\n\n", res.ShortSummary)
 }
 
 // anatomy is the flow-anatomy figure the structured trace opens: one

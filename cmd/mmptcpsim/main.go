@@ -114,8 +114,6 @@ func main() {
 		maxSimS  = flag.Float64("max-sim-seconds", 300, "virtual-time safety cap")
 		perflow  = flag.Bool("perflow", false, "emit per-flow CSV to stdout")
 		quiet    = flag.Bool("q", false, "suppress the report (useful with -perflow)")
-		metricsM = flag.String("metrics", "exact", "measurement accumulation: exact (per-flow records) or streaming (O(1)-memory histograms)")
-		histPrec = flag.Int("hist-precision", 0, "streaming histogram sub-bucket bits, percentile error <= 2^-bits (0 = default 10)")
 		snapMs   = flag.Float64("snapshot-ms", 0, "record a cumulative snapshot every this many milliseconds of virtual time (0 = off)")
 		traceM   = flag.String("trace", "", "record a structured event trace: ring (bounded flight recorder) or full (everything)")
 		traceOut = flag.String("trace-out", "trace.json", "trace output path; a .jsonl suffix writes JSON lines, anything else Chrome trace-event JSON (open in Perfetto)")
@@ -145,8 +143,6 @@ func main() {
 		Shards:          *shards,
 		MaxSimTime:      sim.FromSeconds(*maxSimS),
 		Metrics: mmptcp.MetricsConfig{
-			Mode:             mmptcp.MetricsMode(*metricsM),
-			HistPrecision:    *histPrec,
 			SnapshotInterval: sim.FromSeconds(*snapMs / 1000),
 		},
 	}
@@ -169,9 +165,6 @@ func main() {
 	// "never", so a negative one would silently mean the same.
 	if *repairMs < 0 {
 		usageError("-repair-at-ms must not be negative (got %v); 0 = never repaired", *repairMs)
-	}
-	if *perflow && mmptcp.MetricsMode(*metricsM) == mmptcp.MetricsStreaming {
-		usageError("-perflow needs -metrics exact: streaming mode keeps no per-flow records")
 	}
 	if *traceM != "" {
 		if *seeds > 1 {

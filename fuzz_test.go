@@ -33,8 +33,6 @@ const (
 	fzMaxSimTime
 	fzRoutingMode
 	fzConvergence
-	fzMetricsMode
-	fzHistPrecision
 	fzSnapshot
 	fzTraceMode
 	fzDeadRTOs
@@ -48,7 +46,6 @@ var (
 	fzProtocols    = []Protocol{ProtoTCP, ProtoMPTCP, ProtoMMPTCP, ProtoDCTCP, "", "quic"}
 	fzRoutingModes = []RoutingMode{"", RoutingLocal, RoutingGlobal, "bogus"}
 	fzConvergences = []ConvergenceMode{"", ConvergeAtomic, ConvergeStaggered, "bogus"}
-	fzMetricsModes = []MetricsMode{"", MetricsExact, MetricsStreaming, "bogus"}
 	fzTraceModes   = []TraceMode{"", "off", TraceRing, TraceFull, "bogus"}
 	fzRates        = []int64{0, 1, 1_000_000, 100_000_000, 10_000_000_000}
 	fzSizes        = []int64{0, 1, 1400, 70_000, 200_000}
@@ -134,8 +131,6 @@ func fuzzConfig(prog []byte) Config {
 	}
 	cfg.Routing.Mode = fzRoutingModes[int(at(fzRoutingMode))%len(fzRoutingModes)]
 	cfg.Routing.Convergence = fzConvergences[int(at(fzConvergence))%len(fzConvergences)]
-	cfg.Metrics.Mode = fzMetricsModes[int(at(fzMetricsMode))%len(fzMetricsModes)]
-	cfg.Metrics.HistPrecision = signed(fzHistPrecision, 20)
 	cfg.Metrics.SnapshotInterval = SimTime(mag(fzSnapshot, int64(Millisecond), 20))
 	cfg.Trace.Mode = fzTraceModes[int(at(fzTraceMode))%len(fzTraceModes)]
 	cfg.Transport.DeadRTOs = signed(fzDeadRTOs, 4)

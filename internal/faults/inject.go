@@ -46,10 +46,8 @@ type Injector struct {
 	// delayed); each link changes state only on 0<->1 transitions.
 	dataDown  map[*netem.Link]int
 	routeDown map[*netem.Link]int
-	// switchDown refcounts crash sources per switch ordinal, and
-	// switchCrashes accounts how many crashes each switch suffered.
-	switchDown    map[int]int
-	switchCrashes map[int]int
+	// switchDown refcounts crash sources per switch ordinal.
+	switchDown map[int]int
 
 	// switches and switchPorts resolve switch ordinals to the switch and
 	// its incident links (both directions of every port).
@@ -64,16 +62,6 @@ type Injector struct {
 // SetRecorder installs (or, with nil, removes) the structured event
 // recorder. The run harness calls this right after Install.
 func (inj *Injector) SetRecorder(r *trace.Recorder) { inj.rec = r }
-
-// CrashesBySwitch returns per-switch crash counts keyed by switch
-// ordinal (only switches that crashed at least once appear).
-func (inj *Injector) CrashesBySwitch() map[int]int {
-	out := make(map[int]int, len(inj.switchCrashes))
-	for s, n := range inj.switchCrashes {
-		out[s] = n
-	}
-	return out
-}
 
 // failLink registers one more failure source on l, taking the link down
 // on the first.
@@ -129,7 +117,6 @@ func (inj *Injector) crashSwitch(s int) {
 	if inj.switchDown[s] > 1 {
 		return
 	}
-	inj.switchCrashes[s]++
 	inj.switches[s].SetDown(true)
 	for _, l := range inj.switchPorts[s] {
 		inj.failLink(l)
@@ -205,14 +192,13 @@ func Install(eng *sim.Engine, target Target, cfg Config, rng *sim.RNG, horizon s
 	sortEvents(events)
 
 	inj := &Injector{
-		eng:           eng,
-		reconverge:    cfg.ReconvergeDelay,
-		Events:        events,
-		dataDown:      make(map[*netem.Link]int),
-		routeDown:     make(map[*netem.Link]int),
-		switchDown:    make(map[int]int),
-		switchCrashes: make(map[int]int),
-		switches:      target.Switches,
+		eng:        eng,
+		reconverge: cfg.ReconvergeDelay,
+		Events:     events,
+		dataDown:   make(map[*netem.Link]int),
+		routeDown:  make(map[*netem.Link]int),
+		switchDown: make(map[int]int),
+		switches:   target.Switches,
 	}
 
 	// Resolve switch ordinals to incident links once, and only if any

@@ -66,28 +66,6 @@ func (r FlowRecord) ThroughputMbps(until sim.Time) float64 {
 	return float64(r.Delivered) * 8 / d.Seconds() / 1e6
 }
 
-// Collector accumulates flow records for one experiment run.
-type Collector struct {
-	flows []FlowRecord
-}
-
-// Record appends a flow outcome.
-func (c *Collector) Record(r FlowRecord) { c.flows = append(c.flows, r) }
-
-// Flows returns every recorded flow.
-func (c *Collector) Flows() []FlowRecord { return c.flows }
-
-// ByClass returns the records of one class.
-func (c *Collector) ByClass(class FlowClass) []FlowRecord {
-	var out []FlowRecord
-	for _, f := range c.flows {
-		if f.Class == class {
-			out = append(out, f)
-		}
-	}
-	return out
-}
-
 // Summary are the aggregate FCT statistics the paper quotes (e.g. "116
 // milliseconds (standard deviation is 101)" for MMPTCP vs "126 (425)"
 // for MPTCP).
@@ -193,6 +171,33 @@ func percentile(sorted []float64, p float64) float64 {
 func (s Summary) String() string {
 	return fmt.Sprintf("n=%d mean=%.1fms std=%.1fms p50=%.1f p95=%.1f p99=%.1f max=%.1f rto-flows=%d incomplete=%d",
 		s.Count, s.MeanMs, s.StdMs, s.P50Ms, s.P95Ms, s.P99Ms, s.MaxMs, s.WithRTO, s.Incomplete)
+}
+
+// Snapshot is one periodic sample of a run's cumulative state — the
+// rolling Results time series that reports behaviour over time
+// (percentile trajectories, drop and routing counters). All fields are
+// cumulative since the start of the run, so deltas between consecutive
+// snapshots isolate each interval.
+type Snapshot struct {
+	At sim.Time // virtual time of the sample
+
+	// Workload progress.
+	Spawned int // short flows spawned so far
+	// Short summarises the short flows finished so far: Summarize over
+	// their final records, the same statistics as the run's final
+	// short-flow summary.
+	Short Summary
+
+	// Data-plane damage counters (network-wide cumulative).
+	Blackholed   int64
+	NoRouteDrops int64
+	HopDrops     int64
+	LoopDrops    int64
+	CrashDrops   int64
+
+	// Control-plane work (zero under local repair).
+	Recomputes int
+	Overrides  int
 }
 
 // RoutingStats reports the routing control plane's work during a run:

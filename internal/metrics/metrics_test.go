@@ -132,20 +132,7 @@ func TestFlowRecordFCTAndThroughput(t *testing.T) {
 	}
 }
 
-func TestCollector(t *testing.T) {
-	var c Collector
-	c.Record(FlowRecord{ID: 1, Class: ShortFlow})
-	c.Record(FlowRecord{ID: 2, Class: LongFlow})
-	c.Record(FlowRecord{ID: 3, Class: ShortFlow})
-	if len(c.Flows()) != 3 {
-		t.Fatalf("flows = %d", len(c.Flows()))
-	}
-	if got := len(c.ByClass(ShortFlow)); got != 2 {
-		t.Errorf("short flows = %d", got)
-	}
-	if got := len(c.ByClass(LongFlow)); got != 1 {
-		t.Errorf("long flows = %d", got)
-	}
+func TestFlowClassString(t *testing.T) {
 	if ShortFlow.String() != "short" || LongFlow.String() != "long" {
 		t.Error("class names")
 	}

@@ -1,9 +1,6 @@
 package mptcp
 
-import (
-	"repro/internal/sim"
-	"repro/internal/tcp"
-)
+import "repro/internal/tcp"
 
 // liaCC implements the Linked Increases Algorithm (RFC 6356): in
 // congestion avoidance, for each ACK of acked bytes on subflow r,
@@ -80,20 +77,3 @@ func (l *liaCC) alpha(total float64) float64 {
 }
 
 var _ tcp.CongestionControl = (*liaCC)(nil)
-
-// aggregateSRTT returns the mean smoothed RTT across subflows that have
-// samples (diagnostics only).
-func (c *Connection) aggregateSRTT() sim.Time {
-	var sum sim.Time
-	var n int
-	for _, sub := range c.subflows {
-		if rtt := sub.SRTT(); rtt > 0 {
-			sum += rtt
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / sim.Time(n)
-}

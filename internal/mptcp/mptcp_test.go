@@ -3,7 +3,6 @@ package mptcp
 import (
 	"testing"
 
-	"repro/internal/netem"
 	"repro/internal/sim"
 	"repro/internal/tcp"
 	"repro/internal/topology"
@@ -291,24 +290,6 @@ func TestMPTCPCloseUnregisters(t *testing.T) {
 	if ft.Host(0).Unclaimed == 0 && ft.Host(15).Unclaimed == 0 {
 		t.Error("expected unclaimed packets after Close mid-flight")
 	}
-}
-
-func TestAggregateSRTT(t *testing.T) {
-	eng := sim.NewEngine()
-	ft := fatTree4(eng)
-	conn := Dial(DefaultConfig(), Options{
-		SrcHost: ft.Host(0), DstHost: ft.Host(15),
-		FlowID: 1, Size: 140000, RNG: sim.NewRNG(2),
-	})
-	if got := conn.aggregateSRTT(); got != 0 {
-		t.Errorf("aggregateSRTT before start = %v", got)
-	}
-	conn.Start()
-	eng.Run()
-	if got := conn.aggregateSRTT(); got <= 0 {
-		t.Error("aggregateSRTT = 0 after transfer")
-	}
-	_ = netem.FlagData
 }
 
 func TestMPTCPSpreadsSubflowsAcrossInterfaces(t *testing.T) {

@@ -30,7 +30,6 @@ import (
 	"math"
 
 	"repro/internal/core"
-	"repro/internal/metrics"
 	"repro/internal/routing"
 	"repro/internal/sim"
 	"repro/internal/topology"
@@ -153,42 +152,9 @@ type TransportConfig struct {
 	MaxDefer SimTime
 }
 
-// MetricsMode selects how Run accumulates per-flow measurements.
-type MetricsMode string
-
-// Metrics accumulation modes.
-const (
-	// MetricsExact (the default) retains one FlowRecord per flow —
-	// Results.ShortFlows in spawn order, summarised by sorting the full
-	// FCT slice. Memory is O(flows); percentiles are exact. This mode is
-	// the oracle the streaming mode is tested against.
-	MetricsExact MetricsMode = "exact"
-	// MetricsStreaming accumulates short flows into log-bucketed
-	// streaming histograms: Results.ShortFlows stays nil and memory is
-	// O(1) in flow count, so million-flow sweep replicates cost the same
-	// as thousand-flow ones. Counts, mean, stddev, min and max stay
-	// exact; percentiles carry a relative error of at most
-	// 2^-HistPrecision (see MetricsConfig.HistPrecision).
-	MetricsStreaming MetricsMode = "streaming"
-)
-
-// MetricsConfig is the measurement section of Config: how per-flow
-// results are accumulated and whether the run records a rolling
-// time series. The zero value is the historical behaviour — exact
-// per-flow records, no snapshots.
+// MetricsConfig is the measurement section of Config: whether the run
+// records a rolling time series. The zero value records none.
 type MetricsConfig struct {
-	// Mode selects exact per-flow records (default) or O(1)-memory
-	// streaming accumulation; see MetricsMode.
-	Mode MetricsMode
-
-	// HistPrecision is the streaming histogram's sub-bucket precision in
-	// bits: quantile error is bounded by 2^-HistPrecision of the true
-	// order statistic. Zero means metrics.DefaultHistPrecision (10 bits,
-	// <0.1% error); values outside [metrics.MinHistPrecision,
-	// metrics.MaxHistPrecision] are rejected. Used by streaming mode and
-	// by snapshot percentiles in either mode.
-	HistPrecision int
-
 	// SnapshotInterval, when positive, records a cumulative Snapshot of
 	// the run every interval of virtual time into Results.Snapshots:
 	// short-flow percentile trajectories plus drop and routing counters.
@@ -337,9 +303,8 @@ type Config struct {
 	// leaves every run byte-identical to builds without the subsystem.
 	Transport TransportConfig
 
-	// Metrics selects exact vs streaming measurement accumulation and
-	// optional rolling snapshots; see MetricsConfig. The zero value keeps
-	// per-flow records (the historical behaviour).
+	// Metrics arms optional rolling snapshots; see MetricsConfig. The
+	// zero value records none.
 	Metrics MetricsConfig
 
 	// Trace enables the structured event recorder — a typed flight
@@ -551,15 +516,6 @@ func (c *Config) resolve(run bool) error {
 					i, ev.LossRate, c.Shards)
 			}
 		}
-	}
-	orDefault(&c.Metrics.Mode, MetricsExact)
-	if m := c.Metrics.Mode; m != MetricsExact && m != MetricsStreaming {
-		return fmt.Errorf("mmptcp: unknown metrics mode %q (want %q or %q)", m, MetricsExact, MetricsStreaming)
-	}
-	orDefault(&c.Metrics.HistPrecision, metrics.DefaultHistPrecision)
-	if p := c.Metrics.HistPrecision; p < metrics.MinHistPrecision || p > metrics.MaxHistPrecision {
-		return fmt.Errorf("mmptcp: Metrics.HistPrecision %d outside [%d, %d]",
-			p, metrics.MinHistPrecision, metrics.MaxHistPrecision)
 	}
 	switch c.Trace.Mode {
 	case "off": // spelled-out zero value

@@ -3,10 +3,8 @@ package mmptcp
 import (
 	"context"
 	"fmt"
-	"math"
 	"reflect"
 	"runtime"
-	"sort"
 	"strings"
 	"testing"
 )
@@ -61,9 +59,9 @@ func resolved(t testing.TB, cfg Config) *Config {
 // workers reset and reuse one instance each, returns byte-identical
 // Results to per-config Run on throwaway instances, serial and parallel,
 // across the PR-3 fault suite on both hash-seeded multi-rooted
-// topologies (FatTree and VL2) with mixed shapes, protos, metrics modes
-// and distinct seeds — so recycled engines, networks, ECMP hash seeds
-// and FIB state provably carry nothing between runs.
+// topologies (FatTree and VL2) with mixed shapes, protos, rolling
+// snapshots and distinct seeds — so recycled engines, networks, ECMP
+// hash seeds and forwarding rows provably carry nothing between runs.
 func TestPooledSweepByteIdentical(t *testing.T) {
 	mkConfigs := func() []Config {
 		var configs []Config
@@ -92,17 +90,14 @@ func TestPooledSweepByteIdentical(t *testing.T) {
 			}
 			configs = append(configs, vl2)
 		}
-		// A switch crash, and the new metrics modes riding on recycled
-		// instances: streaming aggregation and rolling snapshots.
+		// A switch crash, and rolling snapshots riding on recycled
+		// instances.
 		crash := faultedConfig(ProtoMMPTCP, 40)
 		crash.Faults = FaultsConfig{
 			Events:          FailSwitches([]int{16}, 200*Millisecond, 800*Millisecond),
 			ReconvergeDelay: 50 * Millisecond,
 		}
 		configs = append(configs, crash)
-		strm := faultedConfig(ProtoMMPTCP, 40)
-		strm.Metrics.Mode = MetricsStreaming
-		configs = append(configs, strm)
 		snap := faultedConfig(ProtoTCP, 40)
 		snap.Metrics.SnapshotInterval = 100 * Millisecond
 		configs = append(configs, snap)
@@ -120,9 +115,6 @@ func TestPooledSweepByteIdentical(t *testing.T) {
 		if res.FaultEvents == 0 {
 			t.Errorf("config %d resolved no fault events", i)
 		}
-	}
-	if n := len(fresh); fresh[n-2].ShortFlows != nil {
-		t.Error("streaming config kept per-flow records")
 	}
 	if n := len(fresh); len(fresh[n-1].Snapshots) == 0 {
 		t.Error("snapshot config recorded no snapshots")
@@ -335,108 +327,23 @@ func TestRunInstanceShapeMismatch(t *testing.T) {
 	}
 }
 
-// TestMetricsKnobValidation: the new metrics knobs reject nonsense
-// cleanly at config time instead of misbehaving mid-run.
+// TestMetricsKnobValidation: the metrics knob rejects nonsense cleanly
+// at config time instead of misbehaving mid-run, under Run and RunSweep.
 func TestMetricsKnobValidation(t *testing.T) {
-	run := func(mutate func(*Config)) error {
-		cfg := tiny(ProtoTCP, 1)
-		mutate(&cfg)
-		_, err := Run(cfg)
-		return err
-	}
-	if err := run(func(c *Config) { c.Metrics.Mode = "bogus" }); err == nil {
-		t.Error("unknown metrics mode accepted")
-	}
-	for _, p := range []int{-1, 17, 100} {
-		p := p
-		if err := run(func(c *Config) { c.Metrics.HistPrecision = p }); err == nil {
-			t.Errorf("histogram precision %d accepted", p)
-		}
-	}
-	if err := run(func(c *Config) { c.Metrics.SnapshotInterval = -Millisecond }); err == nil {
+	bad := tiny(ProtoTCP, 1)
+	bad.Metrics.SnapshotInterval = -Millisecond
+	if _, err := Run(bad); err == nil {
 		t.Error("negative snapshot interval accepted")
 	}
-	// Sweeps surface the same validation errors.
-	bad := tiny(ProtoTCP, 1)
-	bad.Metrics.HistPrecision = -1
 	if _, err := RunSweep([]Config{bad}, SweepOptions{}); err == nil {
-		t.Error("sweep accepted invalid histogram precision")
-	}
-}
-
-// TestStreamingRunMatchesExact compares a streaming-mode run against the
-// exact-mode oracle on the same config: counts, moments and extremes are
-// identical, percentiles sit within the documented histogram bound of
-// the exact order statistics, and no per-flow records are retained.
-func TestStreamingRunMatchesExact(t *testing.T) {
-	base := tiny(ProtoMMPTCP, 80)
-	exact, err := Run(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scfg := base
-	scfg.Metrics.Mode = MetricsStreaming
-	stream, err := Run(scfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stream.ShortFlows != nil {
-		t.Errorf("streaming run kept %d per-flow records", len(stream.ShortFlows))
-	}
-	es, ss := exact.ShortSummary, stream.ShortSummary
-	if ss.Count != es.Count || ss.Incomplete != es.Incomplete || ss.WithRTO != es.WithRTO {
-		t.Errorf("counts diverge: streaming %+v exact %+v", ss, es)
-	}
-	if math.Abs(ss.MeanMs-es.MeanMs) > 1e-9*es.MeanMs {
-		t.Errorf("mean: streaming %v exact %v", ss.MeanMs, es.MeanMs)
-	}
-	if math.Abs(ss.StdMs-es.StdMs) > 1e-6*es.MeanMs {
-		t.Errorf("std: streaming %v exact %v", ss.StdMs, es.StdMs)
-	}
-	if ss.MinMs != es.MinMs || ss.MaxMs != es.MaxMs {
-		t.Errorf("min/max: streaming %v/%v exact %v/%v", ss.MinMs, ss.MaxMs, es.MinMs, es.MaxMs)
-	}
-	if math.Abs(stream.DeadlineMissRate-exact.DeadlineMissRate) > 1e-12 {
-		t.Errorf("miss rate: streaming %v exact %v", stream.DeadlineMissRate, exact.DeadlineMissRate)
-	}
-	// Percentiles against the exact per-flow records' order statistics.
-	var fcts []float64
-	for _, r := range exact.ShortFlows {
-		if r.Completed {
-			fcts = append(fcts, r.FCT().Milliseconds())
-		}
-	}
-	sort.Float64s(fcts)
-	eps := 1 / math.Pow(2, float64(base.Metrics.HistPrecision)) // 0 → default below
-	if base.Metrics.HistPrecision == 0 {
-		eps = 1.0 / 1024 // DefaultHistPrecision = 10 bits
-	}
-	for _, pq := range []struct {
-		got float64
-		q   float64
-	}{{ss.P50Ms, 0.50}, {ss.P95Ms, 0.95}, {ss.P99Ms, 0.99}} {
-		pos := pq.q * float64(len(fcts)-1)
-		lo := fcts[int(math.Floor(pos))]
-		hi := fcts[int(math.Ceil(pos))]
-		if pq.got < lo*(1-eps)-1e-9 || pq.got > hi*(1+eps)+1e-9 {
-			t.Errorf("q=%v: streaming %v outside order-stat bracket [%v, %v]",
-				pq.q, pq.got, lo, hi)
-		}
-	}
-	// Everything outside the short-flow accounting is untouched by the
-	// metrics mode: same simulation, same counters.
-	if stream.Events != exact.Events || stream.Elapsed != exact.Elapsed || stream.Spawned != exact.Spawned {
-		t.Errorf("simulation diverged: streaming events=%d elapsed=%v, exact events=%d elapsed=%v",
-			stream.Events, stream.Elapsed, exact.Events, exact.Elapsed)
-	}
-	if !reflect.DeepEqual(stream.LongFlows, exact.LongFlows) {
-		t.Error("long-flow records diverged between metrics modes")
+		t.Error("sweep accepted a negative snapshot interval")
 	}
 }
 
 // TestRollingSnapshots: a positive SnapshotInterval yields a cumulative
-// time series at the configured cadence, and — in exact mode — leaves
-// the final per-flow records and summary byte-identical to a
+// time series at the configured cadence whose short-flow summaries cover
+// only finished flows and stay consistent with the final summary, and
+// leaves the final per-flow records and summary byte-identical to a
 // snapshot-free run.
 func TestRollingSnapshots(t *testing.T) {
 	iv := 50 * Millisecond
@@ -449,27 +356,47 @@ func TestRollingSnapshots(t *testing.T) {
 	if len(res.Snapshots) == 0 {
 		t.Fatal("no snapshots recorded")
 	}
-	prev := res.Snapshots[0]
-	if prev.At != iv {
-		t.Errorf("first snapshot at %v, want %v", prev.At, iv)
+	if at := res.Snapshots[0].At; at != iv {
+		t.Errorf("first snapshot at %v, want %v", at, iv)
 	}
-	for i, snap := range res.Snapshots[1:] {
+	final := res.ShortSummary
+	for i, snap := range res.Snapshots {
+		s := snap.Short
+		// Only closed flows are summarised, and every closed short flow
+		// has completed.
+		if s.Incomplete != 0 {
+			t.Errorf("snapshot %d summarises %d incomplete flows", i, s.Incomplete)
+		}
+		if s.Count > 0 && !(s.MinMs <= s.P50Ms && s.P50Ms <= s.P95Ms &&
+			s.P95Ms <= s.P99Ms && s.P99Ms <= s.MaxMs) {
+			t.Errorf("snapshot %d percentiles out of order: %+v", i, s)
+		}
+		if s.MaxMs > final.MaxMs {
+			t.Errorf("snapshot %d max %v exceeds the final max %v", i, s.MaxMs, final.MaxMs)
+		}
+		if i == 0 {
+			continue
+		}
+		prev := res.Snapshots[i-1]
 		if snap.At != prev.At+iv {
-			t.Errorf("snapshot %d at %v, want %v", i+1, snap.At, prev.At+iv)
+			t.Errorf("snapshot %d at %v, want %v", i, snap.At, prev.At+iv)
 		}
 		// Cumulative counters never decrease.
-		if snap.Spawned < prev.Spawned || snap.Short.Count < prev.Short.Count ||
+		if snap.Spawned < prev.Spawned || s.Count < prev.Short.Count ||
+			s.WithRTO < prev.Short.WithRTO ||
 			snap.Blackholed < prev.Blackholed || snap.NoRouteDrops < prev.NoRouteDrops {
-			t.Errorf("snapshot %d went backwards: %+v after %+v", i+1, snap, prev)
+			t.Errorf("snapshot %d went backwards: %+v after %+v", i, snap, prev)
 		}
-		prev = snap
 	}
 	last := res.Snapshots[len(res.Snapshots)-1]
-	if last.Spawned > res.Spawned || last.Short.Count > res.ShortSummary.Count {
-		t.Errorf("last snapshot exceeds final totals: %+v vs spawned=%d count=%d",
-			last, res.Spawned, res.ShortSummary.Count)
+	if last.Short.Count == 0 {
+		t.Error("no snapshot saw a finished short flow")
 	}
-	// Exact mode with snapshots keeps the exact final statistics.
+	if last.Spawned > res.Spawned || last.Short.Count > final.Count {
+		t.Errorf("last snapshot exceeds final totals: %+v vs spawned=%d count=%d",
+			last, res.Spawned, final.Count)
+	}
+	// Snapshots leave the final statistics untouched.
 	plain := cfg
 	plain.Metrics.SnapshotInterval = 0
 	base, err := Run(plain)

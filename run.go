@@ -31,15 +31,10 @@ type Results struct {
 	Config Config
 
 	// ShortFlows holds one record per short flow in spawn order — the
-	// data behind the paper's Figures 1(b)/1(c) scatter plots. It is nil
-	// when Config.Metrics.Mode is MetricsStreaming: streaming runs keep
-	// no per-flow state, only the aggregates below.
+	// data behind the paper's Figures 1(b)/1(c) scatter plots.
 	ShortFlows []metrics.FlowRecord
 	// ShortSummary aggregates them (Figure 1(a)'s mean/stddev and the
-	// §3 "116 ms (σ=101) vs 126 ms (σ=425)" comparison). In streaming
-	// mode the counts, mean, stddev, min and max are still exact; the
-	// percentiles carry a relative error of at most
-	// 2^-Config.Metrics.HistPrecision.
+	// §3 "116 ms (σ=101) vs 126 ms (σ=425)" comparison).
 	ShortSummary metrics.Summary
 	// DeadlineMissRate is the fraction of short flows that missed
 	// ShortFlowDeadline — the paper's §1 framing of short-flow damage
@@ -267,7 +262,6 @@ func takeInstance(cfg *Config, parked **instance) (*instance, error) {
 type flow struct {
 	rec  metrics.FlowRecord
 	conn Conn
-	slot int // index in liveRun.shorts, for streaming mode's removal
 }
 
 // liveRun is one experiment in flight: the resolved config, the instance
@@ -287,19 +281,11 @@ type liveRun struct {
 	// window), nil otherwise.
 	observer core.ConvergenceObserver
 
-	// stream is the streaming metrics mode's only aggregate and the
-	// snapshots' percentile source in either mode (exact mode's final
-	// summary still comes from the record slice). Nil when neither is on.
-	stream    *metrics.StreamingSummary
-	streaming bool
-
 	assign  workload.Assignment
 	spawner *workload.PoissonShortFlows
 	longs   []*flow
-	// shorts is the flow table. Exact mode keeps every short flow, in
-	// spawn order (the paper's scatter-plot ordering); streaming mode
-	// only those still in flight, observing each into stream the moment
-	// its sender finishes and forgetting it.
+	// shorts is the flow table: every short flow, in spawn order (the
+	// paper's scatter-plot ordering).
 	shorts    []*flow
 	completed int
 }
@@ -326,11 +312,10 @@ func (ri *instance) run(ctx context.Context, cfg *Config) (*Results, error) {
 // traffic matrix.
 func (ri *instance) build(cfg *Config) (*liveRun, error) {
 	r := &liveRun{
-		cfg:       cfg,
-		instance:  ri,
-		res:       &Results{Config: *cfg},
-		rootRNG:   sim.NewRNG(cfg.Seed),
-		streaming: cfg.Metrics.Mode == MetricsStreaming,
+		cfg:      cfg,
+		instance: ri,
+		res:      &Results{Config: *cfg},
+		rootRNG:  sim.NewRNG(cfg.Seed),
 	}
 	eng, net, rec := ri.eng, ri.net, ri.rec
 
@@ -372,13 +357,6 @@ func (ri *instance) build(cfg *Config) (*liveRun, error) {
 			r.controlPlane.SetRecorder(rec)
 			r.faultPlan.OnRouteChange = r.controlPlane.Invalidate
 			r.observer = r.controlPlane
-		}
-	}
-
-	if r.streaming || cfg.Metrics.SnapshotInterval > 0 {
-		r.stream, err = metrics.NewStreamingSummary(cfg.Metrics.HistPrecision, ShortFlowDeadline)
-		if err != nil {
-			return nil, err
 		}
 	}
 
@@ -496,7 +474,7 @@ func (r *liveRun) spawn() {
 // in (time, shard) order — immediately in sequential mode.
 func (r *liveRun) spawnShort(id uint64, src, dst int, size int64) {
 	fab := r.fab
-	sf := &flow{slot: len(r.shorts), rec: metrics.FlowRecord{
+	sf := &flow{rec: metrics.FlowRecord{
 		ID:    id,
 		Src:   netem.NodeID(src),
 		Dst:   netem.NodeID(dst),
@@ -510,15 +488,6 @@ func (r *liveRun) spawnShort(id uint64, src, dst int, size int64) {
 		fab.Defer(fab.HostShard(src), func(sim.Time) {
 			// Sender finished too: snapshot stats and free endpoints.
 			r.close(sf)
-			if r.stream != nil {
-				r.stream.Observe(sf.rec)
-			}
-			if r.streaming {
-				last := r.shorts[len(r.shorts)-1]
-				last.slot = sf.slot
-				r.shorts[sf.slot] = last
-				r.shorts = r.shorts[:len(r.shorts)-1]
-			}
 		})
 	})
 	rcv := sf.conn.Receiver()
@@ -585,21 +554,11 @@ func (r *liveRun) collect() {
 	for _, sf := range r.shorts {
 		if sf.conn != nil { // never finished, or the sender still awaited ACKs
 			r.close(sf)
-			if r.streaming {
-				r.stream.Observe(sf.rec)
-			}
 		}
-		if !r.streaming {
-			res.ShortFlows = append(res.ShortFlows, sf.rec)
-		}
+		res.ShortFlows = append(res.ShortFlows, sf.rec)
 	}
-	if r.streaming {
-		res.ShortSummary = r.stream.Summary()
-		res.DeadlineMissRate = r.stream.MissRate()
-	} else {
-		res.ShortSummary = metrics.Summarize(res.ShortFlows)
-		res.DeadlineMissRate = metrics.DeadlineMissRate(res.ShortFlows, ShortFlowDeadline)
-	}
+	res.ShortSummary = metrics.Summarize(res.ShortFlows)
+	res.DeadlineMissRate = metrics.DeadlineMissRate(res.ShortFlows, ShortFlowDeadline)
 
 	// Long flows: goodput over their lifetime.
 	var tputSum float64
@@ -648,13 +607,19 @@ func (r *liveRun) collect() {
 }
 
 // snapshot samples the run's cumulative state: workload progress, the
-// streaming short-flow summary, network-wide damage counters, and the
-// control plane's work so far.
+// summary of the short flows closed so far (their records are final),
+// network-wide damage counters, and the control plane's work so far.
 func (r *liveRun) snapshot() metrics.Snapshot {
+	var closed []metrics.FlowRecord
+	for _, sf := range r.shorts {
+		if sf.conn == nil {
+			closed = append(closed, sf.rec)
+		}
+	}
 	snap := metrics.Snapshot{
 		At:      r.eng.Now(),
 		Spawned: r.spawner.Spawned(),
-		Short:   r.stream.Summary(),
+		Short:   metrics.Summarize(closed),
 	}
 	for _, l := range r.net.Links {
 		snap.Blackholed += l.TotalBlackholed()

@@ -13,9 +13,8 @@ import (
 )
 
 // shardedSuite is the PR-3 fault suite (cable cuts with global repair,
-// lossy degraded cables, VL2 cable cuts, a core-switch crash, streaming
-// and snapshot metrics modes) with every config set to the given shard
-// count. It mirrors TestPooledSweepByteIdentical's mkConfigs so the
+// lossy degraded cables, VL2 cable cuts, a core-switch crash, rolling
+// snapshots) with every config set to the given shard count. It mirrors TestPooledSweepByteIdentical's mkConfigs so the
 // parallel engine is exercised against exactly the dynamics the pooling
 // contract already locks in.
 func shardedSuite(shards int) []Config {
@@ -46,9 +45,6 @@ func shardedSuite(shards int) []Config {
 		ReconvergeDelay: 50 * Millisecond,
 	}
 	configs = append(configs, crash)
-	strm := faultedConfig(ProtoMMPTCP, 40)
-	strm.Metrics.Mode = MetricsStreaming
-	configs = append(configs, strm)
 	snap := faultedConfig(ProtoTCP, 40)
 	snap.Metrics.SnapshotInterval = 100 * Millisecond
 	configs = append(configs, snap)
