@@ -98,8 +98,6 @@ func main() {
 		routing  = flag.String("routing", "local", "repair model under failures: local (per-switch link exclusion) or global (control-plane reconvergence)")
 		converge = flag.String("convergence", "atomic", "how recomputed tables reach the switches under -routing global: atomic (one flip) or staggered (per-switch FIB flips)")
 		perhopMs = flag.Float64("perhop-ms", 0, "staggered convergence: extra flip delay per hop from the failure, milliseconds")
-		holdMs   = flag.Float64("holddown-ms", 0, "flap damping window, milliseconds (0 = no damping)")
-		flapThr  = flag.Int("flap-threshold", 0, "transitions within one hold-down window before a link is damped (0 = default 3)")
 		deadRTOs = flag.Int("dead-rtos", 0, "declare a subflow dead after this many consecutive RTOs and re-dial it on a fresh source port (0 = recovery off)")
 		redialBk = flag.Float64("redial-backoff-ms", 0, "base backoff between repeated re-dials of one subflow slot, milliseconds (0 = default 10 when -dead-rtos is set)")
 		redialBg = flag.Int("redial-budget", 0, "re-dial attempts allowed per connection (0 = default 4 when -dead-rtos is set)")
@@ -186,11 +184,9 @@ func main() {
 		usageError("-trace-flows needs -trace ring or -trace full")
 	}
 	cfg.Routing = mmptcp.RoutingConfig{
-		Mode:          mmptcp.RoutingMode(*routing),
-		Convergence:   mmptcp.ConvergenceMode(*converge),
-		PerHopDelay:   sim.FromSeconds(*perhopMs / 1000),
-		HoldDown:      sim.FromSeconds(*holdMs / 1000),
-		FlapThreshold: *flapThr,
+		Mode:        mmptcp.RoutingMode(*routing),
+		Convergence: mmptcp.ConvergenceMode(*converge),
+		PerHopDelay: sim.FromSeconds(*perhopMs / 1000),
 	}
 	cfg.Transport = mmptcp.TransportConfig{
 		DeadRTOs:         *deadRTOs,
@@ -423,9 +419,6 @@ func report(res *mmptcp.Results, wall time.Duration) {
 				res.Routing.Flips, res.Routing.TransientTime)
 			fmt.Printf("    window damage: %d loop drops, %d transient no-route, %d stale lookups\n",
 				res.LoopDrops, res.Routing.TransientNoRoute, res.Routing.StaleLookups)
-		}
-		if res.Routing.Damped > 0 {
-			fmt.Printf("  flap damping: %d transitions deferred by hold-down\n", res.Routing.Damped)
 		}
 	}
 }

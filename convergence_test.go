@@ -195,8 +195,8 @@ func TestStaggeredTransientShape(t *testing.T) {
 }
 
 // TestStaggeredSweepDeterminism extends the sweep-determinism guarantee
-// to staggered convergence and flap damping: per-switch flip schedules
-// and hold-down deferrals must be byte-identical serial vs parallel.
+// to staggered convergence: per-switch flip schedules, including those of
+// sampled agg-layer churn, must be byte-identical serial vs parallel.
 // CI runs this test under -race.
 func TestStaggeredSweepDeterminism(t *testing.T) {
 	mkConfigs := func() []Config {
@@ -218,17 +218,16 @@ func TestStaggeredSweepDeterminism(t *testing.T) {
 			PerHopDelay: 3 * Millisecond,
 		}
 		configs = append(configs, vl2)
-		damped := transientConfig(ProtoTCP, 40, 2, 2*Millisecond)
-		damped.MaxSimTime = 15 * Second
-		damped.Faults = FaultsConfig{
+		churn := transientConfig(ProtoTCP, 40, 2, 2*Millisecond)
+		churn.MaxSimTime = 15 * Second
+		churn.Faults = FaultsConfig{
 			Model: FaultModel{
 				Layers:  []FaultLayerModel{{Layer: LayerAgg, MTBF: 500 * Millisecond, MTTR: 50 * Millisecond}},
 				Horizon: 5 * Second,
 			},
 			ReconvergeDelay: 5 * Millisecond,
 		}
-		damped.Routing.HoldDown = 200 * Millisecond
-		configs = append(configs, damped)
+		configs = append(configs, churn)
 		return configs
 	}
 	serial, err := RunSweep(mkConfigs(), SweepOptions{Workers: 1})
@@ -248,48 +247,6 @@ func TestStaggeredSweepDeterminism(t *testing.T) {
 		if res.Routing.Flips == 0 {
 			t.Errorf("config %d applied no per-switch flips", i)
 		}
-	}
-}
-
-// TestFlapDampingRun drives the hold-down policy through the public
-// API: an aggressively flapping access layer with damping enabled must
-// report deferred transitions and still finish the workload.
-func TestFlapDampingRun(t *testing.T) {
-	cfg := tiny(ProtoTCP, 60)
-	cfg.MaxSimTime = 20 * Second
-	cfg.Faults = FaultsConfig{
-		Model: FaultModel{
-			Layers:  []FaultLayerModel{{Layer: LayerHost, MTBF: 200 * Millisecond, MTTR: 20 * Millisecond}},
-			Horizon: 5 * Second,
-		},
-	}
-	cfg.Routing = RoutingConfig{
-		Mode:          RoutingGlobal,
-		HoldDown:      300 * Millisecond,
-		FlapThreshold: 2,
-	}
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	undamped := cfg
-	undamped.Routing.HoldDown = 0
-	undamped.Routing.FlapThreshold = 0
-	ref, err := Run(undamped)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("damped: recomputes=%d damped=%d; undamped: recomputes=%d",
-		res.Routing.Recomputes, res.Routing.Damped, ref.Routing.Recomputes)
-	if res.Routing.Damped == 0 {
-		t.Error("hold-down never deferred a transition under access-layer churn")
-	}
-	if res.Routing.Recomputes >= ref.Routing.Recomputes {
-		t.Errorf("damping did not reduce recomputes: %d >= %d",
-			res.Routing.Recomputes, ref.Routing.Recomputes)
-	}
-	if ref.Routing.Damped != 0 {
-		t.Errorf("undamped run reports %d damped transitions", ref.Routing.Damped)
 	}
 }
 
@@ -323,36 +280,15 @@ func TestConvergenceValidation(t *testing.T) {
 		t.Error("Run accepted PerHopDelay under atomic convergence")
 	}
 
-	hold := base()
-	hold.Routing = RoutingConfig{Mode: RoutingGlobal, HoldDown: -Second}
-	if _, err := Run(hold); err == nil {
-		t.Error("Run accepted a negative HoldDown")
-	}
-
-	thr := base()
-	thr.Routing = RoutingConfig{Mode: RoutingGlobal, FlapThreshold: 3}
-	if _, err := Run(thr); err == nil {
-		t.Error("Run accepted FlapThreshold without HoldDown (silently does nothing)")
-	}
-
-	localDamp := base()
-	localDamp.Routing = RoutingConfig{Mode: RoutingLocal, HoldDown: 100 * Millisecond}
-	if _, err := Run(localDamp); err == nil {
-		t.Error("Run accepted HoldDown under local repair (no control plane to damp)")
-	}
-
 	conv := base()
 	conv.Routing = RoutingConfig{Mode: RoutingGlobal, Convergence: "quantum"}
 	if _, err := Run(conv); err == nil {
 		t.Error("Run accepted an unknown convergence mode")
 	}
 
-	// The rules cmd/mmptcpsim leaves to Config: flap threshold, fault
-	// times, and the transport-recovery knobs that react to convergence.
+	// The rules cmd/mmptcpsim leaves to Config: fault times and the
+	// transport-recovery knobs that react to convergence.
 	for name, mutate := range map[string]func(*Config){
-		"negative FlapThreshold": func(c *Config) {
-			c.Routing = RoutingConfig{Mode: RoutingGlobal, HoldDown: Second, FlapThreshold: -1}
-		},
 		"negative fault time":               func(c *Config) { c.Faults.Events = FailCables(LayerAgg, 1, -Millisecond, 0) },
 		"negative DeadRTOs":                 func(c *Config) { c.Transport.DeadRTOs = -1 },
 		"negative RedialBackoff":            func(c *Config) { c.Transport = TransportConfig{DeadRTOs: 2, RedialBackoff: -Millisecond} },

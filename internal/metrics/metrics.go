@@ -225,8 +225,9 @@ type Snapshot struct {
 // (blackholes bred by the disagreement rather than the failure itself)
 // and StaleLookups (lookups served by a not-yet-flipped table); the
 // micro-loop deaths live in Results.LoopDrops next to HopDrops, the
-// counter they are distinguished from. Damped counts link transitions
-// whose recompute the hold-down policy deferred.
+// counter they are distinguished from. Damped is always zero: the
+// control plane recomputes after every transition. The field stays until
+// the benchmark's Results fingerprints are next re-recorded.
 type RoutingStats struct {
 	Mode            string
 	Convergence     string

@@ -43,12 +43,6 @@
 // network-wide window classify their lookups and drops, and Stats records
 // the flip spread and cumulative window time.
 //
-// The plane also dampens churn: with Config.HoldDown set, a link whose
-// routing state flips more than FlapThreshold times inside the trailing
-// hold-down window stops triggering immediate recomputes — its pending
-// transitions are folded into one deferred rebuild at window expiry, the
-// way real control planes suppress flapping advertisements.
-//
 // Installing the plane changes no row: overrides exist only for
 // destinations whose reachability actually changed, every other entry
 // stays as built. Recomputes are coalesced — any number of simultaneous link transitions
@@ -130,7 +124,7 @@ func ParseConvergence(s string) (Convergence, error) {
 }
 
 // Config tunes an installed control plane. The zero value is the
-// classic plane: atomic convergence, no flap damping.
+// classic plane: atomic convergence.
 type Config struct {
 	// Convergence picks atomic (default) or staggered table flips.
 	Convergence Convergence
@@ -139,15 +133,6 @@ type Config struct {
 	// Zero makes Staggered degenerate to Atomic exactly. Must not be
 	// negative.
 	PerHopDelay sim.Time
-	// HoldDown enables flap damping: a link whose routing state
-	// transitions more than FlapThreshold times within this trailing
-	// window stops triggering immediate recomputes; its pending flips
-	// fold into one deferred rebuild at window expiry. Zero disables.
-	HoldDown sim.Time
-	// FlapThreshold is the number of transitions inside one hold-down
-	// window a link may make before it is damped; defaults to 3 when
-	// HoldDown is set. Must not be negative.
-	FlapThreshold int
 }
 
 // Validate checks the config for contradictions. Install runs it, and
@@ -163,15 +148,6 @@ func (c Config) Validate() error {
 	}
 	if c.PerHopDelay > 0 && conv != Staggered {
 		return fmt.Errorf("routing: PerHopDelay is only meaningful with Convergence %q", Staggered)
-	}
-	if c.HoldDown < 0 {
-		return fmt.Errorf("routing: negative HoldDown %v", c.HoldDown)
-	}
-	if c.FlapThreshold < 0 {
-		return fmt.Errorf("routing: negative FlapThreshold %d", c.FlapThreshold)
-	}
-	if c.FlapThreshold > 0 && c.HoldDown == 0 {
-		return fmt.Errorf("routing: FlapThreshold %d without HoldDown does nothing (set the damping window too)", c.FlapThreshold)
 	}
 	return nil
 }
@@ -213,10 +189,6 @@ type Stats struct {
 	FirstFlip     sim.Time
 	LastFlip      sim.Time
 	TransientTime sim.Time
-
-	// Damped counts link transitions whose recompute was deferred by
-	// the hold-down timer (zero unless Config.HoldDown is set).
-	Damped int
 }
 
 // ConvergenceObserver is the transport-facing view of the control
@@ -226,18 +198,16 @@ type Stats struct {
 // or black-holing). Observing never schedules events or mutates state.
 type ConvergenceObserver interface {
 	// ConvergenceOpen reports that a convergence episode is in
-	// progress: a recompute is pending or scheduled, flap damping is
-	// holding transitions back, or staggered per-switch flips have not
-	// all landed.
+	// progress: a recompute is pending or scheduled, or staggered
+	// per-switch flips have not all landed.
 	ConvergenceOpen() bool
 }
 
 // ConvergenceOpen implements ConvergenceObserver for the global control
-// plane: true while an invalidation awaits its recompute (dirty), a
-// hold-down window defers transitions (deferredPending), or staged rows
-// await their flips (staleRows).
+// plane: true while an invalidation awaits its recompute (dirty) or
+// staged rows await their flips (staleRows).
 func (cp *ControlPlane) ConvergenceOpen() bool {
-	return cp.dirty || cp.deferredPending || cp.staleRows > 0
+	return cp.dirty || cp.staleRows > 0
 }
 
 var _ ConvergenceObserver = (*ControlPlane)(nil)
@@ -291,16 +261,6 @@ type distEntry struct {
 	epoch uint64
 }
 
-// flapState tracks one link's most recent routing transitions — a ring
-// of at most FlapThreshold+1 timestamps, enough to answer the exact
-// trailing-window question "did more than FlapThreshold transitions
-// land within the last HoldDown?" without a resettable counter's blind
-// spot (steady flapping that straddles a fixed window's reset).
-type flapState struct {
-	times []sim.Time
-	idx   int // oldest entry once the ring is full; next overwrite slot
-}
-
 // ControlPlane writes the override entries of one built network's
 // forwarding rows on demand. Create with Install, trigger with
 // Invalidate (typically wired to faults.Injector.OnRouteChange).
@@ -335,14 +295,9 @@ type ControlPlane struct {
 	// recomputed per destination anyway. seeds carries the switch
 	// endpoints of host-incident transitions: the invalidation pass
 	// ignores them, but the staggered flip-delay BFS needs the failure's
-	// location, and the hold-down expiry path needs them to see that
-	// damped host-link transitions are still unconsumed.
+	// location.
 	pending []flip
 	seeds   []netem.NodeID
-	// fullPending forces the next recompute to invalidate everything
-	// (set by Invalidate(nil), the escape hatch for callers that cannot
-	// name the changed link).
-	fullPending bool
 
 	// distCache maps a destination's live-attachment signature to its
 	// cached distance table; entries survive recomputes until a flip
@@ -365,11 +320,6 @@ type ControlPlane struct {
 	overridesStale bool
 	flipFn         func(any)
 
-	// Flap damping state (active only with cfg.HoldDown > 0).
-	flap            map[*netem.Link]*flapState
-	deferredPending bool
-	deferredFn      func()
-
 	// Reusable scratch: recycled distance slices, the flip-delay flood's
 	// two frontier slices, the signature key buffer and the equal-cost
 	// set under construction.
@@ -384,8 +334,7 @@ type ControlPlane struct {
 	recomputeFn func()
 
 	// rec, when non-nil, receives structured trace events (recompute
-	// start/end, per-switch row flips, damping defer/expiry); every
-	// trace point is nil-guarded.
+	// start/end, per-switch row flips); every trace point is nil-guarded.
 	rec *trace.Recorder
 
 	stats Stats
@@ -393,15 +342,12 @@ type ControlPlane struct {
 
 // Install returns a control plane for the network's forwarding rows. It
 // changes no row until the first Invalidate, so installing on a network
-// that never degrades is behaviour-neutral. cfg tunes convergence and
-// damping; the zero value is the classic atomic plane. NodeIDs must be
-// hosts 0..H-1, then switches.
+// that never degrades is behaviour-neutral. cfg tunes convergence; the
+// zero value is the classic atomic plane. NodeIDs must be hosts 0..H-1,
+// then switches.
 func Install(eng *sim.Engine, net *topology.Network, cfg Config) (*ControlPlane, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
-	}
-	if cfg.HoldDown > 0 && cfg.FlapThreshold == 0 {
-		cfg.FlapThreshold = 3
 	}
 	nHosts, nSw := len(net.Hosts), len(net.Switches)
 	for j, h := range net.Hosts {
@@ -443,10 +389,6 @@ func Install(eng *sim.Engine, net *topology.Network, cfg Config) (*ControlPlane,
 			cp.applyFlip(i)
 		}
 	}
-	if cfg.HoldDown > 0 {
-		cp.flap = make(map[*netem.Link]*flapState)
-		cp.deferredFn = cp.deferredRecompute
-	}
 	return cp, nil
 }
 
@@ -476,97 +418,28 @@ func (cp *ControlPlane) SetRecorder(r *trace.Recorder) { cp.rec = r }
 // current virtual time. Any number of Invalidate calls before that
 // recompute runs coalesce into it — a switch crash that deadens dozens
 // of ports at one instant costs a single table rebuild. The flipped link
-// (its state already changed) scopes the recompute to the destinations
-// it can affect; a nil link conservatively invalidates everything. A
-// link the hold-down policy has damped defers the rebuild to the end of
-// its flap window instead of triggering one now.
+// l (its state already changed; must not be nil) scopes the recompute to
+// the destinations it can affect.
 func (cp *ControlPlane) Invalidate(l *netem.Link) {
-	damped := false
-	if l == nil {
-		cp.fullPending = true
-	} else {
-		u, v := l.Src().ID(), l.Dst().ID()
-		// Host uplinks never appear in switch tables or distance tables,
-		// and switch->host downlinks only matter through the
-		// destination's attachment signature: neither needs an
-		// invalidation record. Their switch endpoint is still recorded
-		// as a seed — the staggered flip-delay pass starts there, and
-		// the hold-down expiry path must see the transition as
-		// unconsumed even in atomic mode.
-		uSw, vSw := int(u) >= cp.nHosts, int(v) >= cp.nHosts
-		if uSw && vSw {
-			cp.pending = append(cp.pending, flip{u: u, v: v, dead: l.RouteDead()})
-		} else if uSw {
-			cp.seeds = append(cp.seeds, u)
-		} else if vSw {
-			cp.seeds = append(cp.seeds, v)
-		}
-		damped = cp.noteFlap(l)
+	u, v := l.Src().ID(), l.Dst().ID()
+	// Host uplinks never appear in switch tables or distance tables, and
+	// switch->host downlinks only matter through the destination's
+	// attachment signature: neither needs an invalidation record. Their
+	// switch endpoint is still recorded as a seed, where the staggered
+	// flip-delay pass starts.
+	uSw, vSw := int(u) >= cp.nHosts, int(v) >= cp.nHosts
+	if uSw && vSw {
+		cp.pending = append(cp.pending, flip{u: u, v: v, dead: l.RouteDead()})
+	} else if uSw {
+		cp.seeds = append(cp.seeds, u)
+	} else if vSw {
+		cp.seeds = append(cp.seeds, v)
 	}
 	if cp.dirty {
-		return
-	}
-	if damped {
-		cp.stats.Damped++
-		if cp.rec != nil && l != nil {
-			cp.rec.Record(cp.eng.Now(), trace.KindDampDefer, 0, -1,
-				int32(l.Src().ID()), int32(l.Dst().ID()), int64(cp.stats.Damped), 0)
-		}
-		if !cp.deferredPending {
-			cp.deferredPending = true
-			cp.eng.Schedule(cp.cfg.HoldDown, cp.deferredFn)
-		}
 		return
 	}
 	cp.dirty = true
 	cp.eng.Schedule(0, cp.recomputeFn)
-}
-
-// noteFlap records one routing transition of l and reports whether the
-// link is damped: strictly more than FlapThreshold transitions inside
-// the trailing HoldDown window ending now.
-func (cp *ControlPlane) noteFlap(l *netem.Link) bool {
-	if cp.cfg.HoldDown <= 0 {
-		return false
-	}
-	now := cp.eng.Now()
-	st := cp.flap[l]
-	if st == nil {
-		st = &flapState{times: make([]sim.Time, 0, cp.cfg.FlapThreshold+1)}
-		cp.flap[l] = st
-	}
-	if len(st.times) == cp.cfg.FlapThreshold+1 {
-		st.times[st.idx] = now
-		st.idx = (st.idx + 1) % len(st.times)
-	} else {
-		st.times = append(st.times, now)
-	}
-	if len(st.times) <= cp.cfg.FlapThreshold {
-		return false
-	}
-	// The ring holds the FlapThreshold+1 most recent transitions; the
-	// link is flapping iff the oldest of them is still inside the
-	// trailing window.
-	return now-st.times[st.idx] <= cp.cfg.HoldDown
-}
-
-// deferredRecompute is the hold-down expiry callback: it rebuilds the
-// tables only if damped transitions are still unconsumed (an undamped
-// transition in the meantime will have folded them into its own
-// recompute).
-func (cp *ControlPlane) deferredRecompute() {
-	cp.deferredPending = false
-	if cp.dirty {
-		return
-	}
-	if len(cp.pending) == 0 && len(cp.seeds) == 0 && !cp.fullPending {
-		return
-	}
-	if cp.rec != nil {
-		cp.rec.Record(cp.eng.Now(), trace.KindDampExpire, 0, -1, -1, -1,
-			int64(len(cp.pending)+len(cp.seeds)), 0)
-	}
-	cp.Recompute()
 }
 
 // Recompute rebuilds the override entries invalidated by the transitions
@@ -595,16 +468,16 @@ func (cp *ControlPlane) Recompute() {
 		cp.computeFlipDelays()
 	}
 
-	if full := ForceFullRecompute || cp.fullPending; full || len(cp.pending) > 0 {
+	if ForceFullRecompute || len(cp.pending) > 0 {
 		for key, e := range cp.distCache {
-			if full || cp.entryDirty(e) {
+			if ForceFullRecompute || cp.entryDirty(e) {
 				delete(cp.distCache, key)
 				clear(e.dist)
 				cp.freeDists = append(cp.freeDists, e.dist)
 			}
 		}
 	}
-	cp.pending, cp.seeds, cp.fullPending = cp.pending[:0], cp.seeds[:0], false
+	cp.pending, cp.seeds = cp.pending[:0], cp.seeds[:0]
 
 	// Fill the missing distance tables: one BFS per distinct absent
 	// signature, in destination order. Inserting the entry before the
@@ -666,11 +539,11 @@ func (cp *ControlPlane) recountOverrides() {
 // nearest seed of the current transition batch (the endpoints of the
 // flipped links), breadth-first over the live fabric. Switches the flood
 // cannot reach — their side of a partition — converge one hop after the
-// farthest reached switch, so every staged table still lands. A full
-// invalidation (no nameable seeds) flips everything at distance zero,
-// i.e. atomically.
+// farthest reached switch, so every staged table still lands. A batch
+// with no seeds (a direct Recompute call) flips everything at distance
+// zero, i.e. atomically.
 func (cp *ControlPlane) computeFlipDelays() {
-	if cp.fullPending || (len(cp.pending) == 0 && len(cp.seeds) == 0) {
+	if len(cp.pending) == 0 && len(cp.seeds) == 0 {
 		clear(cp.flipDist)
 		cp.seeds = cp.seeds[:0]
 		return

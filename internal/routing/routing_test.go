@@ -615,141 +615,6 @@ func TestStaggeredZeroDelayFlipsInline(t *testing.T) {
 	}
 }
 
-// TestFlapStormDamping is the hold-down satellite: a cable flapping
-// every millisecond must stop triggering recomputes once it crosses the
-// flap threshold, its pending transitions folding into one deferred
-// rebuild at window expiry — and the final tables must still be exactly
-// right.
-func TestFlapStormDamping(t *testing.T) {
-	eng := sim.NewEngine()
-	ft := topology.NewFatTree(eng, topology.FatTreeConfig{K: 4, Link: topology.DefaultLinkConfig()})
-	net := &ft.Network
-	cp, err := Install(eng, net, Config{HoldDown: 50 * sim.Millisecond, FlapThreshold: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	built := builtStorage(net)
-	// Cable 0 at the agg layer flaps down/up every millisecond,
-	// 25 cycles: 50 routing transitions per direction.
-	var events []faults.Event
-	for i := 0; i < 25; i++ {
-		down := sim.Time(10+2*i) * sim.Millisecond
-		events = append(events, cableEvents(faults.LinkDown, down)...)
-		events = append(events, cableEvents(faults.LinkUp, down+sim.Millisecond)...)
-	}
-	install(t, eng, net, cp, faults.Config{Events: events})
-	eng.RunUntil(200 * sim.Millisecond)
-
-	st := cp.Stats()
-	// Undamped, every one of the 50 transition instants would recompute.
-	// With threshold 3 the first three instants rebuild immediately and
-	// everything after defers into the hold-down expiry.
-	if st.Recomputes > 6 {
-		t.Errorf("flap storm caused %d recomputes, want <= 6 (damped)", st.Recomputes)
-	}
-	if st.Recomputes < 4 {
-		t.Errorf("recomputes = %d, want >= 4 (3 immediate + deferred)", st.Recomputes)
-	}
-	if st.Damped < 40 {
-		t.Errorf("only %d transitions damped, want >= 40", st.Damped)
-	}
-	// The cable ended up: tables must be fully healed.
-	if st.Overrides != 0 || !cpCleared(net, built) {
-		t.Errorf("overrides = %d after the flapping cable healed, want 0 and every row as built", st.Overrides)
-	}
-	got := snapshotTables(net)
-	ForceFullRecompute = true
-	cp.Recompute()
-	ForceFullRecompute = false
-	if !tablesEqual(got, snapshotTables(net)) {
-		t.Error("damped tables diverge from a full rebuild")
-	}
-}
-
-// TestFlapTrailingWindow pins the damping predicate's exact trailing-
-// window semantics: the link is damped iff more than FlapThreshold
-// transitions landed within the last HoldDown, regardless of where a
-// fixed window would have reset. Transitions at 10/55/58/62/65ms with a
-// 50ms window and threshold 3: the window ending at 62ms holds only
-// three recent transitions (10ms has aged out), but the one ending at
-// 65ms holds four — a resetting counter (restarted at 62ms) would miss
-// it forever.
-func TestFlapTrailingWindow(t *testing.T) {
-	eng := sim.NewEngine()
-	ft := topology.NewFatTree(eng, topology.FatTreeConfig{K: 4, Link: topology.DefaultLinkConfig()})
-	net := &ft.Network
-	cp, err := Install(eng, net, Config{HoldDown: 50 * sim.Millisecond, FlapThreshold: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	l := net.LinksAtLayer(netem.LayerAgg)[0]
-	for _, at := range []sim.Time{10, 55, 58, 62, 65} {
-		eng.At(at*sim.Millisecond, func() {
-			l.SetRouteDead(!l.RouteDead())
-			cp.Invalidate(l)
-		})
-	}
-	var dampedAt62, dampedAt65 int
-	eng.At(63*sim.Millisecond, func() { dampedAt62 = cp.Stats().Damped })
-	eng.At(66*sim.Millisecond, func() { dampedAt65 = cp.Stats().Damped })
-	eng.RunUntil(200 * sim.Millisecond)
-	if dampedAt62 != 0 {
-		t.Errorf("damped after 62ms = %d, want 0 (only 3 transitions in the trailing window)", dampedAt62)
-	}
-	if dampedAt65 != 1 {
-		t.Errorf("damped after 65ms = %d, want 1 (4 transitions within 50ms)", dampedAt65)
-	}
-}
-
-// TestDampedHostLinkStillReconverges pins the hold-down expiry path for
-// host-incident transitions: a damped host access cable leaves nothing
-// in the switch-to-switch flip log, so the deferred rebuild must key
-// off the recorded seeds — otherwise the fabric keeps forwarding toward
-// a host that died mid-flap forever.
-func TestDampedHostLinkStillReconverges(t *testing.T) {
-	eng := sim.NewEngine()
-	ft := topology.NewFatTree(eng, topology.FatTreeConfig{K: 4, Link: topology.DefaultLinkConfig()})
-	net := &ft.Network
-	cp, err := Install(eng, net, Config{HoldDown: 50 * sim.Millisecond, FlapThreshold: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Host 0's access cable (host-layer links 0 and 1) flaps
-	// down/up/down; the third transition per link crosses the threshold
-	// and is damped, and the cable stays dead.
-	hostCable := func(kind faults.Kind, at sim.Time) []faults.Event {
-		return []faults.Event{
-			{At: at, Kind: kind, Layer: netem.LayerHost, Index: 0},
-			{At: at, Kind: kind, Layer: netem.LayerHost, Index: 1},
-		}
-	}
-	var events []faults.Event
-	events = append(events, hostCable(faults.LinkDown, 10*sim.Millisecond)...)
-	events = append(events, hostCable(faults.LinkUp, 11*sim.Millisecond)...)
-	events = append(events, hostCable(faults.LinkDown, 12*sim.Millisecond)...)
-	install(t, eng, net, cp, faults.Config{Events: events})
-	eng.RunUntil(200 * sim.Millisecond)
-
-	st := cp.Stats()
-	if st.Damped == 0 {
-		t.Fatal("the third flap was not damped; scenario exercises nothing")
-	}
-	// The deferred rebuild must have consumed the damped transitions:
-	// nobody forwards toward dead host 0 any more.
-	for _, sw := range net.Switches {
-		if eq := sw.Router().NextLinks(net.Hosts[0].ID()); len(eq) != 0 {
-			t.Fatalf("switch %d still forwards toward dead host 0 after hold-down expiry (%d links)", sw.ID(), len(eq))
-		}
-	}
-	got := snapshotTables(net)
-	ForceFullRecompute = true
-	cp.Recompute()
-	ForceFullRecompute = false
-	if !tablesEqual(got, snapshotTables(net)) {
-		t.Error("tables after the deferred rebuild diverge from a full rebuild")
-	}
-}
-
 // TestRestagedFlipKeepsItsOwnSchedule pins the flip-event supersession
 // rule: when a switch with a flip already in flight is re-staged by a
 // later batch, the new target must land at the new batch's flip time —
@@ -809,23 +674,12 @@ func TestRestagedFlipKeepsItsOwnSchedule(t *testing.T) {
 	}
 }
 
-// cableEvents mirrors faults.cableEvents for cable 0 at the agg layer.
-func cableEvents(kind faults.Kind, at sim.Time) []faults.Event {
-	return []faults.Event{
-		{At: at, Kind: kind, Layer: netem.LayerAgg, Index: 0},
-		{At: at, Kind: kind, Layer: netem.LayerAgg, Index: 1},
-	}
-}
-
 // TestInstallValidation rejects malformed convergence configs.
 func TestInstallValidation(t *testing.T) {
 	eng := sim.NewEngine()
 	ft := topology.NewFatTree(eng, topology.FatTreeConfig{K: 4, Link: topology.DefaultLinkConfig()})
 	bad := []Config{
 		{PerHopDelay: -sim.Millisecond},
-		{HoldDown: -sim.Millisecond},
-		{FlapThreshold: -1},
-		{FlapThreshold: 3}, // threshold without a damping window does nothing
 		{Convergence: "quantum"},
 	}
 	for _, cfg := range bad {

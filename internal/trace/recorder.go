@@ -14,8 +14,8 @@ import (
 // stack: transport (segment send/retransmit, acks, cwnd/RTO moves,
 // subflow lifecycle, the MMPTCP phase switch), the emulated network
 // (enqueues, ECN marks, every drop class, link state), the routing
-// control plane (recomputes, per-switch FIB flips, flap damping) and
-// the fault injector (inject/repair). Numeric values are internal —
+// control plane (recomputes, per-switch FIB flips) and the fault
+// injector (inject/repair). Numeric values are internal —
 // serialise via String(); new kinds append at the end.
 type Kind uint8
 
@@ -46,8 +46,6 @@ const (
 	KindRecomputeStart             // a=coalesced transitions in batch
 	KindRecomputeEnd               // a=destinations recomputed, b=skipped
 	KindFIBFlip                    // switch node; a=epoch, b=override count
-	KindDampDefer                  // link node->peer; a=flap count in window
-	KindDampExpire                 // a=pending invalidations replayed
 	KindFaultInject                // a=fault kind code
 	KindFaultRepair                // a=fault kind code
 	KindSubflowDead                // a=consecutive RTOs, b=bytes acked at death
@@ -67,7 +65,6 @@ var kindNames = [numKinds]string{
 	"hop-drop", "loop-drop", "noroute-drop", "crash-drop",
 	"link-down", "link-up",
 	"recompute-start", "recompute-end", "fib-flip",
-	"damp-defer", "damp-expire",
 	"fault-inject", "fault-repair",
 	"subflow-dead", "subflow-redial", "phase-defer",
 	"window-edge",
@@ -135,8 +132,7 @@ type Options struct {
 // and the engine-throughput bench guard).
 //
 // A Recorder is owned by one run (one engine) at a time; it is not
-// safe for concurrent use. Pooled sweeps give each in-flight run its
-// own recorder: each sweep worker's recycled instance holds one.
+// safe for concurrent use. A traced run gets a fresh recorder of its own.
 type Recorder struct {
 	opts   Options
 	filter map[uint64]struct{} // nil = no filtering
@@ -175,31 +171,9 @@ func NewRecorder(o Options) *Recorder {
 	return r
 }
 
-// Matches reports whether the recorder was built with equivalent
-// options, so a recycled sweep instance can keep an armed recorder
-// across replicates instead of rebuilding its storage.
-func (r *Recorder) Matches(o Options) bool {
-	if r == nil {
-		return false
-	}
-	if r.opts.Mode != o.Mode || r.opts.Buffer != o.Buffer || r.opts.MaxEvents != o.MaxEvents {
-		return false
-	}
-	if len(o.Flows) != len(r.filter) {
-		return len(o.Flows) == 0 && r.filter == nil
-	}
-	for _, f := range o.Flows {
-		if _, ok := r.filter[f]; !ok {
-			return false
-		}
-	}
-	return true
-}
-
 // Reset discards recorded events but keeps the storage and flow filter,
-// returning the recorder to its armed, empty state. A recycled sweep
-// instance calls this so a pooled replicate starts with a clean flight
-// recorder.
+// returning the recorder to its armed, empty state. MergeInto calls it
+// on dst before refilling it with the merged stream.
 func (r *Recorder) Reset() {
 	if r == nil {
 		return
@@ -346,8 +320,8 @@ type chromeEvent struct {
 // Track (pid) layout in the Chrome trace: flows are async spans on the
 // "flows" process, fabric events (queues, drops, FIB flips) are
 // instants on per-switch/per-link tracks under "fabric", and
-// control-plane events (faults, recomputes, damping) are global
-// instants under "control".
+// control-plane events (faults, recomputes) are global instants under
+// "control".
 const (
 	chromePidFlows   = 1
 	chromePidFabric  = 2
@@ -449,7 +423,7 @@ func chromeFromEvent(e Event) chromeEvent {
 			ID:   fmt.Sprintf("flow-%d/sf-%d", e.Flow, e.Sub),
 			Args: map[string]int64{"acked": e.A},
 		}
-	case KindFaultInject, KindFaultRepair, KindRecomputeStart, KindRecomputeEnd, KindDampExpire,
+	case KindFaultInject, KindFaultRepair, KindRecomputeStart, KindRecomputeEnd,
 		KindWindowEdge:
 		return chromeEvent{
 			Name: e.Kind.String(), Cat: "control", Ph: "i", Scope: "g",
@@ -463,7 +437,7 @@ func chromeFromEvent(e Event) chromeEvent {
 			Args: map[string]int64{"flow": int64(e.Flow), "a": e.A, "b": e.B},
 		}
 	case KindEnqueue, KindECNMark, KindQueueDrop, KindRandomDrop, KindBlackhole,
-		KindLinkDown, KindLinkUp, KindDampDefer:
+		KindLinkDown, KindLinkUp:
 		return chromeEvent{
 			Name: e.Kind.String(), Cat: "fabric", Ph: "i", Scope: "t",
 			Ts: ce.Ts, Pid: chromePidFabric, Tid: int64(e.Node),

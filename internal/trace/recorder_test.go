@@ -27,9 +27,6 @@ func TestNilRecorderSafe(t *testing.T) {
 	if r.Events() != nil {
 		t.Error("nil recorder returned events")
 	}
-	if r.Matches(Options{Mode: Ring, Buffer: 1}) {
-		t.Error("nil recorder matched options")
-	}
 }
 
 // TestRingWrap: a full ring overwrites oldest-first and Events unrolls
@@ -96,8 +93,8 @@ func TestFlowFilter(t *testing.T) {
 }
 
 // TestResetKeepsStorageAndFilter: Reset empties the recorder but keeps
-// its identity — capacity, mode, and flow filter — so pooled reuse
-// starts clean without rebuilding.
+// its identity — capacity, mode, and flow filter — so a refill (as
+// MergeInto does) starts clean without rebuilding.
 func TestResetKeepsStorageAndFilter(t *testing.T) {
 	r := NewRecorder(Options{Mode: Ring, Buffer: 4, Flows: []uint64{2}})
 	r.Record(0, KindAck, 2, 0, 0, 0, 0, 0)
@@ -109,35 +106,6 @@ func TestResetKeepsStorageAndFilter(t *testing.T) {
 	r.Record(0, KindAck, 2, 0, 0, 0, 0, 0)
 	if r.Len() != 1 {
 		t.Errorf("filter lost across Reset: Len = %d, want 1", r.Len())
-	}
-}
-
-// TestMatches: option equivalence drives pooled recorder reuse.
-func TestMatches(t *testing.T) {
-	opts := Options{Mode: Ring, Buffer: 64, Flows: []uint64{1, 2}}
-	r := NewRecorder(opts)
-	if !r.Matches(opts) {
-		t.Error("recorder does not match its own options")
-	}
-	if !r.Matches(Options{Mode: Ring, Buffer: 64, Flows: []uint64{2, 1}}) {
-		t.Error("flow filter comparison is order-sensitive")
-	}
-	for _, o := range []Options{
-		{Mode: Full, Buffer: 64, Flows: []uint64{1, 2}},
-		{Mode: Ring, Buffer: 32, Flows: []uint64{1, 2}},
-		{Mode: Ring, Buffer: 64, Flows: []uint64{1, 3}},
-		{Mode: Ring, Buffer: 64},
-	} {
-		if r.Matches(o) {
-			t.Errorf("matched differing options %+v", o)
-		}
-	}
-	plain := NewRecorder(Options{Mode: Full, MaxEvents: 8})
-	if !plain.Matches(Options{Mode: Full, MaxEvents: 8}) {
-		t.Error("unfiltered recorder does not match its own options")
-	}
-	if plain.Matches(Options{Mode: Full, MaxEvents: 8, Flows: []uint64{1}}) {
-		t.Error("unfiltered recorder matched a filtered request")
 	}
 }
 

@@ -88,17 +88,6 @@ type RoutingConfig struct {
 	// the transition; zero makes staggered degenerate to atomic exactly.
 	// Must not be negative.
 	PerHopDelay SimTime
-
-	// HoldDown enables flap damping in the control plane: a link whose
-	// routing state transitions more than FlapThreshold times within
-	// this trailing window stops triggering immediate recomputes; its
-	// pending flips fold into one deferred rebuild at window expiry.
-	// Zero disables damping.
-	HoldDown SimTime
-	// FlapThreshold is the number of transitions inside one hold-down
-	// window a link may make before it is damped; defaults to 3 when
-	// HoldDown is set.
-	FlapThreshold int
 }
 
 // TransportConfig is the transport-recovery section of Config: whether
@@ -141,9 +130,9 @@ type TransportConfig struct {
 	RedialBudget int
 	// DeferPhaseSwitch holds MMPTCP's packet-scatter→subflow switch
 	// open while the routing control plane reports an unconverged state
-	// (pending recompute, hold-down, or staged FIB flips), so fresh
-	// subflows are not pinned onto mid-flip tables. Requires
-	// Routing.Mode global — local repair exposes no convergence signal.
+	// (pending recompute or staged FIB flips), so fresh subflows are not
+	// pinned onto mid-flip tables. Requires Routing.Mode global — local
+	// repair exposes no convergence signal.
 	DeferPhaseSwitch bool
 	// MaxDefer bounds the deferral: the switch is forced this long
 	// after the first postponement even under sustained churn. Defaults
@@ -489,9 +478,6 @@ func (c *Config) resolve(run bool) error {
 		if conv == ConvergeStaggered {
 			return fmt.Errorf("mmptcp: staggered convergence requires Routing.Mode %q (local repair has no control plane to stage)", RoutingGlobal)
 		}
-		if c.Routing.HoldDown > 0 {
-			return fmt.Errorf("mmptcp: Routing.HoldDown requires Routing.Mode %q (local repair has no control plane to damp)", RoutingGlobal)
-		}
 		if c.Transport.DeferPhaseSwitch {
 			return fmt.Errorf("mmptcp: Transport.DeferPhaseSwitch requires Routing.Mode %q (local repair exposes no convergence signal)", RoutingGlobal)
 		}
@@ -591,10 +577,8 @@ func (c *Config) ecnThreshold() int {
 // plane's own config (shared by validation and Install-time wiring).
 func (c *Config) routingConfig() routing.Config {
 	return routing.Config{
-		Convergence:   routing.Convergence(c.Routing.Convergence),
-		PerHopDelay:   c.Routing.PerHopDelay,
-		HoldDown:      c.Routing.HoldDown,
-		FlapThreshold: c.Routing.FlapThreshold,
+		Convergence: routing.Convergence(c.Routing.Convergence),
+		PerHopDelay: c.Routing.PerHopDelay,
 	}
 }
 

@@ -148,22 +148,14 @@ func newInstance(cfg *Config) (*instance, error) {
 	return ri, nil
 }
 
-// armRecorder points ri.rec at a recorder matching the resolved cfg's
-// trace section: nil when tracing is off, the existing recorder reset in
-// place when its options already match, a fresh one otherwise. With
-// tracing off this is a single nil store — the recycling reset path
-// stays allocation-free.
+// armRecorder points ri.rec at a fresh recorder for the resolved cfg's
+// trace section, or nil when tracing is off. With tracing off this is a
+// single nil store — the recycling reset path stays allocation-free.
 func (ri *instance) armRecorder(cfg *Config) {
-	if cfg.Trace.Mode == TraceOff {
-		ri.rec = nil
-		return
+	ri.rec = nil
+	if cfg.Trace.Mode != TraceOff {
+		ri.rec = trace.NewRecorder(cfg.recorderOptions())
 	}
-	opts := cfg.recorderOptions()
-	if ri.rec.Matches(opts) {
-		ri.rec.Reset()
-		return
-	}
-	ri.rec = trace.NewRecorder(opts)
 }
 
 // reset restores the instance to the state newInstance(cfg) would have
@@ -348,8 +340,7 @@ func (ri *instance) build(cfg *Config) (*liveRun, error) {
 			// Global repair: rewrite the override entries of the
 			// switches' forwarding rows (coalesced) on each
 			// reconvergence-delayed link state change. Staggered
-			// convergence and flap damping are the control plane's own
-			// knobs.
+			// convergence is the control plane's own knob.
 			r.controlPlane, err = routing.Install(eng, net, cfg.routingConfig())
 			if err != nil {
 				return nil, err
@@ -602,7 +593,6 @@ func (r *liveRun) collect() {
 		res.Routing.FirstFlip = st.FirstFlip
 		res.Routing.LastFlip = st.LastFlip
 		res.Routing.TransientTime = st.TransientTime
-		res.Routing.Damped = st.Damped
 	}
 }
 

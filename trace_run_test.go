@@ -1,7 +1,6 @@
 package mmptcp
 
 import (
-	"context"
 	"reflect"
 	"testing"
 
@@ -163,61 +162,6 @@ func TestTraceFlowFilterRun(t *testing.T) {
 	}
 	if fabric == 0 {
 		t.Error("filter suppressed fabric/control events")
-	}
-}
-
-// TestRecorderPooledReuse: a recycled sweep instance keeps an armed
-// recorder with matching options (reset in place), rebuilds it when the
-// options change, and disarms it when tracing turns off — the
-// flight-recorder-over-sweeps lifecycle.
-func TestRecorderPooledReuse(t *testing.T) {
-	cfg := traceFaultSuite()[0]
-	cfg.Trace.Mode = TraceRing
-	job := resolved(t, cfg)
-	var slot *instance
-	if _, err := runRecycled(context.Background(), job, &slot); err != nil {
-		t.Fatal(err)
-	}
-	rec1 := slot.rec
-	if rec1 == nil {
-		t.Fatal("instance run with tracing on has no recorder")
-	}
-	n1 := rec1.Len()
-	if n1 == 0 {
-		t.Fatal("armed recorder captured nothing")
-	}
-	take := func(cfg *Config) *instance {
-		t.Helper()
-		inst, err := takeInstance(cfg, &slot)
-		if err != nil {
-			t.Fatal(err)
-		}
-		slot = inst
-		return inst
-	}
-	inst := take(job)
-	if inst.rec != rec1 {
-		t.Error("recycling with identical trace options rebuilt the recorder")
-	}
-	if rec1.Len() != 0 {
-		t.Error("recycling left events in the recorder")
-	}
-	if _, err := inst.run(context.Background(), job); err != nil {
-		t.Fatal(err)
-	}
-	if got := rec1.Len(); got != n1 {
-		t.Errorf("replayed run captured %d events, first run %d — reuse is not clean", got, n1)
-	}
-	// Changed options rebuild; tracing off disarms.
-	filtered := cfg
-	filtered.Trace.Flows = []uint64{1}
-	if take(resolved(t, filtered)).rec == rec1 {
-		t.Error("recycling with a flow filter kept the unfiltered recorder")
-	}
-	off := cfg
-	off.Trace = TraceConfig{}
-	if take(resolved(t, off)).rec != nil {
-		t.Error("recycling with tracing off left a recorder armed")
 	}
 }
 
