@@ -1,9 +1,6 @@
 package mmptcp
 
-import (
-	"reflect"
-	"testing"
-)
+import "testing"
 
 // vl2tiny is tiny() on the VL2 Clos instead of the FatTree: DA=DI=4,
 // 8 ToRs, 64 hosts — the same scale, a different routing structure.
@@ -11,94 +8,6 @@ func vl2tiny(proto Protocol, flows int) Config {
 	cfg := tiny(proto, flows)
 	cfg.Topology = TopoVL2
 	return cfg
-}
-
-// convergenceFaultSuite is the staggered-vs-atomic equivalence matrix:
-// the fault classes (cable cuts with repair, whole-switch crash/restart,
-// sampled per-cable agg failures) on both the FatTree and the VL2 Clos,
-// all under global routing.
-func convergenceFaultSuite() []Config {
-	configs := incrementalFaultSuite()
-
-	cables := vl2tiny(ProtoMMPTCP, 40)
-	cables.MaxSimTime = 15 * Second
-	cables.Faults = FaultsConfig{
-		Events:          FailCables(LayerAgg, 2, 150*Millisecond, 900*Millisecond),
-		ReconvergeDelay: 20 * Millisecond,
-	}
-	cables.Routing.Mode = RoutingGlobal
-	configs = append(configs, cables)
-
-	// Intermediate switch 12 (ToRs 0-7, aggs 8-11, intermediates 12-15).
-	crash := vl2tiny(ProtoTCP, 40)
-	crash.MaxSimTime = 15 * Second
-	crash.Faults = FaultsConfig{
-		Events:          FailSwitches([]int{12}, 200*Millisecond, 800*Millisecond),
-		ReconvergeDelay: 10 * Millisecond,
-	}
-	crash.Routing.Mode = RoutingGlobal
-	configs = append(configs, crash)
-
-	model := vl2tiny(ProtoMMPTCP, 40)
-	model.MaxSimTime = 15 * Second
-	model.Faults = FaultsConfig{
-		Model: FaultModel{
-			Layers:  []FaultLayerModel{{Layer: LayerAgg, MTBF: 4 * Second, MTTR: 100 * Millisecond}},
-			Horizon: 4 * Second,
-		},
-		ReconvergeDelay: 10 * Millisecond,
-	}
-	model.Routing.Mode = RoutingGlobal
-	configs = append(configs, model)
-
-	return configs
-}
-
-// TestStaggeredAtomicEquivalence is the staged-convergence safety
-// argument: with PerHopDelay zero every flip lands inline at recompute
-// time, so staggered mode must produce Results byte-identical to atomic
-// across the whole fault suite. Only the fields that record which
-// distribution mechanism ran (the convergence label and the flip
-// schedule counters) are normalised; the window-damage counters are
-// deliberately left in the comparison — a zero-delay run must never
-// open a window, so they must be zero on both sides.
-func TestStaggeredAtomicEquivalence(t *testing.T) {
-	if testing.Short() {
-		t.Skip("fault suite is slow")
-	}
-	run := func(staggered bool) []*Results {
-		var out []*Results
-		for _, cfg := range convergenceFaultSuite() {
-			if staggered {
-				cfg.Routing.Convergence = ConvergeStaggered
-			}
-			res, err := Run(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Normalise what names the mechanism rather than measures
-			// the network.
-			res.Config.Routing.Convergence = ""
-			res.Routing.Convergence = ""
-			res.Routing.Flips = 0
-			res.Routing.FirstFlip = 0
-			res.Routing.LastFlip = 0
-			out = append(out, res)
-		}
-		return out
-	}
-	atomic := run(false)
-	staggered := run(true)
-	for i := range atomic {
-		if !reflect.DeepEqual(atomic[i], staggered[i]) {
-			t.Errorf("config %d: staggered PerHopDelay=0 diverged from atomic", i)
-		}
-		if staggered[i].Routing.TransientTime != 0 || staggered[i].LoopDrops != 0 ||
-			staggered[i].Routing.TransientNoRoute != 0 || staggered[i].Routing.StaleLookups != 0 {
-			t.Errorf("config %d: zero-delay staggered opened a transient window: %+v",
-				i, staggered[i].Routing)
-		}
-	}
 }
 
 // transientConfig is the staggered-convergence scenario: cables agg-core
@@ -191,62 +100,6 @@ func TestStaggeredTransientShape(t *testing.T) {
 	if art.TransientTime != 0 || art.Flips != 0 || ares.LoopDrops != 0 ||
 		art.TransientNoRoute != 0 || art.StaleLookups != 0 {
 		t.Errorf("atomic twin reports transient artefacts: %+v", art)
-	}
-}
-
-// TestStaggeredSweepDeterminism extends the sweep-determinism guarantee
-// to staggered convergence: per-switch flip schedules, including those of
-// sampled agg-layer churn, must be byte-identical serial vs parallel.
-// CI runs this test under -race.
-func TestStaggeredSweepDeterminism(t *testing.T) {
-	mkConfigs := func() []Config {
-		var configs []Config
-		for _, perHop := range []SimTime{0, 2 * Millisecond} {
-			cfg := transientConfig(ProtoMMPTCP, 40, 2, perHop)
-			cfg.MaxSimTime = 15 * Second
-			configs = append(configs, cfg)
-		}
-		vl2 := vl2tiny(ProtoTCP, 40)
-		vl2.MaxSimTime = 15 * Second
-		vl2.Faults = FaultsConfig{
-			Events:          FailCables(LayerAgg, 2, 150*Millisecond, 900*Millisecond),
-			ReconvergeDelay: 10 * Millisecond,
-		}
-		vl2.Routing = RoutingConfig{
-			Mode:        RoutingGlobal,
-			Convergence: ConvergeStaggered,
-			PerHopDelay: 3 * Millisecond,
-		}
-		configs = append(configs, vl2)
-		churn := transientConfig(ProtoTCP, 40, 2, 2*Millisecond)
-		churn.MaxSimTime = 15 * Second
-		churn.Faults = FaultsConfig{
-			Model: FaultModel{
-				Layers:  []FaultLayerModel{{Layer: LayerAgg, MTBF: 500 * Millisecond, MTTR: 50 * Millisecond}},
-				Horizon: 5 * Second,
-			},
-			ReconvergeDelay: 5 * Millisecond,
-		}
-		configs = append(configs, churn)
-		return configs
-	}
-	serial, err := RunSweep(mkConfigs(), SweepOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := RunSweep(mkConfigs(), SweepOptions{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range serial {
-		if !reflect.DeepEqual(serial[i], parallel[i]) {
-			t.Errorf("config %d: staggered sweep diverged between 1 and 4 workers", i)
-		}
-	}
-	for i, res := range serial {
-		if res.Routing.Flips == 0 {
-			t.Errorf("config %d applied no per-switch flips", i)
-		}
 	}
 }
 

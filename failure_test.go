@@ -1,9 +1,6 @@
 package mmptcp
 
-import (
-	"reflect"
-	"testing"
-)
+import "testing"
 
 // faultedConfig is the failure scenario the acceptance tests share: the
 // small FatTree with two agg-core cables cut shortly after the short
@@ -103,57 +100,5 @@ func TestFailureRobustnessShape(t *testing.T) {
 	if mmRes.LongThroughputMbps < 0.5*mmHealthy.LongThroughputMbps {
 		t.Errorf("MMPTCP long goodput %.2f collapsed vs healthy %.2f",
 			mmRes.LongThroughputMbps, mmHealthy.LongThroughputMbps)
-	}
-}
-
-// TestFaultedSweepDeterminism locks in the acceptance criterion that a
-// faulted sweep is byte-identical at any worker count: same seeds + same
-// schedules, serial vs parallel.
-func TestFaultedSweepDeterminism(t *testing.T) {
-	mkConfigs := func() []Config {
-		var configs []Config
-		for _, proto := range []Protocol{ProtoTCP, ProtoMMPTCP} {
-			cfg := faultedConfig(proto, 40)
-			configs = append(configs, cfg)
-			deg := tiny(proto, 40)
-			deg.Faults = FaultsConfig{
-				Events: DegradeCables(LayerEdge, 2, 120*Millisecond, 400*Millisecond,
-					0.5, 50*Microsecond, 0.02),
-			}
-			configs = append(configs, deg)
-			model := tiny(proto, 40)
-			model.MaxSimTime = 20 * Second
-			model.Faults = FaultsConfig{
-				Model: FaultModel{
-					Layers:  []FaultLayerModel{{Layer: LayerAgg, MTBF: 2 * Second, MTTR: 200 * Millisecond}},
-					Horizon: 5 * Second,
-				},
-				ReconvergeDelay: 10 * Millisecond,
-			}
-			configs = append(configs, model)
-		}
-		return configs
-	}
-	serial, err := RunSweep(mkConfigs(), SweepOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := RunSweep(mkConfigs(), SweepOptions{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range serial {
-		if !reflect.DeepEqual(serial[i], parallel[i]) {
-			t.Errorf("config %d: faulted sweep diverged between 1 and 4 workers", i)
-		}
-	}
-	// And the dynamics actually ran: the model configs sampled events.
-	for i, res := range serial {
-		if res.FaultEvents == 0 {
-			t.Errorf("config %d resolved no fault events", i)
-		}
-		if res.Elapsed == 0 {
-			t.Errorf("config %d did not run", i)
-		}
 	}
 }

@@ -251,6 +251,7 @@ func oracleSeeds() map[string][]byte {
 	// agg-core (64 up, 65 down). VL2: 0-31 host, 32-63 ToR-agg, 64-79
 	// agg-intermediate. Multihomed: 0-63 host (host 0 owns 0-3), 64-95
 	// edge-agg, 96-127 agg-core. Dumbbell: 0-11 host, 12-13 bottleneck.
+	core0 := batch(cable, 64, cable, 72, cable, 80, cable, 88) // core 0's four cables
 	return map[string][]byte{
 		// One agg-core cable dies and heals, twice: overrides appear on a
 		// handful of rows, vanish, and the second cycle reuses the
@@ -258,6 +259,10 @@ func oracleSeeds() map[string][]byte {
 		"fattree-cable-cycles": cat([]byte{0}, batch(cable, 64), batch(cable, 64), batch(cable, 64), batch(cable, 64)),
 		// The same under zero-delay staggering: fork, inline flip, recycle.
 		"fattree-cable-cycles-staggered": cat([]byte{4}, batch(cable, 64), batch(cable, 66), batch(cable, 64), batch(cable, 66)),
+		// A whole-switch crash: core 0's four cables (one per pod) die in
+		// one batch, heal in one, and die again.
+		"fattree-core-crash":           cat([]byte{0}, core0, core0, core0),
+		"fattree-core-crash-staggered": cat([]byte{4}, core0, core0, core0),
 		// One direction only: the downlink core->agg dies, the uplink lives.
 		"fattree-one-direction": cat([]byte{0}, batch(0, 65), batch(0, 64), batch(0, 65), batch(0, 64)),
 		// Host access cables: the attachment signature changes, the

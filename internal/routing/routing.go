@@ -50,9 +50,10 @@
 // iterate hosts and switches in builder order and flips are scheduled in
 // builder order, so identical fault schedules yield byte-identical
 // routing at any sweep worker count. Incrementality is behaviour-neutral
-// by construction; TestIncrementalMatchesFullRecompute asserts this
-// against ForceFullRecompute, and the staggered path with PerHopDelay=0
-// degenerates to atomic exactly (flips due "now" apply inline).
+// by construction; TestRecomputeMatchesOracle checks every table after
+// every recompute against a brute-force rebuild, and the staggered path
+// with PerHopDelay=0 degenerates to atomic exactly (flips due "now" apply
+// inline).
 package routing
 
 import (
@@ -64,13 +65,6 @@ import (
 	"repro/internal/topology"
 	"repro/internal/trace"
 )
-
-// ForceFullRecompute, when set, disables the incremental invalidation
-// logic: every recompute discards the distance cache and rebuilds every
-// destination, exactly like the pre-incremental control plane. It exists
-// for the equivalence tests and for benchmarking the incremental win;
-// runs must not toggle it concurrently (it is read at recompute time).
-var ForceFullRecompute bool
 
 // Mode selects the repair model for a run.
 type Mode string
@@ -468,9 +462,9 @@ func (cp *ControlPlane) Recompute() {
 		cp.computeFlipDelays()
 	}
 
-	if ForceFullRecompute || len(cp.pending) > 0 {
+	if len(cp.pending) > 0 {
 		for key, e := range cp.distCache {
-			if ForceFullRecompute || cp.entryDirty(e) {
+			if cp.entryDirty(e) {
 				delete(cp.distCache, key)
 				clear(e.dist)
 				cp.freeDists = append(cp.freeDists, e.dist)

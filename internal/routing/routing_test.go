@@ -418,78 +418,6 @@ func snapshotTables(net *topology.Network) [][][]*netem.Link {
 	return out
 }
 
-func tablesEqual(a, b [][][]*netem.Link) bool {
-	for i := range a {
-		for j := range a[i] {
-			if len(a[i][j]) != len(b[i][j]) {
-				return false
-			}
-			for k := range a[i][j] {
-				if a[i][j][k] != b[i][j][k] {
-					return false
-				}
-			}
-		}
-	}
-	return true
-}
-
-// TestIncrementalMatchesFullRecompute is the equivalence torture test:
-// random route-dead flips (kills and revivals, switch fabric and host
-// access links alike) drive the incremental control plane, and after
-// every coalesced batch the resulting tables must match a forced full
-// rebuild bit for bit. This is the invariant that makes incremental
-// recompute safe to ship without an opt-out.
-func TestIncrementalMatchesFullRecompute(t *testing.T) {
-	builders := map[string]func(eng *sim.Engine) *topology.Network{
-		"fattree": func(eng *sim.Engine) *topology.Network {
-			ft := topology.NewFatTree(eng, topology.FatTreeConfig{K: 4, Link: topology.DefaultLinkConfig()})
-			return &ft.Network
-		},
-		"vl2": func(eng *sim.Engine) *topology.Network {
-			v := topology.NewVL2(eng, topology.VL2Config{DA: 4, DI: 2, HostsPerToR: 2, Link: topology.DefaultLinkConfig()})
-			return &v.Network
-		},
-	}
-	for name, build := range builders {
-		t.Run(name, func(t *testing.T) {
-			eng := sim.NewEngine()
-			net := build(eng)
-			cp, err := Install(eng, net, Config{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			rng := sim.NewRNG(7)
-			dead := make(map[*netem.Link]bool)
-			for round := 0; round < 60; round++ {
-				// Flip a random batch of links (1-4), biased toward
-				// killing on even rounds and reviving on odd ones so the
-				// network wanders through partial-failure states.
-				batch := 1 + rng.Intn(4)
-				for i := 0; i < batch; i++ {
-					l := net.Links[rng.Intn(len(net.Links))]
-					next := !dead[l]
-					dead[l] = next
-					l.SetRouteDead(next)
-					cp.Invalidate(l)
-				}
-				// Fire the coalesced recompute.
-				eng.Run()
-				got := snapshotTables(net)
-				// Force the pre-incremental behaviour on the same plane:
-				// drop every cached distance and rebuild everything.
-				ForceFullRecompute = true
-				cp.Recompute()
-				ForceFullRecompute = false
-				want := snapshotTables(net)
-				if !tablesEqual(got, want) {
-					t.Fatalf("round %d: incremental tables diverge from full recompute", round)
-				}
-			}
-		})
-	}
-}
-
 // TestStaggeredFlipsSpreadByDistance drives the per-switch convergence
 // model at unit level. Killing the agg(0,0)<->core0 cable with a 1ms
 // per-hop delay must flip the seeds (agg(0,0), core 0) at recompute
@@ -501,6 +429,7 @@ func TestStaggeredFlipsSpreadByDistance(t *testing.T) {
 	eng := sim.NewEngine()
 	ft := topology.NewFatTree(eng, topology.FatTreeConfig{K: 4, Link: topology.DefaultLinkConfig()})
 	net := &ft.Network
+	o := newOracle(net)
 	cp, err := Install(eng, net, Config{Convergence: Staggered, PerHopDelay: sim.Millisecond})
 	if err != nil {
 		t.Fatal(err)
@@ -565,14 +494,19 @@ func TestStaggeredFlipsSpreadByDistance(t *testing.T) {
 	if epoch := cp.epochs[int(agg10.ID())-len(net.Hosts)]; epoch != 1 {
 		t.Errorf("agg(1,0) epoch = %d, want 1 (one applied flip)", epoch)
 	}
-	// The staggered tables must land exactly where an atomic plane
-	// lands: a forced full rebuild changes nothing.
-	got := snapshotTables(net)
-	ForceFullRecompute = true
-	cp.Recompute()
-	ForceFullRecompute = false
-	if !tablesEqual(got, snapshotTables(net)) {
-		t.Error("staggered tables diverge from a full atomic rebuild after the window closed")
+	// The staggered tables must land exactly where a rebuild from scratch
+	// of the cut fabric lands.
+	want, overrides := o.tables()
+	for _, sw := range net.Switches {
+		for _, h := range net.Hosts {
+			if got := sw.Router().NextLinks(h.ID()); !slices.Equal(got, want[sw.ID()][h.ID()]) {
+				t.Errorf("after the window switch %d toward host %d answers %v, oracle says %v",
+					sw.ID(), h.ID(), got, want[sw.ID()][h.ID()])
+			}
+		}
+	}
+	if st.Overrides != overrides {
+		t.Errorf("Stats.Overrides = %d after the window, oracle counts %d", st.Overrides, overrides)
 	}
 }
 

@@ -32,12 +32,6 @@ func (t *Timer) Reset(delay Time) {
 	t.ev = t.eng.ScheduleArg(delay, timerFire, t)
 }
 
-// ResetAt (re)schedules the timer to fire at absolute time at.
-func (t *Timer) ResetAt(at Time) {
-	t.Stop()
-	t.ev = t.eng.AtArg(at, timerFire, t)
-}
-
 // Stop cancels the pending expiry, if any.
 func (t *Timer) Stop() {
 	if t.ev != nil {
@@ -48,15 +42,6 @@ func (t *Timer) Stop() {
 
 // Active reports whether the timer is scheduled to fire.
 func (t *Timer) Active() bool { return t.ev.Pending() }
-
-// Deadline returns the absolute expiry time. It is only meaningful while
-// the timer is Active.
-func (t *Timer) Deadline() Time {
-	if t.ev == nil {
-		return 0
-	}
-	return t.ev.at
-}
 
 func (t *Timer) fire() {
 	t.ev = nil

@@ -32,8 +32,3 @@ func DefaultConfig() Config {
 		InitialRTO:      1 * sim.Second,
 	}
 }
-
-// SegmentsFor returns the number of segments needed to carry n bytes.
-func (c Config) SegmentsFor(n int64) int {
-	return int((n + int64(c.MSS) - 1) / int64(c.MSS))
-}

@@ -173,9 +173,6 @@ func TestBytesSource(t *testing.T) {
 	if n != 0 || !done {
 		t.Fatalf("exhausted Next = (%d,%v)", n, done)
 	}
-	if b.Allocated() != 3500 {
-		t.Fatalf("Allocated = %d", b.Allocated())
-	}
 }
 
 func TestBytesSourceUnbounded(t *testing.T) {
@@ -187,19 +184,6 @@ func TestBytesSourceUnbounded(t *testing.T) {
 		}
 		if seq != int64(i)*1400 {
 			t.Fatalf("seq = %d at step %d", seq, i)
-		}
-	}
-}
-
-func TestConfigSegmentsFor(t *testing.T) {
-	c := DefaultConfig()
-	cases := []struct {
-		bytes int64
-		want  int
-	}{{0, 0}, {1, 1}, {1400, 1}, {1401, 2}, {70000, 50}}
-	for _, tc := range cases {
-		if got := c.SegmentsFor(tc.bytes); got != tc.want {
-			t.Errorf("SegmentsFor(%d) = %d, want %d", tc.bytes, got, tc.want)
 		}
 	}
 }

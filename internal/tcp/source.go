@@ -39,6 +39,3 @@ func (b *BytesSource) Next(maxBytes int) (int64, int, bool) {
 	b.next += n
 	return seq, int(n), b.Size >= 0 && b.next >= b.Size
 }
-
-// Allocated returns the number of bytes granted so far.
-func (b *BytesSource) Allocated() int64 { return b.next }

@@ -69,11 +69,6 @@ func (f *FatTree) NumHosts() int { return f.numHosts }
 // PodOf returns the pod index of a host.
 func (f *FatTree) PodOf(h netem.NodeID) int { return int(h) / f.hostsPerPod }
 
-// EdgeIndexOf returns the pod-local edge-switch index of a host.
-func (f *FatTree) EdgeIndexOf(h netem.NodeID) int {
-	return (int(h) % f.hostsPerPod) / f.hostsPerEdge
-}
-
 // edgeOf returns the global edge-switch ordinal of a host.
 func (f *FatTree) edgeOf(h netem.NodeID) int {
 	return int(h) / f.hostsPerEdge

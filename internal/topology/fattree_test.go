@@ -241,14 +241,11 @@ func TestFatTreeLocators(t *testing.T) {
 	ft := NewFatTree(eng, FatTreeConfig{K: 4, HostsPerEdge: 4, Link: DefaultLinkConfig()})
 	// 4 pods x 2 edges x 4 hosts = 32 hosts; hostsPerPod = 8.
 	cases := []struct {
-		host, pod, edgeIdx int
-	}{{0, 0, 0}, {3, 0, 0}, {4, 0, 1}, {8, 1, 0}, {31, 3, 1}}
+		host, pod int
+	}{{0, 0}, {3, 0}, {4, 0}, {8, 1}, {31, 3}}
 	for _, tc := range cases {
 		if got := ft.PodOf(netem.NodeID(tc.host)); got != tc.pod {
 			t.Errorf("PodOf(%d) = %d, want %d", tc.host, got, tc.pod)
-		}
-		if got := ft.EdgeIndexOf(netem.NodeID(tc.host)); got != tc.edgeIdx {
-			t.Errorf("EdgeIndexOf(%d) = %d, want %d", tc.host, got, tc.edgeIdx)
 		}
 	}
 }

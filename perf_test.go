@@ -1,87 +1,6 @@
 package mmptcp
 
-import (
-	"reflect"
-	"testing"
-
-	"repro/internal/routing"
-)
-
-// incrementalFaultSuite is the fault matrix (cable cuts with repair,
-// whole-switch crash/restart, sampled per-cable agg failures) under
-// global routing — every fault class that drives the control plane.
-func incrementalFaultSuite() []Config {
-	var configs []Config
-
-	cables := tiny(ProtoMMPTCP, 40)
-	cables.MaxSimTime = 15 * Second
-	cables.Faults = FaultsConfig{
-		Events:          FailCables(LayerAgg, 2, 150*Millisecond, 900*Millisecond),
-		ReconvergeDelay: 20 * Millisecond,
-	}
-	cables.Routing.Mode = RoutingGlobal
-	configs = append(configs, cables)
-
-	crash := tiny(ProtoTCP, 40)
-	crash.MaxSimTime = 15 * Second
-	crash.Faults = FaultsConfig{
-		Events:          FailSwitches([]int{16}, 200*Millisecond, 800*Millisecond),
-		ReconvergeDelay: 10 * Millisecond,
-	}
-	crash.Routing.Mode = RoutingGlobal
-	configs = append(configs, crash)
-
-	model := tiny(ProtoMMPTCP, 40)
-	model.MaxSimTime = 15 * Second
-	model.Faults = FaultsConfig{
-		Model: FaultModel{
-			Layers:  []FaultLayerModel{{Layer: LayerAgg, MTBF: 4 * Second, MTTR: 100 * Millisecond}},
-			Horizon: 4 * Second,
-		},
-		ReconvergeDelay: 10 * Millisecond,
-	}
-	model.Routing.Mode = RoutingGlobal
-	configs = append(configs, model)
-
-	return configs
-}
-
-// TestIncrementalRecomputeResultsByteIdentical is the end-to-end half of
-// the incremental-recompute safety argument (the routing package's
-// torture test is the table-level half): across the PR-3 fault suite,
-// the incremental control plane must produce Results byte-identical to a
-// forced full recompute. Only the work counters that measure the
-// incremental win itself (DstRecomputed/DstSkipped/BFSRuns) are
-// excluded from the comparison — they are what changes, by design.
-func TestIncrementalRecomputeResultsByteIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("fault suite is slow")
-	}
-	run := func(full bool) []*Results {
-		routing.ForceFullRecompute = full
-		defer func() { routing.ForceFullRecompute = false }()
-		var out []*Results
-		for _, cfg := range incrementalFaultSuite() {
-			res, err := Run(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Normalise the counters that measure the incremental win.
-			res.Routing.DstRecomputed = 0
-			res.Routing.DstSkipped = 0
-			res.Routing.BFSRuns = 0
-			out = append(out, res)
-		}
-		return out
-	}
-	incremental := run(false)
-	full := run(true)
-	for i := range incremental {
-		if !reflect.DeepEqual(incremental[i], full[i]) {
-			t.Errorf("config %d: incremental recompute diverged from full recompute", i)
-		}
-	}
-}
+import "testing"
 
 // TestChurnRecomputeSavings quantifies the incremental win at unit-test
 // scale: under the same churn, the incremental plane must run several

@@ -55,72 +55,6 @@ func resolved(t testing.TB, cfg Config) *Config {
 	return &cfg
 }
 
-// TestPooledSweepByteIdentical is the recycling contract: RunSweep, whose
-// workers reset and reuse one instance each, returns byte-identical
-// Results to per-config Run on throwaway instances, serial and parallel,
-// across the PR-3 fault suite on both hash-seeded multi-rooted
-// topologies (FatTree and VL2) with mixed shapes, protos, rolling
-// snapshots and distinct seeds — so recycled engines, networks, ECMP
-// hash seeds and forwarding rows provably carry nothing between runs.
-func TestPooledSweepByteIdentical(t *testing.T) {
-	mkConfigs := func() []Config {
-		var configs []Config
-		for _, proto := range []Protocol{ProtoTCP, ProtoMMPTCP} {
-			// Cable failures with global repair on the FatTree.
-			fail := faultedConfig(proto, 40)
-			fail.Routing.Mode = RoutingGlobal
-			configs = append(configs, fail)
-			// Degraded (lossy, slow) cables on the FatTree edge.
-			deg := tiny(proto, 40)
-			deg.Faults = FaultsConfig{
-				Events: DegradeCables(LayerEdge, 2, 120*Millisecond, 400*Millisecond,
-					0.5, 50*Microsecond, 0.02),
-			}
-			configs = append(configs, deg)
-			// Cable failures on a VL2 fabric — a second shape, so a worker
-			// swaps its instance mid-sweep, and one whose per-switch hash
-			// seeds use a different derivation salt.
-			vl2 := tiny(proto, 40)
-			vl2.Topology = TopoVL2
-			vl2.K = 4
-			vl2.HostsPerEdge = 2
-			vl2.Faults = FaultsConfig{
-				Events:          FailCables(LayerAgg, 2, 150*Millisecond, 600*Millisecond),
-				ReconvergeDelay: 50 * Millisecond,
-			}
-			configs = append(configs, vl2)
-		}
-		// A switch crash, and rolling snapshots riding on recycled
-		// instances.
-		crash := faultedConfig(ProtoMMPTCP, 40)
-		crash.Faults = FaultsConfig{
-			Events:          FailSwitches([]int{16}, 200*Millisecond, 800*Millisecond),
-			ReconvergeDelay: 50 * Millisecond,
-		}
-		configs = append(configs, crash)
-		snap := faultedConfig(ProtoTCP, 40)
-		snap.Metrics.SnapshotInterval = 100 * Millisecond
-		configs = append(configs, snap)
-		// Distinct seeds: every instance reuse must re-derive hash seeds
-		// and RNG streams, not inherit the previous run's.
-		for i := range configs {
-			configs[i].Seed = uint64(i + 1)
-		}
-		return configs
-	}
-
-	fresh := sweptLikeFresh(t, "fault suite", mkConfigs(), 1, 4)
-	// The suite actually exercised what it claims to.
-	for i, res := range fresh {
-		if res.FaultEvents == 0 {
-			t.Errorf("config %d resolved no fault events", i)
-		}
-	}
-	if n := len(fresh); len(fresh[n-1].Snapshots) == 0 {
-		t.Error("snapshot config recorded no snapshots")
-	}
-}
-
 // twoShapes is n cheap K=4 configs alternating between two shapes (A, B,
 // A, B, …: FatTree with 8 and with 4 hosts per edge), each with its own
 // seed — the worst case for a worker that keeps one instance.

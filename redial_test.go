@@ -1,7 +1,6 @@
 package mmptcp
 
 import (
-	"reflect"
 	"testing"
 
 	"repro/internal/faults"
@@ -82,84 +81,6 @@ func TestRedialRecoversFromDeadPath(t *testing.T) {
 	}
 	if on >= 2500*sim.Millisecond {
 		t.Errorf("re-dialing FCT %v; want completion long before the 5s repair", on)
-	}
-}
-
-// redialSweepConfigs is the determinism suite for transport recovery:
-// the PR-3 fault scenarios with re-dialing armed on both multipath
-// transports, plus an MMPTCP config whose phase switches defer behind a
-// staggered convergence window opened by an early cable cut.
-func redialSweepConfigs() []Config {
-	var configs []Config
-	for _, proto := range []Protocol{ProtoMPTCP, ProtoMMPTCP} {
-		cfg := tiny(proto, 40)
-		cfg.MaxSimTime = 20 * Second
-		cfg.Faults = FaultsConfig{
-			Events:          FailCables(LayerAgg, 2, 150*Millisecond, 2500*Millisecond),
-			ReconvergeDelay: 25 * Millisecond,
-		}
-		cfg.Transport = TransportConfig{DeadRTOs: 2, RedialBudget: 8}
-		configs = append(configs, cfg)
-	}
-	defer1 := tiny(ProtoMMPTCP, 40)
-	defer1.MaxSimTime = 20 * Second
-	// The cut lands at 2ms so the staggered convergence window is open
-	// while the long flows cross SwitchBytes (~8ms in): their phase
-	// switches actually defer.
-	defer1.Faults = FaultsConfig{
-		Events:          FailCables(LayerAgg, 1, 2*Millisecond, 600*Millisecond),
-		ReconvergeDelay: 20 * Millisecond,
-	}
-	defer1.Routing = RoutingConfig{
-		Mode:        RoutingGlobal,
-		Convergence: ConvergeStaggered,
-		PerHopDelay: 5 * Millisecond,
-	}
-	defer1.Transport = TransportConfig{DeadRTOs: 2, DeferPhaseSwitch: true, MaxDefer: 40 * Millisecond}
-	configs = append(configs, defer1)
-	return configs
-}
-
-// TestRedialDeterminism locks in the tentpole's determinism contract:
-// with recovery on, replacement source ports come from each flow's
-// private RNG stream in event order, so a recovering sweep is
-// byte-identical on fresh instances (Run) and recycled ones (RunSweep),
-// serial and parallel.
-func TestRedialDeterminism(t *testing.T) {
-	serial := sweptLikeFresh(t, "recovering sweep", redialSweepConfigs(), 1, 4)
-	// The dynamics actually ran: the local-repair configs re-dialed and
-	// the staggered config deferred phase switches.
-	for i, res := range serial[:2] {
-		if res.Redials == 0 {
-			t.Errorf("config %d re-dialed nothing under a 2.35s outage", i)
-		}
-	}
-	if serial[2].PhaseDeferrals == 0 {
-		t.Error("staggered config deferred no phase switches")
-	}
-}
-
-// TestRecoveryOffByteIdentity pins the zero-cost contract: arming
-// DeadRTOs changes neither the RNG draw sequence nor the event schedule
-// until a re-dial actually fires, so a healthy run with recovery armed
-// is byte-identical to the same run with recovery off.
-func TestRecoveryOffByteIdentity(t *testing.T) {
-	off, err := Run(tiny(ProtoMPTCP, 40))
-	if err != nil {
-		t.Fatal(err)
-	}
-	armed := tiny(ProtoMPTCP, 40)
-	armed.Transport = TransportConfig{DeadRTOs: 3}
-	on, err := Run(armed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if on.Redials != 0 {
-		t.Fatalf("healthy run re-dialed %d times; the identity check needs a redial-free scenario", on.Redials)
-	}
-	off.Config, on.Config = Config{}, Config{}
-	if !reflect.DeepEqual(off, on) {
-		t.Error("healthy run diverged between recovery off and recovery armed")
 	}
 }
 

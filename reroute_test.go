@@ -1,7 +1,6 @@
 package mmptcp
 
 import (
-	"reflect"
 	"testing"
 
 	"repro/internal/faults"
@@ -75,69 +74,6 @@ func TestGlobalRepairShape(t *testing.T) {
 	if global.LongThroughputMbps < local.LongThroughputMbps*0.95 {
 		t.Errorf("global long goodput %.2f fell below local %.2f",
 			global.LongThroughputMbps, local.LongThroughputMbps)
-	}
-}
-
-// TestGlobalRoutingSweepDeterminism extends the faulted-sweep
-// determinism guarantee to the control plane and the fault classes:
-// cable cuts, switch crashes and sampled cable failures, under both
-// repair modes, byte-identical serial vs parallel.
-func TestGlobalRoutingSweepDeterminism(t *testing.T) {
-	mkConfigs := func() []Config {
-		var configs []Config
-		for _, mode := range []RoutingMode{RoutingLocal, RoutingGlobal} {
-			cfg := tiny(ProtoMMPTCP, 40)
-			cfg.MaxSimTime = 15 * Second
-			cfg.Faults = FaultsConfig{
-				Events:          FailCables(LayerAgg, 2, 150*Millisecond, 900*Millisecond),
-				ReconvergeDelay: 20 * Millisecond,
-			}
-			cfg.Routing.Mode = mode
-			configs = append(configs, cfg)
-
-			crash := tiny(ProtoTCP, 40)
-			crash.MaxSimTime = 15 * Second
-			crash.Faults = FaultsConfig{
-				Events:          FailSwitches([]int{16}, 200*Millisecond, 800*Millisecond),
-				ReconvergeDelay: 10 * Millisecond,
-			}
-			crash.Routing.Mode = mode
-			configs = append(configs, crash)
-
-			model := tiny(ProtoMMPTCP, 40)
-			model.MaxSimTime = 15 * Second
-			model.Faults = FaultsConfig{
-				Model: FaultModel{
-					Layers:  []FaultLayerModel{{Layer: LayerAgg, MTBF: 4 * Second, MTTR: 100 * Millisecond}},
-					Horizon: 4 * Second,
-				},
-				ReconvergeDelay: 10 * Millisecond,
-			}
-			model.Routing.Mode = mode
-			configs = append(configs, model)
-		}
-		return configs
-	}
-	serial, err := RunSweep(mkConfigs(), SweepOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := RunSweep(mkConfigs(), SweepOptions{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range serial {
-		if !reflect.DeepEqual(serial[i], parallel[i]) {
-			t.Errorf("config %d: global-routing sweep diverged between 1 and 4 workers", i)
-		}
-	}
-	for i, res := range serial {
-		if res.FaultEvents == 0 {
-			t.Errorf("config %d resolved no fault events", i)
-		}
-		if res.Routing.Mode == string(RoutingGlobal) && res.Routing.Recomputes == 0 {
-			t.Errorf("config %d: global mode never recomputed", i)
-		}
 	}
 }
 

@@ -81,36 +81,6 @@ func TestRunRecordsInSpawnOrder(t *testing.T) {
 	}
 }
 
-func TestRunDeterminism(t *testing.T) {
-	a, err := Run(tiny(ProtoMPTCP, 50))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(tiny(ProtoMPTCP, 50))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Events != b.Events || a.Elapsed != b.Elapsed {
-		t.Fatalf("same seed diverged: events %d vs %d, elapsed %v vs %v",
-			a.Events, b.Events, a.Elapsed, b.Elapsed)
-	}
-	for i := range a.ShortFlows {
-		if a.ShortFlows[i].End != b.ShortFlows[i].End {
-			t.Fatalf("flow %d FCT differs between identical runs", i)
-		}
-	}
-	c, err := Run(Config{
-		Topology: TopoFatTree, K: 4, HostsPerEdge: 8,
-		Protocol: ProtoMPTCP, ShortFlows: 50, ArrivalRate: 2.5, Seed: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Events == a.Events {
-		t.Error("different seeds produced identical event counts (suspicious)")
-	}
-}
-
 // TestHeadlineShape asserts the paper's §3 comparison at reduced scale:
 // MMPTCP completes short flows with a much smaller standard deviation
 // and far fewer RTO-affected connections than MPTCP with 8 subflows,

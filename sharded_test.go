@@ -14,9 +14,9 @@ import (
 
 // shardedSuite is the PR-3 fault suite (cable cuts with global repair,
 // lossy degraded cables, VL2 cable cuts, a core-switch crash, rolling
-// snapshots) with every config set to the given shard count. It mirrors TestPooledSweepByteIdentical's mkConfigs so the
-// parallel engine is exercised against exactly the dynamics the pooling
-// contract already locks in.
+// snapshots) with every config set to the given shard count, so the
+// parallel engine runs the fault classes TestEquivalence holds the
+// sequential engine to.
 func shardedSuite(shards int) []Config {
 	var configs []Config
 	for _, proto := range []Protocol{ProtoTCP, ProtoMMPTCP} {
@@ -166,7 +166,7 @@ func TestShardsValidation(t *testing.T) {
 // formats stay schema-identical to a sequential trace (valid JSONL per
 // line; Chrome trace JSON with the flows/fabric/control process metas).
 func TestShardedTracedRun(t *testing.T) {
-	cfg := traceFaultSuite()[0]
+	cfg := tracedFaultConfig()
 	cfg.MaxSimTime = 2 * Second
 	cfg.Trace.Mode = TraceFull
 	cfg.LongFraction = 0.1 // keeps the full trace under its cap

@@ -18,8 +18,9 @@ package mmptcp
 // through sim.RNG streams, and a reset instance is indistinguishable
 // from a new one — so RunSweep returns, for every config, byte for byte
 // what Run returns for it, regardless of SweepOptions.Workers and of
-// which configs a worker happened to run before. TestRunSweepDeterminism
-// and TestPooledSweepByteIdentical lock this in.
+// which configs a worker happened to run before. The equivalence suite
+// locks this in at 1 worker over the whole fault suite and at 4 workers
+// per entry group.
 //
 // Quick start (after `go build ./...` at the repo root — the module is
 // plain `repro`, no vendoring, no dependencies):

@@ -2,79 +2,9 @@ package mmptcp
 
 import (
 	"fmt"
-	"reflect"
-	"runtime"
 	"strings"
 	"testing"
 )
-
-// sweepTestConfigs is a small but heterogeneous scan: three protocols,
-// two arrival rates, fixed seeds — enough to catch any cross-run state
-// leakage without taking minutes. Every config carries a tight MaxSimTime
-// so a run that cannot complete its flows (single-path TCP under loss can
-// strand one) still ends quickly and deterministically.
-func sweepTestConfigs() []Config {
-	var configs []Config
-	add := func(proto Protocol, rate float64) {
-		cfg := SmallConfig(proto, 30)
-		cfg.ArrivalRate = rate
-		cfg.Seed = 7
-		cfg.MaxSimTime = 4 * Second
-		configs = append(configs, cfg)
-	}
-	add(ProtoTCP, 2.5)
-	add(ProtoMPTCP, 2.5)
-	add(ProtoMPTCP, 5)
-	add(ProtoMMPTCP, 2.5)
-	add(ProtoMMPTCP, 5)
-	return configs
-}
-
-// TestRunSweepDeterminism is the serial-vs-parallel guarantee: the same
-// configs produce byte-identical measurements no matter how many workers
-// the sweep uses, and identical to plain serial Run calls.
-func TestRunSweepDeterminism(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-run sweep in -short mode")
-	}
-	configs := sweepTestConfigs()
-
-	serial := make([]*Results, len(configs))
-	for i, cfg := range configs {
-		res, err := Run(cfg)
-		if err != nil {
-			t.Fatalf("serial run %d: %v", i, err)
-		}
-		serial[i] = res
-	}
-
-	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
-		got, err := RunSweep(configs, SweepOptions{Workers: workers})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if len(got) != len(serial) {
-			t.Fatalf("workers=%d: %d results, want %d", workers, len(got), len(serial))
-		}
-		for i := range serial {
-			if got[i].ShortSummary != serial[i].ShortSummary {
-				t.Errorf("workers=%d run %d: ShortSummary %+v != serial %+v",
-					workers, i, got[i].ShortSummary, serial[i].ShortSummary)
-			}
-			if got[i].LongThroughputMbps != serial[i].LongThroughputMbps {
-				t.Errorf("workers=%d run %d: LongThroughputMbps %v != serial %v",
-					workers, i, got[i].LongThroughputMbps, serial[i].LongThroughputMbps)
-			}
-			if !reflect.DeepEqual(got[i].ShortFlows, serial[i].ShortFlows) {
-				t.Errorf("workers=%d run %d: per-flow records differ from serial", workers, i)
-			}
-			if got[i].Events != serial[i].Events {
-				t.Errorf("workers=%d run %d: Events %d != serial %d",
-					workers, i, got[i].Events, serial[i].Events)
-			}
-		}
-	}
-}
 
 // TestRunSweepSeedDerivation checks SweepOptions.Seed: zero-seed configs
 // get deterministic, distinct derived seeds; explicit seeds are kept.

@@ -1,94 +1,31 @@
 package mmptcp
 
 import (
-	"reflect"
 	"testing"
 
 	"repro/internal/trace"
 )
 
-// traceFaultSuite is the byte-identity matrix: faulted runs with global
-// repair on both hash-seeded multi-rooted fabrics (FatTree and VL2), so
-// the trace points on every layer — transports, links, switches,
-// control plane, fault injector — fire while the comparison runs.
-func traceFaultSuite() []Config {
-	ft := tiny(ProtoMMPTCP, 40)
-	ft.MaxSimTime = 15 * Second
-	ft.Faults = FaultsConfig{
+// tracedFaultConfig is the run the trace tests record: two agg-core
+// cables cut and repaired under global repair on the FatTree, so the
+// trace points on every layer — transports, links, switches, control
+// plane, fault injector — fire.
+func tracedFaultConfig() Config {
+	cfg := tiny(ProtoMMPTCP, 40)
+	cfg.MaxSimTime = 15 * Second
+	cfg.Faults = FaultsConfig{
 		Events:          FailCables(LayerAgg, 2, 150*Millisecond, 900*Millisecond),
 		ReconvergeDelay: 20 * Millisecond,
 	}
-	ft.Routing.Mode = RoutingGlobal
-
-	vl2 := tiny(ProtoTCP, 40)
-	vl2.Topology = TopoVL2
-	vl2.K = 4
-	vl2.HostsPerEdge = 2
-	vl2.MaxSimTime = 15 * Second
-	vl2.Faults = FaultsConfig{
-		Events:          FailCables(LayerAgg, 2, 150*Millisecond, 600*Millisecond),
-		ReconvergeDelay: 50 * Millisecond,
-	}
-	vl2.Routing.Mode = RoutingGlobal
-
-	return []Config{ft, vl2}
-}
-
-// TestTracedRunByteIdentical is the tracing contract: a traced run's
-// Results are byte-identical to the untraced run's — ring or full mode,
-// serial or parallel, on fresh instances (Run) or a sweep worker's
-// recycled one — because trace points only observe (no engine events, no
-// RNG draws, no pool traffic). Only
-// the Config echo's Trace section differs, by construction; it is
-// normalised before comparison.
-func TestTracedRunByteIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("fault suite is slow")
-	}
-	mk := func(mode TraceMode) []Config {
-		configs := traceFaultSuite()
-		for i := range configs {
-			configs[i].Trace.Mode = mode
-			configs[i].Seed = uint64(i + 1)
-		}
-		return configs
-	}
-	baseline := runFresh(t, mk(TraceOff))
-	for _, tc := range []struct {
-		name    string
-		mode    TraceMode
-		workers int // 0: Run on fresh instances, no sweep
-	}{
-		{"ring fresh", TraceRing, 0},
-		{"ring serial sweep", TraceRing, 1},
-		{"ring 4 workers", TraceRing, 4},
-		{"full serial sweep", TraceFull, 1},
-	} {
-		var got []*Results
-		if tc.workers == 0 {
-			got = runFresh(t, mk(tc.mode))
-		} else {
-			var err error
-			if got, err = RunSweep(mk(tc.mode), SweepOptions{Workers: tc.workers}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for i := range got {
-			g, b := *got[i], *baseline[i]
-			g.Config.Trace = TraceConfig{}
-			b.Config.Trace = TraceConfig{}
-			if !reflect.DeepEqual(&g, &b) {
-				t.Errorf("%s, config %d: traced Results diverged from untraced", tc.name, i)
-			}
-		}
-	}
+	cfg.Routing.Mode = RoutingGlobal
+	return cfg
 }
 
 // TestTracedRunCapture: a traced faulted run actually captures the
 // storyline — flow lifecycle, fault injection and repair, link state,
 // control-plane recomputes — in time order.
 func TestTracedRunCapture(t *testing.T) {
-	cfg := traceFaultSuite()[0]
+	cfg := tracedFaultConfig()
 	cfg.Trace.Mode = TraceFull
 	// With the suite's third of hosts on long flows the trace outgrows
 	// the full-mode cap (~1.9M events) and loses the late repair events;
@@ -139,7 +76,7 @@ func TestTracedRunCapture(t *testing.T) {
 // restricted to the requested flows while fabric/control events (flow
 // 0) still record.
 func TestTraceFlowFilterRun(t *testing.T) {
-	cfg := traceFaultSuite()[0]
+	cfg := tracedFaultConfig()
 	cfg.Trace.Mode = TraceFull
 	cfg.Trace.Flows = []uint64{1}
 	_, rec, err := RunTraced(cfg)
