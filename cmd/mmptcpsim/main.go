@@ -76,9 +76,6 @@ func main() {
 		topo     = flag.String("topo", "fattree", "topology: fattree, multihomed, dumbbell, vl2")
 		k        = flag.Int("k", 4, "FatTree arity")
 		hpe      = flag.Int("hosts-per-edge", 8, "hosts per edge switch (oversubscription = 2*hpe/k)")
-		rateBps  = flag.Int64("link-rate", 100_000_000, "link rate, bits/s")
-		delayUs  = flag.Int64("link-delay-us", 20, "per-link propagation delay, microseconds")
-		queue    = flag.Int("queue", 30, "per-port queue limit, packets")
 		subflows = flag.Int("subflows", 8, "MPTCP/MMPTCP subflows")
 		strategy = flag.String("switch-strategy", "data-volume", "MMPTCP switching: data-volume, congestion-event")
 		psThresh = flag.String("ps-threshold", "topology", "MMPTCP PS dup-ACK policy: topology, adaptive, standard")
@@ -99,10 +96,8 @@ func main() {
 		converge = flag.String("convergence", "atomic", "how recomputed tables reach the switches under -routing global: atomic (one flip) or staggered (per-switch FIB flips)")
 		perhopMs = flag.Float64("perhop-ms", 0, "staggered convergence: extra flip delay per hop from the failure, milliseconds")
 		deadRTOs = flag.Int("dead-rtos", 0, "declare a subflow dead after this many consecutive RTOs and re-dial it on a fresh source port (0 = recovery off)")
-		redialBk = flag.Float64("redial-backoff-ms", 0, "base backoff between repeated re-dials of one subflow slot, milliseconds (0 = default 10 when -dead-rtos is set)")
 		redialBg = flag.Int("redial-budget", 0, "re-dial attempts allowed per connection (0 = default 4 when -dead-rtos is set)")
 		deferPS  = flag.Bool("defer-phase-switch", false, "hold MMPTCP's phase switch while routing convergence is in progress (requires -routing global)")
-		maxDefMs = flag.Float64("max-defer-ms", 0, "bound on the phase-switch deferral, milliseconds (0 = default 50 with -defer-phase-switch)")
 		lossRate = flag.Float64("degrade-loss", 0, "degrade the -fail-cables cables with this random-loss probability instead of hard failure")
 		capFact  = flag.Float64("degrade-capacity", 0, "scale the -fail-cables cables' capacity by this factor in (0,1] instead of hard failure")
 		seed     = flag.Uint64("seed", 1, "random seed (with -seeds: base for derived replicate seeds)")
@@ -115,7 +110,6 @@ func main() {
 		snapMs   = flag.Float64("snapshot-ms", 0, "record a cumulative snapshot every this many milliseconds of virtual time (0 = off)")
 		traceM   = flag.String("trace", "", "record a structured event trace: ring (bounded flight recorder) or full (everything)")
 		traceOut = flag.String("trace-out", "trace.json", "trace output path; a .jsonl suffix writes JSON lines, anything else Chrome trace-event JSON (open in Perfetto)")
-		traceFl  = flag.String("trace-flows", "", "comma-separated flow IDs to restrict flow-scoped trace events to (default: all flows)")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile to this file at exit")
 	)
@@ -125,9 +119,6 @@ func main() {
 		Topology:        mmptcp.TopologyKind(*topo),
 		K:               *k,
 		HostsPerEdge:    *hpe,
-		LinkRateBps:     *rateBps,
-		LinkDelay:       sim.Time(*delayUs) * sim.Microsecond,
-		QueueLimit:      *queue,
 		Protocol:        mmptcp.Protocol(*proto),
 		Subflows:        *subflows,
 		SwitchBytes:     *switchKB * 1000,
@@ -169,19 +160,6 @@ func main() {
 			usageError("-trace records a single run; drop -seeds or -trace")
 		}
 		cfg.Trace.Mode = mmptcp.TraceMode(*traceM)
-		for _, part := range strings.Split(*traceFl, ",") {
-			part = strings.TrimSpace(part)
-			if part == "" {
-				continue
-			}
-			id, err := strconv.ParseUint(part, 10, 64)
-			if err != nil {
-				usageError("bad -trace-flows flow ID %q", part)
-			}
-			cfg.Trace.Flows = append(cfg.Trace.Flows, id)
-		}
-	} else if *traceFl != "" {
-		usageError("-trace-flows needs -trace ring or -trace full")
 	}
 	cfg.Routing = mmptcp.RoutingConfig{
 		Mode:        mmptcp.RoutingMode(*routing),
@@ -190,10 +168,8 @@ func main() {
 	}
 	cfg.Transport = mmptcp.TransportConfig{
 		DeadRTOs:         *deadRTOs,
-		RedialBackoff:    sim.FromSeconds(*redialBk / 1000),
 		RedialBudget:     *redialBg,
 		DeferPhaseSwitch: *deferPS,
-		MaxDefer:         sim.FromSeconds(*maxDefMs / 1000),
 	}
 	at, repair := sim.FromSeconds(*failAtMs/1000), sim.FromSeconds(*repairMs/1000)
 	cfg.Faults.ReconvergeDelay = sim.FromSeconds(*reconvMs / 1000)
@@ -291,8 +267,8 @@ func replicate(cfg mmptcp.Config, n, workers int, base uint64) {
 	check(err)
 	wall := time.Since(start)
 
-	fmt.Printf("protocol=%s topology=%s(k=%d,hosts/edge=%d) queue=%d base-seed=%d replicates=%d\n",
-		cfg.Protocol, cfg.Topology, cfg.K, cfg.HostsPerEdge, cfg.QueueLimit, base, n)
+	fmt.Printf("protocol=%s topology=%s(k=%d,hosts/edge=%d) base-seed=%d replicates=%d\n",
+		cfg.Protocol, cfg.Topology, cfg.K, cfg.HostsPerEdge, base, n)
 	effective := workers
 	if effective <= 0 {
 		effective = mmptcp.DefaultSweepWorkers()
@@ -336,8 +312,8 @@ func meanStd(xs []float64) (mean, std float64) {
 
 func report(res *mmptcp.Results, wall time.Duration) {
 	cfg := res.Config
-	fmt.Printf("protocol=%s topology=%s(k=%d,hosts/edge=%d) queue=%d seed=%d",
-		cfg.Protocol, cfg.Topology, cfg.K, cfg.HostsPerEdge, cfg.QueueLimit, cfg.Seed)
+	fmt.Printf("protocol=%s topology=%s(k=%d,hosts/edge=%d) seed=%d",
+		cfg.Protocol, cfg.Topology, cfg.K, cfg.HostsPerEdge, cfg.Seed)
 	if cfg.Shards > 1 {
 		fmt.Printf(" shards=%d", cfg.Shards)
 	}

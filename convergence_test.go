@@ -142,14 +142,10 @@ func TestConvergenceValidation(t *testing.T) {
 	// The rules cmd/mmptcpsim leaves to Config: fault times and the
 	// transport-recovery knobs that react to convergence.
 	for name, mutate := range map[string]func(*Config){
-		"negative fault time":               func(c *Config) { c.Faults.Events = FailCables(LayerAgg, 1, -Millisecond, 0) },
-		"negative DeadRTOs":                 func(c *Config) { c.Transport.DeadRTOs = -1 },
-		"negative RedialBackoff":            func(c *Config) { c.Transport = TransportConfig{DeadRTOs: 2, RedialBackoff: -Millisecond} },
-		"negative RedialBudget":             func(c *Config) { c.Transport = TransportConfig{DeadRTOs: 2, RedialBudget: -1} },
-		"RedialBackoff without DeadRTOs":    func(c *Config) { c.Transport.RedialBackoff = Millisecond },
-		"RedialBudget without DeadRTOs":     func(c *Config) { c.Transport.RedialBudget = 2 },
-		"negative MaxDefer":                 func(c *Config) { c.Transport.MaxDefer = -Millisecond },
-		"MaxDefer without DeferPhaseSwitch": func(c *Config) { c.Transport.MaxDefer = Millisecond },
+		"negative fault time":           func(c *Config) { c.Faults.Events = FailCables(LayerAgg, 1, -Millisecond, 0) },
+		"negative DeadRTOs":             func(c *Config) { c.Transport.DeadRTOs = -1 },
+		"negative RedialBudget":         func(c *Config) { c.Transport = TransportConfig{DeadRTOs: 2, RedialBudget: -1} },
+		"RedialBudget without DeadRTOs": func(c *Config) { c.Transport.RedialBudget = 2 },
 		"DeferPhaseSwitch under local repair": func(c *Config) {
 			c.Transport.DeferPhaseSwitch = true
 		},

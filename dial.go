@@ -39,18 +39,16 @@ type DialConfig struct {
 	Dst    int
 	Size   int64 // -1 for unbounded
 	RNG    *sim.RNG
-	// OnAllAcked, when non-nil, fires once when the sender side has had
-	// every byte acknowledged (the receiver's completion is
-	// Receiver().OnComplete).
-	OnAllAcked func()
-	// Recorder, when non-nil, receives the flow's structured trace
-	// events (segment sends, ACKs, window changes, subflow lifecycle,
-	// phase switches). Nil — the default — costs nothing.
-	Recorder *trace.Recorder
-	// Observer, when non-nil with Config.Transport.DeferPhaseSwitch,
+
+	// Set by the run harness only. onAllAcked, when non-nil, fires once
+	// when the sender side has had every byte acknowledged. recorder,
+	// when non-nil, receives the flow's structured trace events.
+	// observer, when non-nil with Config.Transport.DeferPhaseSwitch,
 	// supplies the routing convergence signal MMPTCP's phase switch
-	// consults (the run harness passes the installed control plane).
-	Observer core.ConvergenceObserver
+	// consults.
+	onAllAcked func()
+	recorder   *trace.Recorder
+	observer   core.ConvergenceObserver
 }
 
 // Dial creates a connection of the configured protocol between two hosts
@@ -81,11 +79,10 @@ func Dial(net *topology.Network, cfg Config, d DialConfig) (Conn, error) {
 func dial(net *topology.Network, cfg *Config, d DialConfig) Conn {
 	src, dst := net.Hosts[d.Src], net.Hosts[d.Dst]
 	mp := mptcp.Config{
-		TCP:           tcp.DefaultConfig(),
-		Subflows:      cfg.Subflows,
-		DeadRTOs:      cfg.Transport.DeadRTOs,
-		RedialBackoff: cfg.Transport.RedialBackoff,
-		RedialBudget:  cfg.Transport.RedialBudget,
+		TCP:          tcp.DefaultConfig(),
+		Subflows:     cfg.Subflows,
+		DeadRTOs:     cfg.Transport.DeadRTOs,
+		RedialBudget: cfg.Transport.RedialBudget,
 	}
 	switch cfg.Protocol {
 	case ProtoMPTCP:
@@ -95,9 +92,9 @@ func dial(net *topology.Network, cfg *Config, d DialConfig) Conn {
 			FlowID:   d.FlowID,
 			Size:     d.Size,
 			RNG:      d.RNG,
-			Recorder: d.Recorder,
+			Recorder: d.recorder,
 		})
-		conn.OnAllAcked = d.OnAllAcked
+		conn.OnAllAcked = d.onAllAcked
 		return conn
 	case ProtoMMPTCP:
 		conn := core.Dial(core.Config{
@@ -106,7 +103,6 @@ func dial(net *topology.Network, cfg *Config, d DialConfig) Conn {
 			SwitchBytes:      cfg.SwitchBytes,
 			Threshold:        cfg.PSThreshold,
 			DeferPhaseSwitch: cfg.Transport.DeferPhaseSwitch,
-			MaxDefer:         cfg.Transport.MaxDefer,
 		}, core.Options{
 			SrcHost:   src,
 			DstHost:   dst,
@@ -114,10 +110,10 @@ func dial(net *topology.Network, cfg *Config, d DialConfig) Conn {
 			Size:      d.Size,
 			PathCount: net.PathCount(netem.NodeID(d.Src), netem.NodeID(d.Dst)),
 			RNG:       d.RNG,
-			Recorder:  d.Recorder,
-			Observer:  d.Observer,
+			Recorder:  d.recorder,
+			Observer:  d.observer,
 		})
-		conn.OnAllAcked = d.OnAllAcked
+		conn.OnAllAcked = d.onAllAcked
 		return conn
 	default: // ProtoTCP, ProtoDCTCP: resolve admits nothing else
 		rcv := tcp.NewReceiver(mp.TCP, dst, d.FlowID, d.Size)
@@ -128,13 +124,13 @@ func dial(net *topology.Network, cfg *Config, d DialConfig) Conn {
 			SrcPort:  uint16(10000 + d.RNG.Intn(50000)),
 			DstPort:  80,
 			Source:   &tcp.BytesSource{Size: d.Size},
-			Recorder: d.Recorder,
+			Recorder: d.recorder,
 		}
 		if cfg.Protocol == ProtoDCTCP {
 			opt.CC = &dctcp.CC{}
 		}
 		snd := tcp.NewSender(mp.TCP, opt)
-		snd.OnAllAcked = d.OnAllAcked
+		snd.OnAllAcked = d.onAllAcked
 		return &tcpConn{snd, rcv}
 	}
 }

@@ -120,7 +120,7 @@ func equivalenceSuite() []suiteEntry {
 		ReconvergeDelay: 2 * Millisecond,
 	}
 	deferral.Routing = RoutingConfig{Mode: RoutingGlobal, Convergence: ConvergeStaggered, PerHopDelay: 5 * Millisecond}
-	deferral.Transport = TransportConfig{DeadRTOs: 2, DeferPhaseSwitch: true, MaxDefer: 40 * Millisecond}
+	deferral.Transport = TransportConfig{DeadRTOs: 2, DeferPhaseSwitch: true}
 	add("recovery/defer", deferral, "deferred a phase switch", func(r *Results) bool { return r.PhaseDeferrals > 0 })
 
 	// Staggered convergence with a real per-hop delay, and sampled
@@ -245,31 +245,31 @@ func resultsHashes(r *Results) [2]string {
 // hash, then the Config-free one. A change that moves one says why; the
 // test prints the table to paste.
 var goldenResults = map[string][2]string{
-	"global/fattree-cables":  {"2d3e916989ad68eb41782e8f", "444c4251d7799ae4c3aa2922"},
-	"global/fattree-crash":   {"c57c4312bfe4d544f172f933", "451511be794c6392f694d8f8"},
-	"global/fattree-model":   {"69da4ba0e17eb792de646311", "adcd8bcca8c9344ca6da78c1"},
-	"global/vl2-cables":      {"245ef8ee01003e38930024e6", "66a3317ac5f689f171972094"},
-	"global/vl2-crash":       {"1532068d16bfce8975a99912", "a2b7227523328ce0842797b6"},
-	"global/vl2-model":       {"623f67c55cfd26107c42010c", "12f2cf952f90e6d01adb5292"},
-	"local/cables-tcp":       {"b1fa937771a13bc1d3c9f570", "745d1457b044840e606d9128"},
-	"local/degrade-tcp":      {"a819f4f5a9926bcd51523e12", "bc3cf9da23c892e4b4100e80"},
-	"local/model-tcp":        {"c8fe5e773151ac98d1e1d67d", "05526ecec63902f67c7a595e"},
-	"local/cables-mmptcp":    {"207b1eadb92d30aedb58d7dd", "acdd4be473f7a949762fb164"},
-	"local/degrade-mmptcp":   {"302ac4ebf8a163e671270848", "44bee8e751708312273b0dd3"},
-	"local/model-mmptcp":     {"0e2c53969c32386d890dd500", "52f15af7eb128a3bcd0f6f2d"},
-	"local/crash":            {"2edc09c4a0b36bd9b599d7e9", "729fb65d50e8bddfa3c60e01"},
-	"recovery/redial-mptcp":  {"27b631ac2ac14edc69b0e676", "e48267301f894c8b516f65f0"},
-	"recovery/redial-mmptcp": {"f7f40eb5d7982ea2f303adea", "aa1e80d6e3d538652da80d35"},
-	"recovery/defer":         {"bf68d72bd514d8bc6b5af6af", "ddb839cac0c74e1ac1e81fac"},
-	"staggered/fattree":      {"10655f96ea74579f252aca77", "4f745872f90e43e6ff59bfdd"},
-	"staggered/vl2":          {"9a5858c4ec52298a07584df0", "a63da6cbfd65fe758ef49bca"},
-	"staggered/churn":        {"c2e7f961881ed19c479a3ae4", "1647fd8bf05e3d77f8ac5ffe"},
-	"snapshots":              {"c5090fcdd47872905d377778", "7ed948c84b95fc3b2ea15e52"},
-	"healthy/tcp-2.5":        {"38726da3696f0e50a146f3d2", "b993f2cff71d71faf1a1754e"},
-	"healthy/mptcp-2.5":      {"6543c89b8fa4e124851bb205", "cc4f6e4bbe584c21c1a70154"},
-	"healthy/mptcp-5":        {"acd81659d350a69a9efcc81e", "f1f5d0163419ac905ff931b9"},
-	"healthy/mmptcp-2.5":     {"270690ea375a43ec29106f19", "2788a425f1dda4ca499dcfd3"},
-	"healthy/mmptcp-5":       {"9b851eb1431e910cd41848cc", "7011ce4c0611a365809fd85a"},
+	"global/fattree-cables":  {"4300483d5127e05166dd7940", "444c4251d7799ae4c3aa2922"},
+	"global/fattree-crash":   {"be38db9b37bbd9861987e5ff", "451511be794c6392f694d8f8"},
+	"global/fattree-model":   {"8ff13d5ae4b4570ad61fe153", "adcd8bcca8c9344ca6da78c1"},
+	"global/vl2-cables":      {"bf77f0f9f659be60e4579c9c", "66a3317ac5f689f171972094"},
+	"global/vl2-crash":       {"fd9e217bb6859bf0102b4558", "a2b7227523328ce0842797b6"},
+	"global/vl2-model":       {"204c8ed78bda98d8540690fa", "12f2cf952f90e6d01adb5292"},
+	"local/cables-tcp":       {"dc53f48821489c6ce4b64a60", "745d1457b044840e606d9128"},
+	"local/degrade-tcp":      {"de57046bdc885de5545b6745", "bc3cf9da23c892e4b4100e80"},
+	"local/model-tcp":        {"8f9dfa485abf3b46b555ae26", "05526ecec63902f67c7a595e"},
+	"local/cables-mmptcp":    {"a57500ed69510eda9bad5c1f", "acdd4be473f7a949762fb164"},
+	"local/degrade-mmptcp":   {"e041c88d1be47f106b9817a7", "44bee8e751708312273b0dd3"},
+	"local/model-mmptcp":     {"b44cdaacf50e9856a6c4bc43", "52f15af7eb128a3bcd0f6f2d"},
+	"local/crash":            {"ae2e7f6e3429482c3c596c74", "729fb65d50e8bddfa3c60e01"},
+	"recovery/redial-mptcp":  {"496d1e4d7baceae39382f423", "e48267301f894c8b516f65f0"},
+	"recovery/redial-mmptcp": {"e6804d09699e3cedca7736ca", "aa1e80d6e3d538652da80d35"},
+	"recovery/defer":         {"8dd11f8c4844ea814525b9cc", "4df98f14318b2bf737121489"},
+	"staggered/fattree":      {"3c40cbc37b13ec3fbaac194b", "4f745872f90e43e6ff59bfdd"},
+	"staggered/vl2":          {"411483d0a6f590568b9b3b93", "a63da6cbfd65fe758ef49bca"},
+	"staggered/churn":        {"3e41f5c9b8dc20f9df2284ee", "1647fd8bf05e3d77f8ac5ffe"},
+	"snapshots":              {"61df281ffa14961980f77f5b", "7ed948c84b95fc3b2ea15e52"},
+	"healthy/tcp-2.5":        {"17a1a8750721b7c4d3da92cb", "b993f2cff71d71faf1a1754e"},
+	"healthy/mptcp-2.5":      {"8248c4f4dc1a7910f01db9ce", "cc4f6e4bbe584c21c1a70154"},
+	"healthy/mptcp-5":        {"83249c9ca0cd3832e24b7566", "f1f5d0163419ac905ff931b9"},
+	"healthy/mmptcp-2.5":     {"2f3d706fae9d4ae439a06a8c", "2788a425f1dda4ca499dcfd3"},
+	"healthy/mmptcp-5":       {"2788134a63f50d5e9a9217b8", "7011ce4c0611a365809fd85a"},
 }
 
 // equivalence is the suite every test of this file draws on, and each

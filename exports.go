@@ -62,10 +62,6 @@ type (
 	// last convergence time, live override entries, staggered flip
 	// spread and transient-window damage) in Results.Routing.
 	RoutingStats = metrics.RoutingStats
-	// ConvergenceObserver is the transport-facing convergence signal
-	// (*routing.ControlPlane implements it); DialConfig.Observer takes
-	// one for custom drivers using Config.Transport.DeferPhaseSwitch.
-	ConvergenceObserver = routing.ConvergenceObserver
 )
 
 // Fault event kinds.

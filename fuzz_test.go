@@ -15,9 +15,6 @@ const (
 	fzProtocol
 	fzK
 	fzHostsPerEdge
-	fzLinkRate
-	fzLinkDelay
-	fzQueueLimit
 	fzSubflows
 	fzStrategy
 	fzPSThreshold
@@ -47,7 +44,6 @@ var (
 	fzRoutingModes = []RoutingMode{"", RoutingLocal, RoutingGlobal, "bogus"}
 	fzConvergences = []ConvergenceMode{"", ConvergeAtomic, ConvergeStaggered, "bogus"}
 	fzTraceModes   = []TraceMode{"", "off", TraceRing, TraceFull, "bogus"}
-	fzRates        = []int64{0, 1, 1_000_000, 100_000_000, 10_000_000_000}
 	fzSizes        = []int64{0, 1, 1400, 70_000, 200_000}
 	fzSubflowNs    = []int64{0, 1, 2, 3, 8, 9, 127, 128, 300, 1 << 40}
 	fzFractions    = []float64{0, 0.25, 0.5, 0.99, 1, 1.5, math.NaN(), math.Inf(1)}
@@ -106,9 +102,6 @@ func fuzzConfig(prog []byte) Config {
 		Protocol:        fzProtocols[int(at(fzProtocol))%len(fzProtocols)],
 		K:               huge(fzK, 7, 1000),
 		HostsPerEdge:    huge(fzHostsPerEdge, 5, 1<<30),
-		LinkRateBps:     pick(fzLinkRate, fzRates),
-		LinkDelay:       SimTime(mag(fzLinkDelay, int64(10*Microsecond), 100)),
-		QueueLimit:      int(mag(fzQueueLimit, 1, 128)),
 		Subflows:        int(pick(fzSubflows, fzSubflowNs)),
 		Strategy:        core.Strategy(signed(fzStrategy, 4)),
 		PSThreshold:     core.ThresholdMode(signed(fzPSThreshold, 5)),
@@ -154,10 +147,12 @@ func fuzzSeed(base []byte, pairs ...byte) []byte {
 }
 
 // fuzzSeeds is the corpus tier-1 runs: one valid 16-host config per
-// protocol and topology, then the configs resolve must reject — ten that
-// used to panic, a negative ShortFlowSize, Subflows 128, whose last
-// subflow ID would wrap negative, and K 1000 and HostsPerEdge 1<<30,
-// whose fabrics used to be allocated.
+// protocol and topology, then fourteen configs resolve must reject: bad
+// K and HostsPerEdge; negative SwitchBytes, Warmup, DeadRTOs and
+// ShortFlowSize; a multi-homed K 2, a HotspotHost off the fabric and a
+// NaN ArrivalRate; Subflows 300 and 128, whose subflow IDs would collide
+// or wrap negative; and K 1000 and HostsPerEdge 1<<30, whose fabrics used
+// to be allocated.
 func fuzzSeeds() [][]byte {
 	const neg = 0x80
 	valid := func(topo, proto, k, hpe byte) []byte {
@@ -177,9 +172,9 @@ func fuzzSeeds() [][]byte {
 		with(fzK, 3),
 		with(fzK, 0xfe), // -2
 		with(fzHostsPerEdge, 0xff),
-		with(fzLinkRate, neg|1),
-		with(fzLinkDelay, neg|1),
-		with(fzQueueLimit, neg|1),
+		with(fzSwitchBytes, neg|1),
+		with(fzWarmup, neg|1),
+		with(fzDeadRTOs, 0xff), // -1
 		with(fzShortFlowSize, neg|1),
 		with(fzTopology, 2, fzK, 2),
 		with(fzHotspotFraction, 2, fzHotspotHost, 100),

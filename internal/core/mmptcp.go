@@ -109,11 +109,14 @@ type Config struct {
 	// DeferPhaseSwitch holds the packet-scatter→subflow switch open
 	// while the routing control plane reports an unconverged state
 	// (Options.Observer), so fresh subflows are not pinned onto tables
-	// that are mid-flip. The switch is forced after MaxDefer regardless,
-	// bounding how long a flow can stay in PS.
+	// that are mid-flip. The switch is forced MaxDefer after the first
+	// postponement regardless, bounding how long a flow can stay in PS.
 	DeferPhaseSwitch bool
-	MaxDefer         sim.Time
 }
+
+// MaxDefer bounds a deferred phase switch: it is forced this long after
+// the first postponement even under sustained churn.
+const MaxDefer = 50 * sim.Millisecond
 
 // topologyDupThresh is the PS-phase duplicate-ACK threshold for paths
 // equal-cost paths between the endpoints: with paths ways for packets to
@@ -124,18 +127,13 @@ func topologyDupThresh(paths int) int { return max(3, paths) }
 
 // ConvergenceObserver is the routing-state signal the phase switch
 // consults; *routing.ControlPlane satisfies it. Declared locally so the
-// transport does not import the control plane.
+// transport does not import the control plane. Observing never schedules
+// events or mutates state.
 type ConvergenceObserver interface {
+	// ConvergenceOpen reports that a convergence episode is in
+	// progress: a recompute is pending or scheduled, or staggered
+	// per-switch flips have not all landed.
 	ConvergenceOpen() bool
-}
-
-// DefaultConfig returns the paper's MMPTCP configuration.
-func DefaultConfig() Config {
-	return Config{
-		MPTCP:       mptcp.DefaultConfig(),
-		Strategy:    SwitchDataVolume,
-		SwitchBytes: 100_000,
-	}
 }
 
 // Options identifies a connection's endpoints.
@@ -320,7 +318,7 @@ func (c *Conn) maybeSwitch() {
 			c.deferring = true
 			c.deferStart = now
 		}
-		if now-c.deferStart < c.cfg.MaxDefer {
+		if now-c.deferStart < MaxDefer {
 			// Convergence window still open and the deferral bound not
 			// yet reached: postpone, and poll again soon. The re-check
 			// interval never overshoots deferStart+MaxDefer, so the
@@ -334,13 +332,7 @@ func (c *Conn) maybeSwitch() {
 			}
 			if !c.pollArmed {
 				c.pollArmed = true
-				interval := c.cfg.MaxDefer / 8
-				if interval < sim.Millisecond {
-					interval = sim.Millisecond
-				}
-				if rem := c.deferStart + c.cfg.MaxDefer - now; interval > rem {
-					interval = rem
-				}
+				interval := min(MaxDefer/8, c.deferStart+MaxDefer-now)
 				c.eng.Schedule(interval, func() {
 					c.pollArmed = false
 					c.maybeSwitch()

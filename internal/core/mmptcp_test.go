@@ -3,11 +3,18 @@ package core
 import (
 	"testing"
 
+	"repro/internal/mptcp"
 	"repro/internal/netem"
 	"repro/internal/sim"
 	"repro/internal/tcp"
 	"repro/internal/topology"
 )
+
+// paperConfig is the paper's MMPTCP configuration: 8 LIA subflows after
+// a switch at 100 KB of data.
+func paperConfig() Config {
+	return Config{MPTCP: mptcp.DefaultConfig(), Strategy: SwitchDataVolume, SwitchBytes: 100_000}
+}
 
 func fatTree4(eng *sim.Engine) *topology.FatTree {
 	return topology.NewFatTree(eng, topology.FatTreeConfig{K: 4, Link: topology.DefaultLinkConfig(), Seed: 1})
@@ -15,8 +22,8 @@ func fatTree4(eng *sim.Engine) *topology.FatTree {
 
 func dialFT(ft *topology.FatTree, cfg Config, flowID uint64, src, dst int, size int64, seed uint64) *Conn {
 	return Dial(cfg, Options{
-		SrcHost:   ft.Host(src),
-		DstHost:   ft.Host(dst),
+		SrcHost:   ft.Hosts[src],
+		DstHost:   ft.Hosts[dst],
 		FlowID:    flowID,
 		Size:      size,
 		PathCount: ft.PathCount(netem.NodeID(src), netem.NodeID(dst)),
@@ -29,7 +36,7 @@ func TestShortFlowStaysInPacketScatter(t *testing.T) {
 	ft := fatTree4(eng)
 	// 70 KB < 100 KB threshold: the paper expects short flows to finish
 	// entirely inside the PS phase.
-	conn := dialFT(ft, DefaultConfig(), 1, 0, 15, 70_000, 42)
+	conn := dialFT(ft, paperConfig(), 1, 0, 15, 70_000, 42)
 	var doneAt sim.Time
 	conn.Receiver().OnComplete = func() { doneAt = eng.Now() }
 	acked := false
@@ -65,7 +72,7 @@ func TestLongFlowSwitchesAtDataVolume(t *testing.T) {
 	eng := sim.NewEngine()
 	ft := fatTree4(eng)
 	const size = 300_000
-	conn := dialFT(ft, DefaultConfig(), 1, 0, 15, size, 7)
+	conn := dialFT(ft, paperConfig(), 1, 0, 15, size, 7)
 	switchFired := false
 	conn.OnSwitch = func() { switchFired = true }
 	acked := false
@@ -106,7 +113,7 @@ func TestLongFlowSwitchesAtDataVolume(t *testing.T) {
 func TestFlowExactlyAtThresholdDoesNotSwitch(t *testing.T) {
 	eng := sim.NewEngine()
 	ft := fatTree4(eng)
-	conn := dialFT(ft, DefaultConfig(), 1, 0, 15, 100_000, 3)
+	conn := dialFT(ft, paperConfig(), 1, 0, 15, 100_000, 3)
 	conn.Start()
 	eng.Run()
 	if !conn.Receiver().Complete() {
@@ -120,7 +127,7 @@ func TestFlowExactlyAtThresholdDoesNotSwitch(t *testing.T) {
 func TestUnboundedFlowSwitchesAndKeepsDelivering(t *testing.T) {
 	eng := sim.NewEngine()
 	ft := fatTree4(eng)
-	conn := dialFT(ft, DefaultConfig(), 1, 0, 15, -1, 11)
+	conn := dialFT(ft, paperConfig(), 1, 0, 15, -1, 11)
 	conn.Start()
 	eng.RunUntil(500 * sim.Millisecond)
 	if !conn.Switched() {
@@ -179,7 +186,7 @@ func newWireNet(eng *sim.Engine) (a, b *netem.Host, w *dropWire) {
 func TestCongestionEventSwitchWire(t *testing.T) {
 	eng := sim.NewEngine()
 	a, b, w := newWireNet(eng)
-	cfg := DefaultConfig()
+	cfg := paperConfig()
 	cfg.Strategy = SwitchCongestionEvent
 	conn := Dial(cfg, Options{
 		SrcHost: a, DstHost: b, FlowID: 1, Size: 400_000,
@@ -218,7 +225,7 @@ func TestCongestionEventSwitchWire(t *testing.T) {
 func TestCongestionEventNoCongestionNeverSwitches(t *testing.T) {
 	eng := sim.NewEngine()
 	a, b, _ := newWireNet(eng)
-	cfg := DefaultConfig()
+	cfg := paperConfig()
 	cfg.Strategy = SwitchCongestionEvent
 	conn := Dial(cfg, Options{
 		SrcHost: a, DstHost: b, FlowID: 1, Size: 400_000,
@@ -245,7 +252,7 @@ func TestPSReorderingToleranceEndToEnd(t *testing.T) {
 		a, b, w := newWireNet(eng)
 		rng := sim.NewRNG(17)
 		origOut := w.out[b.ID()]
-		cfg := DefaultConfig()
+		cfg := paperConfig()
 		conn := Dial(cfg, Options{
 			SrcHost: a, DstHost: b, FlowID: 1, Size: 70_000,
 			PathCount: pathCount, RNG: rng,
@@ -284,7 +291,7 @@ func TestPSReorderingToleranceEndToEnd(t *testing.T) {
 func TestMMPTCPScatterSpreadsOverCoreLinks(t *testing.T) {
 	eng := sim.NewEngine()
 	ft := fatTree4(eng)
-	conn := dialFT(ft, DefaultConfig(), 1, 0, 15, 70_000, 99)
+	conn := dialFT(ft, paperConfig(), 1, 0, 15, 70_000, 99)
 	conn.Start()
 	eng.Run()
 	if !conn.Receiver().Complete() {
@@ -316,7 +323,7 @@ func TestStrategyString(t *testing.T) {
 func TestMMPTCPStatsAggregation(t *testing.T) {
 	eng := sim.NewEngine()
 	ft := fatTree4(eng)
-	conn := dialFT(ft, DefaultConfig(), 1, 0, 15, 300_000, 31)
+	conn := dialFT(ft, paperConfig(), 1, 0, 15, 300_000, 31)
 	conn.Start()
 	eng.Run()
 	st := conn.Stats()
@@ -333,7 +340,7 @@ func TestMMPTCPStatsAggregation(t *testing.T) {
 func TestMMPTCPClose(t *testing.T) {
 	eng := sim.NewEngine()
 	ft := fatTree4(eng)
-	conn := dialFT(ft, DefaultConfig(), 1, 0, 15, 300_000, 8)
+	conn := dialFT(ft, paperConfig(), 1, 0, 15, 300_000, 8)
 	conn.Start()
 	eng.RunUntil(20 * sim.Millisecond)
 	conn.Close()
@@ -348,7 +355,7 @@ var _ tcp.DataSource = (*psSource)(nil)
 func TestPSScattersAcrossInterfacesWhenMultiHomed(t *testing.T) {
 	eng := sim.NewEngine()
 	m := topology.NewMultiHomed(eng, topology.MultiHomedConfig{K: 4, Link: topology.DefaultLinkConfig()})
-	conn := Dial(DefaultConfig(), Options{
+	conn := Dial(paperConfig(), Options{
 		SrcHost: m.Hosts[0], DstHost: m.Hosts[15],
 		FlowID: 1, Size: 70_000,
 		PathCount: m.PathCount(0, 15), RNG: sim.NewRNG(3),
@@ -375,7 +382,7 @@ func TestAdaptiveThresholdModeEndToEnd(t *testing.T) {
 	// reordering is tolerated, without any topology knowledge.
 	eng := sim.NewEngine()
 	ft := fatTree4(eng)
-	cfg := DefaultConfig()
+	cfg := paperConfig()
 	cfg.Threshold = ThresholdAdaptive
 	// A large PS budget so the scattered phase sees enough reordering.
 	cfg.SwitchBytes = 2_000_000

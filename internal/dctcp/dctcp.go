@@ -42,9 +42,6 @@ type CC struct {
 	AlphaUpdates int64
 }
 
-// Alpha returns the current marked-fraction estimate.
-func (c *CC) Alpha() float64 { return c.alpha }
-
 // OnAck implements tcp.CongestionControl (Reno-style growth).
 func (c *CC) OnAck(s *tcp.Sender, ackedBytes int) {
 	tcp.RenoCC{}.OnAck(s, ackedBytes)

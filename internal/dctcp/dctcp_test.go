@@ -29,9 +29,9 @@ func runLongFlow(t *testing.T, withDCTCP bool, k int) (*topology.Dumbbell, *tcp.
 	t.Helper()
 	eng := sim.NewEngine()
 	d := buildDumbbell(eng, k)
-	rcv := tcp.NewReceiver(tcp.DefaultConfig(), d.Right(0), 1, -1)
+	rcv := tcp.NewReceiver(tcp.DefaultConfig(), d.Hosts[2], 1, -1)
 	opt := tcp.SenderOptions{
-		Host: d.Left(0), Dst: d.Right(0).ID(), FlowID: 1,
+		Host: d.Hosts[0], Dst: d.Hosts[2].ID(), FlowID: 1,
 		SrcPort: 10000, DstPort: 80,
 		Source: &tcp.BytesSource{Size: -1},
 	}
@@ -83,9 +83,9 @@ func TestDCTCPAlphaConverges(t *testing.T) {
 	eng := sim.NewEngine()
 	d := buildDumbbell(eng, 10)
 	cc := &CC{}
-	rcv := tcp.NewReceiver(tcp.DefaultConfig(), d.Right(0), 1, -1)
+	rcv := tcp.NewReceiver(tcp.DefaultConfig(), d.Hosts[2], 1, -1)
 	snd := tcp.NewSender(tcp.DefaultConfig(), tcp.SenderOptions{
-		Host: d.Left(0), Dst: d.Right(0).ID(), FlowID: 1,
+		Host: d.Hosts[0], Dst: d.Hosts[2].ID(), FlowID: 1,
 		SrcPort: 10000, DstPort: 80,
 		Source: &tcp.BytesSource{Size: -1},
 		CC:     cc,
@@ -97,7 +97,7 @@ func TestDCTCPAlphaConverges(t *testing.T) {
 		t.Fatalf("alpha updated only %d times", cc.AlphaUpdates)
 	}
 	// In steady state only a small fraction of packets is marked.
-	if a := cc.Alpha(); a <= 0 || a >= 0.9 {
+	if a := cc.alpha; a <= 0 || a >= 0.9 {
 		t.Errorf("alpha = %.3f, want converged into (0, 0.9)", a)
 	}
 	if cc.Cuts == 0 {
@@ -112,7 +112,7 @@ func TestDCTCPCutIsProportional(t *testing.T) {
 	d := buildDumbbell(eng, 10)
 	cc := &CC{}
 	snd := tcp.NewSender(tcp.DefaultConfig(), tcp.SenderOptions{
-		Host: d.Left(0), Dst: d.Right(0).ID(), FlowID: 1,
+		Host: d.Hosts[0], Dst: d.Hosts[2].ID(), FlowID: 1,
 		SrcPort: 10000, DstPort: 80,
 		Source: &tcp.BytesSource{Size: -1},
 		CC:     cc,
@@ -148,9 +148,9 @@ func TestECNEchoPlumbing(t *testing.T) {
 	eng := sim.NewEngine()
 	d := buildDumbbell(eng, 1) // mark aggressively
 	cc := &CC{}
-	rcv := tcp.NewReceiver(tcp.DefaultConfig(), d.Right(0), 1, 700_000)
+	rcv := tcp.NewReceiver(tcp.DefaultConfig(), d.Hosts[2], 1, 700_000)
 	snd := tcp.NewSender(tcp.DefaultConfig(), tcp.SenderOptions{
-		Host: d.Left(0), Dst: d.Right(0).ID(), FlowID: 1,
+		Host: d.Hosts[0], Dst: d.Hosts[2].ID(), FlowID: 1,
 		SrcPort: 10000, DstPort: 80,
 		Source: &tcp.BytesSource{Size: 700_000},
 		CC:     cc,

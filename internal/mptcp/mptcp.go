@@ -41,15 +41,16 @@ type Config struct {
 	// the connection for re-pull. Zero disables recovery entirely: no
 	// extra RNG draws, no extra events, byte-identical runs.
 	DeadRTOs int
-	// RedialBackoff is the base delay between repeated re-dials of the
-	// same subflow slot: the first replacement dials immediately, the
-	// k-th waits min(RedialBackoff << (k-2), 16*RedialBackoff).
-	RedialBackoff sim.Time
 	// RedialBudget caps re-dial attempts per connection. A connection out
 	// of budget leaves its stalled subflows backing off exactly as with
 	// recovery disabled.
 	RedialBudget int
 }
+
+// redialBackoff is the base delay between repeated re-dials of the same
+// subflow slot: the first replacement dials immediately, the k-th waits
+// min(redialBackoff << (k-2), 16*redialBackoff).
+const redialBackoff = 10 * sim.Millisecond
 
 // DefaultConfig returns the paper's MPTCP configuration: 8 subflows, LIA.
 func DefaultConfig() Config {
@@ -293,8 +294,8 @@ func (c *Connection) subflowDead(slot int) {
 	c.attempts[slot] = k + 1
 	var delay sim.Time
 	if k > 0 {
-		delay = c.cfg.RedialBackoff << uint(k-1)
-		if lim := 16 * c.cfg.RedialBackoff; delay > lim {
+		delay = redialBackoff << uint(k-1)
+		if lim := 16 * redialBackoff; delay > lim {
 			delay = lim
 		}
 	}

@@ -18,7 +18,7 @@ func TestMPTCPTransferCompletes(t *testing.T) {
 	rng := sim.NewRNG(42)
 	const size = 70000
 	conn := Dial(DefaultConfig(), Options{
-		SrcHost: ft.Host(0), DstHost: ft.Host(15),
+		SrcHost: ft.Hosts[0], DstHost: ft.Hosts[15],
 		FlowID: 1, Size: size, RNG: rng,
 	})
 	var doneAt sim.Time
@@ -50,7 +50,7 @@ func TestMPTCPSpreadsAcrossSubflows(t *testing.T) {
 	ft := fatTree4(eng)
 	rng := sim.NewRNG(7)
 	conn := Dial(DefaultConfig(), Options{
-		SrcHost: ft.Host(0), DstHost: ft.Host(15),
+		SrcHost: ft.Hosts[0], DstHost: ft.Hosts[15],
 		FlowID: 1, Size: 70000, RNG: rng,
 	})
 	conn.Start()
@@ -78,7 +78,7 @@ func TestMPTCPSubflowCountConfig(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.Subflows = n
 		conn := Dial(cfg, Options{
-			SrcHost: ft.Host(0), DstHost: ft.Host(15),
+			SrcHost: ft.Hosts[0], DstHost: ft.Hosts[15],
 			FlowID: uint64(100 + n), Size: 14000, RNG: sim.NewRNG(uint64(n)),
 		})
 		if len(conn.Subflows()) != n {
@@ -96,7 +96,7 @@ func TestMPTCPUnboundedFlowKeepsDelivering(t *testing.T) {
 	eng := sim.NewEngine()
 	ft := fatTree4(eng)
 	conn := Dial(DefaultConfig(), Options{
-		SrcHost: ft.Host(0), DstHost: ft.Host(15),
+		SrcHost: ft.Hosts[0], DstHost: ft.Hosts[15],
 		FlowID: 1, Size: -1, RNG: sim.NewRNG(3),
 	})
 	conn.Start()
@@ -123,9 +123,9 @@ func TestMPTCPDataStartAndSubflowBase(t *testing.T) {
 	ft := fatTree4(eng)
 	// Receiver expects 70000 bytes; the connection only carries
 	// [30000, 70000) — the MMPTCP handover pattern.
-	rcv := tcp.NewReceiver(tcp.DefaultConfig(), ft.Host(15), 1, 70000)
+	rcv := tcp.NewReceiver(tcp.DefaultConfig(), ft.Hosts[15], 1, 70000)
 	conn := Dial(DefaultConfig(), Options{
-		SrcHost: ft.Host(0), DstHost: ft.Host(15),
+		SrcHost: ft.Hosts[0], DstHost: ft.Hosts[15],
 		FlowID: 1, Size: 70000, DataStart: 30000,
 		SubflowBase: 1, RNG: sim.NewRNG(9),
 		Receiver: rcv,
@@ -140,7 +140,7 @@ func TestMPTCPDataStartAndSubflowBase(t *testing.T) {
 	}
 	// Now deliver the head as subflow 0 (what the PS phase would do).
 	head := tcp.NewSender(tcp.DefaultConfig(), tcp.SenderOptions{
-		Host: ft.Host(0), Dst: ft.Host(15).ID(), FlowID: 1, Subflow: 0,
+		Host: ft.Hosts[0], Dst: ft.Hosts[15].ID(), FlowID: 1, Subflow: 0,
 		SrcPort: 9999, DstPort: 80,
 		Source: &tcp.BytesSource{Size: 30000},
 	})
@@ -164,7 +164,7 @@ func TestLIAIncrementCoupling(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Subflows = 2
 	conn := Dial(cfg, Options{
-		SrcHost: ft.Host(0), DstHost: ft.Host(15),
+		SrcHost: ft.Hosts[0], DstHost: ft.Hosts[15],
 		FlowID: 1, Size: 1_400_000, RNG: sim.NewRNG(11),
 	})
 	conn.Start()
@@ -238,12 +238,12 @@ func TestLIASharedBottleneckBounded(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Subflows = 2
 	conn := Dial(cfg, Options{
-		SrcHost: d.Left(0), DstHost: d.Right(0),
+		SrcHost: d.Hosts[0], DstHost: d.Hosts[2],
 		FlowID: 1, Size: -1, RNG: sim.NewRNG(11),
 	})
-	rcv := tcp.NewReceiver(tcp.DefaultConfig(), d.Right(1), 2, -1)
+	rcv := tcp.NewReceiver(tcp.DefaultConfig(), d.Hosts[3], 2, -1)
 	tcpSnd := tcp.NewSender(tcp.DefaultConfig(), tcp.SenderOptions{
-		Host: d.Left(1), Dst: d.Right(1).ID(), FlowID: 2,
+		Host: d.Hosts[1], Dst: d.Hosts[3].ID(), FlowID: 2,
 		SrcPort: 7777, DstPort: 80,
 		Source: &tcp.BytesSource{Size: -1},
 	})
@@ -272,14 +272,14 @@ func TestMPTCPRequiresRNG(t *testing.T) {
 			t.Error("Dial without RNG did not panic")
 		}
 	}()
-	Dial(DefaultConfig(), Options{SrcHost: ft.Host(0), DstHost: ft.Host(1), FlowID: 1, Size: 100})
+	Dial(DefaultConfig(), Options{SrcHost: ft.Hosts[0], DstHost: ft.Hosts[1], FlowID: 1, Size: 100})
 }
 
 func TestMPTCPCloseUnregisters(t *testing.T) {
 	eng := sim.NewEngine()
 	ft := fatTree4(eng)
 	conn := Dial(DefaultConfig(), Options{
-		SrcHost: ft.Host(0), DstHost: ft.Host(15),
+		SrcHost: ft.Hosts[0], DstHost: ft.Hosts[15],
 		FlowID: 1, Size: 70000, RNG: sim.NewRNG(1),
 	})
 	conn.Start()
@@ -287,7 +287,7 @@ func TestMPTCPCloseUnregisters(t *testing.T) {
 	conn.Close()
 	eng.Run()
 	// Whatever was in flight becomes unclaimed on both ends.
-	if ft.Host(0).Unclaimed == 0 && ft.Host(15).Unclaimed == 0 {
+	if ft.Hosts[0].Unclaimed == 0 && ft.Hosts[15].Unclaimed == 0 {
 		t.Error("expected unclaimed packets after Close mid-flight")
 	}
 }

@@ -281,10 +281,6 @@ func (l *Link) Rate() int64 { return l.rate }
 // PropDelay returns the propagation delay.
 func (l *Link) PropDelay() sim.Time { return l.prop }
 
-// QueueLen returns the instantaneous queue length in packets, excluding
-// the packet currently being serialised.
-func (l *Link) QueueLen() int { return l.count }
-
 // Down reports whether the link is failed at the data plane.
 func (l *Link) Down() bool { return l.down }
 
@@ -593,15 +589,6 @@ func (l *Link) deliver(p *Packet) {
 	}
 	p.Hops++
 	l.dst.Receive(p, l)
-}
-
-// LossRate returns the fraction of enqueued packets that were dropped.
-func (s *LinkStats) LossRate() float64 {
-	offered := s.Enqueued + s.Drops
-	if offered == 0 {
-		return 0
-	}
-	return float64(s.Drops) / float64(offered)
 }
 
 // Utilisation returns the fraction of the interval [0, elapsed] during

@@ -122,9 +122,9 @@ func FuzzLinkRing(f *testing.F) {
 				eng.Reset()
 				m.reset()
 			}
-			if l.QueueLen() != len(m.queue) || l.Stats.Enqueued != m.enqueued || l.Stats.Drops != m.drops ||
+			if l.count != len(m.queue) || l.Stats.Enqueued != m.enqueued || l.Stats.Drops != m.drops ||
 				l.Stats.Blackholed != m.blackholed || l.Stats.MaxQueue != m.maxQueue {
-				t.Fatalf("after op %#x: link queue %d stats %+v, model queue %d %+v", op, l.QueueLen(), l.Stats, len(m.queue), *m)
+				t.Fatalf("after op %#x: link queue %d stats %+v, model queue %d %+v", op, l.count, l.Stats, len(m.queue), *m)
 			}
 		}
 		if pool.Recycled != m.recycled {
@@ -173,8 +173,8 @@ func TestLinkQueuedHopAllocationFree(t *testing.T) {
 	l.SetDown(true)
 	l.Reset()
 	eng.Reset()
-	if cap(l.queue) != grown || l.QueueLen() != 0 {
-		t.Errorf("after drain and Reset: capacity %d (was %d), length %d", cap(l.queue), grown, l.QueueLen())
+	if cap(l.queue) != grown || l.count != 0 {
+		t.Errorf("after drain and Reset: capacity %d (was %d), length %d", cap(l.queue), grown, l.count)
 	}
 	if n := testing.AllocsPerRun(50, burst); n != 0 {
 		t.Errorf("a burst after Reset allocates %v objects, want 0", n)

@@ -185,26 +185,14 @@ type Stats struct {
 	TransientTime sim.Time
 }
 
-// ConvergenceObserver is the transport-facing view of the control
-// plane's convergence state: whether routing is still settling after a
-// topology change. MMPTCP's phase switch consults it to avoid re-homing
-// a flow's subflows onto tables that are mid-flip (transiently looping
-// or black-holing). Observing never schedules events or mutates state.
-type ConvergenceObserver interface {
-	// ConvergenceOpen reports that a convergence episode is in
-	// progress: a recompute is pending or scheduled, or staggered
-	// per-switch flips have not all landed.
-	ConvergenceOpen() bool
-}
-
-// ConvergenceOpen implements ConvergenceObserver for the global control
-// plane: true while an invalidation awaits its recompute (dirty) or
-// staged rows await their flips (staleRows).
+// ConvergenceOpen reports whether routing is still settling after a
+// topology change: true while an invalidation awaits its recompute
+// (dirty) or staged rows await their flips (staleRows). MMPTCP's phase
+// switch consults it (core.ConvergenceObserver) to avoid re-homing a
+// flow's subflows onto tables that are mid-flip.
 func (cp *ControlPlane) ConvergenceOpen() bool {
 	return cp.dirty || cp.staleRows > 0
 }
-
-var _ ConvergenceObserver = (*ControlPlane)(nil)
 
 // install writes dst's computed equal-cost set into switch i's row: the
 // serving row (atomic), or its staged row, forked from the serving one on

@@ -681,7 +681,7 @@ func TestRoutingLookupAllocationFree(t *testing.T) {
 func paperFabric(t *testing.T) (*topology.Network, *ControlPlane, [2]*netem.Link) {
 	t.Helper()
 	eng := sim.NewEngine()
-	ft := topology.NewFatTree(eng, topology.PaperFatTreeConfig())
+	ft := topology.NewFatTree(eng, topology.FatTreeConfig{K: 8, HostsPerEdge: 16, Link: topology.DefaultLinkConfig()})
 	cp, err := Install(eng, &ft.Network, Config{})
 	if err != nil {
 		t.Fatal(err)

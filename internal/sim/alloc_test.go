@@ -112,8 +112,8 @@ func TestEngineHeapCapacityTrim(t *testing.T) {
 			}
 			for e.Step() {
 			}
-			if e.Pending() != 0 {
-				t.Fatalf("pending = %d after drain", e.Pending())
+			if pending(e) != 0 {
+				t.Fatalf("pending = %d after drain", pending(e))
 			}
 			if got := queueStats(e).capacity; got > 2*trimFloor {
 				t.Errorf("queue capacity %d after drain, want <= %d (trimmed)", got, 2*trimFloor)

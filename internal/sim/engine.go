@@ -205,10 +205,6 @@ func (e *Engine) AdvanceTo(t Time) {
 // Processed returns the number of events executed so far.
 func (e *Engine) Processed() uint64 { return e.processed }
 
-// Pending returns the number of live events currently scheduled. Cancelled
-// events awaiting discard are not counted.
-func (e *Engine) Pending() int { return e.size - e.cancelled }
-
 // SetInterrupt installs a poll function checked every `every` processed
 // events during RunUntil; if it returns true the run stops as if Stop had
 // been called. Passing a nil fn (or every == 0) removes the hook. Run can

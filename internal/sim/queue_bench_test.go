@@ -28,7 +28,7 @@ func newHold(depth int, mix bool) *hold {
 	for i := 0; i < 256; i++ {
 		h.timers = append(h.timers, NewTimer(h.e, nop))
 	}
-	for h.e.Pending() < depth {
+	for pending(h.e) < depth {
 		h.push()
 	}
 	return h

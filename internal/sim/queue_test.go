@@ -287,9 +287,9 @@ func (m *queueModel) step(op, arg byte) {
 		m.now, m.seq, m.fired, m.pending = 0, 0, 0, nil
 		m.arm()
 	}
-	if e.Processed() != m.fired || e.Pending() != len(m.pending) || e.seq != m.seq {
+	if e.Processed() != m.fired || pending(e) != len(m.pending) || e.seq != m.seq {
 		m.t.Fatalf("after op %d: processed %d pending %d seq %d, model %d %d %d",
-			op%numOps, e.Processed(), e.Pending(), e.seq, m.fired, len(m.pending), m.seq)
+			op%numOps, e.Processed(), pending(e), e.seq, m.fired, len(m.pending), m.seq)
 	}
 	queueStats(e)
 }
@@ -302,8 +302,8 @@ func runQueueProgram(t *testing.T, prog []byte) *queueModel {
 		m.step(prog[i], prog[i+1])
 	}
 	m.e.Run()
-	if len(m.pending) != 0 || m.e.Pending() != 0 {
-		t.Fatalf("%d events pending after Run (model %d)", m.e.Pending(), len(m.pending))
+	if len(m.pending) != 0 || pending(m.e) != 0 {
+		t.Fatalf("%d events pending after Run (model %d)", pending(m.e), len(m.pending))
 	}
 	return m
 }
@@ -465,8 +465,8 @@ func TestResetKeepsQueueCapacity(t *testing.T) {
 	if after := queueStats(e); after.entries != 0 || after.capacity != before.capacity {
 		t.Errorf("after Reset: %d entries, capacity %d; want 0 and %d", after.entries, after.capacity, before.capacity)
 	}
-	if last.Pending() || e.Pending() != 0 || e.PeekTime() != MaxTime {
-		t.Errorf("after Reset: handle pending %v, Pending %d, PeekTime %v", last.Pending(), e.Pending(), e.PeekTime())
+	if last.Pending() || pending(e) != 0 || e.PeekTime() != MaxTime {
+		t.Errorf("after Reset: handle pending %v, Pending %d, PeekTime %v", last.Pending(), pending(e), e.PeekTime())
 	}
 	if allocs := testing.AllocsPerRun(20, func() { fill(); e.Reset() }); allocs != 0 {
 		t.Errorf("refill and Reset allocate %.1f per cycle, want 0", allocs)

@@ -238,14 +238,8 @@ func (s *Sender) Flight() int64 { return s.sndNxt - s.sndUna }
 // SRTT returns the smoothed RTT estimate (0 before the first sample).
 func (s *Sender) SRTT() sim.Time { return s.srtt }
 
-// RTO returns the current retransmission timeout.
-func (s *Sender) RTO() sim.Time { return s.rto }
-
 // DupThresh returns the duplicate-ACK threshold in force.
 func (s *Sender) DupThresh() int { return s.dupThresh }
-
-// InRecovery reports whether the sender is in NewReno fast recovery.
-func (s *Sender) InRecovery() bool { return s.inRecovery }
 
 // Subflow returns the sender's subflow identifier.
 func (s *Sender) Subflow() int8 { return s.subflow }

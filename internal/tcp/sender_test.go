@@ -155,8 +155,8 @@ func TestRTOExponentialBackoff(t *testing.T) {
 	if snd.Stats.Timeouts != 4 {
 		t.Errorf("timeouts = %d, want 4 (exponential backoff)", snd.Stats.Timeouts)
 	}
-	if snd.RTO() != 16*sim.Second {
-		t.Errorf("RTO after 4 backoffs = %v, want 16s", snd.RTO())
+	if snd.rto != 16*sim.Second {
+		t.Errorf("RTO after 4 backoffs = %v, want 16s", snd.rto)
 	}
 }
 
@@ -168,8 +168,8 @@ func TestRTOBackoffCappedAtMaxRTO(t *testing.T) {
 	tn.w.drop = func(p *netem.Packet) bool { return p.IsData() }
 	snd.Start()
 	tn.eng.RunUntil(20 * sim.Second)
-	if snd.RTO() != 2*sim.Second {
-		t.Errorf("RTO = %v, want capped at 2s", snd.RTO())
+	if snd.rto != 2*sim.Second {
+		t.Errorf("RTO = %v, want capped at 2s", snd.rto)
 	}
 	if snd.Stats.Timeouts < 8 {
 		t.Errorf("timeouts = %d, want >= 8 with capped RTO", snd.Stats.Timeouts)
@@ -492,7 +492,7 @@ func TestSenderAccessors(t *testing.T) {
 	if snd.Config().MSS != cfg.MSS {
 		t.Error("Config accessor wrong")
 	}
-	if snd.InRecovery() {
+	if snd.inRecovery {
 		t.Error("fresh sender in recovery")
 	}
 	snd.Start()

@@ -95,15 +95,6 @@ func (s *SeqSet) ContiguousFrom(base int64) int64 {
 	return base
 }
 
-// Covered returns the total number of bytes in the set.
-func (s *SeqSet) Covered() int64 {
-	var n int64
-	for _, iv := range s.ivs {
-		n += iv.end - iv.start
-	}
-	return n
-}
-
 // Fragments returns the number of disjoint intervals (a measure of how
 // fragmented the receive buffer is; useful in tests and traces).
 func (s *SeqSet) Fragments() int { return len(s.ivs) }

@@ -9,23 +9,21 @@ import (
 
 // DumbbellConfig describes the classic two-switch dumbbell: n hosts on
 // each side, access links at Link.RateBps, and a single bottleneck link
-// between the switches at BottleneckBps. It is the canonical topology for
-// congestion-control unit tests and the coexistence (fairness)
-// experiments, where several protocols share one bottleneck.
+// between the switches at BottleneckBps with Link's queue limit. It is
+// the canonical topology for congestion-control unit tests and the
+// coexistence (fairness) experiments, where several protocols share one
+// bottleneck.
 type DumbbellConfig struct {
 	HostsPerSide  int
 	Link          LinkConfig // access links
 	BottleneckBps int64      // 0 means same as access links
-	// BottleneckQueue overrides the bottleneck queue limit (packets);
-	// 0 means Link.QueueLimit.
-	BottleneckQueue int
 }
 
 // Validate reports the first field NewDumbbell cannot build from.
 func (c DumbbellConfig) Validate() error {
-	if c.HostsPerSide < 1 || c.BottleneckBps < 0 || c.BottleneckQueue < 0 {
-		return fmt.Errorf("topology: dumbbell needs HostsPerSide >= 1, BottleneckBps >= 0 and BottleneckQueue >= 0, got %d, %d and %d",
-			c.HostsPerSide, c.BottleneckBps, c.BottleneckQueue)
+	if c.HostsPerSide < 1 || c.BottleneckBps < 0 {
+		return fmt.Errorf("topology: dumbbell needs HostsPerSide >= 1 and BottleneckBps >= 0, got %d and %d",
+			c.HostsPerSide, c.BottleneckBps)
 	}
 	n := float64(c.HostsPerSide)
 	if err := checkSize(2*n, 2, 2*(2*n+1)); err != nil {
@@ -45,12 +43,6 @@ type Dumbbell struct {
 	BottleneckRL *netem.Link
 }
 
-// Left returns the i-th left-side host.
-func (d *Dumbbell) Left(i int) *netem.Host { return d.Hosts[i] }
-
-// Right returns the i-th right-side host.
-func (d *Dumbbell) Right(i int) *netem.Host { return d.Hosts[d.Cfg.HostsPerSide+i] }
-
 // NewDumbbell builds the dumbbell and fills its rows by breadth-first
 // search (trivially single-path here).
 func NewDumbbell(eng *sim.Engine, cfg DumbbellConfig) *Dumbbell {
@@ -60,9 +52,6 @@ func NewDumbbell(eng *sim.Engine, cfg DumbbellConfig) *Dumbbell {
 	cfg.Link.applyDefaults()
 	if cfg.BottleneckBps == 0 {
 		cfg.BottleneckBps = cfg.Link.RateBps
-	}
-	if cfg.BottleneckQueue == 0 {
-		cfg.BottleneckQueue = cfg.Link.QueueLimit
 	}
 
 	d := &Dumbbell{Cfg: cfg}
@@ -85,7 +74,6 @@ func NewDumbbell(eng *sim.Engine, cfg DumbbellConfig) *Dumbbell {
 	}
 	bcfg := cfg.Link
 	bcfg.RateBps = cfg.BottleneckBps
-	bcfg.QueueLimit = cfg.BottleneckQueue
 	d.BottleneckLR, d.BottleneckRL = d.connect(left, right, bcfg, netem.LayerCore)
 
 	d.fillRows()

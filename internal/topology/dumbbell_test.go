@@ -17,7 +17,7 @@ func TestDumbbellDelivery(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		rec := &recorder{}
 		id := uint64(i + 1)
-		d.Right(i).Register(id, 0, rec)
+		d.Hosts[3+i].Register(id, 0, rec)
 		sendPacket(&d.Network, i, 3+i, 1000, 80, id, 0)
 		eng.Run()
 		if len(rec.got) != 1 {
@@ -28,7 +28,7 @@ func TestDumbbellDelivery(t *testing.T) {
 		}
 	}
 	rec := &recorder{}
-	d.Left(2).Register(99, 0, rec)
+	d.Hosts[2].Register(99, 0, rec)
 	sendPacket(&d.Network, 3, 2, 1000, 80, 99, 0)
 	eng.Run()
 	if len(rec.got) != 1 {
@@ -40,7 +40,7 @@ func TestDumbbellSameSideDelivery(t *testing.T) {
 	eng := sim.NewEngine()
 	d := NewDumbbell(eng, DumbbellConfig{HostsPerSide: 2, Link: DefaultLinkConfig()})
 	rec := &recorder{}
-	d.Left(1).Register(7, 0, rec)
+	d.Hosts[1].Register(7, 0, rec)
 	sendPacket(&d.Network, 0, 1, 1000, 80, 7, 0)
 	eng.Run()
 	if len(rec.got) != 1 {
@@ -58,17 +58,16 @@ func TestDumbbellSameSideDelivery(t *testing.T) {
 func TestDumbbellBottleneckParameters(t *testing.T) {
 	eng := sim.NewEngine()
 	cfg := DumbbellConfig{
-		HostsPerSide:    2,
-		Link:            LinkConfig{RateBps: 1_000_000_000, Delay: 10 * sim.Microsecond, QueueLimit: 50},
-		BottleneckBps:   100_000_000,
-		BottleneckQueue: 25,
+		HostsPerSide:  2,
+		Link:          LinkConfig{RateBps: 1_000_000_000, Delay: 10 * sim.Microsecond, QueueLimit: 50},
+		BottleneckBps: 100_000_000,
 	}
 	d := NewDumbbell(eng, cfg)
 	if d.BottleneckLR.Rate() != 100_000_000 {
 		t.Errorf("bottleneck rate = %d", d.BottleneckLR.Rate())
 	}
 	// Access links keep the configured rate.
-	up := d.Left(0).Uplinks()[0]
+	up := d.Hosts[0].Uplinks()[0]
 	if up.Rate() != 1_000_000_000 {
 		t.Errorf("access rate = %d", up.Rate())
 	}
@@ -89,8 +88,8 @@ func TestDumbbellInvalidConfig(t *testing.T) {
 func TestMultiHomedDelivery(t *testing.T) {
 	eng := sim.NewEngine()
 	m := NewMultiHomed(eng, MultiHomedConfig{K: 4, Link: DefaultLinkConfig()})
-	if m.NumHosts() != 16 {
-		t.Fatalf("hosts = %d, want 16", m.NumHosts())
+	if len(m.Hosts) != 16 {
+		t.Fatalf("hosts = %d, want 16", len(m.Hosts))
 	}
 	for _, h := range m.Hosts {
 		if len(h.Uplinks()) != 2 {

@@ -19,22 +19,6 @@ type FatTreeConfig struct {
 	Seed         uint64 // perturbs per-switch ECMP hash seeds
 }
 
-// PaperFatTreeConfig returns the evaluation topology from the paper:
-// a 4:1 over-subscribed FatTree with 512 servers (K=8, 16 hosts/edge).
-func PaperFatTreeConfig() FatTreeConfig {
-	return FatTreeConfig{K: 8, HostsPerEdge: 16, Link: DefaultLinkConfig()}
-}
-
-// Oversubscription returns the edge over-subscription ratio, e.g. 4 for
-// the paper's 4:1 configuration.
-func (c FatTreeConfig) Oversubscription() float64 {
-	hpe := c.HostsPerEdge
-	if hpe == 0 {
-		hpe = c.K / 2
-	}
-	return float64(hpe) / float64(c.K/2)
-}
-
 // Validate reports the first field NewFatTree cannot build from.
 func (c FatTreeConfig) Validate() error {
 	if c.K < 2 || c.K%2 != 0 || c.HostsPerEdge < 0 {
@@ -60,11 +44,7 @@ type FatTree struct {
 	edgePerPod   int // k/2
 	aggPerPod    int // k/2
 	hostsPerPod  int
-	numHosts     int
 }
-
-// NumHosts returns the number of servers in the tree.
-func (f *FatTree) NumHosts() int { return f.numHosts }
 
 // PodOf returns the pod index of a host.
 func (f *FatTree) PodOf(h netem.NodeID) int { return int(h) / f.hostsPerPod }
@@ -95,7 +75,7 @@ func NewFatTree(eng *sim.Engine, cfg FatTreeConfig) *FatTree {
 		hostsPerPod:  half * cfg.HostsPerEdge,
 	}
 	f.Kind = fmt.Sprintf("fattree(k=%d,hosts/edge=%d)", k, cfg.HostsPerEdge)
-	f.numHosts = k * f.hostsPerPod
+	numHosts := k * f.hostsPerPod
 
 	numEdge := k * half
 	numAgg := k * half
@@ -103,7 +83,7 @@ func NewFatTree(eng *sim.Engine, cfg FatTreeConfig) *FatTree {
 
 	// Node IDs: hosts first, then edge, agg, core switches. Each cable
 	// tier (host-edge, edge-agg, agg-core) is two links per cable.
-	f.alloc(eng, f.numHosts, numEdge+numAgg+numCore, 2*(f.numHosts+numEdge*half+numAgg*half))
+	f.alloc(eng, numHosts, numEdge+numAgg+numCore, 2*(numHosts+numEdge*half+numAgg*half))
 	f.setHashSalt(0x5eed_fa77_ee00_0001)
 	seedRNG := sim.NewRNG(cfg.Seed ^ f.hashSalt)
 	for i := 0; i < numEdge; i++ {
@@ -176,7 +156,7 @@ func NewFatTree(eng *sim.Engine, cfg FatTreeConfig) *FatTree {
 		}
 	}
 	for i := numEdge + numAgg; i < len(f.Switches); i++ {
-		for h := f.hostsPerPod; h < f.numHosts; h++ {
+		for h := f.hostsPerPod; h < numHosts; h++ {
 			row(i)[h] = int32(f.PodOf(netem.NodeID(h)))
 		}
 	}

@@ -16,7 +16,7 @@ func k16(eng *sim.Engine) *FatTree {
 
 func TestFatTreeK16Dimensions(t *testing.T) {
 	ft := k16(sim.NewEngine())
-	if got := ft.NumHosts(); got != 3456 {
+	if got := len(ft.Hosts); got != 3456 {
 		t.Errorf("hosts = %d, want 3456", got)
 	}
 	// 16 pods x (8 edge + 8 agg) + (16/2)^2 core = 320.
@@ -39,9 +39,6 @@ func TestFatTreeK16Dimensions(t *testing.T) {
 		if got := len(ft.LinksAtLayer(tc.layer)); got != tc.want {
 			t.Errorf("%s links = %d, want %d", tc.layer, got, tc.want)
 		}
-	}
-	if got := ft.Cfg.Oversubscription(); got != 3.375 {
-		t.Errorf("oversubscription = %v, want 3.375 (2*27/16)", got)
 	}
 }
 
@@ -68,7 +65,7 @@ func TestFatTreeK16PathCounts(t *testing.T) {
 func TestFatTreeK16Liveness(t *testing.T) {
 	eng := sim.NewEngine()
 	ft := k16(eng)
-	hostsPerPod := ft.NumHosts() / 16
+	hostsPerPod := len(ft.Hosts) / 16
 	recs := make(map[uint64]*recorder)
 	for pod := 0; pod < 16; pod++ {
 		src := pod * hostsPerPod

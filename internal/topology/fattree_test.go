@@ -1,7 +1,6 @@
 package topology
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/netem"
@@ -28,20 +27,19 @@ func TestFatTreeDimensions(t *testing.T) {
 	tests := []struct {
 		k, hpe                 int
 		hosts, switches, links int
-		oversub                float64
 	}{
 		// k=4, 1:1: 16 hosts, 4 pods x (2 edge + 2 agg) + 4 core = 20
 		// switches. Links (duplex pairs x2): host 16 + edge-agg 16 + agg-core 16 = 48 -> 96.
-		{4, 0, 16, 20, 96, 1},
+		{4, 0, 16, 20, 96},
 		// Paper: k=8, 16 hosts/edge: 512 hosts, 8x(4+4)+16 = 80 switches.
 		// host links 512 + edge-agg 8*4*4=128 + agg-core 8*4*4=128 -> 768 duplex -> 1536.
-		{8, 16, 512, 80, 1536, 4},
+		{8, 16, 512, 80, 1536},
 	}
 	for _, tc := range tests {
 		eng := sim.NewEngine()
 		cfg := FatTreeConfig{K: tc.k, HostsPerEdge: tc.hpe, Link: DefaultLinkConfig()}
 		ft := NewFatTree(eng, cfg)
-		if got := ft.NumHosts(); got != tc.hosts {
+		if got := len(ft.Hosts); got != tc.hosts {
 			t.Errorf("k=%d hpe=%d: hosts = %d, want %d", tc.k, tc.hpe, got, tc.hosts)
 		}
 		if got := len(ft.Switches); got != tc.switches {
@@ -50,21 +48,6 @@ func TestFatTreeDimensions(t *testing.T) {
 		if got := len(ft.Links); got != tc.links {
 			t.Errorf("k=%d hpe=%d: links = %d, want %d", tc.k, tc.hpe, got, tc.links)
 		}
-		if got := ft.Cfg.Oversubscription(); got != tc.oversub {
-			t.Errorf("k=%d hpe=%d: oversubscription = %v, want %v", tc.k, tc.hpe, got, tc.oversub)
-		}
-	}
-}
-
-func TestPaperFatTreeConfig(t *testing.T) {
-	cfg := PaperFatTreeConfig()
-	eng := sim.NewEngine()
-	ft := NewFatTree(eng, cfg)
-	if ft.NumHosts() != 512 {
-		t.Errorf("paper config has %d hosts, want 512", ft.NumHosts())
-	}
-	if got := cfg.Oversubscription(); got != 4 {
-		t.Errorf("paper config oversubscription = %v, want 4", got)
 	}
 }
 
@@ -84,7 +67,7 @@ func TestFatTreeInvalidK(t *testing.T) {
 func TestFatTreeAllPairsDelivery(t *testing.T) {
 	eng := sim.NewEngine()
 	ft := NewFatTree(eng, FatTreeConfig{K: 4, Link: DefaultLinkConfig()})
-	n := ft.NumHosts()
+	n := len(ft.Hosts)
 	flowID := uint64(0)
 	recs := make(map[uint64]*recorder)
 	for src := 0; src < n; src++ {
@@ -163,8 +146,8 @@ func TestFatTreePathCountMatchesDAG(t *testing.T) {
 	ft := NewFatTree(eng, FatTreeConfig{K: 4, HostsPerEdge: 4, Link: DefaultLinkConfig()})
 	ref := referenceTables(&ft.Network)
 	formula := ft.pathCount
-	for src := 0; src < ft.NumHosts(); src += 3 {
-		for dst := 0; dst < ft.NumHosts(); dst += 5 {
+	for src := 0; src < len(ft.Hosts); src += 3 {
+		for dst := 0; dst < len(ft.Hosts); dst += 5 {
 			s, d := netem.NodeID(src), netem.NodeID(dst)
 			if src == dst {
 				continue
@@ -264,15 +247,10 @@ func TestLinksAtLayer(t *testing.T) {
 	}
 }
 
-func ExampleFatTreeConfig_Oversubscription() {
-	fmt.Println(PaperFatTreeConfig().Oversubscription())
-	// Output: 4
-}
-
 func TestFatTreeRoutersExcludeRouteDeadLinks(t *testing.T) {
 	eng := sim.NewEngine()
 	f := NewFatTree(eng, FatTreeConfig{K: 4, Link: DefaultLinkConfig()})
-	src, dst := netem.NodeID(0), netem.NodeID(f.NumHosts()-1) // inter-pod pair
+	src, dst := netem.NodeID(0), netem.NodeID(len(f.Hosts)-1) // inter-pod pair
 
 	row := func(n netem.Node) *netem.Row { return n.(*netem.Switch).Router() }
 	// Walk the rows from the source edge switch upward.

@@ -46,11 +46,7 @@ type MultiHomed struct {
 	hostsPerEdge int
 	edgePerPod   int
 	hostsPerPod  int
-	numHosts     int
 }
-
-// NumHosts returns the number of servers.
-func (m *MultiHomed) NumHosts() int { return m.numHosts }
 
 // NewMultiHomed builds the dual-homed FatTree. Its rows are filled by
 // breadth-first search (the structure becomes irregular with dual homing,
@@ -73,12 +69,12 @@ func NewMultiHomed(eng *sim.Engine, cfg MultiHomedConfig) *MultiHomed {
 		hostsPerPod:  half * cfg.HostsPerEdge,
 	}
 	m.Kind = fmt.Sprintf("multihomed-fattree(k=%d,hosts/edge=%d)", k, cfg.HostsPerEdge)
-	m.numHosts = k * m.hostsPerPod
+	numHosts := k * m.hostsPerPod
 
 	// Two access cables per host, then the plain FatTree's fabric; two
 	// links per cable.
 	numEdge := k * half
-	m.alloc(eng, m.numHosts, 2*numEdge+half*half, 2*(2*m.numHosts+2*numEdge*half))
+	m.alloc(eng, numHosts, 2*numEdge+half*half, 2*(2*numHosts+2*numEdge*half))
 	m.setHashSalt(0x5eed_fa77_ee00_0002)
 	seedRNG := sim.NewRNG(cfg.Seed ^ m.hashSalt)
 	for i := 0; i < numEdge; i++ {

@@ -31,13 +31,13 @@ type LinkConfig struct {
 	Delay        sim.Time // per-link propagation delay
 	QueueLimit   int      // drop-tail queue capacity in packets
 	ECNThreshold int      // DCTCP-style marking threshold; 0 disables
-
-	// HostEgressQueue sizes the host->switch direction of access links.
-	// A real sender does not drop its own packets at its NIC — the
-	// qdisc backpressures — so this should be much deeper than switch
-	// ports. 0 means 32x QueueLimit.
-	HostEgressQueue int
 }
+
+// hostEgressDepth sizes the host->switch direction of access links, in
+// multiples of QueueLimit. A real sender does not drop its own packets
+// at its NIC — the qdisc backpressures — so this is much deeper than
+// switch ports.
+const hostEgressDepth = 32
 
 // DefaultLinkConfig mirrors the parameter regime of the paper's
 // literature (100 Mb/s links, 20 us per hop, 100-packet buffers).
@@ -82,7 +82,7 @@ func (c LinkConfig) Validate() error {
 		v    int64
 	}{
 		{"RateBps", c.RateBps}, {"Delay", int64(c.Delay)}, {"QueueLimit", int64(c.QueueLimit)},
-		{"ECNThreshold", int64(c.ECNThreshold)}, {"HostEgressQueue", int64(c.HostEgressQueue)},
+		{"ECNThreshold", int64(c.ECNThreshold)},
 	} {
 		if f.v < 0 {
 			return fmt.Errorf("topology: negative link %s %d", f.name, f.v)
@@ -101,9 +101,6 @@ func (c *LinkConfig) applyDefaults() {
 	}
 	if c.QueueLimit == 0 {
 		c.QueueLimit = d.QueueLimit
-	}
-	if c.HostEgressQueue == 0 {
-		c.HostEgressQueue = 32 * c.QueueLimit
 	}
 }
 
@@ -258,10 +255,6 @@ func (n *Network) paths(id, dst netem.NodeID) (count int, tainted bool) {
 	return count, tainted
 }
 
-// Host returns the host with index i (hosts are numbered 0..len-1 and
-// host index equals NodeID by construction in all builders).
-func (n *Network) Host(i int) *netem.Host { return n.Hosts[i] }
-
 // LinksAtLayer returns all unidirectional links whose layer matches.
 func (n *Network) LinksAtLayer(layer netem.Layer) []*netem.Link {
 	var out []*netem.Link
@@ -293,7 +286,7 @@ func (n *Network) connect(a, b netem.Node, cfg LinkConfig, layer netem.Layer) (a
 // dropping its own packets), the switch->host direction a normal switch
 // port queue.
 func (n *Network) connectHost(h, sw netem.Node, cfg LinkConfig, layer netem.Layer) (up, down *netem.Link) {
-	return n.link(h, sw, cfg, cfg.HostEgressQueue, layer), n.link(sw, h, cfg, cfg.QueueLimit, layer)
+	return n.link(h, sw, cfg, hostEgressDepth*cfg.QueueLimit, layer), n.link(sw, h, cfg, cfg.QueueLimit, layer)
 }
 
 // lastLinkSet returns the most recently created link as a single-element

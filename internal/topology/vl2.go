@@ -26,12 +26,13 @@ type VL2Config struct {
 	DI int
 	// HostsPerToR is the number of servers per ToR switch.
 	HostsPerToR int
-	// FabricMultiple scales ToR-agg and agg-intermediate link rates
-	// relative to the server links (VL2: 10). 0 means 10.
-	FabricMultiple int
-	Link           LinkConfig // server-link parameters
-	Seed           uint64
+	Link        LinkConfig // server-link parameters
+	Seed        uint64
 }
+
+// vl2FabricMultiple scales ToR-agg and agg-intermediate link rates
+// relative to the server links, as VL2 did.
+const vl2FabricMultiple = 10
 
 // Validate reports the first field NewVL2 cannot build from.
 func (c VL2Config) Validate() error {
@@ -42,8 +43,6 @@ func (c VL2Config) Validate() error {
 		return fmt.Errorf("topology: VL2 DI must be >= 1, got %d", c.DI)
 	case c.HostsPerToR < 1:
 		return fmt.Errorf("topology: VL2 needs hosts per ToR >= 1, got %d", c.HostsPerToR)
-	case c.FabricMultiple < 0:
-		return fmt.Errorf("topology: negative VL2 FabricMultiple %d", c.FabricMultiple)
 	}
 	tors, da, di := 2*float64(c.DA), float64(c.DA), float64(c.DI)
 	hosts := tors * float64(c.HostsPerToR)
@@ -56,14 +55,10 @@ func (c VL2Config) Validate() error {
 // VL2 is a built VL2-style Clos network.
 type VL2 struct {
 	Network
-	Cfg      VL2Config
-	numHosts int
+	Cfg VL2Config
 }
 
-// NumHosts returns the number of servers.
-func (v *VL2) NumHosts() int { return v.numHosts }
-
-// NewVL2 builds the Clos, wires fabric links at FabricMultiple times the
+// NewVL2 builds the Clos, wires fabric links at vl2FabricMultiple times the
 // server rate and fills the forwarding rows by breadth-first search;
 // PathCount walks them.
 func NewVL2(eng *sim.Engine, cfg VL2Config) *VL2 {
@@ -71,9 +66,6 @@ func NewVL2(eng *sim.Engine, cfg VL2Config) *VL2 {
 		panic(err)
 	}
 	cfg.Link.applyDefaults()
-	if cfg.FabricMultiple == 0 {
-		cfg.FabricMultiple = 10
-	}
 
 	// VL2 sizing: DA*DI/4... we keep it simple and direct: the number
 	// of ToRs is DA*2 (each agg pairs with 4 ToR uplinks in VL2's
@@ -82,11 +74,11 @@ func NewVL2(eng *sim.Engine, cfg VL2Config) *VL2 {
 	numToR := cfg.DA * 2
 	v := &VL2{Cfg: cfg}
 	v.Kind = fmt.Sprintf("vl2(da=%d,di=%d,hosts/tor=%d)", cfg.DA, cfg.DI, cfg.HostsPerToR)
-	v.numHosts = numToR * cfg.HostsPerToR
+	numHosts := numToR * cfg.HostsPerToR
 
 	// One access cable per server, two uplink cables per ToR, the full
 	// agg-intermediate mesh; two links per cable.
-	v.alloc(eng, v.numHosts, numToR+cfg.DA+cfg.DI, 2*(v.numHosts+2*numToR+cfg.DA*cfg.DI))
+	v.alloc(eng, numHosts, numToR+cfg.DA+cfg.DI, 2*(numHosts+2*numToR+cfg.DA*cfg.DI))
 	v.setHashSalt(0x5eed_fa77_ee00_0003)
 	seedRNG := sim.NewRNG(cfg.Seed ^ v.hashSalt)
 	for i := 0; i < numToR; i++ {
@@ -109,7 +101,7 @@ func NewVL2(eng *sim.Engine, cfg VL2Config) *VL2 {
 		}
 	}
 	fabric := cfg.Link
-	fabric.RateBps = cfg.Link.RateBps * int64(cfg.FabricMultiple)
+	fabric.RateBps = cfg.Link.RateBps * vl2FabricMultiple
 	// Each ToR dual-homes to two aggregation switches.
 	for t := 0; t < numToR; t++ {
 		a1 := t % cfg.DA

@@ -10,8 +10,8 @@ import (
 func TestVL2Dimensions(t *testing.T) {
 	eng := sim.NewEngine()
 	v := NewVL2(eng, VL2Config{DA: 4, DI: 4, HostsPerToR: 5, Link: DefaultLinkConfig()})
-	if v.NumHosts() != 40 { // 8 ToRs x 5 hosts
-		t.Errorf("hosts = %d, want 40", v.NumHosts())
+	if len(v.Hosts) != 40 { // 8 ToRs x 5 hosts
+		t.Errorf("hosts = %d, want 40", len(v.Hosts))
 	}
 	// 8 ToRs + 4 aggs + 4 intermediates.
 	if len(v.Switches) != 16 {
@@ -35,7 +35,7 @@ func TestVL2Dimensions(t *testing.T) {
 func TestVL2AllPairsDelivery(t *testing.T) {
 	eng := sim.NewEngine()
 	v := NewVL2(eng, VL2Config{DA: 4, DI: 2, HostsPerToR: 2, Link: DefaultLinkConfig()})
-	n := v.NumHosts()
+	n := len(v.Hosts)
 	flowID := uint64(0)
 	recs := make(map[uint64]*recorder)
 	for src := 0; src < n; src++ {

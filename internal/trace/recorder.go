@@ -114,9 +114,8 @@ const (
 // Options configures a Recorder.
 type Options struct {
 	Mode      Mode
-	Buffer    int      // Ring: capacity in events (required > 0)
-	MaxEvents int      // Full: hard cap in events (required > 0)
-	Flows     []uint64 // flow filter; empty = record all flow-scoped events
+	Buffer    int // Ring: capacity in events (required > 0)
+	MaxEvents int // Full: hard cap in events (required > 0)
 }
 
 // Recorder is a structured event-trace sink. It is deliberately inert:
@@ -134,13 +133,12 @@ type Options struct {
 // A Recorder is owned by one run (one engine) at a time; it is not
 // safe for concurrent use. A traced run gets a fresh recorder of its own.
 type Recorder struct {
-	opts   Options
-	filter map[uint64]struct{} // nil = no filtering
-	buf    []Event
-	head   int    // ring: next write index
-	n      int    // ring: live events (<= len(buf))
-	total  uint64 // events accepted (including overwritten/discarded)
-	lost   uint64 // full mode: events discarded at MaxEvents
+	opts  Options
+	buf   []Event
+	head  int    // ring: next write index
+	n     int    // ring: live events (<= len(buf))
+	total uint64 // events accepted (including overwritten/discarded)
+	lost  uint64 // full mode: events discarded at MaxEvents
 }
 
 // NewRecorder builds a recorder. It panics on invalid options — the
@@ -162,16 +160,10 @@ func NewRecorder(o Options) *Recorder {
 	if o.Mode == Ring {
 		r.buf = make([]Event, o.Buffer)
 	}
-	if len(o.Flows) > 0 {
-		r.filter = make(map[uint64]struct{}, len(o.Flows))
-		for _, f := range o.Flows {
-			r.filter[f] = struct{}{}
-		}
-	}
 	return r
 }
 
-// Reset discards recorded events but keeps the storage and flow filter,
+// Reset discards recorded events but keeps the storage,
 // returning the recorder to its armed, empty state. MergeInto calls it
 // on dst before refilling it with the merged stream.
 func (r *Recorder) Reset() {
@@ -185,16 +177,10 @@ func (r *Recorder) Reset() {
 }
 
 // Record appends one event. at is the engine's virtual time at the
-// trace point. Flow-scoped events (flow != 0) are subject to the flow
-// filter; control-plane events (flow == 0) always record.
+// trace point; flow is 0 for fabric and control-plane events.
 func (r *Recorder) Record(at sim.Time, kind Kind, flow uint64, sub int8, node, peer int32, a, b int64) {
 	if r == nil {
 		return
-	}
-	if flow != 0 && r.filter != nil {
-		if _, ok := r.filter[flow]; !ok {
-			return
-		}
 	}
 	r.total++
 	if r.opts.Mode == Ring {

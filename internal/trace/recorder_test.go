@@ -75,37 +75,21 @@ func TestFullOverflow(t *testing.T) {
 	}
 }
 
-// TestFlowFilter: flow-scoped events outside the filter are dropped;
-// flow 0 (fabric/control) always records.
-func TestFlowFilter(t *testing.T) {
-	r := NewRecorder(Options{Mode: Full, MaxEvents: 16, Flows: []uint64{2}})
-	r.Record(0, KindSegmentSend, 1, 0, 0, 0, 0, 0) // filtered out
-	r.Record(0, KindSegmentSend, 2, 0, 0, 0, 0, 0) // kept
-	r.Record(0, KindLinkDown, 0, -1, 3, 4, 0, 0)   // fabric: always kept
-	if r.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", r.Len())
-	}
-	for _, e := range r.Events() {
-		if e.Flow != 2 && e.Flow != 0 {
-			t.Errorf("filtered recorder kept flow %d", e.Flow)
-		}
-	}
-}
-
-// TestResetKeepsStorageAndFilter: Reset empties the recorder but keeps
-// its identity — capacity, mode, and flow filter — so a refill (as
-// MergeInto does) starts clean without rebuilding.
-func TestResetKeepsStorageAndFilter(t *testing.T) {
-	r := NewRecorder(Options{Mode: Ring, Buffer: 4, Flows: []uint64{2}})
+// TestResetKeepsStorage: Reset empties the recorder but keeps its
+// identity — capacity and mode — so a refill (as MergeInto does) starts
+// clean without rebuilding.
+func TestResetKeepsStorage(t *testing.T) {
+	r := NewRecorder(Options{Mode: Ring, Buffer: 4})
 	r.Record(0, KindAck, 2, 0, 0, 0, 0, 0)
 	r.Reset()
 	if r.Len() != 0 || r.Total() != 0 {
 		t.Fatalf("after Reset: Len/Total = %d/%d, want 0/0", r.Len(), r.Total())
 	}
-	r.Record(0, KindAck, 1, 0, 0, 0, 0, 0) // still filtered
-	r.Record(0, KindAck, 2, 0, 0, 0, 0, 0)
-	if r.Len() != 1 {
-		t.Errorf("filter lost across Reset: Len = %d, want 1", r.Len())
+	for flow := uint64(1); flow <= 5; flow++ {
+		r.Record(0, KindAck, flow, 0, 0, 0, 0, 0)
+	}
+	if r.Len() != 4 || r.Total() != 5 {
+		t.Errorf("ring lost across Reset: Len/Total = %d/%d, want 4/5", r.Len(), r.Total())
 	}
 }
 

@@ -24,14 +24,6 @@ type Series struct {
 	Values []float64
 }
 
-// Last returns the most recent sample (0 if none).
-func (s *Series) Last() float64 {
-	if len(s.Values) == 0 {
-		return 0
-	}
-	return s.Values[len(s.Values)-1]
-}
-
 // Sampler polls probes on a fixed virtual-time interval. Create with
 // NewSampler, register probes with Add, then Start. The sampler
 // self-schedules; it stops at MaxSamples (default 100000) or at Stop, so
@@ -81,9 +73,6 @@ func (s *Sampler) Start() {
 
 // Stop ends sampling after the current round.
 func (s *Sampler) Stop() { s.stopped = true }
-
-// Series returns the recorded series in registration order.
-func (s *Sampler) Series() []*Series { return s.series }
 
 func (s *Sampler) tick() {
 	if s.stopped || s.rounds >= s.MaxSamples {

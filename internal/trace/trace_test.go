@@ -29,8 +29,8 @@ func TestSamplerRecordsAtInterval(t *testing.T) {
 	}
 	// The setter at t=i ms runs before the sampler's tick at the same
 	// instant (scheduled earlier), so sample i sees value i+1.
-	if ser.Last() != 5 {
-		t.Errorf("last = %v, want 5", ser.Last())
+	if last := ser.Values[len(ser.Values)-1]; last != 5 {
+		t.Errorf("last = %v, want 5", last)
 	}
 }
 
@@ -112,18 +112,15 @@ func TestSamplerSeriesAndLast(t *testing.T) {
 	eng := sim.NewEngine()
 	s := NewSampler(eng, sim.Millisecond)
 	a := s.Add("a", func() float64 { return 3 })
-	if a.Last() != 0 {
-		t.Error("Last on empty series should be 0")
-	}
 	s.Add("b", func() float64 { return 4 })
 	s.Start()
 	s.Start() // idempotent
 	eng.RunUntil(3 * sim.Millisecond)
-	all := s.Series()
+	all := s.series
 	if len(all) != 2 || all[0].Name != "a" || all[1].Name != "b" {
-		t.Fatalf("Series() = %v", all)
+		t.Fatalf("series = %v", all)
 	}
-	if a.Last() != 3 {
-		t.Errorf("Last = %v", a.Last())
+	if len(a.Values) != 3 || a.Values[2] != 3 {
+		t.Errorf("a = %v, want three samples of 3", a.Values)
 	}
 }

@@ -2,7 +2,7 @@
 // matrix over the servers, with one third of the servers running
 // long-lived background flows and the rest sending 70 KB short flows
 // whose arrivals follow a Poisson process (Figure 1's caption), plus the
-// hotspot and incast patterns from the paper's roadmap.
+// hotspot pattern from the paper's roadmap.
 package workload
 
 import (
@@ -139,31 +139,3 @@ func (p *PoissonShortFlows) arrival(arg any) {
 
 // Spawned returns the number of flows launched so far.
 func (p *PoissonShortFlows) Spawned() int { return p.spawned }
-
-// Incast launches n simultaneous flows of size bytes from distinct
-// senders to one receiver at time at — the paper's burst-tolerance
-// scenario ("tolerance to sudden and high bursts of traffic").
-type Incast struct {
-	Eng     *sim.Engine
-	Senders []int
-	Dst     int
-	Size    int64
-	At      sim.Time
-	Spawn   SpawnFunc
-	BaseID  uint64
-}
-
-// Start schedules the burst.
-func (ic *Incast) Start() {
-	if ic.Spawn == nil {
-		panic("workload: Spawn is required")
-	}
-	for i, src := range ic.Senders {
-		if src == ic.Dst {
-			continue
-		}
-		src := src
-		id := ic.BaseID + uint64(i)
-		ic.Eng.At(ic.At, func() { ic.Spawn(id, src, ic.Dst, ic.Size) })
-	}
-}

@@ -176,37 +176,6 @@ func TestApplyHotspot(t *testing.T) {
 	}
 }
 
-func TestIncast(t *testing.T) {
-	eng := sim.NewEngine()
-	var got []int
-	var at []sim.Time
-	ic := &Incast{
-		Eng:     eng,
-		Senders: []int{1, 2, 3, 5},
-		Dst:     3, // sender 3 must be skipped
-		Size:    14000,
-		At:      50 * sim.Millisecond,
-		BaseID:  7,
-		Spawn: func(id uint64, src, dst int, size int64) {
-			if dst != 3 || size != 14000 {
-				t.Fatalf("bad spawn %d->%d size=%d", src, dst, size)
-			}
-			got = append(got, src)
-			at = append(at, eng.Now())
-		},
-	}
-	ic.Start()
-	eng.Run()
-	if len(got) != 3 {
-		t.Fatalf("spawned %d flows, want 3 (self excluded)", len(got))
-	}
-	for _, ts := range at {
-		if ts != 50*sim.Millisecond {
-			t.Errorf("burst at %v, want 50ms", ts)
-		}
-	}
-}
-
 func TestPoissonValidation(t *testing.T) {
 	eng := sim.NewEngine()
 	a := Assignment{Hosts: 2, Partner: []int{1, 0}, ShortSenders: []int{0}}
@@ -268,42 +237,4 @@ func TestApplyHotspotEdgeCases(t *testing.T) {
 			t.Errorf("sender %d missed by over-unity fraction", s)
 		}
 	}
-}
-
-func TestIncastIDsAndValidation(t *testing.T) {
-	eng := sim.NewEngine()
-	var ids []uint64
-	ic := &Incast{
-		Eng:     eng,
-		Senders: []int{4, 9, 2},
-		Dst:     0,
-		Size:    70_000,
-		At:      0, // burst at t=0 is legal
-		BaseID:  100,
-		Spawn: func(id uint64, src, dst int, size int64) {
-			ids = append(ids, id)
-		},
-	}
-	ic.Start()
-	eng.Run()
-	// IDs are BaseID + position, so records stay collision-free even
-	// with skipped senders.
-	want := []uint64{100, 101, 102}
-	if len(ids) != len(want) {
-		t.Fatalf("spawned %d flows, want %d", len(ids), len(want))
-	}
-	for i, id := range ids {
-		if id != want[i] {
-			t.Errorf("flow %d has id %d, want %d", i, id, want[i])
-		}
-	}
-	// A nil Spawn is a programming error and panics.
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("Incast without Spawn did not panic")
-			}
-		}()
-		(&Incast{Eng: eng, Senders: []int{1}}).Start()
-	}()
 }

@@ -103,9 +103,9 @@ type RoutingConfig struct {
 // back to the connection for re-pull, and a replacement subflow is
 // dialed on a fresh randomised source port — re-hashing the 5-tuple
 // onto a hopefully-live ECMP path — re-entering LIA coupling. Repeat
-// deaths of the same subflow slot back off capped-exponentially
-// (RedialBackoff base), and each connection spends at most RedialBudget
-// re-dial attempts. Plain TCP and DCTCP have one path and never
+// deaths of the same subflow slot back off capped-exponentially from
+// 10 ms, and each connection spends at most RedialBudget re-dial
+// attempts. Plain TCP and DCTCP have one path and never
 // re-dial; the knobs are accepted under any protocol so one experiment
 // config can compare transports.
 //
@@ -117,12 +117,6 @@ type TransportConfig struct {
 	// DeadRTOs is the consecutive-RTO threshold declaring a subflow's
 	// path dead. Zero disables recovery; negative is rejected.
 	DeadRTOs int
-	// RedialBackoff is the base delay between repeated re-dials of the
-	// same subflow slot: the first replacement dials immediately, the
-	// k-th waits min(RedialBackoff << (k-2), 16*RedialBackoff).
-	// Defaults to 10ms when DeadRTOs is set; setting it with recovery
-	// off is rejected.
-	RedialBackoff SimTime
 	// RedialBudget caps re-dial attempts per connection; defaults to 4
 	// when DeadRTOs is set. A connection out of budget leaves its
 	// stalled subflows backing off as if recovery were off. Setting it
@@ -131,14 +125,11 @@ type TransportConfig struct {
 	// DeferPhaseSwitch holds MMPTCP's packet-scatter→subflow switch
 	// open while the routing control plane reports an unconverged state
 	// (pending recompute or staged FIB flips), so fresh subflows are not
-	// pinned onto mid-flip tables. Requires Routing.Mode global — local
-	// repair exposes no convergence signal.
+	// pinned onto mid-flip tables. The switch is forced core.MaxDefer
+	// (50 ms) after the first postponement, even under sustained churn.
+	// Requires Routing.Mode global — local repair exposes no convergence
+	// signal.
 	DeferPhaseSwitch bool
-	// MaxDefer bounds the deferral: the switch is forced this long
-	// after the first postponement even under sustained churn. Defaults
-	// to 50ms when DeferPhaseSwitch is set; setting it without
-	// DeferPhaseSwitch is rejected.
-	MaxDefer SimTime
 }
 
 // MetricsConfig is the measurement section of Config: whether the run
@@ -180,10 +171,10 @@ const (
 )
 
 // TraceConfig is the observability section of Config: whether a run
-// records a structured event trace, how events are stored, and which
-// flows are kept. The zero value is off — and off really is free: every
-// trace point reduces to a nil-receiver check, pinned by the
-// allocation-free forwarding tests and the engine-throughput benchmark.
+// records a structured event trace and how events are stored. The zero
+// value is off — and off really is free: every trace point reduces to a
+// nil-receiver check, pinned by the allocation-free forwarding tests and
+// the engine-throughput benchmark.
 //
 // Tracing observes and never perturbs: a traced run's Results are
 // byte-identical to the same config untraced (trace storage lives
@@ -192,12 +183,6 @@ type TraceConfig struct {
 	// Mode selects off (default), ring, or full storage; the string
 	// "off" is accepted as a spelled-out zero value.
 	Mode TraceMode
-
-	// Flows, when non-empty, restricts flow-scoped events to the listed
-	// flow IDs (flow IDs start at 1, in spawn order: long flows first).
-	// Fabric and control-plane events (drops attributable to no flow,
-	// link state, FIB flips, recomputes, faults) are always recorded.
-	Flows []uint64
 }
 
 // recorderOptions translates the public trace section into the
@@ -211,7 +196,6 @@ func (c *Config) recorderOptions() trace.Options {
 		Mode:      mode,
 		Buffer:    traceRingEvents,
 		MaxEvents: traceFullEvents,
-		Flows:     c.Trace.Flows,
 	}
 }
 
@@ -226,25 +210,15 @@ func (c *Config) recorderOptions() trace.Options {
 // config it cannot serve — never a panic. Results.Config is that
 // resolved copy. The caller's value is not written to.
 //
-// The structural fields — Topology, K, HostsPerEdge, LinkRateBps,
-// LinkDelay, QueueLimit and Shards, plus whether Protocol turns on ECN
-// marking — are the ones a built engine+network depends on (see
-// shapeKey); everything else — protocol, workload, faults, routing,
+// The structural fields — Topology, K, HostsPerEdge and Shards, plus
+// whether Protocol turns on ECN marking — are the ones a built
+// engine+network depends on (see shapeKey); everything else — protocol, workload, faults, routing,
 // metrics, seed — is per-run state a recycled sweep instance resets.
 type Config struct {
 	// Topology.
 	Topology     TopologyKind // default TopoFatTree
 	K            int          // FatTree arity; default 8
 	HostsPerEdge int          // hosts per edge switch; default 2*K (4:1 over-subscription)
-	LinkRateBps  int64        // default 100 Mb/s
-	LinkDelay    sim.Time     // default 20 us per hop
-	// QueueLimit is the per-port drop-tail buffer in packets. Default
-	// 30 (~3.6 ms of drain at 100 Mb/s): deep enough for bursts, small
-	// enough that short flows are not buried in bufferbloat — the
-	// regime in which the paper's dynamics (loss -> RTO tails for
-	// MPTCP's small subflow windows, reordering-tolerant scatter for
-	// MMPTCP) play out.
-	QueueLimit int
 
 	// Protocol.
 	Protocol    Protocol
@@ -371,9 +345,7 @@ func (c *Config) resolve(run bool) error {
 	if !(c.HotspotFraction >= 0 && c.HotspotFraction <= 1) {
 		return fmt.Errorf("mmptcp: HotspotFraction %v outside [0, 1]", c.HotspotFraction)
 	}
-	// Nothing below may be negative (times are in nanoseconds). The link
-	// rate, delay, queue and ECN threshold are the topology's to judge
-	// (LinkConfig.Validate, further down).
+	// Nothing below may be negative (times are in nanoseconds).
 	for _, f := range []struct {
 		name string
 		v    int64
@@ -389,9 +361,7 @@ func (c *Config) resolve(run bool) error {
 		{"Shards", int64(c.Shards)},
 		{"Faults.ReconvergeDelay", int64(c.Faults.ReconvergeDelay)},
 		{"Transport.DeadRTOs", int64(c.Transport.DeadRTOs)},
-		{"Transport.RedialBackoff", int64(c.Transport.RedialBackoff)},
 		{"Transport.RedialBudget", int64(c.Transport.RedialBudget)},
-		{"Transport.MaxDefer", int64(c.Transport.MaxDefer)},
 		{"Metrics.SnapshotInterval", int64(c.Metrics.SnapshotInterval)},
 	} {
 		if f.v < 0 {
@@ -424,9 +394,6 @@ func (c *Config) resolve(run bool) error {
 	// 2*K hosts per edge switch is the paper's 4:1 edge over-subscription
 	// at any FatTree arity (16 hosts/edge at K=8).
 	orDefault(&c.HostsPerEdge, 2*c.K)
-	orDefault(&c.LinkRateBps, 100_000_000)
-	orDefault(&c.LinkDelay, 20*sim.Microsecond)
-	orDefault(&c.QueueLimit, 30)
 	orDefault(&c.Subflows, 8)
 	orDefault(&c.SwitchBytes, 100_000)
 	orDefault(&c.LongFraction, 1.0/3)
@@ -482,18 +449,13 @@ func (c *Config) resolve(run bool) error {
 			return fmt.Errorf("mmptcp: Transport.DeferPhaseSwitch requires Routing.Mode %q (local repair exposes no convergence signal)", RoutingGlobal)
 		}
 	}
-	// Transport recovery: a knob set while its mechanism is off would
-	// silently do nothing; an armed mechanism's zero knobs take defaults.
+	// Transport recovery: a budget set while re-dialing is off would
+	// silently do nothing; an armed mechanism's zero budget takes its
+	// default.
 	if c.Transport.DeadRTOs > 0 {
-		orDefault(&c.Transport.RedialBackoff, 10*sim.Millisecond)
 		orDefault(&c.Transport.RedialBudget, 4)
-	} else if c.Transport.RedialBackoff != 0 || c.Transport.RedialBudget != 0 {
-		return fmt.Errorf("mmptcp: Transport.RedialBackoff/RedialBudget set but Transport.DeadRTOs is 0 (re-dialing off)")
-	}
-	if c.Transport.DeferPhaseSwitch {
-		orDefault(&c.Transport.MaxDefer, 50*sim.Millisecond)
-	} else if c.Transport.MaxDefer != 0 {
-		return fmt.Errorf("mmptcp: Transport.MaxDefer set but Transport.DeferPhaseSwitch is off")
+	} else if c.Transport.RedialBudget != 0 {
+		return fmt.Errorf("mmptcp: Transport.RedialBudget set but Transport.DeadRTOs is 0 (re-dialing off)")
 	}
 	if c.Shards > 1 {
 		for i, ev := range c.Faults.Events {
@@ -506,14 +468,7 @@ func (c *Config) resolve(run bool) error {
 	switch c.Trace.Mode {
 	case "off": // spelled-out zero value
 		c.Trace.Mode = TraceOff
-		fallthrough
-	case TraceOff:
-		// A flow filter on a disabled trace is a config bug (it would
-		// silently do nothing); reject it loudly.
-		if len(c.Trace.Flows) != 0 {
-			return fmt.Errorf("mmptcp: Trace.Flows set but Trace.Mode is off")
-		}
-	case TraceRing, TraceFull:
+	case TraceOff, TraceRing, TraceFull:
 	default:
 		return fmt.Errorf("mmptcp: unknown trace mode %q (want %q, %q or %q)",
 			c.Trace.Mode, "off", TraceRing, TraceFull)
@@ -536,9 +491,6 @@ type shapeKey struct {
 	Topology     TopologyKind
 	K            int
 	HostsPerEdge int
-	LinkRateBps  int64
-	LinkDelay    sim.Time
-	QueueLimit   int
 	ECNThreshold int
 	// Shards is structural: the partition wiring (per-shard engines,
 	// pools, outbox routing) is built with the instance, so a recycled
@@ -552,13 +504,23 @@ func (c *Config) shape() shapeKey {
 		Topology:     c.Topology,
 		K:            c.K,
 		HostsPerEdge: c.HostsPerEdge,
-		LinkRateBps:  c.LinkRateBps,
-		LinkDelay:    c.LinkDelay,
-		QueueLimit:   c.QueueLimit,
 		ECNThreshold: c.ecnThreshold(),
 		Shards:       c.Shards,
 	}
 }
+
+// The paper's fabric: every link runs at 100 Mb/s with 20 µs of
+// propagation delay per hop.
+const (
+	linkRateBps = 100_000_000
+	linkDelay   = 20 * sim.Microsecond
+	// queueLimit is the per-port drop-tail buffer in packets: ~3.6 ms of
+	// drain at 100 Mb/s, deep enough for bursts, small enough that short
+	// flows are not buried in bufferbloat — the regime in which the
+	// paper's dynamics (loss -> RTO tails for MPTCP's small subflow
+	// windows, reordering-tolerant scatter for MMPTCP) play out.
+	queueLimit = 30
+)
 
 // dctcpECNThreshold is the queue depth, in packets, at which every link
 // marks ECN when Protocol is dctcp.
@@ -586,7 +548,7 @@ func (c *Config) routingConfig() routing.Config {
 // topology section into the builders' own configs, for resolve to
 // Validate and buildNetwork to build.
 func (c *Config) link() topology.LinkConfig {
-	return topology.LinkConfig{RateBps: c.LinkRateBps, Delay: c.LinkDelay, QueueLimit: c.QueueLimit, ECNThreshold: c.ecnThreshold()}
+	return topology.LinkConfig{RateBps: linkRateBps, Delay: linkDelay, QueueLimit: queueLimit, ECNThreshold: c.ecnThreshold()}
 }
 
 func (c *Config) fatTree() topology.FatTreeConfig {

@@ -3,6 +3,7 @@ package mmptcp
 import (
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/netem"
 	"repro/internal/sim"
@@ -91,12 +92,12 @@ type alwaysOpen struct{}
 func (alwaysOpen) ConvergenceOpen() bool { return true }
 
 // TestDeferPhaseSwitchBounded drives one MMPTCP flow against an
-// observer reporting permanently-open convergence and checks MaxDefer is
-// a hard bound: the switch still happens, exactly MaxDefer after the
-// first deferred attempt, after a non-trivial number of re-checks.
+// observer reporting permanently-open convergence and checks
+// core.MaxDefer is a hard bound: the switch still happens, exactly
+// MaxDefer after the first deferred attempt, after a non-trivial number
+// of re-checks.
 func TestDeferPhaseSwitchBounded(t *testing.T) {
-	const maxDefer = 40 * sim.Millisecond
-	run := func(observer ConvergenceObserver, transport TransportConfig) (sim.Time, int) {
+	run := func(observer core.ConvergenceObserver, transport TransportConfig) (sim.Time, int) {
 		eng := NewEngine()
 		cfg := tiny(ProtoMMPTCP, 1)
 		cfg.Transport = transport
@@ -113,10 +114,7 @@ func TestDeferPhaseSwitchBounded(t *testing.T) {
 			Dst:      len(net.Hosts) - 1,
 			Size:     1 << 20,
 			RNG:      NewRNGStream(1, 7),
-			Observer: nil,
-		}
-		if observer != nil {
-			obs.Observer = alwaysOpen{}
+			observer: observer,
 		}
 		conn, err := Dial(net, cfg, obs)
 		if err != nil {
@@ -140,12 +138,12 @@ func TestDeferPhaseSwitchBounded(t *testing.T) {
 	if baseDefers != 0 {
 		t.Fatalf("undeferred run recorded %d deferrals", baseDefers)
 	}
-	at, deferrals := run(alwaysOpen{}, TransportConfig{DeferPhaseSwitch: true, MaxDefer: maxDefer})
+	at, deferrals := run(alwaysOpen{}, TransportConfig{DeferPhaseSwitch: true})
 	t.Logf("switch at %v undeferred, %v under open convergence (%d deferrals)", base, at, deferrals)
 	if deferrals < 2 {
 		t.Errorf("deferrals = %d, want repeated re-checks before the forced switch", deferrals)
 	}
-	if at != base+maxDefer {
-		t.Errorf("deferred switch at %v, want exactly MaxDefer past the undeferred switch at %v", at, base+maxDefer)
+	if at != base+core.MaxDefer {
+		t.Errorf("deferred switch at %v, want exactly MaxDefer past the undeferred switch at %v", at, base+core.MaxDefer)
 	}
 }

@@ -376,9 +376,9 @@ func (r *liveRun) open(f *flow, onAllAcked func()) *trace.Recorder {
 		Dst:        dst,
 		Size:       f.rec.Size,
 		RNG:        r.rootRNG.Split(),
-		OnAllAcked: onAllAcked,
-		Recorder:   flowRec,
-		Observer:   r.observer,
+		onAllAcked: onAllAcked,
+		recorder:   flowRec,
+		observer:   r.observer,
 	})
 	if flowRec != nil {
 		flowRec.Record(r.eng.Now(), trace.KindFlowStart, f.rec.ID, -1,

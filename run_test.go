@@ -143,9 +143,6 @@ func TestRunValidation(t *testing.T) {
 		{with(func(c *Config) { c.K = 3 }), "K"},
 		{with(func(c *Config) { c.K = -2 }), "K"},
 		{with(func(c *Config) { c.HostsPerEdge = -1 }), "HostsPerEdge"},
-		{with(func(c *Config) { c.LinkRateBps = -1 }), "RateBps"},
-		{with(func(c *Config) { c.LinkDelay = -1 }), "Delay"},
-		{with(func(c *Config) { c.QueueLimit = -1 }), "QueueLimit"},
 		{with(func(c *Config) { c.Topology = TopoDumbbell; c.K, c.HostsPerEdge = 1, 1 }), "K 1"},
 		{with(func(c *Config) { c.Topology = TopoMultiHomed; c.K = 2 }), "K 2"},
 		{with(func(c *Config) { c.Topology = TopoVL2; c.K = 3 }), "K 3"},
