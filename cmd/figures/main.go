@@ -2,11 +2,10 @@
 // paper's evaluation (and the roadmap experiments it announces), as text
 // tables or CSV.
 //
-// Usage:
+// Usage (`figures -h` lists every figure -fig names):
 //
-//	figures -fig 1a|1b|1c|stats|switch|load|hotspot|multihomed|coexist|failure|repair|transient|timeline|anatomy|all
-//	        [-scale tiny|small|medium|paper] [-flows N] [-seed S] [-csv]
-//	        [-workers N]
+//	figures [-fig NAME|all] [-scale tiny|small|medium|paper] [-flows N]
+//	        [-seed S] [-csv] [-workers N]
 //
 // Scales:
 //
@@ -31,7 +30,10 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
+	"strings"
 
 	mmptcp "repro"
 	"repro/internal/core"
@@ -43,14 +45,50 @@ import (
 	"repro/internal/trace"
 )
 
+// figure is one artefact -fig regenerates: run writes its table to w.
+type figure struct {
+	name, doc string
+	run       func(w io.Writer)
+}
+
+// figures is every figure, in the order -fig all prints them.
+var figures = []figure{
+	{"1a", "Figure 1(a): MPTCP short-flow FCT vs number of subflows, 1 to 9", fig1a},
+	{"1b", "Figure 1(b): MPTCP (8 subflows) short-flow FCT scatter (-csv: per flow)", func(w io.Writer) { fig1bc(w, mmptcp.ProtoMPTCP, "b") }},
+	{"1c", "Figure 1(c): MMPTCP short-flow FCT scatter (-csv: per flow)", func(w io.Writer) { fig1bc(w, mmptcp.ProtoMMPTCP, "c") }},
+	{"stats", "§3 statistics: FCT, per-layer loss, long-flow goodput, MPTCP vs MMPTCP", stats},
+	{"switch", "§2 ablation: data-volume vs congestion-event phase switching", switching},
+	{"load", "short-flow arrival-rate sweep, MPTCP vs MMPTCP", load},
+	{"hotspot", "half the short senders target host 0, MPTCP vs MMPTCP", hotspot},
+	{"multihomed", "single- vs dual-homed FatTree (MMPTCP)", multihomed},
+	{"coexist", "§3: TCP, MPTCP and MMPTCP share one dumbbell bottleneck (fixed fabric: ignores -scale, -flows)", coexist},
+	{"dupthresh", "§2 ablation: packet-scatter dup-ACK threshold policy", dupthresh},
+	{"threshold", "§2 ablation: data-volume switching threshold, 35 to 500 KB", thresholdSweep},
+	{"dctcp", "§1 context: TCP and DCTCP baselines vs MMPTCP", dctcpBaseline},
+	{"incast", "§1 objective 3: 24-to-1 burst of 70 KB flows (fixed fabric: ignores -scale, -flows)", incast},
+	{"failure", "agg-core cable cuts: failed-cable count x reconvergence delay", failure},
+	{"repair", "local vs global repair x failed-cable count, re-dialing on and off", repair},
+	{"transient", "staggered convergence: per-hop flip delay x transport", transient},
+	{"timeline", "rolling snapshots of one faulted MMPTCP run (-csv: CSV)", timeline},
+	{"anatomy", "full trace of a faulted run's most-damaged short flow", anatomy},
+}
+
+// figUsage is -fig's help: one line per figure, then all.
+func figUsage() string {
+	usage := "figure to regenerate:"
+	for _, f := range append(figures, figure{"all", "every figure above, in this order", nil}) {
+		usage += fmt.Sprintf("\n%-10s  %s", f.name, f.doc)
+	}
+	return usage
+}
+
 var (
-	figFlag     = flag.String("fig", "all", "artefact to regenerate: 1a, 1b, 1c, stats, switch, load, hotspot, multihomed, coexist, dupthresh, threshold, dctcp, incast, failure, repair, transient, timeline, anatomy, all")
+	figFlag     = flag.String("fig", "all", figUsage())
 	scaleFlag   = flag.String("scale", "small", "experiment scale: tiny, small, medium, paper")
 	flowsFlag   = flag.Int("flows", 0, "override the number of short flows")
 	seedFlag    = flag.Uint64("seed", 1, "random seed")
 	csvFlag     = flag.Bool("csv", false, "emit per-flow CSV instead of tables where applicable")
-	workersFlag = flag.Int("workers", 0, "max concurrent experiments (0 = all CPUs, 1 = serial); sharded experiments each occupy -shards worker slots")
-	shardsFlag  = flag.Int("shards", 0, "partition each experiment's fabric across this many parallel event engines (0/1 = sequential)")
+	workersFlag = flag.Int("workers", 0, "max concurrent experiments (0 = all CPUs, 1 = serial)")
 	cpuProfFlag = flag.String("cpuprofile", "", "write a CPU profile of the regeneration to this file")
 	memProfFlag = flag.String("memprofile", "", "write a heap profile to this file at exit")
 )
@@ -65,67 +103,19 @@ func check(err error) {
 
 func main() {
 	flag.Parse()
+	figs := figures
+	if *figFlag != "all" {
+		i := slices.IndexFunc(figures, func(f figure) bool { return f.name == *figFlag })
+		if i < 0 {
+			fmt.Fprintf(os.Stderr, "unknown -fig %q\n", *figFlag)
+			os.Exit(2)
+		}
+		figs = figures[i : i+1]
+	}
 	stopProf, err := prof.Start(*cpuProfFlag)
 	check(err)
-	switch *figFlag {
-	case "1a":
-		fig1a()
-	case "1b":
-		fig1bc(mmptcp.ProtoMPTCP, "1b")
-	case "1c":
-		fig1bc(mmptcp.ProtoMMPTCP, "1c")
-	case "stats":
-		stats()
-	case "switch":
-		switching()
-	case "load":
-		load()
-	case "hotspot":
-		hotspot()
-	case "multihomed":
-		multihomed()
-	case "coexist":
-		coexist()
-	case "dupthresh":
-		dupthresh()
-	case "threshold":
-		thresholdSweep()
-	case "dctcp":
-		dctcpBaseline()
-	case "incast":
-		incast()
-	case "failure":
-		failure()
-	case "repair":
-		repair()
-	case "transient":
-		transient()
-	case "timeline":
-		timeline()
-	case "anatomy":
-		anatomy()
-	case "all":
-		fig1a()
-		fig1bc(mmptcp.ProtoMPTCP, "1b")
-		fig1bc(mmptcp.ProtoMMPTCP, "1c")
-		stats()
-		switching()
-		load()
-		hotspot()
-		multihomed()
-		coexist()
-		dupthresh()
-		thresholdSweep()
-		dctcpBaseline()
-		incast()
-		failure()
-		repair()
-		transient()
-		timeline()
-		anatomy()
-	default:
-		fmt.Fprintf(os.Stderr, "unknown -fig %q\n", *figFlag)
-		os.Exit(2)
+	for _, f := range figs {
+		f.run(os.Stdout)
 	}
 	stopProf()
 	check(prof.WriteHeap(*memProfFlag))
@@ -164,7 +154,6 @@ func baseConfig(proto mmptcp.Protocol) mmptcp.Config {
 		cfg.ShortFlows = *flowsFlag
 	}
 	cfg.Seed = *seedFlag
-	cfg.Shards = *shardsFlag
 	return cfg
 }
 
@@ -205,10 +194,9 @@ func run(cfg mmptcp.Config) *mmptcp.Results {
 }
 
 // sweep fans a scan's configs across the worker pool and returns the
-// results in config order, so the callers' tables print exactly as the
-// old serial loops did. Tables appear only once the whole scan is done,
-// so progress goes to stderr — at -scale paper a scan is hours of wall
-// time and a silent stdout is indistinguishable from a hang.
+// results in config order. Tables appear only once the whole scan is
+// done, so progress goes to stderr — at -scale paper a scan is hours of
+// wall time and a silent stdout is indistinguishable from a hang.
 func sweep(configs []mmptcp.Config) []*mmptcp.Results {
 	results, err := mmptcp.RunSweep(configs, mmptcp.SweepOptions{
 		Workers: *workersFlag,
@@ -222,7 +210,7 @@ func sweep(configs []mmptcp.Config) []*mmptcp.Results {
 
 // fig1a reproduces Figure 1(a): MPTCP short-flow completion time (mean
 // and standard deviation) versus the number of subflows, 1 through 9.
-func fig1a() {
+func fig1a(w io.Writer) {
 	configs := make([]mmptcp.Config, 0, 9)
 	for n := 1; n <= 9; n++ {
 		cfg := baseConfig(mmptcp.ProtoMPTCP)
@@ -230,33 +218,33 @@ func fig1a() {
 		configs = append(configs, cfg)
 	}
 	results := sweep(configs)
-	fmt.Println("== Figure 1(a): MPTCP short-flow FCT vs number of subflows ==")
-	fmt.Println("subflows  mean_ms  std_ms   p50_ms   p99_ms   rto_flows  completed")
+	fmt.Fprintln(w, "== Figure 1(a): MPTCP short-flow FCT vs number of subflows ==")
+	fmt.Fprintln(w, "subflows  mean_ms  std_ms   p50_ms   p99_ms   rto_flows  completed")
 	for i, res := range results {
 		s := res.ShortSummary
-		fmt.Printf("%8d  %7.1f  %7.1f  %7.1f  %7.1f  %9d  %9d\n",
+		fmt.Fprintf(w, "%8d  %7.1f  %7.1f  %7.1f  %7.1f  %9d  %9d\n",
 			configs[i].Subflows, s.MeanMs, s.StdMs, s.P50Ms, s.P99Ms, s.WithRTO, s.Count)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 }
 
 // fig1bc reproduces Figure 1(b) (MPTCP, 8 subflows) or 1(c) (MMPTCP):
 // the per-flow completion-time scatter.
-func fig1bc(proto mmptcp.Protocol, name string) {
+func fig1bc(w io.Writer, proto mmptcp.Protocol, letter string) {
 	cfg := baseConfig(proto)
 	res := run(cfg)
 	if *csvFlag {
-		fmt.Printf("# Figure 1(%s): %s per-flow completion times\n", name[1:], proto)
-		fmt.Println("flow_index,fct_ms,timeouts")
+		fmt.Fprintf(w, "# Figure 1(%s): %s per-flow completion times\n", letter, proto)
+		fmt.Fprintln(w, "flow_index,fct_ms,timeouts")
 		for i, r := range res.ShortFlows {
 			if !r.Completed {
 				continue
 			}
-			fmt.Printf("%d,%.3f,%d\n", i, r.FCT().Milliseconds(), r.Timeouts)
+			fmt.Fprintf(w, "%d,%.3f,%d\n", i, r.FCT().Milliseconds(), r.Timeouts)
 		}
 		return
 	}
-	fmt.Printf("== Figure 1(%s): %s (8 subflows) short-flow completion scatter ==\n", name[1:], proto)
+	fmt.Fprintf(w, "== Figure 1(%s): %s (8 subflows) short-flow completion scatter ==\n", letter, proto)
 	h := metrics.NewFCTHistogram(50, 100, 200, 500, 1000, 2000, 5000)
 	for _, r := range res.ShortFlows {
 		if r.Completed {
@@ -266,45 +254,36 @@ func fig1bc(proto mmptcp.Protocol, name string) {
 	bounds := []string{"<=50ms", "<=100ms", "<=200ms", "<=500ms", "<=1s", "<=2s", "<=5s", ">5s"}
 	fr := h.Fractions()
 	for i, b := range bounds {
-		fmt.Printf("%8s  %6.2f%%  %s\n", b, fr[i]*100, bar(fr[i]))
+		fmt.Fprintf(w, "%8s  %6.2f%%  %s\n", b, fr[i]*100, strings.Repeat("#", int(fr[i]*60)))
 	}
-	fmt.Printf("summary: %v\n\n", res.ShortSummary)
-}
-
-func bar(frac float64) string {
-	n := int(frac * 60)
-	out := make([]byte, n)
-	for i := range out {
-		out[i] = '#'
-	}
-	return string(out)
+	fmt.Fprintf(w, "summary: %v\n\n", res.ShortSummary)
 }
 
 // stats reproduces the §3 numerical claims: mean/std short-flow FCT,
 // per-layer loss rates, long-flow throughput and utilisation for MPTCP
 // vs MMPTCP under the identical workload.
-func stats() {
+func stats(w io.Writer) {
 	protos := []mmptcp.Protocol{mmptcp.ProtoMPTCP, mmptcp.ProtoMMPTCP}
 	configs := make([]mmptcp.Config, len(protos))
 	for i, proto := range protos {
 		configs[i] = baseConfig(proto)
 	}
 	results := sweep(configs)
-	fmt.Println("== §3 statistics: MPTCP (8 subflows) vs MMPTCP (PS + 8 subflows) ==")
-	fmt.Println("proto    mean_ms  std_ms  rto_flows  loss_edge-agg  loss_agg-core  long_tput_mbps  util_agg-core")
+	fmt.Fprintln(w, "== §3 statistics: MPTCP (8 subflows) vs MMPTCP (PS + 8 subflows) ==")
+	fmt.Fprintln(w, "proto    mean_ms  std_ms  rto_flows  loss_edge-agg  loss_agg-core  long_tput_mbps  util_agg-core")
 	for i, res := range results {
 		s := res.ShortSummary
 		edge := res.Layers[netem.LayerEdge]
 		agg := res.Layers[netem.LayerAgg]
-		fmt.Printf("%-7s  %7.1f  %6.1f  %9d  %13.5f  %13.5f  %14.2f  %13.3f\n",
+		fmt.Fprintf(w, "%-7s  %7.1f  %6.1f  %9d  %13.5f  %13.5f  %14.2f  %13.3f\n",
 			protos[i], s.MeanMs, s.StdMs, s.WithRTO, edge.LossRate, agg.LossRate,
 			res.LongThroughputMbps, agg.Utilisation)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 }
 
 // switching compares the two §2 phase-switching strategies.
-func switching() {
+func switching(w io.Writer) {
 	strats := []core.Strategy{core.SwitchDataVolume, core.SwitchCongestionEvent}
 	configs := make([]mmptcp.Config, len(strats))
 	for i, strat := range strats {
@@ -312,18 +291,18 @@ func switching() {
 		configs[i].Strategy = strat
 	}
 	results := sweep(configs)
-	fmt.Println("== §2 ablation: MMPTCP switching strategies ==")
-	fmt.Println("strategy          mean_ms  std_ms  rto_flows  long_tput_mbps  phase_switches")
+	fmt.Fprintln(w, "== §2 ablation: MMPTCP switching strategies ==")
+	fmt.Fprintln(w, "strategy          mean_ms  std_ms  rto_flows  long_tput_mbps  phase_switches")
 	for i, res := range results {
 		s := res.ShortSummary
-		fmt.Printf("%-16s  %7.1f  %6.1f  %9d  %14.2f  %14d\n",
+		fmt.Fprintf(w, "%-16s  %7.1f  %6.1f  %9d  %14.2f  %14d\n",
 			strats[i], s.MeanMs, s.StdMs, s.WithRTO, res.LongThroughputMbps, res.PhaseSwitches)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 }
 
 // load sweeps the short-flow arrival rate (roadmap: "network loads").
-func load() {
+func load(w io.Writer) {
 	type point struct {
 		rate  float64
 		proto mmptcp.Protocol
@@ -339,19 +318,19 @@ func load() {
 		}
 	}
 	results := sweep(configs)
-	fmt.Println("== Roadmap: effect of network load (arrival-rate sweep) ==")
-	fmt.Println("rate_per_sender  proto    mean_ms  std_ms  rto_flows")
+	fmt.Fprintln(w, "== Roadmap: effect of network load (arrival-rate sweep) ==")
+	fmt.Fprintln(w, "rate_per_sender  proto    mean_ms  std_ms  rto_flows")
 	for i, res := range results {
 		s := res.ShortSummary
-		fmt.Printf("%15.1f  %-7s  %7.1f  %6.1f  %9d\n",
+		fmt.Fprintf(w, "%15.1f  %-7s  %7.1f  %6.1f  %9d\n",
 			points[i].rate, points[i].proto, s.MeanMs, s.StdMs, s.WithRTO)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 }
 
 // hotspot redirects half the short senders at one host (roadmap:
 // "effect of hotspots").
-func hotspot() {
+func hotspot(w io.Writer) {
 	protos := []mmptcp.Protocol{mmptcp.ProtoMPTCP, mmptcp.ProtoMMPTCP}
 	configs := make([]mmptcp.Config, len(protos))
 	for i, proto := range protos {
@@ -360,19 +339,19 @@ func hotspot() {
 		configs[i].HotspotHost = 0
 	}
 	results := sweep(configs)
-	fmt.Println("== Roadmap: hotspot (50% of short senders target host 0) ==")
-	fmt.Println("proto    mean_ms  std_ms  p99_ms   rto_flows")
+	fmt.Fprintln(w, "== Roadmap: hotspot (50% of short senders target host 0) ==")
+	fmt.Fprintln(w, "proto    mean_ms  std_ms  p99_ms   rto_flows")
 	for i, res := range results {
 		s := res.ShortSummary
-		fmt.Printf("%-7s  %7.1f  %6.1f  %7.1f  %9d\n", protos[i], s.MeanMs, s.StdMs, s.P99Ms, s.WithRTO)
+		fmt.Fprintf(w, "%-7s  %7.1f  %6.1f  %7.1f  %9d\n", protos[i], s.MeanMs, s.StdMs, s.P99Ms, s.WithRTO)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 }
 
 // multihomed compares the plain FatTree against the dual-homed variant
 // (roadmap: "multi-homed network topologies ... the more parallel paths
 // at the access layer, the higher the burst tolerance").
-func multihomed() {
+func multihomed(w io.Writer) {
 	topos := []mmptcp.TopologyKind{mmptcp.TopoFatTree, mmptcp.TopoMultiHomed}
 	configs := make([]mmptcp.Config, len(topos))
 	for i, topo := range topos {
@@ -380,18 +359,18 @@ func multihomed() {
 		configs[i].Topology = topo
 	}
 	results := sweep(configs)
-	fmt.Println("== Roadmap: single- vs dual-homed FatTree (MMPTCP) ==")
-	fmt.Println("topology    mean_ms  std_ms  p99_ms   rto_flows")
+	fmt.Fprintln(w, "== Roadmap: single- vs dual-homed FatTree (MMPTCP) ==")
+	fmt.Fprintln(w, "topology    mean_ms  std_ms  p99_ms   rto_flows")
 	for i, res := range results {
 		s := res.ShortSummary
-		fmt.Printf("%-10s  %7.1f  %6.1f  %7.1f  %9d\n", topos[i], s.MeanMs, s.StdMs, s.P99Ms, s.WithRTO)
+		fmt.Fprintf(w, "%-10s  %7.1f  %6.1f  %7.1f  %9d\n", topos[i], s.MeanMs, s.StdMs, s.P99Ms, s.WithRTO)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 }
 
 // dupthresh ablates the PS duplicate-ACK threshold policy (§2's two
 // proposed mechanisms plus the standard-threshold strawman).
-func dupthresh() {
+func dupthresh(w io.Writer) {
 	modes := []core.ThresholdMode{
 		core.ThresholdStandard, core.ThresholdTopology, core.ThresholdAdaptive,
 	}
@@ -401,21 +380,21 @@ func dupthresh() {
 		configs[i].PSThreshold = mode
 	}
 	results := sweep(configs)
-	fmt.Println("== §2 ablation: packet-scatter dup-ACK threshold policy ==")
-	fmt.Println("policy    mean_ms  std_ms  rto_flows  short_retx")
+	fmt.Fprintln(w, "== §2 ablation: packet-scatter dup-ACK threshold policy ==")
+	fmt.Fprintln(w, "policy    mean_ms  std_ms  rto_flows  short_retx")
 	for i, res := range results {
 		s := res.ShortSummary
 		var retx int64
 		for _, r := range res.ShortFlows {
 			retx += r.Retransmissions
 		}
-		fmt.Printf("%-8s  %7.1f  %6.1f  %9d  %10d\n", modes[i], s.MeanMs, s.StdMs, s.WithRTO, retx)
+		fmt.Fprintf(w, "%-8s  %7.1f  %6.1f  %9d  %10d\n", modes[i], s.MeanMs, s.StdMs, s.WithRTO, retx)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 }
 
 // thresholdSweep ablates the data-volume switching threshold.
-func thresholdSweep() {
+func thresholdSweep(w io.Writer) {
 	kbs := []int64{35, 70, 100, 200, 500}
 	configs := make([]mmptcp.Config, len(kbs))
 	for i, kb := range kbs {
@@ -423,40 +402,40 @@ func thresholdSweep() {
 		configs[i].SwitchBytes = kb * 1000
 	}
 	results := sweep(configs)
-	fmt.Println("== §2 ablation: data-volume switching threshold ==")
-	fmt.Println("switch_kb  mean_ms  std_ms  rto_flows  long_tput_mbps")
+	fmt.Fprintln(w, "== §2 ablation: data-volume switching threshold ==")
+	fmt.Fprintln(w, "switch_kb  mean_ms  std_ms  rto_flows  long_tput_mbps")
 	for i, res := range results {
 		s := res.ShortSummary
-		fmt.Printf("%9d  %7.1f  %6.1f  %9d  %14.2f\n",
+		fmt.Fprintf(w, "%9d  %7.1f  %6.1f  %9d  %14.2f\n",
 			kbs[i], s.MeanMs, s.StdMs, s.WithRTO, res.LongThroughputMbps)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 }
 
 // dctcpBaseline adds the §1 single-path ECN baseline to the comparison.
-func dctcpBaseline() {
+func dctcpBaseline(w io.Writer) {
 	protos := []mmptcp.Protocol{mmptcp.ProtoTCP, mmptcp.ProtoDCTCP, mmptcp.ProtoMMPTCP}
 	configs := make([]mmptcp.Config, len(protos))
 	for i, proto := range protos {
 		configs[i] = baseConfig(proto)
 	}
 	results := sweep(configs)
-	fmt.Println("== §1 context: DCTCP baseline (needs switch ECN) vs MMPTCP ==")
-	fmt.Println("proto    mean_ms  std_ms  rto_flows  long_tput_mbps  avg_queue_edge")
+	fmt.Fprintln(w, "== §1 context: DCTCP baseline (needs switch ECN) vs MMPTCP ==")
+	fmt.Fprintln(w, "proto    mean_ms  std_ms  rto_flows  long_tput_mbps  avg_queue_edge")
 	for i, res := range results {
 		s := res.ShortSummary
-		fmt.Printf("%-7s  %7.1f  %6.1f  %9d  %14.2f  %14.2f\n",
+		fmt.Fprintf(w, "%-7s  %7.1f  %6.1f  %9d  %14.2f  %14.2f\n",
 			protos[i], s.MeanMs, s.StdMs, s.WithRTO, res.LongThroughputMbps,
 			res.Layers[netem.LayerEdge].AvgQueue)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 }
 
 // incast fires simultaneous 70 KB flows from many senders at one host
 // (§1 objective 3: "tolerance to sudden and high bursts of traffic").
-func incast() {
-	fmt.Println("== §1 objective 3: incast burst tolerance (24 senders -> 1 host) ==")
-	fmt.Println("proto    done    mean_ms  max_ms   timeouts")
+func incast(w io.Writer) {
+	fmt.Fprintln(w, "== §1 objective 3: incast burst tolerance (24 senders -> 1 host) ==")
+	fmt.Fprintln(w, "proto    done    mean_ms  max_ms   timeouts")
 	for _, proto := range []mmptcp.Protocol{mmptcp.ProtoTCP, mmptcp.ProtoMPTCP, mmptcp.ProtoMMPTCP} {
 		eng := sim.NewEngine()
 		cfg := mmptcp.Config{Protocol: proto, Topology: mmptcp.TopoFatTree, K: 4, HostsPerEdge: 8}
@@ -493,10 +472,10 @@ func incast() {
 		for _, c := range conns {
 			timeouts += c.Stats().Timeouts
 		}
-		fmt.Printf("%-7s  %2d/%-2d  %8.1f  %7.1f  %8d\n",
+		fmt.Fprintf(w, "%-7s  %2d/%-2d  %8.1f  %7.1f  %8d\n",
 			proto, len(fcts), senders, mean, max, timeouts)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 }
 
 // failure is the network-dynamics scan (roadmap: robustness under
@@ -505,7 +484,7 @@ func incast() {
 // die and (b) how long routing takes to reconverge around them, for TCP
 // vs MPTCP vs MMPTCP. Short-flow FCT tails show who survives the
 // blackhole window; long-flow goodput shows who recovers after repair.
-func failure() {
+func failure(w io.Writer) {
 	const (
 		failAt   = 200 * sim.Millisecond
 		repairAt = 700 * sim.Millisecond
@@ -550,17 +529,17 @@ func failure() {
 		}
 	}
 	results := sweep(configs)
-	fmt.Println("== Roadmap: robustness under core-link failure (agg-core cables cut at 200ms, repaired at 700ms) ==")
-	fmt.Println("cables  reconv_ms  proto    mean_ms  p99_ms   max_ms   rto_flows  miss_pct  long_tput_mbps  blackholed  noroute")
+	fmt.Fprintln(w, "== Roadmap: robustness under core-link failure (agg-core cables cut at 200ms, repaired at 700ms) ==")
+	fmt.Fprintln(w, "cables  reconv_ms  proto    mean_ms  p99_ms   max_ms   rto_flows  miss_pct  long_tput_mbps  blackholed  noroute")
 	for i, res := range results {
 		p := points[i]
 		s := res.ShortSummary
-		fmt.Printf("%6d  %9.1f  %-7s  %7.1f  %7.1f  %7.1f  %9d  %8.1f  %14.2f  %10d  %7d\n",
+		fmt.Fprintf(w, "%6d  %9.1f  %-7s  %7.1f  %7.1f  %7.1f  %9d  %8.1f  %14.2f  %10d  %7d\n",
 			p.cables, p.reconverge.Milliseconds(), p.proto,
 			s.MeanMs, s.P99Ms, s.MaxMs, s.WithRTO, res.DeadlineMissRate*100,
 			res.LongThroughputMbps, res.Blackholed, res.NoRouteDrops)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 }
 
 // repair is the local-vs-global repair experiment the routing control
@@ -573,7 +552,7 @@ func failure() {
 // reachability 10ms after each transition and steers around the
 // cripples; the recompute count and surviving override entries land in
 // the table.
-func repair() {
+func repair(w io.Writer) {
 	const (
 		failAt     = 200 * sim.Millisecond
 		repairAt   = 2500 * sim.Millisecond
@@ -625,8 +604,8 @@ func repair() {
 		}
 	}
 	results := sweep(configs)
-	fmt.Println("== Roadmap: local vs global repair (agg-core cables cut at 200ms, repaired at 2.5s, 10ms reconvergence) ==")
-	fmt.Println("cables  mode    proto    recov  mean_ms  p99_ms   max_ms   miss_pct  long_tput_mbps  noroute  blackholed  recomputes  redials  recovered")
+	fmt.Fprintln(w, "== Roadmap: local vs global repair (agg-core cables cut at 200ms, repaired at 2.5s, 10ms reconvergence) ==")
+	fmt.Fprintln(w, "cables  mode    proto    recov  mean_ms  p99_ms   max_ms   miss_pct  long_tput_mbps  noroute  blackholed  recomputes  redials  recovered")
 	for i, res := range results {
 		p := points[i]
 		mode := string(p.mode)
@@ -638,13 +617,13 @@ func repair() {
 			recov = "on"
 		}
 		s := res.ShortSummary
-		fmt.Printf("%6d  %-6s  %-7s  %-5s  %7.1f  %7.1f  %7.1f  %8.1f  %14.2f  %7d  %10d  %10d  %7d  %9d\n",
+		fmt.Fprintf(w, "%6d  %-6s  %-7s  %-5s  %7.1f  %7.1f  %7.1f  %8.1f  %14.2f  %7d  %10d  %10d  %7d  %9d\n",
 			p.cables, mode, p.proto, recov, s.MeanMs, s.P99Ms, s.MaxMs,
 			res.DeadlineMissRate*100, res.LongThroughputMbps,
 			res.NoRouteDrops, res.Blackholed, res.Routing.Recomputes,
 			res.Redials, res.RedialRecovered)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 }
 
 // transient is the staged-convergence experiment per-switch FIB epochs
@@ -661,7 +640,7 @@ func repair() {
 // window duration. Packet scatter rides the window the same way it
 // rides the failure — MMPTCP's tail grows far slower with the delay
 // than single-path TCP's.
-func transient() {
+func transient(w io.Writer) {
 	const (
 		failAt   = 200 * sim.Millisecond
 		repairAt = 900 * sim.Millisecond
@@ -705,8 +684,8 @@ func transient() {
 		}
 	}
 	results := sweep(configs)
-	fmt.Println("== Roadmap: staged convergence transients (2 agg-core cables cut at 200ms, repaired at 900ms, staggered flips) ==")
-	fmt.Println("perhop_ms  proto    recov  mean_ms  p99_ms   miss_pct  loop_drops  tn_noroute  stale_lookups  window_ms  flips  redials  defers")
+	fmt.Fprintln(w, "== Roadmap: staged convergence transients (2 agg-core cables cut at 200ms, repaired at 900ms, staggered flips) ==")
+	fmt.Fprintln(w, "perhop_ms  proto    recov  mean_ms  p99_ms   miss_pct  loop_drops  tn_noroute  stale_lookups  window_ms  flips  redials  defers")
 	for i, res := range results {
 		p := points[i]
 		recov := "off"
@@ -714,13 +693,13 @@ func transient() {
 			recov = "on"
 		}
 		s := res.ShortSummary
-		fmt.Printf("%9.1f  %-7s  %-5s  %7.1f  %7.1f  %8.1f  %10d  %10d  %13d  %9.1f  %5d  %7d  %6d\n",
+		fmt.Fprintf(w, "%9.1f  %-7s  %-5s  %7.1f  %7.1f  %8.1f  %10d  %10d  %13d  %9.1f  %5d  %7d  %6d\n",
 			p.perHop.Milliseconds(), p.proto, recov, s.MeanMs, s.P99Ms,
 			res.DeadlineMissRate*100, res.LoopDrops, res.Routing.TransientNoRoute,
 			res.Routing.StaleLookups, res.Routing.TransientTime.Milliseconds(),
 			res.Routing.Flips, res.Redials, res.PhaseDeferrals)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 }
 
 // timeline demonstrates the rolling Results snapshots: one MMPTCP run
@@ -728,31 +707,31 @@ func transient() {
 // printed as the percentile trajectory the paper's steady-state plots
 // would be cut from. The cumulative drop and recompute columns localise
 // the damage to the outage window.
-func timeline() {
+func timeline(w io.Writer) {
 	cfg := faultedConfig(mmptcp.ProtoMMPTCP, 2, 200*sim.Millisecond, 900*sim.Millisecond, 10*sim.Millisecond)
 	cfg.Routing.Mode = mmptcp.RoutingGlobal
 	cfg.Metrics.SnapshotInterval = 100 * sim.Millisecond
 	res := run(cfg)
 	if *csvFlag {
-		fmt.Println("# Roadmap: rolling snapshot timeline (MMPTCP, 2 agg-core cables cut at 200ms)")
-		fmt.Println("t_ms,spawned,done,p50_ms,p95_ms,p99_ms,blackholed,noroute,recomputes")
+		fmt.Fprintln(w, "# Roadmap: rolling snapshot timeline (MMPTCP, 2 agg-core cables cut at 200ms)")
+		fmt.Fprintln(w, "t_ms,spawned,done,p50_ms,p95_ms,p99_ms,blackholed,noroute,recomputes")
 		for _, sn := range res.Snapshots {
-			fmt.Printf("%.0f,%d,%d,%.3f,%.3f,%.3f,%d,%d,%d\n",
+			fmt.Fprintf(w, "%.0f,%d,%d,%.3f,%.3f,%.3f,%d,%d,%d\n",
 				sn.At.Milliseconds(), sn.Spawned, sn.Short.Count,
 				sn.Short.P50Ms, sn.Short.P95Ms, sn.Short.P99Ms,
 				sn.Blackholed, sn.NoRouteDrops, sn.Recomputes)
 		}
 		return
 	}
-	fmt.Println("== Roadmap: rolling snapshot timeline (MMPTCP, 2 agg-core cables cut at 200ms, repaired at 900ms) ==")
-	fmt.Println("    t_ms  spawned   done  p50_ms  p95_ms  p99_ms  blackholed  noroute  recomputes")
+	fmt.Fprintln(w, "== Roadmap: rolling snapshot timeline (MMPTCP, 2 agg-core cables cut at 200ms, repaired at 900ms) ==")
+	fmt.Fprintln(w, "    t_ms  spawned   done  p50_ms  p95_ms  p99_ms  blackholed  noroute  recomputes")
 	for _, sn := range res.Snapshots {
-		fmt.Printf("%8.0f  %7d  %5d  %6.1f  %6.1f  %6.1f  %10d  %7d  %10d\n",
+		fmt.Fprintf(w, "%8.0f  %7d  %5d  %6.1f  %6.1f  %6.1f  %10d  %7d  %10d\n",
 			sn.At.Milliseconds(), sn.Spawned, sn.Short.Count,
 			sn.Short.P50Ms, sn.Short.P95Ms, sn.Short.P99Ms,
 			sn.Blackholed, sn.NoRouteDrops, sn.Recomputes)
 	}
-	fmt.Printf("final: %v\n\n", res.ShortSummary)
+	fmt.Fprintf(w, "final: %v\n\n", res.ShortSummary)
 }
 
 // anatomy is the flow-anatomy figure the structured trace opens: one
@@ -764,7 +743,7 @@ func timeline() {
 // charged to the flow, recomputes, FIB flips). High-volume per-segment
 // kinds (sends, ACKs, enqueues, window moves) are elided — the figure
 // is the anatomy of the damage, not a packet dump.
-func anatomy() {
+func anatomy(w io.Writer) {
 	cfg := faultedConfig(mmptcp.ProtoMMPTCP, 2, 200*sim.Millisecond, 900*sim.Millisecond, 10*sim.Millisecond)
 	cfg.Routing.Mode = mmptcp.RoutingGlobal
 	cfg.Trace.Mode = mmptcp.TraceFull
@@ -783,17 +762,17 @@ func anatomy() {
 		}
 	}
 	if victim < 0 {
-		fmt.Println("== anatomy: no short flows recorded ==")
+		fmt.Fprintln(w, "== anatomy: no short flows recorded ==")
 		return
 	}
 	v := res.ShortFlows[victim]
 
-	fmt.Printf("== Anatomy of a damaged flow (full trace, %d events kept of %d) ==\n",
+	fmt.Fprintf(w, "== Anatomy of a damaged flow (full trace, %d events kept of %d) ==\n",
 		rec.Len(), rec.Total())
-	fmt.Printf("victim: flow %d  %d -> %d  %d bytes  fct=%.1fms  timeouts=%d fast_retx=%d retx=%d completed=%t\n",
+	fmt.Fprintf(w, "victim: flow %d  %d -> %d  %d bytes  fct=%.1fms  timeouts=%d fast_retx=%d retx=%d completed=%t\n",
 		v.ID, v.Src, v.Dst, v.Size, v.FCT().Milliseconds(),
 		v.Timeouts, v.FastRetransmits, v.Retransmissions, v.Completed)
-	fmt.Println("      t_ms  event            sub  node->peer  a           b")
+	fmt.Fprintln(w, "      t_ms  event            sub  node->peer  a           b")
 
 	// Per-segment noise stays out of the timeline.
 	elide := map[trace.Kind]bool{
@@ -816,19 +795,19 @@ func anatomy() {
 		if e.Peer >= 0 {
 			peer = fmt.Sprintf("%5d", e.Peer)
 		}
-		fmt.Printf("%10.3f  %-15s  %3d  %4d->%s  %-10d  %d\n",
+		fmt.Fprintf(w, "%10.3f  %-15s  %3d  %4d->%s  %-10d  %d\n",
 			e.At.Milliseconds(), e.Kind, e.Sub, e.Node, peer, e.A, e.B)
 		printed++
 	}
-	fmt.Printf("%d timeline events (of %d traced; per-segment kinds elided)\n\n",
+	fmt.Fprintf(w, "%d timeline events (of %d traced; per-segment kinds elided)\n\n",
 		printed, rec.Len())
 }
 
 // coexist shares one dumbbell bottleneck among a TCP flow, an MPTCP
 // connection and an MMPTCP connection (§3: "In-depth investigation of
 // how MMPTCP shares network resources with TCP and MPTCP").
-func coexist() {
-	fmt.Println("== §3: co-existence on a shared 100 Mb/s bottleneck ==")
+func coexist(w io.Writer) {
+	fmt.Fprintln(w, "== §3: co-existence on a shared 100 Mb/s bottleneck ==")
 	eng := sim.NewEngine()
 	link := topology.DefaultLinkConfig()
 	link.RateBps = 1_000_000_000
@@ -851,7 +830,7 @@ func coexist() {
 	}
 	const horizon = 10 * sim.Second
 	eng.RunUntil(horizon)
-	fmt.Println("proto    goodput_mbps  share")
+	fmt.Fprintln(w, "proto    goodput_mbps  share")
 	var total float64
 	goodputs := make([]float64, len(conns))
 	for i, c := range conns {
@@ -859,8 +838,8 @@ func coexist() {
 		total += goodputs[i]
 	}
 	for i, proto := range protos {
-		fmt.Printf("%-7s  %12.2f  %5.1f%%\n", proto, goodputs[i], goodputs[i]/total*100)
+		fmt.Fprintf(w, "%-7s  %12.2f  %5.1f%%\n", proto, goodputs[i], goodputs[i]/total*100)
 	}
-	fmt.Printf("bottleneck utilisation: %.1f%%\n\n",
+	fmt.Fprintf(w, "bottleneck utilisation: %.1f%%\n\n",
 		d.BottleneckLR.Stats.Utilisation(horizon)*100)
 }
