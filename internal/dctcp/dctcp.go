@@ -15,16 +15,15 @@ package dctcp
 
 import "repro/internal/tcp"
 
-// DefaultG is the paper-recommended EWMA gain (1/16).
-const DefaultG = 1.0 / 16
+// g is the EWMA gain for alpha: 1/16, the gain the DCTCP paper uses. Its
+// §3.4 bound, g < 1.386/sqrt(2(C·RTT + K)), keeps alpha averaging over a
+// whole congestion episode instead of chasing one window's marks.
+const g = 1.0 / 16
 
 // CC is the DCTCP congestion control for one tcp.Sender. It grows the
 // window exactly like Reno and reacts to ECN echoes instead of waiting
 // for loss. Create one CC per sender.
 type CC struct {
-	// G is the EWMA gain for alpha; zero means DefaultG.
-	G float64
-
 	alpha       float64
 	initialized bool
 
@@ -51,10 +50,6 @@ func (c *CC) OnAck(s *tcp.Sender, ackedBytes int) {
 // update alpha once per window, and cut proportionally when marks
 // arrive.
 func (c *CC) OnECNEcho(s *tcp.Sender, ackedBytes int, marked bool) {
-	g := c.G
-	if g == 0 {
-		g = DefaultG
-	}
 	if !c.initialized {
 		c.initialized = true
 		// Start pessimistic (alpha=1, as Linux does): the first mark
