@@ -13,7 +13,7 @@ import (
 // paperConfig is the paper's MMPTCP configuration: 8 LIA subflows after
 // a switch at 100 KB of data.
 func paperConfig() Config {
-	return Config{MPTCP: mptcp.DefaultConfig(), Strategy: SwitchDataVolume, SwitchBytes: 100_000}
+	return Config{MPTCP: mptcp.Config{TCP: tcp.DefaultConfig(), Subflows: 8}, Strategy: SwitchDataVolume, SwitchBytes: 100_000}
 }
 
 func fatTree4(eng *sim.Engine) *topology.FatTree {

@@ -26,9 +26,9 @@ import (
 )
 
 // Config parametrises an MPTCP connection. Dial takes it as complete: no
-// field is defaulted on the way in (DefaultConfig is the paper's setting).
-// Every subflow opens at connection establishment, as in the paper's ns-3
-// model, and the subflows are coupled by LIA.
+// field is defaulted on the way in. The paper runs tcp.DefaultConfig with
+// 8 subflows. Every subflow opens at connection establishment, as in the
+// paper's ns-3 model, and the subflows are coupled by LIA.
 type Config struct {
 	TCP      tcp.Config
 	Subflows int // number of subflows (the paper's headline setting is 8)
@@ -51,11 +51,6 @@ type Config struct {
 // subflow slot: the first replacement dials immediately, the k-th waits
 // min(redialBackoff << (k-2), 16*redialBackoff).
 const redialBackoff = 10 * sim.Millisecond
-
-// DefaultConfig returns the paper's MPTCP configuration: 8 subflows, LIA.
-func DefaultConfig() Config {
-	return Config{TCP: tcp.DefaultConfig(), Subflows: 8}
-}
 
 // Options identifies a connection's endpoints and data range.
 type Options struct {

@@ -8,6 +8,11 @@ import (
 	"repro/internal/topology"
 )
 
+// paperConfig is the paper's MPTCP configuration: 8 LIA subflows.
+func paperConfig() Config {
+	return Config{TCP: tcp.DefaultConfig(), Subflows: 8}
+}
+
 func fatTree4(eng *sim.Engine) *topology.FatTree {
 	return topology.NewFatTree(eng, topology.FatTreeConfig{K: 4, Link: topology.DefaultLinkConfig(), Seed: 1})
 }
@@ -17,7 +22,7 @@ func TestMPTCPTransferCompletes(t *testing.T) {
 	ft := fatTree4(eng)
 	rng := sim.NewRNG(42)
 	const size = 70000
-	conn := Dial(DefaultConfig(), Options{
+	conn := Dial(paperConfig(), Options{
 		SrcHost: ft.Hosts[0], DstHost: ft.Hosts[15],
 		FlowID: 1, Size: size, RNG: rng,
 	})
@@ -49,7 +54,7 @@ func TestMPTCPSpreadsAcrossSubflows(t *testing.T) {
 	eng := sim.NewEngine()
 	ft := fatTree4(eng)
 	rng := sim.NewRNG(7)
-	conn := Dial(DefaultConfig(), Options{
+	conn := Dial(paperConfig(), Options{
 		SrcHost: ft.Hosts[0], DstHost: ft.Hosts[15],
 		FlowID: 1, Size: 70000, RNG: rng,
 	})
@@ -75,7 +80,7 @@ func TestMPTCPSubflowCountConfig(t *testing.T) {
 	eng := sim.NewEngine()
 	ft := fatTree4(eng)
 	for _, n := range []int{1, 2, 4, 9} {
-		cfg := DefaultConfig()
+		cfg := paperConfig()
 		cfg.Subflows = n
 		conn := Dial(cfg, Options{
 			SrcHost: ft.Hosts[0], DstHost: ft.Hosts[15],
@@ -95,7 +100,7 @@ func TestMPTCPSubflowCountConfig(t *testing.T) {
 func TestMPTCPUnboundedFlowKeepsDelivering(t *testing.T) {
 	eng := sim.NewEngine()
 	ft := fatTree4(eng)
-	conn := Dial(DefaultConfig(), Options{
+	conn := Dial(paperConfig(), Options{
 		SrcHost: ft.Hosts[0], DstHost: ft.Hosts[15],
 		FlowID: 1, Size: -1, RNG: sim.NewRNG(3),
 	})
@@ -124,7 +129,7 @@ func TestMPTCPDataStartAndSubflowBase(t *testing.T) {
 	// Receiver expects 70000 bytes; the connection only carries
 	// [30000, 70000) — the MMPTCP handover pattern.
 	rcv := tcp.NewReceiver(tcp.DefaultConfig(), ft.Hosts[15], 1, 70000)
-	conn := Dial(DefaultConfig(), Options{
+	conn := Dial(paperConfig(), Options{
 		SrcHost: ft.Hosts[0], DstHost: ft.Hosts[15],
 		FlowID: 1, Size: 70000, DataStart: 30000,
 		SubflowBase: 1, RNG: sim.NewRNG(9),
@@ -161,7 +166,7 @@ func TestMPTCPDataStartAndSubflowBase(t *testing.T) {
 func TestLIAIncrementCoupling(t *testing.T) {
 	eng := sim.NewEngine()
 	ft := fatTree4(eng)
-	cfg := DefaultConfig()
+	cfg := paperConfig()
 	cfg.Subflows = 2
 	conn := Dial(cfg, Options{
 		SrcHost: ft.Hosts[0], DstHost: ft.Hosts[15],
@@ -235,7 +240,7 @@ func TestLIASharedBottleneckBounded(t *testing.T) {
 		Link:          link,
 		BottleneckBps: 100_000_000,
 	})
-	cfg := DefaultConfig()
+	cfg := paperConfig()
 	cfg.Subflows = 2
 	conn := Dial(cfg, Options{
 		SrcHost: d.Hosts[0], DstHost: d.Hosts[2],
@@ -272,13 +277,13 @@ func TestMPTCPRequiresRNG(t *testing.T) {
 			t.Error("Dial without RNG did not panic")
 		}
 	}()
-	Dial(DefaultConfig(), Options{SrcHost: ft.Hosts[0], DstHost: ft.Hosts[1], FlowID: 1, Size: 100})
+	Dial(paperConfig(), Options{SrcHost: ft.Hosts[0], DstHost: ft.Hosts[1], FlowID: 1, Size: 100})
 }
 
 func TestMPTCPCloseUnregisters(t *testing.T) {
 	eng := sim.NewEngine()
 	ft := fatTree4(eng)
-	conn := Dial(DefaultConfig(), Options{
+	conn := Dial(paperConfig(), Options{
 		SrcHost: ft.Hosts[0], DstHost: ft.Hosts[15],
 		FlowID: 1, Size: 70000, RNG: sim.NewRNG(1),
 	})
@@ -295,7 +300,7 @@ func TestMPTCPCloseUnregisters(t *testing.T) {
 func TestMPTCPSpreadsSubflowsAcrossInterfaces(t *testing.T) {
 	eng := sim.NewEngine()
 	m := topology.NewMultiHomed(eng, topology.MultiHomedConfig{K: 4, Link: topology.DefaultLinkConfig()})
-	conn := Dial(DefaultConfig(), Options{
+	conn := Dial(paperConfig(), Options{
 		SrcHost: m.Hosts[0], DstHost: m.Hosts[15],
 		FlowID: 1, Size: 280_000, RNG: sim.NewRNG(5),
 	})
