@@ -10,6 +10,14 @@ func vl2tiny(proto Protocol, flows int) Config {
 	return cfg
 }
 
+// mhtiny is tiny() on the multi-homed FatTree: K=4, 64 dual-homed hosts,
+// the same scale with rows filled by breadth-first search.
+func mhtiny(proto Protocol, flows int) Config {
+	cfg := tiny(proto, flows)
+	cfg.Topology = TopoMultiHomed
+	return cfg
+}
+
 // transientConfig is the staggered-convergence scenario: cables agg-core
 // cables die at 150ms and come back at 900ms, routing notices 20ms
 // later, and every switch's FIB flip then propagates outward at

@@ -39,7 +39,7 @@ const (
 )
 
 var (
-	fzTopologies   = []TopologyKind{"", TopoFatTree, TopoMultiHomed, TopoDumbbell, TopoVL2, "ring"}
+	fzTopologies   = []TopologyKind{"", TopoFatTree, TopoMultiHomed, TopoDumbbell, "vl2", "ring"}
 	fzProtocols    = []Protocol{ProtoTCP, ProtoMPTCP, ProtoMMPTCP, ProtoDCTCP, "", "quic"}
 	fzRoutingModes = []RoutingMode{"", RoutingLocal, RoutingGlobal, "bogus"}
 	fzConvergences = []ConvergenceMode{"", ConvergeAtomic, ConvergeStaggered, "bogus"}

@@ -23,9 +23,6 @@ var oracleTopologies = []func(eng *sim.Engine) *topology.Network{
 		return &topology.NewFatTree(eng, topology.FatTreeConfig{K: 4, Link: topology.DefaultLinkConfig()}).Network
 	},
 	func(eng *sim.Engine) *topology.Network {
-		return &topology.NewVL2(eng, topology.VL2Config{DA: 4, DI: 2, HostsPerToR: 2, Link: topology.DefaultLinkConfig()}).Network
-	},
-	func(eng *sim.Engine) *topology.Network {
 		return &topology.NewMultiHomed(eng, topology.MultiHomedConfig{K: 4, Link: topology.DefaultLinkConfig()}).Network
 	},
 	func(eng *sim.Engine) *topology.Network {
@@ -158,7 +155,8 @@ func (o *oracle) pathCount(t tables, src, dst netem.NodeID) int {
 
 // runOracleProgram interprets prog on a fresh fabric and checks the
 // control plane against the oracle after every batch. prog[0] picks the
-// fabric (low two bits) and the convergence mode (bit 2: staggered with
+// fabric (low two bits, modulo the fabric count, so 3 is the FatTree
+// again) and the convergence mode (bit 2: staggered with
 // PerHopDelay 0, which must behave exactly like atomic); bit 3 is unused,
 // reserved so that committed corpus entries keep their meaning. The rest
 // is a sequence of batches: one byte whose low two bits give the batch size
@@ -173,7 +171,7 @@ func runOracleProgram(t *testing.T, prog []byte) (recomputes int) {
 		return 0
 	}
 	eng := sim.NewEngine()
-	net := oracleTopologies[int(prog[0])%len(oracleTopologies)](eng)
+	net := oracleTopologies[int(prog[0]&3)%len(oracleTopologies)](eng)
 	o := newOracle(net)
 	cfg := Config{}
 	if prog[0]&4 != 0 {
@@ -248,9 +246,9 @@ func oracleSeeds() map[string][]byte {
 		return out
 	}
 	// Link indices. FatTree K=4: 0-31 host cables, 32-63 edge-agg, 64-95
-	// agg-core (64 up, 65 down). VL2: 0-31 host, 32-63 ToR-agg, 64-79
-	// agg-intermediate. Multihomed: 0-63 host (host 0 owns 0-3), 64-95
-	// edge-agg, 96-127 agg-core. Dumbbell: 0-11 host, 12-13 bottleneck.
+	// agg-core (64 up, 65 down). Multihomed: 0-63 host (host 0 owns 0-3),
+	// 64-95 edge-agg, 96-127 agg-core. Dumbbell: 0-11 host, 12-13
+	// bottleneck.
 	core0 := batch(cable, 64, cable, 72, cable, 80, cable, 88) // core 0's four cables
 	return map[string][]byte{
 		// One agg-core cable dies and heals, twice: overrides appear on a
@@ -274,17 +272,19 @@ func oracleSeeds() map[string][]byte {
 		"fattree-isolated-edge": cat([]byte{4}, batch(cable, 32, cable, 34), batch(cable, 0), batch(cable, 32), batch(cable, 34, cable, 0)),
 		// Mixed batch of four, kills and revivals together.
 		"fattree-mixed-batch": cat([]byte{0 | 8}, batch(cable, 64, cable, 40, 0, 1, cable, 90), batch(cable, 64, 0, 41, 0, 1, cable, 70), batch(0, 40, cable, 90, cable, 70)),
-		// VL2: a ToR uplink, an intermediate's cable, a server link.
-		"vl2-fabric-and-hosts": cat([]byte{1}, batch(cable, 32), batch(cable, 66, cable, 0), batch(cable, 32), batch(cable, 66, cable, 0)),
-		"vl2-staggered":        cat([]byte{5 | 8}, batch(cable, 34, 0, 64), batch(0, 65), batch(cable, 34), batch(0, 64, 0, 65)),
 		// Dual-homed hosts: losing one of two access cables changes the
 		// signature to a different non-empty one; losing both empties it.
-		"multihomed-one-then-both": cat([]byte{2}, batch(cable, 0), batch(cable, 2), batch(cable, 0), batch(cable, 2)),
-		"multihomed-staggered":     cat([]byte{6}, batch(cable, 0, cable, 70), batch(cable, 2, cable, 70), batch(cable, 0, cable, 2)),
+		"multihomed-one-then-both": cat([]byte{1}, batch(cable, 0), batch(cable, 2), batch(cable, 0), batch(cable, 2)),
+		"multihomed-staggered":     cat([]byte{5}, batch(cable, 0, cable, 70), batch(cable, 2, cable, 70), batch(cable, 0, cable, 2)),
+		// Multihomed fabric and hosts: an edge uplink, a core cable, a
+		// host access cable; then one direction at a time of an agg-core
+		// cable beside an edge uplink.
+		"multihomed-fabric-and-hosts": cat([]byte{1}, batch(cable, 64), batch(cable, 98, cable, 0), batch(cable, 64), batch(cable, 98, cable, 0)),
+		"multihomed-fabric-staggered": cat([]byte{5 | 8}, batch(cable, 66, 0, 96), batch(0, 97), batch(cable, 66), batch(0, 96, 0, 97)),
 		// Dumbbell: the bottleneck partitions the two sides, then a host
 		// cable on top of it.
-		"dumbbell-bottleneck": cat([]byte{3}, batch(cable, 12), batch(cable, 2), batch(cable, 12), batch(cable, 2)),
-		"dumbbell-staggered":  cat([]byte{7 | 8}, batch(0, 12), batch(0, 13, cable, 4), batch(0, 12, 0, 13), batch(cable, 4)),
+		"dumbbell-bottleneck": cat([]byte{2}, batch(cable, 12), batch(cable, 2), batch(cable, 12), batch(cable, 2)),
+		"dumbbell-staggered":  cat([]byte{6 | 8}, batch(0, 12), batch(0, 13, cable, 4), batch(0, 12, 0, 13), batch(cable, 4)),
 	}
 }
 
@@ -306,7 +306,7 @@ func TestRecomputeMatchesOracle(t *testing.T) {
 			for j := range prog {
 				prog[j] = byte(rng.Uint32())
 			}
-			prog[0] = byte(i) // every fabric, mode and worker count, evenly
+			prog[0] = byte(i) // every fabric slot and mode, evenly
 			runOracleProgram(t, prog)
 		}
 	})

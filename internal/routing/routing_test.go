@@ -225,22 +225,24 @@ func TestGlobalLivenessAfterFaults(t *testing.T) {
 			src: 4, dst: 0,
 		},
 		{
-			name: "vl2/single-link",
+			name: "multihomed/single-link",
 			build: func(eng *sim.Engine) *topology.Network {
-				v := topology.NewVL2(eng, topology.VL2Config{DA: 4, DI: 2, HostsPerToR: 2, Link: topology.DefaultLinkConfig()})
-				return &v.Network
+				m := topology.NewMultiHomed(eng, topology.MultiHomedConfig{K: 4, HostsPerEdge: 2, Link: topology.DefaultLinkConfig()})
+				return &m.Network
 			},
 			cfg: faults.Config{Events: faults.FailCables(netem.LayerEdge, 1, sim.Millisecond, 0)},
 			src: 2, dst: 0,
 		},
 		{
-			name: "vl2/switch-crash",
+			name: "multihomed/switch-crash",
 			build: func(eng *sim.Engine) *topology.Network {
-				v := topology.NewVL2(eng, topology.VL2Config{DA: 4, DI: 2, HostsPerToR: 2, Link: topology.DefaultLinkConfig()})
-				return &v.Network
+				m := topology.NewMultiHomed(eng, topology.MultiHomedConfig{K: 4, HostsPerEdge: 2, Link: topology.DefaultLinkConfig()})
+				return &m.Network
 			},
-			// Crash one intermediate switch (ToRs 0-7, aggs 8-11, ints 12-13).
-			cfg: faults.Config{Events: faults.FailSwitches([]int{12}, sim.Millisecond, 0)},
+			// Crash host 0's primary edge switch (edges 0-7, aggs 8-15,
+			// cores 16-19) and one core: host 0 stays reachable through
+			// its second access cable.
+			cfg: faults.Config{Events: faults.FailSwitches([]int{0, 16}, sim.Millisecond, 0)},
 			src: 2, dst: 0,
 		},
 		{
@@ -764,7 +766,7 @@ func TestOverriddenLookupAllocationFree(t *testing.T) {
 // override existed, and never indexes out of range.
 func TestLookupOutsideTableFallsThrough(t *testing.T) {
 	eng := sim.NewEngine()
-	v := topology.NewVL2(eng, topology.VL2Config{DA: 4, DI: 2, HostsPerToR: 2, Link: topology.DefaultLinkConfig()})
+	v := topology.NewMultiHomed(eng, topology.MultiHomedConfig{K: 4, HostsPerEdge: 2, Link: topology.DefaultLinkConfig()})
 	dsts := []netem.NodeID{netem.NodeID(len(v.Hosts)), v.Switches[3].ID(), -1, 1 << 30}
 	before := make([][][]*netem.Link, len(v.Switches))
 	for i, sw := range v.Switches {
@@ -776,9 +778,9 @@ func TestLookupOutsideTableFallsThrough(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Kill ToR 0's first uplink cable: the aggregation switch behind it
-	// loses its way down and detours through the intermediates.
-	up := v.LinksAtLayer(netem.LayerEdge)
+	// Kill agg 0's first core cable: the core behind it loses its way
+	// down into pod 0 and detours through another pod.
+	up := v.LinksAtLayer(netem.LayerAgg)
 	flipCable(cp, [2]*netem.Link{up[0], up[1]}, true)
 	overridden := 0
 	for i, sw := range v.Switches {

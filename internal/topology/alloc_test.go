@@ -129,8 +129,8 @@ func TestFabricBuildAllocationBudget(t *testing.T) {
 func TestDegradedLookupAllocationFree(t *testing.T) {
 	eng := sim.NewEngine()
 	ft := NewFatTree(eng, FatTreeConfig{K: 4, Link: DefaultLinkConfig()})
-	vl := NewVL2(eng, VL2Config{DA: 4, DI: 2, HostsPerToR: 2, Link: DefaultLinkConfig()})
-	for _, n := range []*Network{&ft.Network, &vl.Network} {
+	mh := NewMultiHomed(eng, MultiHomedConfig{K: 4, HostsPerEdge: 2, Link: DefaultLinkConfig()})
+	for _, n := range []*Network{&ft.Network, &mh.Network} {
 		edge := n.Hosts[0].Uplinks()[0].Dst().(*netem.Switch)
 		far, healthy := netem.NodeID(len(n.Hosts)), 0
 		for healthy < 2 { // the farthest host reached over several uplinks
@@ -171,7 +171,7 @@ func TestBuildersFillTheirSlabs(t *testing.T) {
 		&NewFatTree(eng, FatTreeConfig{K: 4, HostsPerEdge: 8, Link: link}).Network,
 		&NewFatTree(eng, FatTreeConfig{K: 6, Link: link}).Network,
 		&NewMultiHomed(eng, MultiHomedConfig{K: 4, HostsPerEdge: 3, Link: link}).Network,
-		&NewVL2(eng, VL2Config{DA: 4, DI: 3, HostsPerToR: 2, Link: link}).Network,
+		&NewMultiHomed(eng, MultiHomedConfig{K: 6, HostsPerEdge: 1, Link: link}).Network,
 		&NewDumbbell(eng, DumbbellConfig{HostsPerSide: 3, Link: link}).Network,
 	} {
 		if len(n.Links) != len(n.linkSlab) || len(n.Switches) != len(n.switchSlab) {

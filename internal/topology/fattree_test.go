@@ -305,20 +305,20 @@ func TestFatTreeRoutersExcludeRouteDeadLinks(t *testing.T) {
 
 func TestBFSRowsExcludeRouteDeadLinks(t *testing.T) {
 	eng := sim.NewEngine()
-	// VL2 fills every row by breadth-first search.
-	v := NewVL2(eng, VL2Config{DA: 4, DI: 4, HostsPerToR: 2, Link: DefaultLinkConfig()})
-	// ToR 0 homes to aggs {0,1}, ToR 2 to aggs {2,3}: no shared agg, so
-	// the shortest path crosses the intermediate mesh and the source ToR
-	// has a genuinely multipath equal-cost set.
+	// The multi-homed FatTree fills every row by breadth-first search.
+	m := NewMultiHomed(eng, MultiHomedConfig{K: 4, HostsPerEdge: 2, Link: DefaultLinkConfig()})
+	// Host 4 is in pod 1: the path leaves pod 0 through either of its
+	// aggs, so host 0's edge switch has a genuinely multipath equal-cost
+	// set.
 	src, dst := netem.NodeID(0), netem.NodeID(4)
-	tor := v.Hosts[src].Uplinks()[0].Dst().(*netem.Switch).Router()
-	set := tor.NextLinks(dst)
+	edge := m.Hosts[src].Uplinks()[0].Dst().(*netem.Switch).Router()
+	set := edge.NextLinks(dst)
 	if len(set) < 2 {
-		t.Fatalf("ToR equal-cost set = %d links; VL2 should be multipath", len(set))
+		t.Fatalf("edge equal-cost set = %d links; the multi-homed FatTree should be multipath", len(set))
 	}
 	dead := set[0]
 	dead.SetRouteDead(true)
-	filtered := tor.NextLinks(dst)
+	filtered := edge.NextLinks(dst)
 	if len(filtered) != len(set)-1 {
 		t.Fatalf("filtered set = %d links, want %d", len(filtered), len(set)-1)
 	}
@@ -328,7 +328,7 @@ func TestBFSRowsExcludeRouteDeadLinks(t *testing.T) {
 		}
 	}
 	dead.SetRouteDead(false)
-	if got := tor.NextLinks(dst); len(got) != len(set) {
+	if got := edge.NextLinks(dst); len(got) != len(set) {
 		t.Fatal("revived link missing from the set")
 	}
 }

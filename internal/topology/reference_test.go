@@ -126,8 +126,8 @@ func TestBFSRowsMatchReference(t *testing.T) {
 	eng := sim.NewEngine()
 	link := DefaultLinkConfig()
 	for _, n := range []*Network{
-		&NewVL2(eng, VL2Config{DA: 4, DI: 3, HostsPerToR: 2, Link: link}).Network,
-		&NewVL2(eng, VL2Config{DA: 2, DI: 1, HostsPerToR: 1, Link: link}).Network,
+		&NewMultiHomed(eng, MultiHomedConfig{K: 4, HostsPerEdge: 1, Link: link}).Network,
+		&NewMultiHomed(eng, MultiHomedConfig{K: 4, HostsPerEdge: 2, Link: link}).Network,
 		&NewMultiHomed(eng, MultiHomedConfig{K: 4, HostsPerEdge: 3, Link: link}).Network,
 		&NewMultiHomed(eng, MultiHomedConfig{K: 6, Link: link}).Network,
 		&NewDumbbell(eng, DumbbellConfig{HostsPerSide: 3, Link: link}).Network,

@@ -165,7 +165,7 @@ func TestRunValidation(t *testing.T) {
 		{with(func(c *Config) { c.HostsPerEdge = 1 << 30 }), "forwarding table"},
 		{with(func(c *Config) { c.Topology = TopoMultiHomed; c.K = 1000 }), "forwarding table"},
 		{with(func(c *Config) { c.Topology = TopoDumbbell; c.K, c.HostsPerEdge = 2, 1<<25 }), "forwarding table"},
-		{with(func(c *Config) { c.Topology = TopoVL2; c.K, c.HostsPerEdge = 1000, 1 }), "links"},
+		{with(func(c *Config) { c.K, c.HostsPerEdge = 2, 300_000 }), "links"},
 		{with(func(c *Config) { c.SwitchBytes = -1 }), "SwitchBytes"},
 		{with(func(c *Config) { c.ShortFlowSize = -1 }), "ShortFlowSize"},
 		{with(func(c *Config) { c.Strategy = 7 }), "Strategy"},

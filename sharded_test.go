@@ -13,10 +13,10 @@ import (
 )
 
 // shardedSuite is the PR-3 fault suite (cable cuts with global repair,
-// lossy degraded cables, VL2 cable cuts, a core-switch crash, rolling
-// snapshots) with every config set to the given shard count, so the
-// parallel engine runs the fault classes TestEquivalence holds the
-// sequential engine to.
+// lossy degraded cables, multi-homed FatTree cable cuts, a core-switch
+// crash, rolling snapshots) with every config set to the given shard
+// count, so the parallel engine runs the fault classes TestEquivalence
+// holds the sequential engine to.
 func shardedSuite(shards int) []Config {
 	var configs []Config
 	for _, proto := range []Protocol{ProtoTCP, ProtoMMPTCP} {
@@ -29,15 +29,13 @@ func shardedSuite(shards int) []Config {
 				0.5, 50*Microsecond, 0.02),
 		}
 		configs = append(configs, deg)
-		vl2 := tiny(proto, 40)
-		vl2.Topology = TopoVL2
-		vl2.K = 4
-		vl2.HostsPerEdge = 2
-		vl2.Faults = FaultsConfig{
+		mh := mhtiny(proto, 40)
+		mh.HostsPerEdge = 2
+		mh.Faults = FaultsConfig{
 			Events:          FailCables(LayerAgg, 2, 150*Millisecond, 600*Millisecond),
 			ReconvergeDelay: 50 * Millisecond,
 		}
-		configs = append(configs, vl2)
+		configs = append(configs, mh)
 	}
 	crash := faultedConfig(ProtoMMPTCP, 40)
 	crash.Faults = FaultsConfig{
