@@ -73,13 +73,12 @@ func Dial(net *topology.Network, cfg Config, d DialConfig) (Conn, error) {
 }
 
 // dial is Dial on a resolved config and a checked DialConfig — the run
-// harness's path, with nothing left that can fail. Every sender and
-// receiver runs tcp.DefaultConfig(); the multipath protocols share one
-// mptcp.Config, which MMPTCP opens unchanged at its phase switch.
+// harness's path, with nothing left that can fail. The multipath
+// protocols share one mptcp.Config, which MMPTCP opens unchanged at its
+// phase switch.
 func dial(net *topology.Network, cfg *Config, d DialConfig) Conn {
 	src, dst := net.Hosts[d.Src], net.Hosts[d.Dst]
 	mp := mptcp.Config{
-		TCP:          tcp.DefaultConfig(),
 		Subflows:     cfg.Subflows,
 		DeadRTOs:     cfg.Transport.DeadRTOs,
 		RedialBudget: cfg.Transport.RedialBudget,
@@ -116,7 +115,7 @@ func dial(net *topology.Network, cfg *Config, d DialConfig) Conn {
 		conn.OnAllAcked = d.onAllAcked
 		return conn
 	default: // ProtoTCP, ProtoDCTCP: resolve admits nothing else
-		rcv := tcp.NewReceiver(mp.TCP, dst, d.FlowID, d.Size)
+		rcv := tcp.NewReceiver(dst, d.FlowID, d.Size)
 		opt := tcp.SenderOptions{
 			Host:     src,
 			Dst:      dst.ID(),
@@ -129,7 +128,7 @@ func dial(net *topology.Network, cfg *Config, d DialConfig) Conn {
 		if cfg.Protocol == ProtoDCTCP {
 			opt.CC = &dctcp.CC{}
 		}
-		snd := tcp.NewSender(mp.TCP, opt)
+		snd := tcp.NewSender(opt)
 		snd.OnAllAcked = d.onAllAcked
 		return &tcpConn{snd, rcv}
 	}

@@ -88,11 +88,10 @@ func (m ThresholdMode) String() string {
 }
 
 // Config parametrises MMPTCP connections. Dial takes it as complete: no
-// field is defaulted on the way in (DefaultConfig is the paper's setting).
+// field is defaulted on the way in.
 type Config struct {
 	// MPTCP is the connection the phase switch opens, handed to
-	// mptcp.Dial unchanged. Its TCP parameters also govern the
-	// packet-scatter sender. Re-dialing (DeadRTOs and its knobs) applies
+	// mptcp.Dial unchanged. Re-dialing (DeadRTOs and its knobs) applies
 	// to the MPTCP phase only: the PS phase's per-packet scatter ports
 	// already re-hash every transmission across the ECMP paths.
 	MPTCP mptcp.Config
@@ -196,8 +195,7 @@ func Dial(cfg Config, opt Options) *Conn {
 		panic("core: Options.RNG is required")
 	}
 	c := &Conn{eng: opt.SrcHost.Engine(), cfg: cfg, opt: opt}
-	tcpCfg := cfg.MPTCP.TCP
-	c.rcv = tcp.NewReceiver(tcpCfg, opt.DstHost, opt.FlowID, opt.Size)
+	c.rcv = tcp.NewReceiver(opt.DstHost, opt.FlowID, opt.Size)
 
 	cap := int64(-1)
 	if cfg.Strategy == SwitchDataVolume {
@@ -232,12 +230,12 @@ func Dial(cfg Config, opt Options) *Conn {
 	case ThresholdAdaptive:
 		// RR-TCP-like: start at the standard threshold and learn from
 		// spurious-retransmission signals.
-		psOpts.DupThresh = tcpCfg.DupAckThreshold
+		psOpts.DupThresh = tcp.DupAckThreshold
 		psOpts.AdaptiveDupThresh = true
 	case ThresholdStandard:
-		psOpts.DupThresh = tcpCfg.DupAckThreshold
+		psOpts.DupThresh = tcp.DupAckThreshold
 	}
-	c.ps = tcp.NewSender(tcpCfg, psOpts)
+	c.ps = tcp.NewSender(psOpts)
 	c.ps.OnAllAcked = func() {
 		c.psDone = true
 		c.checkDone()

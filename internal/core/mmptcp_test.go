@@ -13,7 +13,7 @@ import (
 // paperConfig is the paper's MMPTCP configuration: 8 LIA subflows after
 // a switch at 100 KB of data.
 func paperConfig() Config {
-	return Config{MPTCP: mptcp.Config{TCP: tcp.DefaultConfig(), Subflows: 8}, Strategy: SwitchDataVolume, SwitchBytes: 100_000}
+	return Config{MPTCP: mptcp.Config{Subflows: 8}, Strategy: SwitchDataVolume, SwitchBytes: 100_000}
 }
 
 func fatTree4(eng *sim.Engine) *topology.FatTree {
@@ -396,7 +396,7 @@ func TestAdaptiveThresholdModeEndToEnd(t *testing.T) {
 	if ps.Stats.SpuriousSignals == 0 {
 		t.Skip("no reordering observed on this seed; nothing to adapt to")
 	}
-	if ps.DupThresh() <= cfg.MPTCP.TCP.DupAckThreshold && ps.DupThresh() <= 3 {
+	if ps.DupThresh() <= tcp.DupAckThreshold {
 		t.Errorf("adaptive threshold never rose: %d", ps.DupThresh())
 	}
 }

@@ -79,7 +79,7 @@ func (c *CC) OnECNEcho(s *tcp.Sender, ackedBytes int, marked bool) {
 
 	// Proportional cut, at most once per window of data.
 	if marked && s.Acked() >= c.cutEnd {
-		mss := float64(s.Config().MSS)
+		mss := float64(tcp.MSS)
 		s.Cwnd *= 1 - c.alpha/2
 		if s.Cwnd < mss {
 			s.Cwnd = mss

@@ -29,7 +29,7 @@ func runLongFlow(t *testing.T, withDCTCP bool, k int) (*topology.Dumbbell, *tcp.
 	t.Helper()
 	eng := sim.NewEngine()
 	d := buildDumbbell(eng, k)
-	rcv := tcp.NewReceiver(tcp.DefaultConfig(), d.Hosts[2], 1, -1)
+	rcv := tcp.NewReceiver(d.Hosts[2], 1, -1)
 	opt := tcp.SenderOptions{
 		Host: d.Hosts[0], Dst: d.Hosts[2].ID(), FlowID: 1,
 		SrcPort: 10000, DstPort: 80,
@@ -38,7 +38,7 @@ func runLongFlow(t *testing.T, withDCTCP bool, k int) (*topology.Dumbbell, *tcp.
 	if withDCTCP {
 		opt.CC = &CC{}
 	}
-	snd := tcp.NewSender(tcp.DefaultConfig(), opt)
+	snd := tcp.NewSender(opt)
 	snd.Start()
 	eng.RunUntil(3 * sim.Second)
 	return d, snd, rcv
@@ -83,8 +83,8 @@ func TestDCTCPAlphaConverges(t *testing.T) {
 	eng := sim.NewEngine()
 	d := buildDumbbell(eng, 10)
 	cc := &CC{}
-	rcv := tcp.NewReceiver(tcp.DefaultConfig(), d.Hosts[2], 1, -1)
-	snd := tcp.NewSender(tcp.DefaultConfig(), tcp.SenderOptions{
+	rcv := tcp.NewReceiver(d.Hosts[2], 1, -1)
+	snd := tcp.NewSender(tcp.SenderOptions{
 		Host: d.Hosts[0], Dst: d.Hosts[2].ID(), FlowID: 1,
 		SrcPort: 10000, DstPort: 80,
 		Source: &tcp.BytesSource{Size: -1},
@@ -111,7 +111,7 @@ func TestDCTCPCutIsProportional(t *testing.T) {
 	eng := sim.NewEngine()
 	d := buildDumbbell(eng, 10)
 	cc := &CC{}
-	snd := tcp.NewSender(tcp.DefaultConfig(), tcp.SenderOptions{
+	snd := tcp.NewSender(tcp.SenderOptions{
 		Host: d.Hosts[0], Dst: d.Hosts[2].ID(), FlowID: 1,
 		SrcPort: 10000, DstPort: 80,
 		Source: &tcp.BytesSource{Size: -1},
@@ -148,8 +148,8 @@ func TestECNEchoPlumbing(t *testing.T) {
 	eng := sim.NewEngine()
 	d := buildDumbbell(eng, 1) // mark aggressively
 	cc := &CC{}
-	rcv := tcp.NewReceiver(tcp.DefaultConfig(), d.Hosts[2], 1, 700_000)
-	snd := tcp.NewSender(tcp.DefaultConfig(), tcp.SenderOptions{
+	rcv := tcp.NewReceiver(d.Hosts[2], 1, 700_000)
+	snd := tcp.NewSender(tcp.SenderOptions{
 		Host: d.Hosts[0], Dst: d.Hosts[2].ID(), FlowID: 1,
 		SrcPort: 10000, DstPort: 80,
 		Source: &tcp.BytesSource{Size: 700_000},

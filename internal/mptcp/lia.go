@@ -21,7 +21,7 @@ type liaCC struct {
 
 // OnAck implements tcp.CongestionControl.
 func (l *liaCC) OnAck(s *tcp.Sender, ackedBytes int) {
-	mss := float64(s.Config().MSS)
+	mss := float64(tcp.MSS)
 	if s.Cwnd < s.Ssthresh {
 		inc := float64(ackedBytes)
 		if inc > mss {

@@ -26,11 +26,10 @@ import (
 )
 
 // Config parametrises an MPTCP connection. Dial takes it as complete: no
-// field is defaulted on the way in. The paper runs tcp.DefaultConfig with
-// 8 subflows. Every subflow opens at connection establishment, as in the
-// paper's ns-3 model, and the subflows are coupled by LIA.
+// field is defaulted on the way in. The paper runs 8 subflows. Every
+// subflow opens at connection establishment, as in the paper's ns-3
+// model, and the subflows are coupled by LIA.
 type Config struct {
-	TCP      tcp.Config
 	Subflows int // number of subflows (the paper's headline setting is 8)
 
 	// DeadRTOs, when > 0, arms subflow re-dialing: a subflow that fires
@@ -143,7 +142,7 @@ func Dial(cfg Config, opt Options) *Connection {
 	}
 	c.rcv = opt.Receiver
 	if c.rcv == nil {
-		c.rcv = tcp.NewReceiver(cfg.TCP, opt.DstHost, opt.FlowID, opt.Size)
+		c.rcv = tcp.NewReceiver(opt.DstHost, opt.FlowID, opt.Size)
 		c.ownRcv = true
 	}
 
@@ -171,7 +170,7 @@ func Dial(cfg Config, opt Options) *Connection {
 // newSender builds the sender for one subflow slot (initial dial and
 // re-dial share it) and wires its completion and death hooks.
 func (c *Connection) newSender(slot int, subflowID int8, srcPort uint16) *tcp.Sender {
-	sub := tcp.NewSender(c.cfg.TCP, tcp.SenderOptions{
+	sub := tcp.NewSender(tcp.SenderOptions{
 		Host:     c.opt.SrcHost,
 		Iface:    slot % c.ifaces,
 		Dst:      c.opt.DstHost.ID(),

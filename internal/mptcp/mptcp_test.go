@@ -10,7 +10,7 @@ import (
 
 // paperConfig is the paper's MPTCP configuration: 8 LIA subflows.
 func paperConfig() Config {
-	return Config{TCP: tcp.DefaultConfig(), Subflows: 8}
+	return Config{Subflows: 8}
 }
 
 func fatTree4(eng *sim.Engine) *topology.FatTree {
@@ -128,7 +128,7 @@ func TestMPTCPDataStartAndSubflowBase(t *testing.T) {
 	ft := fatTree4(eng)
 	// Receiver expects 70000 bytes; the connection only carries
 	// [30000, 70000) — the MMPTCP handover pattern.
-	rcv := tcp.NewReceiver(tcp.DefaultConfig(), ft.Hosts[15], 1, 70000)
+	rcv := tcp.NewReceiver(ft.Hosts[15], 1, 70000)
 	conn := Dial(paperConfig(), Options{
 		SrcHost: ft.Hosts[0], DstHost: ft.Hosts[15],
 		FlowID: 1, Size: 70000, DataStart: 30000,
@@ -144,7 +144,7 @@ func TestMPTCPDataStartAndSubflowBase(t *testing.T) {
 		t.Fatalf("delivered = %d, want 40000", got)
 	}
 	// Now deliver the head as subflow 0 (what the PS phase would do).
-	head := tcp.NewSender(tcp.DefaultConfig(), tcp.SenderOptions{
+	head := tcp.NewSender(tcp.SenderOptions{
 		Host: ft.Hosts[0], Dst: ft.Hosts[15].ID(), FlowID: 1, Subflow: 0,
 		SrcPort: 9999, DstPort: 80,
 		Source: &tcp.BytesSource{Size: 30000},
@@ -246,8 +246,8 @@ func TestLIASharedBottleneckBounded(t *testing.T) {
 		SrcHost: d.Hosts[0], DstHost: d.Hosts[2],
 		FlowID: 1, Size: -1, RNG: sim.NewRNG(11),
 	})
-	rcv := tcp.NewReceiver(tcp.DefaultConfig(), d.Hosts[3], 2, -1)
-	tcpSnd := tcp.NewSender(tcp.DefaultConfig(), tcp.SenderOptions{
+	rcv := tcp.NewReceiver(d.Hosts[3], 2, -1)
+	tcpSnd := tcp.NewSender(tcp.SenderOptions{
 		Host: d.Hosts[1], Dst: d.Hosts[3].ID(), FlowID: 2,
 		SrcPort: 7777, DstPort: 80,
 		Source: &tcp.BytesSource{Size: -1},

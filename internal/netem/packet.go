@@ -45,7 +45,7 @@ const (
 // they are the largest share of a run's allocation. The narrow fields
 // are ranged by construction:
 //   - Size and PayloadLen are uint16: the largest packet is one MSS plus
-//     headers (1,460 bytes with tcp.DefaultConfig).
+//     headers (1,460 bytes: tcp.MSS plus 60 bytes of headers).
 //   - FlowID is uint32: mmptcp.Dial rejects larger identifiers, and the
 //     run harness numbers flows from 1.
 //   - Hops is uint8: switches drop a packet past maxHops (32).

@@ -25,7 +25,7 @@ type RenoCC struct{}
 
 // OnAck implements CongestionControl.
 func (RenoCC) OnAck(s *Sender, ackedBytes int) {
-	mss := float64(s.cfg.MSS)
+	mss := float64(MSS)
 	if s.Cwnd < s.Ssthresh {
 		// Slow start: grow by at most one MSS per ACK.
 		inc := float64(ackedBytes)

@@ -71,7 +71,7 @@ func (s *interleavedSource) Next(maxBytes int) (int64, int, bool) {
 // source picks the data source: identity over 200 segments; interleaved
 // (skipped data ranges and short grants, as an MPTCP subflow sees); or
 // identity capped at the paper's 100,000-byte SwitchBytes, which ends on
-// a partial segment (68·1460 + 720). loss%21 is the drop percentage,
+// a partial segment (71·1400 + 600). loss%21 is the drop percentage,
 // applied to data packets only when dataOnly is set.
 func FuzzSenderSegments(f *testing.F) {
 	for _, source := range []uint8{0, 1, 2} {
@@ -82,9 +82,7 @@ func FuzzSenderSegments(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, seed uint64, source, loss uint8, dataOnly bool) {
 		rng := sim.NewRNG(seed)
-		cfg := DefaultConfig()
-		cfg.MSS = 1460
-		mss := int64(cfg.MSS)
+		mss := int64(MSS)
 		rec := &recordingSource{bySeq: map[int64]segment{}}
 		switch source % 3 {
 		case 0:
@@ -97,8 +95,8 @@ func FuzzSenderSegments(f *testing.F) {
 		identity := source%3 != 1
 
 		tn := newTestNet()
-		rcv := NewReceiver(cfg, tn.b, 1, -1)
-		snd := NewSender(cfg, SenderOptions{
+		rcv := NewReceiver(tn.b, 1, -1)
+		snd := NewSender(SenderOptions{
 			Host: tn.a, Dst: tn.b.ID(), FlowID: 1, SrcPort: 10000, DstPort: 80,
 			Source: rec,
 		})

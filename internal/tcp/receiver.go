@@ -20,7 +20,6 @@ type ReceiverStats struct {
 // completion of the whole transfer.
 type Receiver struct {
 	eng  *sim.Engine // the host's engine
-	cfg  Config
 	host *netem.Host
 
 	flowID uint64
@@ -48,12 +47,10 @@ type Receiver struct {
 
 // NewReceiver creates a receiver for flowID expecting size data bytes
 // (-1 for an unbounded background flow) and registers it on the host at
-// the connection level, so it serves every subflow. cfg is taken as
-// complete (see Config).
-func NewReceiver(cfg Config, host *netem.Host, flowID uint64, size int64) *Receiver {
+// the connection level, so it serves every subflow.
+func NewReceiver(host *netem.Host, flowID uint64, size int64) *Receiver {
 	r := &Receiver{
 		eng:    host.Engine(),
-		cfg:    cfg,
 		host:   host,
 		flowID: flowID,
 		size:   size,
@@ -100,7 +97,7 @@ func (r *Receiver) HandlePacket(p *netem.Packet) {
 	ack.Dst = p.Src
 	ack.SrcPort = p.DstPort
 	ack.DstPort = p.SrcPort
-	ack.Size = uint16(r.cfg.HeaderBytes)
+	ack.Size = uint16(headerBytes)
 	ack.FlowID = p.FlowID
 	ack.Subflow = p.Subflow
 	ack.Flags = netem.FlagAck

@@ -45,7 +45,6 @@ const maxAdaptiveDupThresh = 64
 // source. It implements netem.Endpoint to consume ACKs.
 type Sender struct {
 	eng  *sim.Engine // the host's engine
-	cfg  Config
 	host *netem.Host
 
 	iface   int
@@ -70,7 +69,7 @@ type Sender struct {
 	cc  CongestionControl
 
 	// DupThresh is the duplicate-ACK threshold for fast retransmit.
-	// Plain TCP uses cfg.DupAckThreshold; the packet-scatter phase
+	// Plain TCP uses DupAckThreshold; the packet-scatter phase
 	// raises it based on the topology's path count.
 	dupThresh int
 
@@ -150,7 +149,7 @@ type SenderOptions struct {
 	DstPort uint16
 	Source  DataSource
 	CC      CongestionControl // nil means RenoCC
-	// DupThresh overrides cfg.DupAckThreshold when > 0.
+	// DupThresh overrides DupAckThreshold when > 0.
 	DupThresh int
 	// ScatterPorts, when non-nil, randomises the source port per packet.
 	ScatterPorts func() uint16
@@ -174,10 +173,9 @@ type SenderOptions struct {
 }
 
 // NewSender creates a sender, registers it on its host for ACK delivery
-// and leaves it idle until Start. cfg is taken as complete (see Config).
-// The sender schedules on its host's engine — the one engine of a
+// and leaves it idle until Start. The sender schedules on its host's engine — the one engine of a
 // sequential run, the owning shard's under the sharded fabric.
-func NewSender(cfg Config, opt SenderOptions) *Sender {
+func NewSender(opt SenderOptions) *Sender {
 	if opt.Source == nil {
 		panic("tcp: sender needs a data source")
 	}
@@ -187,11 +185,10 @@ func NewSender(cfg Config, opt SenderOptions) *Sender {
 	}
 	dup := opt.DupThresh
 	if dup <= 0 {
-		dup = cfg.DupAckThreshold
+		dup = DupAckThreshold
 	}
 	s := &Sender{
 		eng:         opt.Host.Engine(),
-		cfg:         cfg,
 		host:        opt.Host,
 		iface:       opt.Iface,
 		dst:         opt.Dst,
@@ -207,17 +204,14 @@ func NewSender(cfg Config, opt SenderOptions) *Sender {
 		adaptive:    opt.AdaptiveDupThresh,
 		deadRTOs:    opt.DeadRTOs,
 		rec:         opt.Recorder,
-		Cwnd:        float64(cfg.InitialWindow * cfg.MSS),
+		Cwnd:        float64(initialWindow * MSS),
 		Ssthresh:    1 << 30,
-		rto:         cfg.InitialRTO,
+		rto:         initialRTO,
 	}
 	s.timer = sim.NewTimer(s.eng, s.onTimeout)
 	s.host.Register(s.flowID, s.subflow, s)
 	return s
 }
-
-// Config returns the sender's TCP parameters.
-func (s *Sender) Config() Config { return s.cfg }
 
 // Start begins transmission.
 func (s *Sender) Start() {
@@ -329,9 +323,9 @@ func (s *Sender) onNewAck(ack int64) {
 			// Partial acknowledgement (RFC 6582): retransmit the next
 			// hole, deflate by the amount acknowledged.
 			s.Cwnd -= float64(acked)
-			s.Cwnd += float64(s.cfg.MSS)
-			if s.Cwnd < float64(s.cfg.MSS) {
-				s.Cwnd = float64(s.cfg.MSS)
+			s.Cwnd += float64(MSS)
+			if s.Cwnd < float64(MSS) {
+				s.Cwnd = float64(MSS)
 			}
 			s.dupAcks = 0
 			s.retransmitFirstUnacked()
@@ -348,7 +342,7 @@ func (s *Sender) onDupAck() {
 	switch {
 	case s.inRecovery:
 		// Window inflation: each dup ACK signals a departed segment.
-		s.Cwnd += float64(s.cfg.MSS)
+		s.Cwnd += float64(MSS)
 	case s.dupAcks == s.dupThresh:
 		s.enterRecovery()
 	}
@@ -364,7 +358,7 @@ func (s *Sender) enterRecovery() {
 	}
 	s.inRecovery = true
 	s.retransmitFirstUnacked()
-	s.Cwnd = s.Ssthresh + float64(s.dupThresh*s.cfg.MSS)
+	s.Cwnd = s.Ssthresh + float64(s.dupThresh*MSS)
 	if s.OnCongestionEvent != nil {
 		s.OnCongestionEvent()
 	}
@@ -373,7 +367,7 @@ func (s *Sender) enterRecovery() {
 // halfFlight returns max(flight/2, 2*MSS): the NewReno ssthresh rule.
 func (s *Sender) halfFlight() float64 {
 	half := float64(s.Flight()) / 2
-	floor := float64(2 * s.cfg.MSS)
+	floor := float64(2 * MSS)
 	if half < floor {
 		return floor
 	}
@@ -387,11 +381,11 @@ func (s *Sender) onTimeout() {
 	s.Stats.Timeouts++
 	// Exponential backoff; the next valid RTT sample recomputes RTO.
 	s.rto *= 2
-	if s.rto > s.cfg.MaxRTO {
-		s.rto = s.cfg.MaxRTO
+	if s.rto > maxRTO {
+		s.rto = maxRTO
 	}
 	s.Ssthresh = s.halfFlight()
-	s.Cwnd = float64(s.cfg.MSS)
+	s.Cwnd = float64(MSS)
 	s.inRecovery = false
 	s.dupAcks = 0
 	// Go-back-N: resume from the first unacknowledged byte.
@@ -436,7 +430,7 @@ func (s *Sender) trySend() {
 			if s.finished {
 				break
 			}
-			dataSeq, n, exhausted := s.src.Next(s.cfg.MSS)
+			dataSeq, n, exhausted := s.src.Next(MSS)
 			if exhausted {
 				s.finished = true
 			}
@@ -446,7 +440,7 @@ func (s *Sender) trySend() {
 			// Extend the last live run when the grant continues it and
 			// the run is whole segments; otherwise open a new run.
 			if last := len(s.maps) - 1; last >= s.mapHead && s.maps[last].dataSeq+s.maps[last].n == dataSeq &&
-				s.maps[last].n%int64(s.cfg.MSS) == 0 {
+				s.maps[last].n%int64(MSS) == 0 {
 				s.maps[last].n += int64(n)
 			} else {
 				s.maps = append(s.maps, mapping{s.limit, dataSeq, int64(n)})
@@ -490,7 +484,7 @@ func (s *Sender) transmit(m mapping, retx bool) {
 	p.Dst = s.dst
 	p.SrcPort = sport
 	p.DstPort = s.dstPort
-	p.Size = uint16(s.cfg.HeaderBytes + int(m.n))
+	p.Size = uint16(headerBytes + int(m.n))
 	p.FlowID = uint32(s.flowID)
 	p.Subflow = s.subflow
 	p.Flags = netem.FlagData
@@ -534,7 +528,7 @@ func (s *Sender) segmentAt(seq int64) (mapping, bool) {
 	if i == len(live) || live[i].subSeq > seq {
 		return mapping{}, false
 	}
-	m, mss := live[i], int64(s.cfg.MSS)
+	m, mss := live[i], int64(MSS)
 	off := (seq - m.subSeq) / mss * mss
 	return mapping{m.subSeq + off, m.dataSeq + off, min(mss, m.n-off)}, true
 }
@@ -581,11 +575,11 @@ func (s *Sender) sampleRTT(sample sim.Time) {
 		s.srtt = (7*s.srtt + sample) / 8
 	}
 	rto := s.srtt + 4*s.rttvar
-	if rto < s.cfg.MinRTO {
-		rto = s.cfg.MinRTO
+	if rto < minRTO {
+		rto = minRTO
 	}
-	if rto > s.cfg.MaxRTO {
-		rto = s.cfg.MaxRTO
+	if rto > maxRTO {
+		rto = maxRTO
 	}
 	s.rto = rto
 }

@@ -11,7 +11,7 @@ import (
 func TestTransferNoLoss(t *testing.T) {
 	tn := newTestNet()
 	const size = 70000 // the paper's short-flow size: exactly 50 segments
-	snd, rcv := tn.transfer(DefaultConfig(), 1, size)
+	snd, rcv := tn.transfer(1, size)
 	var doneAt sim.Time
 	rcv.OnComplete = func() { doneAt = tn.eng.Now() }
 	allAcked := false
@@ -46,8 +46,7 @@ func TestTransferNoLoss(t *testing.T) {
 
 func TestFastRetransmitRecoversSingleLoss(t *testing.T) {
 	tn := newTestNet()
-	cfg := DefaultConfig()
-	snd, rcv := tn.transfer(cfg, 1, 70000)
+	snd, rcv := tn.transfer(1, 70000)
 	// Drop the first transmission of seq 14000 (the 11th segment), when
 	// the window is large enough to generate 3 duplicate ACKs.
 	dropped := false
@@ -77,8 +76,7 @@ func TestFastRetransmitRecoversSingleLoss(t *testing.T) {
 
 func TestTailLossNeedsTimeout(t *testing.T) {
 	tn := newTestNet()
-	cfg := DefaultConfig()
-	snd, rcv := tn.transfer(cfg, 1, 70000)
+	snd, rcv := tn.transfer(1, 70000)
 	var doneAt sim.Time
 	rcv.OnComplete = func() { doneAt = tn.eng.Now() }
 	// Drop the first transmission of the last segment: no packets
@@ -106,15 +104,14 @@ func TestTailLossNeedsTimeout(t *testing.T) {
 	}
 	// The RTO floor dominates the FCT: this is the paper's core
 	// mechanism for short-flow tail latency.
-	if doneAt < cfg.MinRTO {
-		t.Errorf("FCT = %v, want >= MinRTO %v", doneAt, cfg.MinRTO)
+	if doneAt < minRTO {
+		t.Errorf("FCT = %v, want >= MinRTO %v", doneAt, minRTO)
 	}
 }
 
 func TestInitialWindowLossUsesInitialRTO(t *testing.T) {
 	tn := newTestNet()
-	cfg := DefaultConfig()
-	snd, rcv := tn.transfer(cfg, 1, 70000)
+	snd, rcv := tn.transfer(1, 70000)
 	var doneAt sim.Time
 	rcv.OnComplete = func() { doneAt = tn.eng.Now() }
 	// Drop the entire initial window (first 2 segments, first try).
@@ -134,8 +131,8 @@ func TestInitialWindowLossUsesInitialRTO(t *testing.T) {
 	}
 	// No RTT sample exists before the loss, so the first timeout fires
 	// at the initial RTO (1s).
-	if doneAt < cfg.InitialRTO {
-		t.Errorf("FCT = %v, want >= initial RTO %v", doneAt, cfg.InitialRTO)
+	if doneAt < initialRTO {
+		t.Errorf("FCT = %v, want >= initial RTO %v", doneAt, initialRTO)
 	}
 	if snd.Stats.Timeouts < 1 {
 		t.Errorf("timeouts = %d, want >= 1", snd.Stats.Timeouts)
@@ -144,8 +141,7 @@ func TestInitialWindowLossUsesInitialRTO(t *testing.T) {
 
 func TestRTOExponentialBackoff(t *testing.T) {
 	tn := newTestNet()
-	cfg := DefaultConfig()
-	snd, _ := tn.transfer(cfg, 1, 1400)
+	snd, _ := tn.transfer(1, 1400)
 	tn.w.drop = func(p *netem.Packet) bool { return p.IsData() } // black hole
 	snd.Start()
 	tn.eng.RunUntil(16 * sim.Second)
@@ -162,17 +158,17 @@ func TestRTOExponentialBackoff(t *testing.T) {
 
 func TestRTOBackoffCappedAtMaxRTO(t *testing.T) {
 	tn := newTestNet()
-	cfg := DefaultConfig()
-	cfg.MaxRTO = 2 * sim.Second
-	snd, _ := tn.transfer(cfg, 1, 1400)
+	snd, _ := tn.transfer(1, 1400)
 	tn.w.drop = func(p *netem.Packet) bool { return p.IsData() }
 	snd.Start()
-	tn.eng.RunUntil(20 * sim.Second)
-	if snd.rto != 2*sim.Second {
-		t.Errorf("RTO = %v, want capped at 2s", snd.rto)
+	tn.eng.RunUntil(250 * sim.Second)
+	// Timeouts at 1, 3, 7, 15, 31 and 63 s, where the doubled 64 s RTO
+	// is capped at 60 s, then at 123, 183 and 243 s.
+	if snd.rto != maxRTO {
+		t.Errorf("RTO = %v, want capped at %v", snd.rto, maxRTO)
 	}
-	if snd.Stats.Timeouts < 8 {
-		t.Errorf("timeouts = %d, want >= 8 with capped RTO", snd.Stats.Timeouts)
+	if snd.Stats.Timeouts != 9 {
+		t.Errorf("timeouts = %d, want 9 with capped RTO", snd.Stats.Timeouts)
 	}
 }
 
@@ -182,7 +178,6 @@ func TestHighDupThreshToleratesReordering(t *testing.T) {
 	// threshold (MMPTCP's packet-scatter setting) it does not.
 	run := func(dupThresh int) *Sender {
 		tn := newTestNet()
-		cfg := DefaultConfig()
 		rng := sim.NewRNG(42)
 		tn.w.delay = func(p *netem.Packet) sim.Time {
 			if p.IsData() {
@@ -190,8 +185,8 @@ func TestHighDupThreshToleratesReordering(t *testing.T) {
 			}
 			return 0
 		}
-		rcv := NewReceiver(cfg, tn.b, 1, 140000)
-		snd := NewSender(cfg, SenderOptions{
+		rcv := NewReceiver(tn.b, 1, 140000)
+		snd := NewSender(SenderOptions{
 			Host: tn.a, Dst: tn.b.ID(), FlowID: 1,
 			SrcPort: 10000, DstPort: 80,
 			Source:    &BytesSource{Size: 140000},
@@ -219,7 +214,6 @@ func TestHighDupThreshToleratesReordering(t *testing.T) {
 
 func TestScatterPortsVaryPerPacket(t *testing.T) {
 	tn := newTestNet()
-	cfg := DefaultConfig()
 	rng := sim.NewRNG(7)
 	seen := map[uint16]bool{}
 	var captured []uint16
@@ -232,8 +226,8 @@ func TestScatterPortsVaryPerPacket(t *testing.T) {
 		return false
 	}
 	_ = origOut
-	rcv := NewReceiver(cfg, tn.b, 1, 70000)
-	snd := NewSender(cfg, SenderOptions{
+	rcv := NewReceiver(tn.b, 1, 70000)
+	snd := NewSender(SenderOptions{
 		Host: tn.a, Dst: tn.b.ID(), FlowID: 1,
 		SrcPort: 10000, DstPort: 80,
 		Source:       &BytesSource{Size: 70000},
@@ -255,8 +249,7 @@ func TestScatterPortsVaryPerPacket(t *testing.T) {
 
 func TestSenderCwndEvolution(t *testing.T) {
 	tn := newTestNet()
-	cfg := DefaultConfig()
-	snd, rcv := tn.transfer(cfg, 1, 700000)
+	snd, rcv := tn.transfer(1, 700000)
 	snd.Start()
 	tn.eng.Run()
 	if !rcv.Complete() {
@@ -264,8 +257,8 @@ func TestSenderCwndEvolution(t *testing.T) {
 	}
 	// Lossless slow start: cwnd must have grown well beyond the
 	// initial window.
-	if snd.Cwnd <= float64(cfg.InitialWindow*cfg.MSS) {
-		t.Errorf("cwnd = %v never grew beyond initial %d", snd.Cwnd, cfg.InitialWindow*cfg.MSS)
+	if snd.Cwnd <= float64(initialWindow*MSS) {
+		t.Errorf("cwnd = %v never grew beyond initial %d", snd.Cwnd, initialWindow*MSS)
 	}
 	if snd.SRTT() <= 0 {
 		t.Error("no RTT sample recorded")
@@ -282,8 +275,7 @@ func TestFastRecoveryPartialAcks(t *testing.T) {
 	// Drop two segments in the same window: NewReno repairs both within
 	// one recovery episode via a partial ACK, without timeout.
 	tn := newTestNet()
-	cfg := DefaultConfig()
-	snd, rcv := tn.transfer(cfg, 1, 140000)
+	snd, rcv := tn.transfer(1, 140000)
 	droppedSeqs := map[int64]bool{}
 	tn.w.drop = func(p *netem.Packet) bool {
 		if p.IsData() && (p.Seq == 28000 || p.Seq == 29400) && !droppedSeqs[p.Seq] {
@@ -310,7 +302,7 @@ func TestFastRecoveryPartialAcks(t *testing.T) {
 
 func TestSenderCloseUnregisters(t *testing.T) {
 	tn := newTestNet()
-	snd, _ := tn.transfer(DefaultConfig(), 1, 70000)
+	snd, _ := tn.transfer(1, 70000)
 	snd.Start()
 	tn.eng.RunUntil(50 * sim.Microsecond)
 	snd.Close()
@@ -326,7 +318,7 @@ func TestSenderCloseUnregisters(t *testing.T) {
 
 func TestSenderZeroByteFlow(t *testing.T) {
 	tn := newTestNet()
-	snd, _ := tn.transfer(DefaultConfig(), 1, 0)
+	snd, _ := tn.transfer(1, 0)
 	completed := false
 	snd.OnAllAcked = func() { completed = true }
 	snd.Start()
@@ -341,7 +333,7 @@ func TestSenderZeroByteFlow(t *testing.T) {
 
 func TestSenderStatsAccounting(t *testing.T) {
 	tn := newTestNet()
-	snd, rcv := tn.transfer(DefaultConfig(), 1, 70000)
+	snd, rcv := tn.transfer(1, 70000)
 	snd.Start()
 	tn.eng.Run()
 	if !rcv.Complete() {
@@ -370,7 +362,6 @@ func TestAdaptiveDupThreshLearnsFromSpuriousRetx(t *testing.T) {
 	// sender raises its threshold, so later reordering no longer
 	// triggers retransmissions.
 	tn := newTestNet()
-	cfg := DefaultConfig()
 	rng := sim.NewRNG(42)
 	tn.w.delay = func(p *netem.Packet) sim.Time {
 		if p.IsData() {
@@ -378,8 +369,8 @@ func TestAdaptiveDupThreshLearnsFromSpuriousRetx(t *testing.T) {
 		}
 		return 0
 	}
-	rcv := NewReceiver(cfg, tn.b, 1, 700_000)
-	snd := NewSender(cfg, SenderOptions{
+	rcv := NewReceiver(tn.b, 1, 700_000)
+	snd := NewSender(SenderOptions{
 		Host: tn.a, Dst: tn.b.ID(), FlowID: 1,
 		SrcPort: 10000, DstPort: 80,
 		Source:            &BytesSource{Size: 700_000},
@@ -390,7 +381,7 @@ func TestAdaptiveDupThreshLearnsFromSpuriousRetx(t *testing.T) {
 	if !rcv.Complete() {
 		t.Fatal("incomplete")
 	}
-	if snd.DupThresh() <= cfg.DupAckThreshold {
+	if snd.DupThresh() <= DupAckThreshold {
 		t.Errorf("threshold never adapted: %d", snd.DupThresh())
 	}
 	if snd.Stats.SpuriousSignals == 0 {
@@ -407,8 +398,8 @@ func TestAdaptiveDupThreshLearnsFromSpuriousRetx(t *testing.T) {
 			}
 			return 0
 		}
-		rcv2 := NewReceiver(cfg, tn2.b, 1, 700_000)
-		s2 := NewSender(cfg, SenderOptions{
+		rcv2 := NewReceiver(tn2.b, 1, 700_000)
+		s2 := NewSender(SenderOptions{
 			Host: tn2.a, Dst: tn2.b.ID(), FlowID: 1,
 			SrcPort: 10000, DstPort: 80,
 			Source: &BytesSource{Size: 700_000},
@@ -428,7 +419,7 @@ func TestAdaptiveDupThreshLearnsFromSpuriousRetx(t *testing.T) {
 
 func TestAdaptiveDupThreshCapped(t *testing.T) {
 	tn := newTestNet()
-	snd := NewSender(DefaultConfig(), SenderOptions{
+	snd := NewSender(SenderOptions{
 		Host: tn.a, Dst: tn.b.ID(), FlowID: 2,
 		SrcPort: 10001, DstPort: 80,
 		Source:            &BytesSource{Size: 1},
@@ -449,8 +440,7 @@ func TestAdaptiveDupThreshCapped(t *testing.T) {
 
 func TestReceiverEchoDupSignal(t *testing.T) {
 	tn := newTestNet()
-	cfg := DefaultConfig()
-	rcv := NewReceiver(cfg, tn.b, 1, 70_000)
+	rcv := NewReceiver(tn.b, 1, 70_000)
 	_ = rcv
 	// Capture ACKs arriving back at host a.
 	var acks []*netem.Packet
@@ -487,11 +477,7 @@ func (f endpointFunc) HandlePacket(p *netem.Packet) { f(p) }
 
 func TestSenderAccessors(t *testing.T) {
 	tn := newTestNet()
-	cfg := DefaultConfig()
-	snd, rcv := tn.transfer(cfg, 1, 70000)
-	if snd.Config().MSS != cfg.MSS {
-		t.Error("Config accessor wrong")
-	}
+	snd, rcv := tn.transfer(1, 70000)
 	if snd.inRecovery {
 		t.Error("fresh sender in recovery")
 	}
@@ -523,10 +509,9 @@ func TestSenderCloseReleasesResources(t *testing.T) {
 	tn.a.SetPool(pool)
 	tn.b.SetPool(pool)
 
-	cfg := DefaultConfig()
 	const size = 1 << 20
-	rcv := NewReceiver(cfg, tn.b, 1, size)
-	snd := NewSender(cfg, SenderOptions{
+	rcv := NewReceiver(tn.b, 1, size)
+	snd := NewSender(SenderOptions{
 		Host:    tn.a,
 		Dst:     tn.b.ID(),
 		FlowID:  1,
@@ -602,12 +587,11 @@ func (f sourceFunc) Next(maxBytes int) (int64, int, bool) { return f(maxBytes) }
 // its subflows, so no grant extends a run and every one is a mapping.
 func TestSenderMappingsStayInPlace(t *testing.T) {
 	tn := newTestNet()
-	cfg := DefaultConfig()
 	const segments = 20000
-	size := int64(segments * cfg.MSS)
+	size := int64(segments * MSS)
 	var next int64
-	rcv := NewReceiver(cfg, tn.b, 1, size)
-	snd := NewSender(cfg, SenderOptions{
+	rcv := NewReceiver(tn.b, 1, size)
+	snd := NewSender(SenderOptions{
 		Host: tn.a, Dst: tn.b.ID(), FlowID: 1, SrcPort: 10000, DstPort: 80,
 		Source: sourceFunc(func(maxBytes int) (int64, int, bool) {
 			seq := next
@@ -632,7 +616,7 @@ func TestSenderMappingsStayInPlace(t *testing.T) {
 				arrays++
 			}
 		}
-		return p.IsData() && p.Flags&netem.FlagRetx == 0 && p.Seq%int64(400*cfg.MSS) == int64(200*cfg.MSS)
+		return p.IsData() && p.Flags&netem.FlagRetx == 0 && p.Seq%int64(400*MSS) == int64(200*MSS)
 	}
 	snd.Start()
 	tn.eng.Run()
@@ -657,13 +641,12 @@ func TestSenderMappingsStayInPlace(t *testing.T) {
 // fast retransmits and all — is one live run.
 func TestIdentityTransferHoldsOneRun(t *testing.T) {
 	tn := newTestNet()
-	cfg := DefaultConfig()
 	const segments = 20000
-	snd, rcv := tn.transfer(cfg, 1, int64(segments*cfg.MSS))
+	snd, rcv := tn.transfer(1, int64(segments*MSS))
 	maxLive := 0
 	tn.w.drop = func(p *netem.Packet) bool {
 		maxLive = max(maxLive, len(snd.maps)-snd.mapHead)
-		return p.IsData() && p.Flags&netem.FlagRetx == 0 && p.Seq%int64(400*cfg.MSS) == int64(200*cfg.MSS)
+		return p.IsData() && p.Flags&netem.FlagRetx == 0 && p.Seq%int64(400*MSS) == int64(200*MSS)
 	}
 	snd.Start()
 	tn.eng.Run()
@@ -684,9 +667,8 @@ func TestIdentityTransferHoldsOneRun(t *testing.T) {
 // one MSS plus headers — must fit, or a later default change would wrap
 // sizes silently instead of failing here.
 func TestDefaultPacketFitsSizeField(t *testing.T) {
-	cfg := DefaultConfig()
-	if n := cfg.MSS + cfg.HeaderBytes; n > math.MaxUint16 {
-		t.Fatalf("MSS %d + HeaderBytes %d = %d does not fit Packet.Size (uint16)", cfg.MSS, cfg.HeaderBytes, n)
+	if n := MSS + headerBytes; n > math.MaxUint16 {
+		t.Fatalf("MSS %d + HeaderBytes %d = %d does not fit Packet.Size (uint16)", MSS, headerBytes, n)
 	}
 }
 
@@ -713,11 +695,10 @@ func (c *ecnSpy) OnECNEcho(_ *Sender, _ int, marked bool) {
 func TestFlagBitsRoundTrip(t *testing.T) {
 	tn := newTestNet()
 	tn.a.Uplinks()[0].ECNThreshold = 2
-	cfg := DefaultConfig()
-	mss := int64(cfg.MSS)
+	mss := int64(MSS)
 	spy := &ecnSpy{}
-	rcv := NewReceiver(cfg, tn.b, 1, 140_000)
-	snd := NewSender(cfg, SenderOptions{
+	rcv := NewReceiver(tn.b, 1, 140_000)
+	snd := NewSender(SenderOptions{
 		Host: tn.a, Dst: tn.b.ID(), FlowID: 1, SrcPort: 10000, DstPort: 80,
 		Source: &BytesSource{Size: 140_000}, CC: spy,
 	})

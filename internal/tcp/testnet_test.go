@@ -68,9 +68,9 @@ func newTestNet() *testNet {
 
 // transfer wires a sender on host a and receiver on host b for size
 // bytes and returns them (not yet started).
-func (tn *testNet) transfer(cfg Config, flowID uint64, size int64) (*Sender, *Receiver) {
-	rcv := NewReceiver(cfg, tn.b, flowID, size)
-	snd := NewSender(cfg, SenderOptions{
+func (tn *testNet) transfer(flowID uint64, size int64) (*Sender, *Receiver) {
+	rcv := NewReceiver(tn.b, flowID, size)
+	snd := NewSender(SenderOptions{
 		Host:    tn.a,
 		Dst:     tn.b.ID(),
 		FlowID:  flowID,

@@ -227,8 +227,8 @@ type Config struct {
 	SwitchBytes int64         // MMPTCP data-volume threshold; default 100 KB
 	// PSThreshold selects the packet-scatter duplicate-ACK threshold
 	// policy: topology-derived (default) or RR-TCP-like adaptive. Every
-	// sender runs NewReno with tcp.DefaultConfig(): 1400-byte segments,
-	// a 200 ms minimum RTO.
+	// sender runs NewReno with the constants in internal/tcp: 1400-byte
+	// segments, a 200 ms minimum RTO.
 	PSThreshold core.ThresholdMode
 
 	// Workload: the paper's Figure 1 setup.

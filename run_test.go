@@ -7,10 +7,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/metrics"
-	"repro/internal/mptcp"
 	"repro/internal/netem"
 	"repro/internal/sim"
-	"repro/internal/tcp"
 	"repro/internal/topology"
 )
 
@@ -343,52 +341,6 @@ func TestDialValidation(t *testing.T) {
 		if _, err := Dial(net, tc.cfg, tc.d); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("Dial(%s, %+v): err = %v, want an error mentioning %q", tc.cfg.Protocol, tc.d, err, tc.want)
 		}
-	}
-}
-
-// TestDialSendersRunDefaultTCP: the transports default nothing, so the
-// TCP parameters every sender runs are exactly what dial hands down —
-// tcp.DefaultConfig() for single-path senders, every MPTCP subflow, the
-// MMPTCP packet-scatter sender and its subflows after the phase switch.
-func TestDialSendersRunDefaultTCP(t *testing.T) {
-	want := tcp.DefaultConfig()
-	for _, tc := range []struct {
-		proto   Protocol
-		senders int
-	}{{ProtoTCP, 1}, {ProtoDCTCP, 1}, {ProtoMPTCP, 8}, {ProtoMMPTCP, 1 + 8}} {
-		proto := tc.proto
-		cfg := Config{Protocol: proto, K: 4}
-		// A 1-byte switch threshold caps the scatter phase at its first
-		// grant, so Start switches phases before any event runs.
-		cfg.SwitchBytes = 1
-		if err := cfg.resolve(false); err != nil {
-			t.Fatal(err)
-		}
-		net := cfg.buildNetwork(sim.NewEngine())
-		conn := dial(net, &cfg, DialConfig{FlowID: 1, Src: 0, Dst: 15, Size: -1, RNG: sim.NewRNG(1)})
-		conn.Start()
-		var senders []*tcp.Sender
-		switch c := conn.(type) {
-		case *tcpConn:
-			senders = append(senders, c.Sender)
-		case *mptcp.Connection:
-			senders = append(senders, c.Subflows()...)
-		case *core.Conn:
-			if !c.Switched() {
-				t.Fatalf("%s: no phase switch at a 1-byte threshold", proto)
-			}
-			senders = append(senders, c.PacketScatter())
-			senders = append(senders, c.MPTCP().Subflows()...)
-		}
-		if len(senders) != tc.senders {
-			t.Fatalf("%s: %d senders, want %d", proto, len(senders), tc.senders)
-		}
-		for i, s := range senders {
-			if got := s.Config(); got != want {
-				t.Errorf("%s sender %d runs %+v, want tcp.DefaultConfig() %+v", proto, i, got, want)
-			}
-		}
-		conn.Close()
 	}
 }
 

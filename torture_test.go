@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/netem"
 	"repro/internal/sim"
-	"repro/internal/tcp"
 )
 
 // lossyWire is a two-host harness whose middlebox drops and delays
@@ -176,5 +175,4 @@ func TestTortureManyParallelFlowsOneReceiver(t *testing.T) {
 			t.Errorf("flow %d delivered %d", i, c.Receiver().Delivered())
 		}
 	}
-	_ = tcp.DefaultConfig()
 }
