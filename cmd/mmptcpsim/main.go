@@ -197,7 +197,7 @@ func main() {
 				factor = 1 // loss-only degradation keeps full capacity
 			}
 			cfg.Faults.Events = append(cfg.Faults.Events,
-				mmptcp.DegradeCables(layer, *failN, at, repair, factor, 0, *lossRate)...)
+				mmptcp.DegradeCables(layer, *failN, at, repair, factor, *lossRate)...)
 		} else {
 			cfg.Faults.Events = append(cfg.Faults.Events,
 				mmptcp.FailCables(layer, *failN, at, repair)...)

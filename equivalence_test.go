@@ -86,8 +86,7 @@ func equivalenceSuite() []suiteEntry {
 		add("local/cables-"+string(proto), faultedConfig(proto, 40), "faulted", faulted)
 		deg := tiny(proto, 40)
 		deg.Faults = FaultsConfig{
-			Events: DegradeCables(LayerEdge, 2, 120*Millisecond, 400*Millisecond,
-				0.5, 50*Microsecond, 0.02),
+			Events: DegradeCables(LayerEdge, 2, 120*Millisecond, 400*Millisecond, 0.5, 0.02),
 		}
 		add("local/degrade-"+string(proto), deg, "faulted", faulted)
 		model := tiny(proto, 40)
@@ -274,35 +273,35 @@ func resultsHashes(r *Results) [2]string {
 // hash, then the Config-free one. A change that moves one says why; the
 // test prints the table to paste.
 var goldenResults = map[string][2]string{
-	"global/fattree-cables":    {"4300483d5127e05166dd7940", "444c4251d7799ae4c3aa2922"},
-	"global/fattree-crash":     {"be38db9b37bbd9861987e5ff", "451511be794c6392f694d8f8"},
+	"global/fattree-cables":    {"90a889548c9bd47dea4e0693", "444c4251d7799ae4c3aa2922"},
+	"global/fattree-crash":     {"dfee78f285c24bed9e104bd8", "451511be794c6392f694d8f8"},
 	"global/fattree-model":     {"8ff13d5ae4b4570ad61fe153", "adcd8bcca8c9344ca6da78c1"},
-	"global/vl2-cables":        {"bf77f0f9f659be60e4579c9c", "66a3317ac5f689f171972094"},
-	"global/vl2-crash":         {"fd9e217bb6859bf0102b4558", "a2b7227523328ce0842797b6"},
+	"global/vl2-cables":        {"3ad88fc233ff7c164017df2d", "66a3317ac5f689f171972094"},
+	"global/vl2-crash":         {"052ec048666bc4580cdc06cd", "a2b7227523328ce0842797b6"},
 	"global/vl2-model":         {"204c8ed78bda98d8540690fa", "12f2cf952f90e6d01adb5292"},
-	"local/cables-tcp":         {"dc53f48821489c6ce4b64a60", "745d1457b044840e606d9128"},
-	"local/degrade-tcp":        {"de57046bdc885de5545b6745", "bc3cf9da23c892e4b4100e80"},
+	"local/cables-tcp":         {"d4b17a3f7d86597c4a3b9c82", "745d1457b044840e606d9128"},
+	"local/degrade-tcp":        {"db9885d070286579f709ac57", "8d3ce07b8fc8cf4d37fdf498"},
 	"local/model-tcp":          {"8f9dfa485abf3b46b555ae26", "05526ecec63902f67c7a595e"},
-	"local/cables-mmptcp":      {"a57500ed69510eda9bad5c1f", "acdd4be473f7a949762fb164"},
-	"local/degrade-mmptcp":     {"e041c88d1be47f106b9817a7", "44bee8e751708312273b0dd3"},
+	"local/cables-mmptcp":      {"c1e5e1baf32eb38ba9a4aaaa", "acdd4be473f7a949762fb164"},
+	"local/degrade-mmptcp":     {"190cb3c9b14b2f83e91484e5", "86628e129985ac8e797a0360"},
 	"local/model-mmptcp":       {"b44cdaacf50e9856a6c4bc43", "52f15af7eb128a3bcd0f6f2d"},
-	"local/crash":              {"ae2e7f6e3429482c3c596c74", "729fb65d50e8bddfa3c60e01"},
-	"recovery/redial-mptcp":    {"496d1e4d7baceae39382f423", "e48267301f894c8b516f65f0"},
-	"recovery/redial-mmptcp":   {"e6804d09699e3cedca7736ca", "aa1e80d6e3d538652da80d35"},
-	"recovery/defer":           {"8dd11f8c4844ea814525b9cc", "4df98f14318b2bf737121489"},
-	"staggered/fattree":        {"3c40cbc37b13ec3fbaac194b", "4f745872f90e43e6ff59bfdd"},
-	"staggered/vl2":            {"411483d0a6f590568b9b3b93", "a63da6cbfd65fe758ef49bca"},
+	"local/crash":              {"40192ba32163ec23c96bc22a", "729fb65d50e8bddfa3c60e01"},
+	"recovery/redial-mptcp":    {"01154190f51e44ed81861437", "e48267301f894c8b516f65f0"},
+	"recovery/redial-mmptcp":   {"dc01cadc233ee600d8c1ca35", "aa1e80d6e3d538652da80d35"},
+	"recovery/defer":           {"12dd7e78ccdf64cdc5d43562", "4df98f14318b2bf737121489"},
+	"staggered/fattree":        {"41ef99261bdb313f7e72cb3f", "4f745872f90e43e6ff59bfdd"},
+	"staggered/vl2":            {"927c8df7a814a6d527ff6797", "a63da6cbfd65fe758ef49bca"},
 	"staggered/churn":          {"3e41f5c9b8dc20f9df2284ee", "1647fd8bf05e3d77f8ac5ffe"},
-	"snapshots":                {"61df281ffa14961980f77f5b", "7ed948c84b95fc3b2ea15e52"},
+	"snapshots":                {"7c449244d0ed7899e7f769be", "7ed948c84b95fc3b2ea15e52"},
 	"healthy/tcp-2.5":          {"17a1a8750721b7c4d3da92cb", "b993f2cff71d71faf1a1754e"},
 	"healthy/mptcp-2.5":        {"8248c4f4dc1a7910f01db9ce", "cc4f6e4bbe584c21c1a70154"},
 	"healthy/mptcp-5":          {"83249c9ca0cd3832e24b7566", "f1f5d0163419ac905ff931b9"},
 	"healthy/mmptcp-2.5":       {"2f3d706fae9d4ae439a06a8c", "2788a425f1dda4ca499dcfd3"},
 	"healthy/mmptcp-5":         {"2788134a63f50d5e9a9217b8", "7011ce4c0611a365809fd85a"},
-	"global/multihomed-cables": {"79b343159e9f6e449990a82e", "749ec01227582e96b3a0d262"},
-	"global/multihomed-crash":  {"35a2f752ec59d3532a8c05cc", "d96f0775433f8917f5c64fa8"},
+	"global/multihomed-cables": {"63bce545bc2b9bf1ed1d14f7", "749ec01227582e96b3a0d262"},
+	"global/multihomed-crash":  {"e80938b40b9cae766371531a", "d96f0775433f8917f5c64fa8"},
 	"global/multihomed-model":  {"2b39ead7f44ee6fbe3c2037e", "d3cfb4df886d696634697770"},
-	"staggered/multihomed":     {"c1d9050e81782cae64163a04", "521437d2420641348e37e679"},
+	"staggered/multihomed":     {"4d3bd76adfca19b2870a67eb", "521437d2420641348e37e679"},
 }
 
 // equivalence is the suite every test of this file draws on, and each

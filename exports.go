@@ -101,11 +101,11 @@ func FailCables(layer Layer, n int, at, upAt SimTime) []FaultEvent {
 	return faults.FailCables(layer, n, at, upAt)
 }
 
-// DegradeCables builds Degrade events (capacity factor, extra delay,
-// random loss) for both directions of the first n cables at a layer,
-// with Restore events at restoreAt (0 = never restored).
-func DegradeCables(layer Layer, n int, at, restoreAt SimTime, capacityFactor float64, extraDelay SimTime, lossRate float64) []FaultEvent {
-	return faults.DegradeCables(layer, n, at, restoreAt, capacityFactor, extraDelay, lossRate)
+// DegradeCables builds Degrade events (capacity factor, random loss) for
+// both directions of the first n cables at a layer, with Restore events
+// at restoreAt (0 = never restored).
+func DegradeCables(layer Layer, n int, at, restoreAt SimTime, capacityFactor, lossRate float64) []FaultEvent {
+	return faults.DegradeCables(layer, n, at, restoreAt, capacityFactor, lossRate)
 }
 
 // FailSwitches builds SwitchDown crash events for the given switch

@@ -97,9 +97,8 @@ type Event struct {
 
 	// Degrade parameters; zero values leave the corresponding property
 	// untouched.
-	CapacityFactor float64  // scale link rate to this factor, in (0, 1]
-	ExtraDelay     sim.Time // add to propagation delay
-	LossRate       float64  // drop each enqueued packet with this probability, in [0, 1)
+	CapacityFactor float64 // scale link rate to this factor, in (0, 1]
+	LossRate       float64 // drop each enqueued packet with this probability, in [0, 1)
 }
 
 // LayerModel gives one layer's failure statistics for sampled schedules:
@@ -214,14 +213,13 @@ func FailSwitches(switches []int, at, upAt sim.Time) []Event {
 }
 
 // DegradeCables returns Degrade events for both directions of the first
-// n cables at layer, applying the given capacity factor, extra delay and
-// loss rate at `at`, plus Restore events at restoreAt when restoreAt > 0.
-func DegradeCables(layer netem.Layer, n int, at, restoreAt sim.Time, capacityFactor float64, extraDelay sim.Time, lossRate float64) []Event {
+// n cables at layer, applying the given capacity factor and loss rate at
+// `at`, plus Restore events at restoreAt when restoreAt > 0.
+func DegradeCables(layer netem.Layer, n int, at, restoreAt sim.Time, capacityFactor, lossRate float64) []Event {
 	var out []Event
 	for c := 0; c < n; c++ {
 		for _, ev := range cableEvents(Degrade, at, layer, c) {
 			ev.CapacityFactor = capacityFactor
-			ev.ExtraDelay = extraDelay
 			ev.LossRate = lossRate
 			out = append(out, ev)
 		}
@@ -289,13 +287,10 @@ func validate(events []Event, linksAt func(netem.Layer) int, switches int) error
 			if ev.CapacityFactor != 0 && !(ev.CapacityFactor > 0 && ev.CapacityFactor <= 1) {
 				return fmt.Errorf("faults: event %d capacity factor %v out of (0, 1]", i, ev.CapacityFactor)
 			}
-			if ev.ExtraDelay < 0 {
-				return fmt.Errorf("faults: event %d negative extra delay", i)
-			}
 			if !(ev.LossRate >= 0 && ev.LossRate < 1) {
 				return fmt.Errorf("faults: event %d loss rate %v out of [0, 1)", i, ev.LossRate)
 			}
-			if ev.CapacityFactor == 0 && ev.ExtraDelay == 0 && ev.LossRate == 0 {
+			if ev.CapacityFactor == 0 && ev.LossRate == 0 {
 				return fmt.Errorf("faults: event %d degrades nothing", i)
 			}
 		default:

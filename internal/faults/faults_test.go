@@ -57,7 +57,7 @@ func TestFailCablesShape(t *testing.T) {
 }
 
 func TestDegradeCablesShape(t *testing.T) {
-	evs := DegradeCables(netem.LayerEdge, 1, sim.Millisecond, 2*sim.Millisecond, 0.5, 10*sim.Microsecond, 0.01)
+	evs := DegradeCables(netem.LayerEdge, 1, sim.Millisecond, 2*sim.Millisecond, 0.5, 0.01)
 	if len(evs) != 4 {
 		t.Fatalf("events = %d, want 4", len(evs))
 	}
@@ -221,8 +221,7 @@ func TestInjectorDegradeAndRestore(t *testing.T) {
 	eng := sim.NewEngine()
 	net := buildNet(eng)
 	agg := net.LinksAtLayer(netem.LayerAgg)
-	evs := DegradeCables(netem.LayerAgg, 1, sim.Millisecond, 5*sim.Millisecond,
-		0.5, 100*sim.Microsecond, 0.25)
+	evs := DegradeCables(netem.LayerAgg, 1, sim.Millisecond, 5*sim.Millisecond, 0.5, 0.25)
 	if _, err := Install(eng, target(net), Config{Events: evs}, sim.NewRNG(1), sim.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -230,12 +229,9 @@ func TestInjectorDegradeAndRestore(t *testing.T) {
 		if agg[0].Rate() != 50_000_000 {
 			t.Errorf("degraded rate = %d", agg[0].Rate())
 		}
-		if agg[0].PropDelay() != topology.DefaultLinkConfig().Delay+100*sim.Microsecond {
-			t.Errorf("degraded delay = %v", agg[0].PropDelay())
-		}
 	})
 	eng.Run()
-	if agg[0].Rate() != 100_000_000 || agg[0].PropDelay() != topology.DefaultLinkConfig().Delay {
+	if agg[0].Rate() != 100_000_000 {
 		t.Error("restore did not reset the link")
 	}
 }

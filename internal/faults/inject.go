@@ -302,15 +302,11 @@ func (inj *Injector) apply(ev Event, targets []*netem.Link, switchOrds []int, lo
 			if ev.CapacityFactor != 0 {
 				l.SetRateFactor(ev.CapacityFactor)
 			}
-			if ev.ExtraDelay != 0 {
-				l.SetExtraDelay(ev.ExtraDelay)
-			}
 			if ev.LossRate != 0 {
 				l.SetLossRate(ev.LossRate, lossRNG)
 			}
 		case Restore:
 			l.SetRateFactor(1)
-			l.SetExtraDelay(0)
 			l.SetLossRate(0, nil)
 		}
 	}

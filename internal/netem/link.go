@@ -102,10 +102,9 @@ type Link struct {
 	src  Node
 	dst  Node
 	rate int64    // effective bits per second (baseRate scaled by degradation)
-	prop sim.Time // effective propagation delay (baseProp + extra)
+	prop sim.Time // propagation delay
 
 	baseRate int64
-	baseProp sim.Time
 
 	// The queue is a power-of-two ring that starts empty and doubles on
 	// demand (see push): most links never hold more than a few packets, so
@@ -207,7 +206,6 @@ func (l *Link) Init(eng *sim.Engine, src, dst Node, rate int64, prop sim.Time, l
 		rate:     rate,
 		prop:     prop,
 		baseRate: rate,
-		baseProp: prop,
 		limit:    limit,
 		layer:    layer,
 		rxSched:  eng,
@@ -367,15 +365,6 @@ func (l *Link) SetRateFactor(factor float64) {
 	l.txSize, l.txTime = [2]uint16{}, [2]sim.Time{}
 }
 
-// SetExtraDelay adds extra propagation delay on top of the built delay
-// (path degradation). Zero restores the built delay.
-func (l *Link) SetExtraDelay(extra sim.Time) {
-	if extra < 0 {
-		panic("netem: negative extra delay")
-	}
-	l.prop = l.baseProp + extra
-}
-
 // SetLossRate makes the link drop each enqueued packet with probability p
 // using draws from rng (deterministic under the single-threaded engine).
 // p = 0 disables injected loss; rng may then be nil. Rates outside
@@ -393,8 +382,8 @@ func (l *Link) SetLossRate(p float64, rng *sim.RNG) {
 
 // Reset restores the link to its as-built state for run-instance
 // reuse: queue emptied (queued packets recycled into the pool), fault
-// and degradation state cleared, rate and delay back to the built
-// values, statistics zeroed. In-flight packets are not the link's to
+// and degradation state cleared, rate back to the built value,
+// statistics zeroed. In-flight packets are not the link's to
 // reclaim — their delivery events die with the engine's own Reset.
 // The built ECN threshold is part of the instance's shape and is kept.
 func (l *Link) Reset() {
@@ -407,7 +396,6 @@ func (l *Link) Reset() {
 	l.SetRouteDead(false)
 	l.rate = l.baseRate
 	l.txSize, l.txTime = [2]uint16{}, [2]sim.Time{}
-	l.prop = l.baseProp
 	l.lossRate = 0
 	l.lossRNG = nil
 	l.rec = nil

@@ -361,22 +361,6 @@ func TestLinkRateFactorSlowsSerialisation(t *testing.T) {
 	}
 }
 
-func TestLinkExtraDelay(t *testing.T) {
-	eng := sim.NewEngine()
-	dst := newSink(eng, 2)
-	l := NewLink(eng, newSink(eng, 1), dst, 100_000_000, 20*sim.Microsecond, 10, LayerAgg)
-	l.SetExtraDelay(100 * sim.Microsecond)
-	l.Enqueue(dataPacket(1500)) // 120us tx + 120us prop
-	eng.Run()
-	if got, want := dst.times[0], 240*sim.Microsecond; got != want {
-		t.Errorf("delayed delivery at %v, want %v", got, want)
-	}
-	l.SetExtraDelay(0)
-	if l.PropDelay() != 20*sim.Microsecond {
-		t.Errorf("prop after restore = %v", l.PropDelay())
-	}
-}
-
 func TestLinkRandomLoss(t *testing.T) {
 	eng := sim.NewEngine()
 	dst := newSink(eng, 2)

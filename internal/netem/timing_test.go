@@ -33,7 +33,6 @@ type timingPkt struct {
 type timingModel struct {
 	limit, ecn int
 	rate       int64
-	baseProp   sim.Time
 	prop       sim.Time
 	down       bool
 	loss       float64
@@ -199,14 +198,13 @@ func chainModel(arrived []*timingPkt, flips []chainFlip) (out []*timingPkt, noRo
 	return out, noRoute, carried
 }
 
-// Fuzz program tables: packet sizes, rate factors, extra delays, loss
-// rates and built propagation delays. Op gaps are multiples of 2 µs, so
+// Fuzz program tables: packet sizes, rate factors, loss rates and built
+// propagation delays. Op gaps are multiples of 2 µs, so
 // ops often land exactly on a departure or an arrival (1,500 B take
 // 120 µs at the built 100 Mb/s).
 var (
 	ftSizes   = []int{60, 1500, 576, 1460}
 	ftFactors = []float64{1, 0.5, 0.3, 0.1, 0.77}
-	ftExtras  = []sim.Time{0, 3 * sim.Microsecond, 40 * sim.Microsecond, 250 * sim.Microsecond}
 	ftLosses  = []float64{0, 0.2, 0.6}
 	ftProps   = []sim.Time{0, sim.Microsecond, 20 * sim.Microsecond, 150 * sim.Microsecond}
 )
@@ -218,19 +216,18 @@ var (
 // limit, the ECN threshold and the built propagation delay (low two bits
 // of byte 2); then each op is a pair: a gap of 2 µs units after the
 // previous op, and an action — the low three bits choose a burst of
-// arrivals (0-2), a failure (3), a repair (4), a rate factor (5), an
-// extra delay (6) or a loss rate (7), and the high bits its size, count
-// or table entry.
+// arrivals (0-2), a failure (3), a repair (4), a rate factor (5), nothing
+// (6) or a loss rate (7), and the high bits its size, count or table
+// entry.
 //
 // With bit 2 of byte 2 set the link delivers into the two-switch chain
 // (see chainAB) instead of straight to the host, and op 6 flips an A→B
-// member's route-dead state instead — bit 3 picks the member, bit 4 kills
-// it — so a built set loses members, all of them and gets them back. Then
+// member's route-dead state — bit 3 picks the member, bit 4 kills it — so a built set loses members, all of them and gets them back. Then
 // chainModel's composition, the switches' NoRoute and Forwarded counts
 // and each chain hop's TxPackets are checked as well.
 func FuzzLinkTiming(f *testing.F) {
 	f.Add([]byte{8, 0, 2, 0, 0x38, 30, 0x0d, 0, 0x28})            // rate cut mid-serialisation
-	f.Add([]byte{8, 0, 3, 0, 0x38, 20, 0x16, 60, 0x0e, 0, 0x38})  // delay changes while packets queue
+	f.Add([]byte{8, 0, 3, 0, 0x38, 20, 0x16, 60, 0x0e, 0, 0x38})  // packets queue across two no-op ops
 	f.Add([]byte{8, 0, 3, 0, 0x38, 62, 0x03, 200, 0x04, 0, 0x30}) // failure while propagating, repair
 	f.Add([]byte{2, 1, 1, 0, 0x38, 0, 0x38, 60, 0x08, 0, 0x30})   // drop-tail, ECN, ties with departures
 	f.Add([]byte{12, 3, 2, 0, 0x0f, 0, 0x38, 5, 0x38, 90, 0x07})  // random loss, then off
@@ -249,8 +246,7 @@ func FuzzLinkTiming(f *testing.F) {
 		const baseRate = 100_000_000
 		m := &timingModel{limit: 1 + int(prog[0])%16, rate: baseRate}
 		m.ecn = int(prog[1]) % (m.limit + 1)
-		m.baseProp = ftProps[int(prog[2])%len(ftProps)]
-		m.prop = m.baseProp
+		m.prop = ftProps[int(prog[2])%len(ftProps)]
 		m.rng = sim.NewRNG(7)
 		chain := prog[2]&4 != 0
 
@@ -277,7 +273,7 @@ func FuzzLinkTiming(f *testing.F) {
 			}
 			into = swA
 		}
-		l := NewLink(eng, newSink(eng, 1), into, baseRate, m.baseProp, m.limit, LayerEdge)
+		l := NewLink(eng, newSink(eng, 1), into, baseRate, m.prop, m.limit, LayerEdge)
 		l.ECNThreshold = m.ecn
 		l.SetPool(pool)
 		linkRNG := sim.NewRNG(7)
@@ -314,14 +310,12 @@ func FuzzLinkTiming(f *testing.F) {
 					l.SetRateFactor(factor)
 				}
 			case 6:
-				if chain {
-					fl := chainFlip{at: t0, member: int(a>>3) & 1, dead: a&0x10 != 0}
-					flips = append(flips, fl)
-					op = func() { ab[fl.member].SetRouteDead(fl.dead) }
-					break
+				if !chain {
+					continue
 				}
-				extra := ftExtras[int(a>>3)%len(ftExtras)]
-				op = func() { m.advance(t0); m.prop = m.baseProp + extra; l.SetExtraDelay(extra) }
+				fl := chainFlip{at: t0, member: int(a>>3) & 1, dead: a&0x10 != 0}
+				flips = append(flips, fl)
+				op = func() { ab[fl.member].SetRouteDead(fl.dead) }
 			case 7:
 				loss := ftLosses[int(a>>3)%len(ftLosses)]
 				op = func() {

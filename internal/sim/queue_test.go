@@ -334,8 +334,9 @@ func queueSeeds() map[string][]byte {
 	}
 	seeds["more-delays-than-lanes"] = over
 
-	// A delay that changes mid-run, as a link's does under SetRateFactor
-	// or SetExtraDelay: the old lane drains while the new delay earns one.
+	// A delay that changes mid-run, as a link's transmission time does
+	// under SetRateFactor: the old lane drains while the new delay earns
+	// one.
 	seeds["delay-changes"] = append(rep(30, opScheduleArg, d116, opSchedule, d20, opStep, 0),
 		rep(30, opScheduleArg, d116+1, opSchedule, d20, opStep, 0)...)
 

@@ -170,8 +170,8 @@ func TestRunValidation(t *testing.T) {
 		{with(func(c *Config) { c.PSThreshold = -1 }), "PSThreshold"},
 		// NaN fails every comparison, so a range check must be written to
 		// reject it rather than to accept only what lies outside.
-		{with(func(c *Config) { c.Faults.Events = DegradeCables(LayerAgg, 1, Millisecond, 0, nan, 0, 0) }), "capacity factor"},
-		{with(func(c *Config) { c.Faults.Events = DegradeCables(LayerAgg, 1, Millisecond, 0, 0.5, 0, nan) }), "loss rate"},
+		{with(func(c *Config) { c.Faults.Events = DegradeCables(LayerAgg, 1, Millisecond, 0, nan, 0) }), "capacity factor"},
+		{with(func(c *Config) { c.Faults.Events = DegradeCables(LayerAgg, 1, Millisecond, 0, 0.5, nan) }), "loss rate"},
 	}
 	for i, tc := range cases {
 		if _, err := Run(tc.cfg); err == nil || !strings.Contains(err.Error(), tc.want) {

@@ -25,8 +25,7 @@ func shardedSuite(shards int) []Config {
 		configs = append(configs, fail)
 		deg := tiny(proto, 40)
 		deg.Faults = FaultsConfig{
-			Events: DegradeCables(LayerEdge, 2, 120*Millisecond, 400*Millisecond,
-				0.5, 50*Microsecond, 0.02),
+			Events: DegradeCables(LayerEdge, 2, 120*Millisecond, 400*Millisecond, 0.5, 0.02),
 		}
 		configs = append(configs, deg)
 		mh := mhtiny(proto, 40)
