@@ -73,7 +73,7 @@ func check(err error) {
 func main() {
 	var (
 		proto    = flag.String("proto", "mmptcp", "transport: tcp, dctcp, mptcp, mmptcp")
-		topo     = flag.String("topo", "fattree", "topology: fattree, multihomed, dumbbell, vl2")
+		topo     = flag.String("topo", "fattree", "topology: fattree, multihomed, dumbbell")
 		k        = flag.Int("k", 4, "FatTree arity")
 		hpe      = flag.Int("hosts-per-edge", 8, "hosts per edge switch (oversubscription = 2*hpe/k)")
 		subflows = flag.Int("subflows", 8, "MPTCP/MMPTCP subflows")

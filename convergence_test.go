@@ -2,14 +2,6 @@ package mmptcp
 
 import "testing"
 
-// vl2tiny is tiny() on the VL2 Clos instead of the FatTree: DA=DI=4,
-// 8 ToRs, 64 hosts — the same scale, a different routing structure.
-func vl2tiny(proto Protocol, flows int) Config {
-	cfg := tiny(proto, flows)
-	cfg.Topology = TopoVL2
-	return cfg
-}
-
 // mhtiny is tiny() on the multi-homed FatTree: K=4, 64 dual-homed hosts,
 // the same scale with rows filled by breadth-first search.
 func mhtiny(proto Protocol, flows int) Config {

@@ -21,21 +21,24 @@ type suiteEntry struct {
 }
 
 // equivalenceSuite is the one fault suite: every fault class on the
-// FatTree and the VL2 Clos (a K=4 VL2 with two hosts per ToR adds a third
-// fabric shape, so recycling sweep workers change instances mid-sweep),
-// under local and global repair, with transport recovery, phase-switch
-// deferral, staggered convergence and rolling snapshots, plus five
-// healthy scans. Seeds are distinct, so a recycled instance must
-// re-derive its hash seeds and RNG streams rather than inherit them.
-// Entry names start with their group; each group's 4-worker sweep is a
-// test of its own below. Every run ends at a 2 s horizon: time for each entry's faults, repairs
-// and reconvergence to play out, while a single-path flow stranded in RTO
-// backoff, and the long flows beside it, cannot run the suite's cost up.
+// FatTree and the multi-homed FatTree (a K=4 multi-homed FatTree with two
+// hosts per edge adds a third fabric shape, so recycling sweep workers
+// change instances mid-sweep), under local and global repair, with
+// transport recovery, phase-switch deferral, staggered convergence and
+// rolling snapshots, plus five healthy scans. Seeds are distinct, so a
+// recycled instance must re-derive its hash seeds and RNG streams rather
+// than inherit them. Entry names start with their group; each group's
+// 4-worker sweep is a test of its own below. Every run ends at a 2 s
+// horizon: time for each entry's faults, repairs and reconvergence to
+// play out, while a single-path flow stranded in RTO backoff, and the
+// long flows beside it, cannot run the suite's cost up.
 func equivalenceSuite() []suiteEntry {
 	const horizon = 2 * Second
 	var suite []suiteEntry
+	var seed uint64
 	add := func(name string, cfg Config, what string, ran func(*Results) bool) {
-		cfg.Seed = uint64(len(suite) + 1)
+		seed++
+		cfg.Seed = seed
 		cfg.MaxSimTime = horizon
 		suite = append(suite, suiteEntry{name, cfg, what, ran})
 	}
@@ -53,32 +56,27 @@ func equivalenceSuite() []suiteEntry {
 		}
 	}
 
-	// Global repair: cable cuts with repair, a whole-switch crash and
-	// sampled agg-layer failures on both fabrics.
-	vl2small := vl2tiny(ProtoTCP, 40)
-	vl2small.HostsPerEdge = 2
-	for _, fabric := range []struct {
-		name                 string
-		cables, crash, model Config
-		crashed              int // core 0 on the FatTree, intermediate 0 on VL2
-	}{
-		{"fattree", tiny(ProtoMMPTCP, 40), tiny(ProtoTCP, 40), tiny(ProtoMMPTCP, 40), 16},
-		{"vl2", vl2small, vl2tiny(ProtoTCP, 40), vl2tiny(ProtoMMPTCP, 40), 12},
-	} {
-		fabric.cables.Faults = FaultsConfig{
+	// Global repair: cable cuts with repair, a crash of switch 16 (core 0
+	// on both fabrics) and sampled agg-layer failures.
+	global := func(fabric string, cables, crash, model Config) {
+		cables.Faults = FaultsConfig{
 			Events:          FailCables(LayerAgg, 2, 150*Millisecond, 900*Millisecond),
 			ReconvergeDelay: 20 * Millisecond,
 		}
-		fabric.crash.Faults = FaultsConfig{
-			Events:          FailSwitches([]int{fabric.crashed}, 200*Millisecond, 800*Millisecond),
+		crash.Faults = FaultsConfig{
+			Events:          FailSwitches([]int{16}, 200*Millisecond, 800*Millisecond),
 			ReconvergeDelay: 10 * Millisecond,
 		}
-		fabric.model.Faults = aggModel(4*Second, 100*Millisecond, 10*Millisecond)
-		for i, cfg := range []Config{fabric.cables, fabric.crash, fabric.model} {
+		model.Faults = aggModel(4*Second, 100*Millisecond, 10*Millisecond)
+		for i, cfg := range []Config{cables, crash, model} {
 			cfg.Routing.Mode = RoutingGlobal
-			add("global/"+fabric.name+"-"+[]string{"cables", "crash", "model"}[i], cfg, "recomputed", recomputed)
+			add("global/"+fabric+"-"+[]string{"cables", "crash", "model"}[i], cfg, "recomputed", recomputed)
 		}
 	}
+	global("fattree", tiny(ProtoMMPTCP, 40), tiny(ProtoTCP, 40), tiny(ProtoMMPTCP, 40))
+	// Seeds 4-6 and 18 went to VL2 entries, deleted with the topology;
+	// skipping them keeps every later entry's seed, and so its golden.
+	seed += 3
 
 	// Local repair: cable cuts, lossy slow edge cables and sampled agg
 	// failures on each transport class, and a core-switch crash.
@@ -125,13 +123,7 @@ func equivalenceSuite() []suiteEntry {
 	// Staggered convergence with a real per-hop delay, and sampled
 	// agg-layer churn under it.
 	add("staggered/fattree", transientConfig(ProtoMMPTCP, 40, 2, 2*Millisecond), "flipped", flipped)
-	vl2 := vl2tiny(ProtoTCP, 40)
-	vl2.Faults = FaultsConfig{
-		Events:          FailCables(LayerAgg, 2, 150*Millisecond, 900*Millisecond),
-		ReconvergeDelay: 10 * Millisecond,
-	}
-	vl2.Routing = RoutingConfig{Mode: RoutingGlobal, Convergence: ConvergeStaggered, PerHopDelay: 3 * Millisecond}
-	add("staggered/vl2", vl2, "flipped", flipped)
+	seed++ // the deleted staggered/vl2
 	churn := transientConfig(ProtoTCP, 40, 2, 2*Millisecond)
 	churn.Faults = aggModel(500*Millisecond, 50*Millisecond, 5*Millisecond)
 	add("staggered/churn", churn, "flipped", flipped)
@@ -150,27 +142,11 @@ func equivalenceSuite() []suiteEntry {
 		add(fmt.Sprintf("healthy/%s-%g", scan.proto, scan.rate), cfg, "completed short flows", completed)
 	}
 
-	// The multi-homed FatTree under global repair: the fabric whose rows
-	// are filled by breadth-first search. Two hosts per edge for the cable
-	// cuts adds a third fabric shape, so recycling sweep workers change
-	// instances mid-sweep; switch 16 is core 0.
+	// The multi-homed FatTree: its rows are filled by breadth-first
+	// search, not from the FatTree's structure.
 	mhCables := mhtiny(ProtoTCP, 40)
 	mhCables.HostsPerEdge = 2
-	mhCables.Faults = FaultsConfig{
-		Events:          FailCables(LayerAgg, 2, 150*Millisecond, 900*Millisecond),
-		ReconvergeDelay: 20 * Millisecond,
-	}
-	mhCrash := mhtiny(ProtoTCP, 40)
-	mhCrash.Faults = FaultsConfig{
-		Events:          FailSwitches([]int{16}, 200*Millisecond, 800*Millisecond),
-		ReconvergeDelay: 10 * Millisecond,
-	}
-	mhModel := mhtiny(ProtoMMPTCP, 40)
-	mhModel.Faults = aggModel(4*Second, 100*Millisecond, 10*Millisecond)
-	for i, cfg := range []Config{mhCables, mhCrash, mhModel} {
-		cfg.Routing.Mode = RoutingGlobal
-		add("global/multihomed-"+[]string{"cables", "crash", "model"}[i], cfg, "recomputed", recomputed)
-	}
+	global("multihomed", mhCables, mhtiny(ProtoTCP, 40), mhtiny(ProtoMMPTCP, 40))
 	mh := mhtiny(ProtoTCP, 40)
 	mh.Faults = FaultsConfig{
 		Events:          FailCables(LayerAgg, 2, 150*Millisecond, 900*Millisecond),
@@ -276,9 +252,6 @@ var goldenResults = map[string][2]string{
 	"global/fattree-cables":    {"90a889548c9bd47dea4e0693", "444c4251d7799ae4c3aa2922"},
 	"global/fattree-crash":     {"dfee78f285c24bed9e104bd8", "451511be794c6392f694d8f8"},
 	"global/fattree-model":     {"8ff13d5ae4b4570ad61fe153", "adcd8bcca8c9344ca6da78c1"},
-	"global/vl2-cables":        {"3ad88fc233ff7c164017df2d", "66a3317ac5f689f171972094"},
-	"global/vl2-crash":         {"052ec048666bc4580cdc06cd", "a2b7227523328ce0842797b6"},
-	"global/vl2-model":         {"204c8ed78bda98d8540690fa", "12f2cf952f90e6d01adb5292"},
 	"local/cables-tcp":         {"d4b17a3f7d86597c4a3b9c82", "745d1457b044840e606d9128"},
 	"local/degrade-tcp":        {"db9885d070286579f709ac57", "8d3ce07b8fc8cf4d37fdf498"},
 	"local/model-tcp":          {"8f9dfa485abf3b46b555ae26", "05526ecec63902f67c7a595e"},
@@ -290,7 +263,6 @@ var goldenResults = map[string][2]string{
 	"recovery/redial-mmptcp":   {"dc01cadc233ee600d8c1ca35", "aa1e80d6e3d538652da80d35"},
 	"recovery/defer":           {"12dd7e78ccdf64cdc5d43562", "4df98f14318b2bf737121489"},
 	"staggered/fattree":        {"41ef99261bdb313f7e72cb3f", "4f745872f90e43e6ff59bfdd"},
-	"staggered/vl2":            {"927c8df7a814a6d527ff6797", "a63da6cbfd65fe758ef49bca"},
 	"staggered/churn":          {"3e41f5c9b8dc20f9df2284ee", "1647fd8bf05e3d77f8ac5ffe"},
 	"snapshots":                {"7c449244d0ed7899e7f769be", "7ed948c84b95fc3b2ea15e52"},
 	"healthy/tcp-2.5":          {"17a1a8750721b7c4d3da92cb", "b993f2cff71d71faf1a1754e"},
@@ -436,8 +408,8 @@ func sweepGroup(prefixes ...string) transform {
 }
 
 // TestGlobalRoutingSweepDeterminism sweeps the global-repair cuts,
-// crashes and sampled models on the FatTree, two VL2 shapes and two
-// multi-homed FatTree shapes.
+// crashes and sampled models on the FatTree and two multi-homed FatTree
+// shapes.
 func TestGlobalRoutingSweepDeterminism(t *testing.T) { checkTransform(t, sweepGroup("global/")) }
 
 // TestFaultedSweepDeterminism sweeps the local-repair cuts, degradation,

@@ -147,12 +147,13 @@ func fuzzSeed(base []byte, pairs ...byte) []byte {
 }
 
 // fuzzSeeds is the corpus tier-1 runs: one valid 16-host config per
-// protocol and topology, then fourteen configs resolve must reject: bad
-// K and HostsPerEdge; negative SwitchBytes, Warmup, DeadRTOs and
-// ShortFlowSize; a multi-homed K 2, a HotspotHost off the fabric and a
-// NaN ArrivalRate; Subflows 300 and 128, whose subflow IDs would collide
-// or wrap negative; and K 1000 and HostsPerEdge 1<<30, whose fabrics used
-// to be allocated.
+// protocol and topology, and one per protocol on "vl2", which resolve
+// rejects like any unknown topology; then fourteen more configs resolve
+// must reject: bad K and HostsPerEdge; negative SwitchBytes, Warmup,
+// DeadRTOs and ShortFlowSize; a multi-homed K 2, a HotspotHost off the
+// fabric and a NaN ArrivalRate; Subflows 300 and 128, whose subflow IDs
+// would collide or wrap negative; and K 1000 and HostsPerEdge 1<<30,
+// whose fabrics used to be allocated.
 func fuzzSeeds() [][]byte {
 	const neg = 0x80
 	valid := func(topo, proto, k, hpe byte) []byte {
@@ -165,7 +166,7 @@ func fuzzSeeds() [][]byte {
 			valid(1, proto, 4, 2), // fattree
 			valid(2, proto, 4, 2), // multihomed
 			valid(3, proto, 4, 4), // dumbbell
-			valid(4, proto, 2, 4)) // vl2
+			valid(4, proto, 2, 4)) // "vl2": rejected
 	}
 	with := func(pairs ...byte) []byte { return fuzzSeed(valid(1, 2, 4, 2), pairs...) }
 	return append(seeds,
@@ -210,12 +211,14 @@ func FuzzConfig(f *testing.F) {
 }
 
 // TestFuzzSeedsCoverBothOutcomes keeps the corpus honest: the valid seeds
-// run and move data, the fourteen rejects come back as errors.
+// run and move data, the "vl2" seeds and the fourteen rejects come back
+// as errors.
 func TestFuzzSeedsCoverBothOutcomes(t *testing.T) {
 	seeds := fuzzSeeds()
 	for i, prog := range seeds {
-		res, err := Run(fuzzConfig(prog))
-		if bad := i >= len(seeds)-14; bad != (err != nil) {
+		cfg := fuzzConfig(prog)
+		res, err := Run(cfg)
+		if bad := i >= len(seeds)-14 || cfg.Topology == "vl2"; bad != (err != nil) {
 			t.Errorf("seed %d: err = %v, want an error: %v", i, err, bad)
 		} else if !bad && res.ShortSummary.Count == 0 {
 			t.Errorf("seed %d: no short flow completed: %+v", i, res.ShortSummary)

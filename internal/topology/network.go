@@ -1,9 +1,8 @@
 // Package topology builds the simulated data-centre networks the paper's
 // experiments run on: k-ary FatTrees with configurable over-subscription
 // (the paper's setup is a 512-server, 4:1 over-subscribed FatTree), a
-// dual-homed FatTree variant (the paper's future-work topology), a
-// VL2-style Clos, and a dumbbell used by unit tests and the coexistence
-// experiments.
+// dual-homed FatTree variant (the paper's future-work topology), and a
+// dumbbell used by unit tests and the coexistence experiments.
 //
 // Every builder fills one dense forwarding table that hash-based ECMP
 // forwards on: per switch a netem.Row, a few distinct equal-cost sets and
@@ -53,8 +52,9 @@ func DefaultLinkConfig() LinkConfig {
 // is allocated. The forwarding table holds one int32 set index per
 // (switch, host) pair, so MaxTableEntries caps switches × hosts at 64 Mi
 // entries (256 MB of table); MaxLinks caps the link slab, which the table
-// does not bound on a mesh such as VL2's. The K=16, 3,456-host FatTree
-// needs 1.1 Mi entries and 11 Ki links.
+// does not bound where few switches carry many hosts (a K=2 FatTree or a
+// dumbbell with hundreds of thousands of hosts per switch). The K=16,
+// 3,456-host FatTree needs 1.1 Mi entries and 11 Ki links.
 const (
 	MaxTableEntries = 1 << 26
 	MaxLinks        = 1 << 20

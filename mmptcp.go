@@ -59,7 +59,6 @@ const (
 	TopoFatTree    TopologyKind = "fattree"    // k-ary FatTree (paper: K=8, 16 hosts/edge)
 	TopoMultiHomed TopologyKind = "multihomed" // dual-homed FatTree (paper roadmap)
 	TopoDumbbell   TopologyKind = "dumbbell"   // two switches, one bottleneck
-	TopoVL2        TopologyKind = "vl2"        // VL2-style Clos with a 10x fabric
 )
 
 // RoutingConfig is the routing section of Config: which repair model
@@ -413,8 +412,6 @@ func (c *Config) resolve(run bool) error {
 		err = c.multiHomed().Validate()
 	case TopoDumbbell:
 		err = c.dumbbell().Validate()
-	case TopoVL2:
-		err = c.vl2().Validate()
 	default:
 		return fmt.Errorf("mmptcp: unknown topology %q", c.Topology)
 	}
@@ -544,7 +541,7 @@ func (c *Config) routingConfig() routing.Config {
 	}
 }
 
-// link and the four methods after it translate a resolved config's
+// link and the three methods after it translate a resolved config's
 // topology section into the builders' own configs, for resolve to
 // Validate and buildNetwork to build.
 func (c *Config) link() topology.LinkConfig {
@@ -563,10 +560,6 @@ func (c *Config) dumbbell() topology.DumbbellConfig {
 	return topology.DumbbellConfig{HostsPerSide: c.K * c.HostsPerEdge / 2, Link: c.link()}
 }
 
-func (c *Config) vl2() topology.VL2Config {
-	return topology.VL2Config{DA: c.K, DI: c.K, HostsPerToR: c.HostsPerEdge, Link: c.link(), Seed: c.Seed}
-}
-
 // buildNetwork constructs the resolved config's topology.
 func (c *Config) buildNetwork(eng *sim.Engine) *topology.Network {
 	switch c.Topology {
@@ -574,9 +567,7 @@ func (c *Config) buildNetwork(eng *sim.Engine) *topology.Network {
 		return &topology.NewFatTree(eng, c.fatTree()).Network
 	case TopoMultiHomed:
 		return &topology.NewMultiHomed(eng, c.multiHomed()).Network
-	case TopoDumbbell:
+	default: // TopoDumbbell: resolve admits nothing else
 		return &topology.NewDumbbell(eng, c.dumbbell()).Network
-	default: // resolve admits nothing else
-		return &topology.NewVL2(eng, c.vl2()).Network
 	}
 }

@@ -143,7 +143,6 @@ func TestRunValidation(t *testing.T) {
 		{with(func(c *Config) { c.HostsPerEdge = -1 }), "HostsPerEdge"},
 		{with(func(c *Config) { c.Topology = TopoDumbbell; c.K, c.HostsPerEdge = 1, 1 }), "K 1"},
 		{with(func(c *Config) { c.Topology = TopoMultiHomed; c.K = 2 }), "K 2"},
-		{with(func(c *Config) { c.Topology = TopoVL2; c.K = 3 }), "K 3"},
 		{with(func(c *Config) { c.HotspotFraction, c.HotspotHost = 0.5, 64 }), "HotspotHost"},
 		{with(func(c *Config) { c.HotspotFraction, c.HotspotHost = 0.5, -1 }), "HotspotHost"},
 		{with(func(c *Config) { c.HotspotFraction = -0.1 }), "HotspotFraction"},
@@ -185,7 +184,6 @@ func TestRunValidation(t *testing.T) {
 		with(func(c *Config) { c.K, c.HostsPerEdge = 2, 1 }),
 		with(func(c *Config) { c.Topology = TopoDumbbell; c.K, c.HostsPerEdge = 2, 1 }),
 		with(func(c *Config) { c.Topology = TopoMultiHomed; c.K, c.HostsPerEdge = 4, 1 }),
-		with(func(c *Config) { c.Topology = TopoVL2; c.K, c.HostsPerEdge = 2, 1 }),
 		with(func(c *Config) { c.Protocol, c.Subflows, c.SwitchBytes = ProtoMMPTCP, 127, 1 }),
 	} {
 		ok.ShortFlows, ok.LongFraction, ok.MaxSimTime = 1, -1, Second
@@ -365,25 +363,6 @@ func TestRunDCTCPBaseline(t *testing.T) {
 	tq := tcpRes.Layers[netem.LayerEdge].AvgQueue
 	if dq >= tq {
 		t.Errorf("DCTCP edge avg queue %.2f >= TCP %.2f; ECN not effective", dq, tq)
-	}
-}
-
-func TestRunVL2Topology(t *testing.T) {
-	cfg := Config{
-		Topology:     TopoVL2,
-		K:            4, // DA = DI = 4, 8 ToRs
-		HostsPerEdge: 4, // hosts per ToR -> 32 hosts
-		Protocol:     ProtoMMPTCP,
-		ShortFlows:   40,
-		ArrivalRate:  5,
-		Seed:         6,
-	}
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.ShortSummary.Count < 38 {
-		t.Errorf("completed = %d/40 on VL2", res.ShortSummary.Count)
 	}
 }
 
