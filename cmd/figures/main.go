@@ -45,53 +45,74 @@ import (
 	"repro/internal/trace"
 )
 
-// figure is one artefact -fig regenerates: run writes its table to w.
+// figure is one artefact -fig regenerates: run writes its table to w,
+// as CSV under -csv when csv is set.
 type figure struct {
 	name, doc string
+	csv       bool
 	run       func(w io.Writer)
 }
 
 // figures is every figure, in the order -fig all prints them.
 var figures = []figure{
-	{"1a", "Figure 1(a): MPTCP short-flow FCT vs number of subflows, 1 to 9", fig1a},
-	{"1b", "Figure 1(b): MPTCP (8 subflows) short-flow FCT scatter (-csv: per flow)", func(w io.Writer) { fig1bc(w, mmptcp.ProtoMPTCP, "b") }},
-	{"1c", "Figure 1(c): MMPTCP short-flow FCT scatter (-csv: per flow)", func(w io.Writer) { fig1bc(w, mmptcp.ProtoMMPTCP, "c") }},
-	{"stats", "§3 statistics: FCT, per-layer loss, long-flow goodput, MPTCP vs MMPTCP", stats},
-	{"switch", "§2 ablation: data-volume vs congestion-event phase switching", switching},
-	{"load", "short-flow arrival-rate sweep, MPTCP vs MMPTCP", load},
-	{"hotspot", "half the short senders target host 0, MPTCP vs MMPTCP", hotspot},
-	{"multihomed", "single- vs dual-homed FatTree (MMPTCP)", multihomed},
-	{"coexist", "§3: TCP, MPTCP and MMPTCP share one dumbbell bottleneck (fixed fabric: ignores -scale, -flows)", coexist},
-	{"dupthresh", "§2 ablation: packet-scatter dup-ACK threshold policy", dupthresh},
-	{"threshold", "§2 ablation: data-volume switching threshold, 35 to 500 KB", thresholdSweep},
-	{"dctcp", "§1 context: TCP and DCTCP baselines vs MMPTCP", dctcpBaseline},
-	{"incast", "§1 objective 3: 24-to-1 burst of 70 KB flows (fixed fabric: ignores -scale, -flows)", incast},
-	{"failure", "agg-core cable cuts: failed-cable count x reconvergence delay", failure},
-	{"repair", "local vs global repair x failed-cable count, re-dialing on and off", repair},
-	{"transient", "staggered convergence: per-hop flip delay x transport", transient},
-	{"timeline", "rolling snapshots of one faulted MMPTCP run (-csv: CSV)", timeline},
-	{"anatomy", "full trace of a faulted run's most-damaged short flow", anatomy},
+	{"1a", "Figure 1(a): MPTCP short-flow FCT vs number of subflows, 1 to 9", false, fig1a},
+	{"1b", "Figure 1(b): MPTCP (8 subflows) short-flow FCT scatter (-csv: per flow)", true, func(w io.Writer) { fig1bc(w, mmptcp.ProtoMPTCP, "b") }},
+	{"1c", "Figure 1(c): MMPTCP short-flow FCT scatter (-csv: per flow)", true, func(w io.Writer) { fig1bc(w, mmptcp.ProtoMMPTCP, "c") }},
+	{"stats", "§3 statistics: FCT, per-layer loss, long-flow goodput, MPTCP vs MMPTCP", false, stats},
+	{"switch", "§2 ablation: data-volume vs congestion-event phase switching", false, switching},
+	{"load", "short-flow arrival-rate sweep, MPTCP vs MMPTCP", false, load},
+	{"hotspot", "half the short senders target host 0, MPTCP vs MMPTCP", false, hotspot},
+	{"multihomed", "single- vs dual-homed FatTree (MMPTCP)", false, multihomed},
+	{"coexist", "§3: TCP, MPTCP and MMPTCP share one dumbbell bottleneck (fixed fabric: ignores -scale, -flows)", false, coexist},
+	{"dupthresh", "§2 ablation: packet-scatter dup-ACK threshold policy", false, dupthresh},
+	{"threshold", "§2 ablation: data-volume switching threshold, 35 to 500 KB", false, thresholdSweep},
+	{"dctcp", "§1 context: TCP and DCTCP baselines vs MMPTCP", false, dctcpBaseline},
+	{"incast", "§1 objective 3: 24-to-1 burst of 70 KB flows (fixed fabric: ignores -scale, -flows)", false, incast},
+	{"failure", "agg-core cable cuts: failed-cable count x reconvergence delay", false, failure},
+	{"repair", "local vs global repair x failed-cable count, re-dialing on and off", false, repair},
+	{"transient", "staggered convergence: per-hop flip delay x transport", false, transient},
+	{"timeline", "rolling snapshots of one faulted MMPTCP run (-csv: CSV)", true, timeline},
+	{"anatomy", "full trace of a faulted run's most-damaged short flow", false, anatomy},
 }
 
 // figUsage is -fig's help: one line per figure, then all.
 func figUsage() string {
 	usage := "figure to regenerate:"
-	for _, f := range append(figures, figure{"all", "every figure above, in this order", nil}) {
+	for _, f := range append(figures, figure{name: "all", doc: "every figure above, in this order"}) {
 		usage += fmt.Sprintf("\n%-10s  %s", f.name, f.doc)
 	}
 	return usage
 }
 
+// csvFigures names the figures that take -csv, for its help and its
+// misuse error.
+func csvFigures() string {
+	var names []string
+	for _, f := range figures {
+		if f.csv {
+			names = append(names, f.name)
+		}
+	}
+	return strings.Join(names, ", ")
+}
+
+// scales are -scale's values; baseConfig builds each one.
+var scales = []string{"tiny", "small", "medium", "paper"}
+
 var (
 	figFlag     = flag.String("fig", "all", figUsage())
-	scaleFlag   = flag.String("scale", "small", "experiment scale: tiny, small, medium, paper")
+	scaleFlag   = flag.String("scale", "small", "experiment scale: "+strings.Join(scales, ", "))
 	flowsFlag   = flag.Int("flows", 0, "override the number of short flows")
 	seedFlag    = flag.Uint64("seed", 1, "random seed")
-	csvFlag     = flag.Bool("csv", false, "emit per-flow CSV instead of tables where applicable")
+	csvFlag     = flag.Bool("csv", false, "") // usage set in init, from the table
 	workersFlag = flag.Int("workers", 0, "max concurrent experiments (0 = all CPUs, 1 = serial)")
 	cpuProfFlag = flag.String("cpuprofile", "", "write a CPU profile of the regeneration to this file")
 	memProfFlag = flag.String("memprofile", "", "write a heap profile to this file at exit")
 )
+
+func init() {
+	flag.Lookup("csv").Usage = "emit CSV instead of a table; only " + csvFigures() + " take it"
+}
 
 // check exits 1 on a failed run or export.
 func check(err error) {
@@ -101,16 +122,32 @@ func check(err error) {
 	}
 }
 
-func main() {
-	flag.Parse()
+// selected returns the figures the flags select, or an error when a flag
+// names something no figure has or that a selected figure would ignore.
+func selected() ([]figure, error) {
+	if !slices.Contains(scales, *scaleFlag) {
+		return nil, fmt.Errorf("unknown -scale %q", *scaleFlag)
+	}
 	figs := figures
 	if *figFlag != "all" {
 		i := slices.IndexFunc(figures, func(f figure) bool { return f.name == *figFlag })
 		if i < 0 {
-			fmt.Fprintf(os.Stderr, "unknown -fig %q\n", *figFlag)
-			os.Exit(2)
+			return nil, fmt.Errorf("unknown -fig %q", *figFlag)
 		}
 		figs = figures[i : i+1]
+	}
+	if *csvFlag && slices.ContainsFunc(figs, func(f figure) bool { return !f.csv }) {
+		return nil, fmt.Errorf("-csv applies only to %s", csvFigures())
+	}
+	return figs, nil
+}
+
+func main() {
+	flag.Parse()
+	figs, err := selected()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
 	stopProf, err := prof.Start(*cpuProfFlag)
 	check(err)
@@ -144,11 +181,8 @@ func baseConfig(proto mmptcp.Protocol) mmptcp.Config {
 		cfg = mmptcp.SmallConfig(proto, 1000)
 	case "medium":
 		cfg = mmptcp.PaperConfig(proto, 2000)
-	case "paper":
+	default: // "paper": main admits no other scale
 		cfg = mmptcp.PaperConfig(proto, 100_000)
-	default:
-		fmt.Fprintf(os.Stderr, "unknown -scale %q\n", *scaleFlag)
-		os.Exit(2)
 	}
 	if *flowsFlag > 0 {
 		cfg.ShortFlows = *flowsFlag

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -76,6 +77,33 @@ func TestReadmeFigures(t *testing.T) {
 	for _, m := range regexp.MustCompile(`figures -fig ([a-z0-9]+)`).FindAllSubmatch(readme, -1) {
 		if !known[string(m[1])] {
 			t.Errorf("README.md runs figures -fig %s, which cmd/figures does not have", m[1])
+		}
+	}
+}
+
+// TestSelectedRejectsMisuse: an unknown -scale or -fig, and -csv with a
+// figure that would ignore it, are errors before any figure runs.
+func TestSelectedRejectsMisuse(t *testing.T) {
+	defer func(fig, scale string, csv bool) {
+		*figFlag, *scaleFlag, *csvFlag = fig, scale, csv
+	}(*figFlag, *scaleFlag, *csvFlag)
+	for _, tc := range []struct {
+		fig, scale string
+		csv        bool
+		want       string // the flag the error names; "" for a valid selection
+	}{
+		{"coexist", "bogus", false, "-scale"},
+		{"nope", "tiny", false, "-fig"},
+		{"stats", "tiny", true, "-csv"},
+		{"all", "tiny", true, "-csv"},
+		{"1b", "tiny", true, ""},
+		{"timeline", "paper", true, ""},
+		{"all", "small", false, ""},
+	} {
+		*figFlag, *scaleFlag, *csvFlag = tc.fig, tc.scale, tc.csv
+		_, err := selected()
+		if tc.want == "" && err != nil || tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)) {
+			t.Errorf("-fig %s -scale %s -csv=%t: err = %v, want one naming %q", tc.fig, tc.scale, tc.csv, err, tc.want)
 		}
 	}
 }
