@@ -173,8 +173,9 @@ type SenderOptions struct {
 }
 
 // NewSender creates a sender, registers it on its host for ACK delivery
-// and leaves it idle until Start. The sender schedules on its host's engine — the one engine of a
-// sequential run, the owning shard's under the sharded fabric.
+// and leaves it idle until Start. The sender schedules on its host's
+// engine — the one engine of a sequential run, the owning shard's under
+// the sharded fabric.
 func NewSender(opt SenderOptions) *Sender {
 	if opt.Source == nil {
 		panic("tcp: sender needs a data source")
