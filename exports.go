@@ -23,13 +23,6 @@ type (
 	SimTime = sim.Time
 	// Network is a built topology (hosts, switches, links).
 	Network = topology.Network
-	// FlowRecord is one flow's measured outcome.
-	FlowRecord = metrics.FlowRecord
-	// Summary is aggregate FCT statistics.
-	Summary = metrics.Summary
-	// Snapshot is one periodic sample of a run's cumulative state (see
-	// Results.Snapshots and MetricsConfig.SnapshotInterval).
-	Snapshot = metrics.Snapshot
 	// Sampler records time series (cwnd, RTT, queue depth) from a
 	// running simulation.
 	Sampler = trace.Sampler
@@ -66,12 +59,8 @@ type (
 
 // Fault event kinds.
 const (
-	FaultLinkDown   = faults.LinkDown
-	FaultLinkUp     = faults.LinkUp
-	FaultDegrade    = faults.Degrade
-	FaultRestore    = faults.Restore
-	FaultSwitchDown = faults.SwitchDown
-	FaultSwitchUp   = faults.SwitchUp
+	FaultLinkDown = faults.LinkDown
+	FaultLinkUp   = faults.LinkUp
 )
 
 // Routing repair modes for Config.Routing.Mode.

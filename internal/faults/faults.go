@@ -1,7 +1,7 @@
 // Package faults is the network-dynamics subsystem: it mutates a built
 // topology while the event engine runs. A Schedule holds timed events —
-// link down/up, whole-switch crash/restart, capacity reduction, added
-// propagation delay, random-loss injection — built either explicitly
+// link down/up, whole-switch crash/restart, capacity reduction,
+// random-loss injection — built either explicitly
 // (FailCables, FailSwitches and friends) or sampled from a seeded
 // per-cable MTBF/MTTR failure model, and an Injector replays them
 // against the network on the simulation clock.
@@ -44,11 +44,11 @@ const (
 	// plus a sampled model) union: a link is up only once every failure
 	// that hit it has been repaired.
 	LinkUp
-	// Degrade applies capacity reduction, extra propagation delay and/or
-	// random loss to the target links (whichever fields are set).
+	// Degrade applies capacity reduction and/or random loss to the target
+	// links (whichever fields are set).
 	Degrade
-	// Restore resets the target links to their built rate, delay and
-	// zero injected loss.
+	// Restore resets the target links to their built rate and zero
+	// injected loss.
 	Restore
 	// SwitchDown crashes a whole switch: every incident link (both
 	// directions of every port) fails at once and the switch itself stops

@@ -116,7 +116,6 @@ type Host struct {
 
 	// Stats
 	RxPackets int64
-	RxBytes   int64
 	TxPackets int64
 	Unclaimed int64 // packets with no registered endpoint (late/stale)
 }
@@ -190,7 +189,6 @@ func (h *Host) Reset() {
 	clear(h.endpoints.slots)
 	h.endpoints.n = 0
 	h.RxPackets = 0
-	h.RxBytes = 0
 	h.TxPackets = 0
 	h.Unclaimed = 0
 }
@@ -217,7 +215,6 @@ func (h *Host) SendOn(p *Packet, iface int) {
 // arrive after a connection has been torn down.
 func (h *Host) Receive(p *Packet, from *Link) {
 	h.RxPackets++
-	h.RxBytes += int64(p.Size)
 	ep := h.endpoints.get(uint64(p.FlowID), p.Subflow)
 	if ep == nil {
 		// Fall back to the connection-level endpoint (subflow -1), used by

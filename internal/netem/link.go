@@ -45,7 +45,6 @@ type Node interface {
 // LinkStats accumulates per-link counters used by the measurement layer.
 type LinkStats struct {
 	TxPackets int64    // packets fully serialised onto the wire
-	TxBytes   int64    // bytes fully serialised onto the wire
 	Enqueued  int64    // packets accepted into the queue or transmitter
 	Drops     int64    // packets dropped at enqueue (queue full)
 	DropBytes int64    // bytes dropped
@@ -115,12 +114,6 @@ type Link struct {
 	head  int // ring-buffer head index
 	count int // packets in queue
 	busy  bool
-
-	// txSize/txTime memoise the serialisation time of the last two packet
-	// sizes at the current rate (data and ACK cover nearly all traffic),
-	// sparing a 64-bit divide per hop. Size 0 takes 0: zero is empty.
-	txSize [2]uint16
-	txTime [2]sim.Time
 
 	// Fault state. down is the data plane: a down link blackholes
 	// everything (in-flight, queued, and newly enqueued packets).
@@ -362,7 +355,6 @@ func (l *Link) SetRateFactor(factor float64) {
 		r = 1
 	}
 	l.rate = r
-	l.txSize, l.txTime = [2]uint16{}, [2]sim.Time{}
 }
 
 // SetLossRate makes the link drop each enqueued packet with probability p
@@ -395,7 +387,6 @@ func (l *Link) Reset() {
 	l.down = false
 	l.SetRouteDead(false)
 	l.rate = l.baseRate
-	l.txSize, l.txTime = [2]uint16{}, [2]sim.Time{}
 	l.lossRate = 0
 	l.lossRNG = nil
 	l.rec = nil
@@ -529,14 +520,7 @@ func (l *Link) accountQueue() {
 
 func (l *Link) transmit(p *Packet) {
 	l.busy = true
-	tx := l.txTime[0]
-	if p.Size != l.txSize[0] {
-		if tx = l.txTime[1]; p.Size != l.txSize[1] {
-			tx = sim.TransmissionTime(int(p.Size), l.rate)
-			l.txSize[1], l.txTime[1] = l.txSize[0], l.txTime[0]
-			l.txSize[0], l.txTime[0] = p.Size, tx
-		}
-	}
+	tx := sim.TransmissionTime(int(p.Size), l.rate)
 	l.Stats.BusyTime += tx
 	l.eng.ScheduleArg(tx, l.txDoneFn, p)
 }
@@ -552,7 +536,6 @@ func (l *Link) txDone(p *Packet) {
 		return
 	}
 	l.Stats.TxPackets++
-	l.Stats.TxBytes += int64(p.Size)
 	// Absolute-time scheduling through rxSched: on a sequential engine
 	// this is exactly ScheduleArg(prop, ...); on a shard boundary it
 	// routes the delivery into the destination shard's heap (via the

@@ -20,14 +20,12 @@ import (
 // NodeID identifies a node (host or switch) in the simulated network.
 type NodeID int32
 
-// Flag bits carried by a Packet. The low four say what the packet is; the
-// high four are the per-packet booleans, packed here so a Packet fits one
-// cache line.
+// Flag bits carried by a Packet. The low two say what the packet is; the
+// rest are the per-packet booleans, packed here so a Packet fits one cache
+// line.
 const (
 	FlagData    uint8 = 1 << iota // carries payload bytes
 	FlagAck                       // carries a cumulative acknowledgement
-	FlagSYN                       // subflow establishment
-	FlagFIN                       // sender finished
 	FlagRetx                      // retransmitted data segment (stats only)
 	FlagCE                        // ECN congestion experienced, set at enqueue
 	FlagEchoCE                    // receiver's echo of FlagCE on the ACK
@@ -50,7 +48,7 @@ const (
 //     run harness numbers flows from 1.
 //   - Hops is uint8: switches drop a packet past maxHops (32).
 //   - Subflow, Flags and Hops share one word with one byte of padding;
-//     Flags holds eight bits (see FlagData through FlagEchoDup).
+//     Flags holds six bits (see FlagData through FlagEchoDup).
 //
 // No field overlays another; they are narrowed, not unioned.
 type Packet struct {
@@ -109,14 +107,10 @@ func (p *Packet) IsAck() bool { return p.Flags&FlagAck != 0 }
 func (p *Packet) String() string {
 	kind := "?"
 	switch {
-	case p.Flags&FlagSYN != 0:
-		kind = "SYN"
 	case p.IsData():
 		kind = "DATA"
 	case p.IsAck():
 		kind = "ACK"
-	case p.Flags&FlagFIN != 0:
-		kind = "FIN"
 	}
 	return fmt.Sprintf("%s flow=%d/%d %d:%d->%d:%d seq=%d len=%d ack=%d",
 		kind, p.FlowID, p.Subflow, p.Src, p.SrcPort, p.Dst, p.DstPort,

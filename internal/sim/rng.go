@@ -75,21 +75,6 @@ func (r *RNG) Intn(n int) int {
 	}
 }
 
-// Int63n returns a uniformly distributed int64 in [0, n).
-func (r *RNG) Int63n(n int64) int64 {
-	if n <= 0 {
-		panic("sim: Int63n with non-positive bound")
-	}
-	maxV := uint64(1)<<63 - 1
-	limit := maxV - maxV%uint64(n)
-	for {
-		v := r.Uint64() >> 1
-		if v < limit {
-			return int64(v % uint64(n))
-		}
-	}
-}
-
 // Float64 returns a uniformly distributed float64 in [0, 1).
 func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)

@@ -181,15 +181,3 @@ func TestRNGSplitIndependence(t *testing.T) {
 		t.Fatalf("split generators matched %d/100 outputs", same)
 	}
 }
-
-func TestRNGInt63nRange(t *testing.T) {
-	r := NewRNG(21)
-	for _, n := range []int64{1, 10, 1 << 40} {
-		for i := 0; i < 100; i++ {
-			v := r.Int63n(n)
-			if v < 0 || v >= n {
-				t.Fatalf("Int63n(%d) = %d out of range", n, v)
-			}
-		}
-	}
-}

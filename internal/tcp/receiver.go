@@ -1,17 +1,6 @@
 package tcp
 
-import (
-	"repro/internal/netem"
-	"repro/internal/sim"
-)
-
-// ReceiverStats accumulates receive-side counters.
-type ReceiverStats struct {
-	DataPackets int64 // data packets received (including duplicates)
-	DupBytes    int64 // payload bytes already present in the buffer
-	AcksSent    int64
-	MaxReorder  int // worst observed reorder-buffer fragmentation
-}
+import "repro/internal/netem"
 
 // Receiver is the receive side of a connection. A single Receiver serves
 // every subflow of an MPTCP/MMPTCP connection (it registers at the
@@ -19,7 +8,6 @@ type ReceiverStats struct {
 // cumulative ACK generation, and one data-level interval set to detect
 // completion of the whole transfer.
 type Receiver struct {
-	eng  *sim.Engine // the host's engine
 	host *netem.Host
 
 	flowID uint64
@@ -33,13 +21,6 @@ type Receiver struct {
 	delivered int64
 	complete  bool
 
-	// FirstDataAt and CompletedAt bracket the transfer for FCT
-	// accounting (zero until the corresponding event happens).
-	FirstDataAt sim.Time
-	CompletedAt sim.Time
-
-	Stats ReceiverStats
-
 	// OnComplete fires once, when all size bytes have been received at
 	// the data level.
 	OnComplete func()
@@ -50,7 +31,6 @@ type Receiver struct {
 // the connection level, so it serves every subflow.
 func NewReceiver(host *netem.Host, flowID uint64, size int64) *Receiver {
 	r := &Receiver{
-		eng:    host.Engine(),
 		host:   host,
 		flowID: flowID,
 		size:   size,
@@ -72,21 +52,11 @@ func (r *Receiver) HandlePacket(p *netem.Packet) {
 	if !p.IsData() {
 		return
 	}
-	r.Stats.DataPackets++
-	if r.FirstDataAt == 0 {
-		r.FirstDataAt = r.eng.Now()
-	}
 	if id := int(p.Subflow); id >= len(r.subs) {
 		r.subs = append(r.subs, make([]SeqSet, id+1-len(r.subs))...)
 	}
 	buf := &r.subs[p.Subflow]
 	newSub := buf.Add(p.Seq, p.Seq+int64(p.PayloadLen))
-	if newSub < int64(p.PayloadLen) {
-		r.Stats.DupBytes += int64(p.PayloadLen) - newSub
-	}
-	if f := buf.Fragments(); f > r.Stats.MaxReorder {
-		r.Stats.MaxReorder = f
-	}
 
 	// Cumulative ACK for this subflow, echoing the sender timestamp.
 	// A fully-duplicate segment raises the DSACK-style FlagEchoDup signal.
@@ -109,14 +79,12 @@ func (r *Receiver) HandlePacket(p *netem.Packet) {
 	}
 	ack.AckSeq = buf.ContiguousFrom(0)
 	ack.EchoTS = p.SentTS
-	r.Stats.AcksSent++
 	r.host.Send(ack)
 
 	// Data-level delivery tracking.
 	r.delivered += r.data.Add(p.DataSeq, p.DataSeq+int64(p.PayloadLen))
 	if r.size >= 0 && !r.complete && r.delivered >= r.size {
 		r.complete = true
-		r.CompletedAt = r.eng.Now()
 		if r.OnComplete != nil {
 			r.OnComplete()
 		}

@@ -39,9 +39,6 @@ func TestTransferNoLoss(t *testing.T) {
 	if doneAt <= 0 || doneAt > 10*sim.Millisecond {
 		t.Errorf("FCT = %v, want (0, 10ms]", doneAt)
 	}
-	if got := rcv.Stats.DupBytes; got != 0 {
-		t.Errorf("receiver saw %d duplicate bytes", got)
-	}
 }
 
 func TestFastRetransmitRecoversSingleLoss(t *testing.T) {
@@ -334,6 +331,8 @@ func TestSenderZeroByteFlow(t *testing.T) {
 func TestSenderStatsAccounting(t *testing.T) {
 	tn := newTestNet()
 	snd, rcv := tn.transfer(1, 70000)
+	var doneAt sim.Time
+	rcv.OnComplete = func() { doneAt = tn.eng.Now() }
 	snd.Start()
 	tn.eng.Run()
 	if !rcv.Complete() {
@@ -345,14 +344,11 @@ func TestSenderStatsAccounting(t *testing.T) {
 	if snd.Stats.AcksReceived != 50 {
 		t.Errorf("acks received = %d, want 50", snd.Stats.AcksReceived)
 	}
-	if rcv.Stats.AcksSent != 50 {
-		t.Errorf("acks sent = %d, want 50", rcv.Stats.AcksSent)
+	if snd.Stats.SegmentsSent != 50 {
+		t.Errorf("segments sent = %d, want 50", snd.Stats.SegmentsSent)
 	}
-	if rcv.Stats.DataPackets != 50 {
-		t.Errorf("data packets = %d, want 50", rcv.Stats.DataPackets)
-	}
-	if rcv.FirstDataAt <= 0 || rcv.CompletedAt < rcv.FirstDataAt {
-		t.Errorf("timestamps: first=%v completed=%v", rcv.FirstDataAt, rcv.CompletedAt)
+	if doneAt <= 0 {
+		t.Errorf("completed at %v, want after time zero", doneAt)
 	}
 }
 

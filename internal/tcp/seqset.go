@@ -94,7 +94,3 @@ func (s *SeqSet) ContiguousFrom(base int64) int64 {
 	}
 	return base
 }
-
-// Fragments returns the number of disjoint intervals (a measure of how
-// fragmented the receive buffer is; useful in tests and traces).
-func (s *SeqSet) Fragments() int { return len(s.ivs) }

@@ -14,6 +14,9 @@ func covered(s *SeqSet) int64 {
 	return n
 }
 
+// fragments is the number of disjoint intervals in s.
+func fragments(s *SeqSet) int { return len(s.ivs) }
+
 func TestSeqSetBasic(t *testing.T) {
 	var s SeqSet
 	if n := s.Add(0, 100); n != 100 {
@@ -31,8 +34,8 @@ func TestSeqSetBasic(t *testing.T) {
 	if got := s.ContiguousFrom(0); got != 150 {
 		t.Fatalf("ContiguousFrom(0) = %d, want 150", got)
 	}
-	if s.Fragments() != 1 {
-		t.Fatalf("Fragments = %d, want 1", s.Fragments())
+	if fragments(&s) != 1 {
+		t.Fatalf("Fragments = %d, want 1", fragments(&s))
 	}
 }
 
@@ -40,8 +43,8 @@ func TestSeqSetGapAndMerge(t *testing.T) {
 	var s SeqSet
 	s.Add(0, 10)
 	s.Add(20, 30)
-	if s.Fragments() != 2 {
-		t.Fatalf("Fragments = %d, want 2", s.Fragments())
+	if fragments(&s) != 2 {
+		t.Fatalf("Fragments = %d, want 2", fragments(&s))
 	}
 	if got := s.ContiguousFrom(0); got != 10 {
 		t.Fatalf("ContiguousFrom(0) = %d, want 10 (hole at 10)", got)
@@ -53,8 +56,8 @@ func TestSeqSetGapAndMerge(t *testing.T) {
 	if n := s.Add(10, 20); n != 10 {
 		t.Fatalf("hole fill new bytes = %d, want 10", n)
 	}
-	if s.Fragments() != 1 || covered(&s) != 30 {
-		t.Fatalf("after merge: fragments=%d covered=%d", s.Fragments(), covered(&s))
+	if fragments(&s) != 1 || covered(&s) != 30 {
+		t.Fatalf("after merge: fragments=%d covered=%d", fragments(&s), covered(&s))
 	}
 	if got := s.ContiguousFrom(0); got != 30 {
 		t.Fatalf("ContiguousFrom(0) = %d, want 30", got)
@@ -65,12 +68,12 @@ func TestSeqSetAdjacentMerge(t *testing.T) {
 	var s SeqSet
 	s.Add(10, 20)
 	s.Add(20, 30) // adjacent, must merge
-	if s.Fragments() != 1 {
-		t.Fatalf("adjacent intervals did not merge: %d fragments", s.Fragments())
+	if fragments(&s) != 1 {
+		t.Fatalf("adjacent intervals did not merge: %d fragments", fragments(&s))
 	}
 	s.Add(0, 10)
-	if s.Fragments() != 1 || s.ContiguousFrom(0) != 30 {
-		t.Fatalf("fragments=%d contiguous=%d", s.Fragments(), s.ContiguousFrom(0))
+	if fragments(&s) != 1 || s.ContiguousFrom(0) != 30 {
+		t.Fatalf("fragments=%d contiguous=%d", fragments(&s), s.ContiguousFrom(0))
 	}
 }
 
@@ -82,7 +85,7 @@ func TestSeqSetEmptyAdd(t *testing.T) {
 	if n := s.Add(10, 5); n != 0 {
 		t.Fatalf("inverted Add = %d", n)
 	}
-	if covered(&s) != 0 || s.Fragments() != 0 {
+	if covered(&s) != 0 || fragments(&s) != 0 {
 		t.Fatal("empty adds modified the set")
 	}
 	if got := s.ContiguousFrom(0); got != 0 {
@@ -99,8 +102,8 @@ func TestSeqSetSpanningAdd(t *testing.T) {
 	if n := s.Add(0, 70); n != 40 {
 		t.Fatalf("spanning Add new bytes = %d, want 40", n)
 	}
-	if s.Fragments() != 1 || covered(&s) != 70 {
-		t.Fatalf("fragments=%d covered=%d", s.Fragments(), covered(&s))
+	if fragments(&s) != 1 || covered(&s) != 70 {
+		t.Fatalf("fragments=%d covered=%d", fragments(&s), covered(&s))
 	}
 }
 

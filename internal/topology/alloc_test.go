@@ -105,7 +105,7 @@ func TestTraceDisabledAllocationFree(t *testing.T) {
 // with a router object per switch, where element-wise construction with
 // eager rings took 1,386 and 667 KB.
 func TestFabricBuildAllocationBudget(t *testing.T) {
-	cfg := FatTreeConfig{K: 4, HostsPerEdge: 8, Link: LinkConfig{QueueLimit: 30}}
+	cfg := FatTreeConfig{K: 4, HostsPerEdge: 8, Link: DefaultLinkConfig()}
 	eng := sim.NewEngine()
 	const runs = 50
 	var before, after runtime.MemStats

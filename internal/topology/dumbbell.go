@@ -26,10 +26,7 @@ func (c DumbbellConfig) Validate() error {
 			c.HostsPerSide, c.BottleneckBps)
 	}
 	n := float64(c.HostsPerSide)
-	if err := checkSize(2*n, 2, 2*(2*n+1)); err != nil {
-		return err
-	}
-	return c.Link.Validate()
+	return checkSize(2*n, 2, 2*(2*n+1))
 }
 
 // Dumbbell is a built dumbbell network. Hosts 0..n-1 are on the left,
@@ -49,7 +46,6 @@ func NewDumbbell(eng *sim.Engine, cfg DumbbellConfig) *Dumbbell {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	cfg.Link.applyDefaults()
 	if cfg.BottleneckBps == 0 {
 		cfg.BottleneckBps = cfg.Link.RateBps
 	}

@@ -29,20 +29,14 @@ func (c FatTreeConfig) Validate() error {
 		hpe = k / 2
 	}
 	hosts := k * k / 2 * hpe
-	if err := checkSize(hosts, 5*k*k/4, 2*(hosts+k*k*k/2)); err != nil {
-		return err
-	}
-	return c.Link.Validate()
+	return checkSize(hosts, 5*k*k/4, 2*(hosts+k*k*k/2))
 }
 
 // FatTree is a built k-ary FatTree network.
 type FatTree struct {
 	Network
-	Cfg FatTreeConfig
 
 	hostsPerEdge int
-	edgePerPod   int // k/2
-	aggPerPod    int // k/2
 	hostsPerPod  int
 }
 
@@ -60,7 +54,6 @@ func NewFatTree(eng *sim.Engine, cfg FatTreeConfig) *FatTree {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	cfg.Link.applyDefaults()
 	if cfg.HostsPerEdge == 0 {
 		cfg.HostsPerEdge = cfg.K / 2
 	}
@@ -68,10 +61,7 @@ func NewFatTree(eng *sim.Engine, cfg FatTreeConfig) *FatTree {
 	k := cfg.K
 	half := k / 2
 	f := &FatTree{
-		Cfg:          cfg,
 		hostsPerEdge: cfg.HostsPerEdge,
-		edgePerPod:   half,
-		aggPerPod:    half,
 		hostsPerPod:  half * cfg.HostsPerEdge,
 	}
 	f.Kind = fmt.Sprintf("fattree(k=%d,hosts/edge=%d)", k, cfg.HostsPerEdge)

@@ -32,20 +32,12 @@ func (c MultiHomedConfig) Validate() error {
 		hpe = k / 2
 	}
 	hosts := k * k / 2 * hpe
-	if err := checkSize(hosts, 5*k*k/4, 2*(2*hosts+k*k*k/2)); err != nil {
-		return err
-	}
-	return c.Link.Validate()
+	return checkSize(hosts, 5*k*k/4, 2*(2*hosts+k*k*k/2))
 }
 
 // MultiHomed is a built dual-homed FatTree.
 type MultiHomed struct {
 	Network
-	Cfg MultiHomedConfig
-
-	hostsPerEdge int
-	edgePerPod   int
-	hostsPerPod  int
 }
 
 // NewMultiHomed builds the dual-homed FatTree. Its rows are filled by
@@ -55,21 +47,15 @@ func NewMultiHomed(eng *sim.Engine, cfg MultiHomedConfig) *MultiHomed {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	cfg.Link.applyDefaults()
 	if cfg.HostsPerEdge == 0 {
 		cfg.HostsPerEdge = cfg.K / 2
 	}
 
 	k := cfg.K
 	half := k / 2
-	m := &MultiHomed{
-		Cfg:          cfg,
-		hostsPerEdge: cfg.HostsPerEdge,
-		edgePerPod:   half,
-		hostsPerPod:  half * cfg.HostsPerEdge,
-	}
+	m := &MultiHomed{}
 	m.Kind = fmt.Sprintf("multihomed-fattree(k=%d,hosts/edge=%d)", k, cfg.HostsPerEdge)
-	numHosts := k * m.hostsPerPod
+	numHosts := k * half * cfg.HostsPerEdge
 
 	// Two access cables per host, then the plain FatTree's fabric; two
 	// links per cable.

@@ -38,13 +38,17 @@ type LinkConfig struct {
 // switch ports.
 const hostEgressDepth = 32
 
-// DefaultLinkConfig mirrors the parameter regime of the paper's
-// literature (100 Mb/s links, 20 us per hop, 100-packet buffers).
+// DefaultLinkConfig is the paper's link: 100 Mb/s with 20 µs of
+// propagation delay per hop, and a 30-packet drop-tail buffer per port:
+// ~3.6 ms of drain at 100 Mb/s, deep enough for bursts, small enough that
+// short flows are not buried in bufferbloat — the regime in which the
+// paper's dynamics (loss -> RTO tails for MPTCP's small subflow windows,
+// reordering-tolerant scatter for MMPTCP) play out. ECN marking is off.
 func DefaultLinkConfig() LinkConfig {
 	return LinkConfig{
 		RateBps:    100_000_000,
 		Delay:      20 * sim.Microsecond,
-		QueueLimit: 100,
+		QueueLimit: 30,
 	}
 }
 
@@ -72,36 +76,6 @@ func checkSize(hosts, switches, links float64) error {
 		return fmt.Errorf("topology: %.4g links, above the %d bound", links, MaxLinks)
 	}
 	return nil
-}
-
-// Validate reports the first field no link can be built from. Zero
-// fields are fine: they take defaults.
-func (c LinkConfig) Validate() error {
-	for _, f := range []struct {
-		name string
-		v    int64
-	}{
-		{"RateBps", c.RateBps}, {"Delay", int64(c.Delay)}, {"QueueLimit", int64(c.QueueLimit)},
-		{"ECNThreshold", int64(c.ECNThreshold)},
-	} {
-		if f.v < 0 {
-			return fmt.Errorf("topology: negative link %s %d", f.name, f.v)
-		}
-	}
-	return nil
-}
-
-func (c *LinkConfig) applyDefaults() {
-	d := DefaultLinkConfig()
-	if c.RateBps == 0 {
-		c.RateBps = d.RateBps
-	}
-	if c.Delay == 0 {
-		c.Delay = d.Delay
-	}
-	if c.QueueLimit == 0 {
-		c.QueueLimit = d.QueueLimit
-	}
 }
 
 // Network is a built topology: hosts, switches (each with its forwarding

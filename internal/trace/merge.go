@@ -10,11 +10,12 @@ import "sort"
 // engine's recorder at export time, so the merged trace is
 // schema-identical to a sequential run's: same event records, same
 // retention policy (a ring keeps the last Buffer events of the merged
-// stream; a full recorder counts overflow as lost).
+// stream; a full recorder keeps the first MaxEvents).
 //
 // Accounting is preserved: dst's Total after the merge is the sum of
-// events accepted across all recorders, and Lost carries the sources'
-// discards forward. Nil sources are skipped; a nil dst is a no-op.
+// events accepted across all recorders, so Total - Len still counts every
+// event a recorder did not keep. Nil sources are skipped; a nil dst is a
+// no-op.
 func MergeInto(dst *Recorder, srcs ...*Recorder) {
 	if dst == nil {
 		return
@@ -31,14 +32,12 @@ func MergeInto(dst *Recorder, srcs ...*Recorder) {
 	}
 	merged := dst.Events()
 	total := dst.total
-	lost := dst.lost
 	for _, s := range srcs {
 		if s == nil {
 			continue
 		}
 		merged = append(merged, s.Events()...)
 		total += s.total
-		lost += s.lost
 	}
 	// Stable sort on time alone: concatenation order (stream, then record
 	// order) is exactly the tiebreak the determinism contract promises.
@@ -49,5 +48,4 @@ func MergeInto(dst *Recorder, srcs ...*Recorder) {
 		dst.Record(e.At, e.Kind, e.Flow, e.Sub, e.Node, e.Peer, e.A, e.B)
 	}
 	dst.total = total
-	dst.lost += lost
 }

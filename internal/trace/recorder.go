@@ -138,7 +138,6 @@ type Recorder struct {
 	head  int    // ring: next write index
 	n     int    // ring: live events (<= len(buf))
 	total uint64 // events accepted (including overwritten/discarded)
-	lost  uint64 // full mode: events discarded at MaxEvents
 }
 
 // NewRecorder builds a recorder. It panics on invalid options — the
@@ -170,7 +169,7 @@ func (r *Recorder) Reset() {
 	if r == nil {
 		return
 	}
-	r.head, r.n, r.total, r.lost = 0, 0, 0, 0
+	r.head, r.n, r.total = 0, 0, 0
 	if r.opts.Mode == Full {
 		r.buf = r.buf[:0]
 	}
@@ -196,7 +195,6 @@ func (r *Recorder) Record(at sim.Time, kind Kind, flow uint64, sub int8, node, p
 		return
 	}
 	if len(r.buf) >= r.opts.MaxEvents {
-		r.lost++
 		return
 	}
 	r.buf = append(r.buf, Event{At: at, Kind: kind, Flow: flow, Sub: sub, Node: node, Peer: peer, A: a, B: b})
@@ -214,20 +212,13 @@ func (r *Recorder) Len() int {
 }
 
 // Total is the number of events accepted by the recorder, including
-// those since overwritten (ring) or discarded at the cap (full).
+// those since overwritten (ring) or discarded at the cap (full), so
+// Total - Len is how many it did not keep.
 func (r *Recorder) Total() uint64 {
 	if r == nil {
 		return 0
 	}
 	return r.total
-}
-
-// Lost is the number of events discarded in full mode after MaxEvents.
-func (r *Recorder) Lost() uint64 {
-	if r == nil {
-		return 0
-	}
-	return r.lost
 }
 
 // Events returns the retained events in record order (oldest first),

@@ -21,7 +21,7 @@ func TestNilRecorderSafe(t *testing.T) {
 	var r *Recorder
 	r.Record(0, KindEnqueue, 1, 0, 0, 0, 0, 0)
 	r.Reset()
-	if r.Len() != 0 || r.Total() != 0 || r.Lost() != 0 {
+	if r.Len() != 0 || r.Total() != 0 {
 		t.Error("nil recorder reports non-zero counters")
 	}
 	if r.Events() != nil {
@@ -58,15 +58,15 @@ func TestRingWrap(t *testing.T) {
 	}
 }
 
-// TestFullOverflow: full mode retains the first MaxEvents and counts
-// the rest as lost.
+// TestFullOverflow: full mode retains the first MaxEvents and still
+// counts the rest in Total.
 func TestFullOverflow(t *testing.T) {
 	r := NewRecorder(Options{Mode: Full, MaxEvents: 3})
 	for i := 1; i <= 5; i++ {
 		rec(r, i)
 	}
-	if r.Len() != 3 || r.Lost() != 2 || r.Total() != 5 {
-		t.Fatalf("Len/Lost/Total = %d/%d/%d, want 3/2/5", r.Len(), r.Lost(), r.Total())
+	if r.Len() != 3 || r.Total() != 5 {
+		t.Fatalf("Len/Total = %d/%d, want 3/5", r.Len(), r.Total())
 	}
 	for i, e := range r.Events() {
 		if want := int64(i + 1); e.A != want {

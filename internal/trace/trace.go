@@ -26,14 +26,11 @@ type Series struct {
 
 // Sampler polls probes on a fixed virtual-time interval. Create with
 // NewSampler, register probes with Add, then Start. The sampler
-// self-schedules; it stops at MaxSamples (default 100000) or at Stop, so
-// an engine Run bounded by RunUntil is unaffected by pending samples.
+// self-schedules; it stops after maxSamples rounds or at Stop, so an
+// engine Run bounded by RunUntil is unaffected by pending samples.
 type Sampler struct {
 	eng      *sim.Engine
 	interval sim.Time
-
-	// MaxSamples bounds the number of sampling rounds (default 100000).
-	MaxSamples int
 
 	probes  []func() float64
 	series  []*Series
@@ -47,8 +44,11 @@ func NewSampler(eng *sim.Engine, interval sim.Time) *Sampler {
 	if interval <= 0 {
 		panic("trace: sampling interval must be positive")
 	}
-	return &Sampler{eng: eng, interval: interval, MaxSamples: 100_000}
+	return &Sampler{eng: eng, interval: interval}
 }
+
+// maxSamples bounds a sampler's rounds.
+const maxSamples = 100_000
 
 // Add registers a probe. All probes are sampled at the same instants.
 // Add panics after Start: the series would have misaligned lengths.
@@ -75,7 +75,7 @@ func (s *Sampler) Start() {
 func (s *Sampler) Stop() { s.stopped = true }
 
 func (s *Sampler) tick() {
-	if s.stopped || s.rounds >= s.MaxSamples {
+	if s.stopped || s.rounds >= maxSamples {
 		return
 	}
 	s.rounds++

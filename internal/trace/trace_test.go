@@ -49,12 +49,11 @@ func TestSamplerStop(t *testing.T) {
 func TestSamplerMaxSamples(t *testing.T) {
 	eng := sim.NewEngine()
 	s := NewSampler(eng, sim.Microsecond)
-	s.MaxSamples = 7
 	ser := s.Add("x", func() float64 { return 0 })
 	s.Start()
 	eng.RunUntil(sim.Second)
-	if len(ser.Values) != 7 {
-		t.Fatalf("samples = %d, want capped at 7", len(ser.Values))
+	if len(ser.Values) != maxSamples {
+		t.Fatalf("samples = %d, want capped at %d", len(ser.Values), maxSamples)
 	}
 }
 

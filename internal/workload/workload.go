@@ -13,7 +13,6 @@ import (
 
 // Assignment maps each host to its role and permutation partner.
 type Assignment struct {
-	Hosts int
 	// Partner[i] is the fixed destination of host i (a derangement:
 	// Partner[i] != i).
 	Partner []int
@@ -34,7 +33,7 @@ func BuildPermutation(rng *sim.RNG, hosts int, longFraction float64) Assignment 
 	if longFraction < 0 || longFraction > 1 {
 		panic(fmt.Sprintf("workload: longFraction %v out of [0,1]", longFraction))
 	}
-	a := Assignment{Hosts: hosts, Partner: rng.Derangement(hosts)}
+	a := Assignment{Partner: rng.Derangement(hosts)}
 	order := rng.Perm(hosts)
 	nLong := int(float64(hosts) * longFraction)
 	for i, h := range order {

@@ -128,7 +128,7 @@ func TestPoissonShortFlows(t *testing.T) {
 func TestPoissonInterarrivalMean(t *testing.T) {
 	eng := sim.NewEngine()
 	rng := sim.NewRNG(7)
-	a := Assignment{Hosts: 2, Partner: []int{1, 0}, ShortSenders: []int{0}}
+	a := Assignment{Partner: []int{1, 0}, ShortSenders: []int{0}}
 	var times []sim.Time
 	p := &PoissonShortFlows{
 		Eng: eng, Assign: &a, Rate: 1000, Size: 1, Total: 5000,
@@ -178,7 +178,7 @@ func TestApplyHotspot(t *testing.T) {
 
 func TestPoissonValidation(t *testing.T) {
 	eng := sim.NewEngine()
-	a := Assignment{Hosts: 2, Partner: []int{1, 0}, ShortSenders: []int{0}}
+	a := Assignment{Partner: []int{1, 0}, ShortSenders: []int{0}}
 	func() {
 		defer func() {
 			if recover() == nil {

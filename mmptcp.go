@@ -30,6 +30,7 @@ import (
 	"math"
 
 	"repro/internal/core"
+	"repro/internal/faults"
 	"repro/internal/routing"
 	"repro/internal/sim"
 	"repro/internal/topology"
@@ -163,7 +164,7 @@ const (
 
 // Trace storage sizes. One event is 48 bytes, so the ring holds ~3 MB
 // regardless of run length; full mode grows on demand up to its cap and
-// counts what it drops beyond it (Recorder.Lost).
+// drops what comes after it (Recorder.Total - Recorder.Len counts it).
 const (
 	traceRingEvents = 65536
 	traceFullEvents = 1 << 20
@@ -202,11 +203,11 @@ func (c *Config) recorderOptions() trace.Options {
 // PaperConfig or SmallConfig as starting points, or fill the required
 // fields (Protocol, ShortFlows, ArrivalRate).
 //
-// Resolve-once contract: every exported entry point (Run, RunContext,
-// RunTraced, each RunSweep job, Dial, NewNetwork) takes a Config by
-// value, fills the zero fields' defaults and checks every rule on its
-// own copy exactly once, and returns an error naming the field for a
-// config it cannot serve — never a panic. Results.Config is that
+// Resolve-once contract: every exported entry point (Run, RunTraced,
+// each RunSweep job, Dial, NewNetwork) takes a Config by value, fills the
+// zero fields' defaults and checks every rule on its own copy exactly
+// once, and returns an error naming the field for a config it cannot
+// serve — never a panic. Results.Config is that
 // resolved copy. The caller's value is not written to.
 //
 // The structural fields — Topology, K, HostsPerEdge and Shards, plus
@@ -456,7 +457,7 @@ func (c *Config) resolve(run bool) error {
 	}
 	if c.Shards > 1 {
 		for i, ev := range c.Faults.Events {
-			if ev.Kind == FaultDegrade && ev.Index == -1 && ev.LossRate > 0 {
+			if ev.Kind == faults.Degrade && ev.Index == -1 && ev.LossRate > 0 {
 				return fmt.Errorf("mmptcp: Faults.Events[%d]: layer-wide loss degradation (Index -1, LossRate %v) shares one RNG across the layer and cannot run with Shards %d; target individual cables (DegradeCables) instead",
 					i, ev.LossRate, c.Shards)
 			}
@@ -506,19 +507,6 @@ func (c *Config) shape() shapeKey {
 	}
 }
 
-// The paper's fabric: every link runs at 100 Mb/s with 20 µs of
-// propagation delay per hop.
-const (
-	linkRateBps = 100_000_000
-	linkDelay   = 20 * sim.Microsecond
-	// queueLimit is the per-port drop-tail buffer in packets: ~3.6 ms of
-	// drain at 100 Mb/s, deep enough for bursts, small enough that short
-	// flows are not buried in bufferbloat — the regime in which the
-	// paper's dynamics (loss -> RTO tails for MPTCP's small subflow
-	// windows, reordering-tolerant scatter for MMPTCP) play out.
-	queueLimit = 30
-)
-
 // dctcpECNThreshold is the queue depth, in packets, at which every link
 // marks ECN when Protocol is dctcp.
 const dctcpECNThreshold = 10
@@ -543,9 +531,11 @@ func (c *Config) routingConfig() routing.Config {
 
 // link and the three methods after it translate a resolved config's
 // topology section into the builders' own configs, for resolve to
-// Validate and buildNetwork to build.
+// Validate and buildNetwork to build. Every run uses the paper's link.
 func (c *Config) link() topology.LinkConfig {
-	return topology.LinkConfig{RateBps: linkRateBps, Delay: linkDelay, QueueLimit: queueLimit, ECNThreshold: c.ecnThreshold()}
+	link := topology.DefaultLinkConfig()
+	link.ECNThreshold = c.ecnThreshold()
+	return link
 }
 
 func (c *Config) fatTree() topology.FatTreeConfig {

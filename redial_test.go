@@ -45,12 +45,13 @@ func deadPathFCT(t *testing.T, transport TransportConfig) (sim.Time, int, int) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var fct sim.Time
+	conn.Receiver().OnComplete = func() { fct = eng.Now() }
 	conn.Start()
 	eng.Run()
 	if !conn.Receiver().Complete() {
 		t.Fatal("flow never completed")
 	}
-	fct := conn.Receiver().CompletedAt
 	redials, recovered := conn.RedialStats()
 	conn.Close()
 	return fct, redials, recovered

@@ -171,25 +171,19 @@ func (ri *instance) reset(cfg *Config) {
 
 // Run executes one experiment and returns its measurements.
 func Run(cfg Config) (*Results, error) {
-	return RunContext(context.Background(), cfg)
-}
-
-// ctxPollEvents is how many simulation events RunContext processes
-// between context polls — frequent enough to abort a stuck run in
-// milliseconds of wall time, rare enough to be free on the hot path.
-const ctxPollEvents = 8192
-
-// RunContext is Run with cancellation: the simulation polls ctx every few
-// thousand events and aborts with ctx's error once it is cancelled. This
-// is what lets RunSweep tear down a whole fleet of in-flight experiments
-// the moment one of them fails.
-func RunContext(ctx context.Context, cfg Config) (*Results, error) {
 	if err := cfg.resolve(true); err != nil {
 		return nil, err
 	}
-	res, _, err := runOnce(ctx, &cfg)
+	res, _, err := runOnce(context.Background(), &cfg)
 	return res, err
 }
+
+// ctxPollEvents is how many simulation events a cancellable run (a
+// RunSweep job) processes between context polls — frequent enough to
+// abort a stuck run in milliseconds of wall time, rare enough to be free
+// on the hot path. This is what lets RunSweep tear down a whole fleet of
+// in-flight experiments the moment one of them fails.
+const ctxPollEvents = 8192
 
 // RunTraced is Run plus the recorder: it executes one experiment with
 // cfg's Trace section armed and returns the recorder holding the run's

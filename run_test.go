@@ -284,6 +284,25 @@ func TestRunMultiHomedTopology(t *testing.T) {
 	}
 }
 
+// TestPaperLinkDefinedOnce pins the one definition of the paper's link:
+// every run's links are topology.DefaultLinkConfig, and DCTCP's differ
+// only by their ECN marking threshold.
+func TestPaperLinkDefinedOnce(t *testing.T) {
+	for _, proto := range []Protocol{ProtoTCP, ProtoMPTCP, ProtoMMPTCP, ProtoDCTCP} {
+		cfg := SmallConfig(proto, 10)
+		if err := cfg.resolve(true); err != nil {
+			t.Fatal(err)
+		}
+		want := topology.DefaultLinkConfig()
+		if proto == ProtoDCTCP {
+			want.ECNThreshold = 10
+		}
+		if got := cfg.link(); got != want {
+			t.Errorf("%s: links %+v, want %+v", proto, got, want)
+		}
+	}
+}
+
 func TestDialSingleFlow(t *testing.T) {
 	eng := sim.NewEngine()
 	ft := topology.NewFatTree(eng, topology.FatTreeConfig{K: 4, Link: topology.DefaultLinkConfig()})

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/faults"
 	"repro/internal/trace"
 )
 
@@ -150,7 +151,7 @@ func TestShardsValidation(t *testing.T) {
 	loss := tiny(ProtoTCP, 10)
 	loss.Shards = 2
 	loss.Faults = FaultsConfig{Events: []FaultEvent{{
-		At: Millisecond, Kind: FaultDegrade, Layer: LayerEdge, Index: -1, LossRate: 0.01,
+		At: Millisecond, Kind: faults.Degrade, Layer: LayerEdge, Index: -1, LossRate: 0.01,
 	}}}
 	if _, err := Run(loss); err == nil || !strings.Contains(err.Error(), "DegradeCables") {
 		t.Errorf("layer-wide loss with Shards=2: err = %v, want DegradeCables hint", err)
@@ -175,8 +176,8 @@ func TestShardedTracedRun(t *testing.T) {
 	if rec == nil || rec.Len() == 0 {
 		t.Fatal("sharded traced run recorded nothing")
 	}
-	if rec.Lost() != 0 {
-		t.Fatalf("full trace lost %d events", rec.Lost())
+	if rec.Total() != uint64(rec.Len()) {
+		t.Fatalf("full trace kept %d of %d events", rec.Len(), rec.Total())
 	}
 	kinds := make(map[trace.Kind]int)
 	last := SimTime(-1)

@@ -39,11 +39,23 @@ func (w *tortureNode) Receive(p *netem.Packet, from *netem.Link) {
 	}
 	l := w.out[p.Dst]
 	if w.jitter > 0 {
-		d := sim.Time(w.rng.Int63n(int64(w.jitter)))
+		d := sim.Time(int63n(w.rng, int64(w.jitter)))
 		w.eng.Schedule(d, func() { l.Enqueue(p) })
 		return
 	}
 	l.Enqueue(p)
+}
+
+// int63n draws a uniform int64 in [0, n), n > 0, by rejection sampling on
+// the top 63 bits of rng's output.
+func int63n(rng *sim.RNG, n int64) int64 {
+	maxV := uint64(1)<<63 - 1
+	limit := maxV - maxV%uint64(n)
+	for {
+		if v := rng.Uint64() >> 1; v < limit {
+			return int64(v % uint64(n))
+		}
+	}
 }
 
 func newLossyWire(seed uint64, dropProb float64, jitter sim.Time) *lossyWire {

@@ -41,8 +41,8 @@ func TestTracedRunCapture(t *testing.T) {
 	if rec.Len() == 0 {
 		t.Fatal("traced run recorded no events")
 	}
-	if rec.Lost() != 0 {
-		t.Fatalf("full trace lost %d events; shrink the run so the checks below see everything", rec.Lost())
+	if rec.Total() != uint64(rec.Len()) {
+		t.Fatalf("full trace kept %d of %d events; shrink the run so the checks below see everything", rec.Len(), rec.Total())
 	}
 	if res.FaultEvents == 0 {
 		t.Fatal("fault suite resolved no fault events; the scenario is broken")
