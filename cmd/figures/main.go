@@ -844,9 +844,8 @@ func coexist(w io.Writer) {
 	fmt.Fprintln(w, "== §3: co-existence on a shared 100 Mb/s bottleneck ==")
 	eng := sim.NewEngine()
 	// 1 Gb/s access links feed the 100 Mb/s bottleneck. Every port, the
-	// bottleneck's included, buffers 100 packets, not the paper's 30: the
-	// table has always been read at 100, and at 30 TCP's share falls from
-	// 15.8 % to 4.2 %.
+	// bottleneck's included, buffers 100 packets, not the paper's 30,
+	// which leave TCP 4.2 % of the bottleneck instead of 15.8 %.
 	link := topology.DefaultLinkConfig()
 	link.RateBps = 1_000_000_000
 	link.QueueLimit = 100

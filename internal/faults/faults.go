@@ -1,10 +1,10 @@
 // Package faults is the network-dynamics subsystem: it mutates a built
 // topology while the event engine runs. A Schedule holds timed events —
 // link down/up, whole-switch crash/restart, capacity reduction,
-// random-loss injection — built either explicitly
-// (FailCables, FailSwitches and friends) or sampled from a seeded
-// per-cable MTBF/MTTR failure model, and an Injector replays them
-// against the network on the simulation clock.
+// random-loss injection — built either explicitly (FailCables,
+// FailSwitches and friends) or sampled from a seeded per-cable MTBF/MTTR
+// failure model, and an Injector replays them against the network on the
+// simulation clock.
 //
 // The piece that makes failures interesting for the paper's transports
 // is the reconvergence delay: when a link dies, its switch keeps
