@@ -370,7 +370,6 @@ func hotspot(w io.Writer) {
 	for i, proto := range protos {
 		configs[i] = baseConfig(proto)
 		configs[i].HotspotFraction = 0.5
-		configs[i].HotspotHost = 0
 	}
 	results := sweep(configs)
 	fmt.Fprintln(w, "== Roadmap: hotspot (50% of short senders target host 0) ==")

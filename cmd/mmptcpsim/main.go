@@ -84,8 +84,7 @@ func main() {
 		flowKB   = flag.Int64("flow-kb", 70, "short-flow size, KB")
 		rate     = flag.Float64("arrival-rate", 2.5, "short flows per second per sender")
 		longFrac = flag.Float64("long-fraction", 1.0/3, "fraction of hosts running long flows (negative: none)")
-		hotFrac  = flag.Float64("hotspot-fraction", 0, "fraction of short senders redirected to the hotspot host")
-		hotHost  = flag.Int("hotspot-host", 0, "hotspot destination host")
+		hotFrac  = flag.Float64("hotspot-fraction", 0, "fraction of short senders redirected to host 0")
 		failN    = flag.Int("fail-cables", 0, "fail both directions of this many cables (0 = healthy network)")
 		failLay  = flag.String("fail-layer", "agg", "layer of the failed cables: host, edge, agg, core")
 		failAtMs = flag.Float64("fail-at-ms", 200, "failure time, milliseconds")
@@ -127,7 +126,6 @@ func main() {
 		ArrivalRate:     *rate,
 		LongFraction:    *longFrac,
 		HotspotFraction: *hotFrac,
-		HotspotHost:     *hotHost,
 		Seed:            *seed,
 		Shards:          *shards,
 		MaxSimTime:      sim.FromSeconds(*maxSimS),

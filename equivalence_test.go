@@ -249,31 +249,31 @@ func resultsHashes(r *Results) [2]string {
 // hash, then the Config-free one. A change that moves one says why; the
 // test prints the table to paste.
 var goldenResults = map[string][2]string{
-	"global/fattree-cables":    {"90a889548c9bd47dea4e0693", "444c4251d7799ae4c3aa2922"},
-	"global/fattree-crash":     {"dfee78f285c24bed9e104bd8", "451511be794c6392f694d8f8"},
-	"global/fattree-model":     {"8ff13d5ae4b4570ad61fe153", "adcd8bcca8c9344ca6da78c1"},
-	"local/cables-tcp":         {"d4b17a3f7d86597c4a3b9c82", "745d1457b044840e606d9128"},
-	"local/degrade-tcp":        {"db9885d070286579f709ac57", "8d3ce07b8fc8cf4d37fdf498"},
-	"local/model-tcp":          {"8f9dfa485abf3b46b555ae26", "05526ecec63902f67c7a595e"},
-	"local/cables-mmptcp":      {"c1e5e1baf32eb38ba9a4aaaa", "acdd4be473f7a949762fb164"},
-	"local/degrade-mmptcp":     {"190cb3c9b14b2f83e91484e5", "86628e129985ac8e797a0360"},
-	"local/model-mmptcp":       {"b44cdaacf50e9856a6c4bc43", "52f15af7eb128a3bcd0f6f2d"},
-	"local/crash":              {"40192ba32163ec23c96bc22a", "729fb65d50e8bddfa3c60e01"},
-	"recovery/redial-mptcp":    {"01154190f51e44ed81861437", "e48267301f894c8b516f65f0"},
-	"recovery/redial-mmptcp":   {"dc01cadc233ee600d8c1ca35", "aa1e80d6e3d538652da80d35"},
-	"recovery/defer":           {"12dd7e78ccdf64cdc5d43562", "4df98f14318b2bf737121489"},
-	"staggered/fattree":        {"41ef99261bdb313f7e72cb3f", "4f745872f90e43e6ff59bfdd"},
-	"staggered/churn":          {"3e41f5c9b8dc20f9df2284ee", "1647fd8bf05e3d77f8ac5ffe"},
-	"snapshots":                {"7c449244d0ed7899e7f769be", "7ed948c84b95fc3b2ea15e52"},
-	"healthy/tcp-2.5":          {"17a1a8750721b7c4d3da92cb", "b993f2cff71d71faf1a1754e"},
-	"healthy/mptcp-2.5":        {"8248c4f4dc1a7910f01db9ce", "cc4f6e4bbe584c21c1a70154"},
-	"healthy/mptcp-5":          {"83249c9ca0cd3832e24b7566", "f1f5d0163419ac905ff931b9"},
-	"healthy/mmptcp-2.5":       {"2f3d706fae9d4ae439a06a8c", "2788a425f1dda4ca499dcfd3"},
-	"healthy/mmptcp-5":         {"2788134a63f50d5e9a9217b8", "7011ce4c0611a365809fd85a"},
-	"global/multihomed-cables": {"63bce545bc2b9bf1ed1d14f7", "749ec01227582e96b3a0d262"},
-	"global/multihomed-crash":  {"e80938b40b9cae766371531a", "d96f0775433f8917f5c64fa8"},
-	"global/multihomed-model":  {"2b39ead7f44ee6fbe3c2037e", "d3cfb4df886d696634697770"},
-	"staggered/multihomed":     {"4d3bd76adfca19b2870a67eb", "521437d2420641348e37e679"},
+	"global/fattree-cables":    {"9ae1d18a7945ad1c180df54e", "444c4251d7799ae4c3aa2922"},
+	"global/fattree-crash":     {"858c88fe932ad26517f119b8", "451511be794c6392f694d8f8"},
+	"global/fattree-model":     {"a0f6eeab78d3434d56a31af9", "adcd8bcca8c9344ca6da78c1"},
+	"local/cables-tcp":         {"4a2bd0762e51268b3315de53", "745d1457b044840e606d9128"},
+	"local/degrade-tcp":        {"34fd4fbba52099abedd72d8e", "8d3ce07b8fc8cf4d37fdf498"},
+	"local/model-tcp":          {"a8a8fe24ad470802205b795f", "05526ecec63902f67c7a595e"},
+	"local/cables-mmptcp":      {"4757ba81bc9a110220d74c0a", "acdd4be473f7a949762fb164"},
+	"local/degrade-mmptcp":     {"12f69f77fcaa66b7d988236a", "86628e129985ac8e797a0360"},
+	"local/model-mmptcp":       {"bff05072d9ecf07a262c4a50", "52f15af7eb128a3bcd0f6f2d"},
+	"local/crash":              {"8dcdf7837000f2a3588515a0", "729fb65d50e8bddfa3c60e01"},
+	"recovery/redial-mptcp":    {"8c6a94882cdda4a7a27ac2c2", "e48267301f894c8b516f65f0"},
+	"recovery/redial-mmptcp":   {"a53b3324f75627998ada70c9", "aa1e80d6e3d538652da80d35"},
+	"recovery/defer":           {"400809b2ce4f0e4d8615bd74", "4df98f14318b2bf737121489"},
+	"staggered/fattree":        {"0a709b359b36d0e5a4432e6e", "4f745872f90e43e6ff59bfdd"},
+	"staggered/churn":          {"0003957c2fece121fb59eee0", "1647fd8bf05e3d77f8ac5ffe"},
+	"snapshots":                {"9080afea7ae0d1f719db6620", "7ed948c84b95fc3b2ea15e52"},
+	"healthy/tcp-2.5":          {"ec2b8671cf12736c4866ee86", "b993f2cff71d71faf1a1754e"},
+	"healthy/mptcp-2.5":        {"d38d2dcd7b5c1d1bb0b8786e", "cc4f6e4bbe584c21c1a70154"},
+	"healthy/mptcp-5":          {"bf26a2ec257d7931346edd6b", "f1f5d0163419ac905ff931b9"},
+	"healthy/mmptcp-2.5":       {"9f0522277d48e46543067ac5", "2788a425f1dda4ca499dcfd3"},
+	"healthy/mmptcp-5":         {"dd9bf50fa5917ab5ef7fbf30", "7011ce4c0611a365809fd85a"},
+	"global/multihomed-cables": {"d900f41dce7bc20077fcee5e", "749ec01227582e96b3a0d262"},
+	"global/multihomed-crash":  {"a532ebb15cbe829626272d75", "d96f0775433f8917f5c64fa8"},
+	"global/multihomed-model":  {"ef17587c19d920f29030bedc", "d3cfb4df886d696634697770"},
+	"staggered/multihomed":     {"38647dc30f211750ffc95247", "521437d2420641348e37e679"},
 }
 
 // equivalence is the suite every test of this file draws on, and each

@@ -29,6 +29,8 @@ type (
 	// Recorder is the structured event recorder (flight recorder)
 	// enabled by Config.Trace; see RunTraced.
 	Recorder = trace.Recorder
+	// TraceMode selects how the recorder stores events; see TraceConfig.
+	TraceMode = trace.Mode
 
 	// FaultsConfig is the network-dynamics section of Config: timed
 	// failure/degradation events, an optional sampled failure model, and
@@ -45,6 +47,9 @@ type (
 	// Layer classifies where in the topology a link sits.
 	Layer = netem.Layer
 
+	// RoutingConfig is the routing section of Config: the repair model
+	// and how recomputed tables reach the switches.
+	RoutingConfig = routing.Config
 	// RoutingMode selects local vs global repair under failures; see
 	// Config.Routing.
 	RoutingMode = routing.Mode
@@ -67,6 +72,13 @@ const (
 const (
 	RoutingLocal  = routing.Local
 	RoutingGlobal = routing.Global
+)
+
+// Trace recording modes for Config.Trace.Mode.
+const (
+	TraceOff  = trace.Off
+	TraceRing = trace.Ring
+	TraceFull = trace.Full
 )
 
 // Convergence models for Config.Routing.Convergence.

@@ -26,7 +26,6 @@ const (
 	fzArrivalRate
 	fzWarmup
 	fzHotspotFraction
-	fzHotspotHost
 	fzMaxSimTime
 	fzRoutingMode
 	fzConvergence
@@ -112,7 +111,6 @@ func fuzzConfig(prog []byte) Config {
 		ArrivalRate:     frac(fzArrivalRate, fzArrivals),
 		Warmup:          SimTime(mag(fzWarmup, int64(Millisecond), 20)),
 		HotspotFraction: frac(fzHotspotFraction, fzFractions),
-		HotspotHost:     signed(fzHotspotHost, 128),
 		Seed:            uint64(at(fzSeed)),
 		Shards:          signed(fzShards, 4),
 	}
@@ -150,8 +148,8 @@ func fuzzSeed(base []byte, pairs ...byte) []byte {
 // protocol and topology, and one per protocol on "vl2", which resolve
 // rejects like any unknown topology; then fourteen more configs resolve
 // must reject: bad K and HostsPerEdge; negative SwitchBytes, Warmup,
-// DeadRTOs and ShortFlowSize; a multi-homed K 2, a HotspotHost off the
-// fabric and a NaN ArrivalRate; Subflows 300 and 128, whose subflow IDs
+// DeadRTOs and ShortFlowSize; a multi-homed K 2, staggered convergence
+// under local repair and a NaN ArrivalRate; Subflows 300 and 128, whose subflow IDs
 // would collide or wrap negative; and K 1000 and HostsPerEdge 1<<30,
 // whose fabrics used to be allocated.
 func fuzzSeeds() [][]byte {
@@ -178,7 +176,7 @@ func fuzzSeeds() [][]byte {
 		with(fzDeadRTOs, 0xff), // -1
 		with(fzShortFlowSize, neg|1),
 		with(fzTopology, 2, fzK, 2),
-		with(fzHotspotFraction, 2, fzHotspotHost, 100),
+		with(fzConvergence, 2),
 		with(fzArrivalRate, 4), // NaN
 		with(fzSubflows, 8),    // 300: a duplicate endpoint registration
 		with(fzSubflows, 7),    // 128

@@ -248,7 +248,8 @@ type Config struct {
 	// link (blackholing) for this long before ECMP excludes it, and
 	// after a repair the link stays excluded for this long before ECMP
 	// re-admits it. Zero means instant reconvergence (no blackhole
-	// window beyond in-flight packets).
+	// window beyond in-flight packets). Must not be negative: the
+	// mmptcp resolver rejects it, and Install does not check again.
 	ReconvergeDelay sim.Time
 }
 

@@ -81,9 +81,6 @@ func TestInstallValidation(t *testing.T) {
 		{Events: []Event{{Kind: Degrade, Layer: netem.LayerAgg, LossRate: 1.5}}},
 		{Model: Model{Layers: []LayerModel{{Layer: netem.LayerAgg}}}}, // zero MTBF/MTTR
 		{Model: Model{Layers: []LayerModel{{Layer: netem.LayerCore, MTBF: 1, MTTR: 1}}}},
-		// A negative reconvergence delay would schedule the routing
-		// transition before the failure that caused it.
-		{Events: []Event{{Kind: LinkDown, Layer: netem.LayerAgg, Index: 0}}, ReconvergeDelay: -sim.Millisecond},
 	}
 	for i, cfg := range bad {
 		eng := sim.NewEngine()

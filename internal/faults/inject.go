@@ -1,8 +1,6 @@
 package faults
 
 import (
-	"fmt"
-
 	"repro/internal/netem"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -164,12 +162,6 @@ func (inj *Injector) scheduleRouteChange(l *netem.Link, dead bool) {
 // the config needs randomness (model sampling, loss injection), always
 // in a fixed order.
 func Install(eng *sim.Engine, target Target, cfg Config, rng *sim.RNG, horizon sim.Time) (*Injector, error) {
-	if cfg.ReconvergeDelay < 0 {
-		// A negative delay would schedule the routing-plane transition
-		// before the data-plane event that caused it; reject it loudly
-		// instead of letting the engine clamp it somewhere surprising.
-		return nil, fmt.Errorf("faults: negative ReconvergeDelay %v", cfg.ReconvergeDelay)
-	}
 	byLayer := make(map[netem.Layer][]*netem.Link)
 	for _, l := range target.Links {
 		byLayer[l.Layer()] = append(byLayer[l.Layer()], l)

@@ -54,12 +54,18 @@
 // every recompute against a brute-force rebuild, and the staggered path
 // with PerHopDelay=0 degenerates to atomic exactly (flips due "now" apply
 // inline).
+//
+// The package owns the routing section of the public configuration:
+// mmptcp.RoutingConfig is Config, Resolve is the one place it is
+// defaulted and checked, and Stats reports in metrics.RoutingStats, the
+// type Results.Routing carries.
 package routing
 
 import (
 	"bytes"
 	"fmt"
 
+	"repro/internal/metrics"
 	"repro/internal/netem"
 	"repro/internal/sim"
 	"repro/internal/topology"
@@ -79,17 +85,6 @@ const (
 	Global Mode = "global"
 )
 
-// ParseMode validates a mode string; empty means Local.
-func ParseMode(s string) (Mode, error) {
-	switch Mode(s) {
-	case "", Local:
-		return Local, nil
-	case Global:
-		return Global, nil
-	}
-	return "", fmt.Errorf("routing: unknown mode %q (want %q or %q)", s, Local, Global)
-}
-
 // Convergence selects how recomputed tables reach the switches.
 type Convergence string
 
@@ -106,83 +101,64 @@ const (
 	Staggered Convergence = "staggered"
 )
 
-// ParseConvergence validates a convergence string; empty means Atomic.
-func ParseConvergence(s string) (Convergence, error) {
-	switch Convergence(s) {
-	case "", Atomic:
-		return Atomic, nil
-	case Staggered:
-		return Staggered, nil
-	}
-	return "", fmt.Errorf("routing: unknown convergence %q (want %q or %q)", s, Atomic, Staggered)
-}
-
-// Config tunes an installed control plane. The zero value is the
-// classic plane: atomic convergence.
+// Config is the routing section of a run's configuration
+// (mmptcp.RoutingConfig is this type): which repair model runs under
+// failures and how recomputed tables reach the switches. The zero value
+// resolves to local repair with atomic flips.
 type Config struct {
-	// Convergence picks atomic (default) or staggered table flips.
+	// Mode selects the repair model. Local (the default) is link-local
+	// reconvergence: each switch stops using its own dead links but
+	// upstream ECMP stays oblivious, so traffic keeps hashing onto next
+	// hops with no way forward (NoRouteDrops). Global installs the
+	// control plane that recomputes global reachability after each
+	// reconvergence-delayed link state change and steers ECMP around
+	// unreachable next hops. Install ignores it: the caller decides
+	// whether a plane is installed at all.
+	Mode Mode
+
+	// Convergence picks how the control plane's recomputed tables reach
+	// the switches: Atomic (default) flips every switch at recompute
+	// time; Staggered gives each switch its own FIB flip time —
+	// recompute time plus PerHopDelay per hop from the nearest failed
+	// element — opening the micro-loop and transient-blackhole window
+	// real control planes exhibit (accounted in Results.Routing and
+	// Results.LoopDrops). Staggered convergence requires Mode Global.
 	Convergence Convergence
-	// PerHopDelay is the extra flip delay per hop a switch sits from the
-	// nearest failed (or repaired) element, under Staggered convergence.
-	// Zero makes Staggered degenerate to Atomic exactly. Must not be
-	// negative.
+	// PerHopDelay is the staggered flip delay per hop of distance from
+	// the transition; zero makes Staggered degenerate to Atomic exactly.
+	// It is only meaningful under Staggered and must not be negative.
 	PerHopDelay sim.Time
 }
 
-// Validate checks the config for contradictions. Install runs it, and
-// the public mmptcp.Config surface calls it up front so a bad value is
-// rejected even on runs that never install a control plane.
-func (c Config) Validate() error {
-	conv, err := ParseConvergence(string(c.Convergence))
-	if err != nil {
-		return err
+// Resolve is the one place a routing section is defaulted and judged:
+// an empty Mode becomes Local and an empty Convergence Atomic, and every
+// rule is checked, so a section is rejected even on runs that never
+// install a control plane. Resolving a resolved config changes nothing.
+func (c *Config) Resolve() error {
+	switch c.Mode {
+	case "":
+		c.Mode = Local
+	case Local, Global:
+	default:
+		return fmt.Errorf("routing: unknown mode %q (want %q or %q)", c.Mode, Local, Global)
+	}
+	switch c.Convergence {
+	case "":
+		c.Convergence = Atomic
+	case Atomic, Staggered:
+	default:
+		return fmt.Errorf("routing: unknown convergence %q (want %q or %q)", c.Convergence, Atomic, Staggered)
 	}
 	if c.PerHopDelay < 0 {
 		return fmt.Errorf("routing: negative PerHopDelay %v", c.PerHopDelay)
 	}
-	if c.PerHopDelay > 0 && conv != Staggered {
+	if c.PerHopDelay > 0 && c.Convergence != Staggered {
 		return fmt.Errorf("routing: PerHopDelay is only meaningful with Convergence %q", Staggered)
 	}
+	if c.Convergence == Staggered && c.Mode != Global {
+		return fmt.Errorf("routing: staggered convergence requires Mode %q (local repair has no control plane to stage)", Global)
+	}
 	return nil
-}
-
-// Stats reports the control plane's work during a run.
-type Stats struct {
-	// Recomputes counts global table rebuilds (coalesced: simultaneous
-	// link transitions share one).
-	Recomputes int
-	// LastConvergence is the virtual time of the most recent rebuild.
-	LastConvergence sim.Time
-	// Overrides is the number of (switch, destination) entries whose
-	// equal-cost sets diverge from the live-filtered as-built answers
-	// after the last rebuild (override entries that only pin the as-built
-	// set are not counted). Under staggered convergence the count is
-	// refreshed again when the transient window closes, so it reflects
-	// the rows actually serving lookups.
-	Overrides int
-
-	// DstRecomputed counts destinations whose tables were reconciled
-	// across all recomputes, and DstSkipped those proven untouched by
-	// the transition batch and skipped outright. Before incremental
-	// recompute every rebuild reconciled every destination, i.e.
-	// DstSkipped was identically zero.
-	DstRecomputed int
-	DstSkipped    int
-	// BFSRuns counts reverse breadth-first passes actually executed;
-	// destinations sharing a live-attachment signature share one, and
-	// cached passes from earlier recomputes are reused outright.
-	BFSRuns int
-
-	// Staggered-convergence accounting; identically zero under Atomic.
-	// Flips counts per-switch table flips applied. FirstFlip and
-	// LastFlip bracket the most recent transition's flip schedule (the
-	// convergence spread), and TransientTime accumulates, across all
-	// transitions, the virtual time during which at least one switch
-	// still served a stale table.
-	Flips         int
-	FirstFlip     sim.Time
-	LastFlip      sim.Time
-	TransientTime sim.Time
 }
 
 // ConvergenceOpen reports whether routing is still settling after a
@@ -319,18 +295,18 @@ type ControlPlane struct {
 	// start/end, per-switch row flips); every trace point is nil-guarded.
 	rec *trace.Recorder
 
-	stats Stats
+	// stats is the work counters, in the Results' own type; Mode,
+	// Convergence and the switches' lookup counters are the run
+	// harness's to fill.
+	stats metrics.RoutingStats
 }
 
 // Install returns a control plane for the network's forwarding rows. It
 // changes no row until the first Invalidate, so installing on a network
-// that never degrades is behaviour-neutral. cfg tunes convergence; the
-// zero value is the classic atomic plane. NodeIDs must be hosts 0..H-1,
-// then switches.
+// that never degrades is behaviour-neutral. cfg is resolved (see
+// Resolve) and tunes convergence; Mode is not read, and the zero value is
+// the classic atomic plane. NodeIDs must be hosts 0..H-1, then switches.
 func Install(eng *sim.Engine, net *topology.Network, cfg Config) (*ControlPlane, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
 	nHosts, nSw := len(net.Hosts), len(net.Switches)
 	for j, h := range net.Hosts {
 		if int(h.ID()) != j {
@@ -379,7 +355,7 @@ func Install(eng *sim.Engine, net *topology.Network, cfg Config) (*ControlPlane,
 // flips all land, so the fabric never fully agrees) is included in
 // TransientTime up to the current virtual time, and the override count
 // is refreshed if flips changed serving tables since the last recount.
-func (cp *ControlPlane) Stats() Stats {
+func (cp *ControlPlane) Stats() metrics.RoutingStats {
 	if cp.overridesStale {
 		cp.recountOverrides()
 	}

@@ -3,6 +3,7 @@ package routing
 import (
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/faults"
@@ -35,15 +36,42 @@ func install(t *testing.T, eng *sim.Engine, net *topology.Network, cp *ControlPl
 	return inj
 }
 
-func TestParseMode(t *testing.T) {
-	for s, want := range map[string]Mode{"": Local, "local": Local, "global": Global} {
-		got, err := ParseMode(s)
-		if err != nil || got != want {
-			t.Errorf("ParseMode(%q) = %v, %v; want %v", s, got, err, want)
+// TestConfigResolve is every routing rule in one table: the defaults an
+// empty section takes, and each rejection.
+func TestConfigResolve(t *testing.T) {
+	ms := sim.Millisecond
+	for _, tc := range []struct {
+		in, want Config
+		err      string // substring of the error; empty: accepted
+	}{
+		{in: Config{}, want: Config{Mode: Local, Convergence: Atomic}},
+		{in: Config{Mode: Global}, want: Config{Mode: Global, Convergence: Atomic}},
+		{in: Config{Mode: Local, Convergence: Atomic}, want: Config{Mode: Local, Convergence: Atomic}},
+		{in: Config{Mode: Global, Convergence: Staggered}, want: Config{Mode: Global, Convergence: Staggered}},
+		{in: Config{Mode: Global, Convergence: Staggered, PerHopDelay: ms},
+			want: Config{Mode: Global, Convergence: Staggered, PerHopDelay: ms}},
+		{in: Config{Mode: "quantum"}, err: "unknown mode"},
+		{in: Config{Convergence: "quantum"}, err: "unknown convergence"},
+		{in: Config{Mode: Global, Convergence: Staggered, PerHopDelay: -ms}, err: "negative PerHopDelay"},
+		{in: Config{Mode: Global, PerHopDelay: ms}, err: "only meaningful"},
+		{in: Config{Convergence: Staggered}, err: "requires Mode"},
+		{in: Config{Mode: Local, Convergence: Staggered}, err: "requires Mode"},
+	} {
+		got := tc.in
+		err := got.Resolve()
+		switch {
+		case tc.err == "" && (err != nil || got != tc.want):
+			t.Errorf("Resolve(%+v) = %+v, %v; want %+v", tc.in, got, err, tc.want)
+		case tc.err != "" && (err == nil || !strings.Contains(err.Error(), tc.err)):
+			t.Errorf("Resolve(%+v) = %v, want an error mentioning %q", tc.in, err, tc.err)
 		}
-	}
-	if _, err := ParseMode("quantum"); err == nil {
-		t.Error("ParseMode accepted an unknown mode")
+		if tc.err == "" {
+			// Resolving a resolved config changes nothing.
+			again := got
+			if err := again.Resolve(); err != nil || again != got {
+				t.Errorf("re-resolving %+v gave %+v, %v", got, again, err)
+			}
+		}
 	}
 }
 
@@ -610,22 +638,12 @@ func TestRestagedFlipKeepsItsOwnSchedule(t *testing.T) {
 	}
 }
 
-// TestInstallValidation rejects malformed convergence configs.
+// TestInstallValidation: the dense tables rely on the builders' NodeID
+// layout — hosts 0..H-1, then the switches in order, and no link leaving
+// them — so Install must refuse anything else instead of indexing out of
+// range. (The config's rules are Resolve's: TestConfigResolve.)
 func TestInstallValidation(t *testing.T) {
 	eng := sim.NewEngine()
-	ft := topology.NewFatTree(eng, topology.FatTreeConfig{K: 4, Link: topology.DefaultLinkConfig()})
-	bad := []Config{
-		{PerHopDelay: -sim.Millisecond},
-		{Convergence: "quantum"},
-	}
-	for _, cfg := range bad {
-		if _, err := Install(eng, &ft.Network, cfg); err == nil {
-			t.Errorf("Install accepted %+v", cfg)
-		}
-	}
-	// The dense tables rely on the builders' NodeID layout — hosts
-	// 0..H-1, then the switches in order, and no link leaving them — so
-	// Install must refuse anything else instead of indexing out of range.
 	ids := func(v ...netem.NodeID) []netem.NodeID { return v }
 	build := func(hostIDs, switchIDs []netem.NodeID, strayEnd netem.Node) *topology.Network {
 		n := &topology.Network{Eng: eng}
@@ -650,12 +668,6 @@ func TestInstallValidation(t *testing.T) {
 		if _, err := Install(eng, n, Config{}); err == nil {
 			t.Errorf("Install accepted a network with %s", name)
 		}
-	}
-	if _, err := ParseConvergence("staggered"); err != nil {
-		t.Errorf("ParseConvergence rejected staggered: %v", err)
-	}
-	if got, err := ParseConvergence(""); err != nil || got != Atomic {
-		t.Errorf("ParseConvergence(\"\") = %v, %v; want atomic", got, err)
 	}
 }
 

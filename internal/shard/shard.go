@@ -314,13 +314,14 @@ func (f *Fabric) Defer(shard int, fn func(at sim.Time)) {
 	f.deferred[shard] = append(f.deferred[shard], deferredCall{at: f.engines[shard].Now(), fn: fn})
 }
 
-// InstallTracing arms the data plane's trace points for one run. rec may
-// be nil (untraced: every recorder slot is cleared). On a direct fabric
-// the single recorder serves every trace point, exactly as a sequential
-// run; on a partitioned fabric each shard gets its own recorder (built
-// from opts) so trace points never contend, and MergeTraces folds them
-// back into rec time-ordered after the run.
-func (f *Fabric) InstallTracing(rec *trace.Recorder, opts trace.Options) {
+// InstallTracing arms the data plane's trace points for one run. rec is
+// the run's recorder for mode, nil when mode is trace.Off (untraced:
+// every recorder slot is cleared). On a direct fabric the single recorder
+// serves every trace point, exactly as a sequential run; on a partitioned
+// fabric each shard gets its own recorder of the same mode so trace
+// points never contend, and MergeTraces folds them back into rec
+// time-ordered after the run.
+func (f *Fabric) InstallTracing(rec *trace.Recorder, mode trace.Mode) {
 	// Window-edge events are coordinator-side: they record into rec
 	// directly (the coordinator runs with every shard thread parked, so
 	// there is no contention), and MergeInto keeps them time-ordered
@@ -338,7 +339,7 @@ func (f *Fabric) InstallTracing(rec *trace.Recorder, opts trace.Options) {
 	}
 	f.shardRecs = make([]*trace.Recorder, f.shards)
 	for i := range f.shardRecs {
-		f.shardRecs[i] = trace.NewRecorder(opts)
+		f.shardRecs[i] = trace.NewRecorder(mode)
 	}
 	for i, sw := range f.net.Switches {
 		sw.SetRecorder(f.shardRecs[f.swShard[i]])

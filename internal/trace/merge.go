@@ -9,8 +9,8 @@ import "sort"
 // uses this to combine per-shard flight recorders with the control
 // engine's recorder at export time, so the merged trace is
 // schema-identical to a sequential run's: same event records, same
-// retention policy (a ring keeps the last Buffer events of the merged
-// stream; a full recorder keeps the first MaxEvents).
+// retention policy (a ring keeps the newest events of the merged stream;
+// a full recorder keeps the first ones, up to its cap).
 //
 // Accounting is preserved: dst's Total after the merge is the sum of
 // events accepted across all recorders, so Total - Len still counts every

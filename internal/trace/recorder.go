@@ -100,23 +100,30 @@ type Event struct {
 }
 
 // Mode selects the recorder's retention policy.
-type Mode uint8
+type Mode string
 
 const (
-	// Ring keeps the last Buffer events in O(1) memory — a flight
-	// recorder that is always safe to leave armed in sweeps.
-	Ring Mode = iota
-	// Full keeps every event up to MaxEvents — for single-run
-	// debugging; counts (but discards) overflow.
-	Full
+	// Off disables the recorder entirely: NewRecorder returns nil. Trace
+	// points stay compiled in but cost one nil check each; the hot path
+	// is allocation-identical to a build without tracing.
+	Off Mode = ""
+	// Ring keeps the newest ringEvents events in a preallocated ring — a
+	// flight recorder: O(1) memory however long the run, the tail of
+	// history available when something goes wrong, always safe to leave
+	// armed in sweeps.
+	Ring Mode = "ring"
+	// Full retains every recorded event up to fullEvents, for complete
+	// timelines of small runs; it counts (but discards) the overflow.
+	Full Mode = "full"
 )
 
-// Options configures a Recorder.
-type Options struct {
-	Mode      Mode
-	Buffer    int // Ring: capacity in events (required > 0)
-	MaxEvents int // Full: hard cap in events (required > 0)
-}
+// Storage sizes. One event is 48 bytes, so the ring holds ~3 MB
+// regardless of run length; full mode grows on demand up to its cap and
+// drops what comes after it (Total - Len counts it).
+const (
+	ringEvents = 65536
+	fullEvents = 1 << 20
+)
 
 // Recorder is a structured event-trace sink. It is deliberately inert:
 // recording reads caller state and appends to the recorder's own
@@ -133,31 +140,32 @@ type Options struct {
 // A Recorder is owned by one run (one engine) at a time; it is not
 // safe for concurrent use. A traced run gets a fresh recorder of its own.
 type Recorder struct {
-	opts  Options
+	ring  bool // ring mode; full otherwise
+	size  int  // ring: capacity; full: cap on retained events
 	buf   []Event
 	head  int    // ring: next write index
 	n     int    // ring: live events (<= len(buf))
 	total uint64 // events accepted (including overwritten/discarded)
 }
 
-// NewRecorder builds a recorder. It panics on invalid options — the
-// public Config layer validates user input first.
-func NewRecorder(o Options) *Recorder {
-	switch o.Mode {
+// NewRecorder builds a recorder for mode, or returns nil for Off (and
+// for any other mode: the public Config layer rejects those first).
+func NewRecorder(mode Mode) *Recorder {
+	switch mode {
 	case Ring:
-		if o.Buffer <= 0 {
-			panic("trace: ring recorder needs Buffer > 0")
-		}
+		return newRecorder(true, ringEvents)
 	case Full:
-		if o.MaxEvents <= 0 {
-			panic("trace: full recorder needs MaxEvents > 0")
-		}
-	default:
-		panic("trace: unknown recorder mode")
+		return newRecorder(false, fullEvents)
 	}
-	r := &Recorder{opts: o}
-	if o.Mode == Ring {
-		r.buf = make([]Event, o.Buffer)
+	return nil
+}
+
+// newRecorder builds a ring of size events or a full recorder capped at
+// size events.
+func newRecorder(ring bool, size int) *Recorder {
+	r := &Recorder{ring: ring, size: size}
+	if ring {
+		r.buf = make([]Event, size)
 	}
 	return r
 }
@@ -170,7 +178,7 @@ func (r *Recorder) Reset() {
 		return
 	}
 	r.head, r.n, r.total = 0, 0, 0
-	if r.opts.Mode == Full {
+	if !r.ring {
 		r.buf = r.buf[:0]
 	}
 }
@@ -182,7 +190,7 @@ func (r *Recorder) Record(at sim.Time, kind Kind, flow uint64, sub int8, node, p
 		return
 	}
 	r.total++
-	if r.opts.Mode == Ring {
+	if r.ring {
 		e := &r.buf[r.head]
 		e.At, e.Kind, e.Flow, e.Sub, e.Node, e.Peer, e.A, e.B = at, kind, flow, sub, node, peer, a, b
 		r.head++
@@ -194,7 +202,7 @@ func (r *Recorder) Record(at sim.Time, kind Kind, flow uint64, sub int8, node, p
 		}
 		return
 	}
-	if len(r.buf) >= r.opts.MaxEvents {
+	if len(r.buf) >= r.size {
 		return
 	}
 	r.buf = append(r.buf, Event{At: at, Kind: kind, Flow: flow, Sub: sub, Node: node, Peer: peer, A: a, B: b})
@@ -205,7 +213,7 @@ func (r *Recorder) Len() int {
 	if r == nil {
 		return 0
 	}
-	if r.opts.Mode == Ring {
+	if r.ring {
 		return r.n
 	}
 	return len(r.buf)
@@ -229,7 +237,7 @@ func (r *Recorder) Events() []Event {
 		return nil
 	}
 	out := make([]Event, r.Len())
-	if r.opts.Mode == Full {
+	if !r.ring {
 		copy(out, r.buf)
 		return out
 	}

@@ -32,7 +32,7 @@ func TestNilRecorderSafe(t *testing.T) {
 // TestRingWrap: a full ring overwrites oldest-first and Events unrolls
 // the survivors in record order.
 func TestRingWrap(t *testing.T) {
-	r := NewRecorder(Options{Mode: Ring, Buffer: 4})
+	r := newRecorder(true, 4)
 	for i := 1; i <= 6; i++ {
 		rec(r, i)
 	}
@@ -49,7 +49,7 @@ func TestRingWrap(t *testing.T) {
 		}
 	}
 	// Before wrapping, Events must not unroll from head.
-	r2 := NewRecorder(Options{Mode: Ring, Buffer: 4})
+	r2 := newRecorder(true, 4)
 	rec(r2, 1)
 	rec(r2, 2)
 	evs := r2.Events()
@@ -58,10 +58,10 @@ func TestRingWrap(t *testing.T) {
 	}
 }
 
-// TestFullOverflow: full mode retains the first MaxEvents and still
-// counts the rest in Total.
+// TestFullOverflow: full mode retains the first events up to its cap and
+// still counts the rest in Total.
 func TestFullOverflow(t *testing.T) {
-	r := NewRecorder(Options{Mode: Full, MaxEvents: 3})
+	r := newRecorder(false, 3)
 	for i := 1; i <= 5; i++ {
 		rec(r, i)
 	}
@@ -79,7 +79,7 @@ func TestFullOverflow(t *testing.T) {
 // identity — capacity and mode — so a refill (as MergeInto does) starts
 // clean without rebuilding.
 func TestResetKeepsStorage(t *testing.T) {
-	r := NewRecorder(Options{Mode: Ring, Buffer: 4})
+	r := newRecorder(true, 4)
 	r.Record(0, KindAck, 2, 0, 0, 0, 0, 0)
 	r.Reset()
 	if r.Len() != 0 || r.Total() != 0 {
@@ -93,23 +93,19 @@ func TestResetKeepsStorage(t *testing.T) {
 	}
 }
 
-// TestRecorderBadOptionsPanic: invalid options panic with the package's
-// "trace:" prefix (the public Config layer validates first; this is the
-// backstop for internal misuse).
-func TestRecorderBadOptionsPanic(t *testing.T) {
-	for _, o := range []Options{
-		{Mode: Ring},
-		{Mode: Full},
-		{Mode: Mode(42), Buffer: 1, MaxEvents: 1},
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("NewRecorder(%+v) did not panic", o)
-				}
-			}()
-			NewRecorder(o)
-		}()
+// TestNewRecorderModes: Off (and anything but Ring or Full) builds no
+// recorder; Ring preallocates its 65,536 events and Full caps at 2^20.
+func TestNewRecorderModes(t *testing.T) {
+	for _, mode := range []Mode{Off, "bogus"} {
+		if r := NewRecorder(mode); r != nil {
+			t.Errorf("NewRecorder(%q) = %+v, want nil", mode, r)
+		}
+	}
+	if r := NewRecorder(Ring); !r.ring || len(r.buf) != 65536 {
+		t.Errorf("ring recorder: ring %v with %d slots, want a ring of 65536", r.ring, len(r.buf))
+	}
+	if r := NewRecorder(Full); r.ring || r.size != 1<<20 || len(r.buf) != 0 {
+		t.Errorf("full recorder: ring %v, cap %d, %d preallocated; want full, 1<<20, none", r.ring, r.size, len(r.buf))
 	}
 }
 
@@ -117,7 +113,7 @@ func TestRecorderBadOptionsPanic(t *testing.T) {
 // recorder allocates nothing — the flight recorder can stay armed in
 // sweeps without perturbing the allocation-free hot path.
 func TestRecordAllocationFree(t *testing.T) {
-	r := NewRecorder(Options{Mode: Ring, Buffer: 128})
+	r := newRecorder(true, 128)
 	i := 0
 	allocs := testing.AllocsPerRun(1000, func() {
 		i++
@@ -131,7 +127,7 @@ func TestRecordAllocationFree(t *testing.T) {
 // TestWriteJSONL: the JSONL export is one valid object per line with
 // the documented fields, oldest first.
 func TestWriteJSONL(t *testing.T) {
-	r := NewRecorder(Options{Mode: Full, MaxEvents: 8})
+	r := newRecorder(false, 8)
 	r.Record(2*sim.Millisecond, KindSegmentSend, 7, 1, 10, 20, 1400, 0)
 	r.Record(3*sim.Millisecond, KindLinkDown, 0, -1, 5, 6, 0, 0)
 	var buf bytes.Buffer
@@ -167,7 +163,7 @@ func TestWriteJSONL(t *testing.T) {
 // control events as instants, and the three process_name metadata rows
 // label the tracks.
 func TestWriteChromeTrace(t *testing.T) {
-	r := NewRecorder(Options{Mode: Full, MaxEvents: 64})
+	r := newRecorder(false, 64)
 	r.Record(1*sim.Millisecond, KindFlowStart, 3, -1, 10, 20, 70000, 0)
 	r.Record(1*sim.Millisecond, KindSubflowOpen, 3, 0, 10, 20, 10000, 0)
 	r.Record(2*sim.Millisecond, KindQueueDrop, 3, 0, 30, 31, 1400, 30)

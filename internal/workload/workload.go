@@ -46,24 +46,15 @@ func BuildPermutation(rng *sim.RNG, hosts int, longFraction float64) Assignment 
 	return a
 }
 
-// HotspotConfig redirects a fraction of short senders to a single hot
-// destination (the paper's roadmap "effect of hotspots").
-type HotspotConfig struct {
-	// Fraction of short senders redirected to the hot host.
-	Fraction float64
-	// Host is the hot destination.
-	Host int
-}
-
-// ApplyHotspot rewrites the partners of the first Fraction of short
-// senders to point at the hot host. Senders equal to the hot host keep
-// their original partner.
-func (a *Assignment) ApplyHotspot(cfg HotspotConfig) {
-	n := int(float64(len(a.ShortSenders)) * cfg.Fraction)
+// ApplyHotspot rewrites the partners of the first fraction of short
+// senders to point at the hot host (the paper's roadmap "effect of
+// hotspots"). Senders equal to the hot host keep their original partner.
+func (a *Assignment) ApplyHotspot(fraction float64, host int) {
+	n := int(float64(len(a.ShortSenders)) * fraction)
 	for i := 0; i < n && i < len(a.ShortSenders); i++ {
 		s := a.ShortSenders[i]
-		if s != cfg.Host {
-			a.Partner[s] = cfg.Host
+		if s != host {
+			a.Partner[s] = host
 		}
 	}
 }

@@ -153,7 +153,7 @@ func TestApplyHotspot(t *testing.T) {
 	rng := sim.NewRNG(3)
 	a := BuildPermutation(rng, 64, 1.0/3)
 	hot := a.ShortSenders[len(a.ShortSenders)-1] // pick some host
-	a.ApplyHotspot(HotspotConfig{Fraction: 0.5, Host: hot})
+	a.ApplyHotspot(0.5, hot)
 	n := int(float64(len(a.ShortSenders)) * 0.5)
 	redirected := 0
 	for i := 0; i < n; i++ {
@@ -202,7 +202,7 @@ func TestApplyHotspotEdgeCases(t *testing.T) {
 	rng := sim.NewRNG(5)
 	a := BuildPermutation(rng, 32, 0.25)
 	before := append([]int(nil), a.Partner...)
-	a.ApplyHotspot(HotspotConfig{Fraction: 0, Host: 1})
+	a.ApplyHotspot(0, 1)
 	for i := range before {
 		if a.Partner[i] != before[i] {
 			t.Fatalf("fraction 0 rewrote partner of %d", i)
@@ -211,7 +211,7 @@ func TestApplyHotspotEdgeCases(t *testing.T) {
 	// Fraction 1: every short sender except the hot host itself points
 	// at the hot host; long senders keep their partners.
 	hot := a.ShortSenders[0]
-	a.ApplyHotspot(HotspotConfig{Fraction: 1, Host: hot})
+	a.ApplyHotspot(1, hot)
 	for _, s := range a.ShortSenders {
 		if s == hot {
 			if a.Partner[s] == hot {
@@ -231,7 +231,7 @@ func TestApplyHotspotEdgeCases(t *testing.T) {
 	// Fraction above 1 is clamped by the slice bound rather than
 	// panicking.
 	b := BuildPermutation(sim.NewRNG(6), 16, 0)
-	b.ApplyHotspot(HotspotConfig{Fraction: 2.5, Host: 3})
+	b.ApplyHotspot(2.5, 3)
 	for _, s := range b.ShortSenders {
 		if s != 3 && b.Partner[s] != 3 {
 			t.Errorf("sender %d missed by over-unity fraction", s)

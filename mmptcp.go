@@ -31,10 +31,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/faults"
-	"repro/internal/routing"
 	"repro/internal/sim"
 	"repro/internal/topology"
-	"repro/internal/trace"
 )
 
 // Protocol selects the transport under test.
@@ -61,34 +59,6 @@ const (
 	TopoMultiHomed TopologyKind = "multihomed" // dual-homed FatTree (paper roadmap)
 	TopoDumbbell   TopologyKind = "dumbbell"   // two switches, one bottleneck
 )
-
-// RoutingConfig is the routing section of Config: which repair model
-// runs under failures and how recomputed tables reach the switches.
-// The zero value is the PR-2 baseline — local repair, atomic flips.
-type RoutingConfig struct {
-	// Mode selects the repair model. RoutingLocal (the default) is
-	// link-local reconvergence: each switch stops using its own dead
-	// links but upstream ECMP stays oblivious, so traffic keeps hashing
-	// onto next hops with no way forward (NoRouteDrops). RoutingGlobal
-	// installs the control plane that recomputes global reachability
-	// after each reconvergence-delayed link state change and steers ECMP
-	// around unreachable next hops.
-	Mode RoutingMode
-
-	// Convergence picks how the control plane's recomputed tables reach
-	// the switches: ConvergeAtomic (default) flips every switch at
-	// recompute time; ConvergeStaggered gives each switch its own FIB
-	// flip time — recompute time plus PerHopDelay per hop from the
-	// nearest failed element — opening the micro-loop and transient-
-	// blackhole window real control planes exhibit (accounted in
-	// Results.Routing and Results.LoopDrops). Staggered convergence
-	// requires Mode RoutingGlobal.
-	Convergence ConvergenceMode
-	// PerHopDelay is the staggered flip delay per hop of distance from
-	// the transition; zero makes staggered degenerate to atomic exactly.
-	// Must not be negative.
-	PerHopDelay SimTime
-}
 
 // TransportConfig is the transport-recovery section of Config: whether
 // and how the transports react to persistent path failures instead of
@@ -144,37 +114,12 @@ type MetricsConfig struct {
 	SnapshotInterval sim.Time
 }
 
-// TraceMode selects how the structured event recorder stores events.
-type TraceMode string
-
-// Trace recording modes.
-const (
-	// TraceOff disables the recorder entirely (the default). Trace
-	// points stay compiled in but cost one nil check each; the hot path
-	// is allocation-identical to a build without tracing.
-	TraceOff TraceMode = ""
-	// TraceRing keeps the newest 65,536 events in a preallocated ring —
-	// a flight recorder: O(1) memory however long the run, the tail of
-	// history available when something goes wrong.
-	TraceRing TraceMode = "ring"
-	// TraceFull retains every recorded event, up to 2^20, for complete
-	// timelines of small runs.
-	TraceFull TraceMode = "full"
-)
-
-// Trace storage sizes. One event is 48 bytes, so the ring holds ~3 MB
-// regardless of run length; full mode grows on demand up to its cap and
-// drops what comes after it (Recorder.Total - Recorder.Len counts it).
-const (
-	traceRingEvents = 65536
-	traceFullEvents = 1 << 20
-)
-
 // TraceConfig is the observability section of Config: whether a run
-// records a structured event trace and how events are stored. The zero
-// value is off — and off really is free: every trace point reduces to a
-// nil-receiver check, pinned by the allocation-free forwarding tests and
-// the engine-throughput benchmark.
+// records a structured event trace and how events are stored. The modes
+// and their storage sizes are internal/trace's (TraceMode is trace.Mode).
+// The zero value is off — and off really is free: every trace point
+// reduces to a nil-receiver check, pinned by the allocation-free
+// forwarding tests and the engine-throughput benchmark.
 //
 // Tracing observes and never perturbs: a traced run's Results are
 // byte-identical to the same config untraced (trace storage lives
@@ -183,20 +128,6 @@ type TraceConfig struct {
 	// Mode selects off (default), ring, or full storage; the string
 	// "off" is accepted as a spelled-out zero value.
 	Mode TraceMode
-}
-
-// recorderOptions translates the public trace section into the
-// recorder's own options. c is resolved.
-func (c *Config) recorderOptions() trace.Options {
-	mode := trace.Ring
-	if c.Trace.Mode == TraceFull {
-		mode = trace.Full
-	}
-	return trace.Options{
-		Mode:      mode,
-		Buffer:    traceRingEvents,
-		MaxEvents: traceFullEvents,
-	}
 }
 
 // Config describes one experiment. The zero value is not runnable; use
@@ -239,9 +170,8 @@ type Config struct {
 	Warmup        sim.Time // long-flow head start; default 100 ms
 
 	// Hotspot (roadmap experiment): fraction of short senders
-	// redirected to HotspotHost. Zero disables.
+	// redirected to host 0. Zero disables.
 	HotspotFraction float64
-	HotspotHost     int
 
 	// Faults schedules network dynamics — link failures, repairs,
 	// switch crashes, capacity/delay degradation and random loss —
@@ -255,9 +185,10 @@ type Config struct {
 	Faults FaultsConfig
 
 	// Routing selects the repair and convergence model under failures;
-	// see RoutingConfig. Irrelevant on a healthy network: the control
-	// plane is only installed when Faults is active, so the healthy hot
-	// path is identical in every mode.
+	// see RoutingConfig, which internal/routing defines and resolves.
+	// Irrelevant on a healthy network: the control plane is only
+	// installed when Faults is active, so the healthy hot path is
+	// identical in every mode.
 	Routing RoutingConfig
 
 	// Transport arms transport-layer failure recovery — subflow
@@ -322,18 +253,17 @@ func SmallConfig(proto Protocol, flows int) Config {
 }
 
 // resolve is the one place a Config is defaulted and judged: zero fields
-// take their defaults, every value and cross-field rule is checked, and
-// the topology section is put to its builder's own Validate, so a
-// resolved config builds and dials without a panic. Every exported entry
-// point calls it exactly once, on its own copy; nothing below
-// re-resolves. Resolving a resolved config changes nothing. run says the
-// config is about to be executed, which makes the workload fields
-// (ShortFlows, ArrivalRate) required; Dial and NewNetwork leave them
-// optional.
+// take their defaults, every value and cross-field rule is checked, the
+// topology section is put to its builder's own Validate and the routing
+// section to routing.Config.Resolve, so a resolved config builds and
+// dials without a panic. Every exported entry point calls it exactly
+// once, on its own copy; nothing below re-resolves. Resolving a resolved
+// config changes nothing. run says the config is about to be executed,
+// which makes the workload fields (ShortFlows, ArrivalRate) required;
+// Dial and NewNetwork leave them optional.
 //
-// Two rules need the built network and are checked when a run starts
-// instead: fault events must address existing links and switches, and
-// HotspotHost an existing host.
+// One rule needs the built network and is checked when a run starts
+// instead: fault events must address existing links and switches.
 func (c *Config) resolve(run bool) error {
 	// Written so that a NaN fails each of them.
 	if !(c.LongFraction < 1) || math.IsInf(c.LongFraction, -1) {
@@ -420,32 +350,11 @@ func (c *Config) resolve(run bool) error {
 		return fmt.Errorf("mmptcp: %s with K %d, HostsPerEdge %d: %w", c.Topology, c.K, c.HostsPerEdge, err)
 	}
 
-	mode, err := routing.ParseMode(string(c.Routing.Mode))
-	if err != nil {
+	if err := c.Routing.Resolve(); err != nil {
 		return fmt.Errorf("mmptcp: %w", err)
 	}
-	c.Routing.Mode = mode
-	conv, err := routing.ParseConvergence(string(c.Routing.Convergence))
-	if err != nil {
-		return fmt.Errorf("mmptcp: %w", err)
-	}
-	c.Routing.Convergence = conv
-	// The routing value rules (negative delays, threshold without window,
-	// per-hop delay under atomic) live in routing.Config. Checking here —
-	// not only at Install — rejects a bad section even on runs that never
-	// install a control plane.
-	if err := c.routingConfig().Validate(); err != nil {
-		return fmt.Errorf("mmptcp: %w", err)
-	}
-	// The cross-field rules involving Mode are mmptcp's: everything the
-	// control plane implements needs the control plane installed.
-	if mode != RoutingGlobal {
-		if conv == ConvergeStaggered {
-			return fmt.Errorf("mmptcp: staggered convergence requires Routing.Mode %q (local repair has no control plane to stage)", RoutingGlobal)
-		}
-		if c.Transport.DeferPhaseSwitch {
-			return fmt.Errorf("mmptcp: Transport.DeferPhaseSwitch requires Routing.Mode %q (local repair exposes no convergence signal)", RoutingGlobal)
-		}
+	if c.Transport.DeferPhaseSwitch && c.Routing.Mode != RoutingGlobal {
+		return fmt.Errorf("mmptcp: Transport.DeferPhaseSwitch requires Routing.Mode %q (local repair exposes no convergence signal)", RoutingGlobal)
 	}
 	// Transport recovery: a budget set while re-dialing is off would
 	// silently do nothing; an armed mechanism's zero budget takes its
@@ -518,15 +427,6 @@ func (c *Config) ecnThreshold() int {
 		return dctcpECNThreshold
 	}
 	return 0
-}
-
-// routingConfig translates the public routing section into the control
-// plane's own config (shared by validation and Install-time wiring).
-func (c *Config) routingConfig() routing.Config {
-	return routing.Config{
-		Convergence: routing.Convergence(c.Routing.Convergence),
-		PerHopDelay: c.Routing.PerHopDelay,
-	}
 }
 
 // link and the three methods after it translate a resolved config's

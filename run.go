@@ -2,7 +2,6 @@ package mmptcp
 
 import (
 	"context"
-	"fmt"
 
 	"repro/internal/core"
 	"repro/internal/faults"
@@ -129,9 +128,9 @@ type instance struct {
 	// to eng otherwise. Its partition wiring survives reset.
 	fab *shard.Fabric
 	// rec is the structured event recorder armed for the next run (nil
-	// when the config's Trace section is off). reset re-arms it — reused
-	// when the trace options match, rebuilt otherwise — so a recycled
-	// flight recorder costs its storage once per instance.
+	// when the config's Trace section is off). reset re-arms it with a
+	// fresh recorder; with tracing off that is a single nil store, so the
+	// recycling reset path stays allocation-free.
 	rec *trace.Recorder
 }
 
@@ -143,19 +142,7 @@ func newInstance(cfg *Config) (*instance, error) {
 	if err != nil {
 		return nil, err
 	}
-	ri := &instance{shape: cfg.shape(), eng: eng, net: net, fab: fab}
-	ri.armRecorder(cfg)
-	return ri, nil
-}
-
-// armRecorder points ri.rec at a fresh recorder for the resolved cfg's
-// trace section, or nil when tracing is off. With tracing off this is a
-// single nil store — the recycling reset path stays allocation-free.
-func (ri *instance) armRecorder(cfg *Config) {
-	ri.rec = nil
-	if cfg.Trace.Mode != TraceOff {
-		ri.rec = trace.NewRecorder(cfg.recorderOptions())
-	}
+	return &instance{shape: cfg.shape(), eng: eng, net: net, fab: fab, rec: trace.NewRecorder(cfg.Trace.Mode)}, nil
 }
 
 // reset restores the instance to the state newInstance(cfg) would have
@@ -166,7 +153,7 @@ func (ri *instance) reset(cfg *Config) {
 	ri.eng.Reset()
 	ri.net.Reset(cfg.Seed)
 	ri.fab.Reset()
-	ri.armRecorder(cfg)
+	ri.rec = trace.NewRecorder(cfg.Trace.Mode)
 }
 
 // Run executes one experiment and returns its measurements.
@@ -279,9 +266,6 @@ type liveRun struct {
 // run is the body shared by every entry point: cfg is resolved for a run
 // and the instance is fresh or reset for it.
 func (ri *instance) run(ctx context.Context, cfg *Config) (*Results, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	r, err := ri.build(cfg)
 	if err != nil {
 		return nil, err
@@ -311,11 +295,7 @@ func (ri *instance) build(cfg *Config) (*liveRun, error) {
 	// partitioned fabric each shard records into its own recorder
 	// (merged back into rec after the run); flows record into their
 	// source shard's.
-	var recOpts trace.Options
-	if rec != nil {
-		recOpts = cfg.recorderOptions()
-	}
-	ri.fab.InstallTracing(rec, recOpts)
+	ri.fab.InstallTracing(rec, cfg.Trace.Mode)
 
 	// Network dynamics. The fault plan draws from its own RNG stream —
 	// not rootRNG — so a faulted run and its healthy twin share an
@@ -335,7 +315,7 @@ func (ri *instance) build(cfg *Config) (*liveRun, error) {
 			// switches' forwarding rows (coalesced) on each
 			// reconvergence-delayed link state change. Staggered
 			// convergence is the control plane's own knob.
-			r.controlPlane, err = routing.Install(eng, net, cfg.routingConfig())
+			r.controlPlane, err = routing.Install(eng, net, cfg.Routing)
 			if err != nil {
 				return nil, err
 			}
@@ -347,13 +327,7 @@ func (ri *instance) build(cfg *Config) (*liveRun, error) {
 
 	r.assign = workload.BuildPermutation(r.rootRNG.Split(), len(net.Hosts), max(cfg.LongFraction, 0))
 	if cfg.HotspotFraction > 0 {
-		if h := cfg.HotspotHost; h < 0 || h >= len(net.Hosts) {
-			return nil, fmt.Errorf("mmptcp: HotspotHost %d outside the network's %d hosts", h, len(net.Hosts))
-		}
-		r.assign.ApplyHotspot(workload.HotspotConfig{
-			Fraction: cfg.HotspotFraction,
-			Host:     cfg.HotspotHost,
-		})
+		r.assign.ApplyHotspot(cfg.HotspotFraction, 0)
 	}
 	return r, nil
 }
@@ -561,6 +535,13 @@ func (r *liveRun) collect() {
 	for _, ls := range res.Layers {
 		res.Blackholed += ls.Blackholed
 	}
+	// The control plane's counters first: the assignment replaces the
+	// whole block, which the lines after it complete.
+	if r.controlPlane != nil {
+		res.Routing = r.controlPlane.Stats()
+	}
+	res.Routing.Mode = string(cfg.Routing.Mode)
+	res.Routing.Convergence = string(cfg.Routing.Convergence)
 	for _, sw := range net.Switches {
 		res.NoRouteDrops += sw.NoRoute
 		res.HopDrops += sw.Dropped
@@ -572,21 +553,6 @@ func (r *liveRun) collect() {
 	}
 	if r.faultPlan != nil {
 		res.FaultEvents = len(r.faultPlan.Events)
-	}
-	res.Routing.Mode = string(cfg.Routing.Mode)
-	res.Routing.Convergence = string(cfg.Routing.Convergence)
-	if r.controlPlane != nil {
-		st := r.controlPlane.Stats()
-		res.Routing.Recomputes = st.Recomputes
-		res.Routing.LastConvergence = st.LastConvergence
-		res.Routing.Overrides = st.Overrides
-		res.Routing.DstRecomputed = st.DstRecomputed
-		res.Routing.DstSkipped = st.DstSkipped
-		res.Routing.BFSRuns = st.BFSRuns
-		res.Routing.Flips = st.Flips
-		res.Routing.FirstFlip = st.FirstFlip
-		res.Routing.LastFlip = st.LastFlip
-		res.Routing.TransientTime = st.TransientTime
 	}
 }
 

@@ -143,8 +143,6 @@ func TestRunValidation(t *testing.T) {
 		{with(func(c *Config) { c.HostsPerEdge = -1 }), "HostsPerEdge"},
 		{with(func(c *Config) { c.Topology = TopoDumbbell; c.K, c.HostsPerEdge = 1, 1 }), "K 1"},
 		{with(func(c *Config) { c.Topology = TopoMultiHomed; c.K = 2 }), "K 2"},
-		{with(func(c *Config) { c.HotspotFraction, c.HotspotHost = 0.5, 64 }), "HotspotHost"},
-		{with(func(c *Config) { c.HotspotFraction, c.HotspotHost = 0.5, -1 }), "HotspotHost"},
 		{with(func(c *Config) { c.HotspotFraction = -0.1 }), "HotspotFraction"},
 		{with(func(c *Config) { c.HotspotFraction = 1.5 }), "HotspotFraction"},
 		{with(func(c *Config) { c.HotspotFraction = nan }), "HotspotFraction"},
@@ -230,14 +228,13 @@ func TestRunMMPTCPPhaseSwitchesOnLongFlows(t *testing.T) {
 func TestRunHotspot(t *testing.T) {
 	cfg := tiny(ProtoMMPTCP, 80)
 	cfg.HotspotFraction = 0.5
-	cfg.HotspotHost = 3
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	hot := 0
 	for _, r := range res.ShortFlows {
-		if r.Dst == 3 {
+		if r.Dst == 0 {
 			hot++
 		}
 	}

@@ -267,7 +267,6 @@ func TestShardedElisionReentry(t *testing.T) {
 	cfg.MaxSimTime = 5 * Second
 	cfg.LongFraction = -1 // no long flows: boundaries go quiet between shorts
 	cfg.HotspotFraction = 0.5
-	cfg.HotspotHost = 0
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
