@@ -149,9 +149,9 @@ func fuzzSeed(base []byte, pairs ...byte) []byte {
 // rejects like any unknown topology; then fourteen more configs resolve
 // must reject: bad K and HostsPerEdge; negative SwitchBytes, Warmup,
 // DeadRTOs and ShortFlowSize; a multi-homed K 2, staggered convergence
-// under local repair and a NaN ArrivalRate; Subflows 300 and 128, whose subflow IDs
-// would collide or wrap negative; and K 1000 and HostsPerEdge 1<<30,
-// whose fabrics used to be allocated.
+// under local repair and a NaN ArrivalRate; Subflows 300 and 128, whose
+// subflow IDs would collide or wrap negative; and K 1000 and
+// HostsPerEdge 1<<30, whose fabrics used to be allocated.
 func fuzzSeeds() [][]byte {
 	const neg = 0x80
 	valid := func(topo, proto, k, hpe byte) []byte {
