@@ -267,8 +267,8 @@ type ShardStats struct {
 	Barriers     uint64
 	ControlTurns uint64
 	Windows      uint64
-	// ElidedWakeups counts shard-window slots skipped without a channel
-	// round-trip (the shard had nothing below its window edge).
+	// ElidedWakeups counts shard-window slots skipped without a hand-off
+	// to the shard (it had nothing below its window edge).
 	ElidedWakeups uint64
 	// WidenedWindows is always zero: no window exceeds the conservative
 	// bound. The field stays until the benchmark's Results fingerprints

@@ -1,6 +1,10 @@
 package shard
 
 import (
+	"runtime"
+	"sync"
+	"sync/atomic"
+
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -16,34 +20,46 @@ type RunOptions struct {
 	Interrupt func() bool
 }
 
-// worker is one shard's persistent execution thread: it parks on start,
-// runs its engine to the received window edge, and reports on done. The
-// channel pair is also the memory barrier that publishes everything the
-// control thread wrote at the barrier (fault state, FIB flips, freshly
-// dialed endpoints) to the shard thread and vice versa.
+// worker is the hand-off slot of one persistent shard thread; shard 0
+// runs on the coordinator. The coordinator stores limit and bumps gen;
+// the worker runs its engine to limit and stores gen into done. The
+// atomics publish what the control thread wrote at the barrier (fault
+// state, FIB flips, dialed endpoints) to the shard thread and back. The
+// worker yields but never parks: a window is too short to pay a wake-up.
 type worker struct {
-	start chan sim.Time
-	done  chan struct{}
+	gen, done atomic.Uint64
+	quit      atomic.Bool
+	limit     sim.Time
+	_         [96]byte // two cache lines per worker: no false sharing
 }
 
 func (f *Fabric) startWorkers() {
-	f.workers = make([]worker, f.shards)
+	f.workers = make([]worker, f.shards-1)
+	f.workerWG.Add(len(f.workers))
 	for i := range f.workers {
-		w := worker{start: make(chan sim.Time), done: make(chan struct{})}
-		f.workers[i] = w
-		go func(e *sim.Engine) {
-			for limit := range w.start {
-				e.RunUntil(limit)
-				w.done <- struct{}{}
-			}
-		}(f.engines[i])
+		go f.workers[i].run(f.engines[i+1], &f.workerWG)
 	}
 }
 
+func (w *worker) run(e *sim.Engine, wg *sync.WaitGroup) {
+	defer wg.Done()
+	for seen := uint64(0); ; runtime.Gosched() {
+		if g := w.gen.Load(); g != seen {
+			seen = g
+			e.RunUntil(w.limit)
+			w.done.Store(g)
+		} else if w.quit.Load() {
+			return
+		}
+	}
+}
+
+// stopWorkers returns once every worker goroutine has exited.
 func (f *Fabric) stopWorkers() {
 	for i := range f.workers {
-		close(f.workers[i].start)
+		f.workers[i].quit.Store(true)
 	}
+	f.workerWG.Wait()
 	f.workers = nil
 }
 
@@ -140,24 +156,27 @@ func (f *Fabric) Run(opt RunOptions) (stopped bool, elapsed sim.Time) {
 	}
 }
 
-// runWindow dispatches every shard with work strictly below edge and
-// waits for all of them — the barrier. Shards whose next event is at or
-// past the edge are elided: no channel round-trip, no clock raise; their
-// clocks catch up at the next control barrier or window they participate
-// in. s is the window start (the earliest pending shard event), for
-// stats.
+// runWindow hands every shard with work strictly below edge its window,
+// runs shard 0 inline and waits for the rest — the barrier. Shards whose
+// next event is at or past the edge are elided: no hand-off, no clock
+// raise; their clocks catch up at the next barrier they take part in. s
+// is the window start (the earliest pending shard event), for stats.
 func (f *Fabric) runWindow(s, edge sim.Time) {
 	n := 0
-	for i, e := range f.engines {
-		f.dispatched[i] = e.PeekTime() < edge
-		if f.dispatched[i] {
+	for i := range f.workers {
+		if w := &f.workers[i]; f.engines[i+1].PeekTime() < edge {
 			n++
-			f.workers[i].start <- edge - 1
+			w.limit = edge - 1
+			w.gen.Add(1)
 		}
 	}
-	for i := range f.engines {
-		if f.dispatched[i] {
-			<-f.workers[i].done
+	if e := f.engines[0]; e.PeekTime() < edge {
+		n++
+		e.RunUntil(edge - 1)
+	}
+	for i := range f.workers {
+		for w := &f.workers[i]; w.done.Load() != w.gen.Load(); {
+			runtime.Gosched()
 		}
 	}
 	elided := uint64(f.shards - n)

@@ -15,9 +15,10 @@
 // at the barrier. A barrier is the degenerate form of a null-message
 // broadcast — every shard learns every neighbour's horizon at once —
 // which trades a little parallel slack for a deadlock-free protocol with
-// no per-channel timestamp traffic. A shard with nothing to execute
-// below the edge is elided from the window: no wake-up, no wait; see
-// coordinator.go.
+// no per-channel timestamp traffic. The coordinator runs shard 0; each
+// other shard's worker spins on an atomic hand-off, so a run keeps Shards
+// cores busy throughout. A shard with nothing to execute below the edge
+// is elided from the window: no hand-off, no wait; see coordinator.go.
 //
 // Determinism contract: runs are deterministic for a fixed (Seed,
 // Shards). Cross-shard deliveries are totally ordered by (timestamp,
@@ -39,6 +40,7 @@ package shard
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/netem"
 	"repro/internal/sim"
@@ -136,9 +138,9 @@ type Fabric struct {
 
 	shardRecs []*trace.Recorder
 
-	workers    []worker
-	deferIdx   []int  // flushDeferred scratch, kept to avoid per-barrier allocation
-	dispatched []bool // runWindow scratch
+	workers  []worker // shards 1..N-1; live only inside Run
+	workerWG sync.WaitGroup
+	deferIdx []int // flushDeferred scratch, kept to avoid per-barrier allocation
 }
 
 // Stats is the coordinator's per-run synchronization accounting,
@@ -155,8 +157,8 @@ type Stats struct {
 	// Windows counts dispatched parallel windows.
 	Windows uint64
 	// ElidedWakeups counts shard-window slots skipped: shards whose
-	// next event lay at or beyond the window edge, so no channel
-	// round-trip woke them.
+	// next event lay at or beyond the window edge, so the window handed
+	// them nothing to run.
 	ElidedWakeups uint64
 	// WindowNsSum accumulates window widths (edge minus window start)
 	// for MeanWindowNs.
@@ -190,13 +192,12 @@ func Build(control *sim.Engine, net *topology.Network, shards int) (*Fabric, err
 		return nil, err
 	}
 	f := &Fabric{
-		control:    control,
-		net:        net,
-		shards:     shards,
-		swShard:    assign,
-		deferred:   make([][]deferredCall, shards),
-		deferIdx:   make([]int, shards),
-		dispatched: make([]bool, shards),
+		control:  control,
+		net:      net,
+		shards:   shards,
+		swShard:  assign,
+		deferred: make([][]deferredCall, shards),
+		deferIdx: make([]int, shards),
 	}
 	f.engines = make([]*sim.Engine, shards)
 	f.pools = make([]*netem.PacketPool, shards)
@@ -323,9 +324,9 @@ func (f *Fabric) Defer(shard int, fn func(at sim.Time)) {
 // time-ordered after the run.
 func (f *Fabric) InstallTracing(rec *trace.Recorder, mode trace.Mode) {
 	// Window-edge events are coordinator-side: they record into rec
-	// directly (the coordinator runs with every shard thread parked, so
-	// there is no contention), and MergeInto keeps them time-ordered
-	// against the merged shard events.
+	// directly (the coordinator records between windows, while no shard
+	// runs, so there is no contention), and MergeInto keeps them
+	// time-ordered against the merged shard events.
 	f.winRec = rec
 	if f.direct || rec == nil {
 		f.shardRecs = nil

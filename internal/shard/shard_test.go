@@ -1,7 +1,10 @@
 package shard
 
 import (
+	"fmt"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/netem"
@@ -231,5 +234,132 @@ func TestResetReproducesRun(t *testing.T) {
 	}
 	if firstStats != secondStats {
 		t.Errorf("Stats %+v on the fresh fabric, %+v after Reset", firstStats, secondStats)
+	}
+}
+
+// workersLeft counts live worker goroutines. A worker that has just
+// signalled the WaitGroup may still be returning, so a non-zero count is
+// rechecked after yielding, a bounded number of times.
+func workersLeft() int {
+	buf := make([]byte, 1<<20)
+	n := 0
+	for try := 0; try < 1000; try++ {
+		n = strings.Count(string(buf[:runtime.Stack(buf, true)]), "shard.(*worker).run(")
+		if n == 0 {
+			break
+		}
+		runtime.Gosched()
+	}
+	return n
+}
+
+// TestWorkersExitWithRun: Run owns its worker goroutines. Once it
+// returns, none is left, whether the run reached its horizon, was
+// stopped by a deferred completion or was interrupted.
+func TestWorkersExitWithRun(t *testing.T) {
+	cases := []struct {
+		name string
+		run  func(f *Fabric) bool // runs f; false if Run ended some other way
+	}{
+		{"horizon", func(f *Fabric) bool {
+			stopped, end := f.Run(RunOptions{Until: sim.Millisecond})
+			return !stopped && end == sim.Millisecond
+		}},
+		{"stop", func(f *Fabric) bool {
+			f.engines[3].At(100*us, func() { f.Defer(3, func(sim.Time) { f.Stop() }) })
+			stopped, end := f.Run(RunOptions{Until: sim.Millisecond})
+			return stopped && end == 100*us
+		}},
+		{"interrupt", func(f *Fabric) bool {
+			barriers := 0
+			stopped, end := f.Run(RunOptions{Until: sim.Millisecond, Interrupt: func() bool {
+				barriers++
+				return barriers > 5
+			}})
+			return !stopped && end < sim.Millisecond
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			f := build(t, 4)
+			for _, e := range f.engines {
+				tick(e, 500*us)
+			}
+			if !c.run(f) {
+				t.Fatalf("Run did not end by %s", c.name)
+			}
+			if n := workersLeft(); n != 0 {
+				t.Errorf("%d worker goroutines outlived Run", n)
+			}
+		})
+	}
+}
+
+// crossTraffic sends a packet from every host to the hosts 5 and 9 places
+// on, every 40 us for 2 ms, so boundary links queue, same-instant arrivals
+// tie and every shard has work in most windows. It runs the fabric for
+// 5 ms and returns each host's arrivals in the order they fired.
+func crossTraffic(t *testing.T, f *Fabric) [][]fired {
+	t.Helper()
+	hosts := f.net.Hosts
+	got := make([][]fired, len(hosts))
+	for i, src := range hosts {
+		for _, hop := range []int{5, 9} {
+			j := (i + hop) % len(hosts)
+			dst, flow := hosts[j], uint32(i*len(hosts)+j)
+			dst.Register(uint64(flow), 0, endpointFunc(func(*netem.Packet) {
+				got[j] = append(got[j], fired{fmt.Sprint(flow), dst.Engine().Now()})
+			}))
+			for at := sim.Time(i); at < 2*sim.Millisecond; at += 40 * us {
+				src.Engine().At(at, func() {
+					p := src.NewPacket()
+					p.Src, p.Dst = src.ID(), dst.ID()
+					p.SrcPort, p.DstPort = 10000, 80
+					p.Size = 1500
+					p.FlowID, p.Subflow = flow, 0
+					p.Flags = netem.FlagData
+					src.Send(p)
+				})
+			}
+		}
+	}
+	if stopped, end := f.Run(RunOptions{Until: 5 * sim.Millisecond}); stopped || end != 5*sim.Millisecond {
+		t.Errorf("Run = (%v, %v), want (false, 5ms)", stopped, end)
+	}
+	return got
+}
+
+type endpointFunc func(*netem.Packet)
+
+func (fn endpointFunc) HandlePacket(p *netem.Packet) { fn(p) }
+
+// TestThreadCountDoesNotChangeRun: how many OS threads carry the shards
+// decides only how fast a run goes. At 2 and 4 shards, with one thread
+// (every worker yields to the coordinator) and with two, the same
+// schedule delivers every packet at the same instant in the same order,
+// with the same coordinator accounting.
+func TestThreadCountDoesNotChangeRun(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, shards := range []int{2, 4} {
+		var want [][]fired
+		var wantStats Stats
+		for _, procs := range []int{1, 2} {
+			runtime.GOMAXPROCS(procs)
+			f := build(t, shards)
+			got := crossTraffic(t, f)
+			if want == nil {
+				want, wantStats = got, f.Stats()
+				if wantStats.Windows == 0 {
+					t.Fatalf("%d shards: no parallel window ran", shards)
+				}
+				continue
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%d shards: arrivals at GOMAXPROCS %d differ from GOMAXPROCS 1", shards, procs)
+			}
+			if st := f.Stats(); st != wantStats {
+				t.Errorf("%d shards: Stats %+v at GOMAXPROCS %d, %+v at 1", shards, st, procs, wantStats)
+			}
+		}
 	}
 }
