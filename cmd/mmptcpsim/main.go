@@ -260,23 +260,17 @@ func replicate(cfg mmptcp.Config, n, workers int, base uint64) {
 		// unconditionally so base 0 still yields distinct replicates.
 		configs[i].Seed = mmptcp.NewRNGStream(base, uint64(i)).Uint64()
 	}
+	opts := mmptcp.SweepOptions{Workers: workers}
 	start := time.Now()
-	results, err := mmptcp.RunSweep(configs, mmptcp.SweepOptions{Workers: workers})
+	results, err := mmptcp.RunSweep(configs, opts)
 	check(err)
 	wall := time.Since(start)
 
 	fmt.Printf("protocol=%s topology=%s(k=%d,hosts/edge=%d) base-seed=%d replicates=%d\n",
 		cfg.Protocol, cfg.Topology, cfg.K, cfg.HostsPerEdge, base, n)
-	effective := workers
-	if effective <= 0 {
-		effective = mmptcp.DefaultSweepWorkers()
-	}
-	if effective > n {
-		effective = n // the pool never runs more workers than jobs
-	}
 	// Wall-clock time goes to stderr: stdout is the deterministic report.
 	fmt.Fprintf(os.Stderr, "ran %d experiments in %v wall (workers=%d)\n",
-		n, wall.Round(time.Millisecond), effective)
+		n, wall.Round(time.Millisecond), mmptcp.SweepWorkers(configs, opts))
 	fmt.Println()
 	fmt.Println("replicate        seed  mean_ms  std_ms  p99_ms  rto_flows  miss_pct  long_tput_mbps")
 	var means, tputs []float64

@@ -86,10 +86,10 @@ func (s *LinkStats) AvgQueue(elapsed sim.Time) float64 {
 
 // rxScheduler is what a link needs of whatever realises its deliveries:
 // the destination's *sim.Engine, or a cross-shard outbox buffering them
-// for the destination shard (which may return a nil *sim.Event).
+// for the destination shard.
 type rxScheduler interface {
 	Now() sim.Time
-	AtArg(t sim.Time, fn func(any), arg any) *sim.Event
+	AtArg(t sim.Time, fn func(any), arg any)
 }
 
 // Link is a unidirectional point-to-point link with a drop-tail FIFO

@@ -89,14 +89,13 @@ type outbox struct {
 
 func (o *outbox) Now() sim.Time { return o.dst.Now() }
 
-func (o *outbox) AtArg(t sim.Time, fn func(any), arg any) *sim.Event {
+func (o *outbox) AtArg(t sim.Time, fn func(any), arg any) {
 	if o.sent >= deliveryKeyMax {
 		panic("shard: outbox send counter exhausted its key bits")
 	}
 	key := deliveryLane | uint64(o.src)<<deliverySrcSh | o.sent
 	o.sent++
 	o.pending = append(o.pending, delivery{at: t, key: key, fn: fn, arg: arg})
-	return nil
 }
 
 // deferredCall is a completion callback captured on a shard thread and

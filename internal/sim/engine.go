@@ -2,48 +2,20 @@ package sim
 
 import "slices"
 
-// Event is a scheduled callback. Events are created by Engine.Schedule,
-// Engine.At and their arg-carrying variants, and may be cancelled before
-// they fire. An Event must not be used after it has fired or been
-// cancelled: the engine recycles fired and discarded events through an
-// internal free list, so a stale handle may alias a completely unrelated
-// future event.
-type Event struct {
-	eng *Engine
-	at  Time
-	seq uint64
-
-	// Exactly one of fn / fnArg is set. The arg-carrying form exists so
-	// hot paths (retransmit timers re-armed per ACK, per-packet link
-	// events) can schedule a long-lived callback plus a value instead of
-	// allocating a fresh closure per event.
-	fn    func()
-	fnArg func(any)
-	arg   any
-
+// event is the pooled record of one scheduled callback. Its time and
+// sequence number live only in the queue entry that points at it; a Timer
+// is the one holder of an event besides the queue, and the one thing that
+// cancels it (Engine.cancel).
+type event struct {
+	fn        func(any)
+	arg       any
 	cancelled bool
-	fired     bool
 }
 
-// Cancel prevents the event from firing. Cancelling an event that has
-// already fired or been cancelled is a no-op.
-func (ev *Event) Cancel() {
-	if ev == nil || ev.cancelled || ev.fired {
-		return
-	}
-	ev.cancelled = true
-	ev.fn = nil
-	ev.fnArg = nil
-	ev.arg = nil
-	if ev.eng != nil {
-		ev.eng.noteCancelled()
-	}
-}
-
-// Pending reports whether the event is still scheduled to fire.
-func (ev *Event) Pending() bool {
-	return ev != nil && !ev.cancelled && !ev.fired
-}
+// call is the callback of every event scheduled through Schedule or At:
+// the func() rides in the arg slot, which holds a func value without
+// allocating, so the engine has one callback form.
+func call(a any) { a.(func())() }
 
 // compactFloor is the minimum queue size below which cancelled events are
 // simply left to be discarded lazily: compaction of a tiny queue saves
@@ -55,7 +27,7 @@ const compactFloor = 64
 type entry struct {
 	at  Time
 	seq uint64
-	ev  *Event
+	ev  *event
 }
 
 // less orders entries by time, breaking ties by insertion sequence so that
@@ -146,15 +118,19 @@ type Engine struct {
 
 	// free recycles fired and discarded events so steady-state scheduling
 	// does not allocate. Events enter it from the run loop (after firing
-	// or lazy discard of a cancellation) and from compact.
-	free []*Event
+	// or lazy discard of a cancellation), from compact and from Reset.
+	free []*event
 
 	// interrupt, when set, is polled every interruptEvery processed
 	// events by RunUntil; returning true stops the run (see
 	// SetInterrupt).
-	interrupt      func() bool
-	interruptEvery uint64
+	interrupt func() bool
 }
+
+// interruptEvery is how many events RunUntil processes between interrupt
+// polls: frequent enough to abort a stuck run in milliseconds of wall
+// time, rare enough to be free on the hot path.
+const interruptEvery = 8192
 
 // NewEngine returns an engine with the clock at zero and no pending events.
 func NewEngine() *Engine {
@@ -205,60 +181,41 @@ func (e *Engine) AdvanceTo(t Time) {
 // Processed returns the number of events executed so far.
 func (e *Engine) Processed() uint64 { return e.processed }
 
-// SetInterrupt installs a poll function checked every `every` processed
-// events during RunUntil; if it returns true the run stops as if Stop had
-// been called. Passing a nil fn (or every == 0) removes the hook. Run can
-// be resumed afterwards, so this composes with external cancellation
-// (e.g. a context) without poisoning the engine.
-func (e *Engine) SetInterrupt(every uint64, fn func() bool) {
-	if fn == nil || every == 0 {
-		e.interrupt, e.interruptEvery = nil, 0
-		return
-	}
-	e.interrupt, e.interruptEvery = fn, every
-}
+// SetInterrupt installs a poll function checked every interruptEvery
+// processed events during RunUntil; if it returns true the run stops as if
+// Stop had been called. A nil fn removes the hook. Run can be resumed
+// afterwards, so this composes with external cancellation (e.g. a
+// context) without poisoning the engine.
+func (e *Engine) SetInterrupt(fn func() bool) { e.interrupt = fn }
 
 // Schedule runs fn after delay. A negative delay is treated as zero.
 // Events scheduled for the same instant fire in scheduling order.
-func (e *Engine) Schedule(delay Time, fn func()) *Event {
-	if delay < 0 {
-		delay = 0
-	}
-	return e.At(e.now+delay, fn)
-}
+func (e *Engine) Schedule(delay Time, fn func()) { e.At(e.now+max(delay, 0), fn) }
 
 // ScheduleArg runs fn(arg) after delay. It is Schedule for hot paths: the
 // callback is typically a long-lived func value (created once per timer,
 // link or endpoint) and the per-event state rides in arg, so re-arming
 // does not allocate a closure.
-func (e *Engine) ScheduleArg(delay Time, fn func(any), arg any) *Event {
-	if delay < 0 {
-		delay = 0
-	}
-	return e.AtArg(e.now+delay, fn, arg)
+func (e *Engine) ScheduleArg(delay Time, fn func(any), arg any) {
+	e.at(e.now+max(delay, 0), fn, arg)
 }
 
 // At runs fn at absolute time t. Scheduling in the past panics: it is
 // always a logic error in the protocol stacks built on this engine.
-func (e *Engine) At(t Time, fn func()) *Event {
+func (e *Engine) At(t Time, fn func()) {
 	if fn == nil {
 		panic("sim: nil event callback")
 	}
-	ev := e.alloc(t)
-	ev.fn = fn
-	e.push(ev)
-	return ev
+	e.at(t, call, fn)
 }
 
 // AtArg runs fn(arg) at absolute time t (the arg-carrying At).
-func (e *Engine) AtArg(t Time, fn func(any), arg any) *Event {
-	if fn == nil {
-		panic("sim: nil event callback")
-	}
-	ev := e.alloc(t)
-	ev.fnArg = fn
-	ev.arg = arg
-	e.push(ev)
+func (e *Engine) AtArg(t Time, fn func(any), arg any) { e.at(t, fn, arg) }
+
+// at queues fn(arg) at t and returns its record, which only a Timer keeps.
+func (e *Engine) at(t Time, fn func(any), arg any) *event {
+	ev := e.alloc(t, fn, arg)
+	e.push(entry{t, e.seq, ev})
 	return ev
 }
 
@@ -272,49 +229,38 @@ func (e *Engine) AtArg(t Time, fn func(any), arg any) *Event {
 // sequence the engine can reach (the coordinator sets the top bit), so
 // keyed events sort after same-time locally scheduled ones. A keyed event
 // always waits on the heap.
-func (e *Engine) AtArgKeyed(t Time, fn func(any), arg any, key uint64) *Event {
+func (e *Engine) AtArgKeyed(t Time, fn func(any), arg any, key uint64) {
+	ev := e.alloc(t, fn, arg)
+	e.size++
+	e.heapPush(entry{t, key, ev})
+}
+
+// alloc returns an event record for fn(arg) at time t, reusing the free
+// list when possible, and takes the next sequence number: a keyed event
+// uses one up too.
+func (e *Engine) alloc(t Time, fn func(any), arg any) *event {
 	if fn == nil {
 		panic("sim: nil event callback")
 	}
-	ev := e.alloc(t)
-	ev.seq = key
-	ev.fnArg = fn
-	ev.arg = arg
-	e.size++
-	e.heapPush(entry{t, key, ev})
-	return ev
-}
-
-// alloc returns a blank event at time t, reusing the free list when
-// possible.
-func (e *Engine) alloc(t Time) *Event {
 	if t < e.now {
 		panic("sim: event scheduled in the past")
 	}
 	e.seq++
-	var ev *Event
+	var ev *event
 	if n := len(e.free); n > 0 {
 		ev = e.free[n-1]
-		e.free[n-1] = nil
 		e.free = e.free[:n-1]
-		ev.cancelled = false
-		ev.fired = false
 	} else {
-		ev = &Event{}
+		ev = new(event)
 	}
-	ev.eng = e
-	ev.at = t
-	ev.seq = e.seq
+	*ev = event{fn: fn, arg: arg}
 	return ev
 }
 
-// recycle returns a fired or discarded event to the free list. The
-// fired/cancelled flags are deliberately left set until reuse so that a
-// stale handle held in violation of the contract still reads as inert.
-func (e *Engine) recycle(ev *Event) {
-	ev.fn = nil
-	ev.fnArg = nil
-	ev.arg = nil
+// recycle returns a fired or discarded event to the free list, dropping
+// its callback and argument so that they can be collected.
+func (e *Engine) recycle(ev *event) {
+	ev.fn, ev.arg = nil, nil
 	e.free = append(e.free, ev)
 }
 
@@ -325,15 +271,14 @@ func (e *Engine) Stop() { e.stopped = true }
 // pending events, all counters cleared, no interrupt hook — while keeping
 // the allocated capacity (heap backing array, lane rings and event free
 // list), so a pooled engine's steady-state reuse allocates nothing.
-// Pending events are discarded without firing; their handles read as
-// cancelled. This is the sim half of the run-instance pooling contract:
-// after Reset the engine is observationally identical to NewEngine()
-// output.
+// Pending events are discarded without firing, and a Timer armed before
+// Reset must not be used after it. This is the sim half of the
+// run-instance pooling contract: after Reset the engine is observationally
+// identical to NewEngine() output.
 func (e *Engine) Reset() {
 	drop := func(queued []entry) {
 		for _, en := range queued {
 			if en.ev != nil { // lane rings have vacant slots
-				en.ev.cancelled = true
 				e.recycle(en.ev)
 			}
 		}
@@ -355,7 +300,6 @@ func (e *Engine) Reset() {
 	e.cancelled = 0
 	e.stopped = false
 	e.interrupt = nil
-	e.interruptEvery = 0
 }
 
 // Run executes events until the queue is empty or Stop is called.
@@ -375,7 +319,7 @@ func (e *Engine) RunUntil(limit Time) {
 			break
 		}
 		e.pop(src)
-		if e.fire(en.ev) && e.interrupt != nil && e.processed%e.interruptEvery == 0 && e.interrupt() {
+		if e.fire(en) && e.interrupt != nil && e.processed%interruptEvery == 0 && e.interrupt() {
 			e.stopped = true
 		}
 	}
@@ -390,41 +334,40 @@ func (e *Engine) Step() bool {
 	for e.size > 0 {
 		src, en := e.min()
 		e.pop(src)
-		if e.fire(en.ev) {
+		if e.fire(en) {
 			return true
 		}
 	}
 	return false
 }
 
-// fire runs a popped event's callback at its timestamp and recycles it.
-// A cancelled event is only recycled; fire reports whether ev ran.
-func (e *Engine) fire(ev *Event) bool {
+// fire runs a popped entry's callback at its timestamp and recycles its
+// event. A cancelled event is only recycled; fire reports whether en ran.
+func (e *Engine) fire(en entry) bool {
+	ev := en.ev
 	if ev.cancelled {
 		e.cancelled--
 		e.recycle(ev)
 		return false
 	}
-	e.now = ev.at
-	ev.fired = true
-	fn, fnArg, arg := ev.fn, ev.fnArg, ev.arg
+	e.now = en.at
+	fn, arg := ev.fn, ev.arg
 	e.processed++
-	if fnArg != nil {
-		fnArg(arg)
-	} else {
-		fn()
-	}
+	fn(arg)
 	e.recycle(ev)
 	return true
 }
 
-// noteCancelled records a cancellation of a queued event and compacts the
+// cancel stops a queued event from firing (Timer.Stop; a timer drops its
+// event when it fires, so ev is always still queued) and compacts the
 // queue once cancelled events outnumber live ones. Without this, a
-// cancelled event occupies its slot (pinning its closure) until its
-// timestamp is reached — for long-lived retransmit timers that are armed
-// and re-armed on every ACK, the dead entries dominate the queue of a big
-// run, in the heap and in the minimum-RTO lane alike.
-func (e *Engine) noteCancelled() {
+// cancelled event occupies its slot until its timestamp is reached — for
+// long-lived retransmit timers that are armed and re-armed on every ACK,
+// the dead entries dominate the queue of a big run, in the heap and in
+// the minimum-RTO lane alike.
+func (e *Engine) cancel(ev *event) {
+	ev.cancelled = true
+	ev.fn, ev.arg = nil, nil
 	e.cancelled++
 	if e.size >= compactFloor && e.cancelled > e.size/2 {
 		e.compact()
@@ -471,38 +414,11 @@ func (e *Engine) compact() {
 	e.cancelled = 0
 }
 
-// trimFloor is the smallest heap or lane capacity trim bothers shrinking:
-// below this the memory is trivial and trimming would only churn.
-const trimFloor = 4 * compactFloor
-
-// trim reports whether a heap or lane backing array of capacity c should
-// release memory after a burst: when the whole queue has shrunk below a
-// quarter of it, the caller reallocates it at half size (geometric, so
-// repeated trims cost amortised O(1) per pop). Without this a Step- or
-// RunUntil-driven loop that once held a million events pins that footprint
-// forever — compact only removes cancelled entries, it never shrinks
-// capacity. Measuring against the whole queue rather than the array's own
-// share keeps a lane that compaction has just emptied of dead timers from
-// shrinking and regrowing on every cycle. The free list is bounded
-// alongside, since pooled events are the same retired burst.
-func (e *Engine) trim(c int) bool {
-	if c < trimFloor || e.size >= c/4 {
-		return false
-	}
-	if len(e.free) > c/2 {
-		free := make([]*Event, c/2)
-		copy(free, e.free[:c/2])
-		e.free = free
-	}
-	return true
-}
-
-// push queues a newly scheduled, unkeyed ev: on the lane of its delay
+// push queues a newly scheduled, unkeyed entry: on the lane of its delay
 // when there is one, on the heap otherwise.
-func (e *Engine) push(ev *Event) {
+func (e *Engine) push(en entry) {
 	e.size++
-	en := entry{ev.at, ev.seq, ev}
-	if i := e.laneFor(ev.at - e.now); i >= 0 {
+	if i := e.laneFor(en.at - e.now); i >= 0 {
 		l := &e.lanes[i]
 		if l.n == 0 {
 			e.heads[i] = en
@@ -623,9 +539,6 @@ func (e *Engine) pop(src int) {
 		l.head = (l.head + 1) & (len(l.ring) - 1)
 		l.n--
 		e.heads[src] = l.ring[l.head]
-		if c := len(l.ring); e.trim(c) {
-			l.resize(c / 2)
-		}
 		return
 	}
 	n := len(e.heap) - 1
@@ -634,9 +547,6 @@ func (e *Engine) pop(src int) {
 	e.heap = e.heap[:n]
 	if n > 0 {
 		e.siftDown(0)
-	}
-	if c := cap(e.heap); e.trim(c) {
-		e.heap = append(make([]entry, 0, c/2), e.heap...)
 	}
 }
 

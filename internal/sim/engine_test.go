@@ -60,13 +60,14 @@ func TestEngineNestedScheduling(t *testing.T) {
 func TestEngineCancel(t *testing.T) {
 	e := NewEngine()
 	fired := false
-	ev := e.Schedule(Millisecond, func() { fired = true })
-	if !ev.Pending() {
-		t.Fatal("event should be pending after scheduling")
+	tm := NewTimer(e, func() { fired = true })
+	tm.Reset(Millisecond)
+	if !tm.Active() || pending(e) != 1 {
+		t.Fatalf("Active %v, pending %d after Reset, want true and 1", tm.Active(), pending(e))
 	}
-	ev.Cancel()
-	if ev.Pending() {
-		t.Fatal("event should not be pending after cancel")
+	tm.Stop()
+	if tm.Active() || pending(e) != 0 {
+		t.Fatalf("Active %v, pending %d after Stop, want false and 0", tm.Active(), pending(e))
 	}
 	e.Run()
 	if fired {
@@ -81,23 +82,32 @@ func TestEngineCancel(t *testing.T) {
 // awaiting discard are not counted.
 func pending(e *Engine) int { return e.size - e.cancelled }
 
+// armTimers returns n timers, timer i armed to fire after delay(i), each
+// failing t if it fires.
+func armTimers(t *testing.T, e *Engine, n int, delay func(i int) Time) []*Timer {
+	timers := make([]*Timer, n)
+	for i := range timers {
+		timers[i] = NewTimer(e, func() { t.Error("cancelled event fired") })
+		timers[i].Reset(delay(i))
+	}
+	return timers
+}
+
 // TestEngineCancelCompaction exercises the retransmit-timer pattern: a
-// large population of far-future events that are cancelled long before
-// their timestamps. The heap must shed them eagerly rather than carrying
+// large population of far-future timers that are stopped long before
+// their deadlines. The heap must shed them eagerly rather than carrying
 // them to their deadlines, and only live events count as pending.
 func TestEngineCancelCompaction(t *testing.T) {
 	e := NewEngine()
 	const n = 10 * compactFloor
-	far := make([]*Event, n)
-	for i := range far {
-		far[i] = e.Schedule(Time(i+1)*Second, func() { t.Error("cancelled event fired") })
-	}
-	live := e.Schedule(Millisecond, func() {})
+	far := armTimers(t, e, n, func(i int) Time { return Time(i+1) * Second })
+	fired := 0
+	e.Schedule(Millisecond, func() { fired++ })
 	if got := pending(e); got != n+1 {
 		t.Fatalf("Pending = %d before cancels, want %d", got, n+1)
 	}
-	for _, ev := range far {
-		ev.Cancel()
+	for _, tm := range far {
+		tm.Stop()
 	}
 	if got := pending(e); got != 1 {
 		t.Errorf("Pending = %d after cancels, want 1", got)
@@ -112,11 +122,8 @@ func TestEngineCancelCompaction(t *testing.T) {
 		t.Errorf("cancelled counter = %d with %d queued, want %d", got.cancelled, got.entries, got.entries-1)
 	}
 	e.Run()
-	if live.Pending() {
-		t.Error("live event still pending after Run")
-	}
-	if e.Processed() != 1 {
-		t.Errorf("processed = %d, want 1", e.Processed())
+	if fired != 1 || e.Processed() != 1 {
+		t.Errorf("fired=%d processed=%d, want 1/1", fired, e.Processed())
 	}
 }
 
@@ -125,15 +132,17 @@ func TestEngineCancelCompaction(t *testing.T) {
 // inflate Pending.
 func TestEngineCancelSmallHeapLazy(t *testing.T) {
 	e := NewEngine()
-	a := e.Schedule(Second, func() { t.Error("cancelled event fired") })
-	b := e.Schedule(2*Second, func() { t.Error("cancelled event fired") })
+	timers := armTimers(t, e, 2, func(i int) Time { return Time(i+1) * Second })
 	fired := 0
 	e.Schedule(3*Second, func() { fired++ })
-	a.Cancel()
-	b.Cancel()
-	a.Cancel() // double-cancel must not double-count
+	timers[0].Stop()
+	timers[1].Stop()
+	timers[0].Stop() // double-stop must not double-count
 	if got := pending(e); got != 1 {
 		t.Errorf("Pending = %d, want 1", got)
+	}
+	if got := queueStats(e); got.entries != 3 || got.cancelled != 2 {
+		t.Errorf("%d cancelled of %d queued, want 2 of 3 (discarded lazily)", got.cancelled, got.entries)
 	}
 	e.Run()
 	if fired != 1 || e.Processed() != 1 {
@@ -148,14 +157,16 @@ func TestEngineCancelSmallHeapLazy(t *testing.T) {
 // and checks the counter stays balanced so later compaction still works.
 func TestEngineCancelDuringRun(t *testing.T) {
 	e := NewEngine()
-	var evs []*Event
+	var timers []*Timer
 	for i := 0; i < 2*compactFloor; i++ {
-		evs = append(evs, e.Schedule(Time(i+1)*Millisecond, func() {}))
+		tm := NewTimer(e, func() {})
+		tm.Reset(Time(i+1) * Millisecond)
+		timers = append(timers, tm)
 	}
 	// Cancel just under the compaction threshold so the dead events are
 	// discarded by the run loop instead.
-	for _, ev := range evs[:compactFloor] {
-		ev.Cancel()
+	for _, tm := range timers[:compactFloor] {
+		tm.Stop()
 	}
 	e.Run()
 	if got := queueStats(e); got.cancelled != 0 || got.entries != 0 {
@@ -168,25 +179,26 @@ func TestEngineCancelDuringRun(t *testing.T) {
 
 func TestEngineSetInterrupt(t *testing.T) {
 	e := NewEngine()
+	const n = 3 * interruptEvery
 	count := 0
-	for i := 1; i <= 100; i++ {
-		e.Schedule(Time(i)*Millisecond, func() { count++ })
+	for i := 1; i <= n; i++ {
+		e.Schedule(Time(i)*Microsecond, func() { count++ })
 	}
 	stop := false
-	e.SetInterrupt(10, func() bool { return stop })
-	e.Schedule(25*Millisecond, func() { stop = true })
+	e.SetInterrupt(func() bool { return stop })
+	e.Schedule(interruptEvery*Microsecond+Nanosecond, func() { stop = true })
 	e.Run()
-	// The poll fires every 10 processed events; the stop flag is set at
-	// t=25ms (the 26th processed event), so the run halts at the next
-	// multiple-of-10 poll after that.
-	if count >= 100 {
-		t.Fatalf("interrupt did not stop the run (count=%d)", count)
+	// The poll fires every interruptEvery processed events; the stop
+	// flag is set by event interruptEvery+1, so the run halts at the
+	// next poll, after 2*interruptEvery events, the flag-setter included.
+	if want := 2*interruptEvery - 1; count != want {
+		t.Fatalf("count = %d after interrupt, want %d", count, want)
 	}
 	// Clearing the hook lets the run resume to completion.
-	e.SetInterrupt(0, nil)
+	e.SetInterrupt(nil)
 	e.Run()
-	if count != 100 {
-		t.Errorf("count = %d after resume, want 100", count)
+	if count != n {
+		t.Errorf("count = %d after resume, want %d", count, n)
 	}
 }
 

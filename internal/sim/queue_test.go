@@ -113,7 +113,6 @@ type modelEvent struct {
 	key   uint64 // insertion sequence, or the explicit key of a keyed event
 	arg   byte
 	hops  int // callbacks still to chain: each schedules one successor
-	ev    *Event
 	timer int // index of the timer this is the expiry of, or -1
 }
 
@@ -124,30 +123,45 @@ type queueModel struct {
 	seq     uint64
 	fired   uint64
 	pending []*modelEvent // live events in scheduling order
-	timers  [3]*Timer
-	expiry  [3]*modelEvent
-	fire    func(any)
+	// timers is the program's timer bank, grown as programs arm more
+	// timers at once; expiry[i] is timers[i]'s pending expiry, nil while
+	// it is idle. Timers are the only way to cancel an event.
+	timers []*Timer
+	expiry []*modelEvent
+	fire   func(any)
 }
 
 func newQueueModel(t *testing.T) *queueModel {
 	m := &queueModel{t: t, e: NewEngine()}
 	m.fire = func(a any) { m.onFire(a.(*modelEvent)) }
-	m.arm()
 	return m
 }
 
-// arm configures what a fresh or Reset engine does not carry: the timers
-// (whose handles a Reset invalidates).
-func (m *queueModel) arm() {
-	for i := range m.timers {
-		i := i
-		m.expiry[i] = nil
-		m.timers[i] = NewTimer(m.e, func() {
-			r := m.expiry[i]
-			m.expiry[i] = nil
-			m.onFire(r)
-		})
+// timerFor picks the timer an opTimerReset re-arms. An argument of 128
+// or more re-arms the timer whose expiry is oldest, superseding it, as a
+// retransmit timer is re-armed per ACK; a smaller one (or no armed timer)
+// arms an idle timer, building one when all are armed.
+func (m *queueModel) timerFor(arg byte) int {
+	if arg >= 128 {
+		for _, r := range m.pending {
+			if r.timer >= 0 {
+				return r.timer
+			}
+		}
 	}
+	for i, r := range m.expiry {
+		if r == nil {
+			return i
+		}
+	}
+	i := len(m.timers)
+	m.timers = append(m.timers, NewTimer(m.e, func() {
+		r := m.expiry[i]
+		m.expiry[i] = nil
+		m.onFire(r)
+	}))
+	m.expiry = append(m.expiry, nil)
+	return i
 }
 
 // next returns the index of the model's earliest event, -1 when empty.
@@ -202,7 +216,7 @@ func (m *queueModel) onFire(r *modelEvent) {
 	}
 	if r.hops > 0 {
 		c := m.add(progDelay(r.arg+1), r.arg+1, r.hops-1)
-		c.ev = m.e.ScheduleArg(progDelay(c.arg), m.fire, c)
+		m.e.ScheduleArg(progDelay(c.arg), m.fire, c)
 	}
 }
 
@@ -211,16 +225,16 @@ func (m *queueModel) step(op, arg byte) {
 	switch op % numOps {
 	case opSchedule:
 		r := m.add(d, arg, 0)
-		r.ev = e.Schedule(d, func() { m.onFire(r) })
+		e.Schedule(d, func() { m.onFire(r) })
 	case opScheduleArg:
 		r := m.add(d, arg, int(arg)%4)
-		r.ev = e.ScheduleArg(d, m.fire, r)
+		e.ScheduleArg(d, m.fire, r)
 	case opAt:
 		r := m.add(d, arg, 0)
-		r.ev = e.At(r.at, func() { m.onFire(r) })
+		e.At(r.at, func() { m.onFire(r) })
 	case opAtArg:
 		r := m.add(d, arg, int(arg)%3)
-		r.ev = e.AtArg(r.at, m.fire, r)
+		e.AtArg(r.at, m.fire, r)
 	case opAtArgKeyed:
 		// The key is unique (it embeds the sequence number the event
 		// consumed) and is, by the argument, inside the range of
@@ -231,22 +245,24 @@ func (m *queueModel) step(op, arg byte) {
 		if arg >= 128 {
 			r.key |= 1 << 63
 		}
-		r.ev = e.AtArgKeyed(r.at, m.fire, r, r.key)
+		e.AtArgKeyed(r.at, m.fire, r, r.key)
 	case opCancel:
-		if len(m.pending) == 0 {
-			return
+		// Stop an armed timer: 0 picks the oldest expiry, 255 the newest.
+		var armed []*modelEvent
+		for _, r := range m.pending {
+			if r.timer >= 0 {
+				armed = append(armed, r)
+			}
 		}
-		// 0 picks the oldest live event, 255 the newest.
-		r := m.pending[int(arg)*len(m.pending)/256]
-		if r.timer >= 0 {
-			m.timers[r.timer].Stop()
-			m.expiry[r.timer] = nil
-		} else {
-			r.ev.Cancel()
+		if len(armed) == 0 {
+			break
 		}
+		r := armed[int(arg)*len(armed)/256]
+		m.timers[r.timer].Stop()
+		m.expiry[r.timer] = nil
 		m.remove(r)
 	case opTimerReset:
-		i := int(arg) % len(m.timers)
+		i := m.timerFor(arg)
 		if m.expiry[i] != nil {
 			m.remove(m.expiry[i])
 		}
@@ -283,9 +299,10 @@ func (m *queueModel) step(op, arg byte) {
 			m.t.Fatalf("clock %v after AdvanceTo(%v)", e.Now(), to)
 		}
 	case opReset:
+		// A Reset invalidates the timers armed before it.
 		e.Reset()
 		m.now, m.seq, m.fired, m.pending = 0, 0, 0, nil
-		m.arm()
+		m.timers, m.expiry = nil, nil
 	}
 	if e.Processed() != m.fired || pending(e) != len(m.pending) || e.seq != m.seq {
 		m.t.Fatalf("after op %d: processed %d pending %d seq %d, model %d %d %d",
@@ -319,9 +336,12 @@ func rep(n int, steps ...byte) []byte {
 
 // queueSeeds are the hand-written programs of the seed corpus. The
 // arguments index progDelays; promoteAfter recurrences give a delay its
-// lane.
+// lane. Events a seed cancels are timer expiries: opTimerReset with
+// argument d arms an idle timer at progDelays[d], and with reArm+d
+// re-arms the oldest armed one.
 func queueSeeds() map[string][]byte {
 	const d15, d20, d4800, d116, d200ms = 3, 4, 2, 6, 9
+	const reArm = 132 // 128 or more re-arms; 132 % len(progDelays) == 0
 	seeds := map[string][]byte{}
 
 	// More recurring delays than lanes: every table delay recurs, with
@@ -354,21 +374,21 @@ func queueSeeds() map[string][]byte {
 		opAdvance, d15), rep(12, opScheduleArg, d4800)...)
 
 	// Cancel a lane's head and tail (and peek past the dead head): of 16
-	// events, index 7 is the first on the lane and 15 the last.
-	seeds["cancel-lane-head-and-tail"] = append(rep(16, opSchedule, d20),
+	// timers, index 7 is the first on the lane and 15 the last.
+	seeds["cancel-lane-head-and-tail"] = append(rep(16, opTimerReset, d20),
 		opCancel, 7*16, opCancel, 255, opPeek, 0, opStep, 0, opCancel, 0, opPeek, 0)
 
 	// Compaction of a wrapped lane ring with live and dead entries
 	// interleaved: fill, fire a few so head moves off slot 0, refill, then
 	// cancel from the middle until dead entries outnumber live ones.
-	seeds["compact-wrapped-lane"] = append(append(append(rep(120, opSchedule, d20, opAdvance, 1),
-		rep(40, opStep, 0, opSchedule, d20)...), rep(90, opCancel, 100, opCancel, 200)...),
+	seeds["compact-wrapped-lane"] = append(append(append(rep(120, opTimerReset, d20, opAdvance, 1),
+		rep(40, opStep, 0, opTimerReset, d20)...), rep(90, opCancel, 100, opCancel, 200)...),
 		rep(10, opSchedule, d20, opPeek, 0)...)
 
 	// Compaction that removes a lane's head: cancel the oldest events
 	// (the heap's, then the lane's) until dead entries outnumber live
 	// ones, so the lane's first live entry becomes its head.
-	seeds["compact-dead-lane-head"] = append(append(rep(100, opSchedule, d20, opAdvance, 1),
+	seeds["compact-dead-lane-head"] = append(append(rep(100, opTimerReset, d20, opAdvance, 1),
 		rep(60, opCancel, 0)...), rep(10, opSchedule, d20, opStep, 0)...)
 
 	// Three delays with one lookup slot (1 ns, 4.8 us and the one-off
@@ -379,9 +399,10 @@ func queueSeeds() map[string][]byte {
 		rep(10, opSchedule, 2)...), rep(10, opSchedule, 210)...), opRunUntil, d15),
 		append(rep(10, opSchedule, 210), rep(10, opSchedule, 1)...)...)
 
-	// Reset with lanes populated, then the same delays again.
-	seeds["reset-with-lanes"] = append(append(rep(20, opScheduleArg, d20, opTimerReset, d200ms, opSchedule, d116),
-		opStep, 0, opReset, 0), rep(20, opScheduleArg, d20, opTimerReset, d200ms, opRunUntil, d4800)...)
+	// Reset with lanes populated, one of them by a timer re-armed at a
+	// constant delay, then the same delays again.
+	seeds["reset-with-lanes"] = append(append(rep(20, opScheduleArg, d20, opTimerReset, reArm+d200ms, opSchedule, d116),
+		opStep, 0, opReset, 0), rep(20, opScheduleArg, d20, opTimerReset, reArm+d200ms, opRunUntil, d4800)...)
 	return seeds
 }
 
@@ -446,15 +467,14 @@ func TestLaneShare(t *testing.T) {
 }
 
 // TestResetKeepsQueueCapacity pins the pooling half of Reset for the heap
-// and the lanes alike: pending handles read as cancelled, nothing is
-// queued, no backing array is released, and refilling allocates nothing.
+// and the lanes alike: nothing is queued, no backing array is released,
+// and refilling allocates nothing.
 func TestResetKeepsQueueCapacity(t *testing.T) {
 	e := NewEngine()
-	var last *Event
 	fill := func() {
 		for i := 0; i < 1000; i++ {
 			e.Schedule(Time(1000+i), nop) // distinct delays: the heap
-			last = e.Schedule(20*Microsecond, nop)
+			e.Schedule(20*Microsecond, nop)
 		}
 	}
 	fill()
@@ -466,8 +486,8 @@ func TestResetKeepsQueueCapacity(t *testing.T) {
 	if after := queueStats(e); after.entries != 0 || after.capacity != before.capacity {
 		t.Errorf("after Reset: %d entries, capacity %d; want 0 and %d", after.entries, after.capacity, before.capacity)
 	}
-	if last.Pending() || pending(e) != 0 || e.PeekTime() != MaxTime {
-		t.Errorf("after Reset: handle pending %v, Pending %d, PeekTime %v", last.Pending(), pending(e), e.PeekTime())
+	if pending(e) != 0 || e.PeekTime() != MaxTime {
+		t.Errorf("after Reset: Pending %d, PeekTime %v", pending(e), e.PeekTime())
 	}
 	if allocs := testing.AllocsPerRun(20, func() { fill(); e.Reset() }); allocs != 0 {
 		t.Errorf("refill and Reset allocate %.1f per cycle, want 0", allocs)

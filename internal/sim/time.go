@@ -1,7 +1,7 @@
 // Package sim provides a deterministic discrete-event simulation engine:
 // a virtual clock with nanosecond resolution, an event queue ordered by
-// (time, insertion sequence), cancellable events, restartable timers and a
-// seedable PCG random number generator.
+// (time, insertion sequence), restartable timers (the one way to cancel a
+// scheduled callback) and a seedable PCG random number generator.
 //
 // The engine is single-threaded by design. Determinism is a hard
 // requirement for the experiments built on top of it: two runs with the

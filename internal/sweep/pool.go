@@ -23,24 +23,15 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 )
 
 // Options tunes one Run call.
 type Options struct {
-	// Workers is the maximum number of jobs in flight. Zero or negative
-	// means runtime.GOMAXPROCS(0). It is further capped at the job count.
+	// Workers is the number of jobs in flight: at least one, and capped
+	// at the job count.
 	Workers int
-
-	// SlotsPerTask is how many OS threads one job occupies (a sharded
-	// simulation runs SlotsPerTask engines in parallel). The effective
-	// worker count becomes max(1, Workers/SlotsPerTask) so that
-	// workers × shards never oversubscribes the Workers budget — with a
-	// defaulted budget, never exceeds GOMAXPROCS. Zero or one means each
-	// job is single-threaded (the default).
-	SlotsPerTask int
 
 	// OnDone, if non-nil, is called after each successful job with the
 	// number of jobs finished so far, the total, and the finished job's
@@ -66,26 +57,11 @@ func Run[S, T any](ctx context.Context, n int, opts Options, job func(ctx contex
 	if n <= 0 {
 		return nil, nil
 	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	parent := ctx
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if opts.SlotsPerTask > 1 {
-		workers /= opts.SlotsPerTask
-		if workers < 1 {
-			workers = 1
-		}
-	}
-	if workers > n {
-		workers = n
-	}
+	workers := min(max(opts.Workers, 1), n)
 
 	results := make([]T, n)
 	var (

@@ -165,13 +165,6 @@ func Run(cfg Config) (*Results, error) {
 	return res, err
 }
 
-// ctxPollEvents is how many simulation events a cancellable run (a
-// RunSweep job) processes between context polls — frequent enough to
-// abort a stuck run in milliseconds of wall time, rare enough to be free
-// on the hot path. This is what lets RunSweep tear down a whole fleet of
-// in-flight experiments the moment one of them fails.
-const ctxPollEvents = 8192
-
 // RunTraced is Run plus the recorder: it executes one experiment with
 // cfg's Trace section armed and returns the recorder holding the run's
 // events alongside the Results. The recorder is nil when cfg.Trace.Mode
@@ -478,7 +471,7 @@ func (r *liveRun) execute(ctx context.Context) error {
 	var interrupt func() bool
 	if ctx.Done() != nil {
 		interrupt = func() bool { return ctx.Err() != nil }
-		r.eng.SetInterrupt(ctxPollEvents, interrupt)
+		r.eng.SetInterrupt(interrupt)
 	}
 	fab, res := r.fab, r.res
 	_, res.Elapsed = fab.Run(shard.RunOptions{

@@ -49,7 +49,8 @@ import (
 // no progress reporting, seeds taken from the configs.
 type SweepOptions struct {
 	// Workers caps how many experiments run concurrently. Zero or
-	// negative means runtime.GOMAXPROCS(0). Each worker owns at most one
+	// negative means runtime.GOMAXPROCS(0). A sharded config takes Shards
+	// of these slots (see SweepWorkers). Each worker owns at most one
 	// run instance — live or parked between two configs — so peak memory
 	// scales with Workers, not with len(configs) or the number of
 	// distinct shapes.
@@ -83,19 +84,9 @@ func RunSweep(configs []Config, opts SweepOptions) ([]*Results, error) {
 		}
 		configs = derived
 	}
-	// Sharded configs occupy Shards OS threads each; shrink the worker
-	// pool so workers × shards stays within the Workers budget
-	// (GOMAXPROCS by default) instead of oversubscribing the machine.
-	slots := 1
-	for _, cfg := range configs {
-		if cfg.Shards > slots {
-			slots = cfg.Shards
-		}
-	}
 	return sweep.Run(context.Background(), len(configs), sweep.Options{
-		Workers:      opts.Workers,
-		SlotsPerTask: slots,
-		OnDone:       opts.OnResult,
+		Workers: SweepWorkers(configs, opts),
+		OnDone:  opts.OnResult,
 	}, func(ctx context.Context, parked **instance, i int) (*Results, error) {
 		cfg := configs[i]
 		if err := cfg.resolve(true); err != nil {
@@ -105,6 +96,19 @@ func RunSweep(configs []Config, opts SweepOptions) ([]*Results, error) {
 	})
 }
 
-// DefaultSweepWorkers is the worker count a zero SweepOptions uses:
-// runtime.GOMAXPROCS(0), i.e. every available CPU.
-func DefaultSweepWorkers() int { return runtime.GOMAXPROCS(0) }
+// SweepWorkers is how many experiments RunSweep(configs, opts) runs at
+// once. Sharded configs occupy Shards OS threads each, so the Workers
+// budget (GOMAXPROCS by default) is divided by the largest Shards among
+// configs instead of oversubscribing the machine; the pool never has
+// fewer than one worker nor more than one per config.
+func SweepWorkers(configs []Config, opts SweepOptions) int {
+	budget := opts.Workers
+	if budget <= 0 {
+		budget = runtime.GOMAXPROCS(0)
+	}
+	slots := 1
+	for _, cfg := range configs {
+		slots = max(slots, cfg.Shards)
+	}
+	return max(1, min(budget/slots, len(configs)))
+}

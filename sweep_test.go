@@ -2,6 +2,7 @@ package mmptcp
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -35,6 +36,41 @@ func TestRunSweepSeedDerivation(t *testing.T) {
 	}
 	if first[2].Config.Seed != 99 {
 		t.Errorf("explicit seed overwritten: got %d, want 99", first[2].Config.Seed)
+	}
+}
+
+// TestSweepWorkers pins the pool size RunSweep uses and mmptcpsim -seeds
+// reports: the Workers budget divided by the largest Shards among the
+// configs, at least one worker and at most one per config.
+func TestSweepWorkers(t *testing.T) {
+	configs := func(n, shards int) []Config {
+		cs := make([]Config, n)
+		for i := range cs {
+			cs[i] = SmallConfig(ProtoMPTCP, 20)
+		}
+		cs[n-1].Shards = shards
+		return cs
+	}
+	for _, tc := range []struct {
+		n, shards, workers, want int
+	}{
+		{4, 0, 2, 2},
+		{4, 1, 3, 3},
+		{2, 0, 8, 2},  // one worker per config at most
+		{4, 2, 2, 1},  // a 2-shard config takes two of the two slots
+		{4, 2, 5, 2},  // two 2-shard workers in a budget of five
+		{4, 2, 1, 1},  // never fewer than one worker
+		{8, 2, 16, 8}, // and never more than the configs
+	} {
+		got := SweepWorkers(configs(tc.n, tc.shards), SweepOptions{Workers: tc.workers})
+		if got != tc.want {
+			t.Errorf("%d configs, Shards %d, Workers %d: %d workers, want %d",
+				tc.n, tc.shards, tc.workers, got, tc.want)
+		}
+	}
+	procs := runtime.GOMAXPROCS(0)
+	if got, want := SweepWorkers(configs(64, 2), SweepOptions{}), max(1, procs/2); got != want {
+		t.Errorf("64 configs, Shards 2, GOMAXPROCS %d: %d workers, want %d", procs, got, want)
 	}
 }
 
