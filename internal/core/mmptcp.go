@@ -287,14 +287,7 @@ func (c *Conn) RedialStats() (redials, recovered int) {
 func (c *Conn) Stats() tcp.SenderStats {
 	agg := c.ps.Stats
 	if c.mp != nil {
-		m := c.mp.Stats()
-		agg.SegmentsSent += m.SegmentsSent
-		agg.BytesSent += m.BytesSent
-		agg.Retransmissions += m.Retransmissions
-		agg.FastRetransmits += m.FastRetransmits
-		agg.Timeouts += m.Timeouts
-		agg.AcksReceived += m.AcksReceived
-		agg.DupAcksReceived += m.DupAcksReceived
+		agg.Add(c.mp.Stats())
 	}
 	return agg
 }

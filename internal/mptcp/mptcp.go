@@ -207,14 +207,7 @@ func (c *Connection) Subflows() []*tcp.Sender { return c.subflows }
 func (c *Connection) Stats() tcp.SenderStats {
 	var agg tcp.SenderStats
 	for _, s := range c.subflows {
-		st := s.Stats
-		agg.SegmentsSent += st.SegmentsSent
-		agg.BytesSent += st.BytesSent
-		agg.Retransmissions += st.Retransmissions
-		agg.FastRetransmits += st.FastRetransmits
-		agg.Timeouts += st.Timeouts
-		agg.AcksReceived += st.AcksReceived
-		agg.DupAcksReceived += st.DupAcksReceived
+		agg.Add(s.Stats)
 	}
 	return agg
 }

@@ -149,20 +149,21 @@ type Link struct {
 
 	// rec, when non-nil, receives structured trace events (enqueues,
 	// marks, drops, link state). Every trace point is guarded by a nil
-	// check so the disabled cost is one predictable branch.
+	// check so the disabled cost is one predictable branch. Only
+	// sequential runs trace, and rec is written only before a run starts,
+	// so a shard thread reading it is race-free.
 	rec *trace.Recorder
 
 	// Receive-side wiring. On a sequential engine rxSched is the same
-	// engine, rxPool the same pool and rxRec the same recorder as the tx
-	// side, and the rx counters stay zero-folded. On a shard boundary the
-	// tx side (Enqueue/txDone and everything above) runs on the source
-	// node's shard while delivery runs on the destination's: rxSched is
-	// then the cross-shard outbox, and the rx-side blackhole accounting
-	// goes into rxBlackholed/rxBlackholedBytes so the two threads never
-	// write the same counters. FoldRx merges them at a barrier.
+	// engine and rxPool the same pool as the tx side, and the rx counters
+	// stay zero-folded. On a shard boundary the tx side (Enqueue/txDone
+	// and everything above) runs on the source node's shard while
+	// delivery runs on the destination's: rxSched is then the cross-shard
+	// outbox, and the rx-side blackhole accounting goes into
+	// rxBlackholed/rxBlackholedBytes so the two threads never write the
+	// same counters. FoldRx merges them at a barrier.
 	rxSched           rxScheduler
 	rxPool            *PacketPool
-	rxRec             *trace.Recorder
 	rxBlackholed      int64
 	rxBlackholedBytes int64
 
@@ -214,16 +215,10 @@ func (l *Link) Init(eng *sim.Engine, src, dst Node, rate int64, prop sim.Time, l
 // Both sides share it until Rebind splits them.
 func (l *Link) SetPool(pp *PacketPool) { l.pool, l.rxPool = pp, pp }
 
-// SetRecorder installs (or, with nil, removes) the structured event
-// recorder on both sides of the link. The run harness re-installs per
-// run, so a pooled instance never keeps recording into a previous run's
-// recorder.
-func (l *Link) SetRecorder(r *trace.Recorder) { l.rec, l.rxRec = r, r }
-
-// SetRecorders installs separate recorders for the transmit and receive
-// sides, used by sharded runs where the two sides execute on different
-// shard threads and must append to different per-shard recorders.
-func (l *Link) SetRecorders(tx, rx *trace.Recorder) { l.rec, l.rxRec = tx, rx }
+// SetRecorder installs (or, with nil, removes) the link's structured
+// event recorder. Reset removes it, so a pooled instance never keeps
+// recording into a previous run's recorder.
+func (l *Link) SetRecorder(r *trace.Recorder) { l.rec = r }
 
 // Rebind repoints the link's execution wiring for a sharded fabric: the
 // transmit side (enqueue, serialisation, queue accounting) runs on
@@ -390,7 +385,6 @@ func (l *Link) Reset() {
 	l.lossRate = 0
 	l.lossRNG = nil
 	l.rec = nil
-	l.rxRec = nil
 	l.rxBlackholed = 0
 	l.rxBlackholedBytes = 0
 	l.Stats = LinkStats{}
@@ -415,9 +409,9 @@ func (l *Link) blackhole(p *Packet) {
 func (l *Link) blackholeRx(p *Packet) {
 	l.rxBlackholed++
 	l.rxBlackholedBytes += int64(p.Size)
-	if l.rxRec != nil {
+	if l.rec != nil {
 		src, dst := l.traceIDs()
-		l.rxRec.Record(l.rxSched.Now(), trace.KindBlackhole, uint64(p.FlowID), p.Subflow, src, dst, p.Seq, 0)
+		l.rec.Record(l.rxSched.Now(), trace.KindBlackhole, uint64(p.FlowID), p.Subflow, src, dst, p.Seq, 0)
 	}
 	l.rxPool.Put(p)
 }

@@ -129,7 +129,7 @@ func (s *Switch) SetPool(pp *PacketPool) { s.pool = pp }
 func (s *Switch) Rebind(eng *sim.Engine, pp *PacketPool) { s.eng, s.pool = eng, pp }
 
 // SetRecorder installs (or, with nil, removes) the structured event
-// recorder; the run harness re-installs it per run.
+// recorder. Reset removes it.
 func (s *Switch) SetRecorder(r *trace.Recorder) { s.rec = r }
 
 // Down reports whether the switch is crashed.

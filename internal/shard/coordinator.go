@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // RunOptions parameterises one coordinated run.
@@ -34,7 +33,7 @@ type worker struct {
 }
 
 func (f *Fabric) startWorkers() {
-	f.workers = make([]worker, f.shards-1)
+	f.workers = make([]worker, len(f.engines)-1)
 	f.workerWG.Add(len(f.workers))
 	for i := range f.workers {
 		go f.workers[i].run(f.engines[i+1], &f.workerWG)
@@ -179,12 +178,7 @@ func (f *Fabric) runWindow(s, edge sim.Time) {
 			runtime.Gosched()
 		}
 	}
-	elided := uint64(f.shards - n)
 	f.stats.Windows++
-	f.stats.ElidedWakeups += elided
-	f.stats.WindowNsSum += edge - s
-	if f.winRec != nil {
-		f.winRec.Record(s, trace.KindWindowEdge, 0, -1, int32(n), -1,
-			int64(edge-s), int64(elided))
-	}
+	f.stats.ElidedWakeups += uint64(len(f.engines) - n)
+	f.windowNsSum += edge - s
 }

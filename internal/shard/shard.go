@@ -36,16 +36,20 @@
 // deterministic but not byte-identical to the oracle; the sharded tests
 // assert determinism plus the config-driven invariants (spawn and fault
 // counts) against it.
+//
+// The fabric has no trace hooks: tracing runs on the sequential engine,
+// and the public Config rejects a traced run on more than one shard. The
+// fabric reports in metrics.ShardStats, the type Results.Shard carries.
 package shard
 
 import (
 	"fmt"
 	"sync"
 
+	"repro/internal/metrics"
 	"repro/internal/netem"
 	"repro/internal/sim"
 	"repro/internal/topology"
-	"repro/internal/trace"
 )
 
 // delivery is one cross-shard event buffered in an outbox: a link
@@ -111,7 +115,6 @@ type deferredCall struct {
 type Fabric struct {
 	control *sim.Engine
 	net     *topology.Network
-	shards  int
 
 	// direct marks the 0/1-shard fabric: no partitioning, no worker
 	// threads — every node stays bound to the control engine and Run is
@@ -122,7 +125,6 @@ type Fabric struct {
 
 	engines   []*sim.Engine
 	pools     []*netem.PacketPool
-	swShard   []int
 	hostShard []int
 	lookahead sim.Time
 
@@ -132,49 +134,28 @@ type Fabric struct {
 	stopped  bool
 	stopTime sim.Time
 
-	stats  Stats
-	winRec *trace.Recorder // coordinator-side recorder for window-edge events
-
-	shardRecs []*trace.Recorder
+	// stats is the Results "Shard" block, counted by the coordinator.
+	// Every counter derives from heap states at barriers, never from
+	// thread timing, so it is deterministic for a fixed (Seed, Shards).
+	// windowNsSum accumulates window widths for its MeanWindowNs.
+	stats       metrics.ShardStats
+	windowNsSum sim.Time
 
 	workers  []worker // shards 1..N-1; live only inside Run
 	workerWG sync.WaitGroup
 	deferIdx []int // flushDeferred scratch, kept to avoid per-barrier allocation
 }
 
-// Stats is the coordinator's per-run synchronization accounting,
-// surfaced as the Results "Shard" block. All counters are deterministic
-// for a fixed (Seed, Shards): they derive from heap states at barriers,
-// never from thread timing.
-type Stats struct {
-	// Barriers counts coordinator barriers: every iteration of the run
-	// loop — outbox flush, deferred replay, window computation.
-	Barriers uint64
-	// ControlTurns counts barriers resolved as control-plane turns
-	// (the control engine ran instead of a parallel window).
-	ControlTurns uint64
-	// Windows counts dispatched parallel windows.
-	Windows uint64
-	// ElidedWakeups counts shard-window slots skipped: shards whose
-	// next event lay at or beyond the window edge, so the window handed
-	// them nothing to run.
-	ElidedWakeups uint64
-	// WindowNsSum accumulates window widths (edge minus window start)
-	// for MeanWindowNs.
-	WindowNsSum sim.Time
-}
-
-// MeanWindowNs is the mean parallel-window width in nanoseconds.
-func (s Stats) MeanWindowNs() float64 {
-	if s.Windows == 0 {
-		return 0
+// Stats returns the Results "Shard" block for the last (or current)
+// run: the shard count, lookahead mode and bound, and the coordinator's
+// counts. A direct fabric, which has no coordinator, reports {Shards: 1}.
+func (f *Fabric) Stats() metrics.ShardStats {
+	st := f.stats
+	if st.Windows > 0 {
+		st.MeanWindowNs = float64(f.windowNsSum) / float64(st.Windows)
 	}
-	return float64(s.WindowNsSum) / float64(s.Windows)
+	return st
 }
-
-// Stats returns the coordinator accounting for the last (or current)
-// run. Zero for a direct fabric, which has no coordinator.
-func (f *Fabric) Stats() Stats { return f.stats }
 
 // Build partitions net across `shards` engines and rebinds every host,
 // switch and link to its owner. shards <= 1 builds a direct fabric that
@@ -184,7 +165,7 @@ func (f *Fabric) Stats() Stats { return f.stats }
 // is never a boundary.
 func Build(control *sim.Engine, net *topology.Network, shards int) (*Fabric, error) {
 	if shards <= 1 {
-		return &Fabric{control: control, net: net, shards: 1, direct: true}, nil
+		return &Fabric{control: control, net: net, direct: true, stats: metrics.ShardStats{Shards: 1}}, nil
 	}
 	assign, err := topology.Partition(net, shards)
 	if err != nil {
@@ -193,8 +174,6 @@ func Build(control *sim.Engine, net *topology.Network, shards int) (*Fabric, err
 	f := &Fabric{
 		control:  control,
 		net:      net,
-		shards:   shards,
-		swShard:  assign,
 		deferred: make([][]deferredCall, shards),
 		deferIdx: make([]int, shards),
 	}
@@ -246,6 +225,7 @@ func Build(control *sim.Engine, net *topology.Network, shards int) (*Fabric, err
 	if f.lookahead <= 0 {
 		return nil, fmt.Errorf("shard: zero-delay boundary link leaves no conservative lookahead (partition of %s into %d shards)", net.Kind, shards)
 	}
+	f.stats = metrics.ShardStats{Shards: shards, Mode: "conservative", LookaheadNs: int64(f.lookahead)}
 	// Fixed (src, dst) flush order: this is the "shard" component of the
 	// deterministic (time, shard, seq) merge order.
 	for tx := 0; tx < shards; tx++ {
@@ -256,18 +236,6 @@ func Build(control *sim.Engine, net *topology.Network, shards int) (*Fabric, err
 		}
 	}
 	return f, nil
-}
-
-// Shards returns the shard count (1 for a direct fabric).
-func (f *Fabric) Shards() int { return f.shards }
-
-// Lookahead returns the conservative window bound: the minimum as-built
-// propagation delay across shard-boundary links (0 for a direct fabric).
-func (f *Fabric) Lookahead() sim.Time {
-	if f.direct {
-		return 0
-	}
-	return f.lookahead
 }
 
 // HostShard returns the shard owning host i.
@@ -314,67 +282,6 @@ func (f *Fabric) Defer(shard int, fn func(at sim.Time)) {
 	f.deferred[shard] = append(f.deferred[shard], deferredCall{at: f.engines[shard].Now(), fn: fn})
 }
 
-// InstallTracing arms the data plane's trace points for one run. rec is
-// the run's recorder for mode, nil when mode is trace.Off (untraced:
-// every recorder slot is cleared). On a direct fabric the single recorder
-// serves every trace point, exactly as a sequential run; on a partitioned
-// fabric each shard gets its own recorder of the same mode so trace
-// points never contend, and MergeTraces folds them back into rec
-// time-ordered after the run.
-func (f *Fabric) InstallTracing(rec *trace.Recorder, mode trace.Mode) {
-	// Window-edge events are coordinator-side: they record into rec
-	// directly (the coordinator records between windows, while no shard
-	// runs, so there is no contention), and MergeInto keeps them
-	// time-ordered against the merged shard events.
-	f.winRec = rec
-	if f.direct || rec == nil {
-		f.shardRecs = nil
-		for _, l := range f.net.Links {
-			l.SetRecorder(rec)
-		}
-		for _, sw := range f.net.Switches {
-			sw.SetRecorder(rec)
-		}
-		return
-	}
-	f.shardRecs = make([]*trace.Recorder, f.shards)
-	for i := range f.shardRecs {
-		f.shardRecs[i] = trace.NewRecorder(mode)
-	}
-	for i, sw := range f.net.Switches {
-		sw.SetRecorder(f.shardRecs[f.swShard[i]])
-	}
-	nodeShard := func(n netem.Node) int {
-		if int(n.ID()) < len(f.hostShard) {
-			return f.hostShard[n.ID()]
-		}
-		return f.swShard[int(n.ID())-len(f.hostShard)]
-	}
-	for _, l := range f.net.Links {
-		l.SetRecorders(f.shardRecs[nodeShard(l.Src())], f.shardRecs[nodeShard(l.Dst())])
-	}
-}
-
-// FlowRecorder returns the recorder a flow sourced at host src should
-// record into: the source shard's recorder on a partitioned fabric, rec
-// itself otherwise.
-func (f *Fabric) FlowRecorder(rec *trace.Recorder, src int) *trace.Recorder {
-	if f.shardRecs == nil {
-		return rec
-	}
-	return f.shardRecs[f.hostShard[src]]
-}
-
-// MergeTraces folds the per-shard recorders into rec, time-ordered.
-// No-op on a direct or untraced fabric.
-func (f *Fabric) MergeTraces(rec *trace.Recorder) {
-	if f.shardRecs == nil || rec == nil {
-		return
-	}
-	trace.MergeInto(rec, f.shardRecs...)
-	f.shardRecs = nil
-}
-
 // FoldStats merges receive-side link counters into each link's Stats so
 // reports see the whole picture; call after Run has returned.
 func (f *Fabric) FoldStats() {
@@ -391,9 +298,8 @@ func (f *Fabric) FoldStats() {
 func (f *Fabric) Reset() {
 	f.stopped = false
 	f.stopTime = 0
-	f.shardRecs = nil
-	f.winRec = nil
-	f.stats = Stats{}
+	f.stats = metrics.ShardStats{Shards: f.stats.Shards, Mode: f.stats.Mode, LookaheadNs: f.stats.LookaheadNs}
+	f.windowNsSum = 0
 	for _, e := range f.engines {
 		e.Reset()
 	}

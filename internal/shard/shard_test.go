@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/metrics"
 	"repro/internal/netem"
 	"repro/internal/sim"
 	"repro/internal/topology"
@@ -25,8 +26,8 @@ func build(t *testing.T, shards int) *Fabric {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if shards > 1 && f.Lookahead() != 20*us {
-		t.Fatalf("lookahead %v, want 20us", f.Lookahead())
+	if la := sim.Time(f.Stats().LookaheadNs); shards > 1 && la != 20*us {
+		t.Fatalf("lookahead %v, want 20us", la)
 	}
 	return f
 }
@@ -142,9 +143,13 @@ var sendTimes = []sim.Time{us, 300 * us, 300 * us, 5 * sim.Millisecond}
 // side on one shard, delivery through the outbox on another — must land
 // the packet at exactly the sequential instant.
 func TestPacketsArriveWhenTheSequentialEngineSays(t *testing.T) {
-	want := journeys(t, build(t, 1), sendTimes)
+	seq := build(t, 1)
+	want := journeys(t, seq, sendTimes)
 	if len(want) != len(sendTimes) {
 		t.Fatalf("sequential fabric delivered %d of %d packets", len(want), len(sendTimes))
+	}
+	if st := seq.Stats(); st != (metrics.ShardStats{Shards: 1}) {
+		t.Errorf("direct fabric Stats = %+v, want {Shards: 1}", st)
 	}
 	f := build(t, 2)
 	if got := journeys(t, f, sendTimes); !reflect.DeepEqual(got, want) {
@@ -212,21 +217,26 @@ func TestDeferredCallbacksAndStop(t *testing.T) {
 	if !reflect.DeepEqual(log, want) {
 		t.Errorf("deferred callbacks replayed as %v, want %v", log, want)
 	}
-	if last < 50*us || last >= 50*us+f.Lookahead() {
+	if last < 50*us || last >= 50*us+sim.Time(f.Stats().LookaheadNs) {
 		t.Errorf("shard 0 ran to %v, want within one lookahead past the stop at 50us", last)
 	}
 }
 
 // TestResetReproducesRun: after Reset the same schedule yields the same
-// arrivals and the same coordinator accounting as on the fresh fabric.
+// arrivals and the same coordinator accounting as on the fresh fabric,
+// and between runs Stats is back to what Build set.
 func TestResetReproducesRun(t *testing.T) {
 	f := build(t, 2)
+	built := f.Stats()
+	if want := (metrics.ShardStats{Shards: 2, Mode: "conservative", LookaheadNs: int64(20 * us)}); built != want {
+		t.Errorf("Stats after Build = %+v, want %+v", built, want)
+	}
 	first, firstStats := journeys(t, f, sendTimes), f.Stats()
 	f.control.Reset()
 	f.net.Reset(0)
 	f.Reset()
-	if st := f.Stats(); st != (Stats{}) {
-		t.Errorf("Stats after Reset = %+v, want zero", st)
+	if st := f.Stats(); st != built {
+		t.Errorf("Stats after Reset = %+v, want %+v", st, built)
 	}
 	second, secondStats := journeys(t, f, sendTimes), f.Stats()
 	if len(first) != len(sendTimes) || !reflect.DeepEqual(first, second) {
@@ -342,7 +352,7 @@ func TestThreadCountDoesNotChangeRun(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, shards := range []int{2, 4} {
 		var want [][]fired
-		var wantStats Stats
+		var wantStats metrics.ShardStats
 		for _, procs := range []int{1, 2} {
 			runtime.GOMAXPROCS(procs)
 			f := build(t, shards)

@@ -25,6 +25,18 @@ type SenderStats struct {
 	SpuriousSignals int64
 }
 
+// Add adds every counter of o into s.
+func (s *SenderStats) Add(o SenderStats) {
+	s.SegmentsSent += o.SegmentsSent
+	s.BytesSent += o.BytesSent
+	s.Retransmissions += o.Retransmissions
+	s.FastRetransmits += o.FastRetransmits
+	s.Timeouts += o.Timeouts
+	s.AcksReceived += o.AcksReceived
+	s.DupAcksReceived += o.DupAcksReceived
+	s.SpuriousSignals += o.SpuriousSignals
+}
+
 // mapping records which data-level chunk occupies a stretch of
 // subflow-level sequence space, so retransmissions carry the same data
 // sequence. An entry is a run of consecutive grants that continue each

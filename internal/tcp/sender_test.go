@@ -2,6 +2,7 @@ package tcp
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/netem"
@@ -349,6 +350,23 @@ func TestSenderStatsAccounting(t *testing.T) {
 	}
 	if doneAt <= 0 {
 		t.Errorf("completed at %v, want after time zero", doneAt)
+	}
+}
+
+// TestSenderStatsAddEveryField: Add sums every counter, so a counter
+// added to SenderStats later cannot be left out of a connection's total.
+func TestSenderStatsAddEveryField(t *testing.T) {
+	var sum, o SenderStats
+	sv, ov := reflect.ValueOf(&sum).Elem(), reflect.ValueOf(&o).Elem()
+	for i := range sv.NumField() {
+		sv.Field(i).SetInt(int64(i + 1))
+		ov.Field(i).SetInt(int64(100 * (i + 1)))
+	}
+	sum.Add(o)
+	for i := range sv.NumField() {
+		if got, want := sv.Field(i).Int(), int64(101*(i+1)); got != want {
+			t.Errorf("%s = %d after Add, want %d", sv.Type().Field(i).Name, got, want)
+		}
 	}
 }
 

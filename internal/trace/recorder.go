@@ -51,7 +51,6 @@ const (
 	KindSubflowDead                // a=consecutive RTOs, b=bytes acked at death
 	KindSubflowRedial              // a=new src port, b=attempt number
 	KindPhaseDefer                 // a=deferrals so far, b=1 if forced by MaxDefer
-	KindWindowEdge                 // coordinator window; a=width (ns), b=elided shard wakeups
 	numKinds
 )
 
@@ -67,7 +66,6 @@ var kindNames = [numKinds]string{
 	"recompute-start", "recompute-end", "fib-flip",
 	"fault-inject", "fault-repair",
 	"subflow-dead", "subflow-redial", "phase-defer",
-	"window-edge",
 }
 
 func (k Kind) String() string {
@@ -168,19 +166,6 @@ func newRecorder(ring bool, size int) *Recorder {
 		r.buf = make([]Event, size)
 	}
 	return r
-}
-
-// Reset discards recorded events but keeps the storage,
-// returning the recorder to its armed, empty state. MergeInto calls it
-// on dst before refilling it with the merged stream.
-func (r *Recorder) Reset() {
-	if r == nil {
-		return
-	}
-	r.head, r.n, r.total = 0, 0, 0
-	if !r.ring {
-		r.buf = r.buf[:0]
-	}
 }
 
 // Record appends one event. at is the engine's virtual time at the
@@ -408,8 +393,7 @@ func chromeFromEvent(e Event) chromeEvent {
 			ID:   fmt.Sprintf("flow-%d/sf-%d", e.Flow, e.Sub),
 			Args: map[string]int64{"acked": e.A},
 		}
-	case KindFaultInject, KindFaultRepair, KindRecomputeStart, KindRecomputeEnd,
-		KindWindowEdge:
+	case KindFaultInject, KindFaultRepair, KindRecomputeStart, KindRecomputeEnd:
 		return chromeEvent{
 			Name: e.Kind.String(), Cat: "control", Ph: "i", Scope: "g",
 			Ts: ce.Ts, Pid: chromePidControl, Tid: 0,

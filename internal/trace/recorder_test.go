@@ -20,7 +20,6 @@ func rec(r *Recorder, i int) {
 func TestNilRecorderSafe(t *testing.T) {
 	var r *Recorder
 	r.Record(0, KindEnqueue, 1, 0, 0, 0, 0, 0)
-	r.Reset()
 	if r.Len() != 0 || r.Total() != 0 {
 		t.Error("nil recorder reports non-zero counters")
 	}
@@ -72,24 +71,6 @@ func TestFullOverflow(t *testing.T) {
 		if want := int64(i + 1); e.A != want {
 			t.Errorf("event %d: A = %d, want %d (first events kept)", i, e.A, want)
 		}
-	}
-}
-
-// TestResetKeepsStorage: Reset empties the recorder but keeps its
-// identity — capacity and mode — so a refill (as MergeInto does) starts
-// clean without rebuilding.
-func TestResetKeepsStorage(t *testing.T) {
-	r := newRecorder(true, 4)
-	r.Record(0, KindAck, 2, 0, 0, 0, 0, 0)
-	r.Reset()
-	if r.Len() != 0 || r.Total() != 0 {
-		t.Fatalf("after Reset: Len/Total = %d/%d, want 0/0", r.Len(), r.Total())
-	}
-	for flow := uint64(1); flow <= 5; flow++ {
-		r.Record(0, KindAck, flow, 0, 0, 0, 0, 0)
-	}
-	if r.Len() != 4 || r.Total() != 5 {
-		t.Errorf("ring lost across Reset: Len/Total = %d/%d, want 4/5", r.Len(), r.Total())
 	}
 }
 

@@ -5,7 +5,9 @@
 // a typed flight recorder for transport, network-emulation, routing and
 // fault events with zero overhead when disabled. Both exist for
 // debugging protocol dynamics; the experiment harness records through
-// them but never depends on their output.
+// them but never depends on their output. Tracing runs on the sequential
+// engine: one run records into one Recorder on one thread, and the
+// public Config rejects a traced run on more than one shard.
 //
 // All panics in this package carry the "trace:" prefix.
 package trace

@@ -123,7 +123,9 @@ type MetricsConfig struct {
 //
 // Tracing observes and never perturbs: a traced run's Results are
 // byte-identical to the same config untraced (trace storage lives
-// outside the packet pools and consumes no RNG).
+// outside the packet pools and consumes no RNG). It runs on the
+// sequential engine only: ring or full with Shards > 1 is a config
+// error, and Shards 0 or 1 traces the same run byte for byte.
 type TraceConfig struct {
 	// Mode selects off (default), ring, or full storage; the string
 	// "off" is accepted as a spelled-out zero value.
@@ -220,7 +222,8 @@ type Config struct {
 	// topology's switch count. Layer-wide loss degradation (a Degrade
 	// fault with Index -1 and LossRate > 0) shares one RNG across the
 	// whole layer and is rejected with Shards > 1; per-cable degradation
-	// (DegradeCables) composes fine.
+	// (DegradeCables) composes fine. Tracing (Trace.Mode ring or full) is
+	// rejected with Shards > 1 too: Shards 0 or 1 traces the same run.
 	Shards int
 }
 
@@ -370,6 +373,10 @@ func (c *Config) resolve(run bool) error {
 				return fmt.Errorf("mmptcp: Faults.Events[%d]: layer-wide loss degradation (Index -1, LossRate %v) shares one RNG across the layer and cannot run with Shards %d; target individual cables (DegradeCables) instead",
 					i, ev.LossRate, c.Shards)
 			}
+		}
+		if c.Trace.Mode == TraceRing || c.Trace.Mode == TraceFull {
+			return fmt.Errorf("mmptcp: Trace.Mode %q cannot run with Shards %d: tracing runs on the sequential engine; Shards 0 or 1 traces the same run byte for byte",
+				c.Trace.Mode, c.Shards)
 		}
 	}
 	switch c.Trace.Mode {

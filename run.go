@@ -282,13 +282,18 @@ func (ri *instance) build(cfg *Config) (*liveRun, error) {
 	}
 	eng, net, rec := ri.eng, ri.net, ri.rec
 
-	// Arm the data plane's trace points. rec is nil on untraced runs —
-	// the stores below then just re-assert the nil the resets left
-	// behind, and every trace point stays a not-taken branch. On a
-	// partitioned fabric each shard records into its own recorder
-	// (merged back into rec after the run); flows record into their
-	// source shard's.
-	ri.fab.InstallTracing(rec, cfg.Trace.Mode)
+	// Arm the data plane's trace points. The resets cleared them, so on
+	// an untraced run (rec nil) every trace point stays a not-taken
+	// branch. Only sequential runs trace: Config rejects a traced run on
+	// more than one shard.
+	if rec != nil {
+		for _, l := range net.Links {
+			l.SetRecorder(rec)
+		}
+		for _, sw := range net.Switches {
+			sw.SetRecorder(rec)
+		}
+	}
 
 	// Network dynamics. The fault plan draws from its own RNG stream —
 	// not rootRNG — so a faulted run and its healthy twin share an
@@ -325,12 +330,10 @@ func (ri *instance) build(cfg *Config) (*liveRun, error) {
 	return r, nil
 }
 
-// open dials f's connection — the one place a flow is dialed — records
-// the flow's start and returns the recorder its events go to (nil on an
-// untraced run).
-func (r *liveRun) open(f *flow, onAllAcked func()) *trace.Recorder {
+// open dials f's connection — the one place a flow is dialed — and
+// records the flow's start.
+func (r *liveRun) open(f *flow, onAllAcked func()) {
 	src, dst := int(f.rec.Src), int(f.rec.Dst)
-	flowRec := r.fab.FlowRecorder(r.rec, src)
 	f.conn = dial(r.net, r.cfg, DialConfig{
 		FlowID:     f.rec.ID,
 		Src:        src,
@@ -338,14 +341,11 @@ func (r *liveRun) open(f *flow, onAllAcked func()) *trace.Recorder {
 		Size:       f.rec.Size,
 		RNG:        r.rootRNG.Split(),
 		onAllAcked: onAllAcked,
-		recorder:   flowRec,
+		recorder:   r.rec,
 		observer:   r.observer,
 	})
-	if flowRec != nil {
-		flowRec.Record(r.eng.Now(), trace.KindFlowStart, f.rec.ID, -1,
-			int32(src), int32(dst), f.rec.Size, 0)
-	}
-	return flowRec
+	r.rec.Record(r.eng.Now(), trace.KindFlowStart, f.rec.ID, -1,
+		int32(src), int32(dst), f.rec.Size, 0)
 }
 
 // close snapshots f's sender statistics into its record, folds its
@@ -436,7 +436,7 @@ func (r *liveRun) spawnShort(id uint64, src, dst int, size int64) {
 		Start: r.eng.Now(),
 	}}
 	r.shorts = append(r.shorts, sf)
-	flowRec := r.open(sf, func() {
+	r.open(sf, func() {
 		fab.Defer(fab.HostShard(src), func(sim.Time) {
 			// Sender finished too: snapshot stats and free endpoints.
 			r.close(sf)
@@ -447,10 +447,8 @@ func (r *liveRun) spawnShort(id uint64, src, dst int, size int64) {
 		fab.Defer(fab.HostShard(dst), func(at sim.Time) {
 			sf.rec.Completed = true
 			sf.rec.End = at
-			if flowRec != nil {
-				flowRec.Record(at, trace.KindFlowEnd, id, -1,
-					int32(src), int32(dst), rcv.Delivered(), 0)
-			}
+			r.rec.Record(at, trace.KindFlowEnd, id, -1,
+				int32(src), int32(dst), rcv.Delivered(), 0)
 			r.completed++
 			if n := r.cfg.ShortFlows; r.completed == n && r.spawner.Spawned() == n {
 				fab.Stop()
@@ -481,21 +479,10 @@ func (r *liveRun) execute(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	fab.MergeTraces(r.rec)
 	fab.FoldStats()
 	res.Events = fab.Events()
 	res.Spawned = r.spawner.Spawned()
-	res.Shard = metrics.ShardStats{Shards: fab.Shards()}
-	if fab.Shards() > 1 {
-		st := fab.Stats()
-		res.Shard.Mode = "conservative"
-		res.Shard.LookaheadNs = int64(fab.Lookahead())
-		res.Shard.Barriers = st.Barriers
-		res.Shard.ControlTurns = st.ControlTurns
-		res.Shard.Windows = st.Windows
-		res.Shard.ElidedWakeups = st.ElidedWakeups
-		res.Shard.MeanWindowNs = st.MeanWindowNs()
-	}
+	res.Shard = fab.Stats()
 	return nil
 }
 

@@ -1,16 +1,12 @@
 package mmptcp
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/faults"
-	"repro/internal/trace"
 )
 
 // shardedSuite is the PR-3 fault suite (cable cuts with global repair,
@@ -156,86 +152,28 @@ func TestShardsValidation(t *testing.T) {
 	if _, err := Run(loss); err == nil || !strings.Contains(err.Error(), "DegradeCables") {
 		t.Errorf("layer-wide loss with Shards=2: err = %v, want DegradeCables hint", err)
 	}
-}
 
-// TestShardedTracedRun: a traced sharded run records into per-shard
-// recorders that merge time-ordered at export, with nothing dropped —
-// every spawned flow's start event survives the merge — and both export
-// formats stay schema-identical to a sequential trace (valid JSONL per
-// line; Chrome trace JSON with the flows/fabric/control process metas).
-func TestShardedTracedRun(t *testing.T) {
-	cfg := tracedFaultConfig()
-	cfg.MaxSimTime = 2 * Second
-	cfg.Trace.Mode = TraceFull
-	cfg.LongFraction = 0.1 // keeps the full trace under its cap
-	cfg.Shards = 2
-	res, rec, err := RunTraced(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec == nil || rec.Len() == 0 {
-		t.Fatal("sharded traced run recorded nothing")
-	}
-	if rec.Total() != uint64(rec.Len()) {
-		t.Fatalf("full trace kept %d of %d events", rec.Len(), rec.Total())
-	}
-	kinds := make(map[trace.Kind]int)
-	last := SimTime(-1)
-	for _, e := range rec.Events() {
-		kinds[e.Kind]++
-		if e.At < last {
-			t.Fatalf("merged trace out of order: %v after %v", e.At, last)
+	// Tracing runs on the sequential engine: every entry point rejects
+	// a traced run on two shards, naming both fields; one shard traces.
+	for _, mode := range []TraceMode{TraceRing, TraceFull} {
+		traced := tiny(ProtoTCP, 10)
+		traced.Trace.Mode = mode
+		traced.Shards = 2
+		_, rec, traceErr := RunTraced(traced)
+		_, runErr := Run(traced)
+		_, sweepErr := RunSweep([]Config{traced}, SweepOptions{})
+		for entry, err := range map[string]error{"RunTraced": traceErr, "Run": runErr, "RunSweep": sweepErr} {
+			if err == nil || !strings.Contains(err.Error(), "Trace.Mode") || !strings.Contains(err.Error(), "Shards") {
+				t.Errorf("%s, Trace.Mode %s at Shards=2: err = %v, want mention of Trace.Mode and Shards", entry, mode, err)
+			}
 		}
-		last = e.At
-	}
-	if got, want := kinds[trace.KindFlowStart], res.Spawned+len(res.LongFlows); got != want {
-		t.Errorf("%d flow-start events, want %d — the shard merge dropped records", got, want)
-	}
-	for _, want := range []trace.Kind{
-		trace.KindSegmentSend, trace.KindAck, trace.KindEnqueue,
-		trace.KindFaultInject, trace.KindLinkDown,
-	} {
-		if kinds[want] == 0 {
-			t.Errorf("sharded traced run recorded no %v events", want)
+		if rec != nil {
+			t.Errorf("Trace.Mode %s at Shards=2 returned a recorder", mode)
 		}
-	}
-
-	var jsonl bytes.Buffer
-	if err := rec.WriteJSONL(&jsonl); err != nil {
-		t.Fatal(err)
-	}
-	lines := 0
-	sc := bufio.NewScanner(&jsonl)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		var m map[string]any
-		if err := json.Unmarshal(sc.Bytes(), &m); err != nil {
-			t.Fatalf("JSONL line %d invalid: %v", lines+1, err)
+		traced.Shards = 1
+		if _, rec, err := RunTraced(traced); err != nil || rec == nil {
+			t.Errorf("Trace.Mode %s at Shards=1: rec %v, err = %v, want a trace", mode, rec, err)
 		}
-		lines++
-	}
-	if lines != rec.Len() {
-		t.Errorf("JSONL export wrote %d lines for %d events", lines, rec.Len())
-	}
-
-	var chrome bytes.Buffer
-	if err := rec.WriteChromeTrace(&chrome); err != nil {
-		t.Fatal(err)
-	}
-	var envelope struct {
-		TraceEvents []map[string]any `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(chrome.Bytes(), &envelope); err != nil {
-		t.Fatalf("Chrome trace is not valid JSON: %v", err)
-	}
-	metas := 0
-	for _, e := range envelope.TraceEvents {
-		if e["name"] == "process_name" {
-			metas++
-		}
-	}
-	if metas != 3 {
-		t.Errorf("Chrome trace has %d process_name metas, want 3 (flows/fabric/control)", metas)
 	}
 }
 

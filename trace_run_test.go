@@ -1,6 +1,8 @@
 package mmptcp
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"testing"
 
 	"repro/internal/trace"
@@ -23,7 +25,8 @@ func tracedFaultConfig() Config {
 
 // TestTracedRunCapture: a traced faulted run actually captures the
 // storyline — flow lifecycle, fault injection and repair, link state,
-// control-plane recomputes — in time order.
+// control-plane recomputes — in time order, and the same run at Shards 1
+// exports the same JSONL byte for byte.
 func TestTracedRunCapture(t *testing.T) {
 	cfg := tracedFaultConfig()
 	cfg.Trace.Mode = TraceFull
@@ -69,6 +72,22 @@ func TestTracedRunCapture(t *testing.T) {
 	// Every flow the workload spawned starts exactly once.
 	if got, want := kinds[trace.KindFlowStart], res.Spawned+len(res.LongFlows); got != want {
 		t.Errorf("%d flow-start events, want %d (spawned shorts + longs)", got, want)
+	}
+
+	jsonlSum := func(rec *trace.Recorder) []byte {
+		h := sha256.New()
+		if err := rec.WriteJSONL(h); err != nil {
+			t.Fatal(err)
+		}
+		return h.Sum(nil)
+	}
+	cfg.Shards = 1
+	_, rec1, err := RunTraced(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(jsonlSum(rec1), jsonlSum(rec)) {
+		t.Error("JSONL export at Shards 1 differs from Shards 0")
 	}
 }
 
