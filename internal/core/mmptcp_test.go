@@ -31,43 +31,6 @@ func dialFT(ft *topology.FatTree, cfg Config, flowID uint64, src, dst int, size 
 	})
 }
 
-func TestShortFlowStaysInPacketScatter(t *testing.T) {
-	eng := sim.NewEngine()
-	ft := fatTree4(eng)
-	// 70 KB < 100 KB threshold: the paper expects short flows to finish
-	// entirely inside the PS phase.
-	conn := dialFT(ft, paperConfig(), 1, 0, 15, 70_000, 42)
-	var doneAt sim.Time
-	conn.Receiver().OnComplete = func() { doneAt = eng.Now() }
-	acked := false
-	conn.OnAllAcked = func() { acked = true }
-	conn.Start()
-	eng.Run()
-
-	if !conn.Receiver().Complete() {
-		t.Fatal("transfer did not complete")
-	}
-	if conn.Switched() {
-		t.Error("70KB flow switched to MPTCP; must finish in PS phase")
-	}
-	if conn.MPTCP() != nil {
-		t.Error("MPTCP connection created for a PS-only flow")
-	}
-	if !acked {
-		t.Error("OnAllAcked did not fire")
-	}
-	if conn.Receiver().Delivered() != 70_000 {
-		t.Errorf("delivered %d", conn.Receiver().Delivered())
-	}
-	if doneAt <= 0 {
-		t.Error("no FCT recorded")
-	}
-	// Inter-pod in k=4: 4 paths, so the PS dup-ACK threshold is 4.
-	if got := conn.PacketScatter().DupThresh(); got != 4 {
-		t.Errorf("PS dup threshold = %d, want 4", got)
-	}
-}
-
 func TestLongFlowSwitchesAtDataVolume(t *testing.T) {
 	eng := sim.NewEngine()
 	ft := fatTree4(eng)
@@ -107,20 +70,6 @@ func TestLongFlowSwitchesAtDataVolume(t *testing.T) {
 	}
 	if conn.Receiver().Delivered() != size {
 		t.Errorf("delivered %d, want %d", conn.Receiver().Delivered(), size)
-	}
-}
-
-func TestFlowExactlyAtThresholdDoesNotSwitch(t *testing.T) {
-	eng := sim.NewEngine()
-	ft := fatTree4(eng)
-	conn := dialFT(ft, paperConfig(), 1, 0, 15, 100_000, 3)
-	conn.Start()
-	eng.Run()
-	if !conn.Receiver().Complete() {
-		t.Fatal("incomplete")
-	}
-	if conn.Switched() {
-		t.Error("flow of exactly SwitchBytes switched; nothing remained to hand over")
 	}
 }
 

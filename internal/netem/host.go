@@ -183,8 +183,8 @@ func (h *Host) Unregister(flowID uint64, subflow int8) {
 
 // Reset clears endpoint registrations and statistics for run-instance
 // reuse. Transports unregister themselves on Close, so after a completed
-// run the endpoint table is already empty; clearing it here makes reuse
-// safe even after a run aborted mid-flight (context cancellation).
+// run the endpoint table is already empty; clearing it here keeps reuse
+// safe even if an endpoint was left registered.
 func (h *Host) Reset() {
 	clear(h.endpoints.slots)
 	h.endpoints.n = 0

@@ -8,17 +8,6 @@ import (
 	"repro/internal/sim"
 )
 
-// RunOptions parameterises one coordinated run.
-type RunOptions struct {
-	// Until is the virtual-time horizon (the run's MaxSimTime).
-	Until sim.Time
-	// Interrupt, when non-nil, is polled at every barrier; returning
-	// true abandons the run, as the sequential engine's SetInterrupt
-	// hook does. While events are pending, barriers recur at least once
-	// per lookahead of virtual time, so polling latency is bounded.
-	Interrupt func() bool
-}
-
 // worker is the hand-off slot of one persistent shard thread; shard 0
 // runs on the coordinator. The coordinator stores limit and bumps gen;
 // the worker runs its engine to limit and stores gen into done. The
@@ -73,10 +62,10 @@ func (f *Fabric) advanceShards(t sim.Time) {
 	}
 }
 
-// Run executes the fabric until the horizon, a Stop request, or an
-// interrupt. It returns whether the run was stopped (vs drained or
-// timed out) and the virtual time it ended at — the stopping callback's
-// own firing time when stopped, Until otherwise (matching
+// Run executes the fabric to the virtual-time horizon until (the run's
+// MaxSimTime) or a Stop request. It returns whether the run was stopped (vs drained
+// or timed out) and the virtual time it ended at — the stopping
+// callback's own firing time when stopped, until otherwise (matching
 // sim.Engine.RunUntil's clock semantics). On a direct fabric this is
 // exactly control.RunUntil.
 //
@@ -90,15 +79,14 @@ func (f *Fabric) advanceShards(t sim.Time) {
 // processed-event totals) include the overrun. This is the documented
 // N-shard divergence from the sequential oracle — see the package
 // comment.
-func (f *Fabric) Run(opt RunOptions) (stopped bool, elapsed sim.Time) {
+func (f *Fabric) Run(until sim.Time) (stopped bool, elapsed sim.Time) {
 	if f.direct {
-		f.control.RunUntil(opt.Until)
+		f.control.RunUntil(until)
 		return f.stopped, f.control.Now()
 	}
 	f.startWorkers()
 	defer f.stopWorkers()
 
-	until := opt.Until
 	for {
 		// Barrier: commit cross-shard deliveries, then replay deferred
 		// completions in (time, shard) order. A completion may Stop the
@@ -108,9 +96,6 @@ func (f *Fabric) Run(opt RunOptions) (stopped bool, elapsed sim.Time) {
 		f.flushDeferred()
 		if f.stopped {
 			return true, f.stopTime
-		}
-		if opt.Interrupt != nil && opt.Interrupt() {
-			return false, f.control.Now()
 		}
 
 		c := f.control.PeekTime()

@@ -85,7 +85,7 @@ func TestDeliveryOrder(t *testing.T) {
 	send(0, 50*us+1, due+1, "0c")
 	dst.At(69*us, func() { dst.AtArg(due, rec, "local") })
 
-	if stopped, end := f.Run(RunOptions{Until: sim.Millisecond}); stopped || end != sim.Millisecond {
+	if stopped, end := f.Run(sim.Millisecond); stopped || end != sim.Millisecond {
 		t.Errorf("Run = (%v, %v), want (false, 1ms)", stopped, end)
 	}
 	want := []fired{
@@ -128,7 +128,7 @@ func journeys(t *testing.T, f *Fabric, at []sim.Time) []sim.Time {
 			src.Send(p)
 		})
 	}
-	if stopped, end := f.Run(RunOptions{Until: 10 * sim.Millisecond}); stopped || end != 10*sim.Millisecond {
+	if stopped, end := f.Run(10 * sim.Millisecond); stopped || end != 10*sim.Millisecond {
 		t.Errorf("Run = (%v, %v), want (false, 10ms)", stopped, end)
 	}
 	return got.at
@@ -171,7 +171,7 @@ func TestElisionAndReentry(t *testing.T) {
 	f.engines[0].At(100*us, func() {
 		ob.AtArg(120*us, func(any) { got = append(got, f.engines[1].Now()) }, nil)
 	})
-	f.Run(RunOptions{Until: sim.Millisecond})
+	f.Run(sim.Millisecond)
 	if !reflect.DeepEqual(got, []sim.Time{120 * us}) {
 		t.Errorf("delivery to the idle shard fired at %v, want once at 120us", got)
 	}
@@ -209,7 +209,7 @@ func TestDeferredCallbacksAndStop(t *testing.T) {
 		f.engines[0].At(at, func() { last = f.engines[0].Now() })
 	}
 
-	stopped, end := f.Run(RunOptions{Until: sim.Millisecond})
+	stopped, end := f.Run(sim.Millisecond)
 	if !stopped || end != 50*us {
 		t.Errorf("Run = (%v, %v), want (true, 50us)", stopped, end)
 	}
@@ -264,29 +264,21 @@ func workersLeft() int {
 }
 
 // TestWorkersExitWithRun: Run owns its worker goroutines. Once it
-// returns, none is left, whether the run reached its horizon, was
-// stopped by a deferred completion or was interrupted.
+// returns, none is left, whether the run reached its horizon or was
+// stopped by a deferred completion.
 func TestWorkersExitWithRun(t *testing.T) {
 	cases := []struct {
 		name string
 		run  func(f *Fabric) bool // runs f; false if Run ended some other way
 	}{
 		{"horizon", func(f *Fabric) bool {
-			stopped, end := f.Run(RunOptions{Until: sim.Millisecond})
+			stopped, end := f.Run(sim.Millisecond)
 			return !stopped && end == sim.Millisecond
 		}},
 		{"stop", func(f *Fabric) bool {
 			f.engines[3].At(100*us, func() { f.Defer(3, func(sim.Time) { f.Stop() }) })
-			stopped, end := f.Run(RunOptions{Until: sim.Millisecond})
+			stopped, end := f.Run(sim.Millisecond)
 			return stopped && end == 100*us
-		}},
-		{"interrupt", func(f *Fabric) bool {
-			barriers := 0
-			stopped, end := f.Run(RunOptions{Until: sim.Millisecond, Interrupt: func() bool {
-				barriers++
-				return barriers > 5
-			}})
-			return !stopped && end < sim.Millisecond
 		}},
 	}
 	for _, c := range cases {
@@ -333,7 +325,7 @@ func crossTraffic(t *testing.T, f *Fabric) [][]fired {
 			}
 		}
 	}
-	if stopped, end := f.Run(RunOptions{Until: 5 * sim.Millisecond}); stopped || end != 5*sim.Millisecond {
+	if stopped, end := f.Run(5 * sim.Millisecond); stopped || end != 5*sim.Millisecond {
 		t.Errorf("Run = (%v, %v), want (false, 5ms)", stopped, end)
 	}
 	return got

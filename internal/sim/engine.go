@@ -120,17 +120,7 @@ type Engine struct {
 	// does not allocate. Events enter it from the run loop (after firing
 	// or lazy discard of a cancellation), from compact and from Reset.
 	free []*event
-
-	// interrupt, when set, is polled every interruptEvery processed
-	// events by RunUntil; returning true stops the run (see
-	// SetInterrupt).
-	interrupt func() bool
 }
-
-// interruptEvery is how many events RunUntil processes between interrupt
-// polls: frequent enough to abort a stuck run in milliseconds of wall
-// time, rare enough to be free on the hot path.
-const interruptEvery = 8192
 
 // NewEngine returns an engine with the clock at zero and no pending events.
 func NewEngine() *Engine {
@@ -180,13 +170,6 @@ func (e *Engine) AdvanceTo(t Time) {
 
 // Processed returns the number of events executed so far.
 func (e *Engine) Processed() uint64 { return e.processed }
-
-// SetInterrupt installs a poll function checked every interruptEvery
-// processed events during RunUntil; if it returns true the run stops as if
-// Stop had been called. A nil fn removes the hook. Run can be resumed
-// afterwards, so this composes with external cancellation (e.g. a
-// context) without poisoning the engine.
-func (e *Engine) SetInterrupt(fn func() bool) { e.interrupt = fn }
 
 // Schedule runs fn after delay. A negative delay is treated as zero.
 // Events scheduled for the same instant fire in scheduling order.
@@ -268,7 +251,7 @@ func (e *Engine) recycle(ev *event) {
 func (e *Engine) Stop() { e.stopped = true }
 
 // Reset returns the engine to its initial state — clock at zero, no
-// pending events, all counters cleared, no interrupt hook — while keeping
+// pending events, all counters cleared — while keeping
 // the allocated capacity (heap backing array, lane rings and event free
 // list), so a pooled engine's steady-state reuse allocates nothing.
 // Pending events are discarded without firing, and a Timer armed before
@@ -299,7 +282,6 @@ func (e *Engine) Reset() {
 	e.processed = 0
 	e.cancelled = 0
 	e.stopped = false
-	e.interrupt = nil
 }
 
 // Run executes events until the queue is empty or Stop is called.
@@ -319,9 +301,7 @@ func (e *Engine) RunUntil(limit Time) {
 			break
 		}
 		e.pop(src)
-		if e.fire(en) && e.interrupt != nil && e.processed%interruptEvery == 0 && e.interrupt() {
-			e.stopped = true
-		}
+		e.fire(en)
 	}
 	if !e.stopped && e.now < limit && limit < MaxTime {
 		e.now = limit

@@ -177,31 +177,6 @@ func TestEngineCancelDuringRun(t *testing.T) {
 	}
 }
 
-func TestEngineSetInterrupt(t *testing.T) {
-	e := NewEngine()
-	const n = 3 * interruptEvery
-	count := 0
-	for i := 1; i <= n; i++ {
-		e.Schedule(Time(i)*Microsecond, func() { count++ })
-	}
-	stop := false
-	e.SetInterrupt(func() bool { return stop })
-	e.Schedule(interruptEvery*Microsecond+Nanosecond, func() { stop = true })
-	e.Run()
-	// The poll fires every interruptEvery processed events; the stop
-	// flag is set by event interruptEvery+1, so the run halts at the
-	// next poll, after 2*interruptEvery events, the flag-setter included.
-	if want := 2*interruptEvery - 1; count != want {
-		t.Fatalf("count = %d after interrupt, want %d", count, want)
-	}
-	// Clearing the hook lets the run resume to completion.
-	e.SetInterrupt(nil)
-	e.Run()
-	if count != n {
-		t.Errorf("count = %d after resume, want %d", count, n)
-	}
-}
-
 func TestEngineRunUntil(t *testing.T) {
 	e := NewEngine()
 	var count int

@@ -14,14 +14,12 @@
 //  2. Bounded memory. Exactly Workers jobs are in flight; dispatch is an
 //     atomic counter, not a buffered queue, so a million-job sweep holds
 //     one slice and Workers goroutines.
-//  3. Fail fast. The first job error cancels the shared context; workers
-//     finish their current job and exit. The lowest-indexed observed
+//  3. Fail fast. The first job error stops dispatch: no job starts after
+//     it, and jobs already running finish. The lowest-indexed observed
 //     error is returned.
 package sweep
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -40,7 +38,7 @@ type Options struct {
 	OnDone func(done, total, index int)
 }
 
-// Run executes job(ctx, slot, i) for every i in [0, n) on a pool of
+// Run executes job(slot, i) for every i in [0, n) on a pool of
 // Options.Workers goroutines and returns the n results in index order.
 //
 // slot points at the calling worker's own S: zero when the worker
@@ -48,24 +46,19 @@ type Options struct {
 // dropped when the worker exits — so whatever jobs park there is
 // bounded by the worker count and needs no locking.
 //
-// The context passed to jobs is derived from ctx and cancelled as soon as
-// any job fails, so long-running jobs can abort early by observing it.
-// Run itself returns the lowest-indexed error it observed, wrapped with
-// the job index; if ctx is cancelled from outside, Run drains in-flight
-// jobs and returns ctx's error.
-func Run[S, T any](ctx context.Context, n int, opts Options, job func(ctx context.Context, slot *S, i int) (T, error)) ([]T, error) {
+// Once a job fails no further job starts; jobs already running finish.
+// Run then returns the lowest-indexed error it observed, wrapped with the
+// job index.
+func Run[S, T any](n int, opts Options, job func(slot *S, i int) (T, error)) ([]T, error) {
 	if n <= 0 {
 		return nil, nil
 	}
-	parent := ctx
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
 	workers := min(max(opts.Workers, 1), n)
 
 	results := make([]T, n)
 	var (
 		next     atomic.Int64 // dispatch cursor
+		failed   atomic.Bool  // a job failed: dispatch stops
 		mu       sync.Mutex   // guards done, firstErr*, serialises OnDone
 		done     int
 		firstErr error
@@ -79,22 +72,17 @@ func Run[S, T any](ctx context.Context, n int, opts Options, job func(ctx contex
 			var slot S
 			for {
 				i := int(next.Add(1)) - 1
-				if i >= n || ctx.Err() != nil {
+				if i >= n || failed.Load() {
 					return
 				}
-				res, err := job(ctx, &slot, i)
+				res, err := job(&slot, i)
 				if err != nil {
-					// Cancellation fallout (a sibling failed first, or
-					// the caller cancelled) is not this job's fault:
-					// don't let it shadow the root-cause error.
-					if ctxErr := ctx.Err(); ctxErr == nil || !errors.Is(err, ctxErr) {
-						mu.Lock()
-						if errIndex < 0 || i < errIndex {
-							firstErr, errIndex = err, i
-						}
-						mu.Unlock()
+					mu.Lock()
+					if errIndex < 0 || i < errIndex {
+						firstErr, errIndex = err, i
 					}
-					cancel()
+					mu.Unlock()
+					failed.Store(true)
 					return
 				}
 				mu.Lock()
@@ -111,9 +99,6 @@ func Run[S, T any](ctx context.Context, n int, opts Options, job func(ctx contex
 
 	if errIndex >= 0 {
 		return nil, fmt.Errorf("sweep: job %d: %w", errIndex, firstErr)
-	}
-	if err := parent.Err(); err != nil {
-		return nil, err
 	}
 	return results, nil
 }

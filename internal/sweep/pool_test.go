@@ -1,7 +1,6 @@
 package sweep
 
 import (
-	"context"
 	"errors"
 	"sync/atomic"
 	"testing"
@@ -10,8 +9,8 @@ import (
 
 func TestRunReturnsResultsInIndexOrder(t *testing.T) {
 	for _, workers := range []int{1, 2, 7, 100} {
-		got, err := Run(context.Background(), 50, Options{Workers: workers},
-			func(_ context.Context, _ *struct{}, i int) (int, error) { return i * i, nil })
+		got, err := Run(50, Options{Workers: workers},
+			func(_ *struct{}, i int) (int, error) { return i * i, nil })
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -27,8 +26,8 @@ func TestRunReturnsResultsInIndexOrder(t *testing.T) {
 }
 
 func TestRunZeroJobs(t *testing.T) {
-	got, err := Run(context.Background(), 0, Options{},
-		func(_ context.Context, _ *struct{}, i int) (int, error) { return 0, nil })
+	got, err := Run(0, Options{},
+		func(_ *struct{}, i int) (int, error) { return 0, nil })
 	if err != nil || got != nil {
 		t.Fatalf("Run(0 jobs) = %v, %v; want nil, nil", got, err)
 	}
@@ -37,8 +36,8 @@ func TestRunZeroJobs(t *testing.T) {
 func TestRunConcurrencyBound(t *testing.T) {
 	const workers = 3
 	var inflight, peak atomic.Int64
-	_, err := Run(context.Background(), 40, Options{Workers: workers},
-		func(_ context.Context, _ *struct{}, i int) (struct{}, error) {
+	_, err := Run(40, Options{Workers: workers},
+		func(_ *struct{}, i int) (struct{}, error) {
 			n := inflight.Add(1)
 			for {
 				p := peak.Load()
@@ -61,8 +60,8 @@ func TestRunConcurrencyBound(t *testing.T) {
 func TestRunFirstErrorCancels(t *testing.T) {
 	boom := errors.New("boom")
 	var ran atomic.Int64
-	_, err := Run(context.Background(), 1000, Options{Workers: 4},
-		func(ctx context.Context, _ *struct{}, i int) (int, error) {
+	_, err := Run(1000, Options{Workers: 4},
+		func(_ *struct{}, i int) (int, error) {
 			ran.Add(1)
 			if i == 5 {
 				return 0, boom
@@ -77,28 +76,10 @@ func TestRunFirstErrorCancels(t *testing.T) {
 	}
 }
 
-func TestRunExternalCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	var ran atomic.Int64
-	_, err := Run(ctx, 1000, Options{Workers: 2},
-		func(ctx context.Context, _ *struct{}, i int) (int, error) {
-			if ran.Add(1) == 10 {
-				cancel()
-			}
-			return i, nil
-		})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if n := ran.Load(); n >= 1000 {
-		t.Errorf("all %d jobs ran despite cancellation", n)
-	}
-}
-
 func TestRunOnDoneSerialisedAndComplete(t *testing.T) {
 	var seen []int
 	var lastDone int
-	got, err := Run(context.Background(), 64, Options{
+	got, err := Run(64, Options{
 		Workers: 8,
 		OnDone: func(done, total, index int) {
 			// Serialised by the pool: plain slice append is safe, and
@@ -109,7 +90,7 @@ func TestRunOnDoneSerialisedAndComplete(t *testing.T) {
 			lastDone = done
 			seen = append(seen, index)
 		},
-	}, func(_ context.Context, _ *struct{}, i int) (int, error) { return i, nil })
+	}, func(_ *struct{}, i int) (int, error) { return i, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,8 +114,8 @@ func TestRunSlotIsWorkerLocal(t *testing.T) {
 	for _, workers := range []int{1, 3, 8} {
 		var slots atomic.Int64
 		// Each job returns how many jobs its slot had seen, itself included.
-		got, err := Run(context.Background(), 200, Options{Workers: workers},
-			func(_ context.Context, jobs *int, i int) (int, error) {
+		got, err := Run(200, Options{Workers: workers},
+			func(jobs *int, i int) (int, error) {
 				if *jobs == 0 {
 					slots.Add(1)
 				}

@@ -1,7 +1,6 @@
 package mmptcp
 
 import (
-	"context"
 	"fmt"
 	"reflect"
 	"runtime"
@@ -148,7 +147,7 @@ func TestPooledSweepWorkerAllocationFree(t *testing.T) {
 	// the network's internal scratch to steady-state capacity.
 	for s := uint64(1); s <= 2; s++ {
 		cfg.Seed = s
-		if _, err := runRecycled(context.Background(), cfg, &slot); err != nil {
+		if _, err := runRecycled(cfg, &slot); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -200,7 +199,7 @@ func TestWarmReplicateAllocationBudget(t *testing.T) {
 		if err := job.resolve(true); err != nil {
 			panic(err)
 		}
-		if _, err := runRecycled(context.Background(), &job, &slot); err != nil {
+		if _, err := runRecycled(&job, &slot); err != nil {
 			panic(err)
 		}
 	}

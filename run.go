@@ -1,8 +1,6 @@
 package mmptcp
 
 import (
-	"context"
-
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/metrics"
@@ -161,7 +159,7 @@ func Run(cfg Config) (*Results, error) {
 	if err := cfg.resolve(true); err != nil {
 		return nil, err
 	}
-	res, _, err := runOnce(context.Background(), &cfg)
+	res, _, err := runOnce(&cfg)
 	return res, err
 }
 
@@ -176,16 +174,16 @@ func RunTraced(cfg Config) (*Results, *trace.Recorder, error) {
 	if err := cfg.resolve(true); err != nil {
 		return nil, nil, err
 	}
-	return runOnce(context.Background(), &cfg)
+	return runOnce(&cfg)
 }
 
 // runOnce runs the resolved cfg on a throwaway instance.
-func runOnce(ctx context.Context, cfg *Config) (*Results, *trace.Recorder, error) {
+func runOnce(cfg *Config) (*Results, *trace.Recorder, error) {
 	inst, err := newInstance(cfg)
 	if err != nil {
 		return nil, nil, err
 	}
-	res, err := inst.run(ctx, cfg)
+	res, err := inst.run(cfg)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -195,13 +193,13 @@ func runOnce(ctx context.Context, cfg *Config) (*Results, *trace.Recorder, error
 // runRecycled is one RunSweep job on a resolved config. parked is the
 // calling worker's slot: the instance its previous job left behind, or
 // nil. The slot is refilled only after a clean run, so an instance whose
-// run failed or was cancelled is dropped rather than parked dirty.
-func runRecycled(ctx context.Context, cfg *Config, parked **instance) (*Results, error) {
+// run failed is dropped rather than parked dirty.
+func runRecycled(cfg *Config, parked **instance) (*Results, error) {
 	inst, err := takeInstance(cfg, parked)
 	if err != nil {
 		return nil, err
 	}
-	res, err := inst.run(ctx, cfg)
+	res, err := inst.run(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -258,15 +256,13 @@ type liveRun struct {
 
 // run is the body shared by every entry point: cfg is resolved for a run
 // and the instance is fresh or reset for it.
-func (ri *instance) run(ctx context.Context, cfg *Config) (*Results, error) {
+func (ri *instance) run(cfg *Config) (*Results, error) {
 	r, err := ri.build(cfg)
 	if err != nil {
 		return nil, err
 	}
 	r.spawn()
-	if err := r.execute(ctx); err != nil {
-		return nil, err
-	}
+	r.execute()
 	r.collect()
 	return r.res, nil
 }
@@ -458,32 +454,20 @@ func (r *liveRun) spawnShort(id uint64, src, dst int, size int64) {
 	sf.conn.Start()
 }
 
-// execute runs the fabric to completion, MaxSimTime or cancellation. The
-// fabric runs the control engine directly in sequential mode; with
-// Shards > 1 it interleaves conservative-lookahead windows with control
-// barriers. A Stop issued by the final completion takes effect at the
-// barrier replaying it, with the completion's own firing time as the
-// run's end time (see shard.Fabric.Run for the bounded window overrun
-// this implies).
-func (r *liveRun) execute(ctx context.Context) error {
-	var interrupt func() bool
-	if ctx.Done() != nil {
-		interrupt = func() bool { return ctx.Err() != nil }
-		r.eng.SetInterrupt(interrupt)
-	}
+// execute runs the fabric to completion or MaxSimTime; nothing
+// interrupts a run. The fabric runs the control engine directly in
+// sequential mode; with Shards > 1 it interleaves conservative-lookahead
+// windows with control barriers. A Stop issued by the final completion
+// takes effect at the barrier replaying it, with the completion's own
+// firing time as the run's end time (see shard.Fabric.Run for the
+// bounded window overrun this implies).
+func (r *liveRun) execute() {
 	fab, res := r.fab, r.res
-	_, res.Elapsed = fab.Run(shard.RunOptions{
-		Until:     r.cfg.MaxSimTime,
-		Interrupt: interrupt,
-	})
-	if err := ctx.Err(); err != nil {
-		return err
-	}
+	_, res.Elapsed = fab.Run(r.cfg.MaxSimTime)
 	fab.FoldStats()
 	res.Events = fab.Events()
 	res.Spawned = r.spawner.Spawned()
 	res.Shard = fab.Stats()
-	return nil
 }
 
 // collect closes what is still open and turns the flow table, the

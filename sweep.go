@@ -38,7 +38,6 @@ package mmptcp
 // the serial wall time with byte-identical tables (see -workers).
 
 import (
-	"context"
 	"runtime"
 
 	"repro/internal/sim"
@@ -65,14 +64,17 @@ type SweepOptions struct {
 
 	// OnResult, if non-nil, is called after each run completes with the
 	// number of runs finished so far, the total, and the finished run's
-	// index into configs. Calls are serialised; no locking needed.
+	// index into configs. Calls are serialised; no locking needed. Runs
+	// that were in flight when another run failed still finish and are
+	// reported.
 	OnResult func(done, total, index int)
 }
 
 // RunSweep executes every config as an independent experiment across a
 // bounded worker pool and returns the Results in config order (results[i]
-// belongs to configs[i]). The first failing run cancels the rest and its
-// error is returned, wrapped with the config index.
+// belongs to configs[i]). A failing run stops dispatch: no further run
+// starts, and runs already in flight finish. The lowest-indexed error is
+// returned, wrapped with its config index.
 func RunSweep(configs []Config, opts SweepOptions) ([]*Results, error) {
 	if opts.Seed != 0 {
 		derived := make([]Config, len(configs))
@@ -84,15 +86,15 @@ func RunSweep(configs []Config, opts SweepOptions) ([]*Results, error) {
 		}
 		configs = derived
 	}
-	return sweep.Run(context.Background(), len(configs), sweep.Options{
+	return sweep.Run(len(configs), sweep.Options{
 		Workers: SweepWorkers(configs, opts),
 		OnDone:  opts.OnResult,
-	}, func(ctx context.Context, parked **instance, i int) (*Results, error) {
+	}, func(parked **instance, i int) (*Results, error) {
 		cfg := configs[i]
 		if err := cfg.resolve(true); err != nil {
 			return nil, err
 		}
-		return runRecycled(ctx, &cfg, parked)
+		return runRecycled(&cfg, parked)
 	})
 }
 
