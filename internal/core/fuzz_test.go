@@ -203,8 +203,7 @@ func FuzzPhases(f *testing.F) {
 		for i := range payload {
 			payload[i] = byte(rng.Uint32())
 		}
-		stream, appNext := make([]byte, size), int64(0)
-		read := sha256.New()
+		appNext, read := int64(0), sha256.New()
 		var arrived, scatter, subflows tcp.SeqSet
 		var scatterBytes, subflowBytes int64 // distinct data bytes each phase delivered
 		stamps := map[[2]int64]int64{}
@@ -223,10 +222,9 @@ func FuzzPhases(f *testing.F) {
 			} else {
 				subflowBytes += subflows.Add(lo, hi)
 			}
-			copy(stream[lo:hi], payload[lo:hi])
 			arrived.Add(lo, hi)
 			if end := arrived.ContiguousFrom(0); end > appNext {
-				read.Write(stream[appNext:end])
+				read.Write(payload[appNext:end])
 				appNext = end
 			}
 			rcv.HandlePacket(p)

@@ -63,11 +63,11 @@ func (f *Fabric) advanceShards(t sim.Time) {
 }
 
 // Run executes the fabric to the virtual-time horizon until (the run's
-// MaxSimTime) or a Stop request. It returns whether the run was stopped (vs drained
-// or timed out) and the virtual time it ended at — the stopping
-// callback's own firing time when stopped, until otherwise (matching
-// sim.Engine.RunUntil's clock semantics). On a direct fabric this is
-// exactly control.RunUntil.
+// MaxSimTime) or a Stop request. It returns whether the run was stopped
+// (vs drained or timed out) and the virtual time it ended at — the
+// stopping callback's own firing time when stopped, until otherwise
+// (matching sim.Engine.RunUntil's clock semantics). On a direct fabric
+// this is exactly control.RunUntil.
 //
 // Stop granularity: a Stop issued by a deferred completion takes effect
 // at the barrier that replays the completion. The window that produced

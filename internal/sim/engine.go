@@ -251,9 +251,9 @@ func (e *Engine) recycle(ev *event) {
 func (e *Engine) Stop() { e.stopped = true }
 
 // Reset returns the engine to its initial state — clock at zero, no
-// pending events, all counters cleared — while keeping
-// the allocated capacity (heap backing array, lane rings and event free
-// list), so a pooled engine's steady-state reuse allocates nothing.
+// pending events, all counters cleared — while keeping the allocated
+// capacity (heap backing array, lane rings and event free list), so a
+// pooled engine's steady-state reuse allocates nothing.
 // Pending events are discarded without firing, and a Timer armed before
 // Reset must not be used after it. This is the sim half of the
 // run-instance pooling contract: after Reset the engine is observationally
