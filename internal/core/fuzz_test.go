@@ -30,7 +30,7 @@ func (o *openUntil) ConvergenceOpen() bool {
 }
 
 // endpointFunc adapts a function to netem.Endpoint.
-type endpointFunc func(p *netem.Packet)
+type endpointFunc func(*netem.Packet)
 
 func (f endpointFunc) HandlePacket(p *netem.Packet) { f(p) }
 
